@@ -181,6 +181,7 @@ func BenchmarkFlexCastEngineGlobal(b *testing.B) {
 // can-deliver dependency walk on a growing history.
 func BenchmarkHistoryMergeAndCheck(b *testing.B) {
 	h := history.New()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := amcast.MsgID(i + 1)
 		h.Merge(&amcast.HistDelta{
@@ -190,6 +191,68 @@ func BenchmarkHistoryMergeAndCheck(b *testing.B) {
 		h.AnyBeforeUntil(id,
 			func(amcast.MsgID) bool { return false },
 			func(x amcast.MsgID) bool { return x < id }) // prune immediately
+	}
+}
+
+// benchHistory builds the history a group holds when a flush arrives: n
+// multi-group messages in this group's delivery chain, every fourth also
+// ordered after a message two steps back by another group's chain, and
+// the flush (id n+1) delivered last. At n = 18 000 it is the size the
+// parent of the arena change pruned per flush on local-inmem.
+func benchHistory(n int) *history.History {
+	h := history.New()
+	for i := 1; i <= n+1; i++ {
+		h.AppendDelivered(history.Node{ID: amcast.MsgID(i), Dst: []amcast.GroupID{1, 2}})
+		if i%4 == 0 {
+			h.AddEdge(amcast.MsgID(i-2), amcast.MsgID(i))
+		}
+	}
+	return h
+}
+
+// BenchmarkHistoryPrune measures the flush garbage collection: one marked
+// sweep that removes 18 000 nodes, their edges and their log entries.
+func BenchmarkHistoryPrune(b *testing.B) {
+	const n = 18_000
+	full := benchHistory(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := full.Clone()
+		b.StartTimer()
+		if got := h.PruneBefore(n + 1); got != n {
+			b.Fatalf("pruned %d nodes, want %d", got, n)
+		}
+	}
+}
+
+// BenchmarkHistoryDiffSince measures the per-send diff in steady state:
+// one delivery since the descendant's cursor, so the only allocations are
+// the returned delta and its two slices.
+func BenchmarkHistoryDiffSince(b *testing.B) {
+	h := benchHistory(1000)
+	_, cur := h.DiffSince(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.AppendDelivered(history.Node{ID: amcast.MsgID(2000 + i), Dst: []amcast.GroupID{1, 2}})
+		var d *amcast.HistDelta
+		if d, cur = h.DiffSince(cur); len(d.Nodes) != 1 || len(d.Edges) != 1 {
+			b.Fatalf("diff = %+v", d)
+		}
+	}
+}
+
+// BenchmarkHistoryClone measures the snapshot copy of a history of the
+// size a group holds between flushes once single-group messages stay out.
+func BenchmarkHistoryClone(b *testing.B) {
+	h := benchHistory(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := h.Clone(); c.Len() != h.Len() {
+			b.Fatal("clone lost nodes")
+		}
 	}
 }
 

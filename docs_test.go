@@ -65,3 +65,40 @@ func TestDocsNamedFilesExist(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsOpenIssuesAreOnRoadmap keeps "known open issue" statements
+// from outliving their issue: ROADMAP.md is where open items live, so a
+// paragraph of the other top-level docs that declares one must name, in
+// backticks, a repro, test or symbol that ROADMAP.md names too. A closed
+// issue leaves the roadmap, and this then fails until the stale
+// paragraph is deleted as well.
+func TestDocsOpenIssuesAreOnRoadmap(t *testing.T) {
+	backticked := regexp.MustCompile("`([^`]+)`")
+	spaces := regexp.MustCompile(`\s+`)
+	roadmap, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried := spaces.ReplaceAllString(string(roadmap), " ")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		buf, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		// Paragraphs end at a blank line or at the next list item.
+		text := strings.ReplaceAll(string(buf), "\n- ", "\n\n- ")
+		for _, para := range strings.Split(text, "\n\n") {
+			if !strings.Contains(strings.ToLower(para), "known open issue") {
+				continue
+			}
+			para = spaces.ReplaceAllString(para, " ")
+			onRoadmap := false
+			for _, m := range backticked.FindAllStringSubmatch(para, -1) {
+				onRoadmap = onRoadmap || strings.Contains(carried, "`"+m[1]+"`")
+			}
+			if !onRoadmap {
+				t.Errorf("%s declares a known open issue that ROADMAP.md does not carry (no backticked repro, test or symbol in common); delete it or put the issue on the roadmap:\n%.200s…", doc, para)
+			}
+		}
+	}
+}

@@ -52,6 +52,15 @@ func NewReader(buf []byte) *Reader { return &Reader{d: decoder{buf: buf}} }
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.d.err }
 
+// Fail latches err unless an earlier error is latched already: a caller
+// that decodes a well-formed record into an inconsistent value reports it
+// through the same single check.
+func (r *Reader) Fail(err error) {
+	if r.d.err == nil {
+		r.d.err = err
+	}
+}
+
 // Close verifies the record was consumed exactly (no trailing bytes)
 // and returns the first error.
 func (r *Reader) Close() error {

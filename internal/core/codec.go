@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"flexcast/amcast"
@@ -12,7 +14,7 @@ import (
 
 // Binary snapshot codec for the FlexCast engine. Map iteration is
 // always sorted, so the same snapshot marshals to the same bytes; the
-// history log is serialized verbatim (its entries back diff cursors).
+// history arena is serialized slot by slot (history.AppendBinary).
 
 var _ amcast.BinarySnapshot = (*snapshot)(nil)
 
@@ -53,25 +55,6 @@ func readIDSet(r *codec.Reader) map[amcast.MsgID]bool {
 	return m
 }
 
-func appendGroupSet(buf []byte, m map[amcast.GroupID]bool) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, g := range sortedGroups(m) {
-		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
-		buf = codec.AppendBool(buf, m[g])
-	}
-	return buf
-}
-
-func readGroupSet(r *codec.Reader) map[amcast.GroupID]bool {
-	n := r.Count()
-	m := make(map[amcast.GroupID]bool, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		g := amcast.GroupID(r.Uvarint())
-		m[g] = r.Bool()
-	}
-	return m
-}
-
 func appendGroupEpochs(buf []byte, m map[amcast.GroupID]uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m)))
 	for _, g := range sortedGroups(m) {
@@ -91,26 +74,31 @@ func readGroupEpochs(r *codec.Reader) map[amcast.GroupID]uint64 {
 	return m
 }
 
+// appendPending writes the three collections in sorted order: they are
+// unordered in memory, and equal states must marshal to equal bytes.
 func appendPending(buf []byte, p *pending) []byte {
 	buf = codec.AppendMessage(buf, p.msg)
 	buf = codec.AppendBool(buf, p.hasMsg)
 	buf = codec.AppendBool(buf, p.queued)
-	buf = appendGroupSet(buf, p.acks)
-	pairs := make([]amcast.NotifPair, 0, len(p.notif))
-	for k, epoch := range p.notif {
-		pairs = append(pairs, amcast.NotifPair{Notifier: k.notifier, Notified: k.notified, Epoch: epoch})
-	}
-	amcast.NormalizePairs(pairs)
+	acks := slices.Clone(p.acks)
+	slices.Sort(acks)
+	buf = codec.AppendGroups(buf, acks)
+	pairs := amcast.NormalizePairs(slices.Clone(p.notif))
 	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
 	for _, pr := range pairs {
 		buf = binary.AppendUvarint(buf, uint64(uint32(pr.Notifier)))
 		buf = binary.AppendUvarint(buf, uint64(uint32(pr.Notified)))
 		buf = binary.AppendUvarint(buf, pr.Epoch)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.notifAcks)))
-	for _, g := range sortedGroups(p.notifAcks) {
-		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
-		buf = appendGroupEpochs(buf, p.notifAcks[g])
+	flushed := slices.Clone(p.notifAcks)
+	slices.SortFunc(flushed, func(a, b notifAck) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.notifier, b.notifier))
+	})
+	buf = binary.AppendUvarint(buf, uint64(len(flushed)))
+	for _, a := range flushed {
+		buf = binary.AppendUvarint(buf, uint64(uint32(a.from)))
+		buf = binary.AppendUvarint(buf, uint64(uint32(a.notifier)))
+		buf = binary.AppendUvarint(buf, a.epoch)
 	}
 	return buf
 }
@@ -120,22 +108,17 @@ func readPending(r *codec.Reader) *pending {
 		msg:    r.Message(),
 		hasMsg: r.Bool(),
 		queued: r.Bool(),
-		acks:   readGroupSet(r),
-		notif:  make(map[pairKey]uint64),
+		acks:   r.Groups(),
 	}
-	nPairs := r.Count()
-	for i := 0; i < nPairs && r.Err() == nil; i++ {
-		k := pairKey{
-			notifier: amcast.GroupID(r.Uvarint()),
-			notified: amcast.GroupID(r.Uvarint()),
-		}
-		p.notif[k] = r.Uvarint()
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		p.addNotif(amcast.NotifPair{
+			Notifier: amcast.GroupID(r.Uvarint()),
+			Notified: amcast.GroupID(r.Uvarint()),
+			Epoch:    r.Uvarint(),
+		})
 	}
-	nAcks := r.Count()
-	p.notifAcks = make(map[amcast.GroupID]map[amcast.GroupID]uint64, nAcks)
-	for i := 0; i < nAcks && r.Err() == nil; i++ {
-		g := amcast.GroupID(r.Uvarint())
-		p.notifAcks[g] = readGroupEpochs(r)
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		p.addNotifAck(amcast.GroupID(r.Uvarint()), amcast.GroupID(r.Uvarint()), r.Uvarint())
 	}
 	return p
 }

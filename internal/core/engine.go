@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,12 +46,6 @@ type Config struct {
 	DisableGC bool
 }
 
-// pairKey identifies one (notifier → notified) notification pair; the
-// certification epoch is tracked as the map value, not part of the key.
-type pairKey struct {
-	notifier, notified amcast.GroupID
-}
-
 // notifState is the notifier-side record of the last NOTIF sent about
 // one message to one notified group: the certification epoch used and
 // the trafficSeq snapshot it certified (see Engine.trafficSeq).
@@ -61,12 +56,16 @@ type notifState struct {
 
 // pending tracks protocol state for one not-yet-delivered message
 // (Algorithm 1 lines 5-6: m.acks and m.notifList, plus the message body).
+// The three collections are a few entries long — bounded by the number of
+// groups — so they are unordered slices searched linearly, allocated on
+// first use.
 type pending struct {
 	msg    amcast.Message
 	hasMsg bool // the MSG/REQUEST envelope carrying the payload arrived
 	queued bool
-	acks   map[amcast.GroupID]bool
-	// notif maps each known (notifier → notified) pair to the highest
+	// acks lists the groups whose ack for the message arrived.
+	acks []amcast.GroupID
+	// notif holds each known (notifier → notified) pair at the highest
 	// certification epoch announced for it. Pairs, not a flat set: each
 	// notifier's notification must be answered by a flush ack that
 	// causally follows it (the notifier sends the NOTIF on the same
@@ -74,11 +73,51 @@ type pending struct {
 	// dependencies the notifier knows about. The epoch closes the
 	// remaining window: a flush ack covering epoch e-1 cannot satisfy a
 	// pair re-certified at epoch e (DESIGN.md §4 deviation 8).
-	notif map[pairKey]uint64
-	// notifAcks[n][notifier] is the highest certification epoch of
-	// notifier's notifications that group n has flushed (learned from
-	// AckCovers on n's acks).
-	notifAcks map[amcast.GroupID]map[amcast.GroupID]uint64
+	notif []amcast.NotifPair
+	// notifAcks holds, per (notified group, notifier), the highest
+	// certification epoch of the notifier's notifications the notified
+	// group has flushed (learned from AckCovers on its acks).
+	notifAcks []notifAck
+}
+
+// notifAck is one pending.notifAcks entry.
+type notifAck struct {
+	from, notifier amcast.GroupID
+	epoch          uint64
+}
+
+// addNotif records a pair announcement, keeping the highest epoch.
+func (p *pending) addNotif(pr amcast.NotifPair) {
+	for i := range p.notif {
+		if q := &p.notif[i]; q.Notifier == pr.Notifier && q.Notified == pr.Notified {
+			q.Epoch = max(q.Epoch, pr.Epoch)
+			return
+		}
+	}
+	p.notif = append(p.notif, pr)
+}
+
+// addNotifAck records that from flushed notifier's notifications up to
+// epoch, keeping the highest epoch.
+func (p *pending) addNotifAck(from, notifier amcast.GroupID, epoch uint64) {
+	for i := range p.notifAcks {
+		if a := &p.notifAcks[i]; a.from == from && a.notifier == notifier {
+			a.epoch = max(a.epoch, epoch)
+			return
+		}
+	}
+	p.notifAcks = append(p.notifAcks, notifAck{from: from, notifier: notifier, epoch: epoch})
+}
+
+// flushed reports the highest epoch of notifier's notifications that
+// from has flushed, 0 if none.
+func (p *pending) flushed(from, notifier amcast.GroupID) uint64 {
+	for _, a := range p.notifAcks {
+		if a.from == from && a.notifier == notifier {
+			return a.epoch
+		}
+	}
+	return 0
 }
 
 // pendingNotif is a deferred notification (Algorithm 2 line 16): the ACK
@@ -100,6 +139,13 @@ type Engine struct {
 	g   amcast.GroupID
 	ov  *overlay.CDAG
 
+	// ancestors is ov.Ancestors(g), the order reprocess scans queues in.
+	ancestors []amcast.GroupID
+
+	// hst holds the multi-destination messages only: a message addressed
+	// to g alone is delivered on arrival and never becomes a node
+	// (DESIGN.md §4 deviation 9). Its nodes carry the open and delivered
+	// sets below as flags, which is what can-deliver's walk reads.
 	hst *history.History
 	// delivered doubles as deliveredInG and as the tombstone set that
 	// prevents re-delivery after garbage collection.
@@ -108,7 +154,8 @@ type Engine struct {
 	// to g, not yet delivered (open-dependencies() in Algorithm 3).
 	open map[amcast.MsgID]bool
 	// queues holds the per-ancestor FIFO queues of undelivered application
-	// messages, keyed by the message's lca (Algorithm 1 line 14).
+	// messages, keyed by the message's lca (Algorithm 1 line 14); a queue
+	// that empties is removed.
 	queues map[amcast.GroupID][]amcast.MsgID
 	// pend tracks acks/notifLists per in-flight message; entries are
 	// created on first reference because an ACK can overtake its MSG on a
@@ -168,6 +215,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		g:          cfg.Group,
 		ov:         cfg.Overlay,
+		ancestors:  cfg.Overlay.Ancestors(cfg.Group),
 		hst:        history.New(),
 		delivered:  make(map[amcast.MsgID]bool),
 		open:       make(map[amcast.MsgID]bool),
@@ -310,16 +358,11 @@ func (e *Engine) onAck(env amcast.Envelope, outs *[]amcast.Output) {
 	from := env.From
 	if !from.IsClient() {
 		p := e.pending(m.ID)
-		p.acks[from.Group()] = true
+		if !slices.Contains(p.acks, from.Group()) {
+			p.acks = append(p.acks, from.Group())
+		}
 		for _, c := range env.AckCovers {
-			covered, ok := p.notifAcks[from.Group()]
-			if !ok {
-				covered = make(map[amcast.GroupID]uint64)
-				p.notifAcks[from.Group()] = covered
-			}
-			if c.Epoch > covered[c.Notifier] {
-				covered[c.Notifier] = c.Epoch
-			}
+			p.addNotifAck(from.Group(), c.Notifier, c.Epoch)
 		}
 		e.mergeNotifList(p, env.NotifList)
 	}
@@ -356,25 +399,17 @@ func (e *Engine) onNotif(env amcast.Envelope, outs *[]amcast.Output) {
 		e.notifDone[m.ID] = done
 	}
 	done[notifier] = epoch
-	deps := make(map[amcast.MsgID]bool, len(e.open))
-	for id := range e.open {
-		deps[id] = true
-	}
-	if len(deps) > 0 {
-		e.pendNotif = append(e.pendNotif, &pendingNotif{msg: m.Header(), notifier: notifier, epoch: epoch, deps: deps})
-	} else {
+	if len(e.open) == 0 {
 		e.sendFlushAck(m.Header(), []amcast.AckCover{{Notifier: notifier, Epoch: epoch}}, outs)
+		return
 	}
+	e.pendNotif = append(e.pendNotif, &pendingNotif{msg: m.Header(), notifier: notifier, epoch: epoch, deps: copyIDSet(e.open)})
 }
 
 func (e *Engine) pending(id amcast.MsgID) *pending {
 	p, ok := e.pend[id]
 	if !ok {
-		p = &pending{
-			acks:      make(map[amcast.GroupID]bool),
-			notif:     make(map[pairKey]uint64),
-			notifAcks: make(map[amcast.GroupID]map[amcast.GroupID]uint64),
-		}
+		p = &pending{}
 		e.pend[id] = p
 	}
 	return p
@@ -382,14 +417,10 @@ func (e *Engine) pending(id amcast.MsgID) *pending {
 
 func (e *Engine) mergeNotifList(p *pending, ps []amcast.NotifPair) {
 	for _, pr := range ps {
-		k := pairKey{notifier: pr.Notifier, notified: pr.Notified}
-		epoch := pr.Epoch
-		if epoch == 0 {
-			epoch = 1
+		if pr.Epoch == 0 {
+			pr.Epoch = 1
 		}
-		if epoch > p.notif[k] {
-			p.notif[k] = epoch
-		}
+		p.addNotif(pr)
 	}
 }
 
@@ -401,14 +432,13 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 		for _, dst := range n.Dst {
 			e.trafficSeq[dst]++
 		}
-		if e.delivered[n.ID] {
-			continue
-		}
-		for _, dst := range n.Dst {
-			if dst == e.g {
-				e.open[n.ID] = true
-				break
-			}
+		switch {
+		case e.delivered[n.ID]:
+			// Pruned after its delivery here, back through a late diff.
+			e.hst.MarkDelivered(n.ID)
+		case slices.Contains(n.Dst, e.g):
+			e.open[n.ID] = true
+			e.hst.MarkOpen(n.ID)
 		}
 	}
 }
@@ -416,18 +446,27 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 // deliver delivers m at this group (Algorithm 3 lines 20-31), appending
 // the outputs it generates.
 func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
-	if !e.hst.Contains(m.ID) {
+	e.delivered[m.ID] = true
+	e.deliveries = append(e.deliveries, amcast.Delivery{Group: e.g, Seq: e.seq, Msg: m})
+	e.seq++
+	if len(m.Dst) == 1 {
+		// Addressed to this group alone: delivered on arrival at its lca,
+		// open nowhere, with nobody to forward to, ack or notify, and one
+		// in- and one out-edge in the history (this group's delivery
+		// chain). Leaving it out contracts prev → m → next to prev → next,
+		// which keeps every path between the remaining nodes (DESIGN.md §4
+		// deviation 9). A flush is addressed to every group, so it takes
+		// this path only in a one-group overlay, whose history is empty.
+		return
+	}
+	if e.hst.AppendDelivered(history.Node{ID: m.ID, Dst: m.Dst}) {
 		// A locally appended node is new traffic for its destinations,
 		// exactly like a merged one (mergeHist counts those).
 		for _, dst := range m.Dst {
 			e.trafficSeq[dst]++
 		}
 	}
-	e.hst.AppendDelivered(history.Node{ID: m.ID, Dst: m.Dst})
-	e.delivered[m.ID] = true
 	delete(e.open, m.ID)
-	e.deliveries = append(e.deliveries, amcast.Delivery{Group: e.g, Seq: e.seq, Msg: m})
-	e.seq++
 
 	lca := e.ov.Lca(m.Dst)
 	if lca == e.g {
@@ -441,61 +480,53 @@ func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
 	// sends for m happen above), so its notifier-side record is dead.
 	delete(e.notifSent, m.ID)
 
-	// Unblock pending notifications waiting on this delivery. Entries
-	// for the same message that unblock together are answered with one
-	// ack covering all their (notifier, epoch) entries.
-	kept := e.pendNotif[:0]
-	var readyIDs []amcast.MsgID
-	readyMsg := make(map[amcast.MsgID]amcast.Message)
-	readyCovers := make(map[amcast.MsgID][]amcast.AckCover)
-	for _, pn := range e.pendNotif {
-		delete(pn.deps, m.ID)
-		if len(pn.deps) > 0 {
-			kept = append(kept, pn)
-			continue
-		}
-		if _, ok := readyMsg[pn.msg.ID]; !ok {
-			readyMsg[pn.msg.ID] = pn.msg
-			readyIDs = append(readyIDs, pn.msg.ID)
-		}
-		readyCovers[pn.msg.ID] = append(readyCovers[pn.msg.ID], amcast.AckCover{Notifier: pn.notifier, Epoch: pn.epoch})
+	if len(e.pendNotif) > 0 {
+		e.releaseNotifs(m.ID, outs)
 	}
-	e.pendNotif = kept
-	for _, id := range readyIDs {
-		e.sendFlushAck(readyMsg[id], readyCovers[id], outs)
-	}
-
 	if m.Flags&amcast.FlagFlush != 0 && !e.cfg.DisableGC {
 		e.nPruned += e.hst.PruneBefore(m.ID)
-		e.compactCursors()
 	}
 }
 
-// compactCursors shrinks the history log after a prune, keeping the
-// per-descendant diff cursors consistent.
-func (e *Engine) compactCursors() {
-	keys := make([]amcast.GroupID, 0, len(e.cursors))
-	vals := make([]history.Cursor, 0, len(e.cursors))
-	for g, c := range e.cursors {
-		keys = append(keys, g)
-		vals = append(vals, c)
+// releaseNotifs unblocks the pending notifications that waited only on
+// the delivery of id. Entries for the same message that unblock together
+// are answered with one ack covering all their (notifier, epoch) entries,
+// in the order the first of them was deferred.
+func (e *Engine) releaseNotifs(id amcast.MsgID, outs *[]amcast.Output) {
+	kept := e.pendNotif[:0]
+	var ready []*pendingNotif
+	for _, pn := range e.pendNotif {
+		delete(pn.deps, id)
+		if len(pn.deps) > 0 {
+			kept = append(kept, pn)
+		} else {
+			ready = append(ready, pn)
+		}
 	}
-	ptrs := make([]*history.Cursor, len(vals))
-	for i := range vals {
-		ptrs[i] = &vals[i]
-	}
-	e.hst.CompactLog(ptrs)
-	for i, g := range keys {
-		e.cursors[g] = vals[i]
+	clear(e.pendNotif[len(kept):])
+	e.pendNotif = kept
+	for i, pn := range ready {
+		if pn == nil {
+			continue // folded into an earlier entry's ack
+		}
+		covers := []amcast.AckCover{{Notifier: pn.notifier, Epoch: pn.epoch}}
+		for j := i + 1; j < len(ready); j++ {
+			if o := ready[j]; o != nil && o.msg.ID == pn.msg.ID {
+				covers = append(covers, amcast.AckCover{Notifier: o.notifier, Epoch: o.epoch})
+				ready[j] = nil
+			}
+		}
+		e.sendFlushAck(pn.msg, covers, outs)
 	}
 }
 
 func (e *Engine) dequeue(lca amcast.GroupID, id amcast.MsgID) {
 	q := e.queues[lca]
-	for i, qid := range q {
-		if qid == id {
-			e.queues[lca] = append(q[:i], q[i+1:]...)
-			return
+	if i := slices.Index(q, id); i >= 0 {
+		if len(q) == 1 {
+			delete(e.queues, lca)
+		} else {
+			e.queues[lca] = slices.Delete(q, i, i+1)
 		}
 	}
 }
@@ -519,9 +550,7 @@ func (e *Engine) sendFlushAck(m amcast.Message, covers []amcast.AckCover, outs *
 func (e *Engine) sendDescendants(m amcast.Message, kind amcast.Kind, covers []amcast.AckCover, outs *[]amcast.Output) {
 	notifList := e.sendNotifs(m, outs)
 	if p, ok := e.pend[m.ID]; ok {
-		for k, epoch := range p.notif {
-			notifList = append(notifList, amcast.NotifPair{Notifier: k.notifier, Notified: k.notified, Epoch: epoch})
-		}
+		notifList = append(notifList, p.notif...)
 	}
 	notifList = amcast.NormalizePairs(notifList)
 
@@ -609,10 +638,10 @@ func (e *Engine) diffFor(d amcast.GroupID) *amcast.HistDelta {
 // (Algorithm 3 lines 41-48). outs accumulates all generated envelopes;
 // the (possibly grown) slice is returned for convenience.
 func (e *Engine) reprocess(outs *[]amcast.Output) []amcast.Output {
-	for {
+	for len(e.queues) > 0 {
 		progressed := false
 		// Iterate ancestors in rank order for determinism.
-		for _, lca := range e.ov.Ancestors(e.g) {
+		for _, lca := range e.ancestors {
 			q := e.queues[lca]
 			if len(q) == 0 {
 				continue
@@ -624,9 +653,10 @@ func (e *Engine) reprocess(outs *[]amcast.Output) []amcast.Output {
 			}
 		}
 		if !progressed {
-			return *outs
+			break
 		}
 	}
+	return *outs
 }
 
 // canDeliver implements Algorithm 3 lines 49-54.
@@ -652,12 +682,12 @@ func (e *Engine) canDeliver(id amcast.MsgID) bool {
 		if d == lca || e.ov.Rank(d) >= myRank {
 			continue
 		}
-		if !p.acks[d] {
+		if !slices.Contains(p.acks, d) {
 			return false
 		}
 	}
-	for pr, epoch := range p.notif {
-		if e.ov.Rank(pr.notified) < myRank && p.notifAcks[pr.notified][pr.notifier] < epoch {
+	for _, pr := range p.notif {
+		if e.ov.Rank(pr.Notified) < myRank && p.flushed(pr.Notified, pr.Notifier) < pr.Epoch {
 			return false
 		}
 	}
@@ -665,9 +695,7 @@ func (e *Engine) canDeliver(id amcast.MsgID) bool {
 	// search prunes at locally delivered nodes: everything ordered before
 	// a delivered message and addressed to g was delivered first, so no
 	// open dependency can hide behind one.
-	return !e.hst.AnyBeforeUntil(id,
-		func(x amcast.MsgID) bool { return e.open[x] },
-		func(x amcast.MsgID) bool { return e.delivered[x] })
+	return !e.hst.AnyOpenBefore(id)
 }
 
 // CheckHistoryAcyclic verifies that the merged history remains a DAG —
@@ -710,13 +738,10 @@ func (e *Engine) DebugDump() string {
 				fmt.Fprintf(&sb, "  q[lca %d] %s: no pending state\n", lca, id)
 				continue
 			}
-			pairs := make([]amcast.NotifPair, 0, len(p.notif))
-			for k, epoch := range p.notif {
-				pairs = append(pairs, amcast.NotifPair{Notifier: k.notifier, Notified: k.notified, Epoch: epoch})
-			}
-			pairs = amcast.NormalizePairs(pairs)
+			acks := slices.Clone(p.acks)
+			slices.Sort(acks)
 			fmt.Fprintf(&sb, "  q[lca %d] %s: hasMsg=%v dst=%v acks=%v notif=%v canDeliver=%v\n",
-				lca, id, p.hasMsg, p.msg.Dst, sortedGroups(p.acks), pairs, e.canDeliver(id))
+				lca, id, p.hasMsg, p.msg.Dst, acks, amcast.NormalizePairs(slices.Clone(p.notif)), e.canDeliver(id))
 		}
 	}
 	for _, pn := range e.pendNotif {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"flexcast/amcast"
 	"flexcast/internal/history"
@@ -34,27 +36,17 @@ func (s *snapshot) SnapshotGroup() amcast.GroupID { return s.g }
 
 var _ amcast.SnapshotEngine = (*Engine)(nil)
 
+// copyIDSet never returns nil: the result backs an engine's or a pending
+// notification's set, which is written to.
 func copyIDSet(m map[amcast.MsgID]bool) map[amcast.MsgID]bool {
 	c := make(map[amcast.MsgID]bool, len(m))
-	for id, v := range m {
-		c[id] = v
-	}
-	return c
-}
-
-func copyGroupSet(m map[amcast.GroupID]bool) map[amcast.GroupID]bool {
-	c := make(map[amcast.GroupID]bool, len(m))
-	for g, v := range m {
-		c[g] = v
-	}
+	maps.Copy(c, m)
 	return c
 }
 
 func copyGroupEpochs(m map[amcast.GroupID]uint64) map[amcast.GroupID]uint64 {
 	c := make(map[amcast.GroupID]uint64, len(m))
-	for g, v := range m {
-		c[g] = v
-	}
+	maps.Copy(c, m)
 	return c
 }
 
@@ -69,29 +61,23 @@ func copyNotifDone(m map[amcast.MsgID]map[amcast.GroupID]uint64) map[amcast.MsgI
 func copyNotifSent(m map[amcast.MsgID]map[amcast.GroupID]notifState) map[amcast.MsgID]map[amcast.GroupID]notifState {
 	c := make(map[amcast.MsgID]map[amcast.GroupID]notifState, len(m))
 	for id, sent := range m {
-		cs := make(map[amcast.GroupID]notifState, len(sent))
-		for g, st := range sent {
-			cs[g] = st
-		}
-		c[id] = cs
+		c[id] = maps.Clone(sent)
 	}
 	return c
 }
 
 func copyPending(p *pending) *pending {
-	c := &pending{
-		msg:       p.msg,
-		hasMsg:    p.hasMsg,
-		queued:    p.queued,
-		acks:      copyGroupSet(p.acks),
-		notif:     make(map[pairKey]uint64, len(p.notif)),
-		notifAcks: make(map[amcast.GroupID]map[amcast.GroupID]uint64, len(p.notifAcks)),
-	}
-	for pr, v := range p.notif {
-		c.notif[pr] = v
-	}
-	for g, covered := range p.notifAcks {
-		c.notifAcks[g] = copyGroupEpochs(covered)
+	c := *p
+	c.acks = slices.Clone(p.acks)
+	c.notif = slices.Clone(p.notif)
+	c.notifAcks = slices.Clone(p.notifAcks)
+	return &c
+}
+
+func copyPendNotifs(pns []*pendingNotif) []*pendingNotif {
+	var c []*pendingNotif
+	for _, pn := range pns {
+		c = append(c, &pendingNotif{msg: pn.msg, notifier: pn.notifier, epoch: pn.epoch, deps: copyIDSet(pn.deps)})
 	}
 	return c
 }
@@ -107,10 +93,11 @@ func (e *Engine) capture() *snapshot {
 		open:       copyIDSet(e.open),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID, len(e.queues)),
 		pend:       make(map[amcast.MsgID]*pending, len(e.pend)),
+		pendNotif:  copyPendNotifs(e.pendNotif),
 		notifDone:  copyNotifDone(e.notifDone),
 		trafficSeq: copyGroupEpochs(e.trafficSeq),
 		notifSent:  copyNotifSent(e.notifSent),
-		cursors:    make(map[amcast.GroupID]history.Cursor, len(e.cursors)),
+		cursors:    maps.Clone(e.cursors),
 		deliveries: append([]amcast.Delivery(nil), e.deliveries...),
 		seq:        e.seq,
 		nPruned:    e.nPruned,
@@ -120,16 +107,6 @@ func (e *Engine) capture() *snapshot {
 	}
 	for id, p := range e.pend {
 		s.pend[id] = copyPending(p)
-	}
-	for _, pn := range e.pendNotif {
-		deps := make(map[amcast.MsgID]bool, len(pn.deps))
-		for id := range pn.deps {
-			deps[id] = true
-		}
-		s.pendNotif = append(s.pendNotif, &pendingNotif{msg: pn.msg, notifier: pn.notifier, epoch: pn.epoch, deps: deps})
-	}
-	for g, c := range e.cursors {
-		s.cursors[g] = c
 	}
 	return s
 }
@@ -148,21 +125,11 @@ func (e *Engine) install(s *snapshot) {
 	for id, p := range s.pend {
 		e.pend[id] = copyPending(p)
 	}
-	e.pendNotif = nil
-	for _, pn := range s.pendNotif {
-		deps := make(map[amcast.MsgID]bool, len(pn.deps))
-		for id := range pn.deps {
-			deps[id] = true
-		}
-		e.pendNotif = append(e.pendNotif, &pendingNotif{msg: pn.msg, notifier: pn.notifier, epoch: pn.epoch, deps: deps})
-	}
+	e.pendNotif = copyPendNotifs(s.pendNotif)
 	e.notifDone = copyNotifDone(s.notifDone)
 	e.trafficSeq = copyGroupEpochs(s.trafficSeq)
 	e.notifSent = copyNotifSent(s.notifSent)
-	e.cursors = make(map[amcast.GroupID]history.Cursor, len(s.cursors))
-	for g, c := range s.cursors {
-		e.cursors[g] = c
-	}
+	e.cursors = maps.Clone(s.cursors)
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq
 	e.nPruned = s.nPruned

@@ -5,15 +5,26 @@
 // merging the history diffs received from ancestor groups, and it shrinks
 // through flush-based garbage collection (§4.3).
 //
+// Nodes live in a dense arena: one slot-indexed slice, adjacency as small
+// inline slot lists (a message's in- and out-degree is bounded by its
+// destination count), a free list for slot reuse and one MsgID → slot
+// index as the only map. Graph walks mark visited slots with an epoch
+// stamp and keep their work list in a reused buffer, so the steady-state
+// operations allocate nothing.
+//
 // The structure also maintains an append-only log of first-seen nodes and
-// edges. Per-descendant diff tracking (diff-hst in Algorithm 3) is a pair
-// of indexes into this log, which makes computing "the part of my history
-// I have not yet sent to h" O(new entries) instead of O(|history|).
+// edges, each entry stamped with a sequence number that is never reused.
+// Per-descendant diff tracking (diff-hst in Algorithm 3) is a sequence
+// number into this log, which makes computing "the part of my history I
+// have not yet sent to h" O(new entries) instead of O(|history|), and
+// lets garbage collection drop dead entries without touching any cursor.
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"flexcast/amcast"
 )
@@ -24,61 +35,149 @@ type Node struct {
 	Dst []amcast.GroupID
 }
 
+// Node flags. The engine owning the history records per node whether the
+// message is an open dependency (addressed to the group, not delivered
+// yet) or was delivered locally, so that AnyOpenBefore tests a bit
+// instead of calling back into the engine's sets.
+const (
+	flagLive uint8 = 1 << iota
+	flagOpen
+	flagDelivered
+)
+
+const (
+	// inlineDeg is the adjacency capacity held inside the node; higher
+	// degrees (flush messages, addressed to every group) spill to a slice.
+	inlineDeg = 4
+	noSlot    = ^uint32(0)
+)
+
+// adj is a list of slots: the first inlineDeg inline, the rest in more.
+type adj struct {
+	n    uint32
+	inl  [inlineDeg]uint32
+	more []uint32
+}
+
+func (a *adj) at(i uint32) uint32 {
+	if i < inlineDeg {
+		return a.inl[i]
+	}
+	return a.more[i-inlineDeg]
+}
+
+func (a *adj) set(i, s uint32) {
+	if i < inlineDeg {
+		a.inl[i] = s
+	} else {
+		a.more[i-inlineDeg] = s
+	}
+}
+
+func (a *adj) add(s uint32) {
+	if a.n < inlineDeg {
+		a.inl[a.n] = s
+	} else {
+		a.more = append(a.more, s)
+	}
+	a.n++
+}
+
+func (a *adj) has(s uint32) bool {
+	for i := uint32(0); i < a.n; i++ {
+		if a.at(i) == s {
+			return true
+		}
+	}
+	return false
+}
+
+// truncate keeps the first k slots; the spill slice keeps its capacity
+// for the slot's next tenant.
+func (a *adj) truncate(k uint32) {
+	a.n = k
+	if k > inlineDeg {
+		a.more = a.more[:k-inlineDeg]
+	} else {
+		a.more = a.more[:0]
+	}
+}
+
+type vertex struct {
+	id         amcast.MsgID
+	dst        []amcast.GroupID
+	pred, succ adj
+	// mark is the epoch of the last walk that visited the node.
+	mark  uint32
+	flags uint8
+}
+
+// logEntry is one first-seen node (b == noSlot) or edge a → b. Entries of
+// pruned nodes are removed by the prune itself, so a logged slot is always
+// live.
 type logEntry struct {
-	// isEdge selects which of the two fields below is meaningful.
-	isEdge bool
-	node   Node
-	edge   amcast.HistEdge
+	seq  uint64
+	a, b uint32
+}
+
+type groupCount struct {
+	g amcast.GroupID
+	n int
 }
 
 // History is the history H = (M, D, lastDlvd) of one group. The zero value
 // is not usable; call New.
 type History struct {
-	nodes map[amcast.MsgID]Node
-	succ  map[amcast.MsgID]map[amcast.MsgID]struct{}
-	pred  map[amcast.MsgID]map[amcast.MsgID]struct{}
+	nodes []vertex
+	index map[amcast.MsgID]uint32
+	free  []uint32
 	last  amcast.MsgID // lastDlvd; 0 means ⊥
 	// msgsTo counts live nodes addressed to each group, backing the
-	// hst.containsMsgTo(d) test of Algorithm 3 (send-notifs).
-	msgsTo map[amcast.GroupID]int
-	// log records first-seen nodes and edges in insertion order; pruned
-	// entries are left in place (they are dead weight for at most one diff
-	// per descendant) so that diff cursors remain valid monotonic indexes.
-	log []logEntry
+	// hst.containsMsgTo(d) test of Algorithm 3 (send-notifs). A deployment
+	// has a dozen groups: a linear scan beats a map.
+	msgsTo []groupCount
+	// log records first-seen nodes and edges in insertion order; nextSeq
+	// is the sequence number the next entry gets.
+	log     []logEntry
+	nextSeq uint64
+
+	epoch uint32
+	work  []uint32 // walk stack / prune set, reused
+	added []Node   // Merge's result, reused
 }
 
 // New returns an empty history.
 func New() *History {
-	return &History{
-		nodes:  make(map[amcast.MsgID]Node),
-		succ:   make(map[amcast.MsgID]map[amcast.MsgID]struct{}),
-		pred:   make(map[amcast.MsgID]map[amcast.MsgID]struct{}),
-		msgsTo: make(map[amcast.GroupID]int),
-	}
+	return &History{index: make(map[amcast.MsgID]uint32)}
 }
 
 // Len returns the number of live nodes.
-func (h *History) Len() int { return len(h.nodes) }
+func (h *History) Len() int { return len(h.index) }
 
 // EdgeCount returns the number of live edges.
 func (h *History) EdgeCount() int {
 	n := 0
-	for _, s := range h.succ {
-		n += len(s)
+	for i := range h.nodes {
+		if h.nodes[i].flags&flagLive != 0 {
+			n += int(h.nodes[i].succ.n)
+		}
 	}
 	return n
 }
 
 // Contains reports whether the message id is a live node.
 func (h *History) Contains(id amcast.MsgID) bool {
-	_, ok := h.nodes[id]
+	_, ok := h.index[id]
 	return ok
 }
 
 // NodeOf returns the node for id, and whether it exists.
 func (h *History) NodeOf(id amcast.MsgID) (Node, bool) {
-	n, ok := h.nodes[id]
-	return n, ok
+	s, ok := h.index[id]
+	if !ok {
+		return Node{}, false
+	}
+	return Node{ID: id, Dst: h.nodes[s].dst}, true
 }
 
 // LastDelivered returns the id of the last message delivered at this
@@ -87,33 +186,101 @@ func (h *History) LastDelivered() amcast.MsgID { return h.last }
 
 // ContainsMsgTo reports whether the history holds any live message
 // addressed to g (hst.containsMsgTo in Algorithm 3 line 38).
-func (h *History) ContainsMsgTo(g amcast.GroupID) bool { return h.msgsTo[g] > 0 }
+func (h *History) ContainsMsgTo(g amcast.GroupID) bool {
+	for i := range h.msgsTo {
+		if h.msgsTo[i].g == g {
+			return h.msgsTo[i].n > 0
+		}
+	}
+	return false
+}
+
+func (h *History) countDst(dst []amcast.GroupID, delta int) {
+next:
+	for _, g := range dst {
+		for i := range h.msgsTo {
+			if h.msgsTo[i].g == g {
+				h.msgsTo[i].n += delta
+				continue next
+			}
+		}
+		h.msgsTo = append(h.msgsTo, groupCount{g: g, n: delta})
+	}
+}
+
+// alloc takes a slot for a new live node and logs it.
+func (h *History) alloc(id amcast.MsgID, dst []amcast.GroupID) uint32 {
+	var s uint32
+	if k := len(h.free); k > 0 {
+		s = h.free[k-1]
+		h.free = h.free[:k-1]
+	} else {
+		s = uint32(len(h.nodes))
+		h.nodes = append(h.nodes, vertex{})
+	}
+	nd := &h.nodes[s]
+	nd.id, nd.dst, nd.flags = id, dst, flagLive
+	h.index[id] = s
+	h.countDst(dst, 1)
+	h.appendLog(s, noSlot)
+	return s
+}
+
+func (h *History) appendLog(a, b uint32) {
+	h.log = append(h.log, logEntry{seq: h.nextSeq, a: a, b: b})
+	h.nextSeq++
+}
+
+// addNode inserts n or fills in a placeholder's destinations; it reports
+// the slot, whether the node was created, and whether a placeholder was
+// filled in.
+func (h *History) addNode(n Node) (s uint32, created, filled bool) {
+	s, ok := h.index[n.ID]
+	if !ok {
+		return h.alloc(n.ID, n.Dst), true, false
+	}
+	if nd := &h.nodes[s]; len(nd.dst) == 0 && len(n.Dst) > 0 {
+		nd.dst = n.Dst
+		h.countDst(n.Dst, 1)
+		// Re-log the now-complete node so descendants whose diff cursor
+		// already passed the placeholder entry still learn the
+		// destinations.
+		h.appendLog(s, noSlot)
+		return s, false, true
+	}
+	return s, false, false
+}
 
 // AddNode inserts a node if it is not already present, returning true when
 // the node is new. If the node exists as a placeholder (empty destination
 // set, materialized by an edge that referenced it), the destinations are
 // filled in and the node is NOT reported as new.
 func (h *History) AddNode(n Node) bool {
-	existing, ok := h.nodes[n.ID]
-	if ok {
-		if len(existing.Dst) == 0 && len(n.Dst) > 0 {
-			h.nodes[n.ID] = n
-			for _, g := range n.Dst {
-				h.msgsTo[g]++
-			}
-			// Re-log the now-complete node so descendants whose diff
-			// cursor already passed the placeholder entry still learn the
-			// destinations.
-			h.log = append(h.log, logEntry{node: n})
-		}
-		return false
+	_, created, _ := h.addNode(n)
+	return created
+}
+
+// addEdge is AddEdge that also reports which endpoints it had to
+// materialize as placeholders.
+func (h *History) addEdge(from, to amcast.MsgID) (added, newFrom, newTo bool) {
+	if from == to {
+		return false, false, false
 	}
-	h.nodes[n.ID] = n
-	for _, g := range n.Dst {
-		h.msgsTo[g]++
+	fs, fok := h.index[from]
+	ts, tok := h.index[to]
+	if fok && tok && h.nodes[fs].succ.has(ts) {
+		return false, false, false
 	}
-	h.log = append(h.log, logEntry{node: n})
-	return true
+	if !fok {
+		fs = h.alloc(from, nil)
+	}
+	if !tok {
+		ts = h.alloc(to, nil)
+	}
+	h.nodes[fs].succ.add(ts)
+	h.nodes[ts].pred.add(fs)
+	h.appendLog(fs, ts)
+	return true, !fok, !tok
 }
 
 // AddEdge inserts a dependency edge (from ordered before to), returning
@@ -121,50 +288,41 @@ func (h *History) AddNode(n Node) bool {
 // placeholder nodes so that reachability through pruned or not-yet-known
 // messages is preserved.
 func (h *History) AddEdge(from, to amcast.MsgID) bool {
-	if from == to {
-		return false
-	}
-	if s, ok := h.succ[from]; ok {
-		if _, dup := s[to]; dup {
-			return false
-		}
-	}
-	h.ensureNode(from)
-	h.ensureNode(to)
-	addSet(h.succ, from, to)
-	addSet(h.pred, to, from)
-	h.log = append(h.log, logEntry{isEdge: true, edge: amcast.HistEdge{From: from, To: to}})
-	return true
-}
-
-func (h *History) ensureNode(id amcast.MsgID) {
-	if _, ok := h.nodes[id]; !ok {
-		n := Node{ID: id}
-		h.nodes[id] = n
-		h.log = append(h.log, logEntry{node: n})
-	}
-}
-
-func addSet(m map[amcast.MsgID]map[amcast.MsgID]struct{}, k, v amcast.MsgID) {
-	s, ok := m[k]
-	if !ok {
-		s = make(map[amcast.MsgID]struct{})
-		m[k] = s
-	}
-	s[v] = struct{}{}
+	added, _, _ := h.addEdge(from, to)
+	return added
 }
 
 // AppendDelivered records a local delivery (hst-add in Algorithm 3): the
-// node is inserted, ordered after the previous local delivery, and becomes
-// lastDlvd. Returns the nodes newly added to the history (the message
-// itself if it was unknown).
+// node is inserted, ordered after the previous local delivery, flagged
+// delivered and becomes lastDlvd. Returns whether the message was unknown
+// to the history.
 func (h *History) AppendDelivered(n Node) bool {
-	isNew := h.AddNode(n)
-	if h.last != 0 && h.last != n.ID {
-		h.AddEdge(h.last, n.ID)
+	s, created, _ := h.addNode(n)
+	if h.last != 0 {
+		h.addEdge(h.last, n.ID)
 	}
 	h.last = n.ID
-	return isNew
+	h.nodes[s].setDelivered()
+	return created
+}
+
+func (nd *vertex) setDelivered() { nd.flags = nd.flags&^flagOpen | flagDelivered }
+
+// MarkOpen flags a live node as an open dependency of the owning group:
+// addressed to it and not delivered yet.
+func (h *History) MarkOpen(id amcast.MsgID) {
+	if s, ok := h.index[id]; ok {
+		h.nodes[s].flags |= flagOpen
+	}
+}
+
+// MarkDelivered flags a live node as delivered by the owning group, for
+// a message whose node was pruned after its delivery and has re-entered
+// the history through a late diff.
+func (h *History) MarkDelivered(id amcast.MsgID) {
+	if s, ok := h.index[id]; ok {
+		h.nodes[s].setDelivered()
+	}
 }
 
 // Merge integrates a received history diff (update-hst in Algorithm 3)
@@ -173,150 +331,154 @@ func (h *History) AppendDelivered(n Node) bool {
 // this diff fills in: the caller maintains its open-dependency set from
 // the returned nodes, and a fill-in is the first time the destinations
 // are known, so omitting it would leave a hole in dependency tracking.
+// The returned slice is valid until the next Merge.
 func (h *History) Merge(d *amcast.HistDelta) []Node {
 	if d == nil {
 		return nil
 	}
-	var added []Node
+	added := h.added[:0]
 	for _, hn := range d.Nodes {
 		n := Node{ID: hn.ID, Dst: hn.Dst}
-		prev, existed := h.nodes[n.ID]
-		if h.AddNode(n) {
-			added = append(added, n)
-		} else if existed && len(prev.Dst) == 0 && len(n.Dst) > 0 {
+		if _, created, filled := h.addNode(n); created || filled {
 			added = append(added, n)
 		}
 	}
 	for _, e := range d.Edges {
-		before := len(h.log)
-		h.AddEdge(e.From, e.To)
-		// AddEdge may materialize placeholder endpoints; report them too so
-		// the engine can track them if they later gain destinations.
-		for _, le := range h.log[before:] {
-			if !le.isEdge {
-				added = append(added, le.node)
-			}
+		// Placeholder endpoints are reported too, so the engine can track
+		// them if they later gain destinations.
+		_, newFrom, newTo := h.addEdge(e.From, e.To)
+		if newFrom {
+			added = append(added, Node{ID: e.From})
+		}
+		if newTo {
+			added = append(added, Node{ID: e.To})
 		}
 	}
+	h.added = added
 	return added
 }
 
-// Cursor is a per-descendant diff position: an index into the append-only
-// log. A zero Cursor means "nothing sent yet".
-type Cursor int
+// Cursor is a per-descendant diff position: the sequence number of the
+// first log entry not sent yet. A zero Cursor means "nothing sent yet".
+type Cursor uint64
 
-// DiffSince returns the portion of the history appended after the cursor
-// as a wire delta, plus the advanced cursor (diff-hst in Algorithm 3).
-// Entries pruned by garbage collection are skipped: they recorded
-// dependencies that are fully resolved system-wide (everything before a
-// delivered flush), so descendants no longer need them — this is what
-// keeps FlexCast's history piggybacking bounded (§4.3).
+// DiffSince returns the portion of the history logged at or after the
+// cursor as a wire delta, plus the advanced cursor (diff-hst in
+// Algorithm 3). Entries pruned by garbage collection are gone from the
+// log: they recorded dependencies that are fully resolved system-wide
+// (everything before a delivered flush), so descendants no longer need
+// them — this is what keeps FlexCast's history piggybacking bounded
+// (§4.3).
 func (h *History) DiffSince(c Cursor) (*amcast.HistDelta, Cursor) {
-	if int(c) >= len(h.log) {
-		return nil, c
+	from, nNodes := len(h.log), 0
+	for from > 0 && h.log[from-1].seq >= uint64(c) {
+		from--
+		if h.log[from].b == noSlot {
+			nNodes++
+		}
 	}
-	var d *amcast.HistDelta
-	for _, le := range h.log[c:] {
-		if le.isEdge {
-			if s, ok := h.succ[le.edge.From]; !ok {
-				continue
-			} else if _, live := s[le.edge.To]; !live {
-				continue
-			}
-			if d == nil {
-				d = &amcast.HistDelta{}
-			}
-			d.Edges = append(d.Edges, le.edge)
+	if from == len(h.log) {
+		return nil, Cursor(h.nextSeq)
+	}
+	d := &amcast.HistDelta{}
+	if nNodes > 0 {
+		d.Nodes = make([]amcast.HistNode, 0, nNodes)
+	}
+	if nEdges := len(h.log) - from - nNodes; nEdges > 0 {
+		d.Edges = make([]amcast.HistEdge, 0, nEdges)
+	}
+	for _, le := range h.log[from:] {
+		if le.b == noSlot {
+			nd := &h.nodes[le.a]
+			d.Nodes = append(d.Nodes, amcast.HistNode{ID: nd.id, Dst: nd.dst})
 		} else {
-			n, ok := h.nodes[le.node.ID]
-			if !ok {
-				continue
-			}
-			if d == nil {
-				d = &amcast.HistDelta{}
-			}
-			d.Nodes = append(d.Nodes, amcast.HistNode{ID: n.ID, Dst: n.Dst})
+			d.Edges = append(d.Edges, amcast.HistEdge{From: h.nodes[le.a].id, To: h.nodes[le.b].id})
 		}
 	}
-	return d, Cursor(len(h.log))
-}
-
-// CompactLog drops dead (pruned) entries from the log and remaps the
-// given diff cursors to the compacted positions. Engines call it after a
-// flush prune so long-lived runs keep bounded memory.
-func (h *History) CompactLog(cursors []*Cursor) {
-	live := h.log[:0]
-	// remap[i] = number of surviving entries strictly before old index i.
-	remap := make([]Cursor, len(h.log)+1)
-	for i, le := range h.log {
-		remap[i] = Cursor(len(live))
-		keep := false
-		if le.isEdge {
-			if s, ok := h.succ[le.edge.From]; ok {
-				_, keep = s[le.edge.To]
-			}
-		} else {
-			_, keep = h.nodes[le.node.ID]
-		}
-		if keep {
-			live = append(live, le)
-		}
-	}
-	remap[len(h.log)] = Cursor(len(live))
-	h.log = live
-	for _, c := range cursors {
-		if int(*c) >= len(remap) {
-			*c = Cursor(len(live))
-			continue
-		}
-		*c = remap[*c]
-	}
+	return d, Cursor(h.nextSeq)
 }
 
 // LogLen reports the log size (tests and memory accounting).
 func (h *History) LogLen() int { return len(h.log) }
 
+// nextEpoch starts a walk: no node carries the returned stamp yet.
+func (h *History) nextEpoch() uint32 {
+	h.epoch++
+	if h.epoch == 0 {
+		for i := range h.nodes {
+			h.nodes[i].mark = 0
+		}
+		h.epoch = 1
+	}
+	return h.epoch
+}
+
+// pushPreds appends the predecessors of slot s that do not carry the
+// epoch stamp yet, stamping them.
+func (h *History) pushPreds(list []uint32, s, epoch uint32) []uint32 {
+	p := &h.nodes[s].pred
+	for i := uint32(0); i < p.n; i++ {
+		if q := p.at(i); h.nodes[q].mark != epoch {
+			h.nodes[q].mark = epoch
+			list = append(list, q)
+		}
+	}
+	return list
+}
+
+// walkBack visits every node with a (transitive) path to m, m excluded,
+// until visit reports found; predecessors of a node for which visit
+// reports stop are not explored. visit must not call back into h.
+func (h *History) walkBack(m amcast.MsgID, visit func(nd *vertex) (found, stop bool)) bool {
+	s, ok := h.index[m]
+	if !ok {
+		return false
+	}
+	epoch := h.nextEpoch()
+	h.nodes[s].mark = epoch
+	stack := h.pushPreds(h.work[:0], s, epoch)
+	found := false
+	for len(stack) > 0 && !found {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		var stop bool
+		if found, stop = visit(&h.nodes[cur]); !found && !stop {
+			stack = h.pushPreds(stack, cur, epoch)
+		}
+	}
+	h.work = stack[:0]
+	return found
+}
+
 // AnyBefore walks every node with a (transitive) path to m, excluding m
-// itself, and reports whether pred returns true for any of them. This
-// implements the second can-deliver condition of Algorithm 3: "is there an
-// undelivered message addressed to me ordered before m".
+// itself, and reports whether pred returns true for any of them.
 func (h *History) AnyBefore(m amcast.MsgID, pred func(amcast.MsgID) bool) bool {
 	return h.AnyBeforeUntil(m, pred, nil)
 }
 
 // AnyBeforeUntil is AnyBefore with search pruning: nodes for which stop
 // returns true are tested against pred but their own predecessors are not
-// explored. FlexCast prunes at locally delivered messages — the protocol
+// explored. Neither callback may call back into h.
+func (h *History) AnyBeforeUntil(m amcast.MsgID, pred, stop func(amcast.MsgID) bool) bool {
+	return h.walkBack(m, func(nd *vertex) (bool, bool) {
+		if pred(nd.id) {
+			return true, false
+		}
+		return false, stop != nil && stop(nd.id)
+	})
+}
+
+// AnyOpenBefore implements the second can-deliver condition of
+// Algorithm 3: "is there an undelivered message addressed to me ordered
+// before m". The search prunes at locally delivered nodes — the protocol
 // guarantees that when a message is delivered every predecessor addressed
 // to this group was delivered first, so nothing open can hide behind a
 // delivered node. This turns the per-delivery dependency check from
 // O(|history|) into O(open frontier).
-func (h *History) AnyBeforeUntil(m amcast.MsgID, pred, stop func(amcast.MsgID) bool) bool {
-	seen := map[amcast.MsgID]bool{m: true}
-	stack := make([]amcast.MsgID, 0, 8)
-	for p := range h.pred[m] {
-		if !seen[p] {
-			seen[p] = true
-			stack = append(stack, p)
-		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if pred(cur) {
-			return true
-		}
-		if stop != nil && stop(cur) {
-			continue
-		}
-		for p := range h.pred[cur] {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return false
+func (h *History) AnyOpenBefore(m amcast.MsgID) bool {
+	return h.walkBack(m, func(nd *vertex) (bool, bool) {
+		return nd.flags&flagOpen != 0, nd.flags&flagDelivered != 0
+	})
 }
 
 // DependsOn reports whether m transitively depends on mPrime (mPrime was
@@ -326,35 +488,70 @@ func (h *History) DependsOn(m, mPrime amcast.MsgID) bool {
 }
 
 // PruneBefore removes every node with a path to flushID (i.e. every
-// message ordered before the flush message) and their edges, implementing
-// the garbage collection of §4.3. The flush node itself survives as the
-// new history root. Returns the number of removed nodes.
+// message ordered before the flush message), their edges and their log
+// entries, implementing the garbage collection of §4.3 in one marked
+// sweep. The flush node itself survives as the new history root; diff
+// cursors stay valid. Returns the number of removed nodes.
 func (h *History) PruneBefore(flushID amcast.MsgID) int {
-	if _, ok := h.nodes[flushID]; !ok {
+	fs, ok := h.index[flushID]
+	if !ok {
 		return 0
 	}
-	// Collect the prune set: all strict ancestors of flushID.
-	doomed := make(map[amcast.MsgID]bool)
-	h.AnyBefore(flushID, func(id amcast.MsgID) bool {
-		doomed[id] = true
-		return false
-	})
-	for id := range doomed {
-		n := h.nodes[id]
-		for _, g := range n.Dst {
-			h.msgsTo[g]--
-		}
-		delete(h.nodes, id)
-		for s := range h.succ[id] {
-			delete(h.pred[s], id)
-		}
-		for p := range h.pred[id] {
-			delete(h.succ[p], id)
-		}
-		delete(h.succ, id)
-		delete(h.pred, id)
+	// Collect the prune set: all strict ancestors of flushID, breadth
+	// first, the list doubling as the queue.
+	epoch := h.nextEpoch()
+	h.nodes[fs].mark = epoch
+	doomed := h.pushPreds(h.work[:0], fs, epoch)
+	for i := 0; i < len(doomed); i++ {
+		doomed = h.pushPreds(doomed, doomed[i], epoch)
 	}
+	h.work = doomed[:0]
+	if len(doomed) == 0 {
+		return 0
+	}
+	h.nodes[fs].mark = 0 // from here on a node is doomed iff it carries the stamp
+
+	live := h.log[:0]
+	for _, le := range h.log {
+		if h.nodes[le.a].mark == epoch || (le.b != noSlot && h.nodes[le.b].mark == epoch) {
+			continue
+		}
+		live = append(live, le)
+	}
+	h.log = live
+
+	for _, s := range doomed {
+		nd := &h.nodes[s]
+		// Every predecessor of a doomed node is doomed too (or, in a cyclic
+		// graph, the flush node); only its edges into survivors need
+		// unlinking.
+		for i := uint32(0); i < nd.succ.n; i++ {
+			if t := nd.succ.at(i); h.nodes[t].mark != epoch {
+				h.dropMarked(&h.nodes[t].pred, epoch)
+			}
+		}
+		h.countDst(nd.dst, -1)
+		delete(h.index, nd.id)
+		nd.pred.truncate(0)
+		nd.succ.truncate(0)
+		nd.id, nd.dst, nd.flags = 0, nil, 0
+		h.free = append(h.free, s)
+	}
+	// A no-op unless a cycle runs through the flush node.
+	h.dropMarked(&h.nodes[fs].succ, epoch)
 	return len(doomed)
+}
+
+// dropMarked removes the slots carrying the epoch stamp from a.
+func (h *History) dropMarked(a *adj, epoch uint32) {
+	k := uint32(0)
+	for i := uint32(0); i < a.n; i++ {
+		if s := a.at(i); h.nodes[s].mark != epoch {
+			a.set(k, s)
+			k++
+		}
+	}
+	a.truncate(k)
 }
 
 // Clone returns a deep copy of the history: mutating either copy leaves
@@ -363,55 +560,50 @@ func (h *History) PruneBefore(flushID amcast.MsgID) int {
 // amcast.SnapshotEngine crash/recovery contract.
 func (h *History) Clone() *History {
 	c := &History{
-		nodes:  make(map[amcast.MsgID]Node, len(h.nodes)),
-		succ:   make(map[amcast.MsgID]map[amcast.MsgID]struct{}, len(h.succ)),
-		pred:   make(map[amcast.MsgID]map[amcast.MsgID]struct{}, len(h.pred)),
-		last:   h.last,
-		msgsTo: make(map[amcast.GroupID]int, len(h.msgsTo)),
-		log:    append([]logEntry(nil), h.log...),
+		nodes:   slices.Clone(h.nodes),
+		index:   maps.Clone(h.index),
+		free:    slices.Clone(h.free),
+		last:    h.last,
+		msgsTo:  slices.Clone(h.msgsTo),
+		log:     slices.Clone(h.log),
+		nextSeq: h.nextSeq,
+		epoch:   h.epoch,
 	}
-	for id, n := range h.nodes {
-		c.nodes[id] = n
-	}
-	for id, s := range h.succ {
-		cs := make(map[amcast.MsgID]struct{}, len(s))
-		for v := range s {
-			cs[v] = struct{}{}
-		}
-		c.succ[id] = cs
-	}
-	for id, s := range h.pred {
-		cs := make(map[amcast.MsgID]struct{}, len(s))
-		for v := range s {
-			cs[v] = struct{}{}
-		}
-		c.pred[id] = cs
-	}
-	for g, n := range h.msgsTo {
-		c.msgsTo[g] = n
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		nd.pred.more = cloneSpill(nd.pred.more)
+		nd.succ.more = cloneSpill(nd.succ.more)
 	}
 	return c
+}
+
+// cloneSpill never shares a backing array, not even an empty one with
+// spare capacity.
+func cloneSpill(s []uint32) []uint32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // Snapshot returns all live nodes sorted by id and all live edges sorted
 // by (from, to); used by tests and debugging dumps.
 func (h *History) Snapshot() ([]Node, []amcast.HistEdge) {
-	ns := make([]Node, 0, len(h.nodes))
-	for _, n := range h.nodes {
-		ns = append(ns, n)
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].ID < ns[j].ID })
+	ns := make([]Node, 0, len(h.index))
 	var es []amcast.HistEdge
-	for from, s := range h.succ {
-		for to := range s {
-			es = append(es, amcast.HistEdge{From: from, To: to})
+	for i := range h.nodes {
+		nd := &h.nodes[i]
+		if nd.flags&flagLive == 0 {
+			continue
+		}
+		ns = append(ns, Node{ID: nd.id, Dst: nd.dst})
+		for j := uint32(0); j < nd.succ.n; j++ {
+			es = append(es, amcast.HistEdge{From: nd.id, To: h.nodes[nd.succ.at(j)].id})
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].To < es[j].To
+	slices.SortFunc(ns, func(a, b Node) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(es, func(a, b amcast.HistEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return ns, es
 }
@@ -420,33 +612,31 @@ func (h *History) Snapshot() ([]Node, []amcast.HistEdge) {
 // would mean the protocol violated acyclic order; tests call this after
 // every merge.
 func (h *History) CheckAcyclic() error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[amcast.MsgID]int, len(h.nodes))
-	var visit func(id amcast.MsgID) error
-	visit = func(id amcast.MsgID) error {
-		color[id] = gray
-		for s := range h.succ[id] {
-			switch color[s] {
-			case gray:
-				return fmt.Errorf("history: cycle through %s and %s", id, s)
-			case white:
-				if err := visit(s); err != nil {
-					return err
-				}
+	// Kahn's algorithm: peel nodes without unpeeled predecessors; whatever
+	// cannot be peeled lies on or behind a cycle.
+	indeg := make([]uint32, len(h.nodes))
+	var ready []uint32
+	for i := range h.nodes {
+		if nd := &h.nodes[i]; nd.flags&flagLive != 0 {
+			if indeg[i] = nd.pred.n; indeg[i] == 0 {
+				ready = append(ready, uint32(i))
 			}
 		}
-		color[id] = black
-		return nil
 	}
-	for id := range h.nodes {
-		if color[id] == white {
-			if err := visit(id); err != nil {
-				return err
+	for len(ready) > 0 {
+		s := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		succ := &h.nodes[s].succ
+		for j := uint32(0); j < succ.n; j++ {
+			t := succ.at(j)
+			if indeg[t]--; indeg[t] == 0 {
+				ready = append(ready, t)
 			}
+		}
+	}
+	for i, d := range indeg {
+		if d > 0 {
+			return fmt.Errorf("history: cycle through or before %s", h.nodes[i].id)
 		}
 	}
 	return nil

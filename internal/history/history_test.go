@@ -316,3 +316,59 @@ func TestRandomMergeCommutes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyStateAllocations holds the arena to its promise: once the
+// slots, the index and the scratch buffers have reached their working
+// size, a flush interval of merges, dependency walks, diffs and the prune
+// allocates nothing beyond the deltas DiffSince returns.
+func TestSteadyStateAllocations(t *testing.T) {
+	const perFlush, rounds = 64, 40
+	// Round r merges a chain of perFlush fresh messages hanging off the
+	// previous round's flush, walks and diffs after each, then prunes.
+	deltas := make([][]*amcast.HistDelta, rounds)
+	next := amcast.MsgID(1)
+	for r := range deltas {
+		for i := 0; i < perFlush; i++ {
+			next++
+			deltas[r] = append(deltas[r], &amcast.HistDelta{
+				Nodes: []amcast.HistNode{{ID: next, Dst: []amcast.GroupID{1, 2}}},
+				Edges: []amcast.HistEdge{{From: next - 1, To: next}},
+			})
+		}
+	}
+	h := New()
+	h.AddNode(node(1, 1, 2))
+	var cur Cursor
+	diffs := 0
+	never := func(amcast.MsgID) bool { return false }
+	round := func(r int) {
+		for _, d := range deltas[r] {
+			h.Merge(d)
+			id := d.Nodes[0].ID
+			if h.AnyBeforeUntil(id, never, never) || h.AnyOpenBefore(id) {
+				t.Fatal("walk found a dependency in a chain without one")
+			}
+			var out *amcast.HistDelta
+			if out, cur = h.DiffSince(cur); out != nil {
+				diffs++
+			}
+		}
+		if got := h.PruneBefore(deltas[r][perFlush-1].Nodes[0].ID); got != perFlush {
+			t.Fatalf("round %d pruned %d nodes, want %d", r, got, perFlush)
+		}
+	}
+	const warm = 8
+	for r := 0; r < warm; r++ {
+		round(r)
+	}
+	r := warm
+	diffs = 0
+	avg := testing.AllocsPerRun(rounds-warm-1, func() { round(r); r++ })
+	// DiffSince's result is three allocations: the delta and its two slices.
+	if perDiff := avg / perFlush; perDiff > 3 {
+		t.Fatalf("%.2f allocations per merge+walk+diff, want the 3 of the returned delta", perDiff)
+	}
+	if diffs == 0 {
+		t.Fatal("no diffs taken")
+	}
+}

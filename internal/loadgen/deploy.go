@@ -174,22 +174,33 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 	for _, c := range clients {
 		ids = append(ids, c.id)
 	}
-	// Reserve a loopback port per node: listen on :0, record the port,
-	// close, and hand the address out through the book. The tiny window
-	// between close and the node's own listen is acceptable for a local
-	// benchmark.
+	// One loopback listener per node on a kernel-chosen port, held open
+	// from here until its node takes it over: the book is built from
+	// addresses that stay bound, so nothing else can claim one in between.
+	listeners := make(map[amcast.NodeID]net.Listener, len(ids))
 	for _, id := range ids {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: reserve port: %w", err)
+			for _, l := range listeners {
+				l.Close()
+			}
+			return nil, fmt.Errorf("loadgen: listen: %w", err)
 		}
+		listeners[id] = ln
 		book[id] = ln.Addr().String()
-		ln.Close()
+	}
+	takeListener := func(id amcast.NodeID) net.Listener {
+		ln := listeners[id]
+		delete(listeners, id)
+		return ln
 	}
 
 	dep := &deployment{}
 	var tcpNodes []*transport.TCPNode
 	cleanup := func() {
+		for _, l := range listeners {
+			l.Close() // only on a failed deployment: nodes own the rest
+		}
 		for _, tn := range tcpNodes {
 			tn.Close()
 		}
@@ -211,29 +222,17 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 		ready := make(chan struct{})
 		node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
 			<-ready
-			if tn == nil {
-				return
-			}
 			// Peer unreachable mid-benchmark only happens at teardown.
 			_ = tn.SendBatch(to, envs)
 		}, nodeConfig(cfg, proto, eng))
-		tn, err = transport.NewTCPBatchNode(amcast.GroupNode(g), book, node.Submit)
+		tn = transport.NewTCPBatchNodeOn(amcast.GroupNode(g), book, takeListener(amcast.GroupNode(g)), node.Submit)
 		close(ready)
-		if err != nil {
-			node.Close()
-			cleanup()
-			return nil, err
-		}
 		dep.nodes = append(dep.nodes, node)
 		tcpNodes = append(tcpNodes, tn)
 	}
 	for _, c := range clients {
 		c := c
-		tn, err := transport.NewTCPBatchNode(c.id, book, c.onReplies)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
+		tn := transport.NewTCPBatchNodeOn(c.id, book, takeListener(c.id), c.onReplies)
 		tcpNodes = append(tcpNodes, tn)
 		c.batcher = runtime.NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) {
 			_ = tn.SendBatch(to, envs)

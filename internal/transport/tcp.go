@@ -76,6 +76,15 @@ func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TC
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
+	return NewTCPBatchNodeOn(id, book, ln, handler), nil
+}
+
+// NewTCPBatchNodeOn is NewTCPBatchNode on a listener the caller already
+// holds, which the node takes over and closes with itself. A deployment
+// that picks its own ports (listen on :0) builds the address book from
+// the listeners' addresses and hands them over here, so a port is never
+// released between being chosen and being served.
+func NewTCPBatchNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler BatchHandler) *TCPNode {
 	n := &TCPNode{
 		id:      id,
 		book:    book,
@@ -88,7 +97,7 @@ func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TC
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.dispatchLoop()
-	return n, nil
+	return n
 }
 
 // NewTCPEngineNode runs a protocol engine over TCP: outputs are
