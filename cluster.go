@@ -8,39 +8,23 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/runtime"
-	"flexcast/internal/skeen"
 	"flexcast/internal/transport"
 )
 
 // ProtocolKind selects which multicast protocol a Cluster runs.
-type ProtocolKind int
+type ProtocolKind = deploy.Protocol
 
 const (
 	// ProtocolFlexCast runs the paper's protocol on a C-DAG overlay.
-	ProtocolFlexCast ProtocolKind = iota + 1
+	ProtocolFlexCast = deploy.FlexCast
 	// ProtocolSkeen runs the distributed genuine baseline.
-	ProtocolSkeen
+	ProtocolSkeen = deploy.Skeen
 	// ProtocolHierarchical runs the tree-overlay baseline.
-	ProtocolHierarchical
+	ProtocolHierarchical = deploy.Hierarchical
 )
-
-// String names the protocol.
-func (p ProtocolKind) String() string {
-	switch p {
-	case ProtocolFlexCast:
-		return "flexcast"
-	case ProtocolSkeen:
-		return "skeen"
-	case ProtocolHierarchical:
-		return "hierarchical"
-	default:
-		return fmt.Sprintf("ProtocolKind(%d)", int(p))
-	}
-}
 
 // ClusterConfig configures an in-process cluster.
 type ClusterConfig struct {
@@ -65,13 +49,8 @@ type ClusterConfig struct {
 	// FlushInterval bounds the latency a partially filled batch may add
 	// under sustained load (0 takes the runtime default, 500µs).
 	FlushInterval time.Duration
-	// WrapEngine, when non-nil, wraps each group's protocol engine
-	// before it is attached to the runtime — the hook execution layers
-	// (StoreCluster) use to run a state machine over deliveries without
-	// the cluster knowing about application state.
-	WrapEngine func(g GroupID, eng Engine) (Engine, error)
 	// Durable, when non-nil, selects the durable persistence backend:
-	// each group's (wrapped) engine runs behind a write-ahead log plus
+	// each group's engine runs behind a write-ahead log plus
 	// periodic snapshot files (internal/durable) rooted under
 	// Durable.Dir, and a restarted cluster pointed at the same directory
 	// recovers each group's state before serving. nil keeps the default
@@ -95,10 +74,6 @@ type DurableConfig struct {
 	// KeepEpochs retains superseded WAL/snapshot files instead of
 	// deleting them.
 	KeepEpochs bool
-	// Decode rebuilds one group's engine snapshot from its binary form.
-	// nil takes the cluster's protocol decoder; layers that wrap engines
-	// (StoreCluster) install their composed decoder automatically.
-	Decode func(g GroupID, data []byte) (amcast.Snapshot, error)
 }
 
 // DurableRecovery reports how one group's durable engine recovered at
@@ -127,11 +102,10 @@ type DurableRecovery struct {
 // (internal/runtime), plus a built-in client for Multicast/Call. It is
 // the easiest way to embed atomic multicast in an application or test.
 type Cluster struct {
-	cfg      ClusterConfig
-	groups   []GroupID
-	net      *transport.InMemNet
-	nodes    []*runtime.Node
-	durables map[GroupID]*durable.Engine
+	cfg   ClusterConfig
+	dep   *deploy.Deployment
+	net   *transport.InMemNet
+	nodes []*runtime.Node
 	// clientSeq persists the built-in client's sequence reservation on
 	// durable clusters: message ids must stay unique across cluster
 	// incarnations, or a reopened cluster would reissue ids its recovered
@@ -168,45 +142,44 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Protocol == 0 {
 		cfg.Protocol = ProtocolFlexCast
 	}
+	dep, err := deploy.New(deploy.Spec{Protocol: cfg.Protocol, Overlay: cfg.Overlay, Tree: cfg.Tree})
+	if err != nil {
+		return nil, err
+	}
+	return newCluster(cfg, dep)
+}
+
+// newCluster starts a cluster over an assembled deployment (the
+// protocol, plus StoreCluster's execution layer), stacking the durable
+// backend on top when configured.
+func newCluster(cfg ClusterConfig, dep *deploy.Deployment) (*Cluster, error) {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 10 * time.Second
 	}
-	var groups []GroupID
-	switch cfg.Protocol {
-	case ProtocolFlexCast, ProtocolSkeen:
-		if cfg.Overlay == nil {
-			return nil, fmt.Errorf("flexcast: %s cluster requires an overlay", cfg.Protocol)
-		}
-		groups = cfg.Overlay.Groups()
-	case ProtocolHierarchical:
-		if cfg.Tree == nil {
-			return nil, fmt.Errorf("flexcast: hierarchical cluster requires a tree")
-		}
-		groups = cfg.Tree.Groups()
-	default:
-		return nil, fmt.Errorf("flexcast: unknown protocol %d", cfg.Protocol)
-	}
-
 	c := &Cluster{
 		cfg:      cfg,
-		groups:   groups,
 		net:      transport.NewInMemNet(),
-		durables: make(map[GroupID]*durable.Engine),
 		waiters:  make(map[MsgID]*callWaiter),
 		observed: make(amcast.PrefixTracker),
 	}
-	if cfg.Durable != nil {
-		if err := os.MkdirAll(cfg.Durable.Dir, 0o755); err != nil {
+	if d := cfg.Durable; d != nil {
+		if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 			return nil, err
 		}
-		sf, err := durable.OpenSeqFile(filepath.Join(cfg.Durable.Dir, "client.seq"), 0)
+		sf, err := durable.OpenSeqFile(filepath.Join(d.Dir, "client.seq"), 0)
 		if err != nil {
 			return nil, err
 		}
 		c.clientSeq = sf
+		dep = dep.WithDurable(d.Dir, durable.Options{
+			SnapshotEvery: d.SnapshotEvery,
+			FsyncEvery:    d.FsyncEvery,
+			KeepEpochs:    d.KeepEpochs,
+		})
 	}
-	for _, g := range groups {
-		eng, err := c.newEngine(g)
+	c.dep = dep
+	for _, g := range dep.Groups {
+		eng, err := dep.NewEngine(g)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -235,80 +208,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) newEngine(g GroupID) (Engine, error) {
-	var eng Engine
-	var err error
-	switch c.cfg.Protocol {
-	case ProtocolFlexCast:
-		eng, err = NewFlexCastEngine(g, c.cfg.Overlay)
-	case ProtocolSkeen:
-		eng, err = NewSkeenEngine(g, c.groups)
-	default:
-		eng, err = NewHierarchicalEngine(g, c.cfg.Tree)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.WrapEngine != nil {
-		if eng, err = c.cfg.WrapEngine(g, eng); err != nil {
-			return nil, err
-		}
-	}
-	if c.cfg.Durable != nil {
-		// The durable layer wraps the fully composed engine (execution
-		// layers included), so its WAL records the exact inputs of the
-		// state its snapshots capture.
-		return c.wrapDurable(g, eng)
-	}
-	return eng, nil
-}
-
-// wrapDurable puts one group's engine behind the durable backend,
-// recovering any prior state from its directory.
-func (c *Cluster) wrapDurable(g GroupID, eng Engine) (Engine, error) {
-	d := c.cfg.Durable
-	decode := d.Decode
-	if decode == nil {
-		proto := protocolSnapshotDecoder(c.cfg.Protocol)
-		decode = func(_ GroupID, data []byte) (amcast.Snapshot, error) { return proto(data) }
-	}
-	se, ok := eng.(amcast.SnapshotEngine)
-	if !ok {
-		return nil, fmt.Errorf("flexcast: durable backend requires a snapshot-capable engine, got %T", eng)
-	}
-	de, err := durable.Wrap(se, durable.Options{
-		Dir:           filepath.Join(d.Dir, fmt.Sprintf("group-%d", g)),
-		SnapshotEvery: d.SnapshotEvery,
-		FsyncEvery:    d.FsyncEvery,
-		KeepEpochs:    d.KeepEpochs,
-		Decode:        func(data []byte) (amcast.Snapshot, error) { return decode(g, data) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.durables[g] = de
-	return de, nil
-}
-
-// protocolSnapshotDecoder returns the snapshot decoder of a protocol's
-// bare engine.
-func protocolSnapshotDecoder(p ProtocolKind) func([]byte) (amcast.Snapshot, error) {
-	switch p {
-	case ProtocolSkeen:
-		return skeen.UnmarshalSnapshot
-	case ProtocolHierarchical:
-		return hierarchical.UnmarshalSnapshot
-	default:
-		return core.UnmarshalSnapshot
-	}
-}
-
 // DurableRecoveries reports, per group, how the durable backend
 // recovered at cluster start. Empty on in-memory clusters.
 func (c *Cluster) DurableRecoveries() []DurableRecovery {
 	var out []DurableRecovery
-	for _, g := range c.groups {
-		de, ok := c.durables[g]
+	for _, g := range c.dep.Groups {
+		de, ok := c.dep.Durables[g]
 		if !ok {
 			continue
 		}
@@ -327,7 +232,7 @@ func (c *Cluster) DurableRecoveries() []DurableRecovery {
 }
 
 // Groups returns the cluster's group set.
-func (c *Cluster) Groups() []GroupID { return append([]GroupID(nil), c.groups...) }
+func (c *Cluster) Groups() []GroupID { return append([]GroupID(nil), c.dep.Groups...) }
 
 // ObservedPrefix returns the delivered prefix the cluster's built-in
 // client has observed at group g: one past the highest delivery
@@ -443,30 +348,19 @@ func (c *Cluster) send(dst []GroupID, payload []byte, w *callWaiter) (Message, e
 	}
 	c.mu.Unlock()
 
-	for _, to := range c.entry(m) {
+	for _, to := range c.dep.Route(m) {
 		c.net.Send(m.Sender, to, Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
 	}
 	return m, nil
 }
 
 func (c *Cluster) contains(g GroupID) bool {
-	for _, have := range c.groups {
+	for _, have := range c.dep.Groups {
 		if have == g {
 			return true
 		}
 	}
 	return false
-}
-
-func (c *Cluster) entry(m Message) []NodeID {
-	switch c.cfg.Protocol {
-	case ProtocolFlexCast:
-		return []NodeID{FlexCastEntry(c.cfg.Overlay, m)}
-	case ProtocolHierarchical:
-		return []NodeID{HierarchicalEntry(c.cfg.Tree, m)}
-	default:
-		return SkeenEntry(m)
-	}
 }
 
 func (c *Cluster) onClientEnvelope(env Envelope) {

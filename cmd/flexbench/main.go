@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"flexcast/internal/chaos"
+	"flexcast/internal/deploy"
 	"flexcast/internal/experiments"
 	"flexcast/internal/harness"
 	"flexcast/internal/telemetry"
@@ -52,7 +53,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		list       = fs.Bool("list", false, "list experiments and exit")
 
 		schedules  = fs.Int("schedules", 100, "chaos: number of seeded fault schedules per protocol")
-		protocol   = fs.String("protocol", "all", "chaos: flexcast, distributed, hierarchical or all")
+		protocol   = fs.String("protocol", "all", "chaos: flexcast, skeen|distributed, hierarchical|tree, or all")
 		reproSeed  = fs.Int64("repro-seed", 0, "chaos: rerun exactly one schedule seed (from a failure report)")
 		chaosBug   = fs.Int("chaos-bug", 0, "chaos: test-only ordering-bug hook; >0 flips every n-th delivery batch to validate the checker")
 		closedLoop = fs.Bool("closed-loop", false, "chaos: closed-loop workload (each client issues on completion; denser schedules)")
@@ -134,20 +135,14 @@ func run(stdout, stderr io.Writer, args []string) int {
 	return 0
 }
 
-// chaosProtocols resolves the -protocol selector.
-func chaosProtocols(sel string) ([]harness.Protocol, error) {
-	switch strings.ToLower(sel) {
-	case "all":
-		return []harness.Protocol{harness.FlexCast, harness.Distributed, harness.Hierarchical}, nil
-	case "flexcast":
-		return []harness.Protocol{harness.FlexCast}, nil
-	case "distributed", "skeen":
-		return []harness.Protocol{harness.Distributed}, nil
-	case "hierarchical", "tree":
-		return []harness.Protocol{harness.Hierarchical}, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q (flexcast, distributed, hierarchical, all)", sel)
+// chaosProtocols resolves the -protocol selector: one protocol name, or
+// all.
+func chaosProtocols(sel string) ([]deploy.Protocol, error) {
+	if strings.ToLower(sel) == "all" {
+		return []deploy.Protocol{deploy.FlexCast, deploy.Skeen, deploy.Hierarchical}, nil
 	}
+	p, err := deploy.ParseProtocol(sel)
+	return []deploy.Protocol{p}, err
 }
 
 // chaosRunConfig bundles the chaos-mode flags.

@@ -23,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"flexcast/internal/codec"
 	"flexcast/internal/loadgen"
 	"flexcast/internal/telemetry"
 )
@@ -34,9 +33,8 @@ func main() {
 	// (output, A/B companions, telemetry) are declared here.
 	cfgp := loadgen.AddFlags(flag.CommandLine)
 	var (
-		noPool     = flag.Bool("no-pool", false, "disable codec frame pooling (allocation A/B baseline)")
 		telemetryF = flag.String("telemetry", "", "serve /metrics (JSON) and /debug/pprof on this address mid-run (e.g. 127.0.0.1:8090)")
-		ab         = flag.Bool("ab", false, "also run the A/B companions: read mix off, frame pooling off, and tracing off (asserts tracing overhead <= 5%)")
+		ab         = flag.Bool("ab", false, "also run the A/B companions: leader reads, static batching, read mix off, and tracing off (asserts tracing overhead <= 5%)")
 		out        = flag.String("out", "", "write the JSON report to this file")
 		compare    = flag.Bool("compare", false, "also run the -batch=1 baseline and report the speedup")
 		validate   = flag.String("validate", "", "validate an existing report file and exit")
@@ -64,7 +62,6 @@ func main() {
 		fmt.Printf("telemetry on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
-	codec.SetPooling(!*noPool)
 	res, err := loadgen.Run(cfg)
 	if err != nil {
 		log.Fatalf("flexload: %v", err)
@@ -169,46 +166,6 @@ func main() {
 						overhead*100, res.Throughput, vres.Throughput)
 				}
 			}
-		}
-		// The frame pool is only in the TCP path (the in-memory transport
-		// never touches the codec), so the pooling A/B always runs over
-		// TCP — an inmem no_pool "variant" would measure nothing but run
-		// noise.
-		poolCfg := cfg
-		poolCfg.Transport = "tcp"
-		if cfg.Rate > 0 {
-			// Pooling overhead is a peak-throughput question. Under an
-			// open-loop overload the TCP deployment's lower capacity
-			// would turn this variant into a shedding measurement, so
-			// the pooling A/B always runs closed loop — the frame pool
-			// sits on the hot path either way.
-			poolCfg.Rate = 0
-			poolCfg.Sessions = 0
-			poolCfg.SessionOutstanding = 0
-			poolCfg.SessionBurst = 0
-			poolCfg.SLOMs = 0
-		}
-		runPool := func(label string, on bool) {
-			codec.SetPooling(on)
-			vres, err := loadgen.Run(poolCfg)
-			codec.SetPooling(!*noPool)
-			if err != nil {
-				log.Fatalf("flexload: %s variant: %v", label, err)
-			}
-			printResult(fmt.Sprintf("tcp/%s batch=%d %s (variant)", poolCfg.Protocol, poolCfg.MaxBatch, label), vres)
-			rep.WithVariant(label, vres)
-		}
-		switch {
-		case cfg.Transport == "tcp" && *noPool:
-			// The primary run is the unpooled TCP measurement; the
-			// variant supplies the pooled side of the A/B.
-			runPool("pool", true)
-		case cfg.Transport == "tcp":
-			// The primary run is the pooled TCP measurement already.
-			runPool("no_pool", false)
-		default:
-			runPool("tcp_pool", true)
-			runPool("tcp_no_pool", false)
 		}
 	}
 

@@ -18,13 +18,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"flexcast"
 	"flexcast/amcast"
+	"flexcast/internal/deploy"
 	"flexcast/internal/runtime"
 	"flexcast/internal/telemetry"
 	"flexcast/internal/transport"
@@ -33,7 +31,7 @@ import (
 func main() {
 	var (
 		group    = flag.Int("group", 0, "this node's group id (1-based)")
-		protocol = flag.String("protocol", "flexcast", "protocol: flexcast, skeen, hierarchical")
+		protocol = flag.String("protocol", "flexcast", "protocol: flexcast, skeen|distributed, hierarchical|tree")
 		overlayF = flag.String("overlay", "", "comma-separated C-DAG rank order / group list")
 		treeF    = flag.String("tree", "", "tree as root:parent=child|child,parent=child (hierarchical only)")
 		peersF   = flag.String("peers", "", "comma-separated nodeid=host:port pairs (g1=..., c0=...)")
@@ -52,50 +50,21 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	if group <= 0 {
 		return fmt.Errorf("missing -group")
 	}
-	g := flexcast.GroupID(group)
-	book, err := parsePeers(peersF)
+	g := amcast.GroupID(group)
+	book, err := deploy.ParsePeers(peersF)
+	if err != nil {
+		return err
+	}
+	dep, err := deploy.FromFlags(protocol, overlayF, treeF)
+	if err != nil {
+		return err
+	}
+	eng, err := dep.NewEngine(g)
 	if err != nil {
 		return err
 	}
 
-	var eng flexcast.Engine
-	switch protocol {
-	case "flexcast":
-		order, err := parseGroups(overlayF)
-		if err != nil {
-			return err
-		}
-		ov, err := flexcast.NewOverlay(order)
-		if err != nil {
-			return err
-		}
-		eng, err = flexcast.NewFlexCastEngine(g, ov)
-		if err != nil {
-			return err
-		}
-	case "skeen":
-		order, err := parseGroups(overlayF)
-		if err != nil {
-			return err
-		}
-		eng, err = flexcast.NewSkeenEngine(g, order)
-		if err != nil {
-			return err
-		}
-	case "hierarchical":
-		tree, err := parseTree(treeF)
-		if err != nil {
-			return err
-		}
-		eng, err = flexcast.NewHierarchicalEngine(g, tree)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown protocol %q", protocol)
-	}
-
-	onDeliver := func(d flexcast.Delivery) {
+	onDeliver := func(d amcast.Delivery) {
 		if verbose {
 			log.Printf("group %d delivered %s seq=%d dst=%v payload=%dB",
 				d.Group, d.Msg.ID, d.Seq, d.Msg.Dst, len(d.Msg.Payload))
@@ -111,7 +80,7 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 		tcp      *transport.TCPNode
 		tcpReady = make(chan struct{})
 	)
-	rt := runtime.NewNode(eng, func(to flexcast.NodeID, envs []flexcast.Envelope) {
+	rt := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
 		<-tcpReady
 		if tcp == nil {
 			return // listener never came up; the node is shutting down
@@ -156,92 +125,4 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	<-sig
 	log.Printf("flexnode: shutting down")
 	return nil
-}
-
-// parsePeers parses "g1=host:port,c0=host:port,...".
-func parsePeers(s string) (transport.AddrBook, error) {
-	book := make(transport.AddrBook)
-	if s == "" {
-		return nil, fmt.Errorf("missing -peers")
-	}
-	for _, pair := range strings.Split(s, ",") {
-		kv := strings.SplitN(pair, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer %q", pair)
-		}
-		id, err := parseNodeID(kv[0])
-		if err != nil {
-			return nil, err
-		}
-		book[id] = kv[1]
-	}
-	return book, nil
-}
-
-func parseNodeID(s string) (flexcast.NodeID, error) {
-	if len(s) < 2 {
-		return 0, fmt.Errorf("bad node id %q", s)
-	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil {
-		return 0, fmt.Errorf("bad node id %q: %w", s, err)
-	}
-	switch s[0] {
-	case 'g':
-		return amcast.GroupNode(flexcast.GroupID(n)), nil
-	case 'c':
-		return amcast.ClientNode(n), nil
-	default:
-		return 0, fmt.Errorf("bad node id %q (want gN or cN)", s)
-	}
-}
-
-func parseGroups(s string) ([]flexcast.GroupID, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -overlay")
-	}
-	var out []flexcast.GroupID
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad group %q: %w", part, err)
-		}
-		out = append(out, flexcast.GroupID(n))
-	}
-	return out, nil
-}
-
-// parseTree parses "root:parent=c1|c2,parent=c3", e.g.
-// "8:8=7|5|9,7=6,5=1|2|3|4,9=10|11|12".
-func parseTree(s string) (*flexcast.Tree, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -tree")
-	}
-	head := strings.SplitN(s, ":", 2)
-	if len(head) != 2 {
-		return nil, fmt.Errorf("tree must be root:edges")
-	}
-	root, err := strconv.Atoi(head[0])
-	if err != nil {
-		return nil, fmt.Errorf("bad tree root %q: %w", head[0], err)
-	}
-	children := make(map[flexcast.GroupID][]flexcast.GroupID)
-	for _, edge := range strings.Split(head[1], ",") {
-		kv := strings.SplitN(edge, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad tree edge %q", edge)
-		}
-		p, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad tree parent %q: %w", kv[0], err)
-		}
-		for _, c := range strings.Split(kv[1], "|") {
-			n, err := strconv.Atoi(c)
-			if err != nil {
-				return nil, fmt.Errorf("bad tree child %q: %w", c, err)
-			}
-			children[flexcast.GroupID(p)] = append(children[flexcast.GroupID(p)], flexcast.GroupID(n))
-		}
-	}
-	return flexcast.NewTree(flexcast.GroupID(root), children)
 }

@@ -2,35 +2,40 @@ package flexcast
 
 import (
 	"flexcast/amcast"
-	"flexcast/internal/core"
-	"flexcast/internal/hierarchical"
-	"flexcast/internal/skeen"
+	"flexcast/internal/deploy"
 )
+
+// newEngine builds group g's engine of the deployment a spec describes.
+func newEngine(spec deploy.Spec, g GroupID) (Engine, error) {
+	d, err := deploy.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	return d.NewEngine(g)
+}
 
 // NewFlexCastEngine builds the FlexCast protocol state machine for one
 // group on the given C-DAG overlay — the paper's contribution
 // (Algorithms 1-3). The engine is deterministic and single-threaded;
 // attach it to a Cluster, the simulator harness, or a TCP node.
 func NewFlexCastEngine(g GroupID, ov *Overlay) (Engine, error) {
-	return core.New(core.Config{Group: g, Overlay: ov})
-}
-
-// NewFlexCastEngineNoGC is NewFlexCastEngine with flush-based history
-// garbage collection disabled (histories then grow for the whole run).
-func NewFlexCastEngineNoGC(g GroupID, ov *Overlay) (Engine, error) {
-	return core.New(core.Config{Group: g, Overlay: ov, DisableGC: true})
+	return newEngine(deploy.Spec{Protocol: deploy.FlexCast, Overlay: ov}, g)
 }
 
 // NewSkeenEngine builds the distributed genuine baseline: Skeen's
 // timestamp-based atomic multicast over a fully connected topology.
 func NewSkeenEngine(g GroupID, groups []GroupID) (Engine, error) {
-	return skeen.New(skeen.Config{Group: g, Groups: groups})
+	ov, err := NewOverlay(groups)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(deploy.Spec{Protocol: deploy.Skeen, Overlay: ov}, g)
 }
 
 // NewHierarchicalEngine builds the non-genuine tree baseline (ByzCast's
 // ordering scheme with single-process groups).
 func NewHierarchicalEngine(g GroupID, tree *Tree) (Engine, error) {
-	return hierarchical.New(hierarchical.Config{Group: g, Tree: tree})
+	return newEngine(deploy.Spec{Protocol: deploy.Hierarchical, Tree: tree}, g)
 }
 
 // EntryNodes returns the node(s) a client must send a message to for each

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"flexcast/amcast"
 )
@@ -20,23 +19,10 @@ import (
 //     wrapper and buffer for reuse. Payload frames Disown the buffer
 //     (the envelopes own it now — exactly the allocation the unpooled
 //     path made) and recycle just the wrapper.
-//
-// SetPooling(false) reverts to plain allocation — the benchmark A/B
-// knob (flexload -no-pool) and a safety hatch.
 
 // maxPooledBuf bounds the buffers kept by the pool: the occasional huge
 // history diff should be returned to the GC, not pinned forever.
 const maxPooledBuf = 64 << 10
-
-var poolingOff atomic.Bool
-
-// SetPooling toggles frame pooling globally (on by default). Intended
-// for A/B measurement; safe to call at any time — outstanding pooled
-// frames remain valid.
-func SetPooling(on bool) { poolingOff.Store(!on) }
-
-// PoolingEnabled reports whether frame pooling is active.
-func PoolingEnabled() bool { return !poolingOff.Load() }
 
 // Frame is a reusable wire-frame buffer. Use B for the frame bytes
 // (GetFrame hands it out empty); call Release or Disown exactly once.
@@ -50,9 +36,6 @@ var framePool = sync.Pool{New: func() any { return &Frame{} }}
 // pins no more bytes than the unpooled path allocated, and the pool's
 // resident sizes converge on the traffic's real frame sizes.
 func GetFrame(n int) *Frame {
-	if poolingOff.Load() {
-		return &Frame{B: make([]byte, 0, n)}
-	}
 	f := framePool.Get().(*Frame)
 	if cap(f.B) < n {
 		f.B = make([]byte, 0, n)
@@ -64,9 +47,6 @@ func GetFrame(n int) *Frame {
 // Release returns the frame — wrapper and buffer — to the pool. The
 // caller must not touch the frame afterwards.
 func (f *Frame) Release() {
-	if poolingOff.Load() {
-		return
-	}
 	if cap(f.B) > maxPooledBuf {
 		f.B = nil // oversized: let the GC take the buffer, keep the wrapper
 	}
@@ -76,9 +56,6 @@ func (f *Frame) Release() {
 // Disown recycles only the wrapper: the buffer's ownership has moved to
 // whatever was decoded from it (payload envelopes alias their frame).
 func (f *Frame) Disown() {
-	if poolingOff.Load() {
-		return
-	}
 	f.B = nil
 	framePool.Put(f)
 }

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
 	"flexcast/internal/smr"
 	"flexcast/internal/store"
@@ -54,15 +53,13 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 		ops = 20_000
 	}
 
-	ids := make([]amcast.GroupID, groups)
-	for i := range ids {
-		ids[i] = amcast.GroupID(i + 1)
-	}
-	s := sim.New()
-	ov, err := overlay.NewCDAG(ids)
+	dep, err := deploy.New(deploy.Spec{Protocol: deploy.FlexCast, Groups: groups})
 	if err != nil {
 		return nil, err
 	}
+	dep = dep.WithStore(store.Config{}, false, 0, 0)
+	ids := dep.Groups
+	s := sim.New()
 	net := sim.NewNetwork(s, func(from, to amcast.NodeID) sim.Time { return 2000 })
 	grps := make(map[amcast.GroupID]*smr.Group, groups)
 	for _, g := range ids {
@@ -71,13 +68,7 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 			Group:     g,
 			Replicas:  replicas,
 			LeaseTerm: leaseTerm,
-			NewEngine: func() (amcast.Engine, error) {
-				eng, err := core.New(core.Config{Group: g, Overlay: ov})
-				if err != nil {
-					return nil, err
-				}
-				return store.NewExecutor(eng, store.Config{Warehouse: g}, false)
-			},
+			NewEngine: func() (amcast.Engine, error) { return dep.NewEngine(g) },
 		}, s, net)
 		if err != nil {
 			return nil, err
@@ -127,14 +118,10 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 
 	// The no-gate baseline: the same TryRead against a standalone
 	// executor (identical store population, no smr wrapping).
-	eng, err := core.New(core.Config{Group: ids[0], Overlay: ov})
-	if err != nil {
+	if _, err := dep.NewEngine(ids[0]); err != nil {
 		return nil, err
 	}
-	ex, err := store.NewExecutor(eng, store.Config{Warehouse: ids[0]}, false)
-	if err != nil {
-		return nil, err
-	}
+	ex := dep.Executors[ids[0]]
 	leaderNs, err := measureOps(ops, func() error {
 		_, rerr := ex.TryRead(read, 0)
 		return rerr

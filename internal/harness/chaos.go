@@ -7,12 +7,9 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/chaos"
-	"flexcast/internal/core"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
-	"flexcast/internal/skeen"
 	"flexcast/internal/store"
 	"flexcast/internal/trace"
 	"flexcast/internal/wan"
@@ -42,75 +39,22 @@ type ChaosConfig struct {
 	Execute bool
 }
 
-func (c *ChaosConfig) fill() {
-	if c.Overlay == nil {
-		c.Overlay = wan.O1()
-	}
-	if c.Tree == nil {
-		c.Tree = wan.T1()
-	}
-}
-
 // chaosDeployment adapts a protocol to the chaos explorer.
 func chaosDeployment(cfg ChaosConfig) (chaos.Deployment, error) {
-	cfg.fill()
-	groups := wan.Groups()
-	d := chaos.Deployment{
-		Name:       cfg.Protocol.String(),
-		Groups:     groups,
-		Minimality: cfg.Protocol != Hierarchical,
+	dep, err := assemble(cfg.Protocol, cfg.Overlay, cfg.Tree)
+	if err != nil {
+		return chaos.Deployment{}, err
 	}
-	switch cfg.Protocol {
-	case FlexCast:
-		ov := cfg.Overlay
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return core.New(core.Config{Group: g, Overlay: ov})
-		}
-		d.Route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-		}
-		d.Decode = core.UnmarshalSnapshot
-	case Distributed:
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return skeen.New(skeen.Config{Group: g, Groups: groups})
-		}
-		d.Route = func(m amcast.Message) []amcast.NodeID {
-			nodes := make([]amcast.NodeID, len(m.Dst))
-			for i, g := range m.Dst {
-				nodes[i] = amcast.GroupNode(g)
-			}
-			return nodes
-		}
-		d.Decode = skeen.UnmarshalSnapshot
-	case Hierarchical:
-		tree := cfg.Tree
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return hierarchical.New(hierarchical.Config{Group: g, Tree: tree})
-		}
-		d.Route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(tree.Lca(m.Dst))}
-		}
-		d.Decode = hierarchical.UnmarshalSnapshot
-	default:
-		return d, fmt.Errorf("harness: unknown protocol %d", cfg.Protocol)
-	}
+	d := chaos.Deployment{Name: cfg.Protocol.String()}
 	if cfg.Execute {
-		base := d.Factory
-		d.Factory = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			eng, err := base(g)
-			if err != nil {
-				return nil, err
-			}
-			return store.NewExecutor(eng, store.Config{Warehouse: g}, true)
-		}
-		// Executor snapshots embed the protocol snapshot; compose the
-		// decoders so durable mode can recover executor-wrapped engines.
-		proto := d.Decode
-		d.Decode = func(data []byte) (amcast.Snapshot, error) {
-			return store.UnmarshalSnapshot(data, proto)
-		}
+		dep = dep.WithStore(store.Config{}, true, 0, 0)
 		d.Instrument = instrumentExecution
 	}
+	d.Groups = dep.Groups
+	d.Factory = dep.NewEngine
+	d.Route = dep.Route
+	d.Minimality = dep.Genuine
+	d.Decode = dep.DecodeSnapshot
 	return d, nil
 }
 

@@ -12,13 +12,11 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/client"
 	"flexcast/internal/codec"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/metrics"
 	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
-	"flexcast/internal/skeen"
 	"flexcast/internal/stats"
 	"flexcast/internal/trace"
 	"flexcast/internal/wan"
@@ -26,30 +24,16 @@ import (
 
 // Protocol selects which of the three evaluated protocols a deployment
 // runs.
-type Protocol int
+type Protocol = deploy.Protocol
 
 const (
 	// FlexCast is the paper's contribution: genuine, C-DAG overlay.
-	FlexCast Protocol = iota + 1
+	FlexCast = deploy.FlexCast
 	// Distributed is Skeen's protocol: genuine, fully connected.
-	Distributed
+	Distributed = deploy.Skeen
 	// Hierarchical is the ByzCast-style tree protocol: non-genuine.
-	Hierarchical
+	Hierarchical = deploy.Hierarchical
 )
-
-// String names the protocol as in the paper's figures.
-func (p Protocol) String() string {
-	switch p {
-	case FlexCast:
-		return "FlexCast"
-	case Distributed:
-		return "Distributed"
-	case Hierarchical:
-		return "Hierarchical"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
 
 // Config is one experiment configuration.
 type Config struct {
@@ -93,12 +77,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Overlay == nil {
-		c.Overlay = wan.O1()
-	}
-	if c.Tree == nil {
-		c.Tree = wan.T1()
-	}
 	if c.Locality == 0 {
 		c.Locality = 0.95
 	}
@@ -133,6 +111,8 @@ type Result struct {
 	// at the end of the run (FlexCast only; zero for other protocols).
 	// It quantifies the effect of flush-based garbage collection.
 	FinalHistoryLen map[amcast.GroupID]int
+	// genuine records whether the Minimality audit applies to the run.
+	genuine bool
 }
 
 // Throughput returns completed transactions per second in the
@@ -157,6 +137,7 @@ func (r *Result) Overhead() map[amcast.GroupID]float64 {
 // deployment wires one full experiment.
 type deployment struct {
 	cfg     Config
+	dep     *deploy.Deployment
 	sim     *sim.Simulator
 	net     *sim.Network
 	reg     *metrics.Registry
@@ -208,21 +189,32 @@ func RunChecked(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Trace.CheckAll(cfg.Protocol != Hierarchical); err != nil {
+	if err := res.Trace.CheckAll(res.genuine); err != nil {
 		return res, fmt.Errorf("harness: %s run violates spec: %w", cfg.Protocol, err)
 	}
 	return res, nil
 }
 
+// assemble resolves a protocol on the 12-region WAN: on the given
+// overlay or tree, else on the paper's O1 / T1.
+func assemble(p Protocol, ov *overlay.CDAG, tree *overlay.Tree) (*deploy.Deployment, error) {
+	return deploy.New(deploy.Spec{Protocol: p, Overlay: ov, Tree: tree, Groups: wan.NumRegions})
+}
+
 func build(cfg Config) (*deployment, error) {
 	cfg.fill()
+	dep, err := assemble(cfg.Protocol, cfg.Overlay, cfg.Tree)
+	if err != nil {
+		return nil, err
+	}
 	d := &deployment{
 		cfg:     cfg,
+		dep:     dep,
 		sim:     sim.New(),
 		reg:     metrics.NewRegistry(),
 		engines: make(map[amcast.GroupID]amcast.Engine),
 		homes:   make(map[amcast.NodeID]amcast.GroupID),
-		res:     &Result{Cfg: cfg},
+		res:     &Result{Cfg: cfg, genuine: dep.Genuine},
 	}
 	d.res.Metrics = d.reg
 	for i := 0; i < 3; i++ {
@@ -309,18 +301,7 @@ func (n *engineNode) HandleEnvelope(env amcast.Envelope) {
 
 func (d *deployment) buildGroups() error {
 	for _, g := range wan.Groups() {
-		var eng amcast.Engine
-		var err error
-		switch d.cfg.Protocol {
-		case FlexCast:
-			eng, err = core.New(core.Config{Group: g, Overlay: d.cfg.Overlay})
-		case Distributed:
-			eng, err = skeen.New(skeen.Config{Group: g, Groups: wan.Groups()})
-		case Hierarchical:
-			eng, err = hierarchical.New(hierarchical.Config{Group: g, Tree: d.cfg.Tree})
-		default:
-			err = fmt.Errorf("harness: unknown protocol %d", d.cfg.Protocol)
-		}
+		eng, err := d.dep.NewEngine(g)
 		if err != nil {
 			return err
 		}
@@ -329,21 +310,6 @@ func (d *deployment) buildGroups() error {
 		d.net.Register(id, &engineNode{d: d, id: id, eng: eng})
 	}
 	return nil
-}
-
-func (d *deployment) route(m amcast.Message) []amcast.NodeID {
-	switch d.cfg.Protocol {
-	case FlexCast:
-		return []amcast.NodeID{amcast.GroupNode(d.cfg.Overlay.Lca(m.Dst))}
-	case Hierarchical:
-		return []amcast.NodeID{amcast.GroupNode(d.cfg.Tree.Lca(m.Dst))}
-	default:
-		nodes := make([]amcast.NodeID, len(m.Dst))
-		for i, g := range m.Dst {
-			nodes[i] = amcast.GroupNode(g)
-		}
-		return nodes
-	}
 }
 
 func (d *deployment) buildClients() error {
@@ -372,7 +338,7 @@ func (d *deployment) buildClients() error {
 		cl, err := client.New(client.Config{
 			Index:      i,
 			Home:       home,
-			Route:      d.route,
+			Route:      d.dep.Route,
 			Source:     src,
 			OnComplete: d.onComplete(lo, hi),
 		}, d.sim, d.net)
@@ -394,7 +360,7 @@ func (d *deployment) buildClients() error {
 		fl, err := client.New(client.Config{
 			Index: idx,
 			Home:  home,
-			Route: d.route,
+			Route: d.dep.Route,
 			Source: client.TxSourceFunc(func() client.Tx {
 				return client.Tx{Dst: wan.Groups(), Flags: amcast.FlagFlush}
 			}),

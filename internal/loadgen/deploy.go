@@ -5,10 +5,9 @@ import (
 	"net"
 
 	"flexcast/amcast"
-	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/runtime"
-	"flexcast/internal/store"
+	"flexcast/internal/telemetry"
 	"flexcast/internal/transport"
 )
 
@@ -19,9 +18,9 @@ type deployment struct {
 	close func()
 }
 
-// deploy builds the group servers and client processes on the selected
+// launch builds the group servers and client processes on the selected
 // transport.
-func deploy(cfg Config, proto *protocolDeployment, r *run) (*deployment, []*clientProc, error) {
+func launch(cfg Config, r *run) (*deployment, []*clientProc, error) {
 	clients := make([]*clientProc, cfg.Clients)
 	for i := range clients {
 		clients[i] = &clientProc{
@@ -39,19 +38,19 @@ func deploy(cfg Config, proto *protocolDeployment, r *run) (*deployment, []*clie
 	}
 	switch cfg.Transport {
 	case "tcp":
-		dep, err := deployTCP(cfg, proto, clients)
+		dep, err := deployTCP(cfg, r, clients)
 		return dep, clients, err
 	default:
-		dep, err := deployInMem(cfg, proto, clients)
+		dep, err := deployInMem(cfg, r, clients)
 		return dep, clients, err
 	}
 }
 
-func runtimeConfig(cfg Config, proto *protocolDeployment) runtime.Config {
+func runtimeConfig(cfg Config, tracer *telemetry.Tracer) runtime.Config {
 	rc := runtime.Config{
 		MaxBatch:      cfg.MaxBatch,
 		FlushInterval: cfg.FlushInterval,
-		Tracer:        proto.tracer,
+		Tracer:        tracer,
 	}
 	if cfg.Adaptive {
 		// The zero AdaptiveConfig fills to the full range: floor 1
@@ -70,18 +69,16 @@ func runtimeConfig(cfg Config, proto *protocolDeployment) runtime.Config {
 // the serving node (the watermark advances before replies leave), so a
 // miss is a broken contract and surfaces as a refusal the client fails
 // on.
-func nodeConfig(cfg Config, proto *protocolDeployment, eng amcast.Engine) runtime.Config {
-	rc := runtimeConfig(cfg, proto)
-	if de, ok := eng.(*durable.Engine); ok {
-		// The read handler serves against the executor inside the durable
-		// wrap (reads are not inputs — nothing to log).
-		eng = de.Inner()
-	}
-	ex, ok := eng.(*store.Executor)
+func nodeConfig(cfg Config, r *run, g amcast.GroupID) runtime.Config {
+	rc := runtimeConfig(cfg, r.tracer)
+	// The read handler serves against the executor itself, inside any
+	// durable wrap (reads are not inputs — nothing to log).
+	ex, ok := r.proto.Executors[g]
 	if !ok {
 		return rc
 	}
-	from := amcast.GroupNode(eng.Group())
+	ex.SetTracer(r.tracer)
+	from := amcast.GroupNode(g)
 	rc.ReadHandler = func(env amcast.Envelope) amcast.Envelope {
 		reply := amcast.Envelope{
 			Kind:   amcast.KindReply,
@@ -108,11 +105,12 @@ func nodeConfig(cfg Config, proto *protocolDeployment, eng amcast.Engine) runtim
 // deployInMem also serves the "wan" transport: the same in-memory
 // deployment with every link routed through a delayNet applying the
 // paper's inter-region one-way latencies.
-func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (*deployment, error) {
+func deployInMem(cfg Config, r *run, clients []*clientProc) (*deployment, error) {
+	proto := r.proto
 	nw := transport.NewInMemNet()
 	var dn *delayNet
 	if cfg.Transport == "wan" {
-		dn = newDelayNet(proto.groups)
+		dn = newDelayNet(proto.Groups)
 	}
 	// sendVia builds a node's send function: straight into the mailbox,
 	// or through the WAN delay queue of the (from, to) link.
@@ -127,14 +125,14 @@ func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (
 		}
 	}
 	dep := &deployment{}
-	for _, g := range proto.groups {
-		eng, err := proto.factory(g)
+	for _, g := range proto.Groups {
+		eng, err := proto.NewEngine(g)
 		if err != nil {
 			nw.Close()
 			return nil, err
 		}
 		id := amcast.GroupNode(g)
-		node := runtime.NewNode(eng, sendVia(id), nodeConfig(cfg, proto, eng))
+		node := runtime.NewNode(eng, sendVia(id), nodeConfig(cfg, r, g))
 		dep.nodes = append(dep.nodes, node)
 		if err := nw.AddBatchHandler(id, node.Submit); err != nil {
 			nw.Close()
@@ -157,7 +155,7 @@ func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (
 		for _, n := range dep.nodes {
 			n.Close()
 		}
-		proto.closeFollowers()
+		proto.CloseFollowers()
 	}
 	return dep, nil
 }
@@ -165,10 +163,11 @@ func deployInMem(cfg Config, proto *protocolDeployment, clients []*clientProc) (
 // deployTCP runs the whole deployment over loopback TCP: one listening
 // node per group and per client process, so every envelope crosses the
 // real codec, framing and kernel socket path.
-func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*deployment, error) {
-	book := make(transport.AddrBook, len(proto.groups)+len(clients))
+func deployTCP(cfg Config, r *run, clients []*clientProc) (*deployment, error) {
+	proto := r.proto
+	book := make(transport.AddrBook, len(proto.Groups)+len(clients))
 	var ids []amcast.NodeID
-	for _, g := range proto.groups {
+	for _, g := range proto.Groups {
 		ids = append(ids, amcast.GroupNode(g))
 	}
 	for _, c := range clients {
@@ -207,10 +206,10 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 		for _, n := range dep.nodes {
 			n.Close()
 		}
-		proto.closeFollowers()
+		proto.CloseFollowers()
 	}
-	for _, g := range proto.groups {
-		eng, err := proto.factory(g)
+	for _, g := range proto.Groups {
+		eng, err := proto.NewEngine(g)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -224,7 +223,7 @@ func deployTCP(cfg Config, proto *protocolDeployment, clients []*clientProc) (*d
 			<-ready
 			// Peer unreachable mid-benchmark only happens at teardown.
 			_ = tn.SendBatch(to, envs)
-		}, nodeConfig(cfg, proto, eng))
+		}, nodeConfig(cfg, r, g))
 		tn = transport.NewTCPBatchNodeOn(amcast.GroupNode(g), book, takeListener(amcast.GroupNode(g)), node.Submit)
 		close(ready)
 		dep.nodes = append(dep.nodes, node)

@@ -18,12 +18,12 @@ func TestDeployTCPBackToBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		proto, err := buildProtocol(cfg)
+		proto, err := assemble(cfg, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := &run{cfg: cfg, proto: proto, hist: metrics.NewHistogram(), readHist: metrics.NewHistogram()}
-		dep, clients, err := deploy(cfg, proto, r)
+		dep, clients, err := launch(cfg, r)
 		if err != nil {
 			t.Fatalf("deployment %d: %v", i, err)
 		}

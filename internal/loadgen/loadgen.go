@@ -26,14 +26,11 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
-	"flexcast/internal/hierarchical"
 	"flexcast/internal/metrics"
-	"flexcast/internal/overlay"
 	"flexcast/internal/runtime"
-	"flexcast/internal/skeen"
 	"flexcast/internal/store"
 	"flexcast/internal/telemetry"
 	"flexcast/internal/wan"
@@ -50,7 +47,8 @@ type Config struct {
 	// one-way latency matrix — wan.OneWayMicros — so the fig5-style WAN
 	// curves run against real wall-clock latency).
 	Transport string
-	// Protocol selects "flexcast" (default), "skeen" or "hierarchical".
+	// Protocol names the protocol as deploy.ParseProtocol spells it
+	// (default flexcast); Fill rewrites it to the canonical name.
 	Protocol string
 	// Groups is the number of server groups (default 12: the paper's WAN
 	// group set and overlays; other sizes use a chain overlay).
@@ -214,9 +212,11 @@ func (c *Config) fill() error {
 	if c.Protocol == "" {
 		c.Protocol = "flexcast"
 	}
-	if c.Protocol != "flexcast" && c.Protocol != "skeen" && c.Protocol != "hierarchical" {
-		return fmt.Errorf("loadgen: unknown protocol %q", c.Protocol)
+	p, err := deploy.ParseProtocol(c.Protocol)
+	if err != nil {
+		return fmt.Errorf("loadgen: %w", err)
 	}
+	c.Protocol = p.Name()
 	if c.Groups == 0 {
 		c.Groups = wan.NumRegions
 	}
@@ -479,206 +479,29 @@ type Result struct {
 	Stages *telemetry.StagesReport `json:"stages,omitempty"`
 }
 
-// protocolDeployment carries the protocol-specific pieces.
-type protocolDeployment struct {
-	groups  []amcast.GroupID
-	factory func(g amcast.GroupID) (amcast.Engine, error)
-	route   func(m amcast.Message) []amcast.NodeID
-	nearest func(home amcast.GroupID) []amcast.GroupID
-	// executors collects the store executors in group order (execute
-	// mode; filled as the transport deployment builds engines), and
-	// execByGroup indexes them for the local-read fast path.
-	executors   []*store.Executor
-	execByGroup map[amcast.GroupID]*store.Executor
-	// followers indexes each group's follower read replicas (Replicas
-	// >= 2): log-shipped from the serving node, lease-renewed by the
-	// feed, read by clients co-located with them.
-	followers map[amcast.GroupID][]*store.Replica
-	// Durable-backend pieces (-durable): the live durable engines by
-	// group, the protocol-only factory (for building the fresh engines
-	// the crash-recovery verification recovers into), and the snapshot
-	// decoder matching what the engines persist.
-	durables     map[amcast.GroupID]*durable.Engine
-	protoFactory func(g amcast.GroupID) (amcast.Engine, error)
-	snapDecode   func([]byte) (amcast.Snapshot, error)
-	// tracer is the run's lifecycle tracer (nil: tracing off); the
-	// factories wire it into every executor, and deploy into every node.
-	tracer *telemetry.Tracer
-}
-
-// wrapExecute layers the store executor over the protocol factory:
-// every group's engine gains a warehouse shard plus a mirror replica —
-// and, with Replicas >= 2, the group's follower read replicas.
-func (d *protocolDeployment) wrapExecute(cfg Config) {
-	base := d.factory
-	d.execByGroup = make(map[amcast.GroupID]*store.Executor)
-	d.followers = make(map[amcast.GroupID][]*store.Replica)
-	d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-		eng, err := base(g)
-		if err != nil {
-			return nil, err
-		}
-		ex, err := store.Wrap(eng, store.Config{
-			Warehouse: g,
-			Seed:      cfg.StoreSeed,
-		}, true)
-		if err != nil {
-			return nil, err
-		}
-		for i := 1; i < cfg.Replicas; i++ {
-			rep, err := ex.AttachFollower(store.ReplicaConfig{
-				Idx:           int32(i),
-				Async:         true, // Clock defaults to the wall clock
-				AutoGrantTerm: uint64(cfg.LeaseTerm.Microseconds()),
-			})
-			if err != nil {
-				return nil, err
-			}
-			d.followers[g] = append(d.followers[g], rep)
-		}
-		ex.SetTracer(d.tracer)
-		d.executors = append(d.executors, ex)
-		d.execByGroup[g] = ex
-		return ex, nil
+// assemble resolves the run's protocol at cfg.Groups groups and stacks
+// the configured wrappers on it: the store executor (with cfg.Replicas-1
+// follower read replicas per group) in execute mode, the durable backend
+// rooted at cfg.DurableDir over that.
+func assemble(cfg Config, mirror bool) (*deploy.Deployment, error) {
+	p, err := deploy.ParseProtocol(cfg.Protocol)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// wrapDurable layers the durable backend over the composed factory:
-// every group's engine (execution layer included, so the WAL records
-// the exact inputs of the state its snapshots capture) persists into
-// DurableDir/group-<id>.
-func (d *protocolDeployment) wrapDurable(cfg Config) {
-	base := d.factory
-	d.durables = make(map[amcast.GroupID]*durable.Engine)
-	d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-		eng, err := base(g)
-		if err != nil {
-			return nil, err
-		}
-		se, ok := eng.(amcast.SnapshotEngine)
-		if !ok {
-			return nil, fmt.Errorf("loadgen: durable backend requires a snapshot-capable engine, got %T", eng)
-		}
-		de, err := durable.Wrap(se, durable.Options{
-			Dir:           filepath.Join(cfg.DurableDir, fmt.Sprintf("group-%d", g)),
-			SnapshotEvery: cfg.DurableSnapshotEvery,
-			FsyncEvery:    cfg.DurableFsyncEvery,
-			Decode:        d.snapDecode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.durables[g] = de
-		return de, nil
+	d, err := deploy.New(deploy.Spec{Protocol: p, Groups: cfg.Groups})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// closeFollowers stops the follower repliers; call after the serving
-// nodes (the feeders) have closed.
-func (d *protocolDeployment) closeFollowers() {
-	for _, reps := range d.followers {
-		for _, rep := range reps {
-			rep.Close()
-		}
-	}
-}
-
-func buildProtocol(cfg Config) (*protocolDeployment, error) {
-	var groups []amcast.GroupID
-	paperScale := cfg.Groups == wan.NumRegions
-	if paperScale {
-		groups = wan.Groups()
-	} else {
-		for i := 1; i <= cfg.Groups; i++ {
-			groups = append(groups, amcast.GroupID(i))
-		}
-	}
-	d := &protocolDeployment{groups: groups}
-	d.nearest = func(home amcast.GroupID) []amcast.GroupID {
-		if paperScale {
-			return wan.NearestOrder(home)
-		}
-		var out []amcast.GroupID
-		for _, g := range groups {
-			if g != home {
-				out = append(out, g)
-			}
-		}
-		return out
-	}
-	switch cfg.Protocol {
-	case "flexcast":
-		var ov *overlay.CDAG
-		var err error
-		if paperScale {
-			ov = wan.O1()
-		} else if ov, err = overlay.NewCDAG(groups); err != nil {
-			return nil, err
-		}
-		d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-			return core.New(core.Config{Group: g, Overlay: ov})
-		}
-		d.route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-		}
-	case "skeen":
-		d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-			return skeen.New(skeen.Config{Group: g, Groups: groups})
-		}
-		d.route = func(m amcast.Message) []amcast.NodeID {
-			nodes := make([]amcast.NodeID, len(m.Dst))
-			for i, g := range m.Dst {
-				nodes[i] = amcast.GroupNode(g)
-			}
-			return nodes
-		}
-	case "hierarchical":
-		var tr *overlay.Tree
-		var err error
-		if paperScale {
-			tr = wan.T1()
-		} else {
-			// Star tree rooted at the first group.
-			children := map[amcast.GroupID][]amcast.GroupID{groups[0]: groups[1:]}
-			if tr, err = overlay.NewTree(groups[0], children); err != nil {
-				return nil, err
-			}
-		}
-		d.factory = func(g amcast.GroupID) (amcast.Engine, error) {
-			return hierarchical.New(hierarchical.Config{Group: g, Tree: tr})
-		}
-		d.route = func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(tr.Lca(m.Dst))}
-		}
-	}
-	d.protoFactory = d.factory
 	if cfg.Execute {
-		d.wrapExecute(cfg)
+		d = d.WithStore(store.Config{Seed: cfg.StoreSeed}, mirror, cfg.Replicas-1, cfg.LeaseTerm)
 	}
 	if cfg.Durable {
-		proto := protoSnapshotDecoder(cfg.Protocol)
-		d.snapDecode = proto
-		if cfg.Execute {
-			d.snapDecode = func(data []byte) (amcast.Snapshot, error) {
-				return store.UnmarshalSnapshot(data, proto)
-			}
-		}
-		d.wrapDurable(cfg)
+		d = d.WithDurable(cfg.DurableDir, durable.Options{
+			SnapshotEvery: cfg.DurableSnapshotEvery,
+			FsyncEvery:    cfg.DurableFsyncEvery,
+		})
 	}
 	return d, nil
-}
-
-// protoSnapshotDecoder returns the snapshot decoder of a protocol's
-// bare engine.
-func protoSnapshotDecoder(protocol string) func([]byte) (amcast.Snapshot, error) {
-	switch protocol {
-	case "skeen":
-		return skeen.UnmarshalSnapshot
-	case "hierarchical":
-		return hierarchical.UnmarshalSnapshot
-	default:
-		return core.UnmarshalSnapshot
-	}
 }
 
 // txState tracks one in-flight transaction at its issuing client.
@@ -840,7 +663,7 @@ func (c *clientProc) addRequest(m amcast.Message) {
 		})
 		return
 	}
-	for _, to := range c.run.proto.route(m) {
+	for _, to := range c.run.proto.Route(m) {
 		c.batcher.Add(to, amcast.Envelope{Kind: amcast.KindRequest, From: c.id, Msg: m})
 	}
 }
@@ -949,7 +772,7 @@ type txMeta struct {
 // run is one executing load run.
 type run struct {
 	cfg   Config
-	proto *protocolDeployment
+	proto *deploy.Deployment
 
 	hist      *metrics.Histogram
 	tracer    *telemetry.Tracer
@@ -1100,7 +923,7 @@ func Run(cfg Config) (*Result, error) {
 			cfg.DurableDir = dir
 		}
 	}
-	proto, err := buildProtocol(cfg)
+	proto, err := assemble(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -1109,13 +932,12 @@ func Run(cfg Config) (*Result, error) {
 		r.sloTargetUs = int64(cfg.SLOMs * 1000)
 	}
 	r.tracer = telemetry.NewTracer(cfg.TraceSample, nil)
-	proto.tracer = r.tracer
 	r.readByReplica = make([]atomic.Uint64, cfg.Replicas)
 	for i := range r.typeHists {
 		r.typeHists[i] = metrics.NewHistogram()
 	}
 
-	dep, clients, err := deploy(cfg, proto, r)
+	dep, clients, err := launch(cfg, r)
 	if err != nil {
 		return nil, err
 	}
@@ -1303,7 +1125,7 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 	if n := r.execNoVerdict.Load(); n > 0 {
 		return nil, fmt.Errorf("loadgen: %d replies carried no execution verdict (a shard skipped executing a transaction)", n)
 	}
-	execs := r.proto.executors
+	execs := r.proto.Executors
 	if len(execs) == 0 {
 		return nil, fmt.Errorf("loadgen: execute mode deployed no store executors")
 	}
@@ -1314,7 +1136,8 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 	shards := make([]*store.Shard, 0, len(execs))
 	global := sha256.New()
 	var banked int64
-	for _, ex := range execs {
+	for _, g := range r.proto.Groups {
+		ex := execs[g]
 		if err := ex.CheckMirror(); err != nil {
 			return nil, err
 		}
@@ -1365,47 +1188,41 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 // snapshot, i.e. recovery work is bounded by snapshot age, not run
 // length. Either check failing fails the run.
 func (r *run) verifyDurableRecovery() (*DurableResult, error) {
+	// The recovering stack is the live one over the crash images: no
+	// mirror or followers to populate, and it only reads, so never fsyncs.
 	cfg := r.cfg
+	images, err := os.MkdirTemp("", "flexload-crash-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(images)
+	cfg.Replicas, cfg.DurableDir, cfg.DurableFsyncEvery = 1, images, -1
+	fresh, err := assemble(cfg, false)
+	if err != nil {
+		return nil, err
+	}
 	res := &DurableResult{DigestsMatch: true}
 	var totalElapsed time.Duration
-	for _, g := range r.proto.groups {
-		de := r.proto.durables[g]
-		live := r.proto.execByGroup[g]
+	for _, g := range r.proto.Groups {
+		de := r.proto.Durables[g]
+		live := r.proto.Executors[g]
 		if de == nil || live == nil {
 			return nil, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
 		}
 		if err := de.Err(); err != nil {
 			return nil, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
 		}
-		image, err := copyDirImage(filepath.Join(cfg.DurableDir, fmt.Sprintf("group-%d", g)))
-		if err != nil {
+		if err := copyDirImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(images, g)); err != nil {
 			return nil, err
 		}
-		eng, err := r.proto.protoFactory(g)
-		if err != nil {
-			os.RemoveAll(image)
-			return nil, err
-		}
-		fresh, err := store.Wrap(eng, store.Config{Warehouse: g, Seed: cfg.StoreSeed}, false)
-		if err != nil {
-			os.RemoveAll(image)
-			return nil, err
-		}
-		rde, err := durable.Wrap(fresh, durable.Options{
-			Dir:           image,
-			SnapshotEvery: cfg.DurableSnapshotEvery,
-			FsyncEvery:    -1, // verification only reads; never fsync
-			Decode:        r.proto.snapDecode,
-		})
-		if err != nil {
-			os.RemoveAll(image)
+		if _, err := fresh.NewEngine(g); err != nil {
 			return nil, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
 		}
+		rde := fresh.Durables[g]
 		stats := rde.Recovery()
 		rde.Close()
-		os.RemoveAll(image)
 
-		if got, want := fresh.Shard().Digest(), live.Shard().Digest(); got != want {
+		if got, want := fresh.Executors[g].Shard().Digest(), live.Shard().Digest(); got != want {
 			return nil, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
 		}
 		if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
@@ -1432,18 +1249,16 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	return res, nil
 }
 
-// copyDirImage copies a durable directory into a fresh temp dir — the
-// crash image the recovery verification owns (recovering in place would
-// race the live engine's open WAL).
-func copyDirImage(src string) (string, error) {
-	dst, err := os.MkdirTemp("", "flexload-crash-")
-	if err != nil {
-		return "", err
+// copyDirImage copies one group's durable directory into the crash
+// image the recovery verification owns (recovering in place would race
+// the live engine's open WAL).
+func copyDirImage(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
 	}
 	ents, err := os.ReadDir(src)
 	if err != nil {
-		os.RemoveAll(dst)
-		return "", err
+		return err
 	}
 	for _, ent := range ents {
 		if ent.IsDir() {
@@ -1451,15 +1266,13 @@ func copyDirImage(src string) (string, error) {
 		}
 		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
 		if err != nil {
-			os.RemoveAll(dst)
-			return "", err
+			return err
 		}
 		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
-			os.RemoveAll(dst)
-			return "", err
+			return err
 		}
 	}
-	return dst, nil
+	return nil
 }
 
 // doRead serves one read-only transaction under the configured
@@ -1482,7 +1295,7 @@ func copyDirImage(src string) (string, error) {
 func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wait bool) error {
 	tx := gen.NextRead()
 	if cfg.Replicas <= 1 {
-		ex := c.run.proto.execByGroup[tx.Home]
+		ex := c.run.proto.Executors[tx.Home]
 		if ex == nil {
 			return fmt.Errorf("loadgen: no executor for warehouse %d", tx.Home)
 		}
@@ -1496,7 +1309,7 @@ func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wa
 		return nil
 	}
 	if cfg.FollowerReads {
-		reps := c.run.proto.followers[tx.Home]
+		reps := c.run.proto.Followers[tx.Home]
 		if len(reps) == 0 {
 			return fmt.Errorf("loadgen: no follower replicas for warehouse %d", tx.Home)
 		}
@@ -1737,7 +1550,7 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 // flush process of §4.3). A flush that times out fails the run: a
 // benchmark silently running without garbage collection would publish
 // numbers for a different system.
-func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan struct{}, errCh chan<- error) {
+func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan struct{}, errCh chan<- error) {
 	t := time.NewTicker(cfg.FlushEvery)
 	defer t.Stop()
 	seq := uint64(1) << 38 // clear of every worker's id space
@@ -1751,7 +1564,7 @@ func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan
 		m := amcast.Message{
 			ID:     amcast.NewMsgID(c.idx, seq),
 			Sender: c.id,
-			Dst:    append([]amcast.GroupID(nil), proto.groups...),
+			Dst:    append([]amcast.GroupID(nil), proto.Groups...),
 			Flags:  amcast.FlagFlush,
 		}
 		tx := c.issue(m, txMeta{}, true, true)
@@ -1768,11 +1581,11 @@ func flushLoop(c *clientProc, cfg Config, proto *protocolDeployment, stop <-chan
 }
 
 func newGen(c *clientProc, worker int, cfg Config) (*gtpcc.Gen, error) {
-	home := c.run.proto.groups[c.idx%len(c.run.proto.groups)]
+	home := c.run.proto.Groups[c.idx%len(c.run.proto.Groups)]
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(c.idx)*7919 + int64(worker)*104729))
 	return gtpcc.New(gtpcc.Config{
 		Home:       home,
-		Nearest:    c.run.proto.nearest(home),
+		Nearest:    c.run.proto.Nearest(home),
 		Locality:   cfg.Locality,
 		GlobalOnly: cfg.GlobalOnly,
 		Zipf:       cfg.Zipf,

@@ -78,11 +78,9 @@ type Report struct {
 	Baseline           *Result `json:"baseline,omitempty"`
 	SpeedupVsUnbatched float64 `json:"speedup_vs_unbatched,omitempty"`
 	// Variants holds the A/B companion runs of flexload -ab, keyed by
-	// which knob was flipped: "no_reads" (same config, read mix off)
-	// plus the pooling pair, always measured over TCP where the codec
-	// pool actually sits — "no_pool"/"pool" when the primary run is
-	// itself TCP (whichever side the primary did not measure), or
-	// "tcp_pool" and "tcp_no_pool" when the primary is in-memory.
+	// which knob was flipped: "leader_reads" (follower reads off),
+	// "static" (adaptive batching and session admission off), "no_reads"
+	// (read mix off) and "no_trace" (lifecycle tracer off).
 	Variants map[string]*Result `json:"variants,omitempty"`
 	// ReadWriteP50Ratio is write p50 / read p50 on read-mix runs (read
 	// p50 clamped to at least 1µs) — the headline fast-path gap.

@@ -107,10 +107,10 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	// Replicated-run gauges: lease renewals across follower replicas and
 	// the worst follower watermark lag behind its group's serving node.
 	proto := r.proto
-	if len(proto.followers) > 0 {
+	if len(proto.Followers) > 0 {
 		reg.RegisterCounter("lease_renewals", func() uint64 {
 			var n uint64
-			for _, reps := range proto.followers {
+			for _, reps := range proto.Followers {
 				for _, rep := range reps {
 					n += rep.Renewals()
 				}
@@ -119,8 +119,8 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 		})
 		reg.RegisterGauge("watermark_lag_max", func() float64 {
 			var max uint64
-			for g, reps := range proto.followers {
-				ex := proto.execByGroup[g]
+			for g, reps := range proto.Followers {
+				ex := proto.Executors[g]
 				if ex == nil {
 					continue
 				}

@@ -1,12 +1,10 @@
 package metrics
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"flexcast/amcast"
-	"flexcast/internal/codec"
 )
 
 // benchEnv is a representative two-destination payload message.
@@ -16,19 +14,11 @@ var benchEnv = amcast.Envelope{
 	Msg:  amcast.Message{ID: amcast.NewMsgID(0, 1), Dst: []amcast.GroupID{1, 2}, Payload: make([]byte, 64)},
 }
 
-// sendRecorder is the common surface of the registry and its mutex
-// baseline, so both run the identical benchmark body.
-type sendRecorder interface {
-	OnSend(from, to amcast.NodeID, env amcast.Envelope)
-	OnDeliver(g amcast.GroupID)
-}
-
 // benchOnSend models the TCP runtime's contention pattern: every
 // connection goroutine records traffic for its own sender (distinct
-// client nodes) into a small shared set of group receivers. A global
-// registry mutex serializes all of them; per-node atomics only contend
-// on the shared receivers.
-func benchOnSend(b *testing.B, r sendRecorder) {
+// client nodes) into a small shared set of group receivers, so the
+// per-node atomics only contend on the shared receivers.
+func benchOnSend(b *testing.B, r *Registry) {
 	var worker atomic.Uint64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -41,7 +31,7 @@ func benchOnSend(b *testing.B, r sendRecorder) {
 	})
 }
 
-func benchOnDeliver(b *testing.B, r sendRecorder) {
+func benchOnDeliver(b *testing.B, r *Registry) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -54,49 +44,3 @@ func benchOnDeliver(b *testing.B, r sendRecorder) {
 
 func BenchmarkRegistryOnSend(b *testing.B)    { benchOnSend(b, NewRegistry()) }
 func BenchmarkRegistryOnDeliver(b *testing.B) { benchOnDeliver(b, NewRegistry()) }
-
-func BenchmarkMutexRegistryOnSend(b *testing.B)    { benchOnSend(b, newMutexRegistry()) }
-func BenchmarkMutexRegistryOnDeliver(b *testing.B) { benchOnDeliver(b, newMutexRegistry()) }
-
-// mutexRegistry replicates the registry's previous implementation — one
-// global mutex over a map of plain counters — as the baseline the
-// lock-free registry is measured against.
-type mutexRegistry struct {
-	mu    sync.Mutex
-	nodes map[amcast.NodeID]*NodeCounters
-}
-
-func newMutexRegistry() *mutexRegistry {
-	return &mutexRegistry{nodes: make(map[amcast.NodeID]*NodeCounters)}
-}
-
-func (r *mutexRegistry) counters(n amcast.NodeID) *NodeCounters {
-	c, ok := r.nodes[n]
-	if !ok {
-		c = &NodeCounters{ReceivedByKind: make(map[amcast.Kind]uint64)}
-		r.nodes[n] = c
-	}
-	return c
-}
-
-func (r *mutexRegistry) OnSend(from, to amcast.NodeID, env amcast.Envelope) {
-	size := uint64(codec.Size(env))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters(from)
-	c.EnvsSent++
-	c.BytesSent += size
-	d := r.counters(to)
-	d.EnvsReceived++
-	d.BytesReceived += size
-	d.ReceivedByKind[env.Kind]++
-	if env.Kind.IsPayload() {
-		d.PayloadReceived++
-	}
-}
-
-func (r *mutexRegistry) OnDeliver(g amcast.GroupID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters(amcast.GroupNode(g)).Delivered++
-}

@@ -73,18 +73,6 @@ type Executor struct {
 	tracer *telemetry.Tracer
 }
 
-// Wrap builds an executor over a protocol engine, asserting the
-// snapshot capability the executor needs — the one factory-wrapping
-// helper every execute-mode deployment (StoreCluster, loadgen, the
-// chaos harness) shares.
-func Wrap(eng amcast.Engine, cfg Config, mirror bool) (*Executor, error) {
-	se, ok := eng.(amcast.SnapshotEngine)
-	if !ok {
-		return nil, fmt.Errorf("store: engine %T does not support snapshots", eng)
-	}
-	return NewExecutor(se, cfg, mirror)
-}
-
 // NewExecutor wraps an engine with a freshly populated shard. mirror
 // adds a second, independently maintained shard replica fed the same
 // deliveries; CheckMirror then audits that Apply is deterministic

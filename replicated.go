@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/deploy"
 	"flexcast/internal/sim"
 	"flexcast/internal/smr"
 )
@@ -32,6 +33,7 @@ type ReplicatedClusterConfig struct {
 // time. All methods must be called from one goroutine.
 type ReplicatedCluster struct {
 	cfg    ReplicatedClusterConfig
+	dep    *deploy.Deployment
 	s      *sim.Simulator
 	net    *sim.Network
 	groups map[GroupID]*smr.Group
@@ -43,8 +45,9 @@ type ReplicatedCluster struct {
 
 // NewReplicatedCluster builds the deployment.
 func NewReplicatedCluster(cfg ReplicatedClusterConfig) (*ReplicatedCluster, error) {
-	if cfg.Overlay == nil {
-		return nil, fmt.Errorf("flexcast: replicated cluster requires an overlay")
+	dep, err := deploy.New(deploy.Spec{Protocol: deploy.FlexCast, Overlay: cfg.Overlay})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.ReplicasPerGroup == 0 {
 		cfg.ReplicasPerGroup = 3
@@ -54,6 +57,7 @@ func NewReplicatedCluster(cfg ReplicatedClusterConfig) (*ReplicatedCluster, erro
 	}
 	c := &ReplicatedCluster{
 		cfg:     cfg,
+		dep:     dep,
 		s:       sim.New(),
 		groups:  make(map[GroupID]*smr.Group),
 		replied: make(map[MsgID]map[GroupID]bool),
@@ -64,11 +68,9 @@ func NewReplicatedCluster(cfg ReplicatedClusterConfig) (*ReplicatedCluster, erro
 	for _, g := range cfg.Overlay.Order() {
 		g := g
 		grp, err := smr.New(smr.Config{
-			Group:    g,
-			Replicas: cfg.ReplicasPerGroup,
-			NewEngine: func() (Engine, error) {
-				return NewFlexCastEngine(g, cfg.Overlay)
-			},
+			Group:     g,
+			Replicas:  cfg.ReplicasPerGroup,
+			NewEngine: func() (Engine, error) { return dep.NewEngine(g) },
 			OnDeliver: func(rep int, d Delivery) {
 				if cfg.OnDeliver != nil {
 					cfg.OnDeliver(rep, d)
@@ -115,8 +117,9 @@ func (c *ReplicatedCluster) Multicast(dst []GroupID, payload []byte) (MsgID, err
 		Payload: append([]byte(nil), payload...),
 	}
 	c.dst[m.ID] = norm
-	c.net.Send(m.Sender, GroupNode(c.cfg.Overlay.Lca(norm)),
-		Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
+	for _, to := range c.dep.Route(m) {
+		c.net.Send(m.Sender, to, Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
+	}
 	return m.ID, nil
 }
 

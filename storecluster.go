@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/store"
 )
@@ -64,9 +65,8 @@ type StoreClusterConfig struct {
 	// Durable selects the durable persistence backend (see
 	// ClusterConfig.Durable): each warehouse's executor-wrapped engine
 	// runs behind a WAL plus snapshot files under Durable.Dir, and a
-	// restarted cluster recovers every shard before serving. The
-	// snapshot decoder is composed automatically (store layer over the
-	// protocol engine's). nil keeps the in-memory backend unchanged.
+	// restarted cluster recovers every shard before serving. nil keeps
+	// the in-memory backend unchanged.
 	Durable *DurableConfig
 }
 
@@ -115,8 +115,6 @@ type TxResult struct {
 // the executable-workload counterpart of Cluster.
 type StoreCluster struct {
 	c         *Cluster
-	execs     map[GroupID]*store.Executor
-	replicas  map[GroupID][]*store.Replica
 	items     int
 	customers int
 	fastReads bool
@@ -131,46 +129,6 @@ func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 	if cfg.Warehouses == 0 {
 		cfg.Warehouses = 4
 	}
-	ccfg := ClusterConfig{
-		Protocol:      cfg.Protocol,
-		Overlay:       cfg.Overlay,
-		Tree:          cfg.Tree,
-		MaxBatch:      cfg.MaxBatch,
-		FlushInterval: cfg.FlushInterval,
-		CallTimeout:   cfg.CallTimeout,
-	}
-	if cfg.Durable != nil {
-		dcfg := *cfg.Durable
-		if dcfg.Decode == nil {
-			// The durable layer wraps the executor, so its snapshots are
-			// the store layer's encoding over the protocol engine's.
-			proto := protocolSnapshotDecoder(cfg.Protocol)
-			dcfg.Decode = func(_ GroupID, data []byte) (amcast.Snapshot, error) {
-				return store.UnmarshalSnapshot(data, proto)
-			}
-		}
-		ccfg.Durable = &dcfg
-	}
-	if ccfg.Overlay == nil && ccfg.Tree == nil {
-		groups := make([]GroupID, cfg.Warehouses)
-		for i := range groups {
-			groups[i] = GroupID(i + 1)
-		}
-		if cfg.Protocol == ProtocolHierarchical {
-			tree, err := NewTree(groups[0], map[GroupID][]GroupID{groups[0]: groups[1:]})
-			if err != nil {
-				return nil, err
-			}
-			ccfg.Tree = tree
-		} else {
-			ov, err := NewOverlay(groups)
-			if err != nil {
-				return nil, err
-			}
-			ccfg.Overlay = ov
-		}
-	}
-
 	if cfg.Items == 0 {
 		cfg.Items = gtpcc.NumItems
 	}
@@ -184,44 +142,36 @@ func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 	if cfg.LeaseTerm == 0 {
 		cfg.LeaseTerm = 250 * time.Millisecond
 	}
-	sc := &StoreCluster{
-		execs:     make(map[GroupID]*store.Executor),
-		replicas:  make(map[GroupID][]*store.Replica),
+	dep, err := deploy.New(deploy.Spec{
+		Protocol: cfg.Protocol,
+		Overlay:  cfg.Overlay,
+		Tree:     cfg.Tree,
+		Groups:   cfg.Warehouses,
+	})
+	if err != nil {
+		return nil, err
+	}
+	dep = dep.WithStore(store.Config{
+		Items:     cfg.Items,
+		Customers: cfg.Customers,
+		Seed:      cfg.StoreSeed,
+	}, true, cfg.ReadReplicas, cfg.LeaseTerm)
+	c, err := newCluster(ClusterConfig{
+		MaxBatch:      cfg.MaxBatch,
+		FlushInterval: cfg.FlushInterval,
+		CallTimeout:   cfg.CallTimeout,
+		Durable:       cfg.Durable,
+	}, dep)
+	if err != nil {
+		return nil, err
+	}
+	return &StoreCluster{
+		c:         c,
 		items:     cfg.Items,
 		customers: cfg.Customers,
 		fastReads: !cfg.DisableFastReads,
 		timeout:   timeout,
-	}
-	ccfg.WrapEngine = func(g GroupID, eng Engine) (Engine, error) {
-		ex, err := store.Wrap(eng, store.Config{
-			Warehouse: g,
-			Items:     cfg.Items,
-			Customers: cfg.Customers,
-			Seed:      cfg.StoreSeed,
-		}, true)
-		if err != nil {
-			return nil, err
-		}
-		sc.execs[g] = ex
-		for i := 0; i < cfg.ReadReplicas; i++ {
-			rep, err := ex.AttachFollower(store.ReplicaConfig{
-				Idx:           int32(i + 1),
-				Async:         true, // Clock defaults to the wall clock
-				AutoGrantTerm: uint64(cfg.LeaseTerm.Microseconds()),
-			})
-			if err != nil {
-				return nil, err
-			}
-			sc.replicas[g] = append(sc.replicas[g], rep)
-		}
-		return ex, nil
-	}
-	c, err := NewCluster(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	sc.c = c
-	return sc, nil
+	}, nil
 }
 
 // Warehouses returns the cluster's warehouse groups.
@@ -368,7 +318,7 @@ func (sc *StoreCluster) Payment(home, customerWarehouse GroupID, customer int, a
 // load-balance across follower replicas; this cluster-wide form always
 // reads the serving node.
 func (sc *StoreCluster) readFast(tx gtpcc.Tx) (*TxResult, error) {
-	ex, ok := sc.execs[tx.Home]
+	ex, ok := sc.c.dep.Executors[tx.Home]
 	if !ok {
 		return nil, fmt.Errorf("flexcast: unknown warehouse %d", tx.Home)
 	}
@@ -434,7 +384,7 @@ func (sc *StoreCluster) StockLevel(warehouse GroupID, threshold int) (*TxResult,
 // byte-identical state. Quiesce the cluster (no in-flight Calls) before
 // reading digests.
 func (sc *StoreCluster) Digest(warehouse GroupID) ([32]byte, error) {
-	ex, ok := sc.execs[warehouse]
+	ex, ok := sc.c.dep.Executors[warehouse]
 	if !ok {
 		return [32]byte{}, fmt.Errorf("flexcast: unknown warehouse %d", warehouse)
 	}
@@ -445,9 +395,9 @@ func (sc *StoreCluster) Digest(warehouse GroupID) ([32]byte, error) {
 // the cross-shard payment and order-line conservation laws, and the
 // byte-identity of each shard's mirror replica.
 func (sc *StoreCluster) CheckInvariants() error {
-	shards := make([]*store.Shard, 0, len(sc.execs))
+	shards := make([]*store.Shard, 0, len(sc.c.dep.Executors))
 	for _, g := range sc.c.Groups() {
-		ex := sc.execs[g]
+		ex := sc.c.dep.Executors[g]
 		if err := ex.CheckMirror(); err != nil {
 			return err
 		}
@@ -460,11 +410,7 @@ func (sc *StoreCluster) CheckInvariants() error {
 // (in that order: the cluster's nodes are the replicas' log feeders).
 func (sc *StoreCluster) Close() {
 	sc.c.Close()
-	for _, reps := range sc.replicas {
-		for _, rep := range reps {
-			rep.Close()
-		}
-	}
+	sc.c.dep.CloseFollowers()
 }
 
 // Session is one client session over the store: it carries its own
@@ -570,7 +516,7 @@ func (s *Session) read(tx gtpcc.Tx) (*TxResult, error) {
 		tx.Dst = tx.Involved()
 		return s.exec(tx)
 	}
-	ex, ok := s.sc.execs[tx.Home]
+	ex, ok := s.sc.c.dep.Executors[tx.Home]
 	if !ok {
 		return nil, fmt.Errorf("flexcast: unknown warehouse %d", tx.Home)
 	}
@@ -583,7 +529,7 @@ func (s *Session) read(tx gtpcc.Tx) (*TxResult, error) {
 	var res store.ReadResult
 	var err error
 	var replica int32
-	if reps := s.sc.replicas[tx.Home]; len(reps) > 0 {
+	if reps := s.sc.c.dep.Followers[tx.Home]; len(reps) > 0 {
 		rep := reps[turn%uint64(len(reps))]
 		res, err = rep.Read(tx, barrier, s.sc.timeout)
 		replica = rep.Idx()
