@@ -28,6 +28,29 @@ type BinarySnapshot interface {
 	MarshalBinary() ([]byte, error)
 }
 
+// TailSnapshot is a BinarySnapshot whose canonical encoding is a body
+// followed by an append-only tail: successive snapshots of one running
+// engine have tails that extend one another (FlexCast's delivery
+// tombstones, in delivery order), so a persister that already holds the
+// first from bytes of the tail needs only the body and what was
+// appended since. The seam sits on the snapshot value rather than on
+// the engine because every engine wrapper forwards Snapshot(): no
+// decorator can hide it.
+type TailSnapshot interface {
+	BinarySnapshot
+	// MarshalSplit returns the body and the tail's bytes from offset
+	// from on (0 <= from <= the tail's length). MarshalBinary() equals
+	// JoinSnapshot(body, tail) for from == 0, and the body fixes the
+	// tail's length, so joining it with any other tail fails to decode.
+	MarshalSplit(from int) (body, tail []byte, err error)
+}
+
+// JoinSnapshot reassembles a canonical snapshot encoding from the body
+// and the complete tail MarshalSplit produced.
+func JoinSnapshot(body, tail []byte) []byte {
+	return append(body[:len(body):len(body)], tail...)
+}
+
 // SnapshotEngine is an Engine whose full state can be captured and
 // restored, enabling crash/recovery testing (internal/chaos) and
 // state-transfer-based replica recovery. All three protocol engines in

@@ -160,9 +160,11 @@ func marshalState(eng amcast.SnapshotEngine) ([]byte, error) {
 // Crash drops the node's volatile state. The caller also crashes the
 // node on the network so inbound traffic parks. In durable mode the
 // final state is fingerprinted first (the engine is quiescent between
-// simulator events), then the backend is abandoned as kill -9 would
-// leave it: appends already sit in the page cache — the crash image —
-// so closing merely releases the descriptor, never adds durability.
+// simulator events), then the backend is closed before the directory is
+// torn or recovered: appends already sit in the page cache — the crash
+// image — and Close waits for the persist job in flight, so the image
+// is a finished directory whose replay the snapshot cadence bounds
+// (internal/durable's own crash test covers the unfinished ones).
 func (n *node) Crash() {
 	n.down = true
 	if n.de == nil {
@@ -173,7 +175,9 @@ func (n *node) Crash() {
 	} else {
 		n.preCrash = data
 	}
-	n.de.Close()
+	if err := n.de.Close(); err != nil {
+		n.fail(fmt.Errorf("chaos: durable backend of %s: %w", n.id, err))
+	}
 }
 
 // TearTail appends a partial record to the node's abandoned WAL — the
@@ -269,7 +273,5 @@ func (n *node) closeDurable() error {
 	if n.down {
 		return nil // crashed at quiescence; already closed
 	}
-	err := n.de.Err()
-	n.de.Close()
-	return err
+	return n.de.Close()
 }

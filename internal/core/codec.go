@@ -14,9 +14,15 @@ import (
 
 // Binary snapshot codec for the FlexCast engine. Map iteration is
 // always sorted, so the same snapshot marshals to the same bytes; the
-// history arena is serialized slot by slot (history.AppendBinary).
+// history arena is serialized slot by slot (history.AppendBinary). The
+// delivery log comes last, in delivery order and fixed-width: it is the
+// encoding's append-only tail (amcast.TailSnapshot), and the body ends
+// with its entry count.
 
-var _ amcast.BinarySnapshot = (*snapshot)(nil)
+var _ amcast.TailSnapshot = (*snapshot)(nil)
+
+// idWidth is the encoded size of one delivery-log entry (u64le).
+const idWidth = 8
 
 func sortedIDs[V any](m map[amcast.MsgID]V) []amcast.MsgID {
 	ids := make([]amcast.MsgID, 0, len(m))
@@ -125,10 +131,26 @@ func readPending(r *codec.Reader) *pending {
 
 // MarshalBinary implements amcast.BinarySnapshot.
 func (s *snapshot) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 1024)
+	body, tail, err := s.MarshalSplit(0)
+	return amcast.JoinSnapshot(body, tail), err
+}
+
+// MarshalSplit implements amcast.TailSnapshot.
+func (s *snapshot) MarshalSplit(from int) (body, tail []byte, err error) {
+	if from < 0 || from%idWidth != 0 || from/idWidth > len(s.delivered) {
+		return nil, nil, fmt.Errorf("core: snapshot tail offset %d outside the %d-entry delivery log", from, len(s.delivered))
+	}
+	rest := s.delivered[from/idWidth:]
+	tail = make([]byte, 0, len(rest)*idWidth)
+	for _, id := range rest {
+		tail = binary.LittleEndian.AppendUint64(tail, uint64(id))
+	}
+	return s.appendBody(make([]byte, 0, 1024)), tail, nil
+}
+
+func (s *snapshot) appendBody(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(uint32(s.g)))
 	buf = s.hst.AppendBinary(buf)
-	buf = appendIDSet(buf, s.delivered)
 	buf = appendIDSet(buf, s.open)
 	buf = binary.AppendUvarint(buf, uint64(len(s.queues)))
 	for _, g := range sortedGroups(s.queues) {
@@ -182,7 +204,7 @@ func (s *snapshot) MarshalBinary() ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, s.seq)
 	buf = binary.AppendUvarint(buf, uint64(s.nPruned))
-	return buf, nil
+	return binary.AppendUvarint(buf, uint64(len(s.delivered)))
 }
 
 // UnmarshalSnapshot decodes a snapshot previously produced by
@@ -193,7 +215,6 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 		g:   amcast.GroupID(r.Uvarint()),
 		hst: history.Decode(r),
 	}
-	s.delivered = readIDSet(r)
 	s.open = readIDSet(r)
 	nQ := r.Count()
 	s.queues = make(map[amcast.GroupID][]amcast.MsgID, nQ)
@@ -258,6 +279,17 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	}
 	s.seq = r.Uvarint()
 	s.nPruned = int(r.Uvarint())
+	// The log is everything after its count, so the count is checked
+	// against the bytes that are there before anything is allocated.
+	if n := r.Uvarint(); n <= uint64(len(data))/idWidth {
+		raw := r.BytesN(int(n) * idWidth)
+		s.delivered = make([]amcast.MsgID, 0, len(raw)/idWidth)
+		for ; len(raw) > 0; raw = raw[idWidth:] {
+			s.delivered = append(s.delivered, amcast.MsgID(binary.LittleEndian.Uint64(raw)))
+		}
+	} else {
+		r.Fail(fmt.Errorf("core: delivery log of %d entries in a %d-byte snapshot", n, len(data)))
+	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("core: snapshot decode: %w", err)
 	}

@@ -147,9 +147,13 @@ type Engine struct {
 	// (DESIGN.md §4 deviation 9). Its nodes carry the open and delivered
 	// sets below as flags, which is what can-deliver's walk reads.
 	hst *history.History
-	// delivered doubles as deliveredInG and as the tombstone set that
-	// prevents re-delivery after garbage collection.
-	delivered map[amcast.MsgID]bool
+	// deliveredLog lists every message delivered here, in delivery order.
+	// It doubles as deliveredInG and as the tombstone set that prevents
+	// re-delivery after garbage collection, and it is append-only: a
+	// snapshot takes it by prefix (capture), so a written entry is never
+	// overwritten. delivered is its membership index.
+	deliveredLog []amcast.MsgID
+	delivered    map[amcast.MsgID]struct{}
 	// open is the open-dependency set: messages present in hst, addressed
 	// to g, not yet delivered (open-dependencies() in Algorithm 3).
 	open map[amcast.MsgID]bool
@@ -217,7 +221,7 @@ func New(cfg Config) (*Engine, error) {
 		ov:         cfg.Overlay,
 		ancestors:  cfg.Overlay.Ancestors(cfg.Group),
 		hst:        history.New(),
-		delivered:  make(map[amcast.MsgID]bool),
+		delivered:  make(map[amcast.MsgID]struct{}),
 		open:       make(map[amcast.MsgID]bool),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID),
 		pend:       make(map[amcast.MsgID]*pending),
@@ -319,7 +323,7 @@ func (e *Engine) apply(env amcast.Envelope, outs *[]amcast.Output) {
 // order on all descendants.
 func (e *Engine) onRequest(env amcast.Envelope, outs *[]amcast.Output) {
 	m := env.Msg
-	if len(m.Dst) == 0 || e.ov.Lca(m.Dst) != e.g || e.delivered[m.ID] {
+	if len(m.Dst) == 0 || e.ov.Lca(m.Dst) != e.g || e.wasDelivered(m.ID) {
 		return
 	}
 	e.deliver(m, outs)
@@ -330,7 +334,7 @@ func (e *Engine) onRequest(env amcast.Envelope, outs *[]amcast.Output) {
 func (e *Engine) onMsg(env amcast.Envelope, outs *[]amcast.Output) {
 	e.mergeHist(env.Hist)
 	m := env.Msg
-	if !m.HasDst(e.g) || e.delivered[m.ID] {
+	if !m.HasDst(e.g) || e.wasDelivered(m.ID) {
 		// Duplicate or misrouted: the history merge above is still useful.
 		return
 	}
@@ -352,7 +356,7 @@ func (e *Engine) onMsg(env amcast.Envelope, outs *[]amcast.Output) {
 func (e *Engine) onAck(env amcast.Envelope, outs *[]amcast.Output) {
 	e.mergeHist(env.Hist)
 	m := env.Msg
-	if e.delivered[m.ID] {
+	if e.wasDelivered(m.ID) {
 		return
 	}
 	from := env.From
@@ -406,6 +410,11 @@ func (e *Engine) onNotif(env amcast.Envelope, outs *[]amcast.Output) {
 	e.pendNotif = append(e.pendNotif, &pendingNotif{msg: m.Header(), notifier: notifier, epoch: epoch, deps: copyIDSet(e.open)})
 }
 
+func (e *Engine) wasDelivered(id amcast.MsgID) bool {
+	_, ok := e.delivered[id]
+	return ok
+}
+
 func (e *Engine) pending(id amcast.MsgID) *pending {
 	p, ok := e.pend[id]
 	if !ok {
@@ -433,7 +442,7 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 			e.trafficSeq[dst]++
 		}
 		switch {
-		case e.delivered[n.ID]:
+		case e.wasDelivered(n.ID):
 			// Pruned after its delivery here, back through a late diff.
 			e.hst.MarkDelivered(n.ID)
 		case slices.Contains(n.Dst, e.g):
@@ -446,7 +455,8 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 // deliver delivers m at this group (Algorithm 3 lines 20-31), appending
 // the outputs it generates.
 func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
-	e.delivered[m.ID] = true
+	e.deliveredLog = append(e.deliveredLog, m.ID)
+	e.delivered[m.ID] = struct{}{}
 	e.deliveries = append(e.deliveries, amcast.Delivery{Group: e.g, Seq: e.seq, Msg: m})
 	e.seq++
 	if len(m.Dst) == 1 {
@@ -725,7 +735,7 @@ func (e *Engine) OpenDependencies() []amcast.MsgID {
 // — for chaos-schedule failure analysis and tests.
 func (e *Engine) DebugDump() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "group %d: delivered=%d open=%v\n", e.g, len(e.delivered), e.OpenDependencies())
+	fmt.Fprintf(&sb, "group %d: delivered=%d open=%v\n", e.g, len(e.deliveredLog), e.OpenDependencies())
 	lcas := make([]amcast.GroupID, 0, len(e.queues))
 	for lca := range e.queues {
 		lcas = append(lcas, lca)

@@ -10,13 +10,17 @@ import (
 )
 
 // snapshot is the FlexCast engine's amcast.Snapshot: a deep copy of every
-// mutable field of Engine. Config (group, overlay, GC switch) is not
-// captured — a snapshot is restored into an engine built with the same
-// configuration, which Restore verifies via the group id.
+// mutable field of Engine except the delivery log, which is append-only
+// and therefore shared by prefix. Config (group, overlay, GC switch) is
+// not captured — a snapshot is restored into an engine built with the
+// same configuration, which Restore verifies via the group id.
 type snapshot struct {
-	g          amcast.GroupID
-	hst        *history.History
-	delivered  map[amcast.MsgID]bool
+	g   amcast.GroupID
+	hst *history.History
+	// delivered is the engine's deliveredLog up to the capture, capacity
+	// clipped: the engine appends past it and nothing writes into it, so
+	// another goroutine may read it while the engine runs.
+	delivered  []amcast.MsgID
 	open       map[amcast.MsgID]bool
 	queues     map[amcast.GroupID][]amcast.MsgID
 	pend       map[amcast.MsgID]*pending
@@ -82,14 +86,15 @@ func copyPendNotifs(pns []*pendingNotif) []*pendingNotif {
 	return c
 }
 
-// capture deep-copies the engine's mutable state. It backs both Snapshot
+// capture copies the engine's mutable state. It backs both Snapshot
 // (engine → snapshot) and Restore (snapshot → engine), so a snapshot can
 // be restored repeatedly without the running engine corrupting it.
 func (e *Engine) capture() *snapshot {
+	n := len(e.deliveredLog)
 	s := &snapshot{
 		g:          e.g,
 		hst:        e.hst.Clone(),
-		delivered:  copyIDSet(e.delivered),
+		delivered:  e.deliveredLog[:n:n],
 		open:       copyIDSet(e.open),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID, len(e.queues)),
 		pend:       make(map[amcast.MsgID]*pending, len(e.pend)),
@@ -112,10 +117,16 @@ func (e *Engine) capture() *snapshot {
 }
 
 // install is the inverse of capture: it deep-copies snapshot state into
-// the engine.
+// the engine. The engine's first append after it reallocates the log
+// (the snapshot's slice has no spare capacity), leaving the snapshot's
+// prefix untouched.
 func (e *Engine) install(s *snapshot) {
 	e.hst = s.hst.Clone()
-	e.delivered = copyIDSet(s.delivered)
+	e.deliveredLog = s.delivered[:len(s.delivered):len(s.delivered)]
+	e.delivered = make(map[amcast.MsgID]struct{}, len(s.delivered))
+	for _, id := range s.delivered {
+		e.delivered[id] = struct{}{}
+	}
 	e.open = copyIDSet(s.open)
 	e.queues = make(map[amcast.GroupID][]amcast.MsgID, len(s.queues))
 	for g, q := range s.queues {

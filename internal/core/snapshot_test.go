@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"flexcast/amcast"
@@ -118,5 +119,43 @@ func TestSnapshotIsolation(t *testing.T) {
 			t.Fatalf("restore %d: deliveries after ack = %v, want [%s]", i, dels, m.ID)
 		}
 		_ = outs
+	}
+
+	// The delivery log is shared with the engine by prefix, not copied:
+	// the engine appending 10k more deliveries — reallocating the log
+	// several times — while another goroutine marshals the snapshot must
+	// leave the snapshot's encoding unchanged (and -race clean).
+	request := func(i uint64) amcast.Envelope {
+		return amcast.Envelope{Kind: amcast.KindRequest, From: amcast.ClientNode(0), Msg: prototest.Msg(100+i, 3)}
+	}
+	for i := uint64(0); i < 100; i++ {
+		e.OnEnvelope(request(i))
+	}
+	e.TakeDeliveries()
+	shared := e.Snapshot().(amcast.BinarySnapshot)
+	want, err := shared.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshalled := make(chan []byte)
+	go func() {
+		defer close(marshalled)
+		for i := 0; i < 20; i++ {
+			data, _ := shared.MarshalBinary()
+			marshalled <- data
+		}
+	}()
+	next := uint64(100)
+	for data := range marshalled {
+		for end := next + 500; next < end; next++ {
+			e.OnEnvelope(request(next))
+		}
+		e.TakeDeliveries()
+		if !bytes.Equal(data, want) {
+			t.Fatal("snapshot encoding changed while the engine kept delivering")
+		}
+	}
+	if got, _ := shared.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("snapshot encoding changed after the engine delivered 10k more messages")
 	}
 }

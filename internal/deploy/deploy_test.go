@@ -1,8 +1,11 @@
 package deploy_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -69,16 +72,25 @@ func oldEntry(p deploy.Protocol, ov *overlay.CDAG, tree *overlay.Tree) func(amca
 }
 
 // stack is one assembled deployment as the tests drive it: a factory,
-// a route, a decoder, and the store executors behind the factory.
+// a route, a decoder, the store executors behind the factory, and the
+// durable backend's root directory.
 type stack struct {
 	newEngine func(g amcast.GroupID) (amcast.SnapshotEngine, error)
 	route     func(amcast.Message) []amcast.NodeID
 	decode    func([]byte) (amcast.Snapshot, error)
 	executor  func(g amcast.GroupID) *store.Executor
+	dir       string
 }
 
 // assembled builds a stack through the package under test.
 func assembled(t *testing.T, p deploy.Protocol, kind int) stack {
+	return assembledUnder(t, p, kind, nil)
+}
+
+// assembledUnder is assembled with wrap, when set, interposed between
+// the durable backend and what it persists — where the benchmark puts
+// its span decorator.
+func assembledUnder(t *testing.T, p deploy.Protocol, kind int, wrap func(amcast.SnapshotEngine) amcast.SnapshotEngine) stack {
 	t.Helper()
 	d, err := deploy.New(deploy.Spec{Protocol: p, Groups: testGroups})
 	if err != nil {
@@ -87,14 +99,82 @@ func assembled(t *testing.T, p deploy.Protocol, kind int) stack {
 	if kind >= withStore {
 		d = d.WithStore(store.Config{Seed: testSeed}, true, 0, 0)
 	}
+	s := stack{}
 	if kind >= withStoreDurable {
-		d = d.WithDurable(t.TempDir(), durable.Options{SnapshotEvery: snapEvery, FsyncEvery: -1})
+		if wrap != nil {
+			under, inner := *d, d.NewEngine
+			under.NewEngine = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
+				eng, err := inner(g)
+				if err != nil {
+					return nil, err
+				}
+				return wrap(eng), nil
+			}
+			d = &under
+		}
+		s.dir = t.TempDir()
+		d = d.WithDurable(s.dir, durable.Options{SnapshotEvery: snapEvery, FsyncEvery: -1})
 	}
-	return stack{
-		newEngine: d.NewEngine,
-		route:     d.Route,
-		decode:    d.DecodeSnapshot,
-		executor:  func(g amcast.GroupID) *store.Executor { return d.Executors[g] },
+	s.newEngine, s.route, s.decode = d.NewEngine, d.Route, d.DecodeSnapshot
+	s.executor = func(g amcast.GroupID) *store.Executor { return d.Executors[g] }
+	return s
+}
+
+// passThrough forwards the SnapshotEngine and BatchStepper calls and
+// nothing else, like the benchmark's span decorator.
+type passThrough struct{ inner amcast.SnapshotEngine }
+
+func (e passThrough) Group() amcast.GroupID { return e.inner.Group() }
+func (e passThrough) OnEnvelope(env amcast.Envelope) []amcast.Output {
+	return e.inner.OnEnvelope(env)
+}
+func (e passThrough) BatchStep(envs []amcast.Envelope) []amcast.Output {
+	return amcast.BatchStep(e.inner, envs)
+}
+func (e passThrough) TakeDeliveries() []amcast.Delivery { return e.inner.TakeDeliveries() }
+func (e passThrough) Snapshot() amcast.Snapshot         { return e.inner.Snapshot() }
+func (e passThrough) Restore(s amcast.Snapshot) error   { return e.inner.Restore(s) }
+
+// checkTombstonesJournaled closes a driven flexcast store+durable stack
+// and checks what it left on disk: every group's first delivery is in
+// journal.log as a fixed-width tail entry and in no snapshot file, and
+// the snapshot file plus the journal prefix it names is the whole
+// snapshot recovery restores.
+func checkTombstonesJournaled(t *testing.T, s stack, r *prototest.Router, engines map[amcast.GroupID]amcast.SnapshotEngine) {
+	t.Helper()
+	for _, g := range groupIDs(testGroups) {
+		if err := engines[g].(*durable.Engine).Close(); err != nil {
+			t.Fatal(err)
+		}
+		dir := deploy.GroupDir(s.dir, g)
+		journal, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+		if err != nil || len(journal) == 0 {
+			t.Fatalf("group %d: journal.log: %d bytes, %v", g, len(journal), err)
+		}
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if len(snaps) != 1 {
+			t.Fatalf("group %d: snapshot files %v, want one", g, snaps)
+		}
+		snap, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := binary.LittleEndian.AppendUint64(nil, uint64(r.Seq(g)[0]))
+		if !bytes.Contains(journal, first) || bytes.Contains(snap, first) {
+			t.Errorf("group %d: first tombstone in journal: %v, in the snapshot file: %v; want it journaled only",
+				g, bytes.Contains(journal, first), bytes.Contains(snap, first))
+		}
+		fresh, err := s.newEngine(g)
+		if err != nil {
+			t.Fatalf("group %d: recovery: %v", g, err)
+		}
+		de := fresh.(*durable.Engine)
+		st := de.Recovery()
+		de.Close()
+		tail := int(binary.LittleEndian.Uint64(snap))
+		if tail == 0 || st.SnapshotBytes != len(snap)-8+tail {
+			t.Errorf("group %d: restored %d snapshot bytes from a %d-byte file naming %d journal bytes", g, st.SnapshotBytes, len(snap), tail)
+		}
 	}
 }
 
@@ -220,7 +300,7 @@ func TestAssembledEqualsDirect(t *testing.T) {
 			p, kind := p, kind
 			t.Run(p.Name()+"/"+stackNames[kind], func(t *testing.T) {
 				got, want := assembled(t, p, kind), direct(t, p, kind)
-				gr, _ := drive(t, got, 0)
+				gr, engines := drive(t, got, 0)
 				wr, _ := drive(t, want, 0)
 				delivered := 0
 				for _, g := range groupIDs(testGroups) {
@@ -237,6 +317,15 @@ func TestAssembledEqualsDirect(t *testing.T) {
 				}
 				if delivered < streamLength {
 					t.Fatalf("only %d deliveries from %d multicasts", delivered, streamLength)
+				}
+				if p == deploy.FlexCast && kind == withStoreDurable {
+					// The snapshot's tail reaches the journal through the
+					// snapshot value, so a decorator between the backend and
+					// the executor cannot hide it.
+					checkTombstonesJournaled(t, got, gr, engines)
+					under := assembledUnder(t, p, kind, func(eng amcast.SnapshotEngine) amcast.SnapshotEngine { return passThrough{eng} })
+					ur, engines := drive(t, under, 0)
+					checkTombstonesJournaled(t, under, ur, engines)
 				}
 			})
 		}

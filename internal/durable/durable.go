@@ -1,19 +1,27 @@
 // Package durable is the pluggable persistence layer behind the
 // amcast.SnapshotEngine seam: a write-ahead log of every input envelope
 // (CRC-framed, fsync-batched) plus periodic snapshot files, organized
-// in epochs.
+// in epochs, plus one journal of the snapshots' append-only tail.
 //
 //	wal-%08d.log   input records of epoch e (wire-codec frames)
-//	snap-%08d.snap engine state after every record of epochs < e
+//	snap-%08d.snap engine state after every record of epochs < e: the
+//	               snapshot body, and the length J of the tail it needs
+//	journal.log    the tail (amcast.TailSnapshot) of every snapshot taken
+//	               so far, never rotated: snapshot e's tail is its first
+//	               J bytes
 //
-// Taking a snapshot writes snap-(e+1) (tmp + rename, so a crash never
-// leaves a half-written snapshot under the real name), rotates the log
-// to wal-(e+1), and deletes older epochs — the store-level consumer of
-// the paper's §4.3 truncate-delivered-prefixes rule. Recovery restores
-// the highest decodable snapshot and replays only the WAL epochs at or
-// after it, so recovery work is bounded by the snapshot cadence, never
-// by run length. A torn record at the WAL tail (the partial write a
-// kill -9 leaves) is detected by its frame CRC and truncated away.
+// At a cadence point the engine goroutine captures a snapshot, fsyncs
+// and closes wal-e, opens wal-(e+1) and hands the snapshot value to a
+// background persist job (persist.go), which appends the new tail bytes
+// to the journal, writes snap-(e+1) (tmp + rename, so a crash never
+// leaves a half-written snapshot under the real name) and deletes epoch
+// e — the store-level consumer of the paper's §4.3 truncate-delivered-
+// prefixes rule. Recovery restores the newest snapshot that decodes and
+// replays only the WAL epochs at or after it, so recovery work is
+// bounded by the snapshot cadence — one cadence of input once the
+// persist job has finished, two while it is in flight — never by run
+// length. A torn record at the WAL tail (the partial write a kill -9
+// leaves) is detected by its frame CRC and truncated away.
 //
 // The failure model is process crash (kill -9): write()n data survives
 // in the page cache even when the process dies before fsync. Batched
@@ -23,6 +31,8 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,7 +89,8 @@ type RecoveryStats struct {
 	// SnapshotEpoch is the epoch of the restored snapshot (0 = none,
 	// recovery started from the engine's fresh state).
 	SnapshotEpoch uint64
-	// SnapshotBytes is the restored snapshot's size.
+	// SnapshotBytes is the restored snapshot's size: its body plus the
+	// journal prefix it was joined with.
 	SnapshotBytes int
 	// ReplayedRecords counts the WAL records replayed (each one input
 	// frame: a single envelope or a batch).
@@ -104,6 +115,15 @@ func walPath(dir string, epoch uint64) string {
 func snapPath(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%08d.snap", epoch))
 }
+
+const snapTmpSuffix = ".tmp"
+
+func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
+
+// snapHeaderSize is the snapshot file's header: u64le J, the number of
+// journal bytes that are the snapshot's tail. The body follows unframed
+// (a snapshot file is not a WAL record and has no size limit).
+const snapHeaderSize = 8
 
 // scanEpochs lists the wal and snapshot epochs present in dir, sorted
 // ascending.
@@ -139,20 +159,25 @@ func matchEpoch(name, pattern string, e *uint64) bool {
 
 // Engine wraps an amcast.SnapshotEngine with the durable backend. It is
 // single-owner like the engine it wraps: the runtime goroutine that
-// feeds the engine is the only goroutine that may call it, so the input
-// path needs no locking. I/O errors latch (Err) rather than panic — the
-// wrapped engine keeps running, durability is reported broken.
+// feeds the engine is the only goroutine that may call it — every
+// method, Close, Sync and Err included — so the input path needs no
+// locking. (Whoever stops that goroutine may then call Close in its
+// place.) I/O errors latch (Err) rather than panic — the wrapped engine
+// keeps running, durability is reported broken.
 type Engine struct {
 	inner amcast.SnapshotEngine
 	opts  Options
 
 	epoch uint64
 	w     *walWriter
-	// sinceSnap counts input envelopes appended since the last snapshot
-	// (the replay length a crash right now would pay).
+	// sinceSnap counts input envelopes appended since the last captured
+	// snapshot (the replay length a crash right now would pay once that
+	// snapshot's persist job has finished).
 	sinceSnap int
+	p         persister
 	stats     RecoveryStats
 	err       error
+	closed    bool
 }
 
 // Wrap opens (or creates) the durable state under opts.Dir, recovers
@@ -164,14 +189,37 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
+	opts.Dir = filepath.Clean(opts.Dir)
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
+	awaitAbandoned(opts.Dir)
 	e := &Engine{inner: inner, opts: opts}
+	e.p.dir, e.p.keep = opts.Dir, opts.KeepEpochs
 	if err := e.recover(); err != nil {
+		if e.p.journal != nil {
+			e.p.journal.Close()
+		}
 		return nil, err
 	}
 	return e, nil
+}
+
+// readSnapshot reads snap-epoch and joins its body with the journal
+// prefix it names, giving back the canonical snapshot encoding and J.
+func readSnapshot(dir string, epoch uint64, journal []byte) (data []byte, j int, err error) {
+	file, err := os.ReadFile(snapPath(dir, epoch))
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(file) < snapHeaderSize {
+		return nil, 0, fmt.Errorf("%d-byte file has no header", len(file))
+	}
+	need := binary.LittleEndian.Uint64(file)
+	if need > uint64(len(journal)) {
+		return nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, len(journal))
+	}
+	return amcast.JoinSnapshot(file[snapHeaderSize:], journal[:need]), int(need), nil
 }
 
 // recover restores the newest decodable snapshot, replays WAL epochs at
@@ -179,20 +227,37 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 // tail, which is truncated).
 func (e *Engine) recover() error {
 	start := time.Now()
-	wals, snaps, err := scanEpochs(e.opts.Dir)
+	dir := e.opts.Dir
+	// A crash mid-write leaves a snap-*.tmp: never renamed, so nothing
+	// refers to it. A miss here only leaks the file.
+	tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*"+snapTmpSuffix))
+	for _, tmp := range tmps {
+		_ = os.Remove(tmp)
+	}
+	wals, snaps, err := scanEpochs(dir)
 	if err != nil {
 		return err
 	}
+	jscan, err := readWAL(journalPath(dir))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	journal := make([]byte, 0, jscan.goodLen)
+	for _, rec := range jscan.records {
+		journal = append(journal, rec...)
+	}
 	// Restore the newest snapshot that decodes. An unreadable snapshot
 	// costs replay length, not correctness, when an older one plus its
-	// WAL epochs still exist (KeepEpochs) — fall back and report it in
-	// CorruptSnapshots. When nothing on disk decodes the truncated prefix
-	// is unrecoverable: fail loudly below instead of silently starting
-	// from fresh state plus the surviving WAL suffix.
+	// WAL epochs still exist (KeepEpochs, or a crash before the persist
+	// job's delete) — fall back and report it in CorruptSnapshots. When
+	// nothing on disk decodes the truncated prefix is unrecoverable: fail
+	// loudly below instead of silently starting from fresh state plus
+	// the surviving WAL suffix.
 	snapEpoch := uint64(0)
+	tailLen := 0
 	var snapErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(snapPath(e.opts.Dir, snaps[i]))
+		data, j, err := readSnapshot(dir, snaps[i], journal)
 		if err != nil {
 			snapErr = fmt.Errorf("durable: read snapshot epoch %d: %w", snaps[i], err)
 			e.stats.CorruptSnapshots++
@@ -208,7 +273,7 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("durable: restore snapshot epoch %d: %w", snaps[i], err)
 		}
 		e.inner.TakeDeliveries() // restore discards undrained deliveries
-		snapEpoch = snaps[i]
+		snapEpoch, tailLen = snaps[i], j
 		e.stats.SnapshotEpoch = snaps[i]
 		e.stats.SnapshotBytes = len(data)
 		e.stats.Recovered = true
@@ -217,6 +282,13 @@ func (e *Engine) recover() error {
 	if snapEpoch == 0 && snapErr != nil {
 		return snapErr
 	}
+	// The journal continues from the restored snapshot's tail: whatever
+	// lies past it — a later snapshot's bytes, a torn record — is cut
+	// off, and replay regenerates it.
+	if err := e.p.openJournal(jscan, tailLen); err != nil {
+		return err
+	}
+	e.p.oldest = snapEpoch
 	// Replay the WAL suffix: every record of every epoch >= snapEpoch,
 	// ascending. Outputs and deliveries were already emitted before the
 	// crash; replay only rebuilds state.
@@ -253,51 +325,24 @@ func (e *Engine) recover() error {
 		return err
 	}
 	if !e.opts.KeepEpochs {
-		e.truncateBelow(snapEpoch)
+		// Epochs below the restored snapshot are covered by it. Superseded
+		// snapshots go first: a crash mid-way then leaves an orphaned old
+		// WAL (harmless, re-deleted next time) rather than an old snapshot
+		// whose WAL epochs are gone, which recovery could otherwise fall
+		// back on and silently replay an incomplete suffix.
+		for _, se := range snaps {
+			if se < snapEpoch {
+				_ = os.Remove(snapPath(dir, se)) // a leftover costs space only
+			}
+		}
+		for _, we := range wals {
+			if we < snapEpoch {
+				_ = os.Remove(walPath(dir, we))
+			}
+		}
 	}
 	e.stats.Elapsed = time.Since(start)
 	return nil
-}
-
-// truncateBelow deletes WAL and snapshot files of epochs strictly below
-// e — they are covered by snapshot e. Superseded snapshots go first:
-// a crash mid-truncate then leaves an orphaned old WAL (harmless, re-
-// deleted next time) rather than an old snapshot whose WAL epochs are
-// gone, which recovery could otherwise fall back on and silently replay
-// an incomplete suffix.
-func (e *Engine) truncateBelow(epoch uint64) {
-	wals, snaps, err := scanEpochs(e.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, se := range snaps {
-		if se < epoch {
-			os.Remove(snapPath(e.opts.Dir, se))
-		}
-	}
-	for _, we := range wals {
-		if we < epoch {
-			os.Remove(walPath(e.opts.Dir, we))
-		}
-	}
-}
-
-// writeFileSync is os.WriteFile plus an fsync before close, for writes
-// whose only other copy is about to be deleted.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Recovery reports what Wrap restored and replayed.
@@ -308,23 +353,24 @@ func (e *Engine) Recovery() RecoveryStats { return e.stats }
 // single-owner discipline of the engine they unwrap.
 func (e *Engine) Inner() amcast.SnapshotEngine { return e.inner }
 
-// Err returns the latched I/O error, if any: the first WAL append or
-// snapshot write that failed. State on disk is frozen at that point.
+// Err returns the latched I/O error, if any: the first WAL append,
+// rotation or persist job that failed. State on disk is frozen at that
+// point. A persist job's failure is picked up when the engine next
+// meets the persister: at the following cadence point, Sync or Close.
 func (e *Engine) Err() error { return e.err }
 
 // Epoch returns the current WAL epoch.
 func (e *Engine) Epoch() uint64 { return e.epoch }
 
 // SinceSnapshot reports the input envelopes appended since the last
-// snapshot — the replay length a crash right now would pay.
+// captured snapshot — the replay length a crash would pay once that
+// snapshot's persist job has finished (Sync and Close wait for it).
 func (e *Engine) SinceSnapshot() int { return e.sinceSnap }
 
-// append logs one input frame before it reaches the engine.
-func (e *Engine) append(frame []byte, envelopes int) {
-	if e.err != nil {
-		return
-	}
-	if err := e.w.append(frame); err != nil {
+// log appends one input record, built on the WAL writer's frame, before
+// its envelopes reach the engine.
+func (e *Engine) log(rec []byte, envelopes int) {
+	if err := e.w.commit(rec); err != nil {
 		e.err = err
 		return
 	}
@@ -337,7 +383,9 @@ func (e *Engine) Group() amcast.GroupID { return e.inner.Group() }
 // OnEnvelope implements amcast.Engine: the envelope is appended to the
 // WAL, then forwarded.
 func (e *Engine) OnEnvelope(env amcast.Envelope) []amcast.Output {
-	e.append(codec.Marshal(env), 1)
+	if e.err == nil {
+		e.log(codec.Append(e.w.frame(), env), 1)
+	}
 	return e.inner.OnEnvelope(env)
 }
 
@@ -348,68 +396,50 @@ func (e *Engine) BatchStep(envs []amcast.Envelope) []amcast.Output {
 	if len(envs) == 0 {
 		return nil
 	}
-	e.append(codec.MarshalBatch(envs), len(envs))
+	if e.err == nil {
+		e.log(codec.AppendBatch(e.w.frame(), envs), len(envs))
+	}
 	return amcast.BatchStep(e.inner, envs)
 }
 
 // TakeDeliveries implements amcast.Engine and is the snapshot point:
 // right after a drain the engine's delivery buffer is empty, so the
-// snapshot restores to a state with nothing half-emitted. When the
-// snapshot cadence is due the engine state is written to snap-(e+1),
-// the WAL rotates to epoch e+1, and older epochs are deleted.
+// snapshot restores to a state with nothing half-emitted.
 func (e *Engine) TakeDeliveries() []amcast.Delivery {
 	dels := e.inner.TakeDeliveries()
 	if e.err == nil && e.opts.SnapshotEvery > 0 && e.sinceSnap >= e.opts.SnapshotEvery {
-		if err := e.snapshot(); err != nil {
-			e.err = err
-		}
+		e.err = e.snapshot()
 	}
 	return dels
 }
 
-// SnapshotNow forces a snapshot + rotation regardless of cadence. The
-// engine's delivery buffer must be drained (call it from the owning
-// goroutine between TakeDeliveries and the next input).
-func (e *Engine) SnapshotNow() error {
+// awaitPersist waits for the persist job in flight, if any, and latches
+// its failure.
+func (e *Engine) awaitPersist() {
+	if err := e.p.wait(); err != nil && e.err == nil {
+		e.err = err
+	}
+}
+
+// snapshot is a cadence point: capture the engine state, seal wal-e,
+// open wal-(e+1), and leave everything that touches the snapshot file
+// to a persist job. One job runs at a time, so a due snapshot first
+// waits for the previous one — every cadence point snapshots, and the
+// image on disk is never more than two cadences behind.
+func (e *Engine) snapshot() error {
+	start := time.Now()
+	e.awaitPersist()
+	backpressureHist.Record(uint64(time.Since(start)))
 	if e.err != nil {
 		return e.err
 	}
-	if err := e.snapshot(); err != nil {
-		e.err = err
-	}
-	return e.err
-}
-
-func (e *Engine) snapshot() error {
-	start := time.Now()
-	bs, ok := e.inner.Snapshot().(amcast.BinarySnapshot)
-	if !ok {
-		return fmt.Errorf("durable: engine %T snapshot has no binary form", e.inner)
-	}
-	data, err := bs.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	// The WAL must be on disk before the snapshot that supersedes it:
-	// snap-(e+1) claims to cover every record of epoch e.
-	if err := e.w.sync(); err != nil {
-		return err
-	}
-	next := e.epoch + 1
-	tmp := snapPath(e.opts.Dir, next) + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, snapPath(e.opts.Dir, next)); err != nil {
-		return err
-	}
-	// The snapshot must be durable — data fsynced above, rename fsynced
-	// here — before truncateBelow deletes the WAL epochs it supersedes:
-	// they are the only other copy of this state.
-	syncDir(e.opts.Dir)
+	snap := e.inner.Snapshot()
+	// wal-e must be on disk before the snapshot that supersedes it can
+	// be: snap-(e+1) claims to cover every record of epoch e.
 	if err := e.w.close(); err != nil {
 		return err
 	}
+	next := e.epoch + 1
 	w, err := openWALWriter(walPath(e.opts.Dir, next), e.opts.FsyncEvery, 0)
 	if err != nil {
 		return err
@@ -417,9 +447,7 @@ func (e *Engine) snapshot() error {
 	e.w = w
 	e.epoch = next
 	e.sinceSnap = 0
-	if !e.opts.KeepEpochs {
-		e.truncateBelow(next)
-	}
+	e.p.start(snap, next)
 	snapshotHist.Record(uint64(time.Since(start)))
 	return nil
 }
@@ -428,8 +456,9 @@ func (e *Engine) snapshot() error {
 func (e *Engine) Snapshot() amcast.Snapshot { return e.inner.Snapshot() }
 
 // Restore implements amcast.SnapshotEngine (forwarded). Restoring past
-// state does not rewind the on-disk log — it is a test-harness seam
-// (the chaos explorer's in-memory model), not a durability operation.
+// state rewinds neither the on-disk log nor the journal — it is a test-
+// harness seam (the chaos explorer's in-memory model), not a durability
+// operation.
 func (e *Engine) Restore(s amcast.Snapshot) error { return e.inner.Restore(s) }
 
 // CheckHistoryAcyclic forwards the inner engine's ordering audit.
@@ -440,28 +469,31 @@ func (e *Engine) CheckHistoryAcyclic() error {
 	return nil
 }
 
-// Sync forces the WAL to disk.
+// Sync forces the WAL to disk and waits for the persist job in flight:
+// when it returns nil, a crash image replays SinceSnapshot envelopes.
 func (e *Engine) Sync() error {
-	if e.err != nil {
-		return e.err
-	}
-	if err := e.w.sync(); err != nil {
-		e.err = err
+	e.awaitPersist()
+	if e.err == nil {
+		e.err = e.w.sync()
 	}
 	return e.err
 }
 
-// Close flushes and closes the WAL. The engine must not be used after.
+// Close waits for the persist job in flight, flushes and closes the WAL
+// and the journal, and returns the latched error. The engine must not
+// be used after.
 func (e *Engine) Close() error {
-	if e.w == nil {
+	if e.closed {
 		return e.err
 	}
-	err := e.w.close()
-	e.w = nil
-	if e.err == nil {
-		e.err = err
+	e.closed = true
+	e.awaitPersist()
+	for _, err := range []error{e.w.close(), e.p.journal.Close()} {
+		if e.err == nil {
+			e.err = err
+		}
 	}
-	return err
+	return e.err
 }
 
 var _ amcast.SnapshotEngine = (*Engine)(nil)

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -258,34 +259,47 @@ func TestKeepEpochsRetainsHistory(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenSnapshotAndRotation simulates the in-between crash:
-// snap-(e+1) written but the WAL never rotated. Recovery must prefer
-// the snapshot and ignore the superseded wal-e records.
-func TestCrashBetweenSnapshotAndRotation(t *testing.T) {
+// TestCrashBetweenRenameAndRemove is the in-between crash: snap-(e+1)
+// is visible but epoch e has not been removed yet (the WAL rotated
+// before the job started). Recovery must prefer the snapshot and ignore
+// the superseded wal-e records.
+func TestCrashBetweenRenameAndRemove(t *testing.T) {
 	dir := t.TempDir()
 	live := newCoreEngine(t)
-	deng, err := Wrap(live, opts(dir, -1))
+	deng, err := Wrap(live, opts(dir, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	deng.p.hook = func(at persistStep) error {
+		if at == stepRename {
+			parked <- struct{}{}
+			<-release
+		}
+		return nil
+	}
 	feed(deng, 1, 9)
-	// Write snap-(e+1) by hand, as if the process died right after the
-	// rename and before rotation.
-	data := marshalState(t, live)
-	if err := os.WriteFile(snapPath(dir, deng.Epoch()+1), data, 0o644); err != nil {
+	<-parked
+	want := marshalState(t, live)
+	img := copyDir(t, dir)
+	release <- struct{}{}
+	if err := deng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if wals, snaps, _ := scanEpochs(img); fmt.Sprint(wals, snaps) != "[0 1] [1]" {
+		t.Fatalf("image holds wals and snaps %v %v, want the superseded wal-0 beside epoch 1", wals, snaps)
+	}
 	rec := newCoreEngine(t)
-	deng2, err := Wrap(rec, opts(dir, -1))
+	deng2, err := Wrap(rec, opts(img, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer deng2.Close()
 	st := deng2.Recovery()
-	if st.ReplayedEnvelopes != 0 {
-		t.Fatalf("replayed %d envelopes over a snapshot that already covers them", st.ReplayedEnvelopes)
+	if st.SnapshotEpoch != 1 || st.ReplayedEnvelopes != 0 {
+		t.Fatalf("restored epoch %d and replayed %d envelopes over a snapshot that already covers them", st.SnapshotEpoch, st.ReplayedEnvelopes)
 	}
-	if got := marshalState(t, rec); !bytes.Equal(got, data) {
+	if got := marshalState(t, rec); !bytes.Equal(got, want) {
 		t.Fatal("recovered state differs")
 	}
 }
@@ -302,6 +316,9 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(deng, 1, 23)
+	if err := deng.Sync(); err != nil { // the last snapshot's job finishes
+		t.Fatal(err)
+	}
 	want := marshalState(t, live)
 	_, snaps, err := scanEpochs(dir)
 	if err != nil {
@@ -311,6 +328,22 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("need ≥2 snapshots, have %d", len(snaps))
 	}
 	newest := snaps[len(snaps)-1]
+	// The older snapshot's tail is a shorter prefix of the one journal.
+	journal, err := readWAL(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tail []byte
+	for _, rec := range journal.records {
+		tail = append(tail, rec...)
+	}
+	_, jOld, err := readSnapshot(dir, snaps[len(snaps)-2], tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, jNew, err := readSnapshot(dir, newest, tail); err != nil || jOld >= jNew || jNew != len(tail) {
+		t.Fatalf("snapshot tails %d and %d of a %d-byte journal (%v), want the older one a proper prefix of the whole", jOld, jNew, len(tail), err)
+	}
 	if err := os.WriteFile(snapPath(dir, newest), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +362,10 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	if got := marshalState(t, rec); !bytes.Equal(got, want) {
 		t.Fatal("fallback recovery diverged from live state")
+	}
+	// The journal was cut back to the restored snapshot's tail.
+	if cut, err := readWAL(journalPath(dir)); err != nil || cut.goodLen >= journal.goodLen || cut.tornBytes != 0 {
+		t.Fatalf("journal after the fallback: %d bytes (torn %d, %v), want it cut below %d", cut.goodLen, cut.tornBytes, err, journal.goodLen)
 	}
 }
 
@@ -376,6 +413,18 @@ func FuzzWALRecover(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[5] ^= 0xA5
 	f.Add(corrupt)
+	// journal.log shares the framing: fixed-width tail entries, one
+	// record per snapshot, torn mid-record by a crash.
+	var journal []byte
+	for rec := 0; rec < 3; rec++ {
+		var delta []byte
+		for i := 0; i < 4; i++ {
+			delta = binary.LittleEndian.AppendUint64(delta, uint64(amcast.NewMsgID(rec, uint64(i+1))))
+		}
+		journal = appendWALRecord(journal, delta)
+	}
+	f.Add(journal)
+	f.Add(journal[:len(journal)-11])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal-00000000.log")

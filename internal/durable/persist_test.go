@@ -1,0 +1,541 @@
+package durable
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"flexcast/amcast"
+	"flexcast/internal/core"
+	"flexcast/internal/gtpcc"
+	"flexcast/internal/hierarchical"
+	"flexcast/internal/overlay"
+	"flexcast/internal/skeen"
+	"flexcast/internal/store"
+)
+
+// crashStack is one engine stack the crash test persists: a factory for
+// one group's engine, the matching snapshot decoder, the protocol's
+// client entry route, and the group whose inputs are persisted.
+type crashStack struct {
+	name   string
+	mk     func(g amcast.GroupID) amcast.SnapshotEngine
+	decode func([]byte) (amcast.Snapshot, error)
+	route  func(m amcast.Message) []amcast.GroupID
+	target amcast.GroupID
+}
+
+var crashGroups = []amcast.GroupID{1, 2, 3, 4}
+
+func crashStacks() []crashStack {
+	ov := overlay.MustCDAG(crashGroups)
+	tree := overlay.MustTree(1, map[amcast.GroupID][]amcast.GroupID{1: crashGroups[1:]})
+	executing := func(mk func(g amcast.GroupID) amcast.SnapshotEngine) func(g amcast.GroupID) amcast.SnapshotEngine {
+		return func(g amcast.GroupID) amcast.SnapshotEngine {
+			ex, err := store.NewExecutor(mk(g), store.Config{Warehouse: g, Seed: 3}, false)
+			if err != nil {
+				panic(err)
+			}
+			return ex
+		}
+	}
+	over := func(dec func([]byte) (amcast.Snapshot, error)) func([]byte) (amcast.Snapshot, error) {
+		return func(data []byte) (amcast.Snapshot, error) { return store.UnmarshalSnapshot(data, dec) }
+	}
+	return []crashStack{
+		{
+			name: "flexcast+store",
+			mk: executing(func(g amcast.GroupID) amcast.SnapshotEngine {
+				return core.MustNew(core.Config{Group: g, Overlay: ov})
+			}),
+			decode: over(core.UnmarshalSnapshot),
+			route:  func(m amcast.Message) []amcast.GroupID { return []amcast.GroupID{ov.Lca(m.Dst)} },
+			target: 3,
+		},
+		{
+			name: "skeen+store",
+			mk: executing(func(g amcast.GroupID) amcast.SnapshotEngine {
+				e, err := skeen.New(skeen.Config{Group: g, Groups: crashGroups})
+				if err != nil {
+					panic(err)
+				}
+				return e
+			}),
+			decode: over(skeen.UnmarshalSnapshot),
+			route:  func(m amcast.Message) []amcast.GroupID { return m.Dst },
+			target: 3,
+		},
+		{
+			name: "hierarchical",
+			mk: func(g amcast.GroupID) amcast.SnapshotEngine {
+				e, err := hierarchical.New(hierarchical.Config{Group: g, Tree: tree})
+				if err != nil {
+					panic(err)
+				}
+				return e
+			},
+			decode: hierarchical.UnmarshalSnapshot,
+			route:  func(m amcast.Message) []amcast.GroupID { return []amcast.GroupID{tree.Lca(m.Dst)} },
+			target: 1,
+		},
+	}
+}
+
+// recordInputs runs a seeded gTPC-C stream through plain engines of the
+// stack on a FIFO network, a few hops per injected transaction so that
+// messages overlap in flight, and returns every envelope the target
+// group consumed, in order — the input the durable engine under test is
+// then fed on its own.
+func recordInputs(s crashStack, txs int) []amcast.Envelope {
+	engines := make(map[amcast.GroupID]amcast.SnapshotEngine)
+	gens := make([]*gtpcc.Gen, len(crashGroups))
+	for i, home := range crashGroups {
+		engines[home] = s.mk(home)
+		var nearest []amcast.GroupID
+		for _, g := range crashGroups {
+			if g != home {
+				nearest = append(nearest, g)
+			}
+		}
+		gens[i] = gtpcc.MustNew(gtpcc.Config{Home: home, Nearest: nearest, Locality: 0.4}, rand.New(rand.NewSource(int64(11+i))))
+	}
+	type hop struct {
+		to  amcast.GroupID
+		env amcast.Envelope
+	}
+	var queue []hop
+	var inputs []amcast.Envelope
+	step := func() {
+		h := queue[0]
+		queue = queue[1:]
+		if h.to == s.target {
+			inputs = append(inputs, h.env)
+		}
+		eng := engines[h.to]
+		for _, out := range eng.OnEnvelope(h.env) {
+			if !out.To.IsClient() {
+				queue = append(queue, hop{out.To.Group(), out.Env})
+			}
+		}
+		eng.TakeDeliveries()
+	}
+	for i := 0; i < txs; i++ {
+		tx := gens[i%len(gens)].Next()
+		m := amcast.Message{ID: amcast.NewMsgID(0, uint64(i+1)), Sender: amcast.ClientNode(0), Dst: tx.Dst, Payload: gtpcc.EncodeTx(tx)}
+		for _, at := range s.route(m) {
+			queue = append(queue, hop{at, amcast.Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m}})
+		}
+		for n := 0; n < 2 && len(queue) > 0; n++ {
+			step()
+		}
+	}
+	for len(queue) > 0 {
+		step()
+	}
+	return inputs
+}
+
+// feedBatches pushes inputs through eng in batches of size batch.
+func feedBatches(eng amcast.SnapshotEngine, inputs []amcast.Envelope, batch int) {
+	for len(inputs) > 0 {
+		n := min(batch, len(inputs))
+		amcast.BatchStep(eng, inputs[:n])
+		eng.TakeDeliveries()
+		inputs = inputs[n:]
+	}
+}
+
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestCrashAtEveryPersistStep enumerates the crash points of a persist
+// job instead of sampling them: every job of a run parks after the same
+// step while input keeps arriving, the directory is copied as it then
+// stands — the kill -9 image, not drained — and the image must recover
+// to exactly the state of a reference engine fed the same input prefix,
+// replaying at most two cadences and a batch. Each image is recovered a
+// second time with its journal damaged (cut mid-record while the newest
+// delta is not yet needed, a torn record appended otherwise), and the
+// recovered engine then finishes the run and recovers once more, which
+// fails unless the first recovery cut the journal back to the restored
+// snapshot's J.
+func TestCrashAtEveryPersistStep(t *testing.T) {
+	const cadence, batch = 24, 4
+	for _, s := range crashStacks() {
+		inputs := recordInputs(s, 900)
+		if len(inputs) < 8*cadence {
+			t.Fatalf("%s: only %d inputs recorded for group %d", s.name, len(inputs), s.target)
+		}
+		ref := s.mk(s.target)
+		feedBatches(ref, inputs, batch)
+		final := marshalState(t, ref)
+		o := func(dir string) Options {
+			return Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: s.decode}
+		}
+		for step := persistStep(0); step < numPersistSteps; step++ {
+			t.Run(fmt.Sprintf("%s/%s", s.name, persistStepNames[step]), func(t *testing.T) {
+				dir := t.TempDir()
+				de, err := Wrap(s.mk(s.target), o(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				parked, release := make(chan struct{}), make(chan struct{})
+				de.p.hook = func(at persistStep) error {
+					if at == step {
+						parked <- struct{}{}
+						<-release
+					}
+					return nil
+				}
+				prefix := s.mk(s.target) // the reference, fed in lockstep
+				images := 0
+				for off := 0; off < len(inputs); {
+					epoch := de.Epoch()
+					n := min(batch, len(inputs)-off)
+					feedBatches(de, inputs[off:off+n], batch)
+					feedBatches(prefix, inputs[off:off+n], batch)
+					off += n
+					if de.Epoch() == epoch {
+						continue
+					}
+					// A job started and is parked after step. Input keeps
+					// arriving, up to the brink of the next cadence point.
+					<-parked
+					for off < len(inputs) && de.SinceSnapshot()+batch < cadence {
+						n := min(batch, len(inputs)-off)
+						feedBatches(de, inputs[off:off+n], batch)
+						feedBatches(prefix, inputs[off:off+n], batch)
+						off += n
+					}
+					want := marshalState(t, prefix)
+					for _, damage := range []bool{false, true} {
+						img := copyDir(t, dir)
+						if damage {
+							damageJournal(t, img, step <= stepJournalSync)
+						}
+						rec := s.mk(s.target)
+						rde, err := Wrap(rec, o(img))
+						if err != nil {
+							t.Fatalf("image %d (damaged journal: %v): %v", images, damage, err)
+						}
+						st := rde.Recovery()
+						if st.ReplayedEnvelopes > 2*cadence+batch {
+							t.Fatalf("image %d: replayed %d envelopes, bound is %d", images, st.ReplayedEnvelopes, 2*cadence+batch)
+						}
+						// A snapshot is usable from the moment it is visible.
+						visible := de.Epoch() - 1
+						if step >= stepRename {
+							visible = de.Epoch()
+						}
+						if st.SnapshotEpoch != visible || st.CorruptSnapshots != 0 {
+							t.Fatalf("image %d (damaged journal: %v): restored snapshot epoch %d skipping %d, want epoch %d skipping none",
+								images, damage, st.SnapshotEpoch, st.CorruptSnapshots, visible)
+						}
+						if got := marshalState(t, rec); !bytes.Equal(got, want) {
+							t.Fatalf("image %d (damaged journal: %v): recovered state differs from the reference at input %d", images, damage, off)
+						}
+						// The recovered engine carries on and recovers again.
+						feedBatches(rde, inputs[off:], batch)
+						if err := rde.Close(); err != nil {
+							t.Fatal(err)
+						}
+						again := s.mk(s.target)
+						ade, err := Wrap(again, o(img))
+						if err != nil {
+							t.Fatalf("image %d (damaged journal: %v): second recovery: %v", images, damage, err)
+						}
+						ade.Close()
+						if got := marshalState(t, again); !bytes.Equal(got, final) {
+							t.Fatalf("image %d (damaged journal: %v): state after finishing the run on the recovered engine differs", images, damage)
+						}
+					}
+					images++
+					release <- struct{}{}
+				}
+				if err := de.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if images < 6 {
+					t.Fatalf("only %d crash images taken", images)
+				}
+			})
+		}
+	}
+}
+
+// damageJournal cuts the journal's last record short (cut) or appends
+// the first half of a record to it, as a crash mid-append would.
+func damageJournal(t *testing.T, dir string, cut bool) {
+	t.Helper()
+	path := journalPath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut && len(data) > 3 {
+		data = data[:len(data)-3]
+	} else {
+		rec := appendWALRecord(nil, bytes.Repeat([]byte{0xAB}, 64))
+		data = append(data, rec[:len(rec)/2]...)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDirSyncFailureKeepsSupersededEpoch: when the directory fsync after
+// the rename fails, the new snapshot is not known to be durable, so the
+// epoch it supersedes — the only other copy of that state — must stay,
+// the failure must reach Err, and the directory must still recover.
+func TestDirSyncFailureKeepsSupersededEpoch(t *testing.T) {
+	dir := t.TempDir()
+	live := newCoreEngine(t)
+	deng, err := Wrap(live, opts(dir, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected directory fsync failure")
+	jobs := 0
+	deng.p.hook = func(at persistStep) error {
+		if at == stepDirSync {
+			if jobs++; jobs == 3 {
+				return boom
+			}
+		}
+		return nil
+	}
+	feed(deng, 1, 12) // snapshots 1 and 2 persist
+	if err := deng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	feed(deng, 13, 3) // snapshot 3: rename made, directory fsync fails
+	if err := deng.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync after the failed persist = %v, want the injected failure", err)
+	}
+	if !errors.Is(deng.Err(), boom) {
+		t.Fatalf("Err() = %v, want the injected failure", deng.Err())
+	}
+	feed(deng, 16, 20) // the engine keeps running; nothing more is persisted
+	want := marshalState(t, live)
+	wals, snaps, err := scanEpochs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(wals) != "[2 3]" || fmt.Sprint(snaps) != "[2 3]" {
+		t.Fatalf("after the failed directory fsync: wals %v snaps %v, want epoch 2 kept beside epoch 3", wals, snaps)
+	}
+	if err := deng.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the latched failure", err)
+	}
+	// Inputs after the failure were not logged (durability is reported
+	// broken, the engine runs on), so the image recovers to the state at
+	// the failure: 15 inputs.
+	rec := newCoreEngine(t)
+	deng2, err := Wrap(rec, opts(dir, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deng2.Close()
+	ref := newCoreEngine(t)
+	feed(ref, 1, 15)
+	if got := marshalState(t, rec); !bytes.Equal(got, marshalState(t, ref)) {
+		t.Fatal("recovery from the image of a failed directory fsync diverged")
+	}
+	if bytes.Equal(marshalState(t, rec), want) {
+		t.Fatal("test premise broken: inputs after the latched failure were persisted")
+	}
+}
+
+// bigSnapshotEngine is a stub whose snapshot body exceeds maxWALRecord.
+type bigSnapshotEngine struct{ body []byte }
+
+type bigSnapshot []byte
+
+func (s bigSnapshot) SnapshotGroup() amcast.GroupID  { return 1 }
+func (s bigSnapshot) MarshalBinary() ([]byte, error) { return s, nil }
+
+func (e *bigSnapshotEngine) Group() amcast.GroupID                      { return 1 }
+func (e *bigSnapshotEngine) OnEnvelope(amcast.Envelope) []amcast.Output { return nil }
+func (e *bigSnapshotEngine) TakeDeliveries() []amcast.Delivery          { return nil }
+func (e *bigSnapshotEngine) Snapshot() amcast.Snapshot                  { return bigSnapshot(e.body) }
+func (e *bigSnapshotEngine) Restore(s amcast.Snapshot) error {
+	e.body = s.(bigSnapshot)
+	return nil
+}
+
+// TestSnapshotLargerThanWALRecordLimit: snapshot files are not WAL
+// records, so a body beyond maxWALRecord — the WAL reader's corruption
+// threshold — persists and recovers.
+func TestSnapshotLargerThanWALRecordLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes a 64 MiB snapshot")
+	}
+	dir := t.TempDir()
+	body := make([]byte, maxWALRecord+4096)
+	for i := range body {
+		body[i] = byte(i * 31)
+	}
+	o := Options{Dir: dir, SnapshotEvery: 2, FsyncEvery: -1, Decode: func(data []byte) (amcast.Snapshot, error) {
+		return bigSnapshot(data), nil
+	}}
+	deng, err := Wrap(&bigSnapshotEngine{body: body}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(deng, 1, 3)
+	if err := deng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := &bigSnapshotEngine{}
+	deng2, err := Wrap(rec, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deng2.Close()
+	if st := deng2.Recovery(); st.SnapshotEpoch != 1 || st.ReplayedEnvelopes != 1 {
+		t.Fatalf("recovered from epoch %d replaying %d, want epoch 1 replaying 1", st.SnapshotEpoch, st.ReplayedEnvelopes)
+	}
+	if !bytes.Equal(rec.body, body) {
+		t.Fatal("large snapshot body did not round-trip")
+	}
+}
+
+// cadencePoint measures one cadence point of a flexcast engine that has
+// delivered the given number of messages: the engine-goroutine stall
+// (the least of several, fsync times vary) and the bytes the persist
+// job wrote for it.
+func cadencePoint(tb testing.TB, delivered uint64) (stall time.Duration, written int64) {
+	dir := tb.TempDir()
+	ov, err := overlay.NewCDAG([]amcast.GroupID{1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const cadence = 256
+	deng, err := Wrap(core.MustNew(core.Config{Group: 1, Overlay: ov}),
+		Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: core.UnmarshalSnapshot})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer deng.Close()
+	size := func() (n int64) {
+		ents, _ := os.ReadDir(dir)
+		for _, ent := range ents {
+			if info, err := ent.Info(); err == nil {
+				n += info.Size()
+			}
+		}
+		return n
+	}
+	feed(deng, 1, delivered-delivered%cadence)
+	if err := deng.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	// The cadence points measured: the directory grows by the journal
+	// delta (plus one WAL epoch replacing another of the same size), and
+	// each snapshot file replaces the previous one.
+	const points = 8
+	stall = time.Hour
+	before := size()
+	next := delivered - delivered%cadence + 1
+	for p := 0; p < points; p++ {
+		feed(deng, next, cadence-1)
+		next += cadence - 1
+		deng.OnEnvelope(reqEnv(next))
+		next++
+		start := time.Now()
+		deng.TakeDeliveries()
+		stall = min(stall, time.Since(start))
+		if err := deng.Sync(); err != nil {
+			tb.Fatal(err)
+		}
+		_, snaps, _ := scanEpochs(dir)
+		info, err := os.Stat(snapPath(dir, snaps[len(snaps)-1]))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		written += info.Size()
+	}
+	written += size() - before
+	return stall, written / points
+}
+
+// TestSnapshotCostIndependentOfTombstones: what a cadence point costs —
+// the engine goroutine's stall and the bytes written for it — must not
+// grow with the number of messages ever delivered.
+func TestSnapshotCostIndependentOfTombstones(t *testing.T) {
+	if testing.Short() {
+		t.Skip("delivers 200k messages")
+	}
+	smallStall, smallBytes := cadencePoint(t, 2_000)
+	bigStall, bigBytes := cadencePoint(t, 200_000)
+	t.Logf("2k deliveries: stall %v, %d B per cadence point; 200k deliveries: stall %v, %d B", smallStall, smallBytes, bigStall, bigBytes)
+	if float64(bigBytes) > 1.5*float64(smallBytes) {
+		t.Errorf("bytes written per cadence point grew from %d to %d with the tombstone count", smallBytes, bigBytes)
+	}
+	// The stall is a few dozen microseconds either way; the floor keeps
+	// scheduler noise from failing a comparison of two tiny numbers.
+	if limit := max(3*smallStall/2, 200*time.Microsecond); bigStall > limit {
+		t.Errorf("engine-goroutine stall per cadence point grew from %v to %v with the tombstone count", smallStall, bigStall)
+	}
+}
+
+// BenchmarkDurableCadencePoint reports the engine-goroutine stall of a
+// cadence point at two tombstone counts.
+func BenchmarkDurableCadencePoint(b *testing.B) {
+	for _, delivered := range []uint64{1_000, 100_000} {
+		b.Run(fmt.Sprintf("tombstones=%d", delivered), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				stall, written := cadencePoint(b, delivered)
+				b.ReportMetric(float64(stall.Nanoseconds()), "stall-ns/point")
+				b.ReportMetric(float64(written), "B/point")
+			}
+		})
+	}
+}
+
+var walAppendSink []amcast.Output
+
+// BenchmarkWALAppend appends one 64-envelope gTPC-C batch per iteration
+// through the engine's input path (the wrapped engine does nothing).
+func BenchmarkWALAppend(b *testing.B) {
+	gen := gtpcc.MustNew(gtpcc.Config{Home: 1, Nearest: []amcast.GroupID{2, 3}, Locality: 0.9}, rand.New(rand.NewSource(1)))
+	envs := make([]amcast.Envelope, 64)
+	for i := range envs {
+		tx := gen.Next()
+		envs[i] = amcast.Envelope{Kind: amcast.KindRequest, From: amcast.ClientNode(0), Msg: amcast.Message{
+			ID: amcast.NewMsgID(0, uint64(i+1)), Sender: amcast.ClientNode(0), Dst: tx.Dst, Payload: gtpcc.EncodeTx(tx),
+		}}
+	}
+	deng, err := Wrap(&bigSnapshotEngine{}, Options{Dir: b.TempDir(), SnapshotEvery: -1, FsyncEvery: -1,
+		Decode: func(data []byte) (amcast.Snapshot, error) { return bigSnapshot(data), nil }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer deng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walAppendSink = deng.BatchStep(envs)
+	}
+}

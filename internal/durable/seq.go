@@ -99,16 +99,21 @@ func (s *SeqFile) reserve(bound uint64) error {
 	if err := os.Rename(tmp, s.path); err != nil {
 		return err
 	}
-	syncDir(filepath.Dir(s.path))
+	if err := syncDir(filepath.Dir(s.path)); err != nil {
+		return err
+	}
 	s.limit = bound
 	return nil
 }
 
-// syncDir best-effort fsyncs a directory so a completed rename inside
-// it survives a machine crash, not just a process crash.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory so a completed rename inside it survives a
+// machine crash, not just a process crash. Until it succeeds the rename
+// is not durable, and nothing it supersedes may be deleted.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	defer d.Close()
+	return d.Sync()
 }

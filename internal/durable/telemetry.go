@@ -9,10 +9,15 @@ import (
 // deployment runs one engine per group, and the question the telemetry
 // plane answers — "is the disk the bottleneck?" — is per process, not
 // per group). Recorded values are nanoseconds; commands register them
-// with the telemetry registry as wal_fsync_ns and snapshot_write_ns.
+// with the telemetry registry as wal_fsync_ns, snapshot_write_ns,
+// snapshot_persist_ns and snapshot_backpressure_ns. The first two are
+// recorded on engine goroutines only, so their counts are a function of
+// the input; the persister records into persistHist alone.
 var (
-	fsyncHist    = metrics.NewHistogram()
-	snapshotHist = metrics.NewHistogram()
+	fsyncHist        = metrics.NewHistogram()
+	snapshotHist     = metrics.NewHistogram()
+	persistHist      = metrics.NewHistogram()
+	backpressureHist = metrics.NewHistogram()
 )
 
 // FsyncHist is the WAL fsync-batch latency distribution: one sample per
@@ -20,7 +25,18 @@ var (
 // syncs record nothing).
 func FsyncHist() *metrics.Histogram { return fsyncHist }
 
-// SnapshotHist is the snapshot write duration distribution: marshal,
-// WAL sync, tmp-file write+fsync, rename and directory sync — the full
-// stall a snapshot cadence point inserts into the engine's input path.
+// SnapshotHist is the stall a snapshot cadence point inserts into the
+// engine's input path: waiting for the previous persist, capturing the
+// state, fsyncing and closing the WAL epoch, opening the next. One
+// sample per snapshot.
 func SnapshotHist() *metrics.Histogram { return snapshotHist }
+
+// SnapshotPersistHist is the duration of the background persist jobs:
+// marshal, journal append + fsync, snapshot file write + fsync, rename,
+// directory fsync, deletion of the superseded epoch.
+func SnapshotPersistHist() *metrics.Histogram { return persistHist }
+
+// SnapshotBackpressureHist is the part of each SnapshotHist sample spent
+// waiting for the previous persist job — zero unless the disk is slower
+// than the snapshot cadence.
+func SnapshotBackpressureHist() *metrics.Histogram { return backpressureHist }

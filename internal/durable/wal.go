@@ -15,6 +15,7 @@ import (
 // valid only if it is complete and its checksum matches; the reader
 // stops at the first invalid record, which is how a torn tail — the
 // partial write a kill -9 leaves behind — is detected and discarded.
+// journal.log uses the same framing around snapshot-tail bytes.
 
 const walHeaderSize = 8
 
@@ -88,14 +89,15 @@ type walWriter struct {
 	buf        []byte
 }
 
-func openWALWriter(path string, fsyncEvery int, goodLen int64) (*walWriter, error) {
+// openAppendAt opens (or creates) a record file for appending behind
+// its first goodLen bytes. Whatever follows them — the torn tail of a
+// previous crash — is dropped first: the reader would stop there
+// anyway, but new records written after garbage would be unreachable.
+func openAppendAt(path string, goodLen int64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	// Drop any torn tail from a previous crash before appending: the
-	// reader would stop there anyway, but new records written after
-	// garbage would be unreachable.
 	if err := f.Truncate(goodLen); err != nil {
 		f.Close()
 		return nil, err
@@ -104,12 +106,33 @@ func openWALWriter(path string, fsyncEvery int, goodLen int64) (*walWriter, erro
 		f.Close()
 		return nil, err
 	}
+	return f, nil
+}
+
+func openWALWriter(path string, fsyncEvery int, goodLen int64) (*walWriter, error) {
+	f, err := openAppendAt(path, goodLen)
+	if err != nil {
+		return nil, err
+	}
 	return &walWriter{f: f, fsyncEvery: fsyncEvery}, nil
 }
 
-func (w *walWriter) append(payload []byte) error {
-	w.buf = appendWALRecord(w.buf[:0], payload)
-	if _, err := w.f.Write(w.buf); err != nil {
+// frame returns the writer's record buffer, emptied, with the header
+// reserved: the caller encodes the payload straight behind it and hands
+// the result to commit, so an append neither allocates a frame nor
+// copies one.
+func (w *walWriter) frame() []byte {
+	return append(w.buf[:0], make([]byte, walHeaderSize)...)
+}
+
+// commit patches the header of a record built on frame and writes it
+// with one write(2).
+func (w *walWriter) commit(rec []byte) error {
+	w.buf = rec
+	payload := rec[walHeaderSize:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := w.f.Write(rec); err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
 	w.sinceSync++

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"net"
+	"sync"
 
 	"flexcast/amcast"
 	"flexcast/internal/gtpcc"
@@ -36,14 +37,23 @@ func launch(cfg Config, r *run) (*deployment, []*clientProc, error) {
 			clients[i].sessBase = clients[i].sessions[0].id
 		}
 	}
+	var (
+		dep *deployment
+		err error
+	)
 	switch cfg.Transport {
 	case "tcp":
-		dep, err := deployTCP(cfg, r, clients)
-		return dep, clients, err
+		dep, err = deployTCP(cfg, r, clients)
 	default:
-		dep, err := deployInMem(cfg, r, clients)
-		return dep, clients, err
+		dep, err = deployInMem(cfg, r, clients)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// Idempotent: a durable run closes the deployment before its
+	// recovery verification, and Run's deferred close follows.
+	dep.close = sync.OnceFunc(dep.close)
+	return dep, clients, nil
 }
 
 func runtimeConfig(cfg Config, tracer *telemetry.Tracer) runtime.Config {

@@ -1049,9 +1049,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var durRes *DurableResult
 	if cfg.Durable {
-		// The load has stopped and drained, so the on-disk state is
-		// quiescent: recover the crash image while the live shards are
-		// still around to compare against.
+		// The load has stopped and drained. Stop the nodes — the durable
+		// engines' owners — so the engines can be closed and imaged; the
+		// live shards stay readable to compare against.
+		dep.close()
 		if durRes, err = r.verifyDurableRecovery(); err != nil {
 			return nil, err
 		}
@@ -1179,13 +1180,14 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 	return res, nil
 }
 
-// verifyDurableRecovery is the -durable run's ending: for every group,
-// copy the on-disk state as it stands — exactly the image a kill -9
-// right now would leave, since WAL appends hit the page cache
-// unbuffered — recover it into a fresh executor, and check that (a) the
-// recovered shard digest is byte-identical to the live one and (b) the
-// replay length equals the live engine's records since its last
-// snapshot, i.e. recovery work is bounded by snapshot age, not run
+// verifyDurableRecovery is the -durable run's ending, called once the
+// nodes have stopped: for every group, close the durable engine (which
+// waits for its persist job in flight), copy the on-disk state as it
+// stands — the image a kill -9 would leave, since WAL appends hit the
+// page cache unbuffered — recover it into a fresh executor, and check
+// that (a) the recovered shard digest is byte-identical to the live one
+// and (b) the replay length equals the live engine's records since its
+// last snapshot, i.e. recovery work is bounded by snapshot age, not run
 // length. Either check failing fails the run.
 func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	// The recovering stack is the live one over the crash images: no
@@ -1209,7 +1211,7 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 		if de == nil || live == nil {
 			return nil, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
 		}
-		if err := de.Err(); err != nil {
+		if err := de.Close(); err != nil {
 			return nil, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
 		}
 		if err := copyDirImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(images, g)); err != nil {

@@ -20,6 +20,8 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 
 	reg.RegisterHistogram("wal_fsync_ns", durable.FsyncHist())
 	reg.RegisterHistogram("snapshot_write_ns", durable.SnapshotHist())
+	reg.RegisterHistogram("snapshot_persist_ns", durable.SnapshotPersistHist())
+	reg.RegisterHistogram("snapshot_backpressure_ns", durable.SnapshotBackpressureHist())
 	reg.RegisterHistogram("snapshot_ship_ns", store.SnapshotShipHist())
 
 	reg.RegisterCounter("issued", r.issued.Load)

@@ -154,12 +154,14 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 
 	for _, g := range cfg.Groups {
 		tap := taps[g]
-		if err := tap.de.Err(); err != nil {
+		// Close before imaging: it waits for the persist job in flight, so
+		// the copy is a finished directory and replay is bounded by the
+		// last captured snapshot.
+		if err := tap.de.Close(); err != nil {
 			t.Fatalf("prototest: durable backend of group %d: %v", g, err)
 		}
 		live := engineState(t, tap.de.Inner())
 		since := tap.de.SinceSnapshot()
-		tap.de.Close()
 
 		// Clean kill -9 image: full state back, replay bounded by the
 		// snapshot age.

@@ -132,47 +132,58 @@ func DecodeShard(r *codec.Reader) *Shard {
 	return s
 }
 
-var _ amcast.BinarySnapshot = (*execSnapshot)(nil)
+var _ amcast.TailSnapshot = (*execSnapshot)(nil)
 
-// MarshalBinary implements amcast.BinarySnapshot: the inner engine
-// snapshot (which must itself be an amcast.BinarySnapshot), the shard,
-// the optional mirror, and the delivered-prefix watermark.
+// MarshalBinary implements amcast.BinarySnapshot.
 func (s *execSnapshot) MarshalBinary() ([]byte, error) {
-	bs, ok := s.eng.(amcast.BinarySnapshot)
-	if !ok {
-		return nil, fmt.Errorf("store: engine snapshot %T has no binary form", s.eng)
+	body, tail, err := s.MarshalSplit(0)
+	return amcast.JoinSnapshot(body, tail), err
+}
+
+// MarshalSplit implements amcast.TailSnapshot. The store state — shard,
+// optional mirror, delivered-prefix watermark — goes first behind its
+// length, the inner engine snapshot (which must itself be an
+// amcast.BinarySnapshot) last, so the engine's append-only tail, when
+// it has one, is the tail of the whole encoding.
+func (s *execSnapshot) MarshalSplit(from int) (body, tail []byte, err error) {
+	var engBody []byte
+	switch eng := s.eng.(type) {
+	case amcast.TailSnapshot:
+		engBody, tail, err = eng.MarshalSplit(from)
+	case amcast.BinarySnapshot:
+		if from != 0 {
+			return nil, nil, fmt.Errorf("store: tail offset %d into engine snapshot %T, which has no tail", from, s.eng)
+		}
+		engBody, err = eng.MarshalBinary()
+	default:
+		err = fmt.Errorf("store: engine snapshot %T has no binary form", s.eng)
 	}
-	engBytes, err := bs.MarshalBinary()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	buf := make([]byte, 0, len(engBytes)+1024)
-	buf = binary.AppendUvarint(buf, uint64(len(engBytes)))
-	buf = append(buf, engBytes...)
-	buf = s.shard.AppendBinary(buf)
-	buf = codec.AppendBool(buf, s.mirror != nil)
+	st := s.shard.AppendBinary(make([]byte, 0, 1024))
+	st = codec.AppendBool(st, s.mirror != nil)
 	if s.mirror != nil {
-		buf = s.mirror.AppendBinary(buf)
+		st = s.mirror.AppendBinary(st)
 	}
-	buf = binary.AppendUvarint(buf, s.watermark)
-	return buf, nil
+	st = binary.AppendUvarint(st, s.watermark)
+	body = make([]byte, 0, binary.MaxVarintLen64+len(st)+len(engBody))
+	body = binary.AppendUvarint(body, uint64(len(st)))
+	body = append(body, st...)
+	return append(body, engBody...), tail, nil
 }
 
 // UnmarshalSnapshot decodes an executor snapshot. engDecode decodes the
 // embedded engine snapshot — pass the UnmarshalSnapshot of the protocol
 // package the deployment runs (core, skeen, hierarchical).
 func UnmarshalSnapshot(data []byte, engDecode func([]byte) (amcast.Snapshot, error)) (amcast.Snapshot, error) {
-	r := codec.NewReader(data)
-	n := r.Count()
-	engBytes := r.BytesN(n)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: snapshot decode: %w", err)
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return nil, fmt.Errorf("store: snapshot decode: bad store-state length")
 	}
-	eng, err := engDecode(engBytes)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot decode: %w", err)
-	}
-	s := &execSnapshot{eng: eng, shard: DecodeShard(r)}
+	end := k + int(n)
+	r := codec.NewReader(data[k:end])
+	s := &execSnapshot{shard: DecodeShard(r)}
 	if r.Bool() {
 		s.mirror = DecodeShard(r)
 	}
@@ -180,5 +191,10 @@ func UnmarshalSnapshot(data []byte, engDecode func([]byte) (amcast.Snapshot, err
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("store: snapshot decode: %w", err)
 	}
+	eng, err := engDecode(data[end:])
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot decode: %w", err)
+	}
+	s.eng = eng
 	return s, nil
 }

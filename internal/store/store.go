@@ -418,7 +418,8 @@ func (s *Shard) ReadTx(tx gtpcc.Tx) (int64, []trace.Row, error) {
 	}
 }
 
-// Clone returns a deep copy of the shard (snapshots, mirrors).
+// Clone returns an independent copy of the shard (snapshots, mirrors):
+// nothing either side can mutate is shared.
 func (s *Shard) Clone() *Shard {
 	c := *s
 	c.stockQty = append([]int32(nil), s.stockQty...)
@@ -428,11 +429,9 @@ func (s *Shard) Clone() *Shard {
 	c.ytdPaid = append([]int64(nil), s.ytdPaid...)
 	c.payCnt = append([]int32(nil), s.payCnt...)
 	c.lastOrder = append([]int64(nil), s.lastOrder...)
-	c.pending = make([]order, len(s.pending))
-	for i, o := range s.pending {
-		o.lines = append([]gtpcc.OrderLine(nil), o.lines...)
-		c.pending[i] = o
-	}
+	// An order's lines are written once, in newOrder, and never mutated,
+	// so the clone shares them: one slice copy, not one per order.
+	c.pending = append([]order(nil), s.pending...)
 	c.orderedFrom = make(map[amcast.GroupID]int64, len(s.orderedFrom))
 	for w, q := range s.orderedFrom {
 		c.orderedFrom[w] = q

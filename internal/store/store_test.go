@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"flexcast/amcast"
@@ -240,6 +241,52 @@ func TestCloneIsDeep(t *testing.T) {
 	s.Apply(deliver(3, 2, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}))
 	if snap.Digest() != want {
 		t.Fatal("clone aliased the live shard")
+	}
+}
+
+// TestClonePendingOrdersSurvive: a clone shares each pending order's
+// lines with the live shard, so it must come through everything the
+// live shard does to its order table — deliveries shifting the table in
+// place, new orders appended into its spare capacity — and the live
+// shard through the same done to the clone.
+func TestClonePendingOrdersSurvive(t *testing.T) {
+	newOrder := func(i int) gtpcc.Tx {
+		return gtpcc.Tx{
+			Type: gtpcc.NewOrder, Home: 1, Customer: int32(i % 5), Items: 2,
+			Lines:       []gtpcc.OrderLine{{Item: int32(i), Supply: 1, Qty: 1 + int32(i%3)}, {Item: int32(i + 40), Supply: 1, Qty: 2}},
+			PayloadSize: 76,
+		}
+	}
+	churn := func(s *Shard, id uint64) {
+		for i := 0; i < 3; i++ {
+			s.Apply(deliver(id, s.applied, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}))
+			id++
+			for j := 0; j < 15; j++ {
+				s.Apply(deliver(id, s.applied, 1, newOrder(int(id))))
+				id++
+			}
+		}
+	}
+	s := shard(t, 1)
+	for i := 0; i < 25; i++ {
+		s.Apply(deliver(uint64(i+1), uint64(i), 1, newOrder(i)))
+	}
+	snap := s.Clone()
+	want := snap.AppendBinary(nil)
+	if !bytes.Equal(s.AppendBinary(nil), want) {
+		t.Fatal("clone differs from the shard it was taken from")
+	}
+	churn(s, 100)
+	if !bytes.Equal(snap.AppendBinary(nil), want) {
+		t.Fatal("the live shard's deliveries and new orders changed its clone")
+	}
+	live := s.AppendBinary(nil)
+	churn(snap, 500)
+	if !bytes.Equal(s.AppendBinary(nil), live) {
+		t.Fatal("the clone's deliveries and new orders changed the live shard")
+	}
+	if err := snap.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
