@@ -247,6 +247,22 @@ type Output struct {
 	Env Envelope
 }
 
+// ReplyFor builds the KindReply envelope node from answers delivery d
+// with: the message header, the group-local sequence number, the
+// execution verdict and the serving node's watermark. Every host that
+// acknowledges deliveries to clients builds its reply here, so none can
+// drop a field.
+func ReplyFor(from NodeID, d Delivery) Envelope {
+	return Envelope{
+		Kind:      KindReply,
+		From:      from,
+		Msg:       d.Msg.Header(),
+		TS:        d.Seq,
+		Result:    d.Result,
+		Watermark: d.Watermark,
+	}
+}
+
 // PrefixTracker is a session barrier: the per-group vector of delivered
 // prefixes a client session has observed. Two feeds advance it. Every
 // KindReply envelope answers one delivery and carries its group-local

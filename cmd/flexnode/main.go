@@ -104,15 +104,8 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	log.Printf("flexnode: group %d (%s) listening on %s (batch=%d)", group, protocol, tcp.Addr(), batch)
 
 	if telem != "" {
-		reg := telemetry.Default
-		reg.RegisterGauge("queue_depth", func() float64 { return float64(rt.QueueLen()) })
-		reg.RegisterCounter("backpressure_stalls", func() uint64 { s, _ := rt.Backpressure(); return s })
-		reg.RegisterCounter("backpressure_stall_ns", func() uint64 { _, ns := rt.Backpressure(); return ns })
-		reg.RegisterCounter("batch_size_flushes", func() uint64 { return rt.Stats().SizeFlushes })
-		reg.RegisterCounter("batch_chunk_flushes", func() uint64 { return rt.Stats().ChunkFlushes })
-		reg.RegisterCounter("batch_timer_flushes", func() uint64 { return rt.Stats().TimerFlushes })
-		reg.RegisterGauge("batch_avg", func() float64 { return rt.Stats().AvgBatch() })
-		srv, err := telemetry.Serve(telem, reg)
+		runtime.RegisterTelemetry(telemetry.Default, []*runtime.Node{rt}, nil)
+		srv, err := telemetry.Serve(telem, telemetry.Default)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
 		}

@@ -125,14 +125,7 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 			n.fail(err)
 		}
 		if d.Msg.Sender.IsClient() {
-			n.net.Send(n.id, d.Msg.Sender, amcast.Envelope{
-				Kind:      amcast.KindReply,
-				From:      n.id,
-				Msg:       d.Msg.Header(),
-				TS:        d.Seq,
-				Result:    d.Result,
-				Watermark: d.Watermark,
-			})
+			n.net.Send(n.id, d.Msg.Sender, amcast.ReplyFor(n.id, d))
 		}
 	}
 	if n.de != nil {

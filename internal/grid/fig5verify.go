@@ -22,11 +22,7 @@ import (
 // (default 0.02, the historical repro's scale; a 2-virtual-second
 // floor applies, exactly like flexbench -scale). fig5_seeds widens
 // each repeat into a consecutive-seed sweep (default 1).
-func runFig5Verify(cell Cell, repeat int) (map[string]float64, error) {
-	p, err := decodeParams(cell.Name, cell.Params)
-	if err != nil {
-		return nil, err
-	}
+func runFig5Verify(cell string, p *cellParams) (map[string]float64, error) {
 	scale := p.Fig5Scale
 	if scale == 0 {
 		scale = 0.02
@@ -40,27 +36,21 @@ func runFig5Verify(cell Cell, repeat int) (map[string]float64, error) {
 		duration = 2_000_000
 	}
 	flushEvery := sim.Time(250_000)
-	if p.FlushEveryMs > 0 {
-		flushEvery = sim.Time(p.FlushEveryMs * 1000)
+	if p.load.FlushEvery > 0 {
+		flushEvery = sim.Time(p.load.FlushEvery.Microseconds())
 	}
-	locality := p.Locality
+	locality := p.load.Locality
 	if locality == 0 {
 		locality = 0.90
 	}
-	clients := p.Clients
+	clients := p.load.Clients
 	if clients == 0 {
 		clients = 240
 	}
-	baseSeed := p.Seed
-	if baseSeed == 0 {
-		baseSeed = 1
-	}
-	baseSeed += int64(repeat) * 7919
-
 	var lat1 stats.Recorder
 	var completed, windowSecs, events float64
 	for i := 0; i < seeds; i++ {
-		seed := baseSeed + int64(i)
+		seed := p.load.Seed + int64(i)
 		res, err := harness.Run(harness.Config{
 			Protocol:   harness.FlexCast,
 			Overlay:    wan.O1(),
@@ -74,10 +64,10 @@ func runFig5Verify(cell Cell, repeat int) (map[string]float64, error) {
 			Record:     true,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("grid: cell %s: seed %d: %w", cell.Name, seed, err)
+			return nil, fmt.Errorf("grid: cell %s: seed %d: %w", cell, seed, err)
 		}
 		if err := res.Trace.CheckAll(true); err != nil {
-			return nil, fmt.Errorf("grid: cell %s: seed %d violates the multicast spec: %w", cell.Name, seed, err)
+			return nil, fmt.Errorf("grid: cell %s: seed %d violates the multicast spec: %w", cell, seed, err)
 		}
 		completed += float64(res.Completed)
 		windowSecs += res.WindowSecs

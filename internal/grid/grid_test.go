@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -91,23 +92,82 @@ func TestSpecRejections(t *testing.T) {
 }
 
 func TestDecodeParamsRejectsUnknownKeys(t *testing.T) {
-	if _, err := decodeParams("c", map[string]any{"bacth": 64}); err == nil {
+	cell := func(params map[string]any) Cell { return Cell{Name: "c", Params: params} }
+	if _, err := decodeParams(cell(map[string]any{"bacth": 64}), 0); err == nil {
 		t.Fatal("typo'd parameter accepted")
 	}
-	p, err := decodeParams("c", map[string]any{"batch": float64(64), "transport": "wan"})
+	if _, err := decodeParams(cell(map[string]any{"sim_ops": "many"}), 0); err == nil {
+		t.Fatal("mistyped sim_ops accepted")
+	}
+	c := cell(map[string]any{"batch": float64(64), "transport": "wan", "sim_ops": float64(500)})
+	p, err := decodeParams(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := p.loadConfig(0)
-	if cfg.MaxBatch != 64 || cfg.Transport != "wan" {
-		t.Fatalf("conversion wrong: %+v", cfg)
+	if p.load.MaxBatch != 64 || p.load.Transport != "wan" || p.SimOps != 500 {
+		t.Fatalf("conversion wrong: %+v", p)
 	}
 	// Repeats get distinct seeds, deterministically.
-	if p.loadConfig(0).Seed == p.loadConfig(1).Seed {
+	p1, _ := decodeParams(c, 1)
+	p1again, _ := decodeParams(c, 1)
+	if p.load.Seed == p1.load.Seed {
 		t.Fatal("repeats share a workload seed")
 	}
-	if p.loadConfig(1).Seed != p.loadConfig(1).Seed {
+	if p1.load.Seed != p1again.load.Seed {
 		t.Fatal("repeat seed not deterministic")
+	}
+}
+
+// TestCellConfigsMatchGolden decodes every cell of the two committed
+// specs, repeats 0 and 1, and compares the loadgen.Config each yields
+// with testdata/cell-configs.golden — captured with the hand-written
+// grid.loadParams/loadConfig pair this table-driven decode replaced, so
+// any drift in a key, a unit or the per-repeat seed rule shows up as a
+// diff of the exact configuration a cell runs.
+func TestCellConfigsMatchGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/cell-configs.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.SplitN(line, "\t", 4)
+		if len(f) != 4 {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[f[0]+"\t"+f[1]+"\t"+f[2]] = f[3]
+	}
+	seen := 0
+	for _, name := range []string{"experiments.json", "bench/experiments-ci.json"} {
+		spec, err := LoadSpec(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := spec.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			for rep := 0; rep < 2; rep++ {
+				p, err := decodeParams(c, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s\t%s\t%d", name, c.Name, rep)
+				golden, ok := want[key]
+				if !ok {
+					t.Errorf("%s: no golden line (a spec gained a cell: add its line to the golden)", key)
+					continue
+				}
+				seen++
+				if got := fmt.Sprintf("%+v", p.load); got != golden {
+					t.Errorf("%s:\n got %s\nwant %s", key, got, golden)
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("golden has %d lines, the specs produced %d of them", len(want), seen)
 	}
 }
 

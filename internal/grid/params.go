@@ -1,123 +1,69 @@
 package grid
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"flexcast/internal/loadgen"
 )
 
-// loadParams is the JSON face of a load cell's parameters: one field
-// per loadgen.Config knob, durations in explicit units so
-// experiments.json stays plain numbers. Unknown keys are rejected, so
-// a typo in an axis name fails the spec instead of silently sweeping
-// nothing.
-type loadParams struct {
-	Transport            string  `json:"transport,omitempty"`
-	Protocol             string  `json:"protocol,omitempty"`
-	Groups               int     `json:"groups,omitempty"`
-	Clients              int     `json:"clients,omitempty"`
-	Workers              int     `json:"workers,omitempty"`
-	Rate                 float64 `json:"rate,omitempty"`
-	MaxOutstanding       int     `json:"max_outstanding,omitempty"`
-	FlushEveryMs         float64 `json:"flush_every_ms,omitempty"`
-	WarmupMs             float64 `json:"warmup_ms,omitempty"`
-	DurationMs           float64 `json:"duration_ms,omitempty"`
-	Batch                int     `json:"batch,omitempty"`
-	FlushIntervalUs      float64 `json:"flush_interval_us,omitempty"`
-	Payload              int     `json:"payload,omitempty"`
-	Locality             float64 `json:"locality,omitempty"`
-	GlobalOnly           bool    `json:"global_only,omitempty"`
-	Seed                 int64   `json:"seed,omitempty"`
-	TimeoutMs            float64 `json:"timeout_ms,omitempty"`
-	Execute              bool    `json:"execute,omitempty"`
-	StoreSeed            int64   `json:"store_seed,omitempty"`
-	ReadPct              float64 `json:"read_pct,omitempty"`
-	Replicas             int     `json:"replicas,omitempty"`
-	FollowerReads        bool    `json:"follower_reads,omitempty"`
-	ReadWorkers          int     `json:"read_workers,omitempty"`
-	LeaseTermMs          float64 `json:"lease_term_ms,omitempty"`
-	Zipf                 float64 `json:"zipf,omitempty"`
-	Durable              bool    `json:"durable,omitempty"`
-	DurableSnapshotEvery int     `json:"durable_snapshot_every,omitempty"`
-	DurableFsyncEvery    int     `json:"durable_fsync_every,omitempty"`
-	TraceSample          int     `json:"trace_sample,omitempty"`
-	Adaptive             bool    `json:"adaptive,omitempty"`
-	SLOMs                float64 `json:"slo_ms,omitempty"`
-	Sessions             int     `json:"sessions,omitempty"`
-	SessionOutstanding   int     `json:"session_outstanding,omitempty"`
-	SessionBurst         int     `json:"session_burst,omitempty"`
-
-	// Simbench-only knobs; load cells reject them.
-	SimOps int `json:"sim_ops,omitempty"`
-
-	// Fig5-verify-only knobs; load cells reject them.
+// simKnobs are the three cell parameters that are not load-run knobs:
+// sim_ops sizes the simbench loops, fig5_scale and fig5_seeds size the
+// fig5-verify sweep. Load and soak cells reject them.
+type simKnobs struct {
+	SimOps    int     `json:"sim_ops,omitempty"`
 	Fig5Scale float64 `json:"fig5_scale,omitempty"`
 	Fig5Seeds int     `json:"fig5_seeds,omitempty"`
 }
 
-// decodeParams round-trips a cell's merged parameter map through JSON
-// into the typed struct, rejecting unknown keys.
-func decodeParams(cell string, params map[string]any) (*loadParams, error) {
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return nil, err
+// cellParams is a cell's decoded parameter set: a loadgen.Config under
+// the keys of loadgen's knob table (unknown keys rejected, so a typo in
+// an axis name fails the spec instead of silently sweeping nothing)
+// plus the non-load knobs.
+type cellParams struct {
+	load loadgen.Config
+	simKnobs
+}
+
+// decodeParams decodes a cell's merged parameter map for one repeat.
+// Each repeat offsets the workload seed so repeats measure run-to-run
+// variance over distinct (but reproducible) workloads, not the same
+// RNG stream replayed.
+func decodeParams(cell Cell, repeat int) (*cellParams, error) {
+	var p cellParams
+	load := make(map[string]any, len(cell.Params))
+	for k, v := range cell.Params {
+		var dst any
+		switch k {
+		case "sim_ops":
+			dst = &p.SimOps
+		case "fig5_scale":
+			dst = &p.Fig5Scale
+		case "fig5_seeds":
+			dst = &p.Fig5Seeds
+		default:
+			load[k] = v
+			continue
+		}
+		if err := remarshal(v, dst); err != nil {
+			return nil, fmt.Errorf("grid: cell %s: parameter %q: %w", cell.Name, k, err)
+		}
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var p loadParams
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("grid: cell %s: %w", cell, err)
+	if err := remarshal(load, &p.load); err != nil {
+		return nil, fmt.Errorf("grid: cell %s: %w", cell.Name, err)
 	}
+	if p.load.Seed == 0 {
+		p.load.Seed = 1
+	}
+	p.load.Seed += int64(repeat) * 7919
 	return &p, nil
 }
 
-// loadConfig converts a cell's parameters into the loadgen
-// configuration of one repeat. Each repeat offsets the workload seed
-// so repeats measure run-to-run variance over distinct (but
-// reproducible) workloads, not the same RNG stream replayed.
-func (p *loadParams) loadConfig(repeat int) loadgen.Config {
-	cfg := loadgen.Config{
-		Transport:            p.Transport,
-		Protocol:             p.Protocol,
-		Groups:               p.Groups,
-		Clients:              p.Clients,
-		Workers:              p.Workers,
-		Rate:                 p.Rate,
-		MaxOutstanding:       p.MaxOutstanding,
-		FlushEvery:           time.Duration(p.FlushEveryMs * float64(time.Millisecond)),
-		Warmup:               time.Duration(p.WarmupMs * float64(time.Millisecond)),
-		Duration:             time.Duration(p.DurationMs * float64(time.Millisecond)),
-		MaxBatch:             p.Batch,
-		FlushInterval:        time.Duration(p.FlushIntervalUs * float64(time.Microsecond)),
-		PayloadSize:          p.Payload,
-		Locality:             p.Locality,
-		GlobalOnly:           p.GlobalOnly,
-		Seed:                 p.Seed,
-		Timeout:              time.Duration(p.TimeoutMs * float64(time.Millisecond)),
-		Execute:              p.Execute,
-		StoreSeed:            p.StoreSeed,
-		ReadPct:              p.ReadPct,
-		Replicas:             p.Replicas,
-		FollowerReads:        p.FollowerReads,
-		ReadWorkers:          p.ReadWorkers,
-		LeaseTerm:            time.Duration(p.LeaseTermMs * float64(time.Millisecond)),
-		Zipf:                 p.Zipf,
-		Durable:              p.Durable,
-		DurableSnapshotEvery: p.DurableSnapshotEvery,
-		DurableFsyncEvery:    p.DurableFsyncEvery,
-		TraceSample:          p.TraceSample,
-		Adaptive:             p.Adaptive,
-		SLOMs:                p.SLOMs,
-		Sessions:             p.Sessions,
-		SessionOutstanding:   p.SessionOutstanding,
-		SessionBurst:         p.SessionBurst,
+// remarshal decodes an already-parsed JSON value into a typed target.
+func remarshal(v, dst any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return err
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	cfg.Seed += int64(repeat) * 7919
-	return cfg
+	return json.Unmarshal(raw, dst)
 }

@@ -1,11 +1,14 @@
 package grid
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"flexcast/internal/loadgen"
 )
 
 // TestRunSpecEndToEnd drives a tiny real grid — 2 load cells × 2
@@ -78,6 +81,23 @@ func TestRunSpecEndToEnd(t *testing.T) {
 	if len(ents) != 5 { // 2 cells × 2 repeats + 1 simbench repeat
 		t.Fatalf("%d raw artifacts, want 5", len(ents))
 	}
+	// A load repeat's artifact is loadgen's: it decodes as one, carries
+	// the effective configuration, and its result passes Validate.
+	data, err := os.ReadFile(filepath.Join(outDir, rawName("e2e/batch=64", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art loadgen.Artefact
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	if err := art.Result.Validate(art.Params); err != nil {
+		t.Fatal(err)
+	}
+	if art.Cell != "e2e/batch=64" || art.Repeat != 1 || art.Params.MaxBatch != 64 ||
+		art.Params.Seed != 1+7919 || art.Params.TraceSample != 16 || art.Metrics["throughput_tx_s"] != art.Result.Throughput {
+		t.Fatalf("raw artifact wrong: %+v", art)
+	}
 
 	// Summary file + history round trip on real output.
 	sumPath := filepath.Join(t.TempDir(), "summary.json")
@@ -108,6 +128,19 @@ func TestRunSpecEndToEnd(t *testing.T) {
 	if !strings.Contains(log.String(), "grid complete: 3 cells") {
 		t.Fatalf("progress log wrong:\n%s", log.String())
 	}
+
+	// A repeat whose Result fails Validate fails the grid run: an open
+	// loop too slow to issue anything in its window returns a result,
+	// not an error, and that result must not be aggregated.
+	idle := testSpec(t, `{
+		"schema": "flexgrid/experiments/v1",
+		"repeats": 1,
+		"common": {"groups": 3, "clients": 1, "warmup_ms": 50, "duration_ms": 100},
+		"experiments": [{"name": "idle", "config": {"rate": 0.001}}]
+	}`)
+	if _, err := RunSpec(idle, Options{}); err == nil || !strings.Contains(err.Error(), "no completed transactions") {
+		t.Fatalf("grid published a cell whose result fails Validate: %v", err)
+	}
 }
 
 func TestRunSpecFilter(t *testing.T) {
@@ -117,7 +150,8 @@ func TestRunSpecFilter(t *testing.T) {
 	spec := testSpec(t, `{
 		"schema": "flexgrid/experiments/v1",
 		"experiments": [
-			{"name": "skipme", "axes": {"batch": [1]}},
+			{"name": "skipme", "axes": {"batch": [1]},
+			 "curve": {"x": "batch", "y": ["throughput_tx_s"]}},
 			{"name": "micro", "kind": "simbench", "repeats": 1,
 			 "config": {"sim_ops": 1000}}
 		]
@@ -128,6 +162,11 @@ func TestRunSpecFilter(t *testing.T) {
 	}
 	if len(sum.Cells) != 1 || sum.Cells[0].Name != "micro" {
 		t.Fatalf("filter ran wrong cells: %+v", sum.Cells)
+	}
+	// A filtered-out experiment's curve is skipped, not emitted empty
+	// (an empty curve table would fail the summary's validation).
+	if len(sum.Curves) != 0 {
+		t.Fatalf("filtered run built curves: %+v", sum.Curves)
 	}
 	// A filter matching nothing is an error, not an empty summary.
 	if _, err := RunSpec(spec, Options{Filter: regexp.MustCompile(`^nothing$`)}); err == nil {

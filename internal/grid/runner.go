@@ -29,16 +29,14 @@ type Options struct {
 	Spec string
 }
 
-// rawRun is the per-run artifact: one repeat of one cell, its exact
-// parameters, the flattened metrics, and (for load cells) the full
-// loadgen result for archaeology.
+// rawRun is the per-run artifact, one repeat of one cell: loadgen's
+// Artefact — for load and soak cells exactly what flexload -out writes
+// for the same parameters — plus the non-load kinds' own knobs (their
+// Params is the cell's load-knob subset as written, and they carry no
+// Result).
 type rawRun struct {
-	Cell    string             `json:"cell"`
-	Kind    string             `json:"kind"`
-	Repeat  int                `json:"repeat"`
-	Params  map[string]any     `json:"params"`
-	Metrics map[string]float64 `json:"metrics"`
-	Result  *loadgen.Result    `json:"result,omitempty"`
+	loadgen.Artefact
+	simKnobs
 }
 
 // RunSpec executes every cell of the spec (repeats included) and
@@ -90,16 +88,14 @@ func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 		repeats := make([]map[string]float64, 0, cell.Repeats)
 		for rep := 0; rep < cell.Repeats; rep++ {
 			runStart := time.Now()
-			metrics, result, err := runCell(cell, rep)
+			raw, err := runCell(cell, rep)
 			if err != nil {
 				return nil, fmt.Errorf("grid: cell %s repeat %d: %w", cell.Name, rep, err)
 			}
-			repeats = append(repeats, metrics)
+			repeats = append(repeats, raw.Metrics)
 			logf("[%d/%d] %s r%d: %s  (%.1fs)\n", ci+1, len(cells), cell.Name, rep,
-				headline(cell.Kind, metrics), time.Since(runStart).Seconds())
+				headline(cell.Kind, raw.Metrics), time.Since(runStart).Seconds())
 			if opt.OutDir != "" {
-				raw := rawRun{Cell: cell.Name, Kind: cell.Kind, Repeat: rep,
-					Params: cell.Params, Metrics: metrics, Result: result}
 				data, err := json.MarshalIndent(raw, "", "  ")
 				if err != nil {
 					return nil, err
@@ -124,35 +120,41 @@ func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 	return summary, nil
 }
 
-// runCell executes one repeat of one cell by kind.
-func runCell(cell Cell, repeat int) (map[string]float64, *loadgen.Result, error) {
+// runCell executes one repeat of one cell by kind. Load and soak cells
+// go through loadgen.RunArtefact, so a result that fails Result.Validate
+// fails the cell — and with it the grid run — before any number of it is
+// aggregated.
+func runCell(cell Cell, repeat int) (*rawRun, error) {
+	p, err := decodeParams(cell, repeat)
+	if err != nil {
+		return nil, err
+	}
+	raw := &rawRun{Artefact: loadgen.Artefact{Params: p.load}, simKnobs: p.simKnobs}
 	switch cell.Kind {
 	case "simbench":
-		m, err := runSimbench(cell, repeat)
-		return m, nil, err
-	case "soak":
-		m, err := runSoak(cell, repeat)
-		return m, nil, err
+		raw.Metrics, err = runSimbench(cell.Name, p)
 	case "fig5-verify":
-		m, err := runFig5Verify(cell, repeat)
-		return m, nil, err
+		raw.Metrics, err = runFig5Verify(cell.Name, p)
 	default:
-		p, err := decodeParams(cell.Name, cell.Params)
+		if p.simKnobs != (simKnobs{}) {
+			return nil, fmt.Errorf("grid: sim_ops, fig5_scale and fig5_seeds are simbench/fig5-verify parameters")
+		}
+		var art *loadgen.Artefact
+		if cell.Kind == "soak" {
+			art, err = runSoak(cell, p.load)
+		} else {
+			art, err = loadgen.RunArtefact(p.load)
+		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if p.SimOps != 0 {
-			return nil, nil, fmt.Errorf("grid: sim_ops is a simbench parameter")
-		}
-		if p.Fig5Scale != 0 || p.Fig5Seeds != 0 {
-			return nil, nil, fmt.Errorf("grid: fig5_scale/fig5_seeds are fig5-verify parameters")
-		}
-		res, err := loadgen.Run(p.loadConfig(repeat))
-		if err != nil {
-			return nil, nil, err
-		}
-		return resultMetrics(res), res, nil
+		raw.Artefact = *art
 	}
+	if err != nil {
+		return nil, err
+	}
+	raw.Cell, raw.Kind, raw.Repeat = cell.Name, cell.Kind, repeat
+	return raw, nil
 }
 
 // headline picks the one-line progress figure per kind.

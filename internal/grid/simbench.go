@@ -28,25 +28,21 @@ import (
 //	followerread_refused_ns_op  ErrLeaseExpired path (no grant yet)
 //	leader_read_ns_op           bare executor TryRead (no gate)
 //	followerread_gate_overhead_ns  serve − leader-read delta
-func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
-	p, err := decodeParams(cell.Name, cell.Params)
-	if err != nil {
-		return nil, err
-	}
-	groups := p.Groups
+func runSimbench(cell string, p *cellParams) (map[string]float64, error) {
+	groups := p.load.Groups
 	if groups == 0 {
 		groups = 3
 	}
-	replicas := p.Replicas
+	replicas := p.load.Replicas
 	if replicas == 0 {
 		replicas = 3
 	}
 	if replicas < 2 {
-		return nil, fmt.Errorf("grid: cell %s: simbench needs replicas >= 2", cell.Name)
+		return nil, fmt.Errorf("grid: cell %s: simbench needs replicas >= 2", cell)
 	}
 	leaseTerm := sim.Time(900_000) // sim µs, the lease-test term
-	if p.LeaseTermMs > 0 {
-		leaseTerm = sim.Time(p.LeaseTermMs * 1000)
+	if p.load.LeaseTerm > 0 {
+		leaseTerm = sim.Time(p.load.LeaseTerm.Microseconds())
 	}
 	ops := p.SimOps
 	if ops == 0 {
@@ -90,7 +86,7 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 	// FollowerRead takes the ErrLeaseExpired exit.
 	refusedNs, err := measureOps(ops/4, func() error {
 		if err := target.FollowerRead(1, noop); err == nil {
-			return fmt.Errorf("grid: cell %s: ungranted follower served", cell.Name)
+			return fmt.Errorf("grid: cell %s: ungranted follower served", cell)
 		}
 		return nil
 	})
@@ -103,17 +99,17 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 	s.RunUntil(2 * (leaseTerm + 200_000))
 	for idx := 1; idx < replicas; idx++ {
 		if !target.HoldsLease(idx) {
-			return nil, fmt.Errorf("grid: cell %s: replica %d holds no lease after grant periods", cell.Name, idx)
+			return nil, fmt.Errorf("grid: cell %s: replica %d holds no lease after grant periods", cell, idx)
 		}
 	}
 
 	gateNs, err := measureOps(ops, func() error { return target.FollowerRead(1, noop) })
 	if err != nil {
-		return nil, fmt.Errorf("grid: cell %s: gate loop: %w", cell.Name, err)
+		return nil, fmt.Errorf("grid: cell %s: gate loop: %w", cell, err)
 	}
 	serveNs, err := measureOps(ops, func() error { return target.FollowerRead(1, serve) })
 	if err != nil {
-		return nil, fmt.Errorf("grid: cell %s: serve loop: %w", cell.Name, err)
+		return nil, fmt.Errorf("grid: cell %s: serve loop: %w", cell, err)
 	}
 
 	// The no-gate baseline: the same TryRead against a standalone
@@ -127,7 +123,7 @@ func runSimbench(cell Cell, repeat int) (map[string]float64, error) {
 		return rerr
 	})
 	if err != nil {
-		return nil, fmt.Errorf("grid: cell %s: baseline loop: %w", cell.Name, err)
+		return nil, fmt.Errorf("grid: cell %s: baseline loop: %w", cell, err)
 	}
 
 	for _, grp := range grps {

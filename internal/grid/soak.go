@@ -22,12 +22,7 @@ import (
 // WAL epoch)), and the heap gauge stays flat (the median heap of the
 // run's second half within MaxHeapRatio of the first half's). Either
 // bound failing fails the cell, and with it the grid run.
-func runSoak(cell Cell, repeat int) (map[string]float64, error) {
-	p, err := decodeParams(cell.Name, cell.Params)
-	if err != nil {
-		return nil, err
-	}
-	cfg := p.loadConfig(repeat)
+func runSoak(cell Cell, cfg loadgen.Config) (*loadgen.Artefact, error) {
 	if !cfg.Durable || !cfg.Execute {
 		return nil, fmt.Errorf("grid: cell %s: soak requires durable+execute", cell.Name)
 	}
@@ -60,19 +55,19 @@ func runSoak(cell Cell, repeat int) (map[string]float64, error) {
 
 	sampler := &soakSampler{root: root, period: samplePeriod}
 	sampler.start()
-	res, runErr := loadgen.Run(cfg)
+	art, err := loadgen.RunArtefact(cfg)
 	sampler.stop()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 
 	sm := sampler.metrics()
 	if sm.samples < 4 {
 		return nil, fmt.Errorf("grid: cell %s: only %d soak samples — lengthen the run or shorten sample_ms", cell.Name, sm.samples)
 	}
-	liveSet := float64(cfg.Groups) * (sm.maxSnapBytes + sm.maxWalBytes)
+	liveSet := float64(art.Params.Groups) * (sm.maxSnapBytes + sm.maxWalBytes)
 	diskBound := boundFactor * liveSet
-	m := resultMetrics(res)
+	m := art.Metrics
 	m["soak_disk_peak_bytes"] = sm.peakDiskBytes
 	m["soak_disk_bound_bytes"] = diskBound
 	m["soak_heap_ratio"] = sm.heapRatio
@@ -85,7 +80,7 @@ func runSoak(cell Cell, repeat int) (map[string]float64, error) {
 		return nil, fmt.Errorf("grid: cell %s: heap grew %.2fx from the first half of the run to the second (bound %.2fx) — the gauge is not flat",
 			cell.Name, sm.heapRatio, maxHeapRatio)
 	}
-	return m, nil
+	return art, nil
 }
 
 // soakSampler periodically walks the durable root (total bytes, max

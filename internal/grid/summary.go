@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 
-	"flexcast/internal/loadgen"
 	"flexcast/internal/stats"
 )
 
@@ -75,64 +74,6 @@ type Summary struct {
 	Host   map[string]any `json:"host,omitempty"`
 	Cells  []CellSummary  `json:"cells"`
 	Curves []CurveTable   `json:"curves,omitempty"`
-}
-
-// resultMetrics flattens one loadgen result into the grid's uniform
-// metric map — scalar keys the aggregation, curves, history and
-// compare layers all operate on, stage decomposition included
-// (stage_<name>_{p50,p99,mean}_ns) so cells compare stage by stage.
-func resultMetrics(res *loadgen.Result) map[string]float64 {
-	m := map[string]float64{
-		"completed":       float64(res.Completed),
-		"throughput_tx_s": res.Throughput,
-		"window_s":        res.WindowSecs,
-		"latency_p50_us":  float64(res.Latency.P50),
-		"latency_p90_us":  float64(res.Latency.P90),
-		"latency_p99_us":  float64(res.Latency.P99),
-		"latency_mean_us": res.Latency.Mean,
-		"avg_batch":       res.AvgBatch,
-	}
-	if res.Reads > 0 {
-		m["reads"] = float64(res.Reads)
-		m["read_throughput_tx_s"] = res.ReadThroughput
-		m["total_throughput_tx_s"] = res.TotalThroughput
-	}
-	if res.ReadLatencyNs != nil {
-		m["read_p50_ns"] = float64(res.ReadLatencyNs.P50)
-		m["read_p99_ns"] = float64(res.ReadLatencyNs.P99)
-		m["read_mean_ns"] = res.ReadLatencyNs.Mean
-	}
-	if len(res.ReadsPerReplica) > 0 {
-		m["lease_refusals"] = float64(res.LeaseRefusals)
-		m["remote_reads"] = float64(res.RemoteReads)
-	}
-	if res.Execute != nil {
-		m["abort_rate"] = res.Execute.AbortRate
-		m["tx_applied"] = float64(res.Execute.TxApplied)
-	}
-	if res.SLO != nil {
-		// slo_goodput_tx_s compares up (the _tx_s suffix); shed and
-		// slo_shed_rate compare down (the default direction).
-		m["slo_goodput_tx_s"] = res.SLO.Goodput
-		m["slo_good_fraction"] = res.SLO.GoodFraction
-		m["slo_shed_rate"] = res.SLO.ShedRate
-		m["shed"] = float64(res.Shed)
-	}
-	if res.Durable != nil {
-		m["recovery_mean_us"] = res.Durable.RecoveryMeanUs
-		m["recovery_max_us"] = float64(res.Durable.RecoveryMaxUs)
-		m["max_replayed_envelopes"] = float64(res.Durable.MaxReplayedEnvelopes)
-	}
-	if st := res.Stages; st != nil {
-		m["e2e_p50_ns"] = float64(st.E2E.P50)
-		m["e2e_p99_ns"] = float64(st.E2E.P99)
-		for _, sg := range st.Stages {
-			m["stage_"+sg.Stage+"_p50_ns"] = float64(sg.P50)
-			m["stage_"+sg.Stage+"_p99_ns"] = float64(sg.P99)
-			m["stage_"+sg.Stage+"_mean_ns"] = sg.Mean
-		}
-	}
-	return m
 }
 
 // aggregate folds the repeats' metric maps into one cell summary.
@@ -214,8 +155,8 @@ func buildCurves(spec *Spec, cells []CellSummary) ([]CurveTable, error) {
 	}
 	var out []CurveTable
 	for _, e := range spec.Experiments {
-		if e.Curve == nil {
-			continue
+		if e.Curve == nil || len(byExp[e.Name]) == 0 {
+			continue // no curve asked for, or -cells filtered the experiment out
 		}
 		for _, y := range e.Curve.Y {
 			tbl := CurveTable{Experiment: e.Name, X: e.Curve.X, Y: y}

@@ -288,13 +288,7 @@ func (n *engineNode) HandleEnvelope(env amcast.Envelope) {
 			}
 		}
 		if del.Msg.Sender.IsClient() {
-			n.d.net.Send(n.id, del.Msg.Sender, amcast.Envelope{
-				Kind:   amcast.KindReply,
-				From:   n.id,
-				Msg:    del.Msg.Header(),
-				TS:     del.Seq,
-				Result: del.Result,
-			})
+			n.d.net.Send(n.id, del.Msg.Sender, amcast.ReplyFor(n.id, del))
 		}
 	}
 }

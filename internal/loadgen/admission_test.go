@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -271,9 +270,9 @@ func TestBuildSLO(t *testing.T) {
 	}
 }
 
-// sloReport builds a minimally valid report carrying an SLO section,
+// sloResult builds a minimally valid result carrying an SLO section,
 // for the validator rejection tests to perturb.
-func sloReport() *Report {
+func sloResult() *Result {
 	res := &Result{
 		Completed:     100,
 		Issued:        120,
@@ -287,26 +286,21 @@ func sloReport() *Report {
 		},
 	}
 	res.SLO = buildSLO(5, 80, res.Completed, res.Issued, res.Shed, 2, nil)
-	return &Report{Schema: Schema, Results: res}
+	return res
 }
 
 // TestValidateSLOSection pins the validator's SLO contract: a section
 // without a target, shed exceeding issued, good exceeding completed, or
-// an inconsistent shed rate all reject; the unperturbed report passes.
+// an inconsistent shed rate all reject; the unperturbed result passes.
 func TestValidateSLOSection(t *testing.T) {
-	dir := t.TempDir()
-	check := func(name string, mutate func(*Report), wantErr string) {
+	check := func(name string, mutate func(*Result), wantErr string) {
 		t.Helper()
-		rep := sloReport()
-		mutate(rep)
-		path := filepath.Join(dir, name+".json")
-		if err := rep.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ValidateFile(path)
+		res := sloResult()
+		mutate(res)
+		err := res.Validate(Config{})
 		if wantErr == "" {
 			if err != nil {
-				t.Fatalf("%s: valid report rejected: %v", name, err)
+				t.Fatalf("%s: valid result rejected: %v", name, err)
 			}
 			return
 		}
@@ -314,19 +308,19 @@ func TestValidateSLOSection(t *testing.T) {
 			t.Fatalf("%s: error %v, want %q", name, err, wantErr)
 		}
 	}
-	check("ok", func(r *Report) {}, "")
-	check("no-target", func(r *Report) { r.Results.SLO.TargetMs = 0 }, "without a latency target")
-	check("shed-gt-issued", func(r *Report) {
-		r.Results.Shed = r.Results.Issued + 1
-		r.Results.SLO = buildSLO(5, 80, r.Results.Completed, r.Results.Issued, r.Results.Shed, 2, nil)
+	check("ok", func(r *Result) {}, "")
+	check("no-target", func(r *Result) { r.SLO.TargetMs = 0 }, "without a latency target")
+	check("shed-gt-issued", func(r *Result) {
+		r.Shed = r.Issued + 1
+		r.SLO = buildSLO(5, 80, r.Completed, r.Issued, r.Shed, 2, nil)
 	}, "exceeds issued")
-	check("good-gt-completed", func(r *Report) { r.Results.SLO.GoodCompleted = 101 }, "exceed completions")
-	check("shed-rate-skew", func(r *Report) { r.Results.SLO.ShedRate = 0.5 }, "inconsistent with shed")
-	check("bad-trajectory", func(r *Report) {
-		r.Results.SLO.Trajectory = []SLOPoint{{TMs: 5, Batch: 0, FlushIntervalUs: 50}}
+	check("good-gt-completed", func(r *Result) { r.SLO.GoodCompleted = 101 }, "exceed completions")
+	check("shed-rate-skew", func(r *Result) { r.SLO.ShedRate = 0.5 }, "inconsistent with shed")
+	check("bad-trajectory", func(r *Result) {
+		r.SLO.Trajectory = []SLOPoint{{TMs: 5, Batch: 0, FlushIntervalUs: 50}}
 	}, "trajectory point")
-	check("unordered-trajectory", func(r *Report) {
-		r.Results.SLO.Trajectory = []SLOPoint{
+	check("unordered-trajectory", func(r *Result) {
+		r.SLO.Trajectory = []SLOPoint{
 			{TMs: 5, Batch: 1, FlushIntervalUs: 50},
 			{TMs: 4, Batch: 1, FlushIntervalUs: 50},
 		}

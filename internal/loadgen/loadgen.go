@@ -3,9 +3,8 @@
 // over the in-memory or TCP transport, drives it with open- or
 // closed-loop gTPC-C clients, and measures sustained throughput and
 // latency percentiles with the exact-percentile histogram
-// (internal/metrics). Its JSON report (BENCH_runtime.json) is the
-// repository's performance trajectory: every scaling PR is measured
-// against it.
+// (internal/metrics). Every run is checked by Result.Validate before a
+// number is published, and recorded as one Artefact.
 //
 // The client model mirrors the paper's evaluation (§5.3): a few client
 // processes, each running many concurrent closed-loop sessions. Client
@@ -38,8 +37,9 @@ import (
 
 // Config parameterizes one load run. It is the programmatic entry
 // point behind cmd/flexload and cmd/flexgrid: the zero value is a
-// complete configuration (fill supplies every default), flags are a
-// thin parser over it (AddFlags), and grid cells build it from JSON.
+// complete configuration (Fill supplies every default), and each field
+// has one row in the knob table (knobs.go) that spells its flexload
+// flag and its JSON key for grid cells and run artefacts.
 type Config struct {
 	// Transport selects "inmem" (default), "tcp" (loopback, one
 	// in-process TCP node per group and client) or "wan" (the in-memory
@@ -202,7 +202,11 @@ type Config struct {
 	TraceSample int
 }
 
-func (c *Config) fill() error {
+// Fill normalizes the configuration in place — every unset field takes
+// its default — and reports validation errors. It is idempotent. Run
+// calls it implicitly; RunArtefact calls it first, so the artefact
+// records the effective configuration.
+func (c *Config) Fill() error {
 	if c.Transport == "" {
 		c.Transport = "inmem"
 	}
@@ -325,12 +329,6 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Fill normalizes the configuration in place, applying every default
-// fill supplies, and reports validation errors. Run calls it
-// implicitly; programmatic callers (the grid runner, tests) use it to
-// observe the effective configuration of a cell before running it.
-func (c *Config) Fill() error { return c.fill() }
-
 // Defaults returns the effective defaults of a zero Config — what Run
 // fills in when a field is unset — with the derived fields (StoreSeed,
 // which follows Seed) left at zero so their derivation still applies
@@ -338,7 +336,7 @@ func (c *Config) Fill() error { return c.fill() }
 // uses it so flag defaults and struct defaults can never diverge.
 func Defaults() Config {
 	var c Config
-	if err := c.fill(); err != nil {
+	if err := c.Fill(); err != nil {
 		panic(err) // the zero Config must always validate
 	}
 	c.StoreSeed = 0 // derived: follows Seed at fill time
@@ -898,7 +896,7 @@ func (r *run) complete(tx *txState, now time.Time) {
 
 // Run executes one load run and returns its measurement.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.Fill(); err != nil {
 		return nil, err
 	}
 	if cfg.Durable {
@@ -1102,13 +1100,7 @@ func Run(cfg Config) (*Result, error) {
 			res.RemoteReads = r.remoteReads.Load()
 		}
 	}
-	var stats runtime.BatcherStats
-	for _, n := range dep.nodes {
-		stats.Add(n.Stats())
-	}
-	for _, c := range clients {
-		stats.Add(c.batcher.Stats())
-	}
+	stats := runtime.SumStats(dep.nodes, clientBatchers(clients))
 	res.BatchesSent = stats.Batches
 	res.EnvelopesSent = stats.Envelopes
 	res.AvgBatch = stats.AvgBatch()

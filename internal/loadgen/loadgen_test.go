@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +21,7 @@ func shortCfg() Config {
 
 // TestRunInMemShort is the benchmark subsystem's smoke test: a short
 // closed-loop run on the in-memory transport completes transactions and
-// produces a self-consistent, validatable report.
+// produces a self-consistent result that passes Validate.
 func TestRunInMemShort(t *testing.T) {
 	for _, batch := range []int{1, 16} {
 		cfg := shortCfg()
@@ -37,17 +39,8 @@ func TestRunInMemShort(t *testing.T) {
 		if batch == 1 && res.BatchesSent != res.EnvelopesSent {
 			t.Fatalf("batch=1 must send per envelope: %+v", res)
 		}
-		path := filepath.Join(t.TempDir(), "bench.json")
-		rep := NewReport(cfg, res)
-		if err := rep.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ValidateFile(path)
-		if err != nil {
-			t.Fatalf("batch=%d: report failed validation: %v", batch, err)
-		}
-		if back.Config.MaxBatch != batch || back.Results.Completed != res.Completed {
-			t.Fatalf("batch=%d: report round trip mangled: %+v", batch, back)
+		if err := res.Validate(cfg); err != nil {
+			t.Fatalf("batch=%d: result failed validation: %v", batch, err)
 		}
 	}
 }
@@ -123,16 +116,8 @@ func TestRunExecuteInMem(t *testing.T) {
 		}
 		checkExecuteResult(t, res)
 
-		path := filepath.Join(t.TempDir(), "bench.json")
-		if err := NewReport(cfg, res).WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ValidateFile(path)
-		if err != nil {
-			t.Fatalf("batch=%d: execute report failed validation: %v", batch, err)
-		}
-		if !back.Config.Execute || back.Results.Execute == nil {
-			t.Fatalf("batch=%d: execute section lost in round trip", batch)
+		if err := res.Validate(cfg); err != nil {
+			t.Fatalf("batch=%d: execute result failed validation: %v", batch, err)
 		}
 	}
 }
@@ -168,6 +153,9 @@ func TestRunDurable(t *testing.T) {
 	if d.MaxReplayedEnvelopes >= cfg.DurableSnapshotEvery+cfg.MaxBatch || d.TornTailBytes != 0 {
 		t.Fatalf("durable verification replayed up to %d envelopes (torn %d bytes) at cadence %d",
 			d.MaxReplayedEnvelopes, d.TornTailBytes, cfg.DurableSnapshotEvery)
+	}
+	if err := res.Validate(cfg); err != nil {
+		t.Fatalf("durable result failed validation: %v", err)
 	}
 }
 
@@ -233,12 +221,8 @@ func TestRunReadMix(t *testing.T) {
 	if res.Execute == nil || !res.Execute.InvariantsOK || !res.Execute.ReplicaDigestsOK {
 		t.Fatalf("execute audits failed under read mix: %+v", res.Execute)
 	}
-	// The report round-trips through validation with the read section.
-	path := filepath.Join(t.TempDir(), "readmix.json")
-	if err := NewReport(cfg, res).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidateFile(path); err != nil {
+	// The read section passes validation.
+	if err := res.Validate(cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,27 +259,79 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestValidateFileRejectsGarbage covers the CI gate's failure modes.
-func TestValidateFileRejectsGarbage(t *testing.T) {
+// TestArtefactRoundTrip writes the artefact of a run that carries every
+// optional section (execute, reads, SLO with a controller trajectory,
+// stages) and reads it back: the result must still pass Validate
+// against the configuration that travelled with it, the effective
+// configuration must come back under the knob table's keys, and
+// re-serializing what was read must reproduce the file byte for byte —
+// no section, field or parameter is lost or renamed on the way.
+func TestArtefactRoundTrip(t *testing.T) {
+	cfg := shortCfg()
+	cfg.Execute = true
+	cfg.ReadPct = 25
+	cfg.Rate = 2000
+	cfg.Sessions = 256
+	cfg.Adaptive = true
+	cfg.SLOMs = 500
+	cfg.TraceSample = 4
+	art, err := RunArtefact(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := art.Result
+	if res.Execute == nil || res.SLO == nil || res.Stages == nil || res.ReadLatency == nil {
+		t.Fatalf("run is missing a section the round trip should cover: %+v", res)
+	}
+	if art.Params.MaxBatch != 64 || art.Params.TraceSample != 4 || art.Params.Warmup != cfg.Warmup {
+		t.Fatalf("artefact does not carry the effective configuration: %+v", art.Params)
+	}
 	dir := t.TempDir()
-	for name, content := range map[string]string{
-		"notjson.json": "}{",
-		"schema.json":  `{"schema":"flexload/v0","results":{"completed":1}}`,
-		"empty.json":   `{"schema":"flexload/v1"}`,
-		"zero.json":    `{"schema":"flexload/v1","results":{"completed":0}}`,
-	} {
-		path := filepath.Join(dir, name)
-		if err := writeFile(path, content); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ValidateFile(path); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
+	path := filepath.Join(dir, "run.json")
+	if err := art.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Artefact
+	if err := json.Unmarshal(written, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Result.Validate(back.Params); err != nil {
+		t.Fatalf("artefact failed validation on read: %v", err)
+	}
+	if back.Params != art.Params {
+		t.Fatalf("configuration mangled in round trip:\n got %+v\nwant %+v", back.Params, art.Params)
+	}
+	if back.Result.Completed != res.Completed || back.Result.Execute == nil || back.Result.SLO == nil ||
+		back.Result.Stages == nil || back.Metrics["throughput_tx_s"] != res.Throughput {
+		t.Fatalf("result mangled in round trip: %+v", back.Result)
+	}
+	again := filepath.Join(dir, "again.json")
+	if err := back.WriteFile(again); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten, _ := os.ReadFile(again); !bytes.Equal(written, rewritten) {
+		t.Fatalf("re-serialized artefact differs from the file it was read from")
 	}
 }
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+// TestValidateRejectsGarbage covers the gate's failure modes: a result
+// that measured nothing, and an artefact naming a parameter the knob
+// table does not have.
+func TestValidateRejectsGarbage(t *testing.T) {
+	if err := (&Result{}).Validate(Config{}); err == nil {
+		t.Fatal("empty result accepted")
+	}
+	if err := (&Result{Completed: 1, Throughput: 1}).Validate(Config{}); err == nil {
+		t.Fatal("result with nothing issued and no latency samples accepted")
+	}
+	var a Artefact
+	if err := json.Unmarshal([]byte(`{"params":{"bacth":64},"result":{"completed":1}}`), &a); err == nil {
+		t.Fatal("artefact with an unknown parameter accepted")
+	}
 }
 
 // TestRunFollowerReads deploys the replicated read path: every group
@@ -333,11 +369,7 @@ func TestRunFollowerReads(t *testing.T) {
 	if res.Execute == nil || !res.Execute.InvariantsOK {
 		t.Fatalf("execute audits failed under follower reads: %+v", res.Execute)
 	}
-	path := filepath.Join(t.TempDir(), "follower.json")
-	if err := NewReport(cfg, res).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidateFile(path); err != nil {
+	if err := res.Validate(cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -345,8 +377,8 @@ func TestRunFollowerReads(t *testing.T) {
 // TestRunTracedStages runs with lifecycle tracing on and checks the
 // stage decomposition: sampled record count tracks 1-in-N of
 // completions, stage summaries appear in pipeline order, and the
-// report's stages section survives write + validation (which also
-// enforces the telescoping count-weighted mean identity).
+// stages section passes validation (which also enforces the
+// telescoping count-weighted mean identity).
 func TestRunTracedStages(t *testing.T) {
 	cfg := shortCfg()
 	cfg.Execute = true
@@ -390,18 +422,10 @@ func TestRunTracedStages(t *testing.T) {
 			t.Fatalf("stage %q missing from decomposition: %+v", want, st.Stages)
 		}
 	}
-	// WriteFile validates on write; ValidateFile re-validates on read —
-	// both run validateStages on the section.
-	path := filepath.Join(t.TempDir(), "traced.json")
-	if err := NewReport(cfg, res).WriteFile(path); err != nil {
+	// Validate runs validateStages on the section (the telescoping
+	// count-weighted mean identity included).
+	if err := res.Validate(cfg); err != nil {
 		t.Fatal(err)
-	}
-	back, err := ValidateFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Results.Stages == nil || back.Config.TraceSample != 4 {
-		t.Fatalf("stages section lost in round trip: %+v", back.Config)
 	}
 
 	// Untraced control: no stages section (negative disables; 0 would
@@ -468,7 +492,7 @@ func TestFollowerReadsConfigContract(t *testing.T) {
 // TestRunSessionsOpenLoop is the session-multiplexed open loop end to
 // end on the in-memory transport: ~10^3 virtual sessions per client
 // ride the process's single connection, the adaptive controller runs
-// the nodes, and the report carries a validatable SLO section with a
+// the nodes, and the result carries a validatable SLO section with a
 // controller trajectory.
 func TestRunSessionsOpenLoop(t *testing.T) {
 	cfg := shortCfg()
@@ -501,16 +525,8 @@ func TestRunSessionsOpenLoop(t *testing.T) {
 			t.Fatalf("trajectory point %d outside the controller range: %+v", i, p)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "slo.json")
-	if err := NewReport(cfg, res).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ValidateFile(path)
-	if err != nil {
-		t.Fatalf("slo report failed validation: %v", err)
-	}
-	if back.Results.SLO == nil || !back.Config.Adaptive || back.Config.Sessions != 1024 {
-		t.Fatalf("slo section lost in round trip: %+v", back.Config)
+	if err := res.Validate(cfg); err != nil {
+		t.Fatalf("slo result failed validation: %v", err)
 	}
 }
 

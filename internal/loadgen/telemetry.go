@@ -11,9 +11,9 @@ import (
 // telemetry registry, so a -telemetry endpoint started by the command
 // serves it mid-run. Everything registered is a read-through callback
 // over state the run maintains anyway — registration adds no hot-path
-// cost — and re-registration (flexload -ab runs several configurations
-// in one process) replaces the previous run's entries, so the endpoint
-// always reflects the latest deployment.
+// cost — and re-registration (a grid runs many configurations in one
+// process) replaces the previous run's entries, so the endpoint always
+// reflects the latest deployment.
 func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	reg := telemetry.Default
 	reg.RegisterTracer("write_path", r.tracer) // nil when tracing is off: unregisters a stale entry
@@ -32,79 +32,7 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	reg.RegisterCounter("lease_refusals", r.leaseRefusals.Load)
 	reg.RegisterCounter("remote_reads", r.remoteReads.Load)
 
-	nodes := dep.nodes
-	reg.RegisterCounter("backpressure_stalls", func() uint64 {
-		var n uint64
-		for _, nd := range nodes {
-			s, _ := nd.Backpressure()
-			n += s
-		}
-		return n
-	})
-	reg.RegisterCounter("backpressure_stall_ns", func() uint64 {
-		var n uint64
-		for _, nd := range nodes {
-			_, ns := nd.Backpressure()
-			n += ns
-		}
-		return n
-	})
-	reg.RegisterGauge("queue_depth_total", func() float64 {
-		total := 0
-		for _, nd := range nodes {
-			total += nd.QueueLen()
-		}
-		return float64(total)
-	})
-	reg.RegisterGauge("queue_depth_max", func() float64 {
-		max := 0
-		for _, nd := range nodes {
-			if l := nd.QueueLen(); l > max {
-				max = l
-			}
-		}
-		return float64(max)
-	})
-
-	// Adaptive controller operating point, live: the widest batch and
-	// longest flush interval any node is currently running at (static
-	// runs report the configured constants).
-	reg.RegisterGauge("adaptive_batch_max", func() float64 {
-		max := 0
-		for _, nd := range nodes {
-			if b, _ := nd.Operating(); b > max {
-				max = b
-			}
-		}
-		return float64(max)
-	})
-	reg.RegisterGauge("adaptive_flush_interval_us_max", func() float64 {
-		var max int64
-		for _, nd := range nodes {
-			if _, iv := nd.Operating(); iv.Microseconds() > max {
-				max = iv.Microseconds()
-			}
-		}
-		return float64(max)
-	})
-
-	// Batch fill and flush-reason counters, servers and clients combined:
-	// their ratio shows whether batching is fill-driven (throughput-bound)
-	// or timer-driven (idle).
-	batchStats := func() runtime.BatcherStats {
-		var s runtime.BatcherStats
-		for _, nd := range nodes {
-			s.Add(nd.Stats())
-		}
-		for _, c := range clients {
-			s.Add(c.batcher.Stats())
-		}
-		return s
-	}
-	reg.RegisterCounter("batch_size_flushes", func() uint64 { return batchStats().SizeFlushes })
-	reg.RegisterCounter("batch_chunk_flushes", func() uint64 { return batchStats().ChunkFlushes })
-	reg.RegisterCounter("batch_timer_flushes", func() uint64 { return batchStats().TimerFlushes })
-	reg.RegisterGauge("batch_avg", func() float64 { return batchStats().AvgBatch() })
+	runtime.RegisterTelemetry(reg, dep.nodes, clientBatchers(clients))
 
 	// Replicated-run gauges: lease renewals across follower replicas and
 	// the worst follower watermark lag behind its group's serving node.
@@ -136,4 +64,13 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 			return float64(max)
 		})
 	}
+}
+
+// clientBatchers lists the client processes' output batchers.
+func clientBatchers(clients []*clientProc) []*runtime.Batcher {
+	out := make([]*runtime.Batcher, len(clients))
+	for i, c := range clients {
+		out[i] = c.batcher
+	}
+	return out
 }

@@ -188,7 +188,7 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // LatencySummary is a point-in-time percentile snapshot, the unit the
-// benchmark subsystem reports and serializes (BENCH_runtime.json).
+// benchmark subsystem reports and serializes (run artefacts).
 type LatencySummary struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean_us"`

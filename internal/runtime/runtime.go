@@ -422,14 +422,7 @@ func (n *Node) process(envs []amcast.Envelope) {
 			// fires inside TakeDeliveries, before this): the earliest
 			// group to deliver marks the ordering point.
 			tr.Stamp(d.Msg.ID, telemetry.StageDeliver)
-			n.batcher.Add(d.Msg.Sender, amcast.Envelope{
-				Kind:      amcast.KindReply,
-				From:      n.id,
-				Msg:       d.Msg.Header(),
-				TS:        d.Seq,
-				Result:    d.Result,
-				Watermark: d.Watermark,
-			})
+			n.batcher.Add(d.Msg.Sender, amcast.ReplyFor(n.id, d))
 		}
 		if n.cfg.OnDeliver != nil {
 			n.cfg.OnDeliver(d)

@@ -730,14 +730,8 @@ func (r *replica) apply() {
 				r.grp.cfg.OnDeliver(r.idx, d)
 			}
 			if d.Msg.Sender.IsClient() {
-				r.grp.net.Send(amcast.GroupNode(r.grp.cfg.Group), d.Msg.Sender, amcast.Envelope{
-					Kind:      amcast.KindReply,
-					From:      amcast.GroupNode(r.grp.cfg.Group),
-					Msg:       d.Msg.Header(),
-					TS:        d.Seq,
-					Result:    d.Result,
-					Watermark: d.Watermark,
-				})
+				from := amcast.GroupNode(r.grp.cfg.Group)
+				r.grp.net.Send(from, d.Msg.Sender, amcast.ReplyFor(from, d))
 			}
 		}
 		r.maybeSnapshot(dec.Instance + 1)

@@ -13,7 +13,7 @@ import (
 // registration adds zero hot-path cost), histograms and tracers are
 // referenced directly. Registering a name again replaces the previous
 // entry — deployments that run several configurations in one process
-// (flexload -ab) re-register each run and the endpoint always reflects
+// (flexgrid) re-register each run and the endpoint always reflects
 // the latest.
 type Registry struct {
 	mu       sync.Mutex

@@ -108,7 +108,7 @@ func TestSnapshotLiveUpdates(t *testing.T) {
 	if got := reg.Snapshot().Counters["ops"]; got != 31 {
 		t.Fatalf("after update = %d, want 31", got)
 	}
-	// Re-registering a name replaces it (flexload -ab reuses names).
+	// Re-registering a name replaces it (each flexgrid repeat reuses names).
 	reg.RegisterCounter("ops", func() uint64 { return 1000 })
 	if got := reg.Snapshot().Counters["ops"]; got != 1000 {
 		t.Fatalf("after re-register = %d, want 1000", got)

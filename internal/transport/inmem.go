@@ -17,10 +17,6 @@ import (
 	"flexcast/amcast"
 )
 
-// DeliverFunc observes application deliveries at a node. The runtime has
-// already sent the client reply when it is called.
-type DeliverFunc func(d amcast.Delivery)
-
 // BatchHandler consumes one inbound batch. The slice is owned by the
 // callee and is never reused by the transport.
 type BatchHandler func(envs []amcast.Envelope)
@@ -52,35 +48,6 @@ const mailboxDepth = 1024
 // NewInMemNet returns an empty in-memory network.
 func NewInMemNet() *InMemNet {
 	return &InMemNet{nodes: make(map[amcast.NodeID]*inmemNode)}
-}
-
-// AddEngine attaches a protocol engine as a node, processing inbound
-// batches through the engine's batch fast path and transmitting outputs
-// unbatched. Deliveries trigger client replies automatically; onDeliver
-// may be nil. For per-destination output batching, attach a
-// runtime.Node via AddBatchHandler instead.
-func (n *InMemNet) AddEngine(eng amcast.Engine, onDeliver DeliverFunc) error {
-	id := amcast.GroupNode(eng.Group())
-	return n.addNode(id, func(envs []amcast.Envelope) {
-		outs := amcast.BatchStep(eng, envs)
-		for _, o := range outs {
-			n.Send(id, o.To, o.Env)
-		}
-		for _, d := range eng.TakeDeliveries() {
-			if d.Msg.Sender.IsClient() {
-				n.Send(id, d.Msg.Sender, amcast.Envelope{
-					Kind:   amcast.KindReply,
-					From:   id,
-					Msg:    d.Msg.Header(),
-					TS:     d.Seq,
-					Result: d.Result,
-				})
-			}
-			if onDeliver != nil {
-				onDeliver(d)
-			}
-		}
-	})
 }
 
 // AddHandler attaches a raw per-envelope handler (clients use this).

@@ -100,44 +100,6 @@ func NewTCPBatchNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler
 	return n
 }
 
-// NewTCPEngineNode runs a protocol engine over TCP: outputs are
-// transmitted, deliveries answered to clients.
-func NewTCPEngineNode(eng amcast.Engine, book AddrBook, onDeliver DeliverFunc) (*TCPNode, error) {
-	id := amcast.GroupNode(eng.Group())
-	var n *TCPNode
-	handler := func(env amcast.Envelope) {
-		outs := eng.OnEnvelope(env)
-		for _, o := range outs {
-			if err := n.Send(o.To, o.Env); err != nil {
-				// Peer unreachable: FIFO links are assumed reliable by the
-				// protocols; the send path retries dialing, so this only
-				// triggers on shutdown.
-				continue
-			}
-		}
-		for _, d := range eng.TakeDeliveries() {
-			if d.Msg.Sender.IsClient() {
-				_ = n.Send(d.Msg.Sender, amcast.Envelope{
-					Kind:   amcast.KindReply,
-					From:   id,
-					Msg:    d.Msg.Header(),
-					TS:     d.Seq,
-					Result: d.Result,
-				})
-			}
-			if onDeliver != nil {
-				onDeliver(d)
-			}
-		}
-	}
-	node, err := NewTCPNode(id, book, handler)
-	if err != nil {
-		return nil, err
-	}
-	n = node
-	return n, nil
-}
-
 // Addr returns the actual listen address (useful with ":0" test setups).
 func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 

@@ -23,25 +23,14 @@ func TestTCPFlexCastThreeGroups(t *testing.T) {
 	book := tcpBook(t, ids...)
 
 	log := newDeliverLog()
-	var nodes []*TCPNode
 	for _, g := range ov.Order() {
-		eng := core.MustNew(core.Config{Group: g, Overlay: ov})
-		n, err := NewTCPEngineNode(eng, book, log.add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
+		hostTCP(t, core.MustNew(core.Config{Group: g, Overlay: ov}), book, log.add)
 	}
 	cl, err := NewTCPNode(amcast.ClientNode(0), book, func(amcast.Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		cl.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer cl.Close()
 
 	// The Figure-3(c) message pattern plus extras, issued in sequence so
 	// the entry order is deterministic.

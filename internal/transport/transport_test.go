@@ -10,6 +10,7 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/core"
 	"flexcast/internal/overlay"
+	"flexcast/internal/runtime"
 	"flexcast/internal/skeen"
 )
 
@@ -58,6 +59,46 @@ func (l *deliverLog) total() int {
 	return n
 }
 
+// hostInMem runs eng under the batched node runtime on net — the stack
+// every in-process deployment (Cluster, loadgen) hosts engines with.
+func hostInMem(t *testing.T, net *InMemNet, eng amcast.Engine, onDeliver func(amcast.Delivery)) {
+	t.Helper()
+	id := amcast.GroupNode(eng.Group())
+	node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
+		net.SendBatch(id, to, envs)
+	}, runtime.Config{OnDeliver: onDeliver})
+	t.Cleanup(node.Close)
+	if err := net.AddBatchHandler(id, node.Submit); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hostTCP runs eng under the batched node runtime behind a TCP batch
+// node, wired exactly as cmd/flexnode wires it: the listener accepts
+// before the TCPNode variable is assigned, so the send path parks on
+// ready until the assignment is published.
+func hostTCP(t *testing.T, eng amcast.Engine, book AddrBook, onDeliver func(amcast.Delivery)) {
+	t.Helper()
+	var tcp *TCPNode
+	ready := make(chan struct{})
+	node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
+		<-ready
+		if tcp != nil {
+			_ = tcp.SendBatch(to, envs) // fails only once the peer is shutting down
+		}
+	}, runtime.Config{OnDeliver: onDeliver})
+	tcp, err := NewTCPBatchNode(amcast.GroupNode(eng.Group()), book, node.Submit)
+	close(ready)
+	if err != nil {
+		node.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		tcp.Close()
+		node.Close()
+	})
+}
+
 func msg(id uint64, dst ...amcast.GroupID) amcast.Message {
 	return amcast.Message{
 		ID:     amcast.MsgID(id),
@@ -73,9 +114,7 @@ func TestInMemFlexCastThreeGroups(t *testing.T) {
 	log := newDeliverLog()
 	for _, g := range ov.Order() {
 		eng := core.MustNew(core.Config{Group: g, Overlay: ov})
-		if err := net.AddEngine(eng, log.add); err != nil {
-			t.Fatal(err)
-		}
+		hostInMem(t, net, eng, log.add)
 	}
 	var replies sync.Map
 	if err := net.AddHandler(amcast.ClientNode(0), func(env amcast.Envelope) {
@@ -155,14 +194,8 @@ func TestTCPSkeenTwoGroups(t *testing.T) {
 	book := tcpBook(t, ids...)
 
 	log := newDeliverLog()
-	var nodes []*TCPNode
 	for _, g := range groups {
-		eng := skeen.MustNew(skeen.Config{Group: g, Groups: groups})
-		n, err := NewTCPEngineNode(eng, book, log.add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
+		hostTCP(t, skeen.MustNew(skeen.Config{Group: g, Groups: groups}), book, log.add)
 	}
 	var replyCount sync.Map
 	cl, err := NewTCPNode(amcast.ClientNode(0), book, func(env amcast.Envelope) {
@@ -173,12 +206,7 @@ func TestTCPSkeenTwoGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		cl.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer cl.Close()
 
 	for i := uint64(1); i <= 3; i++ {
 		m := msg(i, 1, 2)
