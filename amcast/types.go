@@ -14,6 +14,7 @@ package amcast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -156,7 +157,7 @@ func (m Message) Clone() Message {
 
 // NormalizeDst sorts dst ascending and removes duplicates, in place.
 func NormalizeDst(dst []GroupID) []GroupID {
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	slices.Sort(dst)
 	out := dst[:0]
 	var prev GroupID = -1
 	for _, g := range dst {

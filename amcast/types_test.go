@@ -103,19 +103,37 @@ func TestNormalizeDst(t *testing.T) {
 		in, want []GroupID
 	}{
 		{nil, nil},
+		{[]GroupID{}, nil},
 		{[]GroupID{3}, []GroupID{3}},
 		{[]GroupID{3, 1, 2}, []GroupID{1, 2, 3}},
 		{[]GroupID{2, 2, 1, 1}, []GroupID{1, 2}},
 		{[]GroupID{5, 5, 5}, []GroupID{5}},
+		{[]GroupID{12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, []GroupID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+		{[]GroupID{4, 3, 3, 2, 4, 1}, []GroupID{1, 2, 3, 4}},
 	}
 	for _, tt := range tests {
-		got := NormalizeDst(append([]GroupID(nil), tt.in...))
+		in := append([]GroupID(nil), tt.in...)
+		got := NormalizeDst(in)
 		if len(got) == 0 && len(tt.want) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(got, tt.want) {
 			t.Errorf("NormalizeDst(%v) = %v, want %v", tt.in, got, tt.want)
 		}
+		if &got[0] != &in[0] {
+			t.Errorf("NormalizeDst(%v) did not dedupe in place", tt.in)
+		}
+	}
+	// Sorting a destination set is on every transaction's path: it must
+	// not allocate (sort.Slice cost a closure and a reflect swapper).
+	dst := make([]GroupID, 12)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range dst {
+			dst[i] = GroupID(12 - i)
+		}
+		NormalizeDst(dst)
+	}); n != 0 {
+		t.Errorf("NormalizeDst allocates %v per call, want 0", n)
 	}
 }
 

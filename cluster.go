@@ -295,13 +295,17 @@ func (c *Cluster) callObserved(dst []GroupID, payload []byte) (MsgID, map[GroupI
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	// Stopped on return: an unfired timer is not collectable under this
+	// module's go 1.22 timer semantics, and CallTimeout outlives most calls.
+	timeout := time.NewTimer(c.cfg.CallTimeout)
+	defer timeout.Stop()
 	select {
 	case <-w.done:
 		c.mu.Lock()
 		results, observed := w.results, w.observed
 		c.mu.Unlock()
 		return m.ID, results, observed, nil
-	case <-time.After(c.cfg.CallTimeout):
+	case <-timeout.C:
 		c.mu.Lock()
 		delete(c.waiters, m.ID)
 		c.mu.Unlock()

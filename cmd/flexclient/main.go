@@ -124,8 +124,10 @@ func run(clientIdx, home int, protocol, overlayF, treeF, peersF string,
 				return fmt.Errorf("tx %d: %w", i, err)
 			}
 		}
+		timer := time.NewTimer(timeout)
 		select {
 		case <-done:
+			timer.Stop()
 			mu.Lock()
 			sort.Slice(replies, func(a, b int) bool { return replies[a] < replies[b] })
 			for k, d := range replies {
@@ -135,7 +137,7 @@ func run(clientIdx, home int, protocol, overlayF, treeF, peersF string,
 			}
 			mu.Unlock()
 			completed++
-		case <-time.After(timeout):
+		case <-timer.C:
 			return fmt.Errorf("tx %d (%s to %v) timed out", i, m.ID, m.Dst)
 		}
 	}

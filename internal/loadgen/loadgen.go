@@ -1284,9 +1284,10 @@ func copyDirImage(src, dst string) error {
 //     value and watermark back.
 //
 // Every serve folds the read's watermark into the session barrier
-// (monotonic reads across replicas). wait selects closed-loop
-// semantics for the remote form; synchronous serves ignore it.
-func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wait bool) error {
+// (monotonic reads across replicas). A non-nil dl selects closed-loop
+// semantics for the remote form (wait for the reply under the caller's
+// deadline); synchronous serves ignore it.
+func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, dl *deadline) error {
 	tx := gen.NextRead()
 	if cfg.Replicas <= 1 {
 		ex := c.run.proto.Executors[tx.Home]
@@ -1321,15 +1322,15 @@ func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, wa
 		c.run.leaseRefusals.Add(1)
 		// Lease lapsed: fall back to the serving node, remotely.
 	}
-	return c.remoteRead(tx, cfg, stop, wait)
+	return c.remoteRead(tx, cfg, stop, dl)
 }
 
 // remoteRead ships one read to the serving node as a KindRead
-// transaction. With wait (closed loop) it blocks for the reply; the
-// reply's watermark folds into the session barrier via the ordinary
+// transaction. With a deadline (closed loop) it blocks for the reply;
+// the reply's watermark folds into the session barrier via the ordinary
 // reply path (onReplies), and completion lands in the read histogram
 // (complete).
-func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, wait bool) error {
+func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, dl *deadline) error {
 	m := amcast.Message{
 		ID:      amcast.NewMsgID(c.idx, readSeqBase+c.readSeq.Add(1)),
 		Sender:  c.id,
@@ -1337,19 +1338,52 @@ func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, w
 		Flags:   amcast.FlagRead,
 		Payload: gtpcc.EncodeTx(tx),
 	}
-	st := c.issue(m, txMeta{typ: tx.Type, isRead: true}, wait, false)
-	if !wait {
-		return nil
-	}
-	select {
-	case <-st.done:
-		return nil
-	case <-time.After(cfg.Timeout):
+	st := c.issue(m, txMeta{typ: tx.Type, isRead: true}, dl != nil, false)
+	if dl != nil && dl.await(st.done, cfg.Timeout, stop) == waitTimedOut {
 		return fmt.Errorf("loadgen: client %d remote read %s to warehouse %d timed out after %v",
 			c.idx, m.ID, tx.Home, cfg.Timeout)
-	case <-stop:
-		return nil
 	}
+	return nil
+}
+
+// deadline is one session goroutine's reusable timeout. time.After
+// would arm a fresh timer per transaction, and under go.mod's go 1.22
+// timer semantics an unfired timer stays reachable until it fires: a
+// closed loop at 80k tx/s pinned 30 s worth of them.
+type deadline struct{ t *time.Timer }
+
+type waitResult int
+
+const (
+	waitDone waitResult = iota
+	waitTimedOut
+	waitStopped
+)
+
+// await blocks until done closes, the timeout passes or stop closes.
+func (d *deadline) await(done <-chan struct{}, timeout time.Duration, stop <-chan struct{}) waitResult {
+	if d.t == nil {
+		d.t = time.NewTimer(timeout)
+	} else {
+		d.t.Reset(timeout)
+	}
+	res := waitDone
+	select {
+	case <-done:
+	case <-d.t.C:
+		return waitTimedOut
+	case <-stop:
+		res = waitStopped
+	}
+	if !d.t.Stop() {
+		// Fired after the select chose: drain, so the next Reset starts
+		// from an empty channel.
+		select {
+		case <-d.t.C:
+		default:
+		}
+	}
+	return res
 }
 
 // readLoop is one dedicated read-only session: reads back-to-back at
@@ -1361,13 +1395,14 @@ func readLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh
 		sendErr(errCh, err)
 		return
 	}
+	var dl deadline
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if err := c.doRead(gen, cfg, stop, true); err != nil {
+		if err := c.doRead(gen, cfg, stop, &dl); err != nil {
 			sendErr(errCh, err)
 			return
 		}
@@ -1397,6 +1432,7 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 	}
 	reads := readRNG(cfg, c.idx, worker)
 	seq := uint64(worker) << 24 // per-worker id space within the client
+	var dl deadline
 	for {
 		select {
 		case <-stop:
@@ -1404,7 +1440,7 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		default:
 		}
 		if readRoll(reads, cfg) {
-			if err := c.doRead(gen, cfg, stop, true); err != nil {
+			if err := c.doRead(gen, cfg, stop, &dl); err != nil {
 				sendErr(errCh, err)
 				return
 			}
@@ -1412,14 +1448,12 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		}
 		seq++
 		m, meta := nextMessage(c, gen, cfg, seq)
-		tx := c.issue(m, meta, true, false)
-		select {
-		case <-tx.done:
-		case <-time.After(cfg.Timeout):
+		switch dl.await(c.issue(m, meta, true, false).done, cfg.Timeout, stop) {
+		case waitTimedOut:
 			sendErr(errCh, fmt.Errorf("loadgen: client %d worker %d: tx %s to %v timed out after %v",
 				c.idx, worker, m.ID, m.Dst, cfg.Timeout))
 			return
-		case <-stop:
+		case waitStopped:
 			return
 		}
 	}
@@ -1460,7 +1494,7 @@ func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- erro
 					// budget; remote reads issue asynchronously and
 					// resolve through the reply handler (they do
 					// occupy the in-flight table until answered).
-					if err := c.doRead(gen, cfg, stop, false); err != nil {
+					if err := c.doRead(gen, cfg, stop, nil); err != nil {
 						sendErr(errCh, err)
 						return
 					}
@@ -1516,7 +1550,7 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 			for seq < owed {
 				seq++
 				if readRoll(reads, cfg) {
-					if err := c.doRead(gen, cfg, stop, false); err != nil {
+					if err := c.doRead(gen, cfg, stop, nil); err != nil {
 						sendErr(errCh, err)
 						return
 					}
@@ -1548,6 +1582,7 @@ func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan 
 	t := time.NewTicker(cfg.FlushEvery)
 	defer t.Stop()
 	seq := uint64(1) << 38 // clear of every worker's id space
+	var dl deadline
 	for {
 		select {
 		case <-stop:
@@ -1561,14 +1596,12 @@ func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan 
 			Dst:    append([]amcast.GroupID(nil), proto.Groups...),
 			Flags:  amcast.FlagFlush,
 		}
-		tx := c.issue(m, txMeta{}, true, true)
-		select {
-		case <-tx.done:
-		case <-time.After(cfg.Timeout):
+		switch dl.await(c.issue(m, txMeta{}, true, true).done, cfg.Timeout, stop) {
+		case waitTimedOut:
 			sendErr(errCh, fmt.Errorf("loadgen: flush multicast %s timed out after %v (GC stalled)",
 				m.ID, cfg.Timeout))
 			return
-		case <-stop:
+		case waitStopped:
 			return
 		}
 	}

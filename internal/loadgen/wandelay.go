@@ -74,9 +74,9 @@ func (d *delayNet) delay(from, to amcast.NodeID) time.Duration {
 }
 
 // send delays one batch by the link's one-way latency, then forwards it
-// through deliver. The slice is owned by the delay queue until
-// delivery (the batcher hands ownership to its send function, exactly
-// as the undelayed transport assumes).
+// through deliver. The batcher only lends its send function the slice
+// and this is the one sink that holds a batch past the call, so the
+// delay queue keeps its own copy.
 func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver func(to amcast.NodeID, envs []amcast.Envelope)) {
 	if len(envs) == 0 {
 		return
@@ -103,7 +103,7 @@ func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver 
 		}()
 	}
 	d.mu.Unlock()
-	link.ch <- delayItem{due: time.Now().Add(d.delay(from, to)), to: to, envs: envs}
+	link.ch <- delayItem{due: time.Now().Add(d.delay(from, to)), to: to, envs: append([]amcast.Envelope(nil), envs...)}
 }
 
 // close stops every link drainer; queued batches still in flight are

@@ -54,6 +54,9 @@ func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) (*trace.Recorder,
 			}
 			seqs[d.Group] = append(seqs[d.Group], d.Msg.ID)
 		}
+		// A chunk is only lent to BatchStep (the node runtime refills its
+		// chunk buffer): an engine that kept the slice now holds garbage.
+		Poison(envs)
 	}
 
 	// Inject the workload: every multicast enters its route node's buffer

@@ -12,7 +12,9 @@ import (
 // reaches the size cap, when the owning node's queue runs dry, or when
 // the flush timer fires. Sends happen under the batcher's mutex, so per-
 // destination envelope order is exactly the Add order — the FIFO-link
-// property the protocols assume survives batching.
+// property the protocols assume survives batching. The send function
+// only borrows a batch (SendBatchFunc): each destination's buffer lives
+// as long as the batcher and is refilled after every send.
 //
 // Control-priority flushing: batches carrying protocol control
 // envelopes (ACK, NOTIF, TS, REPLY — everything that unblocks delivery
@@ -25,9 +27,11 @@ import (
 // reordered internally, because FlexCast's incremental history diffs
 // rely on per-link FIFO delivery.
 type Batcher struct {
-	mu      sync.Mutex
-	send    SendBatchFunc
-	max     int
+	mu   sync.Mutex
+	send SendBatchFunc
+	max  int
+	// pending holds one reusable buffer per destination ever sent to; a
+	// destination has a batch pending while its buffer is non-empty.
 	pending map[amcast.NodeID][]amcast.Envelope
 	// control marks destinations whose pending batch carries at least
 	// one control envelope; FlushAll sends those first.
@@ -137,30 +141,18 @@ func (b *Batcher) Add(to amcast.NodeID, env amcast.Envelope) {
 		b.sendLocked(to, []amcast.Envelope{env})
 		return
 	}
-	q, ok := b.pending[to]
-	if !ok {
+	q := append(b.pending[to], env)
+	b.pending[to] = q
+	if len(q) == 1 {
 		b.order = append(b.order, to)
-		// Preallocate a small batch and let append grow toward the cap:
-		// most flushes carry only a few envelopes (the chunk-end flush
-		// fires long before max), so full-capacity preallocation would
-		// strand most of every slice; cap 8 makes the common batch one
-		// allocation and costs a filling batch only log2(max/8) growths.
-		hint := b.max
-		if hint > 8 {
-			hint = 8
-		}
-		q = make([]amcast.Envelope, 0, hint)
 	}
-	q = append(q, env)
 	if isControl(env) {
 		b.control[to] = true
 	}
 	if len(q) >= b.max {
 		b.stats.SizeFlushes++
 		b.flushLocked(to, q)
-		return
 	}
-	b.pending[to] = q
 }
 
 // FlushAll sends every pending batch: control-bearing destinations
@@ -184,23 +176,26 @@ func (b *Batcher) flushAll(timer bool) {
 	if timer {
 		ctr = &b.stats.TimerFlushes
 	}
+	// Sends run under mu, so nothing is added while order is detached;
+	// its backing array is put back, empty, for the next chunk.
 	order := b.order
 	b.order = nil
 	for _, to := range order {
 		if !b.control[to] {
 			continue
 		}
-		if q, ok := b.pending[to]; ok {
+		if q := b.pending[to]; len(q) > 0 {
 			*ctr++
 			b.flushLocked(to, q)
 		}
 	}
 	for _, to := range order {
-		if q, ok := b.pending[to]; ok {
+		if q := b.pending[to]; len(q) > 0 {
 			*ctr++
 			b.flushLocked(to, q)
 		}
 	}
+	b.order = order[:0]
 }
 
 // Stats returns a snapshot of the counters.
@@ -210,15 +205,25 @@ func (b *Batcher) Stats() BatcherStats {
 	return b.stats
 }
 
+// Scrub ends a send's loan of a batch buffer: zeroed, so the payloads
+// it referenced are collectable while the buffer waits for the
+// destination's next batch. A variable only so tests can poison instead
+// (prototest.PoisonLoans) and make a send function that kept the slice
+// fail loudly.
+var Scrub = func(envs []amcast.Envelope) { clear(envs) }
+
 // flushLocked sends one destination's batch and clears its bookkeeping.
+// The send only borrowed q, so the buffer is scrubbed and kept for the
+// destination's next batch.
 func (b *Batcher) flushLocked(to amcast.NodeID, q []amcast.Envelope) {
-	delete(b.pending, to)
 	b.dropFromOrder(to)
 	if b.control[to] {
 		b.stats.ControlBatches++
 		delete(b.control, to)
 	}
 	b.sendLocked(to, q)
+	Scrub(q)
+	b.pending[to] = q[:0]
 }
 
 // sendLocked transmits one batch while holding the mutex; the transport

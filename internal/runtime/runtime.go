@@ -40,7 +40,10 @@ import (
 // SendBatchFunc transmits one batch to a peer. Implementations:
 // transport.InMemNet.SendBatch, transport.TCPNode.SendBatch (adapted),
 // or any test hook. Calls are serialized by the batcher; per-destination
-// call order is the envelope order, preserving FIFO links.
+// call order is the envelope order, preserving FIFO links. The slice is
+// borrowed for the duration of the call — the batcher refills it as soon
+// as the call returns — so an implementation that keeps envelopes past
+// its return copies them.
 type SendBatchFunc func(to amcast.NodeID, envs []amcast.Envelope)
 
 // Config parameterizes a Node.

@@ -9,6 +9,7 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/core"
 	"flexcast/internal/overlay"
+	"flexcast/internal/prototest"
 	"flexcast/internal/runtime"
 	"flexcast/internal/trace"
 	"flexcast/internal/transport"
@@ -31,6 +32,9 @@ type deployment struct {
 
 func newDeployment(t *testing.T, groups []amcast.GroupID, maxBatch int) *deployment {
 	t.Helper()
+	// Every hand-off between batcher, mailboxes and nodes is poisoned
+	// the moment its call returns: nothing here may keep a lent slice.
+	prototest.PoisonLoans(t, &runtime.Scrub, &transport.Scrub)
 	d := &deployment{
 		ov:      overlay.MustCDAG(groups),
 		net:     transport.NewInMemNet(),
@@ -172,13 +176,15 @@ func TestNodeEndToEnd(t *testing.T) {
 }
 
 // TestBatcherCapFlush checks that a destination's batch is sent the
-// moment it reaches the cap, envelopes in Add order.
+// moment it reaches the cap, envelopes in Add order. The send function
+// keeps the batches, so it copies them: the batcher refills its buffer
+// as soon as the send returns.
 func TestBatcherCapFlush(t *testing.T) {
 	var mu sync.Mutex
 	var sent [][]amcast.Envelope
 	b := runtime.NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) {
 		mu.Lock()
-		sent = append(sent, envs)
+		sent = append(sent, append([]amcast.Envelope(nil), envs...))
 		mu.Unlock()
 	}, 3)
 
@@ -295,7 +301,7 @@ func TestFlushTimerBoundsLatency(t *testing.T) {
 
 	sent := make(chan []amcast.Envelope, 16)
 	n := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
-		sent <- envs
+		sent <- append([]amcast.Envelope(nil), envs...)
 	}, runtime.Config{MaxBatch: 1024, FlushInterval: time.Millisecond})
 	defer n.Close()
 

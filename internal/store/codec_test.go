@@ -63,7 +63,7 @@ func TestShardBinaryRoundTrip(t *testing.T) {
 	msgs := gtpccWorkload([]amcast.GroupID{3, 4}, 9)
 	for i := 0; i < 60; i++ {
 		m := msgs(0, i, nil)
-		s.Apply(amcast.Delivery{Group: 3, Seq: uint64(i), Msg: m})
+		s.Apply(amcast.Delivery{Group: 3, Seq: uint64(i), Msg: m}, nil)
 	}
 	data := s.AppendBinary(nil)
 	r := codec.NewReader(data)

@@ -196,6 +196,13 @@ func (e *Executor) TakeDeliveries() []amcast.Delivery {
 		return dels
 	}
 	tr := e.tracer
+	// An execution record is built only for an observer (Apply overwrites
+	// it per delivery); the mirror and every follower replay the same
+	// mutations unaudited.
+	var rec *trace.ExecRecord
+	if e.onApply != nil {
+		rec = new(trace.ExecRecord)
+	}
 	e.mu.Lock()
 	for i := range dels {
 		if dels[i].Msg.Sender.IsClient() {
@@ -204,16 +211,15 @@ func (e *Executor) TakeDeliveries() []amcast.Delivery {
 			// stamp loses against this earlier one).
 			tr.Stamp(dels[i].Msg.ID, telemetry.StageDeliver)
 		}
-		res := e.shard.Apply(dels[i])
+		dels[i].Result = e.shard.Apply(dels[i], rec)
 		if e.mirror != nil {
-			e.mirror.Apply(dels[i])
+			e.mirror.Apply(dels[i], nil)
 		}
-		dels[i].Result = res.Code
 		if wm := dels[i].Seq + 1; wm > e.watermark {
 			e.watermark = wm
 		}
-		if e.onApply != nil && res.Code != amcast.ResultNone {
-			e.onApply(res.Record)
+		if rec != nil && dels[i].Result != amcast.ResultNone {
+			e.onApply(*rec)
 		}
 		// Stamp the delivery's watermark: the runtime copies it to the
 		// KindReply envelope, feeding the client's session barrier. Seq+1

@@ -181,7 +181,7 @@ func (r *Replica) apply(dels []amcast.Delivery) {
 		if dels[i].Seq < r.next {
 			continue
 		}
-		r.shard.Apply(dels[i])
+		r.shard.Apply(dels[i], nil)
 		r.next = dels[i].Seq + 1
 		if wm := dels[i].Seq + 1; wm > r.watermark {
 			r.watermark = wm

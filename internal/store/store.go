@@ -18,9 +18,10 @@
 // TPC-C 1 % new-order rollback travels in the transaction), so involved
 // shards never need to communicate and replicas replaying the same
 // delivery sequence reach byte-identical state — Digest() is the
-// auditable witness. Every application is also reported as a
+// auditable witness. An application can also be reported as a
 // trace.ExecRecord so the cross-group serializability checker can
-// verify the execution, not just the delivery order.
+// verify the execution, not just the delivery order; the record is built
+// only for a caller that asks for one.
 //
 // The static item catalog (prices) is replicated logic, not state: a
 // pure function of (seed, warehouse, item), mirroring TPC-C's
@@ -202,59 +203,59 @@ func initStockSum(cfg Config) int64 {
 	return sum
 }
 
-// Result is the outcome of applying one delivery.
-type Result struct {
-	// Code is the client-visible verdict (amcast.ResultCommitted,
-	// amcast.ResultAborted, or amcast.ResultNone for deliveries that are
-	// not transactions: flush multicasts, foreign payloads).
-	Code uint8
-	// Record is the execution record handed to the serializability
-	// checker; meaningful only when Code != amcast.ResultNone.
-	Record trace.ExecRecord
-}
-
-// Apply executes one delivered message against the shard. It must be
-// called in delivery order; determinism is the contract that keeps
-// replicas and recovery replays byte-identical.
-func (s *Shard) Apply(d amcast.Delivery) Result {
+// Apply executes one delivered message against the shard and returns
+// the client-visible verdict (amcast.ResultCommitted,
+// amcast.ResultAborted, or amcast.ResultNone for deliveries that are not
+// transactions: flush multicasts, foreign payloads). It must be called
+// in delivery order; determinism is the contract that keeps replicas and
+// recovery replays byte-identical.
+//
+// rec, when non-nil, is overwritten with the execution record the
+// serializability checker audits (left untouched on ResultNone). nil
+// means nobody is auditing: the mutations are the same, and the record's
+// rows, shard set and payload digest are never built.
+func (s *Shard) Apply(d amcast.Delivery, rec *trace.ExecRecord) uint8 {
 	if d.Msg.Flags&amcast.FlagFlush != 0 {
-		return Result{Code: amcast.ResultNone}
+		return amcast.ResultNone
 	}
 	tx, err := gtpcc.DecodeTx(d.Msg.Payload)
 	if err != nil {
 		// Not a transaction payload (pure-multicast workloads sharing a
 		// deployment). Skipping is deterministic: every replica and
 		// every involved shard sees the same bytes.
-		return Result{Code: amcast.ResultNone}
+		return amcast.ResultNone
 	}
-	rec := trace.ExecRecord{
-		Group:    s.cfg.Warehouse,
-		Seq:      s.applied,
-		TxID:     d.Msg.ID,
-		Kind:     uint8(tx.Type),
-		ReadSet:  readSetDigest(d.Msg.Payload),
-		Involved: tx.Involved(),
+	if rec != nil {
+		*rec = trace.ExecRecord{
+			Group:    s.cfg.Warehouse,
+			Seq:      s.applied,
+			TxID:     d.Msg.ID,
+			Kind:     uint8(tx.Type),
+			ReadSet:  readSetDigest(d.Msg.Payload),
+			Involved: tx.Dst,
+		}
 	}
 	s.applied++
+	committed := true
 	switch tx.Type {
 	case gtpcc.NewOrder:
-		rec.Committed, rec.Rows = s.newOrder(tx)
+		committed = s.newOrder(tx, rec)
 	case gtpcc.Payment:
-		rec.Committed, rec.Rows = s.payment(tx)
+		s.payment(tx, rec)
 	case gtpcc.OrderStatus:
-		_, rec.Rows = s.orderStatus(tx)
-		rec.Committed = true
+		s.orderStatus(tx, rec)
 	case gtpcc.Delivery:
-		rec.Committed, rec.Rows = s.deliverOrders()
+		s.deliverOrders(rec)
 	case gtpcc.StockLevel:
-		_, rec.Rows = s.stockLevel(tx)
-		rec.Committed = true
+		s.stockLevel(tx, rec)
 	}
-	code := amcast.ResultCommitted
-	if !rec.Committed {
-		code = amcast.ResultAborted
+	if rec != nil {
+		rec.Committed = committed
 	}
-	return Result{Code: code, Record: rec}
+	if !committed {
+		return amcast.ResultAborted
+	}
+	return amcast.ResultCommitted
 }
 
 // readSetDigest folds the transaction payload: all involved shards
@@ -266,8 +267,12 @@ func readSetDigest(payload []byte) uint64 {
 	return h.Sum64()
 }
 
-func (s *Shard) row(table uint8, key int32, write bool) trace.Row {
-	return trace.Row{Shard: s.cfg.Warehouse, Table: table, Key: key, Write: write}
+// touch declares a row the transaction read or wrote, when there is an
+// audit record to declare it in.
+func (s *Shard) touch(rec *trace.ExecRecord, table uint8, key int32, write bool) {
+	if rec != nil {
+		rec.Rows = append(rec.Rows, trace.Row{Shard: s.cfg.Warehouse, Table: table, Key: key, Write: write})
+	}
 }
 
 // index folds an arbitrary decoded key into the table: Apply must be
@@ -286,11 +291,10 @@ func index(v, n int32) int32 {
 // record the order and the customer's latest order. The TPC-C 1 %
 // rollback travels in the payload, so every shard reaches the same
 // verdict without communicating.
-func (s *Shard) newOrder(tx gtpcc.Tx) (bool, []trace.Row) {
+func (s *Shard) newOrder(tx gtpcc.Tx, rec *trace.ExecRecord) bool {
 	if tx.Rollback {
-		return false, nil
+		return false
 	}
-	var rows []trace.Row
 	for _, l := range tx.Lines {
 		if l.Supply != s.cfg.Warehouse {
 			continue
@@ -304,10 +308,10 @@ func (s *Shard) newOrder(tx gtpcc.Tx) (bool, []trace.Row) {
 		s.stockQty[item] = q
 		s.stockYTD[item] += int64(l.Qty)
 		s.stockCnt[item]++
-		rows = append(rows, s.row(trace.TableStock, item, true))
+		s.touch(rec, trace.TableStock, item, true)
 		// The table-version row: scans (stock-level) read it, writes
 		// write it, giving scans exact R/W conflict semantics.
-		rows = append(rows, s.row(trace.TableStock, -1, true))
+		s.touch(rec, trace.TableStock, -1, true)
 	}
 	if tx.Home == s.cfg.Warehouse {
 		cust := index(tx.Customer, int32(s.cfg.Customers))
@@ -318,28 +322,23 @@ func (s *Shard) newOrder(tx gtpcc.Tx) (bool, []trace.Row) {
 		}
 		id := s.nextOrder
 		s.nextOrder++
-		s.pending = append(s.pending, order{
-			id:    id,
-			cust:  cust,
-			total: total,
-			lines: append([]gtpcc.OrderLine(nil), tx.Lines...),
-		})
+		// tx was decoded from the payload by Apply, so its lines are
+		// this shard's to keep.
+		s.pending = append(s.pending, order{id: id, cust: cust, total: total, lines: tx.Lines})
 		s.lastOrder[cust] = int64(id)
-		rows = append(rows,
-			s.row(trace.TableOrders, 0, true),
-			s.row(trace.TableCustomer, cust, true))
+		s.touch(rec, trace.TableOrders, 0, true)
+		s.touch(rec, trace.TableCustomer, cust, true)
 	}
-	return true, rows
+	return true
 }
 
 // payment executes this shard's portion of a payment: the home
 // warehouse banks the amount; the customer's warehouse debits the
 // customer (TPC-C: remote 15 % of the time).
-func (s *Shard) payment(tx gtpcc.Tx) (bool, []trace.Row) {
-	var rows []trace.Row
+func (s *Shard) payment(tx gtpcc.Tx, rec *trace.ExecRecord) {
 	if tx.Home == s.cfg.Warehouse {
 		s.ytd += tx.Amount
-		rows = append(rows, s.row(trace.TableWarehouse, 0, true))
+		s.touch(rec, trace.TableWarehouse, 0, true)
 	}
 	if tx.CustWarehouse == s.cfg.Warehouse {
 		cust := index(tx.Customer, int32(s.cfg.Customers))
@@ -347,9 +346,8 @@ func (s *Shard) payment(tx gtpcc.Tx) (bool, []trace.Row) {
 		s.ytdPaid[cust] += tx.Amount
 		s.payCnt[cust]++
 		s.paidTotal += tx.Amount
-		rows = append(rows, s.row(trace.TableCustomer, cust, true))
+		s.touch(rec, trace.TableCustomer, cust, true)
 	}
-	return true, rows
 }
 
 // orderStatus reads the customer's most recent order (read-only,
@@ -357,43 +355,46 @@ func (s *Shard) payment(tx gtpcc.Tx) (bool, []trace.Row) {
 // multicast apply path and the fast-path ReadTx execute through it, so
 // the two paths can never disagree on the rows they declare — the
 // conflict-serializability audit depends on that agreement.
-func (s *Shard) orderStatus(tx gtpcc.Tx) (int64, []trace.Row) {
+func (s *Shard) orderStatus(tx gtpcc.Tx, rec *trace.ExecRecord) int64 {
 	cust := index(tx.Customer, int32(s.cfg.Customers))
-	return s.lastOrder[cust], []trace.Row{
-		s.row(trace.TableCustomer, cust, false),
-		s.row(trace.TableOrders, 0, false),
-	}
+	s.touch(rec, trace.TableCustomer, cust, false)
+	s.touch(rec, trace.TableOrders, 0, false)
+	return s.lastOrder[cust]
 }
 
 // deliverOrders pops up to ten of the oldest undelivered orders and
 // credits their totals back to the ordering customers (local).
-func (s *Shard) deliverOrders() (bool, []trace.Row) {
+func (s *Shard) deliverOrders(rec *trace.ExecRecord) {
 	n := len(s.pending)
 	if n > 10 {
 		n = 10
 	}
-	rows := []trace.Row{s.row(trace.TableOrders, 0, true)}
+	s.touch(rec, trace.TableOrders, 0, true)
 	for _, o := range s.pending[:n] {
 		s.balance[o.cust] += o.total
 		s.deliveredSum += o.total
 		s.delivered++
-		rows = append(rows, s.row(trace.TableCustomer, o.cust, true))
+		s.touch(rec, trace.TableCustomer, o.cust, true)
 	}
-	s.pending = append(s.pending[:0], s.pending[n:]...)
-	return true, rows
+	// Drop the delivered prefix without moving the rest: clearing it
+	// releases the orders' lines, and append reallocates (copying only
+	// live orders) once the backing array's tail is used up.
+	clear(s.pending[:n])
+	s.pending = s.pending[n:]
 }
 
 // stockLevel counts low-stock items (read-only, local). The scan reads
 // the stock table-version row, conflicting with any stock write. Shared
 // by the apply path and ReadTx like orderStatus.
-func (s *Shard) stockLevel(tx gtpcc.Tx) (int64, []trace.Row) {
+func (s *Shard) stockLevel(tx gtpcc.Tx, rec *trace.ExecRecord) int64 {
 	low := int64(0)
 	for _, q := range s.stockQty {
 		if q < tx.Threshold {
 			low++
 		}
 	}
-	return low, []trace.Row{s.row(trace.TableStock, -1, false)}
+	s.touch(rec, trace.TableStock, -1, false)
+	return low
 }
 
 // ReadTx executes a read-only transaction (order-status or stock-level)
@@ -406,16 +407,17 @@ func (s *Shard) stockLevel(tx gtpcc.Tx) (int64, []trace.Row) {
 // computed by the same functions the multicast apply path runs, so both
 // paths always declare identical row sets.
 func (s *Shard) ReadTx(tx gtpcc.Tx) (int64, []trace.Row, error) {
+	rec := trace.ExecRecord{Rows: make([]trace.Row, 0, 2)} // the most a read declares
+	var val int64
 	switch tx.Type {
 	case gtpcc.OrderStatus:
-		val, rows := s.orderStatus(tx)
-		return val, rows, nil
+		val = s.orderStatus(tx, &rec)
 	case gtpcc.StockLevel:
-		val, rows := s.stockLevel(tx)
-		return val, rows, nil
+		val = s.stockLevel(tx, &rec)
 	default:
 		return 0, nil, fmt.Errorf("store: %s is not a read-only transaction", tx.Type)
 	}
+	return val, rec.Rows, nil
 }
 
 // Clone returns an independent copy of the shard (snapshots, mirrors):

@@ -6,6 +6,7 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/gtpcc"
+	"flexcast/internal/trace"
 )
 
 func shard(t *testing.T, w amcast.GroupID) *Shard {
@@ -51,12 +52,13 @@ func TestNewOrderUpdatesStockAndOrders(t *testing.T) {
 		},
 		PayloadSize: 88,
 	}
-	r1 := s1.Apply(deliver(10, 0, 1, tx))
-	r2 := s2.Apply(deliver(10, 0, 2, tx))
-	if r1.Code != amcast.ResultCommitted || r2.Code != amcast.ResultCommitted {
-		t.Fatalf("codes %d %d", r1.Code, r2.Code)
+	var r1, r2 trace.ExecRecord
+	c1 := s1.Apply(deliver(10, 0, 1, tx), &r1)
+	c2 := s2.Apply(deliver(10, 0, 2, tx), &r2)
+	if c1 != amcast.ResultCommitted || c2 != amcast.ResultCommitted {
+		t.Fatalf("codes %d %d", c1, c2)
 	}
-	if r1.Record.ReadSet != r2.Record.ReadSet {
+	if r1.ReadSet != r2.ReadSet {
 		t.Fatal("read-set digests differ across involved shards")
 	}
 	if s1.stockYTD[7] != 3 || s2.stockYTD[9] != 5 {
@@ -84,12 +86,12 @@ func TestNewOrderRollbackMutatesNothing(t *testing.T) {
 		Lines:       []gtpcc.OrderLine{{Item: 1, Supply: 1, Qty: 2}},
 		PayloadSize: 76,
 	}
-	res := s.Apply(deliver(11, 0, 1, tx))
-	if res.Code != amcast.ResultAborted {
-		t.Fatalf("code %d, want aborted", res.Code)
+	var rec trace.ExecRecord
+	if code := s.Apply(deliver(11, 0, 1, tx), &rec); code != amcast.ResultAborted {
+		t.Fatalf("code %d, want aborted", code)
 	}
-	if len(res.Record.Rows) != 0 {
-		t.Fatalf("aborted tx touched rows: %v", res.Record.Rows)
+	if len(rec.Rows) != 0 {
+		t.Fatalf("aborted tx touched rows: %v", rec.Rows)
 	}
 	after := s.Digest()
 	// applied advances (the abort is part of the serial order) but no
@@ -108,8 +110,8 @@ func TestPaymentConservationAcrossShards(t *testing.T) {
 		Type: gtpcc.Payment, Home: 1, Customer: 3, CustWarehouse: 2,
 		Amount: 250, PayloadSize: 48,
 	}
-	home.Apply(deliver(12, 0, 1, tx))
-	cust.Apply(deliver(12, 0, 2, tx))
+	home.Apply(deliver(12, 0, 1, tx), nil)
+	cust.Apply(deliver(12, 0, 2, tx), nil)
 	if home.ytd != 250 || cust.paidTotal != 250 {
 		t.Fatalf("ytd %d, paid %d", home.ytd, cust.paidTotal)
 	}
@@ -118,7 +120,7 @@ func TestPaymentConservationAcrossShards(t *testing.T) {
 	}
 	// A partially applied payment (home only) must break conservation.
 	home2, cust2 := shard(t, 1), shard(t, 2)
-	home2.Apply(deliver(13, 0, 1, tx))
+	home2.Apply(deliver(13, 0, 1, tx), nil)
 	if err := CheckInvariants([]*Shard{home2, cust2}); err == nil {
 		t.Fatal("partial payment not detected")
 	}
@@ -131,7 +133,7 @@ func TestPartialNewOrderBreaksConservation(t *testing.T) {
 		Lines:       []gtpcc.OrderLine{{Item: 2, Supply: 2, Qty: 4}},
 		PayloadSize: 76,
 	}
-	s1.Apply(deliver(14, 0, 1, tx)) // home applies, supplier does not
+	s1.Apply(deliver(14, 0, 1, tx), nil) // home applies, supplier does not
 	if err := CheckInvariants([]*Shard{s1, s2}); err == nil {
 		t.Fatal("partial new-order not detected")
 	}
@@ -144,9 +146,9 @@ func TestDeliveryCreditsCustomers(t *testing.T) {
 		Lines:       []gtpcc.OrderLine{{Item: 5, Supply: 1, Qty: 2}},
 		PayloadSize: 76,
 	}
-	s.Apply(deliver(15, 0, 1, no))
+	s.Apply(deliver(15, 0, 1, no), nil)
 	balBefore := s.balance[2]
-	s.Apply(deliver(16, 1, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}))
+	s.Apply(deliver(16, 1, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}), nil)
 	credit := 2 * ItemPrice(s.cfg.Seed, 1, 5)
 	if got := s.balance[2] - balBefore; got != credit {
 		t.Fatalf("delivery credit %d, want %d", got, credit)
@@ -166,11 +168,11 @@ func TestReadOnlyTransactionsCommitWithoutMutating(t *testing.T) {
 		{Type: gtpcc.OrderStatus, Home: 4, Customer: 1, PayloadSize: 40},
 		{Type: gtpcc.StockLevel, Home: 4, Threshold: 15, PayloadSize: 40},
 	} {
-		res := s.Apply(deliver(uint64(20+i), uint64(i), 4, tx))
-		if res.Code != amcast.ResultCommitted {
-			t.Fatalf("code %d", res.Code)
+		var rec trace.ExecRecord
+		if code := s.Apply(deliver(uint64(20+i), uint64(i), 4, tx), &rec); code != amcast.ResultCommitted {
+			t.Fatalf("code %d", code)
 		}
-		for _, row := range res.Record.Rows {
+		for _, row := range rec.Rows {
 			if row.Write {
 				t.Fatalf("read-only tx wrote row %+v", row)
 			}
@@ -185,17 +187,17 @@ func TestReadOnlyTransactionsCommitWithoutMutating(t *testing.T) {
 func TestFlushAndForeignPayloadsAreNoOps(t *testing.T) {
 	s := shard(t, 1)
 	before := s.Digest()
-	res := s.Apply(amcast.Delivery{Group: 1, Msg: amcast.Message{
+	code := s.Apply(amcast.Delivery{Group: 1, Msg: amcast.Message{
 		ID: 1, Dst: []amcast.GroupID{1}, Flags: amcast.FlagFlush,
-	}})
-	if res.Code != amcast.ResultNone {
-		t.Fatalf("flush executed: code %d", res.Code)
+	}}, nil)
+	if code != amcast.ResultNone {
+		t.Fatalf("flush executed: code %d", code)
 	}
-	res = s.Apply(amcast.Delivery{Group: 1, Msg: amcast.Message{
+	code = s.Apply(amcast.Delivery{Group: 1, Msg: amcast.Message{
 		ID: 2, Dst: []amcast.GroupID{1}, Payload: []byte("not a transaction"),
-	}})
-	if res.Code != amcast.ResultNone {
-		t.Fatalf("foreign payload executed: code %d", res.Code)
+	}}, nil)
+	if code != amcast.ResultNone {
+		t.Fatalf("foreign payload executed: code %d", code)
 	}
 	if s.Digest() != before {
 		t.Fatal("no-op deliveries mutated state")
@@ -213,15 +215,15 @@ func TestDigestDeterministicAndOrderSensitive(t *testing.T) {
 		Lines:       []gtpcc.OrderLine{{Item: 1, Supply: 1, Qty: 1}},
 		PayloadSize: 76,
 	}
-	a.Apply(deliver(1, 0, 1, tx1))
-	a.Apply(deliver(2, 1, 1, tx2))
-	b.Apply(deliver(1, 0, 1, tx1))
-	b.Apply(deliver(2, 1, 1, tx2))
+	a.Apply(deliver(1, 0, 1, tx1), nil)
+	a.Apply(deliver(2, 1, 1, tx2), nil)
+	b.Apply(deliver(1, 0, 1, tx1), nil)
+	b.Apply(deliver(2, 1, 1, tx2), nil)
 	if a.Digest() != b.Digest() {
 		t.Fatal("same sequence, different digests")
 	}
-	c.Apply(deliver(2, 0, 1, tx2))
-	c.Apply(deliver(1, 1, 1, tx1))
+	c.Apply(deliver(2, 0, 1, tx2), nil)
+	c.Apply(deliver(1, 1, 1, tx1), nil)
 	if a.Digest() == c.Digest() {
 		t.Fatal("different order produced the same digest (order-insensitive digest is useless as a replica witness)")
 	}
@@ -234,11 +236,11 @@ func TestCloneIsDeep(t *testing.T) {
 		Lines:       []gtpcc.OrderLine{{Item: 3, Supply: 1, Qty: 2}},
 		PayloadSize: 76,
 	}
-	s.Apply(deliver(1, 0, 1, tx))
+	s.Apply(deliver(1, 0, 1, tx), nil)
 	snap := s.Clone()
 	want := snap.Digest()
-	s.Apply(deliver(2, 1, 1, gtpcc.Tx{Type: gtpcc.Payment, Home: 1, Customer: 2, CustWarehouse: 1, Amount: 99, PayloadSize: 48}))
-	s.Apply(deliver(3, 2, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}))
+	s.Apply(deliver(2, 1, 1, gtpcc.Tx{Type: gtpcc.Payment, Home: 1, Customer: 2, CustWarehouse: 1, Amount: 99, PayloadSize: 48}), nil)
+	s.Apply(deliver(3, 2, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}), nil)
 	if snap.Digest() != want {
 		t.Fatal("clone aliased the live shard")
 	}
@@ -259,17 +261,17 @@ func TestClonePendingOrdersSurvive(t *testing.T) {
 	}
 	churn := func(s *Shard, id uint64) {
 		for i := 0; i < 3; i++ {
-			s.Apply(deliver(id, s.applied, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}))
+			s.Apply(deliver(id, s.applied, 1, gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}), nil)
 			id++
 			for j := 0; j < 15; j++ {
-				s.Apply(deliver(id, s.applied, 1, newOrder(int(id))))
+				s.Apply(deliver(id, s.applied, 1, newOrder(int(id))), nil)
 				id++
 			}
 		}
 	}
 	s := shard(t, 1)
 	for i := 0; i < 25; i++ {
-		s.Apply(deliver(uint64(i+1), uint64(i), 1, newOrder(i)))
+		s.Apply(deliver(uint64(i+1), uint64(i), 1, newOrder(i)), nil)
 	}
 	snap := s.Clone()
 	want := snap.AppendBinary(nil)
@@ -304,9 +306,10 @@ func TestApplyIsTotalOverHostileKeys(t *testing.T) {
 		{Type: gtpcc.StockLevel, Home: 1, Threshold: -3, PayloadSize: 40},
 	}
 	for i, tx := range txs {
-		ra := a.Apply(deliver(uint64(100+i), uint64(i), 1, tx))
-		rb := b.Apply(deliver(uint64(100+i), uint64(i), 1, tx))
-		if ra.Code != rb.Code || ra.Record.ReadSet != rb.Record.ReadSet {
+		var ra, rb trace.ExecRecord
+		ca := a.Apply(deliver(uint64(100+i), uint64(i), 1, tx), &ra)
+		cb := b.Apply(deliver(uint64(100+i), uint64(i), 1, tx), &rb)
+		if ca != cb || ra.ReadSet != rb.ReadSet {
 			t.Fatalf("tx %d: hostile keys executed nondeterministically", i)
 		}
 	}

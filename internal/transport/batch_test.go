@@ -7,18 +7,53 @@ import (
 	"flexcast/amcast"
 )
 
+// copyingHandler is a BatchHandler that keeps what it is handed — so it
+// copies: the transport reuses the slice once the call returns.
+func copyingHandler(got chan<- []amcast.Envelope) BatchHandler {
+	return func(envs []amcast.Envelope) { got <- append([]amcast.Envelope(nil), envs...) }
+}
+
+// expectLinkFIFO collects dispatches until want envelopes arrived and
+// checks what the protocols rely on: every envelope arrives exactly
+// once, in send order. How the transport groups them into dispatches is
+// its own business (a consumer gets everything queued since its last
+// call).
+func expectLinkFIFO(t *testing.T, got <-chan []amcast.Envelope, want int) {
+	t.Helper()
+	seq := uint64(0)
+	for int(seq) < want {
+		select {
+		case envs := <-got:
+			if len(envs) == 0 {
+				t.Fatal("empty dispatch")
+			}
+			for _, env := range envs {
+				seq++
+				if env.Msg.ID.Seq() != seq {
+					t.Fatalf("envelope %d: seq %d (FIFO broken)", seq, env.Msg.ID.Seq())
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out after %d of %d envelopes", seq, want)
+		}
+	}
+	select {
+	case envs := <-got:
+		t.Fatalf("%d envelopes beyond the %d sent", len(envs), want)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
 // TestTCPBatchFrameRoundTrip sends batches and single envelopes over a
-// real TCP connection and checks that batch frames arrive as one
-// dispatch unit, interleaved in order with single frames.
+// real TCP connection and checks that batch frames and single frames
+// arrive complete and interleaved in send order.
 func TestTCPBatchFrameRoundTrip(t *testing.T) {
 	a := amcast.GroupNode(1)
 	b := amcast.GroupNode(2)
 	book := AddrBook{a: "127.0.0.1:0", b: "127.0.0.1:0"}
 
 	got := make(chan []amcast.Envelope, 16)
-	nb, err := NewTCPBatchNode(b, book, func(envs []amcast.Envelope) {
-		got <- envs
-	})
+	nb, err := NewTCPBatchNode(b, book, copyingHandler(got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,35 +86,18 @@ func TestTCPBatchFrameRoundTrip(t *testing.T) {
 	if err := na.SendBatch(b, []amcast.Envelope{mkEnv(5)}); err != nil {
 		t.Fatal(err)
 	}
-
-	want := [][]uint64{{1, 2, 3}, {4}, {5}}
-	for i, w := range want {
-		select {
-		case envs := <-got:
-			if len(envs) != len(w) {
-				t.Fatalf("dispatch %d: got %d envelopes, want %d", i, len(envs), len(w))
-			}
-			for j, env := range envs {
-				if env.Msg.ID.Seq() != w[j] {
-					t.Fatalf("dispatch %d envelope %d: seq %d, want %d", i, j, env.Msg.ID.Seq(), w[j])
-				}
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for dispatch %d", i)
-		}
-	}
+	expectLinkFIFO(t, got, 5)
 }
 
-// TestInMemBatchDispatch checks that SendBatch hands the whole batch to
-// the handler as one unit and preserves per-pair FIFO with Send.
+// TestInMemBatchDispatch checks that SendBatch delivers the whole batch
+// and preserves per-pair FIFO with Send, and that the sender keeps its
+// slice: the mailbox copied it.
 func TestInMemBatchDispatch(t *testing.T) {
 	net := NewInMemNet()
 	defer net.Close()
 
 	got := make(chan []amcast.Envelope, 16)
-	if err := net.AddBatchHandler(amcast.GroupNode(1), func(envs []amcast.Envelope) {
-		got <- envs
-	}); err != nil {
+	if err := net.AddBatchHandler(amcast.GroupNode(1), copyingHandler(got)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,23 +105,9 @@ func TestInMemBatchDispatch(t *testing.T) {
 		return amcast.Envelope{Kind: amcast.KindRequest, From: amcast.ClientNode(0),
 			Msg: amcast.Message{ID: amcast.NewMsgID(0, seq), Dst: []amcast.GroupID{1}}}
 	}
-	net.SendBatch(amcast.ClientNode(0), amcast.GroupNode(1), []amcast.Envelope{env(1), env(2)})
+	batch := []amcast.Envelope{env(1), env(2)}
+	net.SendBatch(amcast.ClientNode(0), amcast.GroupNode(1), batch)
+	batch[0], batch[1] = env(98), env(99) // the sender's buffer, reused at once
 	net.Send(amcast.ClientNode(0), amcast.GroupNode(1), env(3))
-
-	want := [][]uint64{{1, 2}, {3}}
-	for i, w := range want {
-		select {
-		case envs := <-got:
-			if len(envs) != len(w) {
-				t.Fatalf("dispatch %d: got %d envelopes, want %d", i, len(envs), len(w))
-			}
-			for j, e := range envs {
-				if e.Msg.ID.Seq() != w[j] {
-					t.Fatalf("dispatch %d envelope %d: seq %d, want %d", i, j, e.Msg.ID.Seq(), w[j])
-				}
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for dispatch %d", i)
-		}
-	}
+	expectLinkFIFO(t, got, 3)
 }

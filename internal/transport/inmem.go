@@ -5,9 +5,11 @@
 // a single goroutine, preserving the engines' single-threaded contract,
 // and both use the wire codec so message sizes match the simulator's
 // accounting. Both carry envelope batches natively: a batch travels the
-// transport as one unit (one channel operation in memory, one frame on
+// transport as one unit (one mailbox operation in memory, one frame on
 // the wire), which is what the batched node runtime (internal/runtime)
-// builds on.
+// builds on. Envelope slices are borrowed at every hand-off, in both
+// directions: SendBatch copies or encodes what it is given before it
+// returns, and a BatchHandler gets a buffer the transport reuses.
 package transport
 
 import (
@@ -17,11 +19,14 @@ import (
 	"flexcast/amcast"
 )
 
-// BatchHandler consumes one inbound batch. The slice is owned by the
-// callee and is never reused by the transport.
+// BatchHandler consumes one inbound batch: everything that arrived
+// since the previous call, in per-link FIFO order (sender-side batch
+// boundaries are not preserved). The slice is borrowed for the duration
+// of the call — the transport reuses it afterwards — so a handler that
+// keeps envelopes copies them.
 type BatchHandler func(envs []amcast.Envelope)
 
-// InMemNet connects nodes through buffered channels, one mailbox
+// InMemNet connects nodes through bounded mailboxes, one mailbox
 // goroutine per node — the group-sharding of the in-process runtime.
 // Mailboxes carry batches; a full mailbox blocks the sender, providing
 // natural backpressure. Close stops all nodes and waits for them.
@@ -79,26 +84,21 @@ func (n *InMemNet) addNode(id amcast.NodeID, h BatchHandler) error {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		for {
-			envs := node.in.pop()
-			if envs == nil {
-				return // stopped and drained
-			}
-			h(envs)
-		}
+		node.in.drain(h)
 	}()
 	return nil
 }
 
 // Send enqueues one envelope to the destination mailbox. Envelopes to
 // unknown nodes are dropped (matching a network that loses packets to
-// dead hosts); per-pair ordering follows channel FIFO semantics.
+// dead hosts); per-pair ordering is the mailbox's FIFO order.
 func (n *InMemNet) Send(from, to amcast.NodeID, env amcast.Envelope) {
 	n.SendBatch(from, to, []amcast.Envelope{env})
 }
 
-// SendBatch enqueues a batch as one unit: one channel operation however
-// many envelopes it carries. The callee owns the slice afterwards.
+// SendBatch enqueues a batch as one unit: one mailbox operation however
+// many envelopes it carries. The envelopes are copied into the mailbox;
+// the caller keeps the slice.
 func (n *InMemNet) SendBatch(from, to amcast.NodeID, envs []amcast.Envelope) {
 	if len(envs) == 0 {
 		return

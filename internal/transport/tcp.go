@@ -28,13 +28,13 @@ const dialRetry = 200 * time.Millisecond
 // envelopes, maintains lazy persistent connections to peers, and feeds a
 // handler from a single dispatcher goroutine (preserving the engine
 // single-threaded contract). Frames are either single envelopes or batch
-// frames (codec.BatchKind); a batch is dispatched to the handler as one
-// unit.
+// frames (codec.BatchKind); the dispatcher hands the handler every
+// envelope decoded since its previous call, frames concatenated in
+// arrival order, in a buffer it reuses (see BatchHandler).
 type TCPNode struct {
-	id      amcast.NodeID
-	book    AddrBook
-	ln      net.Listener
-	handler BatchHandler
+	id   amcast.NodeID
+	book AddrBook
+	ln   net.Listener
 
 	mu      sync.Mutex
 	conns   map[amcast.NodeID]*peerConn
@@ -65,8 +65,8 @@ func NewTCPNode(id amcast.NodeID, book AddrBook, handler func(env amcast.Envelop
 }
 
 // NewTCPBatchNode starts listening on the node's address from the book
-// and dispatches inbound batches to handler, one call per frame; the
-// node runtime (internal/runtime) attaches this way.
+// and dispatches inbound batches to handler; the node runtime
+// (internal/runtime) attaches this way.
 func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TCPNode, error) {
 	addr, ok := book[id]
 	if !ok {
@@ -89,14 +89,16 @@ func NewTCPBatchNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler
 		id:      id,
 		book:    book,
 		ln:      ln,
-		handler: handler,
 		conns:   make(map[amcast.NodeID]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
 		in:      newEnvQueue(mailboxDepth),
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
-	go n.dispatchLoop()
+	go func() {
+		defer n.wg.Done()
+		n.in.drain(handler)
+	}()
 	return n
 }
 
@@ -140,17 +142,6 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		if !n.in.push(envs) {
 			return // node closed
 		}
-	}
-}
-
-func (n *TCPNode) dispatchLoop() {
-	defer n.wg.Done()
-	for {
-		envs := n.in.pop()
-		if envs == nil {
-			return // closed and drained
-		}
-		n.handler(envs)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"flexcast"
+	"flexcast/internal/prototest"
+	"flexcast/internal/runtime"
+	"flexcast/internal/transport"
 )
 
 // driveStore runs a small scripted workload: a cross-warehouse
@@ -190,8 +193,11 @@ func TestStoreClusterValidation(t *testing.T) {
 // session: a write the session completed must be visible to its next
 // read (read-your-writes), the read must be served by a lease-holding
 // follower at the follower's own watermark, and reads must stay
-// monotonic as they round-robin across replicas.
+// monotonic as they round-robin across replicas. It runs with every
+// envelope hand-off poisoned after its call returns (the borrow-only
+// contract of DESIGN.md §1b): the public cluster keeps no lent slice.
 func TestSessionFollowerReads(t *testing.T) {
+	prototest.PoisonLoans(t, &runtime.Scrub, &transport.Scrub)
 	sc, err := flexcast.NewStoreCluster(flexcast.StoreClusterConfig{
 		Warehouses:   3,
 		ReadReplicas: 2,
