@@ -1,139 +1,23 @@
-// Benchmarks that regenerate the paper's tables and figures (one bench
-// per table/figure, reporting the headline numbers as custom metrics)
-// plus micro-benchmarks of the core building blocks.
-//
-// The figure benches run the full experiment at a reduced virtual
-// duration per iteration; run cmd/flexbench for paper-scale output.
+// Micro-benchmarks of the core building blocks. (The paper's tables and
+// figures are the paper-* experiments of experiments.json, run by
+// cmd/flexgrid.)
 //
 //	go test -bench=. -benchmem
 package flexcast_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"flexcast/amcast"
 	"flexcast/internal/codec"
 	"flexcast/internal/core"
-	"flexcast/internal/experiments"
+	"flexcast/internal/harness"
 	"flexcast/internal/history"
 	"flexcast/internal/overlay"
 	"flexcast/internal/paxos"
 	"flexcast/internal/wan"
 )
-
-// benchOpts shrinks every experiment to ~3 virtual seconds per iteration.
-var benchOpts = experiments.Options{Scale: 0.05, Seed: 1}
-
-// BenchmarkFigure1HierarchicalOverhead regenerates Figure 1: per-group
-// communication overhead of tree T1 under gTPC-C at 90 % locality.
-// Reported metrics: mean overhead and the maximum per-group overhead (%).
-func BenchmarkFigure1HierarchicalOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		max := 0.0
-		for _, row := range res.Rows {
-			if row.Overhead > max {
-				max = row.Overhead
-			}
-		}
-		b.ReportMetric(res.Mean*100, "mean-overhead-%")
-		b.ReportMetric(max*100, "max-overhead-%")
-	}
-}
-
-// BenchmarkFigure5Table2OverlayLatency regenerates Figure 5 / Table 2:
-// per-destination latency across overlays (FlexCast O1/O2, trees
-// T1/T2/T3) at 90 % locality. Reported metric: FlexCast O1's 90th
-// percentile first-destination latency (ms).
-func BenchmarkFigure5Table2OverlayLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5Table2(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].PerDest[0].Percentile(90)/1000, "O1-1st-p90-ms")
-		b.ReportMetric(res.Rows[1].PerDest[0].Percentile(90)/1000, "O2-1st-p90-ms")
-	}
-}
-
-// BenchmarkFigure6Throughput regenerates Figure 6: throughput vs number
-// of clients at 99 % locality with the full gTPC-C mix. Reported
-// metrics: each protocol's plateau (1440 clients) in kops/s.
-func BenchmarkFigure6Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, label := range res.Order {
-			curve := res.Curves[label]
-			b.ReportMetric(curve[len(curve)-1].Throughput/1000, label+"-kops")
-		}
-	}
-}
-
-// BenchmarkFigure7Table3LocalityLatency regenerates Figure 7 / Table 3:
-// per-destination latency at 90/95/99 % locality for all three
-// protocols. Reported metrics: 90th percentile first-destination latency
-// at 90 % locality per protocol (ms) — the paper's headline comparison.
-func BenchmarkFigure7Table3LocalityLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7Table3(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			switch row.Label {
-			case "FlexCast 90%", "Hierarchical 90%", "Distributed 90%":
-				name := strings.ReplaceAll(strings.TrimSuffix(row.Label, " 90%"), " ", "-")
-				b.ReportMetric(row.PerDest[0].Percentile(90)/1000, name+"-1st-p90-ms")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure8MessageCost regenerates Figure 8: per-node messages/s,
-// average message size, and KB/s. Reported metrics: mean KB/s per node
-// for each protocol.
-func BenchmarkFigure8MessageCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, label := range res.Order {
-			var kb float64
-			for _, n := range res.PerProtocol[label] {
-				kb += n.KBPerS
-			}
-			b.ReportMetric(kb/float64(len(res.PerProtocol[label])), label+"-KB/s")
-		}
-	}
-}
-
-// BenchmarkFigure9Table4TreeOverhead regenerates Figure 9 / Table 4:
-// per-group overhead of T1/T2/T3 at 95/99 % locality. Reported metrics:
-// mean overhead per tree at 99 % locality (%).
-func BenchmarkFigure9Table4TreeOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9Table4(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Locality == 0.99 {
-				b.ReportMetric(row.Mean, row.Tree+"-mean-overhead-%")
-			}
-		}
-	}
-}
-
-// --- micro-benchmarks of the building blocks ---
 
 // BenchmarkFlexCastEngineLocal measures the engine's per-message cost
 // for local (single-destination) messages at the lca — the fast path.
@@ -300,15 +184,22 @@ func benchEnvelope() amcast.Envelope {
 	}
 }
 
-// BenchmarkGTPCCWorkload measures a full FlexCast gTPC-C run per
-// simulated-second (events/s of the whole stack).
+// BenchmarkGTPCCWorkload measures a full gTPC-C run of 3 virtual seconds
+// on the simulated WAN (the paper-fig1 configuration): events/s of the
+// whole simulated stack.
 func BenchmarkGTPCCWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(experiments.Options{Scale: 0.05, Seed: int64(i + 1)})
+		_, err := harness.Run(harness.Config{
+			Protocol:   harness.Hierarchical,
+			Locality:   0.90,
+			NumClients: 240,
+			GlobalOnly: true,
+			Duration:   3_000_000,
+			Seed:       int64(i + 1),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = res
 	}
 }
 

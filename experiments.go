@@ -4,8 +4,8 @@ import "flexcast/internal/harness"
 
 // Experiment configuration and results for the paper's evaluation: a
 // protocol deployed on the simulated 12-region WAN under the gTPC-C
-// workload. See cmd/flexbench and bench_test.go for the per-figure
-// configurations.
+// workload. The per-figure configurations are the paper-* experiments of
+// experiments.json.
 type (
 	// ExperimentConfig parameterizes one simulated run.
 	ExperimentConfig = harness.Config

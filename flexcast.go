@@ -39,8 +39,9 @@
 //
 // # Reproducing the paper
 //
-// The cmd/flexbench binary regenerates every table and figure of the
-// paper's evaluation on the simulated WAN; see EXPERIMENTS.md for the
+// Every table and figure of the paper's evaluation is a paper-*
+// experiment of experiments.json, run on the simulated WAN by
+// cmd/flexgrid (-cells '^paper-'); see EXPERIMENTS.md for the
 // paper-vs-measured record and DESIGN.md for the experiment index.
 package flexcast
 

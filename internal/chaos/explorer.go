@@ -110,7 +110,7 @@ func (r *Report) Print(w io.Writer) {
 		if r.messages > 0 {
 			flags += fmt.Sprintf(" -messages %d", r.messages)
 		}
-		fmt.Fprintf(w, "    reproduce: flexbench -mode chaos -protocol %s -repro-seed %d%s\n", r.Deployment, v.Seed, flags)
+		fmt.Fprintf(w, "    reproduce: flexbench -protocol %s -repro-seed %d%s\n", r.Deployment, v.Seed, flags)
 		for _, line := range v.FaultTrace {
 			fmt.Fprintf(w, "    %s\n", line)
 		}

@@ -11,11 +11,11 @@ import (
 )
 
 // fig5Config is the exact configuration of the formerly-open
-// acyclic-order repro, flexbench -experiment fig5 -scale 0.02 -seed N
-// -verify: the paper's latency setup (FlexCast on O1, 240 closed-loop
-// clients with per-destination reply waits, global-only gTPC-C at 90 %
-// locality) with the prototype's §4.3 flush cadence and the
-// 2-virtual-second floor that -scale 0.02 clamps to.
+// acyclic-order repro, the grid cells fig5-verify/seed=N of
+// experiments.json: the paper's latency setup (FlexCast on O1, 240
+// closed-loop clients with per-destination reply waits, global-only
+// gTPC-C at 90 % locality) with the prototype's §4.3 flush cadence
+// over 2 virtual seconds.
 func fig5Config(seed int64, flushEvery sim.Time) harness.Config {
 	return harness.Config{
 		Protocol:   harness.FlexCast,
@@ -100,7 +100,7 @@ func requireClean(t *testing.T, seed int64, rec *trace.Recorder) {
 }
 
 // TestFig5KnownRingSignature replays the formerly-open repro
-// flexbench -experiment fig5 -scale 0.02 -seed 2 -verify. Before the
+// flexgrid -cells '^fig5-verify/seed=2$'. Before the
 // re-certification fix (DESIGN.md §4 deviation 8) this seed
 // deterministically formed a fresh-request staircase ring: an
 // acyclic-order violation invisible to integrity, agreement and

@@ -16,11 +16,11 @@ import (
 // mirrors the measurement harness — the WAN latency matrix plus gTPC-C
 // destination locality (harness.ApplyWANProfile), which the
 // random-latency, uniform-destination hunts cannot emulate and which
-// the historical repro (flexbench -experiment fig5 -scale 0.02
-// -verify) depended on. Enabled via CHAOS_HUNT=<schedules> (the
-// scheduled CI ring-hunt job runs it nightly); CHAOS_HUNT_RANDOM=1
-// falls back to the random environment. Any violation FAILS the test;
-// each failing seed is printed for deterministic replay.
+// the historical repro (the fig5-verify grid cells) depended on.
+// Enabled via CHAOS_HUNT=<schedules> (the scheduled CI ring-hunt job
+// runs it nightly); CHAOS_HUNT_RANDOM=1 falls back to the random
+// environment. Any violation FAILS the test; each failing seed is
+// printed for deterministic replay.
 func TestHuntFlushGC(t *testing.T) {
 	n, _ := strconv.Atoi(os.Getenv("CHAOS_HUNT"))
 	if n == 0 {
@@ -32,8 +32,8 @@ func TestHuntFlushGC(t *testing.T) {
 		Clients:   6,
 		Messages:  400,
 		MaxDst:    3,
-		// Aggressive GC, no faults: the known repro (flexbench
-		// -experiment fig5 -scale 0.02 -verify) is fault-free.
+		// Aggressive GC, no faults: the known repro (the fig5-verify
+		// grid cells) is fault-free.
 		FlushEvery:    100_000,
 		ClosedLoop:    true,
 		DropProb:      -1,

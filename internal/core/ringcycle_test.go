@@ -12,7 +12,7 @@ import (
 // TestFreshRequestRingCycle is the shrunk, scripted form of the
 // acyclic-order violation that used to reproduce as
 //
-//	flexbench -experiment fig5 -scale 0.02 -seed 2 -verify
+//	flexgrid -cells '^fig5-verify/seed=2$'
 //
 // (DESIGN.md §4 deviation 8, now closed). Five two-destination messages
 // over five rank-adjacent groups form a ring: each adjacent pair shares

@@ -25,8 +25,8 @@ func trackedMetrics(kind string) []string {
 		return []string{"followerread_gate_ns_op", "followerread_serve_ns_op"}
 	case "soak":
 		return []string{"soak_disk_peak_bytes", "soak_heap_ratio"}
-	case "fig5-verify":
-		return []string{"throughput_tx_s", "latency_p50_us"}
+	case "sim":
+		return []string{"throughput_tx_s", "dest1_p50_ms"}
 	default:
 		return []string{"throughput_tx_s", "latency_p50_us", "latency_p99_us"}
 	}

@@ -119,11 +119,12 @@ func TestDecodeParamsRejectsUnknownKeys(t *testing.T) {
 }
 
 // TestCellConfigsMatchGolden decodes every cell of the two committed
-// specs, repeats 0 and 1, and compares the loadgen.Config each yields
-// with testdata/cell-configs.golden — captured with the hand-written
-// grid.loadParams/loadConfig pair this table-driven decode replaced, so
-// any drift in a key, a unit or the per-repeat seed rule shows up as a
-// diff of the exact configuration a cell runs.
+// specs, repeats 0 and 1, and compares the loadgen.Config (and non-load
+// knobs, where set) each yields with testdata/cell-configs.golden — its
+// load cells captured with the hand-written grid.loadParams/loadConfig
+// pair this table-driven decode replaced, so any drift in a key, a unit
+// or the per-repeat seed rule shows up as a diff of the exact
+// configuration a cell runs.
 func TestCellConfigsMatchGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/cell-configs.golden")
 	if err != nil {
@@ -160,7 +161,11 @@ func TestCellConfigsMatchGolden(t *testing.T) {
 					continue
 				}
 				seen++
-				if got := fmt.Sprintf("%+v", p.load); got != golden {
+				got := fmt.Sprintf("%+v", p.load)
+				if p.simKnobs != (simKnobs{}) {
+					got += fmt.Sprintf(" %+v", p.simKnobs)
+				}
+				if got != golden {
 					t.Errorf("%s:\n got %s\nwant %s", key, got, golden)
 				}
 			}
@@ -177,7 +182,8 @@ func testCell(name string, gate *GateSpec) Cell {
 
 func summaryFrom(t *testing.T, cells ...CellSummary) *Summary {
 	t.Helper()
-	s := &Summary{Schema: Schema, Commit: "test", Date: "2026-01-01T00:00:00Z", Cells: cells}
+	s := &Summary{Schema: Schema, Commit: "test", Date: "2026-01-01T00:00:00Z", Cells: cells,
+		Host: map[string]any{"go": "go1.22", "gomaxprocs": 2}}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +366,22 @@ func TestHistoryRoundTripAndValidation(t *testing.T) {
 	// Schema violations are rejected on append and on read.
 	if err := AppendHistory(path, HistoryEntry{Schema: "nope"}); err == nil {
 		t.Fatal("bad schema appended")
+	}
+
+	// Provenance: the host map travels into the line, and an entry from
+	// a modified tree is refused — while the committed trajectory's two
+	// early -dirty lines stay readable.
+	if got[0].Host["gomaxprocs"] != float64(2) {
+		t.Fatalf("host map lost: %+v", got[0].Host)
+	}
+	dirty := e
+	dirty.Commit = "abc1234-dirty"
+	if err := AppendHistory(path, dirty); err == nil || !strings.Contains(err.Error(), "modified tree") {
+		t.Fatalf("dirty-tree entry appended: %v", err)
+	}
+	committed, err := ReadHistory(filepath.Join("..", "..", "BENCH_history.jsonl"))
+	if err != nil || len(committed) < 2 || !strings.HasSuffix(committed[0].Commit, "-dirty") {
+		t.Fatalf("committed history unreadable: %d entries, %v", len(committed), err)
 	}
 	badPath := filepath.Join(t.TempDir(), "bad.jsonl")
 	if err := AppendHistory(badPath, e); err != nil {

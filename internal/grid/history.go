@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // HistorySchema tags one BENCH_history.jsonl line.
@@ -19,6 +20,9 @@ type HistoryEntry struct {
 	Commit string `json:"commit"`
 	Date   string `json:"date"`
 	Spec   string `json:"spec,omitempty"`
+	// Host is the summary's host map: go version, os, arch, cpus,
+	// gomaxprocs. Lines written before it was recorded have none.
+	Host map[string]any `json:"host,omitempty"`
 	// Cells maps cell name → metric key → median.
 	Cells map[string]map[string]float64 `json:"cells"`
 }
@@ -30,6 +34,7 @@ func HistoryFromSummary(s *Summary) HistoryEntry {
 		Commit: s.Commit,
 		Date:   s.Date,
 		Spec:   s.Spec,
+		Host:   s.Host,
 		Cells:  make(map[string]map[string]float64, len(s.Cells)),
 	}
 	for _, c := range s.Cells {
@@ -65,10 +70,14 @@ func (e *HistoryEntry) Validate() error {
 }
 
 // AppendHistory folds one entry onto the history file (one JSON
-// object per line), creating it if missing.
+// object per line), creating it if missing. It refuses an entry from a
+// dirty tree: a trajectory point must name the commit that produced it.
 func AppendHistory(path string, e HistoryEntry) error {
 	if err := e.Validate(); err != nil {
 		return err
+	}
+	if strings.HasSuffix(e.Commit, "-dirty") {
+		return fmt.Errorf("history entry from a modified tree (%s): commit first, then re-run", e.Commit)
 	}
 	line, err := json.Marshal(e)
 	if err != nil {

@@ -7,13 +7,26 @@ import (
 	"flexcast/internal/loadgen"
 )
 
-// simKnobs are the three cell parameters that are not load-run knobs:
-// sim_ops sizes the simbench loops, fig5_scale and fig5_seeds size the
-// fig5-verify sweep. Load and soak cells reject them.
+// simKnobs are the cell parameters that are not load-run knobs: sim_ops
+// sizes the simbench loops; the other four each set one harness.Config
+// field of a sim cell (runSim). Load and soak cells reject them.
 type simKnobs struct {
-	SimOps    int     `json:"sim_ops,omitempty"`
-	Fig5Scale float64 `json:"fig5_scale,omitempty"`
-	Fig5Seeds int     `json:"fig5_seeds,omitempty"`
+	SimOps int `json:"sim_ops,omitempty"`
+	// Overlay names one of the paper's overlays: o1 or o2 (FlexCast's
+	// C-DAGs), t1, t2 or t3 (the hierarchical trees). Empty: O1 / T1.
+	Overlay string `json:"overlay,omitempty"`
+	// ProcCostUs and ProcCostUsPerKB model server capacity as a serial
+	// per-envelope cost (µs, and µs per KiB of envelope); 0 models
+	// infinitely fast servers, the latency experiments' setting.
+	ProcCostUs      int64   `json:"proc_cost_us,omitempty"`
+	ProcCostUsPerKB float64 `json:"proc_cost_us_per_kb,omitempty"`
+	// Verify records the run and checks the §2.2 multicast properties
+	// after draining it; a violation fails the cell.
+	Verify bool `json:"verify,omitempty"`
+}
+
+var simKeys = map[string]bool{
+	"sim_ops": true, "overlay": true, "proc_cost_us": true, "proc_cost_us_per_kb": true, "verify": true,
 }
 
 // cellParams is a cell's decoded parameter set: a loadgen.Config under
@@ -31,23 +44,16 @@ type cellParams struct {
 // RNG stream replayed.
 func decodeParams(cell Cell, repeat int) (*cellParams, error) {
 	var p cellParams
-	load := make(map[string]any, len(cell.Params))
+	load, sim := map[string]any{}, map[string]any{}
 	for k, v := range cell.Params {
-		var dst any
-		switch k {
-		case "sim_ops":
-			dst = &p.SimOps
-		case "fig5_scale":
-			dst = &p.Fig5Scale
-		case "fig5_seeds":
-			dst = &p.Fig5Seeds
-		default:
+		if simKeys[k] {
+			sim[k] = v
+		} else {
 			load[k] = v
-			continue
 		}
-		if err := remarshal(v, dst); err != nil {
-			return nil, fmt.Errorf("grid: cell %s: parameter %q: %w", cell.Name, k, err)
-		}
+	}
+	if err := remarshal(sim, &p.simKnobs); err != nil {
+		return nil, fmt.Errorf("grid: cell %s: %w", cell.Name, err)
 	}
 	if err := remarshal(load, &p.load); err != nil {
 		return nil, fmt.Errorf("grid: cell %s: %w", cell.Name, err)

@@ -109,6 +109,7 @@ func TestRunSpecEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	histPath := filepath.Join(t.TempDir(), "hist.jsonl")
+	back.Commit = "abc1234" // the tree under test may be modified; the trajectory refuses those
 	if err := AppendHistory(histPath, HistoryFromSummary(back)); err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ type rawRun struct {
 }
 
 // RunSpec executes every cell of the spec (repeats included) and
-// aggregates the runs into a summary. Cell kinds that assert (soak)
-// fail the whole run on violation — a grid that published numbers
+// aggregates the runs into a summary. Cell kinds that assert (soak,
+// sim with verify) fail the whole run on violation — a grid that published numbers
 // past a failed assertion would be a different benchmark.
 func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 	cells, err := spec.Cells()
@@ -77,10 +77,11 @@ func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 		Date:   time.Now().UTC().Format(time.RFC3339),
 		Spec:   opt.Spec,
 		Host: map[string]any{
-			"go":   runtime.Version(),
-			"os":   runtime.GOOS,
-			"arch": runtime.GOARCH,
-			"cpus": runtime.NumCPU(),
+			"go":         runtime.Version(),
+			"os":         runtime.GOOS,
+			"arch":       runtime.GOARCH,
+			"cpus":       runtime.NumCPU(),
+			"gomaxprocs": runtime.GOMAXPROCS(0),
 		},
 	}
 	start := time.Now()
@@ -133,11 +134,11 @@ func runCell(cell Cell, repeat int) (*rawRun, error) {
 	switch cell.Kind {
 	case "simbench":
 		raw.Metrics, err = runSimbench(cell.Name, p)
-	case "fig5-verify":
-		raw.Metrics, err = runFig5Verify(cell.Name, p)
+	case "sim":
+		raw.Metrics, err = runSim(cell.Name, p)
 	default:
 		if p.simKnobs != (simKnobs{}) {
-			return nil, fmt.Errorf("grid: sim_ops, fig5_scale and fig5_seeds are simbench/fig5-verify parameters")
+			return nil, fmt.Errorf("grid: sim_ops is a simbench parameter; overlay, proc_cost_us, proc_cost_us_per_kb and verify are sim parameters")
 		}
 		var art *loadgen.Artefact
 		if cell.Kind == "soak" {
@@ -165,9 +166,8 @@ func headline(kind string, m map[string]float64) string {
 	case "soak":
 		return fmt.Sprintf("%.0f tx/s, disk peak %.0f/%.0f bytes, heap ratio %.2f",
 			m["throughput_tx_s"], m["soak_disk_peak_bytes"], m["soak_disk_bound_bytes"], m["soak_heap_ratio"])
-	case "fig5-verify":
-		return fmt.Sprintf("%.0f verified runs clean, %.0f tx/s, p50 %.0f µs",
-			m["fig5_verified_runs"], m["throughput_tx_s"], m["latency_p50_us"])
+	case "sim":
+		return fmt.Sprintf("%.0f tx/s, 1st destination p50 %.1f ms", m["throughput_tx_s"], m["dest1_p50_ms"])
 	default:
 		return fmt.Sprintf("%.0f tx/s, p50 %.0f µs", m["throughput_tx_s"], m["latency_p50_us"])
 	}
@@ -181,15 +181,16 @@ func rawName(cell string, repeat int) string {
 }
 
 // gitCommit stamps summaries with the working tree's commit (short
-// hash, "-dirty" suffixed when the tree has modifications); "unknown"
-// outside a repository.
+// hash, "-dirty" suffixed when a tracked file is modified — what a run
+// writes is untracked and does not count); "unknown" outside a
+// repository.
 func gitCommit() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
 	commit := strings.TrimSpace(string(out))
-	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
 		commit += "-dirty"
 	}
 	return commit

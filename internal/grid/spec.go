@@ -1,12 +1,12 @@
 // Package grid is the declarative experiment grid runner behind
 // cmd/flexgrid: it expands an experiments.json (axes × repeats) into
 // cells, executes each cell in-process against internal/loadgen (or
-// the sim microbenchmarks and soak checks for the non-load kinds),
-// and aggregates the repeats into a summary with per-cell medians,
-// IQR noise bands and fig5/fig6-style curve tables. On top of the
-// summary sit the trajectory layer (BENCH_history.jsonl, one line per
-// grid run) and the regression gate (Compare), which CI runs against
-// a committed baseline.
+// the sim microbenchmarks, soak checks and virtual-time WAN runs of the
+// non-load kinds), and aggregates the repeats into a summary with
+// per-cell medians, IQR noise bands and fig5/fig6-style curve tables.
+// On top of the summary sit the trajectory layer (BENCH_history.jsonl,
+// one line per grid run) and the regression gate (Compare), which CI
+// runs against a committed baseline.
 package grid
 
 import (
@@ -43,8 +43,8 @@ type Experiment struct {
 	// Kind selects the cell runner: "load" (default, one
 	// loadgen.Run per repeat), "simbench" (the FollowerRead sim
 	// microbenchmark), "soak" (a durable run with disk-footprint and
-	// heap-flatness assertions) or "fig5-verify" (the fig5 latency
-	// configuration replayed under full trace verification).
+	// heap-flatness assertions) or "sim" (one protocol on the
+	// virtual-time 12-region WAN: the paper's figures, see runSim).
 	Kind string `json:"kind,omitempty"`
 	// Repeats overrides the spec default for this experiment.
 	Repeats int `json:"repeats,omitempty"`
@@ -157,7 +157,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 		switch e.Kind {
 		case "":
 			e.Kind = "load"
-		case "load", "simbench", "soak", "fig5-verify":
+		case "load", "simbench", "soak", "sim":
 		default:
 			return nil, fmt.Errorf("grid: experiment %q: unknown kind %q", e.Name, e.Kind)
 		}

@@ -2,7 +2,8 @@
 // engine per group on the simulated 12-region WAN, closed-loop gTPC-C
 // clients, optional flush-based garbage collection, metrics, and latency
 // recording. Every table and figure of the paper's evaluation is a
-// harness configuration; see bench_test.go and cmd/flexbench.
+// harness configuration: the paper-* experiments of experiments.json,
+// run by internal/grid's sim cells.
 package harness
 
 import (

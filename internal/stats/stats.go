@@ -1,13 +1,11 @@
 // Package stats provides the latency statistics the paper reports:
-// percentiles (Tables 2 and 3), empirical CDFs (Figures 5 and 7), and
-// mean/standard deviation (Table 4).
+// percentiles (Tables 2 and 3) and mean/standard deviation (Table 4).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Recorder accumulates samples (latencies in microseconds, overheads, …).
@@ -76,15 +74,6 @@ func (r *Recorder) Std() float64 {
 	return math.Sqrt(sum / float64(len(r.samples)))
 }
 
-// Min returns the smallest sample, or NaN when empty.
-func (r *Recorder) Min() float64 {
-	if len(r.samples) == 0 {
-		return math.NaN()
-	}
-	r.sort()
-	return r.samples[0]
-}
-
 // Max returns the largest sample, or NaN when empty.
 func (r *Recorder) Max() float64 {
 	if len(r.samples) == 0 {
@@ -92,34 +81,6 @@ func (r *Recorder) Max() float64 {
 	}
 	r.sort()
 	return r.samples[len(r.samples)-1]
-}
-
-// CDFPoint is one point of an empirical CDF: fraction F of samples <= V.
-type CDFPoint struct {
-	V float64
-	F float64
-}
-
-// CDF returns the empirical CDF downsampled to at most points entries
-// (evenly spaced in rank), always including the maximum.
-func (r *Recorder) CDF(points int) []CDFPoint {
-	n := len(r.samples)
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	r.sort()
-	if points > n {
-		points = n
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		rank := i * n / points
-		if rank < 1 {
-			rank = 1
-		}
-		out = append(out, CDFPoint{V: r.samples[rank-1], F: float64(rank) / float64(n)})
-	}
-	return out
 }
 
 // PercentileRow formats the 90th/95th/99th percentiles scaled by div —
@@ -131,23 +92,4 @@ func (r *Recorder) PercentileRow(div float64) string {
 	}
 	return fmt.Sprintf("%7.1f %7.1f %7.1f",
 		r.Percentile(90)/div, r.Percentile(95)/div, r.Percentile(99)/div)
-}
-
-// Sparkline renders the CDF as a compact ASCII curve for terminal output.
-func (r *Recorder) Sparkline(width int) string {
-	pts := r.CDF(width)
-	if len(pts) == 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := pts[0].V, pts[len(pts)-1].V
-	if hi <= lo {
-		hi = lo + 1
-	}
-	var b strings.Builder
-	for _, p := range pts {
-		idx := int((p.V - lo) / (hi - lo) * float64(len(levels)-1))
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
 }

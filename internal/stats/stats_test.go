@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -50,15 +49,11 @@ func TestEmptyRecorder(t *testing.T) {
 		"Percentile": func() float64 { return r.Percentile(50) },
 		"Mean":       r.Mean,
 		"Std":        r.Std,
-		"Min":        r.Min,
 		"Max":        r.Max,
 	} {
 		if !math.IsNaN(f()) {
 			t.Errorf("%s on empty recorder is not NaN", name)
 		}
-	}
-	if got := r.CDF(10); got != nil {
-		t.Errorf("CDF on empty recorder = %v", got)
 	}
 }
 
@@ -72,39 +67,9 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	r := recorderOf(5, -1, 3)
-	if r.Min() != -1 || r.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r := &Recorder{}
-	for i := 0; i < 1000; i++ {
-		r.Add(rng.Float64() * 100)
-	}
-	pts := r.CDF(50)
-	if len(pts) != 50 {
-		t.Fatalf("CDF returned %d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].V < pts[i-1].V || pts[i].F < pts[i-1].F {
-			t.Fatalf("CDF not monotone at %d: %+v %+v", i, pts[i-1], pts[i])
-		}
-	}
-	last := pts[len(pts)-1]
-	if last.F != 1 || last.V != r.Max() {
-		t.Fatalf("CDF does not end at (max, 1): %+v", last)
-	}
-}
-
-func TestCDFFewerSamplesThanPoints(t *testing.T) {
-	r := recorderOf(1, 2)
-	pts := r.CDF(10)
-	if len(pts) != 2 {
-		t.Fatalf("CDF = %v, want 2 points", pts)
+func TestMax(t *testing.T) {
+	if r := recorderOf(5, -1, 3); r.Max() != 5 {
+		t.Errorf("Max = %v", r.Max())
 	}
 }
 
@@ -114,8 +79,8 @@ func TestAddAfterPercentileKeepsSorted(t *testing.T) {
 		t.Fatal("median of {1,3} wrong")
 	}
 	r.Add(0)
-	if got := r.Min(); got != 0 {
-		t.Fatalf("Min after late Add = %v", got)
+	if got := r.Percentile(1); got != 0 {
+		t.Fatalf("smallest after late Add = %v", got)
 	}
 }
 
@@ -127,7 +92,7 @@ func TestPercentileWithinRange(t *testing.T) {
 		p = math.Mod(math.Abs(p), 100) + 0.5
 		r := recorderOf(vs...)
 		got := r.Percentile(p)
-		return got >= r.Min() && got <= r.Max()
+		return got >= r.Percentile(0) && got <= r.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -142,20 +107,5 @@ func TestPercentileRowFormat(t *testing.T) {
 	}
 	if got := (&Recorder{}).PercentileRow(1000); got != "      -       -       -" {
 		t.Fatalf("empty row = %q", got)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	r := recorderOf(1, 2, 3, 4, 5, 6, 7, 8)
-	line := r.Sparkline(8)
-	if line == "" {
-		t.Fatal("empty sparkline")
-	}
-	if (&Recorder{}).Sparkline(8) != "" {
-		t.Fatal("sparkline of empty recorder not empty")
-	}
-	// Constant samples must not divide by zero.
-	if recorderOf(5, 5, 5).Sparkline(3) == "" {
-		t.Fatal("constant sparkline empty")
 	}
 }
