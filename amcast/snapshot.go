@@ -28,25 +28,44 @@ type BinarySnapshot interface {
 	MarshalBinary() ([]byte, error)
 }
 
-// TailSnapshot is a BinarySnapshot whose canonical encoding is a body
-// followed by an append-only tail: successive snapshots of one running
-// engine have tails that extend one another (FlexCast's delivery
-// tombstones, in delivery order), so a persister that already holds the
-// first from bytes of the tail needs only the body and what was
-// appended since. The seam sits on the snapshot value rather than on
-// the engine because every engine wrapper forwards Snapshot(): no
-// decorator can hide it.
+// TailSnapshot is a BinarySnapshot part of whose state is an append-only
+// log — FlexCast's delivery tombstones, the store's order queue — that a
+// persister should write once instead of once per snapshot. Its encoding
+// is a body, rewritten every time, followed by a tail holding log
+// entries, and the tail may be handed out in instalments:
+//
+//   - A journal is the concatenation of the tails of successive
+//     AppendSplit calls on snapshots of one running engine, the first
+//     with prev == nil, each later one with prev = the snapshot of the
+//     call before (or a decoded copy of it: what the persister holds is
+//     its own knowledge, not the engine's, since an engine's Snapshot()
+//     is also taken by callers that persist nothing).
+//   - The producing package's UnmarshalSnapshot accepts body ‖ journal
+//     for the body of the last call, and for the body of any earlier call
+//     joined with the journal as it stood after that call — a prefix.
+//   - An instalment carries what the snapshot needs and prev's journal
+//     cannot supply, no more: entries created and retired between two
+//     calls are never written, entries retired later stay behind in the
+//     journal as dead weight the decoder skips. A journal is therefore
+//     not canonical; MarshalBinary() — one instalment, prev == nil, live
+//     entries only — is, and decoding any valid journal and marshalling
+//     the result yields exactly it.
+//
+// Implementations frame their own instalments (an implementation that
+// embeds another TailSnapshot nests the inner instalment inside its
+// own); the persister treats bodies and tails as opaque bytes. The seam
+// sits on the snapshot value rather than on the engine because every
+// engine wrapper forwards Snapshot(): no decorator can hide it.
 type TailSnapshot interface {
 	BinarySnapshot
-	// MarshalSplit returns the body and the tail's bytes from offset
-	// from on (0 <= from <= the tail's length). MarshalBinary() equals
-	// JoinSnapshot(body, tail) for from == 0, and the body fixes the
-	// tail's length, so joining it with any other tail fails to decode.
-	MarshalSplit(from int) (body, tail []byte, err error)
+	// AppendSplit appends the snapshot's body to body and the instalment
+	// of its tail that follows prev's journal to tail, and returns both
+	// buffers. prev is nil or an earlier snapshot of the same engine, of
+	// the same concrete type; it is only read.
+	AppendSplit(body, tail []byte, prev Snapshot) ([]byte, []byte, error)
 }
 
-// JoinSnapshot reassembles a canonical snapshot encoding from the body
-// and the complete tail MarshalSplit produced.
+// JoinSnapshot assembles a snapshot encoding from a body and a journal.
 func JoinSnapshot(body, tail []byte) []byte {
 	return append(body[:len(body):len(body)], tail...)
 }

@@ -73,6 +73,9 @@ func (r *Reader) Close() error {
 	return nil
 }
 
+// Len returns the number of bytes not yet read.
+func (r *Reader) Len() int { return len(r.d.buf) - r.d.off }
+
 // Uvarint decodes one unsigned varint.
 func (r *Reader) Uvarint() uint64 { return r.d.uvarint() }
 

@@ -16,8 +16,9 @@ import (
 // always sorted, so the same snapshot marshals to the same bytes; the
 // history arena is serialized slot by slot (history.AppendBinary). The
 // delivery log comes last, in delivery order and fixed-width: it is the
-// encoding's append-only tail (amcast.TailSnapshot), and the body ends
-// with its entry count.
+// encoding's tail (amcast.TailSnapshot) — an instalment is the entries
+// appended since the previous snapshot, a journal their concatenation,
+// nothing in it is ever dead — and the body ends with its entry count.
 
 var _ amcast.TailSnapshot = (*snapshot)(nil)
 
@@ -131,21 +132,27 @@ func readPending(r *codec.Reader) *pending {
 
 // MarshalBinary implements amcast.BinarySnapshot.
 func (s *snapshot) MarshalBinary() ([]byte, error) {
-	body, tail, err := s.MarshalSplit(0)
+	body, tail, err := s.AppendSplit(nil, nil, nil)
 	return amcast.JoinSnapshot(body, tail), err
 }
 
-// MarshalSplit implements amcast.TailSnapshot.
-func (s *snapshot) MarshalSplit(from int) (body, tail []byte, err error) {
-	if from < 0 || from%idWidth != 0 || from/idWidth > len(s.delivered) {
-		return nil, nil, fmt.Errorf("core: snapshot tail offset %d outside the %d-entry delivery log", from, len(s.delivered))
+// AppendSplit implements amcast.TailSnapshot.
+func (s *snapshot) AppendSplit(body, tail []byte, prev amcast.Snapshot) ([]byte, []byte, error) {
+	from := 0
+	if prev != nil {
+		p, ok := prev.(*snapshot)
+		if !ok {
+			return nil, nil, fmt.Errorf("core: snapshot tail split against foreign snapshot %T", prev)
+		}
+		from = len(p.delivered)
+		if from > len(s.delivered) || from > 0 && p.delivered[from-1] != s.delivered[from-1] {
+			return nil, nil, fmt.Errorf("core: snapshot tail split against a %d-entry delivery log that the snapshot's %d-entry log does not extend", from, len(s.delivered))
+		}
 	}
-	rest := s.delivered[from/idWidth:]
-	tail = make([]byte, 0, len(rest)*idWidth)
-	for _, id := range rest {
+	for _, id := range s.delivered[from:] {
 		tail = binary.LittleEndian.AppendUint64(tail, uint64(id))
 	}
-	return s.appendBody(make([]byte, 0, 1024)), tail, nil
+	return s.appendBody(body), tail, nil
 }
 
 func (s *snapshot) appendBody(buf []byte) []byte {
@@ -179,7 +186,12 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s.notifDone)))
 	for _, id := range sortedIDs(s.notifDone) {
 		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = appendGroupEpochs(buf, s.notifDone[id])
+		done := s.notifDone[id]
+		buf = binary.AppendUvarint(buf, uint64(len(done)))
+		for _, e := range done {
+			buf = binary.AppendUvarint(buf, uint64(uint32(e.g)))
+			buf = binary.AppendUvarint(buf, e.v)
+		}
 	}
 	buf = appendGroupEpochs(buf, s.trafficSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(s.notifSent)))
@@ -187,10 +199,10 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		sent := s.notifSent[id]
 		buf = binary.AppendUvarint(buf, uint64(len(sent)))
-		for _, g := range sortedGroups(sent) {
-			buf = binary.AppendUvarint(buf, uint64(uint32(g)))
-			buf = binary.AppendUvarint(buf, sent[g].epoch)
-			buf = binary.AppendUvarint(buf, sent[g].seq)
+		for _, e := range sent {
+			buf = binary.AppendUvarint(buf, uint64(uint32(e.g)))
+			buf = binary.AppendUvarint(buf, e.v.epoch)
+			buf = binary.AppendUvarint(buf, e.v.seq)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.cursors)))
@@ -248,21 +260,23 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 		s.pendNotif = append(s.pendNotif, pn)
 	}
 	nND := r.Count()
-	s.notifDone = make(map[amcast.MsgID]map[amcast.GroupID]uint64, nND)
+	s.notifDone = make(map[amcast.MsgID]byGroup[uint64], nND)
 	for i := 0; i < nND && r.Err() == nil; i++ {
 		id := amcast.MsgID(r.Uvarint())
-		s.notifDone[id] = readGroupEpochs(r)
+		var done byGroup[uint64]
+		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+			done = done.put(amcast.GroupID(r.Uvarint()), r.Uvarint())
+		}
+		s.notifDone[id] = done
 	}
 	s.trafficSeq = readGroupEpochs(r)
 	nNS := r.Count()
-	s.notifSent = make(map[amcast.MsgID]map[amcast.GroupID]notifState, nNS)
+	s.notifSent = make(map[amcast.MsgID]byGroup[notifState], nNS)
 	for i := 0; i < nNS && r.Err() == nil; i++ {
 		id := amcast.MsgID(r.Uvarint())
-		nG := r.Count()
-		sent := make(map[amcast.GroupID]notifState, nG)
-		for j := 0; j < nG && r.Err() == nil; j++ {
-			g := amcast.GroupID(r.Uvarint())
-			sent[g] = notifState{epoch: r.Uvarint(), seq: r.Uvarint()}
+		var sent byGroup[notifState]
+		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+			sent = sent.put(amcast.GroupID(r.Uvarint()), notifState{epoch: r.Uvarint(), seq: r.Uvarint()})
 		}
 		s.notifSent[id] = sent
 	}

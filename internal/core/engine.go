@@ -54,6 +54,40 @@ type notifState struct {
 	seq   uint64
 }
 
+// byGroup is a per-message collection keyed by group. Like pending's, it
+// is a few entries long and searched linearly; unlike them it is kept
+// sorted by group, so a snapshot copies it with one slices.Clone and
+// encodes it as it stands.
+type byGroup[V any] []groupEntry[V]
+
+type groupEntry[V any] struct {
+	g amcast.GroupID
+	v V
+}
+
+// get returns g's value, the zero value when g has none.
+func (es byGroup[V]) get(g amcast.GroupID) (v V) {
+	for _, e := range es {
+		if e.g == g {
+			return e.v
+		}
+	}
+	return v
+}
+
+// put sets g's value and returns the collection.
+func (es byGroup[V]) put(g amcast.GroupID, v V) byGroup[V] {
+	i := 0
+	for i < len(es) && es[i].g < g {
+		i++
+	}
+	if i < len(es) && es[i].g == g {
+		es[i].v = v
+		return es
+	}
+	return slices.Insert(es, i, groupEntry[V]{g, v})
+}
+
 // pending tracks protocol state for one not-yet-delivered message
 // (Algorithm 1 lines 5-6: m.acks and m.notifList, plus the message body).
 // The three collections are a few entries long — bounded by the number of
@@ -175,7 +209,7 @@ type Engine struct {
 	// snapshot. Distinct notifiers are never folded against each other:
 	// each snapshots its own dependency set — see the pending.notif
 	// comment and DESIGN.md §4.
-	notifDone map[amcast.MsgID]map[amcast.GroupID]uint64
+	notifDone map[amcast.MsgID]byGroup[uint64]
 	// trafficSeq[d] counts the history nodes addressed to d that have
 	// entered this engine's history (merged diffs and local
 	// deliveries). A NOTIF to d certifies the edges known at a given
@@ -186,12 +220,13 @@ type Engine struct {
 	// deviation 8). Monotone counters rather than history sizes: GC
 	// pruning must not make the signal go backwards.
 	trafficSeq map[amcast.GroupID]uint64
-	// notifSent[id][d] is the notifier-side record of the last NOTIF
-	// sent about id to d (epoch + trafficSeq snapshot). Entries for a
+	// notifSent[id] holds, per notified group d, the notifier-side record
+	// of the last NOTIF sent about id to d (epoch + trafficSeq snapshot).
+	// Entries for a
 	// message this group delivers are dropped at delivery (a
 	// destination never notifies about a message after delivering it);
 	// notified groups' entries share notifDone's lifecycle.
-	notifSent map[amcast.MsgID]map[amcast.GroupID]notifState
+	notifSent map[amcast.MsgID]byGroup[notifState]
 	// cursors tracks, per descendant, the prefix of the history already
 	// sent (hst(h) in Algorithm 1 line 18, as a log cursor).
 	cursors map[amcast.GroupID]history.Cursor
@@ -225,9 +260,9 @@ func New(cfg Config) (*Engine, error) {
 		open:       make(map[amcast.MsgID]bool),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID),
 		pend:       make(map[amcast.MsgID]*pending),
-		notifDone:  make(map[amcast.MsgID]map[amcast.GroupID]uint64),
+		notifDone:  make(map[amcast.MsgID]byGroup[uint64]),
 		trafficSeq: make(map[amcast.GroupID]uint64),
-		notifSent:  make(map[amcast.MsgID]map[amcast.GroupID]notifState),
+		notifSent:  make(map[amcast.MsgID]byGroup[notifState]),
 		cursors:    make(map[amcast.GroupID]history.Cursor),
 	}, nil
 }
@@ -392,17 +427,13 @@ func (e *Engine) onNotif(env amcast.Envelope, outs *[]amcast.Output) {
 	if epoch == 0 {
 		epoch = 1
 	}
-	if m.HasDst(e.g) || env.From.IsClient() || epoch <= e.notifDone[m.ID][notifier] {
+	done := e.notifDone[m.ID]
+	if m.HasDst(e.g) || env.From.IsClient() || epoch <= done.get(notifier) {
 		// Destinations ack on delivery; notifications already accepted
 		// at this epoch (or a later one) are folded.
 		return
 	}
-	done, ok := e.notifDone[m.ID]
-	if !ok {
-		done = make(map[amcast.GroupID]uint64)
-		e.notifDone[m.ID] = done
-	}
-	done[notifier] = epoch
+	e.notifDone[m.ID] = done.put(notifier, epoch)
 	if len(e.open) == 0 {
 		e.sendFlushAck(m.Header(), []amcast.AckCover{{Notifier: notifier, Epoch: epoch}}, outs)
 		return
@@ -611,17 +642,13 @@ func (e *Engine) sendNotifs(m amcast.Message, outs *[]amcast.Output) []amcast.No
 			continue
 		}
 		sent := e.notifSent[m.ID]
-		st := sent[d]
+		st := sent.get(d)
 		cur := e.trafficSeq[d]
 		switch {
 		case st.epoch == 0 || cur > st.seq:
 			st = notifState{epoch: st.epoch + 1, seq: cur}
 		}
-		if sent == nil {
-			sent = make(map[amcast.GroupID]notifState)
-			e.notifSent[m.ID] = sent
-		}
-		sent[d] = st
+		e.notifSent[m.ID] = sent.put(d, st)
 		delta := e.diffFor(d)
 		*outs = append(*outs, amcast.Output{
 			To: amcast.GroupNode(d),

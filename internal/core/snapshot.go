@@ -25,9 +25,9 @@ type snapshot struct {
 	queues     map[amcast.GroupID][]amcast.MsgID
 	pend       map[amcast.MsgID]*pending
 	pendNotif  []*pendingNotif
-	notifDone  map[amcast.MsgID]map[amcast.GroupID]uint64
+	notifDone  map[amcast.MsgID]byGroup[uint64]
 	trafficSeq map[amcast.GroupID]uint64
-	notifSent  map[amcast.MsgID]map[amcast.GroupID]notifState
+	notifSent  map[amcast.MsgID]byGroup[notifState]
 	cursors    map[amcast.GroupID]history.Cursor
 
 	deliveries []amcast.Delivery
@@ -54,18 +54,12 @@ func copyGroupEpochs(m map[amcast.GroupID]uint64) map[amcast.GroupID]uint64 {
 	return c
 }
 
-func copyNotifDone(m map[amcast.MsgID]map[amcast.GroupID]uint64) map[amcast.MsgID]map[amcast.GroupID]uint64 {
-	c := make(map[amcast.MsgID]map[amcast.GroupID]uint64, len(m))
-	for id, set := range m {
-		c[id] = copyGroupEpochs(set)
-	}
-	return c
-}
-
-func copyNotifSent(m map[amcast.MsgID]map[amcast.GroupID]notifState) map[amcast.MsgID]map[amcast.GroupID]notifState {
-	c := make(map[amcast.MsgID]map[amcast.GroupID]notifState, len(m))
-	for id, sent := range m {
-		c[id] = maps.Clone(sent)
+// copyByGroup copies a per-message table of byGroup collections; put
+// writes an entry in place, so each collection is cloned.
+func copyByGroup[V any](m map[amcast.MsgID]byGroup[V]) map[amcast.MsgID]byGroup[V] {
+	c := make(map[amcast.MsgID]byGroup[V], len(m))
+	for id, es := range m {
+		c[id] = slices.Clone(es)
 	}
 	return c
 }
@@ -99,9 +93,9 @@ func (e *Engine) capture() *snapshot {
 		queues:     make(map[amcast.GroupID][]amcast.MsgID, len(e.queues)),
 		pend:       make(map[amcast.MsgID]*pending, len(e.pend)),
 		pendNotif:  copyPendNotifs(e.pendNotif),
-		notifDone:  copyNotifDone(e.notifDone),
+		notifDone:  copyByGroup(e.notifDone),
 		trafficSeq: copyGroupEpochs(e.trafficSeq),
-		notifSent:  copyNotifSent(e.notifSent),
+		notifSent:  copyByGroup(e.notifSent),
 		cursors:    maps.Clone(e.cursors),
 		deliveries: append([]amcast.Delivery(nil), e.deliveries...),
 		seq:        e.seq,
@@ -137,9 +131,9 @@ func (e *Engine) install(s *snapshot) {
 		e.pend[id] = copyPending(p)
 	}
 	e.pendNotif = copyPendNotifs(s.pendNotif)
-	e.notifDone = copyNotifDone(s.notifDone)
+	e.notifDone = copyByGroup(s.notifDone)
 	e.trafficSeq = copyGroupEpochs(s.trafficSeq)
-	e.notifSent = copyNotifSent(s.notifSent)
+	e.notifSent = copyByGroup(s.notifSent)
 	e.cursors = maps.Clone(s.cursors)
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq

@@ -171,8 +171,9 @@ func checkTombstonesJournaled(t *testing.T, s stack, r *prototest.Router, engine
 		de := fresh.(*durable.Engine)
 		st := de.Recovery()
 		de.Close()
-		tail := int(binary.LittleEndian.Uint64(snap))
-		if tail == 0 || st.SnapshotBytes != len(snap)-8+tail {
+		// The file is u32le checksum ‖ u64le J ‖ body.
+		tail := int(binary.LittleEndian.Uint64(snap[4:]))
+		if tail == 0 || st.SnapshotBytes != len(snap)-12+tail {
 			t.Errorf("group %d: restored %d snapshot bytes from a %d-byte file naming %d journal bytes", g, st.SnapshotBytes, len(snap), tail)
 		}
 	}

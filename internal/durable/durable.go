@@ -1,18 +1,27 @@
 // Package durable is the pluggable persistence layer behind the
 // amcast.SnapshotEngine seam: a write-ahead log of every input envelope
 // (CRC-framed, fsync-batched) plus periodic snapshot files, organized
-// in epochs, plus one journal of the snapshots' append-only tail.
+// in epochs, plus one journal of the snapshots' tails.
 //
 //	wal-%08d.log   input records of epoch e (wire-codec frames)
-//	snap-%08d.snap engine state after every record of epochs < e: the
-//	               snapshot body, and the length J of the tail it needs
-//	journal.log    the tail (amcast.TailSnapshot) of every snapshot taken
-//	               so far, never rotated: snapshot e's tail is its first
-//	               J bytes
+//	snap-%08d.snap engine state after every record of epochs < e: a
+//	               checksum, the length J of the journal prefix the
+//	               snapshot is joined with, and the snapshot body
+//	journal.log    the tail instalments (amcast.TailSnapshot) of every
+//	               snapshot taken so far, one after the other, never
+//	               rotated: snapshot e decodes from its body and the
+//	               journal's first J bytes
+//
+// What a tail holds is the snapshot's business — append-only logs whose
+// entries are written once instead of once per snapshot: FlexCast's
+// delivery tombstones, the store's order queue, framed by whoever owns
+// them. This package sees bytes: it asks each snapshot for the
+// instalment that follows the previous persisted snapshot's, appends it,
+// and hands Options.Decode the body joined with the journal prefix.
 //
 // At a cadence point the engine goroutine captures a snapshot, fsyncs
 // and closes wal-e, opens wal-(e+1) and hands the snapshot value to a
-// background persist job (persist.go), which appends the new tail bytes
+// background persist job (persist.go), which appends the new instalment
 // to the journal, writes snap-(e+1) (tmp + rename, so a crash never
 // leaves a half-written snapshot under the real name) and deletes epoch
 // e — the store-level consumer of the paper's §4.3 truncate-delivered-
@@ -34,6 +43,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -120,10 +130,20 @@ const snapTmpSuffix = ".tmp"
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
-// snapHeaderSize is the snapshot file's header: u64le J, the number of
-// journal bytes that are the snapshot's tail. The body follows unframed
-// (a snapshot file is not a WAL record and has no size limit).
-const snapHeaderSize = 8
+// snapHeaderSize is the snapshot file's header: u32le CRC-32C of
+// everything behind it, then u64le J, the number of journal bytes that
+// are the snapshot's tail. The body follows unframed (a snapshot file
+// is not a WAL record and has no size limit). The checksum is what makes
+// "the newest snapshot that decodes" a defence: a flipped bit inside a
+// varint still decodes, into a different state.
+const snapHeaderSize = 12
+
+// sealSnapshot fills in the header of a snapshot file image whose body
+// is in place behind it.
+func sealSnapshot(file []byte, j uint64) {
+	binary.LittleEndian.PutUint64(file[4:], j)
+	binary.LittleEndian.PutUint32(file, crc32.Checksum(file[4:], crcTable))
+}
 
 // scanEpochs lists the wal and snapshot epochs present in dir, sorted
 // ascending.
@@ -206,20 +226,28 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 }
 
 // readSnapshot reads snap-epoch and joins its body with the journal
-// prefix it names, giving back the canonical snapshot encoding and J.
-func readSnapshot(dir string, epoch uint64, journal []byte) (data []byte, j int, err error) {
+// prefix it names, giving back the snapshot encoding and J. The journal's
+// tail bytes are joined[room:]; the body is copied in front of them, so
+// that what a join moves is a body, not a journal — after a long run most
+// of the directory.
+func readSnapshot(dir string, epoch uint64, joined []byte, room int) (data []byte, j int, err error) {
 	file, err := os.ReadFile(snapPath(dir, epoch))
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(file) < snapHeaderSize {
-		return nil, 0, fmt.Errorf("%d-byte file has no header", len(file))
+	if len(file) < snapHeaderSize || len(file) > room {
+		return nil, 0, fmt.Errorf("%d-byte file: shorter than its header, or grown since recovery began", len(file))
 	}
-	need := binary.LittleEndian.Uint64(file)
-	if need > uint64(len(journal)) {
-		return nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, len(journal))
+	if crc32.Checksum(file[4:], crcTable) != binary.LittleEndian.Uint32(file) {
+		return nil, 0, fmt.Errorf("checksum mismatch")
 	}
-	return amcast.JoinSnapshot(file[snapHeaderSize:], journal[:need]), int(need), nil
+	need := binary.LittleEndian.Uint64(file[4:])
+	if have := len(joined) - room; need > uint64(have) {
+		return nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, have)
+	}
+	body := file[snapHeaderSize:]
+	copy(joined[room-len(body):], body)
+	return joined[room-len(body) : room+int(need)], int(need), nil
 }
 
 // recover restores the newest decodable snapshot, replays WAL epochs at
@@ -242,9 +270,15 @@ func (e *Engine) recover() error {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	journal := make([]byte, 0, jscan.goodLen)
+	room := 0 // for the largest snapshot file: see readSnapshot
+	for _, se := range snaps {
+		if info, err := os.Stat(snapPath(dir, se)); err == nil {
+			room = max(room, int(info.Size()))
+		}
+	}
+	joined := make([]byte, room, room+int(jscan.goodLen))
 	for _, rec := range jscan.records {
-		journal = append(journal, rec...)
+		joined = append(joined, rec...)
 	}
 	// Restore the newest snapshot that decodes. An unreadable snapshot
 	// costs replay length, not correctness, when an older one plus its
@@ -257,7 +291,7 @@ func (e *Engine) recover() error {
 	tailLen := 0
 	var snapErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
-		data, j, err := readSnapshot(dir, snaps[i], journal)
+		data, j, err := readSnapshot(dir, snaps[i], joined, room)
 		if err != nil {
 			snapErr = fmt.Errorf("durable: read snapshot epoch %d: %w", snaps[i], err)
 			e.stats.CorruptSnapshots++
@@ -273,7 +307,7 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("durable: restore snapshot epoch %d: %w", snaps[i], err)
 		}
 		e.inner.TakeDeliveries() // restore discards undrained deliveries
-		snapEpoch, tailLen = snaps[i], j
+		snapEpoch, tailLen, e.p.prev = snaps[i], j, snap
 		e.stats.SnapshotEpoch = snaps[i]
 		e.stats.SnapshotBytes = len(data)
 		e.stats.Recovered = true

@@ -10,7 +10,9 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/core"
+	"flexcast/internal/gtpcc"
 	"flexcast/internal/overlay"
+	"flexcast/internal/store"
 )
 
 // newCoreEngine builds a single-group FlexCast engine: every request
@@ -333,16 +335,17 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tail []byte
+	const room = 1 << 16 // for a snapshot body in front of the journal's bytes
+	tail := make([]byte, room)
 	for _, rec := range journal.records {
 		tail = append(tail, rec...)
 	}
-	_, jOld, err := readSnapshot(dir, snaps[len(snaps)-2], tail)
+	_, jOld, err := readSnapshot(dir, snaps[len(snaps)-2], tail, room)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, jNew, err := readSnapshot(dir, newest, tail); err != nil || jOld >= jNew || jNew != len(tail) {
-		t.Fatalf("snapshot tails %d and %d of a %d-byte journal (%v), want the older one a proper prefix of the whole", jOld, jNew, len(tail), err)
+	if _, jNew, err := readSnapshot(dir, newest, tail, room); err != nil || jOld >= jNew || jNew != len(tail)-room {
+		t.Fatalf("snapshot tails %d and %d of a %d-byte journal (%v), want the older one a proper prefix of the whole", jOld, jNew, len(tail)-room, err)
 	}
 	if err := os.WriteFile(snapPath(dir, newest), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -366,6 +369,93 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	// The journal was cut back to the restored snapshot's tail.
 	if cut, err := readWAL(journalPath(dir)); err != nil || cut.goodLen >= journal.goodLen || cut.tornBytes != 0 {
 		t.Fatalf("journal after the fallback: %d bytes (torn %d, %v), want it cut below %d", cut.goodLen, cut.tornBytes, err, journal.goodLen)
+	}
+}
+
+// TestCorruptSnapshotFallsBackOnFlippedByte: nothing in a snapshot's
+// encoding is sure to catch a flipped bit inside a varint — a balance, a
+// quantity, an item count decode to another state as readily as to an
+// error — so the file carries a checksum, and a snapshot whose journal
+// bytes are damaged cannot be joined at all. Either way recovery must
+// fall back on the older epoch, say so, and land on the live digest.
+func TestCorruptSnapshotFallsBackOnFlippedByte(t *testing.T) {
+	stack := func() (amcast.SnapshotEngine, *store.Executor) {
+		ex, err := store.NewExecutor(newCoreEngine(t), store.Config{Warehouse: 1}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex, ex
+	}
+	o := func(dir string) Options {
+		return Options{Dir: dir, SnapshotEvery: 8, FsyncEvery: -1, KeepEpochs: true,
+			Decode: func(data []byte) (amcast.Snapshot, error) {
+				return store.UnmarshalSnapshot(data, core.UnmarshalSnapshot)
+			}}
+	}
+	dir := t.TempDir()
+	eng, live := stack()
+	deng, err := Wrap(eng, o(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 30; i++ { // orders only: every one is in the journal, undelivered
+		deng.OnEnvelope(orderTx(1, i, gtpcc.OrderLine{Item: int32(i), Supply: 1, Qty: 2}))
+		deng.TakeDeliveries()
+	}
+	if err := deng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, snaps, err := scanEpochs(dir)
+	if err != nil || len(snaps) < 2 {
+		t.Fatalf("snapshots %v (%v), want at least two", snaps, err)
+	}
+	newest := snaps[len(snaps)-1]
+	flips := map[string]func(t *testing.T, img string){
+		"inside cfg.Items": func(t *testing.T, img string) {
+			// checksum ‖ J ‖ u32le n ‖ n bytes of engine body ‖ warehouse ‖ items
+			file, err := os.ReadFile(snapPath(img, newest))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := snapHeaderSize + 4 + int(binary.LittleEndian.Uint32(file[snapHeaderSize:])) + 1
+			if v, n := binary.Uvarint(file[at:]); v != gtpcc.NumItems || n != 1 {
+				t.Fatalf("byte %d of the snapshot file is not the shard's item count", at)
+			}
+			file[at] ^= 0x80 >> 1 // still one byte, still a varint: 100 → 36
+			if err := os.WriteFile(snapPath(img, newest), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"inside an order": func(t *testing.T, img string) {
+			// The last journal record is the newest snapshot's instalment,
+			// and ends with its order frame.
+			journal, err := os.ReadFile(journalPath(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal[len(journal)-2] ^= 0x01
+			if err := os.WriteFile(journalPath(img), journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, flip := range flips {
+		t.Run(name, func(t *testing.T) {
+			img := copyDir(t, dir)
+			flip(t, img)
+			eng, rec := stack()
+			deng, err := Wrap(eng, o(img))
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			defer deng.Close()
+			if st := deng.Recovery(); st.CorruptSnapshots != 1 || st.SnapshotEpoch != snaps[len(snaps)-2] {
+				t.Fatalf("restored epoch %d skipping %d snapshots, want epoch %d skipping the one damaged", st.SnapshotEpoch, st.CorruptSnapshots, snaps[len(snaps)-2])
+			}
+			if rec.Digest() != live.Digest() {
+				t.Fatal("fallback recovery diverged from the live digest")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -13,8 +12,8 @@ import (
 // persistStep names one step of a persist job, in execution order. A
 // crash after any of them leaves a directory recovery accepts:
 //
-//	journalAppend, journalSync  the journal is longer than any snapshot's
-//	                            J; recovery cuts it back
+//	journalAppend, journalSync  the journal holds an instalment no visible
+//	                            snapshot names; recovery cuts it back
 //	tmpWrite, tmpSync           a snap-*.tmp nothing refers to; removed
 //	rename                      snap-(e+1) is visible and complete (its
 //	                            journal bytes were fsynced two steps ago);
@@ -28,6 +27,12 @@ import (
 // The journal goes first because a visible snapshot must find its tail:
 // were it appended after the rename, a crash in between would leave the
 // newest snapshot asking for journal bytes that do not exist.
+//
+// What to append is the persister's knowledge: prev, the snapshot whose
+// tail the journal ends with. The engine cannot know it — its Snapshot()
+// is also taken by callers that persist nothing — so the delta is asked
+// of the snapshot value against prev (amcast.TailSnapshot), never kept
+// as a mark inside the engine.
 type persistStep int
 
 const (
@@ -46,8 +51,8 @@ var persistStepNames = [numPersistSteps]string{
 }
 
 // journalChunk bounds one journal record's payload (maxWALRecord is the
-// reader's corruption threshold; a delta is a few kilobytes unless the
-// snapshot cadence is set very wide).
+// reader's corruption threshold; an instalment is a few kilobytes unless
+// the snapshot cadence is set very wide).
 const journalChunk = 1 << 20
 
 // persister makes captured snapshots durable off the engine goroutine,
@@ -58,9 +63,17 @@ type persister struct {
 	dir  string
 	keep bool
 	// journal is journal.log, positioned at its end; journalLen is the
-	// number of tail bytes it holds, all fsynced.
+	// number of tail bytes it holds, all fsynced, and prev the snapshot
+	// they end with (nil while there is none): the next job appends what
+	// its snapshot's tail adds to prev's.
 	journal    *os.File
 	journalLen int
+	prev       amcast.Snapshot
+	// file, tail and delta are the job's buffers — the snapshot file's
+	// image, the tail instalment, the instalment framed into journal
+	// records — kept from one job to the next, so each is built once at
+	// its final size instead of grown from nothing every time.
+	file, tail, delta []byte
 	// oldest is the lowest epoch whose files may still be on disk: each
 	// job removes [oldest, its own epoch).
 	oldest uint64
@@ -134,35 +147,33 @@ func (p *persister) start(snap amcast.Snapshot, epoch uint64) {
 	}()
 }
 
-// splitSnapshot yields snap's canonical encoding as body and tail from
-// offset from on; a snapshot without a tail is all body.
-func splitSnapshot(snap amcast.Snapshot, from int) (body, tail []byte, err error) {
+// splitSnapshot appends snap's body to body and, to tail, the instalment
+// of its tail that follows prev's; a snapshot without a tail is all body.
+func splitSnapshot(snap, prev amcast.Snapshot, body, tail []byte) ([]byte, []byte, error) {
 	switch s := snap.(type) {
 	case amcast.TailSnapshot:
-		return s.MarshalSplit(from)
+		return s.AppendSplit(body, tail, prev)
 	case amcast.BinarySnapshot:
-		if from != 0 {
-			return nil, nil, fmt.Errorf("durable: snapshot %T has no tail, the journal holds %d bytes of one", snap, from)
-		}
-		body, err = s.MarshalBinary()
-		return body, nil, err
+		data, err := s.MarshalBinary()
+		return append(body, data...), tail, err
 	}
 	return nil, nil, fmt.Errorf("durable: snapshot %T has no binary form", snap)
 }
 
 func (p *persister) persist(snap amcast.Snapshot, epoch uint64) error {
-	body, tail, err := splitSnapshot(snap, p.journalLen)
+	file, tail, err := splitSnapshot(snap, p.prev, append(p.file[:0], make([]byte, snapHeaderSize)...), p.tail[:0])
 	if err != nil {
 		return err
 	}
-	var delta []byte
+	delta := p.delta[:0]
 	for rest := tail; len(rest) > 0; {
 		n := min(len(rest), journalChunk)
 		delta = appendWALRecord(delta, rest[:n])
 		rest = rest[n:]
 	}
-	var hdr [snapHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(p.journalLen+len(tail)))
+	p.file, p.tail, p.delta = file, tail, delta
+	sealSnapshot(file, uint64(p.journalLen+len(tail)))
+	bodyBytesHist.Record(uint64(len(file) - snapHeaderSize))
 	final := snapPath(p.dir, epoch)
 	tmp := final + snapTmpSuffix
 	var f *os.File
@@ -179,16 +190,14 @@ func (p *persister) persist(snap amcast.Snapshot, epoch uint64) error {
 				return err
 			}
 			p.journalLen += len(tail)
+			p.prev = snap
 			return nil
 		},
 		stepTmpWrite: func() (err error) {
 			if f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
 				return err
 			}
-			if _, err = f.Write(hdr[:]); err == nil {
-				_, err = f.Write(body)
-			}
-			if err != nil {
+			if _, err = f.Write(file); err != nil {
 				f.Close()
 			}
 			return err

@@ -21,13 +21,16 @@ import (
 
 // crashStack is one engine stack the crash test persists: a factory for
 // one group's engine, the matching snapshot decoder, the protocol's
-// client entry route, and the group whose inputs are persisted.
+// client entry route, and the group whose inputs are persisted — the
+// inputs being what that group consumes of a gTPC-C stream run through
+// all groups (recordInputs) unless the stack brings its own.
 type crashStack struct {
 	name   string
 	mk     func(g amcast.GroupID) amcast.SnapshotEngine
 	decode func([]byte) (amcast.Snapshot, error)
 	route  func(m amcast.Message) []amcast.GroupID
 	target amcast.GroupID
+	inputs func(t *testing.T, cadence int) []amcast.Envelope
 }
 
 var crashGroups = []amcast.GroupID{1, 2, 3, 4}
@@ -56,6 +59,17 @@ func crashStacks() []crashStack {
 			decode: over(core.UnmarshalSnapshot),
 			route:  func(m amcast.Message) []amcast.GroupID { return []amcast.GroupID{ov.Lca(m.Dst)} },
 			target: 3,
+		},
+		{
+			// The same stack under a stream made for the order journal: see
+			// orderChurn.
+			name: "flexcast+store/order churn",
+			mk: executing(func(g amcast.GroupID) amcast.SnapshotEngine {
+				return core.MustNew(core.Config{Group: g, Overlay: ov})
+			}),
+			decode: over(core.UnmarshalSnapshot),
+			target: 3,
+			inputs: func(t *testing.T, cadence int) []amcast.Envelope { return orderChurn(t, 3, 12, cadence) },
 		},
 		{
 			name: "skeen+store",
@@ -140,6 +154,73 @@ func recordInputs(s crashStack, txs int) []amcast.Envelope {
 	return inputs
 }
 
+// orderTx wraps a new-order of the given lines, or with none a delivery,
+// at home warehouse g as the i-th client request addressed to g alone:
+// a FlexCast or one-group engine delivers it on arrival.
+func orderTx(g amcast.GroupID, i uint64, lines ...gtpcc.OrderLine) amcast.Envelope {
+	tx := gtpcc.Tx{Type: gtpcc.Delivery, Home: g, PayloadSize: 40}
+	if len(lines) > 0 {
+		tx = gtpcc.Tx{Type: gtpcc.NewOrder, Home: g, Customer: int32(i % gtpcc.NumCustomers), Items: len(lines), Lines: lines, PayloadSize: 64 + 12*len(lines)}
+	}
+	m := amcast.Message{ID: amcast.NewMsgID(0, i), Sender: amcast.ClientNode(0), Dst: []amcast.GroupID{g}, Payload: gtpcc.EncodeTx(tx)}
+	return amcast.Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m}
+}
+
+// orderChurn is an input stream for group g, one cadence of inputs per
+// window, that moves the store's order queue the ways its journal has
+// to survive. Windows come in fours: the queue grows by a cadence of
+// orders; two deliveries pop its head, journaled one window earlier,
+// while it keeps growing (a dead prefix before a non-empty queue);
+// deliveries drain it, then every order is delivered by the transaction
+// behind it (orders no snapshot ever holds: a gap in the journaled ids);
+// it grows again. The queue is modelled alongside, so that the test
+// fails here, not vaguely later, if the stream stops doing that.
+func orderChurn(t *testing.T, g amcast.GroupID, windows, cadence int) []amcast.Envelope {
+	t.Helper()
+	var envs []amcast.Envelope
+	var queued, delivered, next int // the model: next - delivered == queued
+	order := func() {
+		i := uint64(len(envs) + 1)
+		envs = append(envs, orderTx(g, i, gtpcc.OrderLine{Item: int32(i % gtpcc.NumItems), Supply: g, Qty: int32(1 + i%5)}))
+		queued, next = queued+1, next+1
+	}
+	deliver := func() {
+		envs = append(envs, orderTx(g, uint64(len(envs)+1)))
+		n := min(queued, 10)
+		queued, delivered = queued-n, delivered+n
+	}
+	deadHeads, gaps := 0, 0
+	for w := 0; w < windows; w++ {
+		end, nextBefore, deliveredBefore := len(envs)+cadence, next, delivered
+		switch w % 4 {
+		case 1:
+			deliver()
+			deliver()
+		case 2:
+			for queued > 0 {
+				deliver()
+			}
+			for len(envs)+3 <= end {
+				order()
+				deliver()
+			}
+		}
+		for len(envs) < end {
+			order()
+		}
+		if delivered > deliveredBefore && queued > 0 && nextBefore > deliveredBefore {
+			deadHeads++
+		}
+		if delivered > nextBefore {
+			gaps++
+		}
+	}
+	if deadHeads < 2 || gaps < 2 {
+		t.Fatalf("order churn of %d windows: %d dead journaled prefixes, %d gaps", windows, deadHeads, gaps)
+	}
+	return envs
+}
+
 // feedBatches pushes inputs through eng in batches of size batch.
 func feedBatches(eng amcast.SnapshotEngine, inputs []amcast.Envelope, batch int) {
 	for len(inputs) > 0 {
@@ -183,7 +264,12 @@ func copyDir(t *testing.T, src string) string {
 func TestCrashAtEveryPersistStep(t *testing.T) {
 	const cadence, batch = 24, 4
 	for _, s := range crashStacks() {
-		inputs := recordInputs(s, 900)
+		var inputs []amcast.Envelope
+		if s.inputs != nil {
+			inputs = s.inputs(t, cadence)
+		} else {
+			inputs = recordInputs(s, 900)
+		}
 		if len(inputs) < 8*cadence {
 			t.Fatalf("%s: only %d inputs recorded for group %d", s.name, len(inputs), s.target)
 		}
@@ -220,8 +306,12 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 						continue
 					}
 					// A job started and is parked after step. Input keeps
-					// arriving, up to the brink of the next cadence point.
+					// arriving, up to the brink of the next cadence point, and
+					// a snapshot nobody persists is taken on the way (the chaos
+					// model's, a follower's): what the next job journals is
+					// measured from the last persisted snapshot, not from it.
 					<-parked
+					de.Snapshot()
 					for off < len(inputs) && de.SinceSnapshot()+batch < cadence {
 						n := min(batch, len(inputs)-off)
 						feedBatches(de, inputs[off:off+n], batch)
@@ -421,19 +511,63 @@ func TestSnapshotLargerThanWALRecordLimit(t *testing.T) {
 	}
 }
 
-// cadencePoint measures one cadence point of a flexcast engine that has
-// delivered the given number of messages: the engine-goroutine stall
-// (the least of several, fsync times vary) and the bytes the persist
-// job wrote for it.
-func cadencePoint(tb testing.TB, delivered uint64) (stall time.Duration, written int64) {
-	dir := tb.TempDir()
+// cadenceLoad is what cadencePoint measures: an engine stack and the
+// input stream it is fed, one envelope per call.
+type cadenceLoad struct {
+	eng    amcast.SnapshotEngine
+	decode func([]byte) (amcast.Snapshot, error)
+	next   func() amcast.Envelope
+}
+
+// tombstoneLoad is a one-group FlexCast engine delivering every request
+// on arrival: its delivery-tombstone log grows by one per input.
+func tombstoneLoad(tb testing.TB) cadenceLoad {
 	ov, err := overlay.NewCDAG([]amcast.GroupID{1})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	i := uint64(0)
+	return cadenceLoad{
+		eng:    core.MustNew(core.Config{Group: 1, Overlay: ov}),
+		decode: core.UnmarshalSnapshot,
+		next:   func() amcast.Envelope { i++; return reqEnv(i) },
+	}
+}
+
+// orderLoad is a mirrored store executor over that engine. Its first
+// pending inputs are new-orders, leaving that many undelivered; from then
+// on ten new-orders alternate with one delivery of ten, which holds the
+// queue at that length while its head and tail both move.
+func orderLoad(tb testing.TB, pending int) cadenceLoad {
+	l := tombstoneLoad(tb)
+	ex, err := store.NewExecutor(l.eng, store.Config{Warehouse: 1}, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	engDecode := l.decode
+	i := uint64(0)
+	return cadenceLoad{
+		eng:    ex,
+		decode: func(data []byte) (amcast.Snapshot, error) { return store.UnmarshalSnapshot(data, engDecode) },
+		next: func() amcast.Envelope {
+			i++
+			if i > uint64(pending) && (i-uint64(pending))%11 == 0 {
+				return orderTx(1, i)
+			}
+			return orderTx(1, i,
+				gtpcc.OrderLine{Item: int32(i % gtpcc.NumItems), Supply: 1, Qty: 3},
+				gtpcc.OrderLine{Item: int32((i + 7) % gtpcc.NumItems), Supply: 1, Qty: 1})
+		},
+	}
+}
+
+// cadencePoint measures one cadence point of a load that has consumed
+// warm inputs: the engine-goroutine stall (the least of several, fsync
+// times vary) and the bytes the persist job wrote for it.
+func cadencePoint(tb testing.TB, load cadenceLoad, warm int) (stall time.Duration, written int64) {
+	dir := tb.TempDir()
 	const cadence = 256
-	deng, err := Wrap(core.MustNew(core.Config{Group: 1, Overlay: ov}),
-		Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: core.UnmarshalSnapshot})
+	deng, err := Wrap(load.eng, Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: load.decode})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -447,7 +581,13 @@ func cadencePoint(tb testing.TB, delivered uint64) (stall time.Duration, written
 		}
 		return n
 	}
-	feed(deng, 1, delivered-delivered%cadence)
+	feedN := func(n int) {
+		for ; n > 0; n-- {
+			deng.OnEnvelope(load.next())
+			deng.TakeDeliveries()
+		}
+	}
+	feedN(warm - warm%cadence)
 	if err := deng.Sync(); err != nil {
 		tb.Fatal(err)
 	}
@@ -457,12 +597,9 @@ func cadencePoint(tb testing.TB, delivered uint64) (stall time.Duration, written
 	const points = 8
 	stall = time.Hour
 	before := size()
-	next := delivered - delivered%cadence + 1
 	for p := 0; p < points; p++ {
-		feed(deng, next, cadence-1)
-		next += cadence - 1
-		deng.OnEnvelope(reqEnv(next))
-		next++
+		feedN(cadence - 1)
+		deng.OnEnvelope(load.next())
 		start := time.Now()
 		deng.TakeDeliveries()
 		stall = min(stall, time.Since(start))
@@ -480,36 +617,64 @@ func cadencePoint(tb testing.TB, delivered uint64) (stall time.Duration, written
 	return stall, written / points
 }
 
-// TestSnapshotCostIndependentOfTombstones: what a cadence point costs —
-// the engine goroutine's stall and the bytes written for it — must not
-// grow with the number of messages ever delivered.
+// checkCadenceCostFlat fails when what a cadence point costs — the engine
+// goroutine's stall and the bytes written for it — grew from the small
+// state to the big one.
+func checkCadenceCostFlat(t *testing.T, what string, smallStall, bigStall time.Duration, smallBytes, bigBytes int64) {
+	t.Helper()
+	if float64(bigBytes) > 1.5*float64(smallBytes) {
+		t.Errorf("bytes written per cadence point grew from %d to %d with the %s", smallBytes, bigBytes, what)
+	}
+	// The stall is a few hundred microseconds either way; the floor keeps
+	// scheduler noise from failing a comparison of two tiny numbers.
+	if limit := max(3*smallStall/2, 500*time.Microsecond); bigStall > limit {
+		t.Errorf("engine-goroutine stall per cadence point grew from %v to %v with the %s", smallStall, bigStall, what)
+	}
+}
+
+// TestSnapshotCostIndependentOfTombstones: what a cadence point costs
+// must not grow with the number of messages ever delivered.
 func TestSnapshotCostIndependentOfTombstones(t *testing.T) {
 	if testing.Short() {
 		t.Skip("delivers 200k messages")
 	}
-	smallStall, smallBytes := cadencePoint(t, 2_000)
-	bigStall, bigBytes := cadencePoint(t, 200_000)
+	smallStall, smallBytes := cadencePoint(t, tombstoneLoad(t), 2_000)
+	bigStall, bigBytes := cadencePoint(t, tombstoneLoad(t), 200_000)
 	t.Logf("2k deliveries: stall %v, %d B per cadence point; 200k deliveries: stall %v, %d B", smallStall, smallBytes, bigStall, bigBytes)
-	if float64(bigBytes) > 1.5*float64(smallBytes) {
-		t.Errorf("bytes written per cadence point grew from %d to %d with the tombstone count", smallBytes, bigBytes)
+	checkCadenceCostFlat(t, "tombstone count", smallStall, bigStall, smallBytes, bigBytes)
+}
+
+// TestSnapshotCostIndependentOfPendingOrders: nor with the number of
+// orders waiting for delivery — the store's queue is captured by prefix
+// and journaled once per order, like the tombstones.
+func TestSnapshotCostIndependentOfPendingOrders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("queues 100k orders")
 	}
-	// The stall is a few dozen microseconds either way; the floor keeps
-	// scheduler noise from failing a comparison of two tiny numbers.
-	if limit := max(3*smallStall/2, 200*time.Microsecond); bigStall > limit {
-		t.Errorf("engine-goroutine stall per cadence point grew from %v to %v with the tombstone count", smallStall, bigStall)
-	}
+	smallStall, smallBytes := cadencePoint(t, orderLoad(t, 1_000), 1_000)
+	bigStall, bigBytes := cadencePoint(t, orderLoad(t, 100_000), 100_000)
+	t.Logf("1k undelivered orders: stall %v, %d B per cadence point; 100k: stall %v, %d B", smallStall, smallBytes, bigStall, bigBytes)
+	checkCadenceCostFlat(t, "order queue", smallStall, bigStall, smallBytes, bigBytes)
 }
 
 // BenchmarkDurableCadencePoint reports the engine-goroutine stall of a
-// cadence point at two tombstone counts.
+// cadence point at two tombstone counts and at two order-queue lengths.
 func BenchmarkDurableCadencePoint(b *testing.B) {
-	for _, delivered := range []uint64{1_000, 100_000} {
+	report := func(b *testing.B, load func() cadenceLoad, warm int) {
+		for i := 0; i < b.N; i++ {
+			stall, written := cadencePoint(b, load(), warm)
+			b.ReportMetric(float64(stall.Nanoseconds()), "stall-ns/point")
+			b.ReportMetric(float64(written), "B/point")
+		}
+	}
+	for _, delivered := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("tombstones=%d", delivered), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stall, written := cadencePoint(b, delivered)
-				b.ReportMetric(float64(stall.Nanoseconds()), "stall-ns/point")
-				b.ReportMetric(float64(written), "B/point")
-			}
+			report(b, func() cadenceLoad { return tombstoneLoad(b) }, delivered)
+		})
+	}
+	for _, pending := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("orders=%d", pending), func(b *testing.B) {
+			report(b, func() cadenceLoad { return orderLoad(b, pending) }, pending)
 		})
 	}
 }

@@ -12,12 +12,14 @@ import (
 // with the telemetry registry as wal_fsync_ns, snapshot_write_ns,
 // snapshot_persist_ns and snapshot_backpressure_ns. The first two are
 // recorded on engine goroutines only, so their counts are a function of
-// the input; the persister records into persistHist alone.
+// the input; the persister records into persistHist and bodyBytesHist
+// (bytes, not nanoseconds: snapshot_body_bytes) alone.
 var (
 	fsyncHist        = metrics.NewHistogram()
 	snapshotHist     = metrics.NewHistogram()
 	persistHist      = metrics.NewHistogram()
 	backpressureHist = metrics.NewHistogram()
+	bodyBytesHist    = metrics.NewHistogram()
 )
 
 // FsyncHist is the WAL fsync-batch latency distribution: one sample per
@@ -40,3 +42,9 @@ func SnapshotPersistHist() *metrics.Histogram { return persistHist }
 // waiting for the previous persist job — zero unless the disk is slower
 // than the snapshot cadence.
 func SnapshotBackpressureHist() *metrics.Histogram { return backpressureHist }
+
+// SnapshotBodyBytesHist is the size of the snapshot bodies the persist
+// jobs wrote, one sample per job: what a cadence point rewrites, as
+// opposed to the tail instalment it appends to the journal. It should
+// track live state, not run length.
+func SnapshotBodyBytesHist() *metrics.Histogram { return bodyBytesHist }

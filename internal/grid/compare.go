@@ -24,7 +24,7 @@ func trackedMetrics(kind string) []string {
 	case "simbench":
 		return []string{"followerread_gate_ns_op", "followerread_serve_ns_op"}
 	case "soak":
-		return []string{"soak_disk_peak_bytes", "soak_heap_ratio"}
+		return []string{"soak_disk_peak_bytes", "soak_snap_growth", "soak_heap_ratio"}
 	case "sim":
 		return []string{"throughput_tx_s", "dest1_p50_ms"}
 	default:

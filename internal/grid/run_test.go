@@ -182,3 +182,52 @@ func keysOf(m map[string]MetricSummary) []string {
 	}
 	return out
 }
+
+// TestSoakSnapshotGrowth: the soak's snapshot check compares peaks, so
+// a size that saws up and down under history pruning passes at any
+// amplitude, and one that climbs with the run fails however slowly the
+// cadence bound (which grows along with it) would have noticed.
+func TestSoakSnapshotGrowth(t *testing.T) {
+	sampler := func(size func(i int) float64) *soakSampler {
+		s := &soakSampler{}
+		for i := 0; i < 40; i++ {
+			s.disk, s.snap, s.heap = append(s.disk, 3*size(i)), append(s.snap, size(i)), append(s.heap, 1)
+		}
+		return s
+	}
+	saw := sampler(func(i int) float64 { return 20_000 + 15_000*float64(i%7) }).metrics()
+	if saw.snapGrowth > 1.01 || saw.maxSnapBytes != 110_000 {
+		t.Fatalf("sawtooth: growth %.2f, largest snapshot %.0f", saw.snapGrowth, saw.maxSnapBytes)
+	}
+	climb := sampler(func(i int) float64 { return 80_000 + 70_000*float64(i) }).metrics()
+	if climb.snapGrowth <= maxSnapGrowth {
+		t.Fatalf("a snapshot growing 70 KB per sample has growth %.2f, under the %.2f bound", climb.snapGrowth, maxSnapGrowth)
+	}
+}
+
+// TestSoakCellRuns drives one short soak cell for real: the sampler
+// finds the rotating files and the journal apart, and the bounds hold.
+func TestSoakCellRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real durable load")
+	}
+	spec := testSpec(t, `{
+		"schema": "flexgrid/experiments/v1",
+		"experiments": [
+			{"name": "soak", "kind": "soak", "repeats": 1,
+			 "config": {"groups": 3, "clients": 1, "workers": 4, "execute": true, "durable": true,
+			            "durable_snapshot_every": 64, "warmup_ms": 100, "duration_ms": 1200, "timeout_ms": 60000},
+			 "soak": {"max_heap_ratio": 100, "sample_ms": 50}}
+		]
+	}`)
+	sum, err := RunSpec(spec, Options{OutDir: t.TempDir(), Log: &strings.Builder{}, Spec: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sum.Cell("soak").Metrics
+	for _, name := range []string{"soak_disk_peak_bytes", "soak_journal_bytes", "soak_snap_growth"} {
+		if m[name].Median <= 0 {
+			t.Errorf("%s = %v", name, m[name].Median)
+		}
+	}
+}

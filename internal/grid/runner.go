@@ -164,8 +164,8 @@ func headline(kind string, m map[string]float64) string {
 	case "simbench":
 		return fmt.Sprintf("gate %.0f ns/op, serve %.0f ns/op", m["followerread_gate_ns_op"], m["followerread_serve_ns_op"])
 	case "soak":
-		return fmt.Sprintf("%.0f tx/s, disk peak %.0f/%.0f bytes, heap ratio %.2f",
-			m["throughput_tx_s"], m["soak_disk_peak_bytes"], m["soak_disk_bound_bytes"], m["soak_heap_ratio"])
+		return fmt.Sprintf("%.0f tx/s, disk peak %.0f/%.0f bytes, journal %.0f bytes, snapshot growth %.2f, heap ratio %.2f",
+			m["throughput_tx_s"], m["soak_disk_peak_bytes"], m["soak_disk_bound_bytes"], m["soak_journal_bytes"], m["soak_snap_growth"], m["soak_heap_ratio"])
 	case "sim":
 		return fmt.Sprintf("%.0f tx/s, 1st destination p50 %.1f ms", m["throughput_tx_s"], m["dest1_p50_ms"])
 	default:

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flexcast/amcast"
@@ -162,9 +163,8 @@ func shiftingDeliver(s *Shard) {
 // TestOrderQueueMatchesShiftingQueue is the differential test of the
 // re-sliced order queue against the shifting one: identical digest and
 // snapshot bytes at every step, across growth and drain phases that
-// force the backing array to be reallocated several times; delivered
-// orders are cleared (their lines unreachable); and a clone is
-// independent of its origin whichever of them moves.
+// force the backing array to be reallocated several times, and a clone
+// is independent of its origin whichever of them moves.
 func TestOrderQueueMatchesShiftingQueue(t *testing.T) {
 	live, ref := MustNew(Config{Warehouse: 1}), MustNew(Config{Warehouse: 1})
 	rng := rand.New(rand.NewSource(5))
@@ -191,16 +191,8 @@ func TestOrderQueueMatchesShiftingQueue(t *testing.T) {
 			live.Apply(deliver(id, live.applied, 1, tx), nil)
 			ref.Apply(deliver(id, ref.applied, 1, tx), nil)
 		} else {
-			before := live.pending
-			n := min(len(before), 10)
 			live.Apply(deliver(id, live.applied, 1, deliverTx), nil)
 			shiftingDeliver(ref)
-			// before still spans the delivered prefix of the backing array.
-			for i, o := range before[:n] {
-				if o.lines != nil || o.total != 0 {
-					t.Fatalf("step %d: delivered order %d still reachable in the queue's backing array: %+v", steps, i, o)
-				}
-			}
 		}
 		if live.Digest() != ref.Digest() {
 			t.Fatalf("step %d: digest diverges from the shifting queue", steps)
@@ -218,7 +210,10 @@ func TestOrderQueueMatchesShiftingQueue(t *testing.T) {
 		}
 		// Clone mid-stream, move both sides differently, and compare each
 		// against an untouched twin of the other.
+		// (The shifting queue writes its array in place, so its twin is a
+		// deep copy, as every clone was when the queue shifted.)
 		clone, twin := live.Clone(), ref.Clone()
+		twin.pending = slices.Clone(twin.pending)
 		clone.Apply(deliver(1<<30, clone.applied, 1, deliverTx), nil)
 		clone.Apply(deliver(1<<30+1, clone.applied, 1, newOrder()), nil)
 		if live.Digest() != twin.Digest() {
@@ -233,5 +228,61 @@ func TestOrderQueueMatchesShiftingQueue(t *testing.T) {
 	}
 	if reallocs < 3 {
 		t.Fatalf("only %d backing-array reallocations in %d steps: the test no longer exercises them", reallocs, steps)
+	}
+}
+
+// TestCloneAliasesNothingTheShardWrites: a clone shares the order log
+// with its origin by prefix, which is sound only while nobody writes a
+// logged entry. Clone, then run the origin through new-orders and
+// deliveries until its queue has moved to a new backing array more than
+// once, checking after every transaction that the clone still marshals
+// and digests as it did — then poison what the clone can see of the
+// shared array and check that the origin never reads it again.
+func TestCloneAliasesNothingTheShardWrites(t *testing.T) {
+	live := MustNew(Config{Warehouse: 1})
+	rng := rand.New(rand.NewSource(11))
+	apply := func(i int, s *Shard) {
+		tx := gtpcc.Tx{Type: gtpcc.Delivery, Home: 1, PayloadSize: 40}
+		if i%16 != 15 { // fifteen orders in, ten out
+			lines := make([]gtpcc.OrderLine, 1+rng.Intn(4))
+			for j := range lines {
+				lines[j] = gtpcc.OrderLine{Item: int32(rng.Intn(gtpcc.NumItems)), Supply: 1, Qty: int32(1 + rng.Intn(5))}
+			}
+			tx = gtpcc.Tx{Type: gtpcc.NewOrder, Home: 1, Customer: int32(rng.Intn(gtpcc.NumCustomers)),
+				Items: len(lines), Lines: lines, PayloadSize: 64 + 12*len(lines)}
+		}
+		s.Apply(deliver(uint64(i+1), s.applied, 1, tx), nil)
+	}
+	// Clone where the live queue has room for a round of orders and a
+	// delivery before it must move: the first delivery after the clone
+	// then pops entries of the array both sides see.
+	start := 0
+	for ; start < 100 || cap(live.pending)-len(live.pending) < 16; start++ {
+		apply(start, live)
+	}
+	clone := live.Clone()
+	if len(clone.pending) < 20 || &clone.pending[0] != &live.pending[0] {
+		t.Fatalf("test premise: the clone of a %d-order queue does not share its log", len(clone.pending))
+	}
+	digest, data := clone.Digest(), clone.AppendBinary(nil)
+	reallocs := 0
+	for i := start; i < start+1500; i++ {
+		if len(live.pending) == cap(live.pending) {
+			reallocs++
+		}
+		apply(i, live)
+		if clone.Digest() != digest || !bytes.Equal(clone.AppendBinary(nil), data) {
+			t.Fatalf("transaction %d on the live shard changed its clone", i)
+		}
+	}
+	if reallocs < 2 || live.delivered < clone.nextOrder {
+		t.Fatalf("%d reallocations, %d delivered of the clone's %d orders: the live queue never left the shared array", reallocs, live.delivered, clone.nextOrder)
+	}
+	want := live.Digest()
+	for i := range clone.pending {
+		clone.pending[i] = order{id: 1 << 60, cust: -1, total: -1}
+	}
+	if live.Digest() != want {
+		t.Fatal("the live shard still reads the array it shared with its clone")
 	}
 }

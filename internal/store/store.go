@@ -71,7 +71,8 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// order is one undelivered order at its home warehouse.
+// order is one undelivered order at its home warehouse. It is written
+// once, by newOrder, and never after: clones and snapshots share it.
 type order struct {
 	id    uint64
 	cust  int32
@@ -107,7 +108,13 @@ type Shard struct {
 	delivered    uint64
 	deliveredSum int64 // order totals credited back by delivery txs
 
-	// Order queue (home warehouse only).
+	// Order queue (home warehouse only): the undelivered orders, ids
+	// [delivered, nextOrder), oldest first. It is the live window of an
+	// append-only log — newOrder appends, deliverOrders advances the head,
+	// nothing writes an entry in between — so a Clone takes it by prefix
+	// (capacity clipped, as core.capture takes its delivery log) and may
+	// be read on another goroutine while this shard runs on. Delivered
+	// entries are let go when append moves the window to a new array.
 	nextOrder uint64
 	pending   []order
 	// orderedFrom[w] is the total quantity this warehouse's new-orders
@@ -376,10 +383,9 @@ func (s *Shard) deliverOrders(rec *trace.ExecRecord) {
 		s.delivered++
 		s.touch(rec, trace.TableCustomer, o.cust, true)
 	}
-	// Drop the delivered prefix without moving the rest: clearing it
-	// releases the orders' lines, and append reallocates (copying only
-	// live orders) once the backing array's tail is used up.
-	clear(s.pending[:n])
+	// Advance the head and leave the entries alone — a clone may be
+	// reading them. append reallocates, copying only live orders, once
+	// the backing array's tail is used up; that is when they are freed.
 	s.pending = s.pending[n:]
 }
 
@@ -421,7 +427,8 @@ func (s *Shard) ReadTx(tx gtpcc.Tx) (int64, []trace.Row, error) {
 }
 
 // Clone returns an independent copy of the shard (snapshots, mirrors):
-// nothing either side can mutate is shared.
+// nothing either side can mutate is shared. Its cost is the tables; the
+// order queue, however long, is shared by prefix.
 func (s *Shard) Clone() *Shard {
 	c := *s
 	c.stockQty = append([]int32(nil), s.stockQty...)
@@ -431,9 +438,9 @@ func (s *Shard) Clone() *Shard {
 	c.ytdPaid = append([]int64(nil), s.ytdPaid...)
 	c.payCnt = append([]int32(nil), s.payCnt...)
 	c.lastOrder = append([]int64(nil), s.lastOrder...)
-	// An order's lines are written once, in newOrder, and never mutated,
-	// so the clone shares them: one slice copy, not one per order.
-	c.pending = append([]order(nil), s.pending...)
+	// Clipped, so that either side's next append either lands beyond what
+	// the other can see or moves to a new array.
+	c.pending = s.pending[:len(s.pending):len(s.pending)]
 	c.orderedFrom = make(map[amcast.GroupID]int64, len(s.orderedFrom))
 	for w, q := range s.orderedFrom {
 		c.orderedFrom[w] = q
@@ -445,11 +452,15 @@ func (s *Shard) Clone() *Shard {
 // replicas of a group (and recovery replays) must agree byte-for-byte.
 func (s *Shard) Digest() [32]byte {
 	h := sha256.New()
+	// Hashed through a buffer: a Write per word costs more than the hash.
+	buf := make([]byte, 0, 4096)
 	le := func(vs ...uint64) {
-		var buf [8]byte
 		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	}
 	le(uint64(uint32(s.cfg.Warehouse)), uint64(s.cfg.Items), uint64(s.cfg.Customers), uint64(s.cfg.Seed))
@@ -477,6 +488,7 @@ func (s *Shard) Digest() [32]byte {
 	for _, w := range ws {
 		le(uint64(uint32(w)), uint64(s.orderedFrom[w]))
 	}
+	h.Write(buf)
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
