@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
 	"flexcast/internal/runtime"
@@ -106,6 +108,8 @@ type Cluster struct {
 	dep   *deploy.Deployment
 	net   *transport.InMemNet
 	nodes []*runtime.Node
+	// send transmits the built-in client's requests.
+	send transport.SendFunc
 	// clientSeq persists the built-in client's sequence reservation on
 	// durable clusters: message ids must stay unique across cluster
 	// incarnations, or a reopened cluster would reissue ids its recovered
@@ -113,28 +117,28 @@ type Cluster struct {
 	// new requests instead of ordering them. nil on in-memory clusters.
 	clientSeq *durable.SeqFile
 
-	mu      sync.Mutex
-	seq     uint64
-	waiters map[MsgID]*callWaiter
-	// observed is the delivered prefix this client has witnessed per
+	mu  sync.Mutex
+	seq uint64
+	// calls is the built-in client (client 0): the open Calls, and in
+	// calls.Prefix the delivered prefix the client has witnessed per
 	// group — the consistency barrier of the local-read fast path
-	// (StoreCluster): a read at barrier observed[g] sees every delivery
-	// whose reply the client has already received. Guarded by mu.
-	observed amcast.PrefixTracker
-	closed   bool
+	// (StoreCluster): a read at that barrier sees every delivery whose
+	// reply the client has already received. Guarded by mu.
+	calls  *client.Calls[callWaiter]
+	closed bool
 }
 
+// callWaiter is what a blocked Call keeps in its table entry.
 type callWaiter struct {
-	remaining map[GroupID]bool
-	// results collects each destination group's execution result code
-	// from its reply (amcast.ResultNone for pure-multicast clusters).
-	results map[GroupID]uint8
 	// observed folds this call's replies alone — the per-call barrier
 	// delta a Session merges into its own vector (the cluster-wide
-	// tracker c.observed is too coarse for sessions: it advances with
-	// every caller's traffic, not just this session's observations).
+	// tracker is too coarse for sessions: it advances with every
+	// caller's traffic, not just this session's observations).
 	observed amcast.PrefixTracker
-	done     chan struct{}
+	// done is closed when the call completes, or — with closed set —
+	// when the cluster closes under it.
+	done   chan struct{}
+	closed bool
 }
 
 // NewCluster builds and starts a cluster.
@@ -156,12 +160,7 @@ func newCluster(cfg ClusterConfig, dep *deploy.Deployment) (*Cluster, error) {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 10 * time.Second
 	}
-	c := &Cluster{
-		cfg:      cfg,
-		net:      transport.NewInMemNet(),
-		waiters:  make(map[MsgID]*callWaiter),
-		observed: make(amcast.PrefixTracker),
-	}
+	c := &Cluster{cfg: cfg, net: transport.NewInMemNet()}
 	if d := cfg.Durable; d != nil {
 		if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 			return nil, err
@@ -178,30 +177,19 @@ func newCluster(cfg ClusterConfig, dep *deploy.Deployment) (*Cluster, error) {
 		})
 	}
 	c.dep = dep
-	for _, g := range dep.Groups {
-		eng, err := dep.NewEngine(g)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		id := amcast.GroupNode(g)
-		send := func(to NodeID, envs []Envelope) { c.net.SendBatch(id, to, envs) }
-		node := runtime.NewNode(eng, send, runtime.Config{
+	c.calls = client.NewCalls[callWaiter](0, dep.Route)
+	var err error
+	c.nodes, err = dep.Host(c.net, func(amcast.GroupID) runtime.Config {
+		return runtime.Config{
 			MaxBatch:      cfg.MaxBatch,
 			FlushInterval: cfg.FlushInterval,
-			OnDeliver: func(d Delivery) {
-				if cfg.OnDeliver != nil {
-					cfg.OnDeliver(d)
-				}
-			},
-		})
-		c.nodes = append(c.nodes, node)
-		if err := c.net.AddBatchHandler(id, node.Submit); err != nil {
-			c.Close()
-			return nil, err
+			OnDeliver:     cfg.OnDeliver,
 		}
+	})
+	if err == nil {
+		c.send, err = c.net.Attach(c.calls.ID(), c.onClientBatch)
 	}
-	if err := c.net.AddHandler(amcast.ClientNode(0), c.onClientEnvelope); err != nil {
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -242,7 +230,7 @@ func (c *Cluster) Groups() []GroupID { return append([]GroupID(nil), c.dep.Group
 func (c *Cluster) ObservedPrefix(g GroupID) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.observed.Prefix(g)
+	return c.calls.Prefix.Prefix(g)
 }
 
 // observeRead folds a read result's serving watermark into the
@@ -250,7 +238,7 @@ func (c *Cluster) ObservedPrefix(g GroupID) uint64 {
 // different serving replicas.
 func (c *Cluster) observeRead(g GroupID, watermark uint64) {
 	c.mu.Lock()
-	c.observed.Fold(g, watermark)
+	c.calls.Prefix.Fold(g, watermark)
 	c.mu.Unlock()
 }
 
@@ -258,138 +246,129 @@ func (c *Cluster) observeRead(g GroupID, watermark uint64) {
 // message id without waiting for delivery. Deliveries surface through
 // ClusterConfig.OnDeliver.
 func (c *Cluster) Multicast(dst []GroupID, payload []byte) (MsgID, error) {
-	m, err := c.send(dst, payload, nil)
-	if err != nil {
-		return 0, err
-	}
-	return m.ID, nil
+	m, _, err := c.issue(dst, payload, false)
+	return m.ID, err
 }
 
 // Call multicasts payload and blocks until every destination group has
 // delivered (i.e. replied), or the timeout elapses.
 func (c *Cluster) Call(dst []GroupID, payload []byte) (MsgID, error) {
-	id, _, err := c.CallResults(dst, payload)
+	id, _, err := c.call(dst, payload)
 	return id, err
 }
 
 // CallResults is Call, additionally returning each destination group's
-// execution result code from its reply (amcast.ResultCommitted /
-// amcast.ResultAborted on executing clusters, amcast.ResultNone on
-// pure-multicast ones).
+// execution result code (amcast.ResultCommitted / amcast.ResultAborted
+// on executing clusters, amcast.ResultNone on pure-multicast ones). The
+// destinations of one call must agree: a call whose destinations
+// reported different verdicts, or only some of which executed, fails.
 func (c *Cluster) CallResults(dst []GroupID, payload []byte) (MsgID, map[GroupID]uint8, error) {
-	id, results, _, err := c.callObserved(dst, payload)
+	id, call, err := c.call(dst, payload)
+	if err != nil {
+		return id, nil, err
+	}
+	results, err := callResults(call)
 	return id, results, err
 }
 
-// callObserved is CallResults, additionally returning the delivered
-// prefixes this call's replies alone witnessed — the per-call barrier
-// delta sessions (StoreCluster.Session) fold into their own vectors.
-func (c *Cluster) callObserved(dst []GroupID, payload []byte) (MsgID, map[GroupID]uint8, amcast.PrefixTracker, error) {
-	w := &callWaiter{
-		remaining: make(map[GroupID]bool),
-		results:   make(map[GroupID]uint8),
-		observed:  make(amcast.PrefixTracker),
-		done:      make(chan struct{}),
+// callResults expands a completed call's folded verdict (client.Calls)
+// to one result code per destination.
+func callResults(call *client.Call[callWaiter]) (map[GroupID]uint8, error) {
+	id := call.Msg.ID
+	if call.Diverged {
+		return nil, fmt.Errorf("flexcast: tx %s verdicts diverge across its destinations", id)
 	}
-	m, err := c.send(dst, payload, w)
+	if call.Result != amcast.ResultNone && call.Unexecuted != amcast.NoGroup {
+		return nil, fmt.Errorf("flexcast: group %d did not execute tx %s", call.Unexecuted, id)
+	}
+	results := make(map[GroupID]uint8, len(call.Msg.Dst))
+	for _, g := range call.Msg.Dst {
+		results[g] = call.Result
+	}
+	return results, nil
+}
+
+// call multicasts payload and waits for the completed call, whose entry
+// carries the folded verdict and the delivered prefixes this call's
+// replies alone witnessed.
+func (c *Cluster) call(dst []GroupID, payload []byte) (MsgID, *client.Call[callWaiter], error) {
+	m, call, err := c.issue(dst, payload, true)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	// Stopped on return: an unfired timer is not collectable under this
 	// module's go 1.22 timer semantics, and CallTimeout outlives most calls.
 	timeout := time.NewTimer(c.cfg.CallTimeout)
 	defer timeout.Stop()
 	select {
-	case <-w.done:
-		c.mu.Lock()
-		results, observed := w.results, w.observed
-		c.mu.Unlock()
-		return m.ID, results, observed, nil
+	case <-call.Data.done:
+		if call.Data.closed {
+			return m.ID, nil, fmt.Errorf("flexcast: cluster closed with call %s pending", m.ID)
+		}
+		return m.ID, call, nil
 	case <-timeout.C:
 		c.mu.Lock()
-		delete(c.waiters, m.ID)
+		c.calls.Abandon(m.ID)
 		c.mu.Unlock()
-		return m.ID, nil, nil, fmt.Errorf("flexcast: call %s timed out after %v", m.ID, c.cfg.CallTimeout)
+		return m.ID, nil, fmt.Errorf("flexcast: call %s timed out after %v", m.ID, c.cfg.CallTimeout)
 	}
 }
 
-func (c *Cluster) send(dst []GroupID, payload []byte, w *callWaiter) (Message, error) {
-	norm := amcast.NormalizeDst(append([]GroupID(nil), dst...))
-	if len(norm) == 0 {
-		return Message{}, fmt.Errorf("flexcast: empty destination set")
+// issue validates dst, builds the next message and sends its requests;
+// with wait set the call is opened first, so its replies are collected.
+func (c *Cluster) issue(dst []GroupID, payload []byte, wait bool) (Message, *client.Call[callWaiter], error) {
+	dst = append([]GroupID(nil), dst...)
+	if len(dst) == 0 {
+		return Message{}, nil, fmt.Errorf("flexcast: empty destination set")
 	}
-	for _, g := range norm {
-		if !c.contains(g) {
-			return Message{}, fmt.Errorf("flexcast: group %d not in cluster", g)
+	for _, g := range dst {
+		if !slices.Contains(c.dep.Groups, g) {
+			return Message{}, nil, fmt.Errorf("flexcast: group %d not in cluster", g)
 		}
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Message{}, fmt.Errorf("flexcast: cluster closed")
+		return Message{}, nil, fmt.Errorf("flexcast: cluster closed")
 	}
 	if c.clientSeq != nil {
 		seq, err := c.clientSeq.Next()
 		if err != nil {
 			c.mu.Unlock()
-			return Message{}, fmt.Errorf("flexcast: reserving client sequence: %w", err)
+			return Message{}, nil, fmt.Errorf("flexcast: reserving client sequence: %w", err)
 		}
 		c.seq = seq
 	} else {
 		c.seq++
 	}
-	m := Message{
-		ID:      amcast.NewMsgID(0, c.seq),
-		Sender:  amcast.ClientNode(0),
-		Dst:     norm,
-		Payload: append([]byte(nil), payload...),
-	}
-	if w != nil {
-		for _, g := range norm {
-			w.remaining[g] = true
-		}
-		c.waiters[m.ID] = w
+	m := c.calls.Message(c.seq, dst, 0, append([]byte(nil), payload...))
+	var call *client.Call[callWaiter]
+	if wait {
+		call = c.calls.Issue(m, callWaiter{observed: make(amcast.PrefixTracker), done: make(chan struct{})})
 	}
 	c.mu.Unlock()
 
-	for _, to := range c.dep.Route(m) {
-		c.net.Send(m.Sender, to, Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
-	}
-	return m, nil
+	c.calls.Requests(m, func(to NodeID, env Envelope) { c.send(to, []Envelope{env}) })
+	return m, call, nil
 }
 
-func (c *Cluster) contains(g GroupID) bool {
-	for _, have := range c.dep.Groups {
-		if have == g {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cluster) onClientEnvelope(env Envelope) {
-	if env.Kind != amcast.KindReply {
-		return
-	}
+func (c *Cluster) onClientBatch(envs []Envelope) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observed.Observe(env)
-	w, ok := c.waiters[env.Msg.ID]
-	if !ok {
-		return
-	}
-	w.observed.Observe(env)
-	if w.remaining[env.From.Group()] {
-		w.results[env.From.Group()] = env.Result
-	}
-	delete(w.remaining, env.From.Group())
-	if len(w.remaining) == 0 {
-		delete(c.waiters, env.Msg.ID)
-		close(w.done)
+	for _, env := range envs {
+		call, progress := c.calls.Reply(env)
+		if call == nil {
+			continue
+		}
+		call.Data.observed.Observe(env)
+		if progress == client.Completed {
+			close(call.Data.done)
+		}
 	}
 }
 
-// Close stops all group goroutines. Pending Calls fail by timeout.
+// Close stops all group goroutines. Pending Calls fail at once with a
+// "cluster closed" error.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -397,6 +376,10 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
+	c.calls.Drain(func(call *client.Call[callWaiter]) {
+		call.Data.closed = true
+		close(call.Data.done)
+	})
 	c.mu.Unlock()
 	c.net.Close()
 	for _, n := range c.nodes {

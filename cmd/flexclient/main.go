@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/metrics"
@@ -65,27 +65,28 @@ func run(clientIdx, home int, protocol, overlayF, treeF, peersF string,
 		return err
 	}
 
-	id := amcast.ClientNode(clientIdx)
-	var (
-		mu      sync.Mutex
-		pending map[amcast.GroupID]bool
-		replies []time.Duration
+	// The call table collects one reply per destination; each call's entry
+	// carries when it was issued and how long each destination took, in
+	// arrival order (the dispatcher is one goroutine).
+	type txWait struct {
 		started time.Time
-		doneCh  chan struct{}
-	)
-	node, err := transport.NewTCPNode(id, book, func(env amcast.Envelope) {
-		if env.Kind != amcast.KindReply {
-			return
-		}
+		replies []time.Duration
+		done    chan struct{}
+	}
+	var mu sync.Mutex // guards calls
+	calls := client.NewCalls[txWait](clientIdx, dep.Route)
+	node, err := transport.NewTCPBatchNode(calls.ID(), book, func(envs []amcast.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
-		if pending == nil || !pending[env.From.Group()] {
-			return
-		}
-		delete(pending, env.From.Group())
-		replies = append(replies, time.Since(started))
-		if len(pending) == 0 {
-			close(doneCh)
+		for _, env := range envs {
+			call, progress := calls.Reply(env)
+			if call == nil {
+				continue
+			}
+			call.Data.replies = append(call.Data.replies, time.Since(call.Data.started))
+			if progress == client.Completed {
+				close(call.Data.done)
+			}
 		}
 	})
 	if err != nil {
@@ -102,40 +103,30 @@ func run(clientIdx, home int, protocol, overlayF, treeF, peersF string,
 	completed := 0
 	for i := 0; i < n; i++ {
 		tx := gen.Next()
-		m := amcast.Message{
-			ID:      amcast.NewMsgID(clientIdx, uint64(i+1)),
-			Sender:  id,
-			Dst:     tx.Dst,
-			Payload: make([]byte, tx.PayloadSize),
-		}
+		m := calls.Message(uint64(i+1), tx.Dst, 0, make([]byte, tx.PayloadSize))
 		mu.Lock()
-		pending = make(map[amcast.GroupID]bool, len(m.Dst))
-		for _, g := range m.Dst {
-			pending[g] = true
-		}
-		replies = replies[:0]
-		started = time.Now()
-		doneCh = make(chan struct{})
-		done := doneCh
+		call := calls.Issue(m, txWait{started: time.Now(), done: make(chan struct{})})
 		mu.Unlock()
 
-		for _, to := range dep.Route(m) {
-			if err := node.Send(to, amcast.Envelope{Kind: amcast.KindRequest, From: id, Msg: m}); err != nil {
-				return fmt.Errorf("tx %d: %w", i, err)
+		var sendErr error
+		calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) {
+			if err := node.SendBatch(to, []amcast.Envelope{env}); err != nil && sendErr == nil {
+				sendErr = err
 			}
+		})
+		if sendErr != nil {
+			return fmt.Errorf("tx %d: %w", i, sendErr)
 		}
 		timer := time.NewTimer(timeout)
 		select {
-		case <-done:
+		case <-call.Data.done:
 			timer.Stop()
-			mu.Lock()
-			sort.Slice(replies, func(a, b int) bool { return replies[a] < replies[b] })
-			for k, d := range replies {
+			// Completed: the call has left the table, nothing writes it.
+			for k, d := range call.Data.replies {
 				if k < 3 {
 					perDest[k].Record(uint64(max(d.Microseconds(), 0)))
 				}
 			}
-			mu.Unlock()
 			completed++
 		case <-timer.C:
 			return fmt.Errorf("tx %d (%s to %v) timed out", i, m.ID, m.Dst)

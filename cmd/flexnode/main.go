@@ -72,36 +72,21 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	}
 	// The batched node runtime over TCP: inbound frames (single or batch)
 	// drain through the engine's batch fast path; outputs leave as batch
-	// frames per destination. The listener starts accepting before the
-	// TCPNode variable is assigned, so the send path gates on tcpReady —
-	// a frame dispatched in that window parks until the assignment is
-	// published.
-	var (
-		tcp      *transport.TCPNode
-		tcpReady = make(chan struct{})
-	)
-	rt := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
-		<-tcpReady
-		if tcp == nil {
-			return // listener never came up; the node is shutting down
-		}
-		// Peer unreachable: FIFO links are assumed reliable by the
-		// protocols; the send path retries dialing, so this only
-		// triggers on shutdown.
-		_ = tcp.SendBatch(to, envs)
-	}, runtime.Config{MaxBatch: batch, FlushInterval: flush, OnDeliver: onDeliver})
-	tcp, err = transport.NewTCPBatchNode(amcast.GroupNode(g), book, rt.Submit)
+	// frames per destination.
+	mesh, err := transport.ListenTCP(book, amcast.GroupNode(g))
 	if err != nil {
-		close(tcpReady) // unblock the worker so Close can drain
-		rt.Close()
 		return err
 	}
-	close(tcpReady)
+	rt, err := runtime.Host(mesh, eng, runtime.Config{MaxBatch: batch, FlushInterval: flush, OnDeliver: onDeliver})
+	if err != nil {
+		mesh.Close()
+		return err
+	}
 	defer func() {
-		tcp.Close()
+		mesh.Close() // first, so a send parked on a dead peer fails fast
 		rt.Close()
 	}()
-	log.Printf("flexnode: group %d (%s) listening on %s (batch=%d)", group, protocol, tcp.Addr(), batch)
+	log.Printf("flexnode: group %d (%s) listening on %s (batch=%d)", group, protocol, mesh.Addr(amcast.GroupNode(g)), batch)
 
 	if telem != "" {
 		runtime.RegisterTelemetry(telemetry.Default, []*runtime.Node{rt}, nil)

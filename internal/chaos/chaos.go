@@ -66,8 +66,8 @@ type Deployment struct {
 	// (store.Executor). now is the schedule's simulator clock (the lease
 	// clock for follower read leases). The returned Instrumentation
 	// provides the schedule's execution-level hooks: the
-	// post-quiescence audit and, optionally, the read fast path the
-	// explorer's clients exercise.
+	// post-quiescence audit, optionally the read fast path the
+	// explorer's clients exercise, and the rebind durable recovery needs.
 	Instrument func(engines map[amcast.GroupID]amcast.SnapshotEngine, now func() sim.Time) *Instrumentation
 }
 
@@ -90,6 +90,12 @@ type Instrumentation struct {
 	//     the delivered-prefix contract broke — reported as the
 	//     schedule's violation.
 	FastRead func(rng *rand.Rand, g amcast.GroupID, barrier uint64, now sim.Time) (served bool, err error)
+	// Rebind re-attaches group g's instrumentation to eng, the fresh
+	// engine a durable recovery rebuilt from disk (Options.Durable): the
+	// pre-crash engine and whatever was attached to it are gone. It runs
+	// after the WAL replay, so replayed deliveries are not observed twice.
+	// Required when Instrument and Options.Durable are combined.
+	Rebind func(g amcast.GroupID, eng amcast.SnapshotEngine) error
 	// PostCheck, when non-nil, runs after the schedule quiesces,
 	// auditing execution-level properties (serializability including
 	// fast reads and lease validity, store invariants, replica digests).
@@ -184,8 +190,8 @@ type Options struct {
 	// (Deployment.Decode required). Every recovery is audited: the
 	// recovered state must equal the crashed engine's final state byte
 	// for byte, and the replay length must stay within the snapshot
-	// cadence. Does not compose with Instrument deployments (their
-	// observers would bind to pre-crash engines).
+	// cadence. Instrument deployments are re-attached to each recovered
+	// engine through Instrumentation.Rebind.
 	Durable bool
 	// TornTailProb is the per-crash probability, in durable mode, that
 	// the abandoned WAL is left with a torn tail — a partial record cut

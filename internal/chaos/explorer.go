@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/sim"
 	"flexcast/internal/telemetry"
 	"flexcast/internal/trace"
@@ -152,25 +153,25 @@ func Explore(d Deployment, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// readIssuer tracks one client's session barrier (reply sequence
-// numbers plus piggybacked watermarks) and issues seeded fast-path
-// transactions through the deployment's FastRead instrumentation —
-// each read at the client's own barrier, so read-your-writes is
-// exercised under the full fault model, across whichever replica the
+// readIssuer issues seeded fast-path transactions through the
+// deployment's FastRead instrumentation — each read at its client's own
+// session barrier (the call table's observed prefix: reply sequence
+// numbers plus piggybacked watermarks), so read-your-writes is exercised
+// under the full fault model, across whichever replica the
 // instrumentation routes the read to.
 type readIssuer struct {
 	rng    *rand.Rand
 	prob   float64
 	read   func(rng *rand.Rand, g amcast.GroupID, barrier uint64, now sim.Time) (bool, error)
 	now    func() sim.Time
-	prefix amcast.PrefixTracker
+	prefix amcast.PrefixTracker // the client's calls.Prefix
 	res    *ScheduleResult
 	fail   func(err error)
 }
 
 // newReadIssuer returns nil when the deployment has no fast-read hook
 // or reads are disabled.
-func newReadIssuer(instr *Instrumentation, opt Options, s *sim.Simulator, seed int64, client int, res *ScheduleResult, fail func(error)) *readIssuer {
+func newReadIssuer(instr *Instrumentation, opt Options, s *sim.Simulator, seed int64, client int, prefix amcast.PrefixTracker, res *ScheduleResult, fail func(error)) *readIssuer {
 	if instr == nil || instr.FastRead == nil || opt.FastReadProb <= 0 {
 		return nil
 	}
@@ -179,22 +180,22 @@ func newReadIssuer(instr *Instrumentation, opt Options, s *sim.Simulator, seed i
 		prob:   opt.FastReadProb,
 		read:   instr.FastRead,
 		now:    s.Now,
-		prefix: make(amcast.PrefixTracker),
+		prefix: prefix,
 		res:    res,
 		fail:   fail,
 	}
 }
 
-// onReply folds one reply into the session barrier and, with the
-// configured probability, issues a fast-path read at the replying
-// group's barrier. Lease refusals are counted, never failed: a
-// follower that refuses after losing its grantor is behaving exactly
-// as specified.
-func (ri *readIssuer) onReply(env amcast.Envelope) {
-	if ri == nil || env.Kind != amcast.KindReply {
+// onReply, called for every reply the client's table has folded into the
+// session barrier (stale and duplicate replies included — they still
+// witness a delivered prefix), issues with the configured probability a
+// fast-path read at the replying group's barrier. Lease refusals are
+// counted, never failed: a follower that refuses after losing its
+// grantor is behaving exactly as specified.
+func (ri *readIssuer) onReply(env amcast.Envelope, progress client.Progress) {
+	if ri == nil || progress == client.NotReply {
 		return
 	}
-	ri.prefix.Observe(env)
 	if ri.rng.Float64() >= ri.prob {
 		return
 	}
@@ -211,18 +212,16 @@ func (ri *readIssuer) onReply(env amcast.Envelope) {
 }
 
 // loopClient is one closed-loop workload source: it issues its next
-// multicast as soon as the previous one completed at every destination.
-// Duplicate replies (fault injection) are folded by the pending set.
+// multicast as soon as the previous one completed at every destination
+// (the call table folds the duplicate and stale replies faults inject).
 type loopClient struct {
 	s     *sim.Simulator
 	net   *sim.Network
-	route func(m amcast.Message) []amcast.NodeID
 	rec   *trace.Recorder
 	res   *ScheduleResult
-	id    amcast.NodeID
+	calls *client.Calls[struct{}]
 	msgs  []amcast.Message
 	next  int
-	cur   map[amcast.GroupID]bool
 	think sim.Time
 	reads *readIssuer
 	// tracer stamps sampled multicasts (nil on the flush client, whose
@@ -236,34 +235,19 @@ func (c *loopClient) issue() {
 	}
 	m := c.msgs[c.next]
 	c.next++
-	c.cur = make(map[amcast.GroupID]bool, len(m.Dst))
-	for _, g := range m.Dst {
-		c.cur[g] = true
-	}
+	c.calls.Issue(m, struct{}{})
 	c.rec.OnMulticast(m)
 	c.res.Multicasts++
 	c.tracer.Begin(m.ID)
-	for _, to := range c.route(m) {
-		c.net.Send(c.id, to, amcast.Envelope{Kind: amcast.KindRequest, From: c.id, Msg: m})
-	}
+	c.calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { c.net.Send(c.calls.ID(), to, env) })
 }
 
 // HandleEnvelope implements sim.Handler: collect replies, issue the next
-// multicast once the current one completed everywhere. Every reply also
-// feeds the fast-read issuer (stale and duplicate replies included —
-// they still witness a delivered prefix).
+// multicast once the current one completed everywhere.
 func (c *loopClient) HandleEnvelope(env amcast.Envelope) {
-	c.reads.onReply(env)
-	if env.Kind != amcast.KindReply || c.cur == nil || !c.cur[env.From.Group()] {
-		return
-	}
-	// Stale replies for earlier messages cannot reach here: cur only
-	// tracks the in-flight message, and ids are per-client unique.
-	if env.Msg.ID != c.msgs[c.next-1].ID {
-		return
-	}
-	delete(c.cur, env.From.Group())
-	if len(c.cur) == 0 {
+	_, progress := c.calls.Reply(env)
+	c.reads.onReply(env, progress)
+	if progress == client.Completed {
 		c.tracer.Finish(env.Msg.ID)
 		c.s.Schedule(c.think, c.issue)
 	}
@@ -328,9 +312,6 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 		if d.Decode == nil {
 			return nil, nil, fmt.Errorf("chaos: Options.Durable requires Deployment.Decode")
 		}
-		if d.Instrument != nil {
-			return nil, nil, fmt.Errorf("chaos: Options.Durable does not compose with Instrument deployments (observers would bind to pre-crash engines)")
-		}
 		dir, err := os.MkdirTemp("", "chaos-durable-")
 		if err != nil {
 			return nil, nil, err
@@ -381,6 +362,15 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 	var instr *Instrumentation
 	if d.Instrument != nil {
 		instr = d.Instrument(engines, s.Now)
+		if opt.Durable {
+			if instr.Rebind == nil {
+				return nil, nil, fmt.Errorf("chaos: Options.Durable needs Instrumentation.Rebind (observers would stay bound to pre-crash engines)")
+			}
+			for g, n := range nodes {
+				g := g
+				n.rebind = func(eng amcast.SnapshotEngine) error { return instr.Rebind(g, eng) }
+			}
+		}
 	}
 
 	// Crash/recovery schedule: crash the server and park its traffic;
@@ -418,8 +408,9 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 	// closed-loop too (one flush per completed flush plus think time),
 	// keeping GC active across the whole denser run.
 	if opt.FlushEvery > 0 {
-		fid := amcast.ClientNode(opt.Clients)
-		allGroups := amcast.NormalizeDst(append([]amcast.GroupID(nil), d.Groups...))
+		fcalls := client.NewCalls[struct{}](opt.Clients, d.Route)
+		fid := fcalls.ID()
+		allGroups := append([]amcast.GroupID(nil), d.Groups...)
 		if opt.ClosedLoop {
 			n := opt.Messages
 			if n < 4 {
@@ -427,16 +418,11 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 			}
 			msgs := make([]amcast.Message, n)
 			for i := range msgs {
-				msgs[i] = amcast.Message{
-					ID:     amcast.NewMsgID(opt.Clients, uint64(i+1)),
-					Sender: fid,
-					Dst:    allGroups,
-					Flags:  amcast.FlagFlush,
-				}
+				msgs[i] = fcalls.Message(uint64(i+1), allGroups, amcast.FlagFlush, nil)
 			}
 			lc := &loopClient{
-				s: s, net: net, route: d.Route, rec: rec, res: res,
-				id: fid, msgs: msgs, think: opt.FlushEvery,
+				s: s, net: net, rec: rec, res: res,
+				calls: fcalls, msgs: msgs, think: opt.FlushEvery,
 			}
 			net.Register(fid, lc)
 			s.ScheduleAt(opt.FlushEvery, lc.issue)
@@ -445,19 +431,13 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 			seq := uint64(0)
 			for at := opt.FlushEvery; at <= opt.InjectWindow; at += opt.FlushEvery {
 				seq++
-				m := amcast.Message{
-					ID:     amcast.NewMsgID(opt.Clients, seq),
-					Sender: fid,
-					Dst:    allGroups,
-					Flags:  amcast.FlagFlush,
-				}
+				m := fcalls.Message(seq, allGroups, amcast.FlagFlush, nil)
 				rec.OnMulticast(m)
 				res.Multicasts++
 				at := at
 				s.ScheduleAt(at, func() {
-					for _, to := range d.Route(m) {
-						net.Send(fid, to, amcast.Envelope{Kind: amcast.KindRequest, From: fid, Msg: m})
-					}
+					// Fire and forget: nothing waits on an open-loop flush.
+					fcalls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { net.Send(fid, to, env) })
 				})
 			}
 		}
@@ -472,7 +452,8 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 		maxDst = len(d.Groups)
 	}
 	for c := 0; c < opt.Clients; c++ {
-		cid := amcast.ClientNode(c)
+		calls := client.NewCalls[struct{}](c, d.Route)
+		cid := calls.ID()
 		var nextTx func(i int) ([]amcast.GroupID, []byte)
 		if opt.NextTx != nil {
 			nextTx = opt.NextTx(seed, c)
@@ -493,41 +474,27 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 				dst = amcast.NormalizeDst(dst)
 				payload = []byte(fmt.Sprintf("chaos-%d-%d", c, i))
 			}
-			msgs[i] = amcast.Message{
-				ID:      amcast.NewMsgID(c, uint64(i+1)),
-				Sender:  cid,
-				Dst:     dst,
-				Payload: payload,
-			}
+			msgs[i] = calls.Message(uint64(i+1), dst, 0, payload)
 		}
+		reads := newReadIssuer(instr, opt, s, seed, c, calls.Prefix, res, fail)
 		if opt.ClosedLoop {
 			lc := &loopClient{
-				s: s, net: net, route: d.Route, rec: rec, res: res,
-				id: cid, msgs: msgs, think: opt.ThinkTime,
-				reads:  newReadIssuer(instr, opt, s, seed, c, res, fail),
-				tracer: tracer,
+				s: s, net: net, rec: rec, res: res,
+				calls: calls, msgs: msgs, think: opt.ThinkTime,
+				reads: reads, tracer: tracer,
 			}
 			net.Register(cid, lc)
 			start := sim.Time(rng.Int63n(int64(opt.InjectWindow)/8 + 1))
 			s.ScheduleAt(start, lc.issue)
 			continue
 		}
-		ri := newReadIssuer(instr, opt, s, seed, c, res, fail)
-		// Open-loop completion tracking for the tracer: a sampled
-		// multicast finishes when every destination has replied
-		// (duplicate replies fold into the set).
-		pending := make(map[amcast.MsgID]map[amcast.GroupID]bool)
+		// Open loop: completions only matter to the tracer (a sampled
+		// multicast finishes when every destination has replied).
 		net.Register(cid, sim.HandlerFunc(func(env amcast.Envelope) {
-			ri.onReply(env)
-			if env.Kind != amcast.KindReply {
-				return
-			}
-			if want, ok := pending[env.Msg.ID]; ok {
-				delete(want, env.From.Group())
-				if len(want) == 0 {
-					delete(pending, env.Msg.ID)
-					tracer.Finish(env.Msg.ID)
-				}
+			_, progress := calls.Reply(env)
+			reads.onReply(env, progress)
+			if progress == client.Completed {
+				tracer.Finish(env.Msg.ID)
 			}
 		}))
 		for i := range msgs {
@@ -536,17 +503,9 @@ func runScheduleTraced(d Deployment, opt Options, seed int64) (*ScheduleResult, 
 			res.Multicasts++
 			at := sim.Time(rng.Int63n(int64(opt.InjectWindow)))
 			s.ScheduleAt(at, func() {
-				if tracer.Sampled(m.ID) {
-					want := make(map[amcast.GroupID]bool, len(m.Dst))
-					for _, g := range m.Dst {
-						want[g] = true
-					}
-					pending[m.ID] = want
-					tracer.Begin(m.ID)
-				}
-				for _, to := range d.Route(m) {
-					net.Send(cid, to, amcast.Envelope{Kind: amcast.KindRequest, From: cid, Msg: m})
-				}
+				calls.Issue(m, struct{}{})
+				tracer.Begin(m.ID)
+				calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { net.Send(cid, to, env) })
 			})
 		}
 	}

@@ -51,6 +51,9 @@ type node struct {
 	decode      func([]byte) (amcast.Snapshot, error)
 	preCrash    []byte
 	tornPending bool
+	// rebind re-attaches the deployment's instrumentation to a recovered
+	// engine (Instrumentation.Rebind; nil without instrumentation).
+	rebind func(eng amcast.SnapshotEngine) error
 
 	// bugEvery is the test-only ordering-bug hook (Options.BugFlipEvery).
 	bugEvery int
@@ -254,6 +257,9 @@ func (n *node) recoverDurable() error {
 	n.eng = fresh
 	n.de = de
 	n.delsSince = 0
+	if n.rebind != nil {
+		return n.rebind(fresh)
+	}
 	return nil
 }
 

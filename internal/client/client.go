@@ -1,9 +1,11 @@
-// Package client implements the closed-loop clients of the paper's
-// evaluation (§5.3): each client issues one transaction at a time to the
-// protocol-specific entry node(s), waits for a reply from every
-// destination group, records per-destination latencies, and issues the
-// next transaction. Clients are simulator handlers; the same logic drives
-// the TCP runtime through cmd/flexclient.
+// Package client is the one implementation of the client half of the
+// protocol. Calls (calls.go) is the table every client in the repository
+// issues requests and collects replies through — the root package's
+// clusters, loadgen, the chaos explorer, cmd/flexclient — and knows no
+// clock, transport or lock. Client (this file) is the closed-loop client
+// of the paper's evaluation (§5.3) on the simulator: one transaction at a
+// time to the protocol's entry node(s), a reply from every destination
+// group, per-destination latencies, then the next transaction.
 package client
 
 import (
@@ -32,11 +34,6 @@ type TxSourceFunc func() Tx
 // Next implements TxSource.
 func (f TxSourceFunc) Next() Tx { return f() }
 
-// RouteFunc maps a message to the protocol's entry node(s): FlexCast and
-// the hierarchical protocol route to the (respective) lowest common
-// ancestor; Skeen's protocol routes to every destination.
-type RouteFunc func(m amcast.Message) []amcast.NodeID
-
 // Reply records one destination's response.
 type Reply struct {
 	Group amcast.GroupID
@@ -56,8 +53,6 @@ type Completion struct {
 type Config struct {
 	// Index is the client number; it determines the NodeID and message ids.
 	Index int
-	// Home is the client's region (its nearest group).
-	Home amcast.GroupID
 	// Route maps messages to entry nodes.
 	Route RouteFunc
 	// Source generates transactions.
@@ -70,23 +65,22 @@ type Config struct {
 
 // Client is a closed-loop client attached to a simulated network.
 type Client struct {
-	cfg  Config
-	id   amcast.NodeID
-	s    *sim.Simulator
-	net  *sim.Network
-	seq  uint64
-	open *openTx
-	stop bool
+	cfg   Config
+	calls *Calls[openTx]
+	s     *sim.Simulator
+	net   *sim.Network
+	seq   uint64
+	stop  bool
 
 	issued    uint64
 	completed uint64
 }
 
+// openTx is the client's per-call data: when the transaction was issued
+// and when each destination first replied.
 type openTx struct {
-	msg     amcast.Message
 	issued  sim.Time
 	replies []Reply
-	seen    map[amcast.GroupID]bool
 }
 
 // New builds a client and registers it on the network.
@@ -94,25 +88,13 @@ func New(cfg Config, s *sim.Simulator, net *sim.Network) (*Client, error) {
 	if cfg.Route == nil || cfg.Source == nil {
 		return nil, fmt.Errorf("client: missing route or source")
 	}
-	c := &Client{cfg: cfg, id: amcast.ClientNode(cfg.Index), s: s, net: net}
-	net.Register(c.id, c)
+	c := &Client{cfg: cfg, calls: NewCalls[openTx](cfg.Index, cfg.Route), s: s, net: net}
+	net.Register(c.ID(), c)
 	return c, nil
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, s *sim.Simulator, net *sim.Network) *Client {
-	c, err := New(cfg, s, net)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // ID returns the client's node id.
-func (c *Client) ID() amcast.NodeID { return c.id }
-
-// Home returns the client's home group.
-func (c *Client) Home() amcast.GroupID { return c.cfg.Home }
+func (c *Client) ID() amcast.NodeID { return c.calls.ID() }
 
 // Issued and Completed report lifetime transaction counts.
 func (c *Client) Issued() uint64 { return c.issued }
@@ -129,41 +111,29 @@ func (c *Client) Start(delay sim.Time) {
 func (c *Client) Stop() { c.stop = true }
 
 func (c *Client) issue() {
-	if c.stop || c.open != nil {
+	if c.stop || c.calls.Len() > 0 {
 		return
 	}
 	tx := c.cfg.Source.Next()
 	c.seq++
-	m := amcast.Message{
-		ID:      amcast.NewMsgID(c.cfg.Index, c.seq),
-		Sender:  c.id,
-		Dst:     amcast.NormalizeDst(append([]amcast.GroupID(nil), tx.Dst...)),
-		Flags:   tx.Flags,
-		Payload: tx.Payload,
-	}
-	c.open = &openTx{msg: m, issued: c.s.Now(), seen: make(map[amcast.GroupID]bool, len(m.Dst))}
+	m := c.calls.Message(c.seq, append([]amcast.GroupID(nil), tx.Dst...), tx.Flags, tx.Payload)
+	c.calls.Issue(m, openTx{issued: c.s.Now()})
 	c.issued++
-	for _, to := range c.cfg.Route(m) {
-		c.net.Send(c.id, to, amcast.Envelope{Kind: amcast.KindRequest, From: c.id, Msg: m})
-	}
+	c.calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { c.net.Send(c.ID(), to, env) })
 }
 
-// HandleEnvelope implements sim.Handler: it consumes KindReply envelopes.
+// HandleEnvelope implements sim.Handler: it timestamps each destination's
+// first reply and closes the loop on the last one.
 func (c *Client) HandleEnvelope(env amcast.Envelope) {
-	if env.Kind != amcast.KindReply || c.open == nil || env.Msg.ID != c.open.msg.ID {
+	call, progress := c.calls.Reply(env)
+	if call == nil {
 		return
 	}
-	g := env.From.Group()
-	if c.open.seen[g] {
+	done := &call.Data
+	done.replies = append(done.replies, Reply{Group: env.From.Group(), At: c.s.Now()})
+	if progress != Completed {
 		return
 	}
-	c.open.seen[g] = true
-	c.open.replies = append(c.open.replies, Reply{Group: g, At: c.s.Now()})
-	if len(c.open.replies) < len(c.open.msg.Dst) {
-		return
-	}
-	done := c.open
-	c.open = nil
 	c.completed++
 	sort.Slice(done.replies, func(i, j int) bool {
 		if done.replies[i].At != done.replies[j].At {
@@ -172,7 +142,7 @@ func (c *Client) HandleEnvelope(env amcast.Envelope) {
 		return done.replies[i].Group < done.replies[j].Group
 	})
 	if c.cfg.OnComplete != nil {
-		c.cfg.OnComplete(Completion{Msg: done.msg, Issued: done.issued, Replies: done.replies})
+		c.cfg.OnComplete(Completion{Msg: call.Msg, Issued: done.issued, Replies: done.replies})
 	}
 	if c.stop {
 		return

@@ -29,6 +29,15 @@ func (e *echoGroup) HandleEnvelope(env amcast.Envelope) {
 	}
 }
 
+func mustNew(t *testing.T, cfg Config, s *sim.Simulator, net *sim.Network) *Client {
+	t.Helper()
+	c, err := New(cfg, s, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func fixedLatency(l sim.Time) sim.LatencyFunc {
 	return func(from, to amcast.NodeID) sim.Time { return l }
 }
@@ -57,9 +66,8 @@ func allDst(dst ...amcast.GroupID) RouteFunc {
 func TestClosedLoop(t *testing.T) {
 	s, net := deploy(t, 2, nil)
 	var completions []Completion
-	c := MustNew(Config{
+	c := mustNew(t, Config{
 		Index:  0,
-		Home:   1,
 		Route:  allDst(),
 		Source: TxSourceFunc(func() Tx { return Tx{Dst: []amcast.GroupID{1, 2}} }),
 		OnComplete: func(cp Completion) {
@@ -91,9 +99,8 @@ func TestRepliesSortedByArrival(t *testing.T) {
 	// destination.
 	s, net := deploy(t, 2, map[amcast.GroupID]sim.Time{2: 500})
 	var got Completion
-	c := MustNew(Config{
+	c := mustNew(t, Config{
 		Index:      1,
-		Home:       1,
 		Route:      allDst(),
 		Source:     TxSourceFunc(func() Tx { return Tx{Dst: []amcast.GroupID{1, 2}} }),
 		OnComplete: func(cp Completion) { got = cp },
@@ -126,9 +133,8 @@ func TestDuplicateRepliesIgnored(t *testing.T) {
 		net.Send(amcast.GroupNode(1), env.Msg.Sender, reply)
 	}))
 	completed := 0
-	c := MustNew(Config{
+	c := mustNew(t, Config{
 		Index:      0,
-		Home:       1,
 		Route:      allDst(),
 		Source:     TxSourceFunc(func() Tx { return Tx{Dst: []amcast.GroupID{1, 2}} }),
 		OnComplete: func(cp Completion) { completed++ },
@@ -146,9 +152,8 @@ func TestDuplicateRepliesIgnored(t *testing.T) {
 func TestThinkTime(t *testing.T) {
 	s, net := deploy(t, 1, nil)
 	var issues []sim.Time
-	c := MustNew(Config{
+	c := mustNew(t, Config{
 		Index: 0,
-		Home:  1,
 		Route: allDst(),
 		Source: TxSourceFunc(func() Tx {
 			issues = append(issues, s.Now())
@@ -172,9 +177,8 @@ func TestThinkTime(t *testing.T) {
 
 func TestStopPreventsNewIssues(t *testing.T) {
 	s, net := deploy(t, 1, nil)
-	c := MustNew(Config{
+	c := mustNew(t, Config{
 		Index:  0,
-		Home:   1,
 		Route:  allDst(),
 		Source: TxSourceFunc(func() Tx { return Tx{Dst: []amcast.GroupID{1}} }),
 	}, s, net)
@@ -194,9 +198,8 @@ func TestStopPreventsNewIssues(t *testing.T) {
 func TestMessageIDsUniqueAndOwned(t *testing.T) {
 	s, net := deploy(t, 1, nil)
 	var ms []amcast.Message
-	c := MustNew(Config{
+	c := mustNew(t, Config{
 		Index:      7,
-		Home:       1,
 		Route:      allDst(),
 		Source:     TxSourceFunc(func() Tx { return Tx{Dst: []amcast.GroupID{1}} }),
 		OnComplete: func(cp Completion) { ms = append(ms, cp.Msg) },
@@ -220,7 +223,7 @@ func TestMessageIDsUniqueAndOwned(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	s := sim.New()
 	net := sim.NewNetwork(s, fixedLatency(1))
-	if _, err := New(Config{Index: 0, Home: 1}, s, net); err == nil {
+	if _, err := New(Config{Index: 0}, s, net); err == nil {
 		t.Fatal("missing route/source accepted")
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"flexcast/internal/durable"
 	"flexcast/internal/hierarchical"
 	"flexcast/internal/overlay"
+	"flexcast/internal/runtime"
 	"flexcast/internal/skeen"
 	"flexcast/internal/store"
 	"flexcast/internal/wan"
@@ -307,6 +308,28 @@ func (d *Deployment) WithDurable(dir string, opts durable.Options) *Deployment {
 		return de, nil
 	}
 	return &n
+}
+
+// Host builds every group's engine and runs it under a runtime node
+// attached to net (runtime.Host), configured by cfg(g). An error closes
+// the nodes already started; net stays the caller's.
+func (d *Deployment) Host(net runtime.Net, cfg func(g amcast.GroupID) runtime.Config) ([]*runtime.Node, error) {
+	nodes := make([]*runtime.Node, 0, len(d.Groups))
+	for _, g := range d.Groups {
+		eng, err := d.NewEngine(g)
+		var node *runtime.Node
+		if err == nil {
+			node, err = runtime.Host(net, eng, cfg(g))
+		}
+		if err != nil {
+			for _, n := range nodes {
+				n.Close()
+			}
+			return nil, err
+		}
+		nodes = append(nodes, node)
+	}
+	return nodes, nil
 }
 
 // GroupDir is where WithDurable persists group g under the root dir.

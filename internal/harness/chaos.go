@@ -88,13 +88,14 @@ func instrumentExecution(engines map[amcast.GroupID]amcast.SnapshotEngine, now f
 	execs := make(map[amcast.GroupID]*store.Executor, len(engines))
 	reps := make(map[amcast.GroupID]*store.Replica, len(engines))
 	clock := func() uint64 { return uint64(now()) }
-	for g, eng := range engines {
+	// attach instruments one group's executor — the one the schedule
+	// starts with and, in durable mode, every one a recovery rebuilds:
+	// observers on, a fresh lock-step follower cloned from the (recovered)
+	// shard, and the audit's handles swapped to the live pair.
+	attach := func(g amcast.GroupID, eng amcast.SnapshotEngine) error {
 		ex, ok := eng.(*store.Executor)
 		if !ok {
-			g := g
-			return &chaos.Instrumentation{PostCheck: func() error {
-				return fmt.Errorf("harness: execute-mode engine of group %d is %T, not a store executor", g, engines[g])
-			}}
+			return fmt.Errorf("harness: execute-mode engine of group %d is %T, not a store executor", g, eng)
 		}
 		ex.SetExecObserver(rec.OnApply)
 		ex.SetReadObserver(rec.OnFastRead)
@@ -105,16 +106,19 @@ func instrumentExecution(engines map[amcast.GroupID]amcast.SnapshotEngine, now f
 			Margin:        chaosLeaseMargin,
 		})
 		if err != nil {
-			g := g
-			return &chaos.Instrumentation{PostCheck: func() error {
-				return fmt.Errorf("harness: attach follower at group %d: %w", g, err)
-			}}
+			return fmt.Errorf("harness: attach follower at group %d: %w", g, err)
 		}
 		rep.SetReadObserver(rec.OnFastRead)
-		execs[g] = ex
-		reps[g] = rep
+		execs[g], reps[g] = ex, rep
+		return nil
+	}
+	for g, eng := range engines {
+		if err := attach(g, eng); err != nil {
+			return &chaos.Instrumentation{PostCheck: func() error { return err }}
+		}
 	}
 	return &chaos.Instrumentation{
+		Rebind: attach,
 		FastRead: func(rng *rand.Rand, g amcast.GroupID, barrier uint64, simNow sim.Time) (bool, error) {
 			ex, ok := execs[g]
 			if !ok {

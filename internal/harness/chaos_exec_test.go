@@ -145,6 +145,31 @@ func TestChaosExecuteClosedLoopWANProfile(t *testing.T) {
 	}
 }
 
+// TestChaosExecuteDurableWANProfile is the nightly hunt's flag
+// combination (flexbench -profile wan -execute -durable -seed 12) at two
+// schedules per protocol: every crash abandons the on-disk files, every
+// recovery rebuilds a fresh executor from them, and the execution audits
+// (observers, lock-step follower digests) must follow the store onto the
+// recovered engine (chaos.Instrumentation.Rebind).
+func TestChaosExecuteDurableWANProfile(t *testing.T) {
+	opts := chaos.Options{Seed: 12, Schedules: 2, Durable: true}
+	harness.ApplyWANProfile(&opts, 0.95, true)
+	for _, p := range []harness.Protocol{harness.FlexCast, harness.Distributed, harness.Hierarchical} {
+		rep, err := harness.RunChaos(harness.ChaosConfig{Protocol: p, Execute: true, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed() {
+			var b strings.Builder
+			rep.Print(&b)
+			t.Fatalf("durable execute schedules violated invariants:\n%s", b.String())
+		}
+		if rep.Faults.Crashes == 0 || rep.FastReads == 0 {
+			t.Fatalf("%s: %d crashes, %d fast reads: the combination explored nothing", p, rep.Faults.Crashes, rep.FastReads)
+		}
+	}
+}
+
 // TestChaosExecuteReplayMatchesExploration ensures the reproduction
 // path uses the same executable workload as exploration (a replayed
 // seed must rebuild the identical schedule).

@@ -332,7 +332,6 @@ func (d *deployment) buildClients() error {
 		})
 		cl, err := client.New(client.Config{
 			Index:      i,
-			Home:       home,
 			Route:      d.dep.Route,
 			Source:     src,
 			OnComplete: d.onComplete(lo, hi),
@@ -354,7 +353,6 @@ func (d *deployment) buildClients() error {
 		home := groups[0]
 		fl, err := client.New(client.Config{
 			Index: idx,
-			Home:  home,
 			Route: d.dep.Route,
 			Source: client.TxSourceFunc(func() client.Tx {
 				return client.Tx{Dst: wan.Groups(), Flags: amcast.FlagFlush}

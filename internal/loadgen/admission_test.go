@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/metrics"
 )
 
@@ -148,8 +149,7 @@ func TestSessionReplyRouting(t *testing.T) {
 	c := &clientProc{
 		idx:      0,
 		id:       amcast.ClientNode(0),
-		inflight: make(map[amcast.MsgID]*txState),
-		prefix:   make(amcast.PrefixTracker),
+		calls:    client.NewCalls[txState](0, nil),
 		sessions: newSessions(0, 4),
 		run:      r,
 	}
@@ -158,11 +158,7 @@ func TestSessionReplyRouting(t *testing.T) {
 	s.outstanding = 1
 
 	id := amcast.NewMsgID(0, 7)
-	c.inflight[id] = &txState{
-		remaining: map[amcast.GroupID]bool{3: true},
-		issued:    time.Now(),
-		sess:      s,
-	}
+	c.calls.Issue(c.calls.Message(7, []amcast.GroupID{3}, 0, nil), txState{issued: time.Now(), sess: s})
 	c.onReplies([]amcast.Envelope{{
 		Kind: amcast.KindReply,
 		From: amcast.GroupNode(3),
@@ -210,8 +206,8 @@ func TestWindowAccounting(t *testing.T) {
 	r.openWindow(base, time.Second)
 	end := base.Add(time.Second)
 
-	tx := func(issued time.Time) *txState {
-		return &txState{issued: issued, remaining: map[amcast.GroupID]bool{}}
+	tx := func(issued time.Time) *client.Call[txState] {
+		return &client.Call[txState]{Data: txState{issued: issued}}
 	}
 	// Issued in warmup, completed in window: excluded.
 	r.complete(tx(base.Add(-time.Millisecond)), base.Add(time.Millisecond))

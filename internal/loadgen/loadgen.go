@@ -13,19 +13,14 @@
 package loadgen
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
@@ -503,271 +498,6 @@ func assemble(cfg Config, mirror bool) (*deploy.Deployment, error) {
 	return d, nil
 }
 
-// txState tracks one in-flight transaction at its issuing client.
-type txState struct {
-	remaining map[amcast.GroupID]bool
-	issued    time.Time
-	done      chan struct{} // closed-loop sessions wait on it; nil open-loop
-	// silent transactions (the flush client's) stay out of the metrics.
-	silent bool
-	// isRead marks a remote KindRead transaction: measured in the read
-	// histogram, never in the multicast counters.
-	isRead bool
-	// txType and amount carry execute-mode detail for per-type stats
-	// and the payment cross-check.
-	txType gtpcc.TxType
-	amount int64
-	// result folds the per-group execution verdicts; replies that
-	// disagree bump the run's divergence counter.
-	result uint8
-	// sess is the virtual session that admitted this transaction
-	// (session-multiplexed open loop); completion releases its
-	// outstanding slot. nil outside session mode.
-	sess *session
-}
-
-// clientProc is one client process: its own node id on the transport, a
-// request batcher fed by a dispatcher goroutine that coalesces the
-// process's concurrent sessions (the same adaptive batching as
-// runtime.Node — batches form only when sessions outpace the transport,
-// and an idle client flushes immediately), and the in-flight transaction
-// table its reply handler resolves.
-type clientProc struct {
-	idx     int
-	id      amcast.NodeID
-	batcher *runtime.Batcher
-	out     chan amcast.Message
-
-	mu       sync.Mutex
-	inflight map[amcast.MsgID]*txState
-	// prefix is this client process's session barrier: the delivered
-	// prefix observed per group from replies (sequence numbers plus
-	// piggybacked watermarks) and from read results — the
-	// read-your-writes barrier of its reads, valid at whichever replica
-	// serves them. Guarded by mu.
-	prefix amcast.PrefixTracker
-
-	// rr round-robins the process's reads over its group's follower
-	// replicas; readSeq allocates remote-read message ids.
-	rr      atomic.Uint64
-	readSeq atomic.Uint64
-
-	// sessions is the process's virtual session table (session-
-	// multiplexed open loop; nil otherwise). sessBase is the id of
-	// sessions[0]; replies carrying a session id resolve through it.
-	sessions []*session
-	sessBase uint64
-
-	run *run
-}
-
-// sessionOf resolves a reply's session id to this process's session,
-// or nil (no session flag, or another client's id — batched fan-in can
-// only misroute if the transport breaks, and a nil just skips the
-// per-session fold).
-func (c *clientProc) sessionOf(m amcast.Message) *session {
-	if m.Flags&amcast.FlagSession == 0 || len(c.sessions) == 0 {
-		return nil
-	}
-	idx := m.Session - c.sessBase
-	if idx >= uint64(len(c.sessions)) {
-		return nil
-	}
-	return c.sessions[idx]
-}
-
-// readSeqBase puts remote-read message ids in their own space: above
-// every worker's id space (worker << 24) and below the flush client's
-// (1 << 38).
-const readSeqBase = uint64(1) << 37
-
-// foldRead raises the client's barrier at g to a read's serving
-// watermark — the monotonic-reads half of the session guarantee (a
-// later read at a lagging replica waits until it catches up to state
-// this client has already seen).
-func (c *clientProc) foldRead(g amcast.GroupID, watermark uint64) {
-	c.mu.Lock()
-	c.prefix.Fold(g, watermark)
-	c.mu.Unlock()
-}
-
-// recordRead measures one synchronously served read (local or
-// follower; remote reads are measured at reply completion instead).
-// The read histogram records nanoseconds: the local fast path completes
-// in hundreds of ns, which microsecond buckets truncate to zero.
-func (c *clientProc) recordRead(start time.Time, replica int32) {
-	if !c.run.measuring.Load() || start.Before(c.run.windowStart) {
-		return
-	}
-	lat := time.Since(start).Nanoseconds()
-	if lat < 0 {
-		lat = 0
-	}
-	c.run.reads.Add(1)
-	c.run.readHist.Record(uint64(lat))
-	c.run.readByReplica[replica].Add(1)
-}
-
-// observedPrefix returns the client's delivered-prefix barrier for g.
-func (c *clientProc) observedPrefix(g amcast.GroupID) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.prefix.Prefix(g)
-}
-
-// dispatcher drains queued requests into the batcher and flushes when
-// the queue runs dry.
-func (c *clientProc) dispatcher(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		var m amcast.Message
-		select {
-		case m = <-c.out:
-		case <-stop:
-			// Sessions have unblocked, but one may have queued a final
-			// request the select raced past: drain before exiting, or
-			// the execute-mode drain phase waits on a never-sent tx.
-			for {
-				select {
-				case m := <-c.out:
-					c.addRequest(m)
-				default:
-					c.batcher.FlushAll()
-					return
-				}
-			}
-		}
-		c.addRequest(m)
-	drain:
-		for {
-			select {
-			case more := <-c.out:
-				c.addRequest(more)
-			default:
-				break drain
-			}
-		}
-		c.batcher.FlushAll()
-	}
-}
-
-func (c *clientProc) addRequest(m amcast.Message) {
-	if m.Flags&amcast.FlagRead != 0 {
-		// A remote read: straight to the serving node (no multicast
-		// entry routing), with the client's barrier taken at send time —
-		// at least as fresh as at issue time, so still read-your-writes.
-		g := m.Dst[0]
-		c.batcher.Add(amcast.GroupNode(g), amcast.Envelope{
-			Kind: amcast.KindRead, From: c.id, Msg: m, TS: c.observedPrefix(g),
-		})
-		return
-	}
-	for _, to := range c.run.proto.Route(m) {
-		c.batcher.Add(to, amcast.Envelope{Kind: amcast.KindRequest, From: c.id, Msg: m})
-	}
-}
-
-func (c *clientProc) onReplies(envs []amcast.Envelope) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, env := range envs {
-		if env.Kind != amcast.KindReply {
-			continue
-		}
-		c.prefix.Observe(env)
-		if s := c.sessionOf(env.Msg); s != nil {
-			// The session's own barrier advances on every reply carrying
-			// its id — per-session read-your-writes over the shared conn.
-			s.observe(env)
-		}
-		tx, ok := c.inflight[env.Msg.ID]
-		if !ok || !tx.remaining[env.From.Group()] {
-			continue
-		}
-		if env.Result != amcast.ResultNone {
-			if tx.result == amcast.ResultNone {
-				tx.result = env.Result
-			} else if tx.result != env.Result {
-				// Involved groups reached different verdicts: the
-				// deterministic one-shot execution contract is broken.
-				c.run.execDiverged.Add(1)
-			}
-		} else if c.run.cfg.Execute && !tx.silent {
-			// An executing deployment replied without a verdict: that
-			// shard never executed the transaction (partial execution) —
-			// as hard a contract violation as diverging verdicts.
-			c.run.execNoVerdict.Add(1)
-		}
-		delete(tx.remaining, env.From.Group())
-		if len(tx.remaining) > 0 {
-			continue
-		}
-		delete(c.inflight, env.Msg.ID)
-		if !tx.silent && !tx.isRead {
-			c.run.tracer.Finish(env.Msg.ID)
-		}
-		if tx.sess != nil {
-			tx.sess.release()
-		}
-		c.run.complete(tx, now)
-		if tx.done != nil {
-			close(tx.done)
-		}
-	}
-}
-
-// inflightLen reports the client's in-flight transaction count.
-func (c *clientProc) inflightLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.inflight)
-}
-
-// issue registers one transaction and queues it to the dispatcher.
-func (c *clientProc) issue(m amcast.Message, meta txMeta, closedLoop, silent bool) *txState {
-	tx := &txState{
-		remaining: make(map[amcast.GroupID]bool, len(m.Dst)),
-		silent:    silent,
-		isRead:    meta.isRead,
-		txType:    meta.typ,
-		amount:    meta.amount,
-		sess:      meta.sess,
-	}
-	for _, g := range m.Dst {
-		tx.remaining[g] = true
-	}
-	if closedLoop {
-		tx.done = make(chan struct{})
-	}
-	c.mu.Lock()
-	tx.issued = time.Now()
-	c.inflight[m.ID] = tx
-	c.mu.Unlock()
-	if !silent && !meta.isRead {
-		// Trace records exist only for measured writes: Begin before the
-		// dispatcher can send, so no downstream stamp precedes it. Flush
-		// multicasts (silent) and reads never begin a record, so their
-		// ids' stamps are dropped at lookup.
-		c.run.tracer.Begin(m.ID)
-		if c.run.measuring.Load() {
-			// Issued covers the multicast (write) path only; reads have
-			// their own counters.
-			c.run.issued.Add(1)
-		}
-	}
-	c.out <- m
-	return tx
-}
-
-// txMeta carries execute-mode issue detail into the in-flight table.
-type txMeta struct {
-	typ    gtpcc.TxType
-	amount int64
-	isRead bool
-	sess   *session
-}
-
 // run is one executing load run.
 type run struct {
 	cfg   Config
@@ -843,7 +573,8 @@ func (r *run) windowContains(issued, done time.Time) bool {
 }
 
 // complete records one finished transaction.
-func (r *run) complete(tx *txState, now time.Time) {
+func (r *run) complete(call *client.Call[txState], now time.Time) {
+	tx := &call.Data
 	if tx.silent {
 		return
 	}
@@ -852,7 +583,7 @@ func (r *run) complete(tx *txState, now time.Time) {
 		// 0) over the transport. A refused read means the node could not
 		// satisfy a barrier derived from observed replies — the
 		// delivered-prefix contract broke — and fails the run at audit.
-		if tx.result != amcast.ResultCommitted {
+		if call.Result != amcast.ResultCommitted {
 			r.readRefused.Add(1)
 			return
 		}
@@ -870,7 +601,7 @@ func (r *run) complete(tx *txState, now time.Time) {
 		r.remoteReads.Add(1)
 		return
 	}
-	if r.cfg.Execute && tx.txType == gtpcc.Payment && tx.result == amcast.ResultCommitted {
+	if r.cfg.Execute && tx.txType == gtpcc.Payment && call.Result == amcast.ResultCommitted {
 		r.paidCommitted.Add(tx.amount)
 	}
 	if !r.windowContains(tx.issued, now) {
@@ -887,7 +618,7 @@ func (r *run) complete(tx *txState, now time.Time) {
 	}
 	if r.cfg.Execute && tx.txType >= 1 && int(tx.txType) < len(r.typeHists) {
 		r.typeHists[tx.txType].Record(uint64(lat))
-		if tx.result == amcast.ResultAborted {
+		if call.Result == amcast.ResultAborted {
 			r.typeAborted[tx.txType].Add(1)
 		} else {
 			r.typeCommitted[tx.txType].Add(1)
@@ -1108,557 +839,4 @@ func Run(cfg Config) (*Result, error) {
 	res.LargestBatch = stats.MaxBatch
 	res.Stages = r.tracer.Report()
 	return res, nil
-}
-
-// auditExecution runs the post-drain execute-mode checks and assembles
-// the execution measurement.
-func (r *run) auditExecution() (*ExecuteResult, error) {
-	if n := r.execDiverged.Load(); n > 0 {
-		return nil, fmt.Errorf("loadgen: %d transactions received diverging verdicts across involved groups", n)
-	}
-	if n := r.execNoVerdict.Load(); n > 0 {
-		return nil, fmt.Errorf("loadgen: %d replies carried no execution verdict (a shard skipped executing a transaction)", n)
-	}
-	execs := r.proto.Executors
-	if len(execs) == 0 {
-		return nil, fmt.Errorf("loadgen: execute mode deployed no store executors")
-	}
-	res := &ExecuteResult{
-		PerType: make(map[string]*TxTypeStats),
-		Shards:  len(execs),
-	}
-	shards := make([]*store.Shard, 0, len(execs))
-	global := sha256.New()
-	var banked int64
-	for _, g := range r.proto.Groups {
-		ex := execs[g]
-		if err := ex.CheckMirror(); err != nil {
-			return nil, err
-		}
-		sh := ex.Shard()
-		shards = append(shards, sh)
-		d := sh.Digest()
-		global.Write(d[:])
-		banked += sh.Totals().WarehouseYTD
-		res.TxApplied += sh.Applied()
-	}
-	res.ReplicaDigestsOK = true
-	if err := store.CheckInvariants(shards); err != nil {
-		return nil, err
-	}
-	res.InvariantsOK = true
-	res.GlobalDigest = hex.EncodeToString(global.Sum(nil))
-	res.PaymentsBanked = banked
-	if paid := r.paidCommitted.Load(); paid != banked {
-		return nil, fmt.Errorf("loadgen: clients committed payments totalling %d but warehouses banked %d (a payment applied without completing, or vice versa)",
-			paid, banked)
-	}
-	var completed uint64
-	for typ := gtpcc.NewOrder; typ <= gtpcc.StockLevel; typ++ {
-		c, a := r.typeCommitted[typ].Load(), r.typeAborted[typ].Load()
-		if c+a == 0 {
-			continue
-		}
-		res.PerType[typ.String()] = &TxTypeStats{
-			Committed: c,
-			Aborted:   a,
-			Latency:   r.typeHists[typ].Summary(),
-		}
-		completed += c + a
-		res.Aborted += a
-	}
-	if completed > 0 {
-		res.AbortRate = float64(res.Aborted) / float64(completed)
-	}
-	return res, nil
-}
-
-// verifyDurableRecovery is the -durable run's ending, called once the
-// nodes have stopped: for every group, close the durable engine (which
-// waits for its persist job in flight), copy the on-disk state as it
-// stands — the image a kill -9 would leave, since WAL appends hit the
-// page cache unbuffered — recover it into a fresh executor, and check
-// that (a) the recovered shard digest is byte-identical to the live one
-// and (b) the replay length equals the live engine's records since its
-// last snapshot, i.e. recovery work is bounded by snapshot age, not run
-// length. Either check failing fails the run.
-func (r *run) verifyDurableRecovery() (*DurableResult, error) {
-	// The recovering stack is the live one over the crash images: no
-	// mirror or followers to populate, and it only reads, so never fsyncs.
-	cfg := r.cfg
-	images, err := os.MkdirTemp("", "flexload-crash-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(images)
-	cfg.Replicas, cfg.DurableDir, cfg.DurableFsyncEvery = 1, images, -1
-	fresh, err := assemble(cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	res := &DurableResult{DigestsMatch: true}
-	var totalElapsed time.Duration
-	for _, g := range r.proto.Groups {
-		de := r.proto.Durables[g]
-		live := r.proto.Executors[g]
-		if de == nil || live == nil {
-			return nil, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
-		}
-		if err := de.Close(); err != nil {
-			return nil, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
-		}
-		if err := copyDirImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(images, g)); err != nil {
-			return nil, err
-		}
-		if _, err := fresh.NewEngine(g); err != nil {
-			return nil, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
-		}
-		rde := fresh.Durables[g]
-		stats := rde.Recovery()
-		rde.Close()
-
-		if got, want := fresh.Executors[g].Shard().Digest(), live.Shard().Digest(); got != want {
-			return nil, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
-		}
-		if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
-			return nil, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last snapshot (snapshot age does not bound recovery)",
-				g, stats.ReplayedEnvelopes, since)
-		}
-		res.Groups++
-		if stats.SnapshotEpoch > 0 {
-			res.SnapshottedGroups++
-		}
-		res.ReplayedEnvelopes += stats.ReplayedEnvelopes
-		if stats.ReplayedEnvelopes > res.MaxReplayedEnvelopes {
-			res.MaxReplayedEnvelopes = stats.ReplayedEnvelopes
-		}
-		res.TornTailBytes += stats.TornTailBytes
-		totalElapsed += stats.Elapsed
-		if us := stats.Elapsed.Microseconds(); us > res.RecoveryMaxUs {
-			res.RecoveryMaxUs = us
-		}
-	}
-	if res.Groups > 0 {
-		res.RecoveryMeanUs = float64(totalElapsed.Microseconds()) / float64(res.Groups)
-	}
-	return res, nil
-}
-
-// copyDirImage copies one group's durable directory into the crash
-// image the recovery verification owns (recovering in place would race
-// the live engine's open WAL). File to file, so that the kernel does the
-// copying: a journal is tens of megabytes after a few seconds.
-func copyDirImage(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		if err := copyFile(filepath.Join(src, ent.Name()), filepath.Join(dst, ent.Name())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-// doRead serves one read-only transaction under the configured
-// routing, at the client's session barrier:
-//
-//   - Replicas <= 1: the PR 4 local fast path — the client is
-//     co-located with the one serving node and reads it directly.
-//   - FollowerReads: the client reads its local follower replica
-//     (round-robin over the group's followers) through the lease gate;
-//     an expired lease falls back to the remote serving node and is
-//     counted.
-//   - otherwise (the leader-only baseline): the client is NOT
-//     co-located with the serving node — the read crosses the
-//     transport as a KindRead transaction and the reply carries the
-//     value and watermark back.
-//
-// Every serve folds the read's watermark into the session barrier
-// (monotonic reads across replicas). A non-nil dl selects closed-loop
-// semantics for the remote form (wait for the reply under the caller's
-// deadline); synchronous serves ignore it.
-func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, dl *deadline) error {
-	tx := gen.NextRead()
-	if cfg.Replicas <= 1 {
-		ex := c.run.proto.Executors[tx.Home]
-		if ex == nil {
-			return fmt.Errorf("loadgen: no executor for warehouse %d", tx.Home)
-		}
-		start := time.Now()
-		res, err := ex.Read(tx, c.observedPrefix(tx.Home), cfg.Timeout)
-		if err != nil {
-			return err
-		}
-		c.foldRead(tx.Home, res.Watermark)
-		c.recordRead(start, 0)
-		return nil
-	}
-	if cfg.FollowerReads {
-		reps := c.run.proto.Followers[tx.Home]
-		if len(reps) == 0 {
-			return fmt.Errorf("loadgen: no follower replicas for warehouse %d", tx.Home)
-		}
-		rep := reps[c.rr.Add(1)%uint64(len(reps))]
-		start := time.Now()
-		res, err := rep.Read(tx, c.observedPrefix(tx.Home), cfg.Timeout)
-		if err == nil {
-			c.foldRead(tx.Home, res.Watermark)
-			c.recordRead(start, rep.Idx())
-			return nil
-		}
-		if !errors.Is(err, store.ErrLeaseExpired) {
-			return err
-		}
-		c.run.leaseRefusals.Add(1)
-		// Lease lapsed: fall back to the serving node, remotely.
-	}
-	return c.remoteRead(tx, cfg, stop, dl)
-}
-
-// remoteRead ships one read to the serving node as a KindRead
-// transaction. With a deadline (closed loop) it blocks for the reply;
-// the reply's watermark folds into the session barrier via the ordinary
-// reply path (onReplies), and completion lands in the read histogram
-// (complete).
-func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, dl *deadline) error {
-	m := amcast.Message{
-		ID:      amcast.NewMsgID(c.idx, readSeqBase+c.readSeq.Add(1)),
-		Sender:  c.id,
-		Dst:     []amcast.GroupID{tx.Home},
-		Flags:   amcast.FlagRead,
-		Payload: gtpcc.EncodeTx(tx),
-	}
-	st := c.issue(m, txMeta{typ: tx.Type, isRead: true}, dl != nil, false)
-	if dl != nil && dl.await(st.done, cfg.Timeout, stop) == waitTimedOut {
-		return fmt.Errorf("loadgen: client %d remote read %s to warehouse %d timed out after %v",
-			c.idx, m.ID, tx.Home, cfg.Timeout)
-	}
-	return nil
-}
-
-// deadline is one session goroutine's reusable timeout. time.After
-// would arm a fresh timer per transaction, and under go.mod's go 1.22
-// timer semantics an unfired timer stays reachable until it fires: a
-// closed loop at 80k tx/s pinned 30 s worth of them.
-type deadline struct{ t *time.Timer }
-
-type waitResult int
-
-const (
-	waitDone waitResult = iota
-	waitTimedOut
-	waitStopped
-)
-
-// await blocks until done closes, the timeout passes or stop closes.
-func (d *deadline) await(done <-chan struct{}, timeout time.Duration, stop <-chan struct{}) waitResult {
-	if d.t == nil {
-		d.t = time.NewTimer(timeout)
-	} else {
-		d.t.Reset(timeout)
-	}
-	res := waitDone
-	select {
-	case <-done:
-	case <-d.t.C:
-		return waitTimedOut
-	case <-stop:
-		res = waitStopped
-	}
-	if !d.t.Stop() {
-		// Fired after the select chose: drain, so the next Reset starts
-		// from an empty channel.
-		select {
-		case <-d.t.C:
-		default:
-		}
-	}
-	return res
-}
-
-// readLoop is one dedicated read-only session: reads back-to-back at
-// the session barrier under the configured routing, measuring read
-// capacity while the write workload runs alongside.
-func readLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh chan<- error) {
-	gen, err := newGen(c, cfg.Workers+worker, cfg)
-	if err != nil {
-		sendErr(errCh, err)
-		return
-	}
-	var dl deadline
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if err := c.doRead(gen, cfg, stop, &dl); err != nil {
-			sendErr(errCh, err)
-			return
-		}
-	}
-}
-
-// readRoll decides whether an iteration issues a fast-path read; the
-// rng is private to the session, so the mix is deterministic per seed.
-func readRoll(rng *rand.Rand, cfg Config) bool {
-	return cfg.ReadPct > 0 && rng.Float64()*100 < cfg.ReadPct
-}
-
-// readRNG derives a session's read-mix coin; its stream is independent
-// of the workload generator's.
-func readRNG(cfg Config, client, worker int) *rand.Rand {
-	return rand.New(rand.NewSource(cfg.Seed ^ 0x5EED_BEEF + int64(client)*15485863 + int64(worker)*32452843))
-}
-
-// closedLoop is one session: issue, wait for every destination's reply,
-// repeat. With a read mix, ReadPct percent of iterations issue a
-// fast-path read instead of a multicast.
-func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh chan<- error) {
-	gen, err := newGen(c, worker, cfg)
-	if err != nil {
-		sendErr(errCh, err)
-		return
-	}
-	reads := readRNG(cfg, c.idx, worker)
-	seq := uint64(worker) << 24 // per-worker id space within the client
-	var dl deadline
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if readRoll(reads, cfg) {
-			if err := c.doRead(gen, cfg, stop, &dl); err != nil {
-				sendErr(errCh, err)
-				return
-			}
-			continue
-		}
-		seq++
-		m, meta := nextMessage(c, gen, cfg, seq)
-		switch dl.await(c.issue(m, meta, true, false).done, cfg.Timeout, stop) {
-		case waitTimedOut:
-			sendErr(errCh, fmt.Errorf("loadgen: client %d worker %d: tx %s to %v timed out after %v",
-				c.idx, worker, m.ID, m.Dst, cfg.Timeout))
-			return
-		case waitStopped:
-			return
-		}
-	}
-}
-
-// openLoop issues at a fixed rate per client process, completions
-// resolving asynchronously through the reply handler. Pacing is
-// burst-based: a millisecond ticker issues however many transactions the
-// elapsed time owes, so the offered rate is honored far beyond the
-// ticker resolution. With -sessions the loop runs session-multiplexed
-// instead (openLoopSessions).
-func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- error) {
-	if cfg.Sessions > 0 {
-		openLoopSessions(c, cfg, stop, errCh)
-		return
-	}
-	gen, err := newGen(c, 0, cfg)
-	if err != nil {
-		sendErr(errCh, err)
-		return
-	}
-	reads := readRNG(cfg, c.idx, 0)
-	t := time.NewTicker(time.Millisecond)
-	defer t.Stop()
-	start := time.Now()
-	seq := uint64(0)
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			owed := uint64(cfg.Rate * now.Sub(start).Seconds())
-			for seq < owed {
-				seq++
-				if readRoll(reads, cfg) {
-					// A read slot: local and follower reads serve
-					// synchronously and never occupy the outstanding
-					// budget; remote reads issue asynchronously and
-					// resolve through the reply handler (they do
-					// occupy the in-flight table until answered).
-					if err := c.doRead(gen, cfg, stop, nil); err != nil {
-						sendErr(errCh, err)
-						return
-					}
-					continue
-				}
-				c.mu.Lock()
-				outstanding := len(c.inflight)
-				c.mu.Unlock()
-				if outstanding >= cfg.MaxOutstanding {
-					if c.run.measuring.Load() {
-						c.run.shed.Add(owed - seq + 1)
-					}
-					seq = owed
-					break
-				}
-				m, meta := nextMessage(c, gen, cfg, seq)
-				c.issue(m, meta, false, false)
-			}
-		}
-	}
-}
-
-// openLoopSessions is the session-multiplexed open loop (-sessions):
-// the process's offered rate splits evenly across its virtual sessions
-// — round-robin, so the issue order over the shared connection
-// interleaves sessions while each session's own requests stay FIFO —
-// and every issuance passes that session's admission gate (token
-// bucket + outstanding cap, admission.go). A refused issuance is shed
-// on the spot and the loop moves on: one stalled session (its admitted
-// transactions stuck behind a latency spike) cannot make the process
-// queue work for it, and cannot stop the other sessions from issuing.
-// Admitted requests carry the session id on the envelope (FlagSession),
-// so replies resolve the session's barrier and outstanding slot.
-func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- error) {
-	gen, err := newGen(c, 0, cfg)
-	if err != nil {
-		sendErr(errCh, err)
-		return
-	}
-	reads := readRNG(cfg, c.idx, 0)
-	gate := newAdmission(cfg)
-	t := time.NewTicker(time.Millisecond)
-	defer t.Stop()
-	start := time.Now()
-	seq := uint64(0)
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			owed := uint64(cfg.Rate * now.Sub(start).Seconds())
-			nowNs := now.UnixNano()
-			for seq < owed {
-				seq++
-				if readRoll(reads, cfg) {
-					if err := c.doRead(gen, cfg, stop, nil); err != nil {
-						sendErr(errCh, err)
-						return
-					}
-					continue
-				}
-				s := c.sessions[seq%uint64(len(c.sessions))]
-				if !gate.admit(s, nowNs) {
-					if c.run.measuring.Load() {
-						c.run.shed.Add(1)
-					}
-					continue
-				}
-				m, meta := nextMessage(c, gen, cfg, seq)
-				m.Flags |= amcast.FlagSession
-				m.Session = s.id
-				meta.sess = s
-				c.issue(m, meta, false, false)
-			}
-		}
-	}
-}
-
-// flushLoop issues one FlagFlush multicast to all groups per period,
-// waiting for delivery everywhere before the next (the distinguished
-// flush process of §4.3). A flush that times out fails the run: a
-// benchmark silently running without garbage collection would publish
-// numbers for a different system.
-func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan struct{}, errCh chan<- error) {
-	t := time.NewTicker(cfg.FlushEvery)
-	defer t.Stop()
-	seq := uint64(1) << 38 // clear of every worker's id space
-	var dl deadline
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		seq++
-		m := amcast.Message{
-			ID:     amcast.NewMsgID(c.idx, seq),
-			Sender: c.id,
-			Dst:    append([]amcast.GroupID(nil), proto.Groups...),
-			Flags:  amcast.FlagFlush,
-		}
-		switch dl.await(c.issue(m, txMeta{}, true, true).done, cfg.Timeout, stop) {
-		case waitTimedOut:
-			sendErr(errCh, fmt.Errorf("loadgen: flush multicast %s timed out after %v (GC stalled)",
-				m.ID, cfg.Timeout))
-			return
-		case waitStopped:
-			return
-		}
-	}
-}
-
-func newGen(c *clientProc, worker int, cfg Config) (*gtpcc.Gen, error) {
-	home := c.run.proto.Groups[c.idx%len(c.run.proto.Groups)]
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(c.idx)*7919 + int64(worker)*104729))
-	return gtpcc.New(gtpcc.Config{
-		Home:       home,
-		Nearest:    c.run.proto.Nearest(home),
-		Locality:   cfg.Locality,
-		GlobalOnly: cfg.GlobalOnly,
-		Zipf:       cfg.Zipf,
-	}, rng)
-}
-
-func nextMessage(c *clientProc, gen *gtpcc.Gen, cfg Config, seq uint64) (amcast.Message, txMeta) {
-	tx := gen.Next()
-	m := amcast.Message{
-		ID:     amcast.NewMsgID(c.idx, seq),
-		Sender: c.id,
-		Dst:    tx.Dst,
-	}
-	if cfg.Execute {
-		if cfg.PayloadSize > tx.PayloadSize {
-			tx.PayloadSize = cfg.PayloadSize // padding only; detail wins otherwise
-		}
-		m.Payload = gtpcc.EncodeTx(tx)
-		return m, txMeta{typ: tx.Type, amount: tx.Amount}
-	}
-	size := tx.PayloadSize
-	if cfg.PayloadSize > 0 {
-		size = cfg.PayloadSize
-	}
-	m.Payload = make([]byte, size)
-	return m, txMeta{typ: tx.Type}
-}
-
-func sendErr(ch chan<- error, err error) {
-	select {
-	case ch <- err:
-	default:
-	}
 }

@@ -5,16 +5,17 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/runtime"
 	"flexcast/internal/wan"
 )
 
-// delayNet emulates WAN geography over the in-memory transport: every
-// (sender, receiver) link delays its batches by the one-way latency
-// between the endpoints' regions (wan.OneWayMicros — the paper's
-// inter-region matrix), with per-link FIFO preserved. The "wan"
-// transport is deployInMem with every send routed through one of
-// these, so the fig5-style WAN curves measure the protocols against
-// real wall-clock latency instead of a zero-latency loopback.
+// delayNet emulates WAN geography as a decorator over another transport
+// (runtime.Net): every (sender, receiver) link delays its batches by the
+// one-way latency between the endpoints' regions (wan.OneWayMicros — the
+// paper's inter-region matrix), with per-link FIFO preserved. The "wan"
+// transport is the in-memory net behind one of these, so the fig5-style
+// WAN curves measure the protocols against real wall-clock latency
+// instead of a zero-latency loopback.
 //
 // Each link is one goroutine draining an ordered queue: items carry
 // their due time (enqueue + the link's constant delay), the drainer
@@ -22,6 +23,7 @@ import (
 // are created lazily — a deployment only pays for the pairs that
 // actually talk.
 type delayNet struct {
+	inner  runtime.Net
 	groups []amcast.GroupID
 
 	mu     sync.Mutex
@@ -47,8 +49,18 @@ type delayLink struct {
 	ch chan delayItem
 }
 
-func newDelayNet(groups []amcast.GroupID) *delayNet {
-	return &delayNet{groups: groups, links: make(map[delayLinkKey]*delayLink)}
+func newDelayNet(inner runtime.Net, groups []amcast.GroupID) *delayNet {
+	return &delayNet{inner: inner, groups: groups, links: make(map[delayLinkKey]*delayLink)}
+}
+
+// Attach attaches id to the inner transport and returns a send function
+// that routes each batch through the delay queue of its link first.
+func (d *delayNet) Attach(id amcast.NodeID, h func(envs []amcast.Envelope)) (func(to amcast.NodeID, envs []amcast.Envelope), error) {
+	deliver, err := d.inner.Attach(id, h)
+	if err != nil {
+		return nil, err
+	}
+	return func(to amcast.NodeID, envs []amcast.Envelope) { d.send(id, to, envs, deliver) }, nil
 }
 
 // region maps a node onto one of the paper's 12 WAN regions. Groups map
@@ -106,9 +118,10 @@ func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver 
 	link.ch <- delayItem{due: time.Now().Add(d.delay(from, to)), to: to, envs: append([]amcast.Envelope(nil), envs...)}
 }
 
-// close stops every link drainer; queued batches still in flight are
-// delivered first (the drainers finish their channels).
-func (d *delayNet) close() {
+// Close stops every link drainer — queued batches still in flight are
+// delivered first (the drainers finish their channels) — then closes the
+// inner transport.
+func (d *delayNet) Close() {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -121,4 +134,5 @@ func (d *delayNet) close() {
 		close(l.ch)
 	}
 	d.wg.Wait()
+	d.inner.Close()
 }

@@ -37,9 +37,8 @@ import (
 	"flexcast/internal/telemetry"
 )
 
-// SendBatchFunc transmits one batch to a peer. Implementations:
-// transport.InMemNet.SendBatch, transport.TCPNode.SendBatch (adapted),
-// or any test hook. Calls are serialized by the batcher; per-destination
+// SendBatchFunc transmits one batch to a peer: what a transport's
+// Attach returns (Net), or any test hook. Calls are serialized by the batcher; per-destination
 // call order is the envelope order, preserving FIFO links. The slice is
 // borrowed for the duration of the call — the batcher refills it as soon
 // as the call returns — so an implementation that keeps envelopes past
@@ -150,9 +149,40 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// NewNode attaches an engine to a transport's batch send function and
-// starts the worker. The caller registers the returned node's Submit as
-// the transport's batch handler for the engine's group.
+// Net is the seam between a host and its transport: Attach registers a
+// node's inbound batch handler and returns its send function, Close
+// tears the transport down. transport.InMemNet, transport.TCPMesh and
+// loadgen's WAN delay decorator implement it; clients attach through it
+// too.
+type Net interface {
+	Attach(id amcast.NodeID, h func(envs []amcast.Envelope)) (func(to amcast.NodeID, envs []amcast.Envelope), error)
+	Close()
+}
+
+// Host runs eng under a Node attached to net at its group's address —
+// the one place a node meets a transport. The node needs a send function
+// to be built, the transport needs the node's Submit to attach it, and a
+// listener delivers the moment it is attached: so the node is built
+// first, its sends parked until Attach has returned the real function.
+func Host(net Net, eng amcast.Engine, cfg Config) (*Node, error) {
+	var send SendBatchFunc
+	attached := make(chan struct{})
+	n := NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
+		<-attached
+		send(to, envs)
+	}, cfg)
+	send, err := net.Attach(n.id, n.Submit)
+	close(attached)
+	if err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// NewNode starts eng's worker over a batch send function; deployments
+// call it through Host, which also registers the node's Submit as the
+// transport's batch handler for the engine's group.
 func NewNode(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{

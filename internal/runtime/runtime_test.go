@@ -98,9 +98,9 @@ func (d *deployment) multicast(m amcast.Message) <-chan struct{} {
 	d.waiters[m.ID] = done
 	d.mu.Unlock()
 	lca := d.ov.Lca(m.Dst)
-	d.net.Send(m.Sender, amcast.GroupNode(lca), amcast.Envelope{
+	d.net.SendBatch(m.Sender, amcast.GroupNode(lca), []amcast.Envelope{{
 		Kind: amcast.KindRequest, From: m.Sender, Msg: m,
-	})
+	}})
 	return done
 }
 

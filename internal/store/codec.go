@@ -179,7 +179,7 @@ func (s *Shard) readOrders(r *codec.Reader, end uint64) uint64 {
 	}
 	fr := codec.NewReader(frame)
 	for id := first; id < end && fr.Err() == nil; id++ {
-		o := order{id: id, cust: int32(fr.Uvarint()), total: int64(fr.Uvarint())}
+		o := order{cust: int32(fr.Uvarint()), total: int64(fr.Uvarint())}
 		nLines := fr.Count()
 		if id < s.delivered {
 			for j := 0; j < 3*nLines && fr.Err() == nil; j++ {

@@ -390,8 +390,8 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 				t.Fatalf("accepted %d orders for the window [%d, %d)", len(sh.pending), sh.delivered, sh.nextOrder)
 			}
 			for i, o := range sh.pending {
-				if o.id != sh.delivered+uint64(i) || o.cust < 0 || int(o.cust) >= sh.cfg.Customers {
-					t.Fatalf("accepted order %d of customer %d at position %d of the window [%d, %d)", o.id, o.cust, i, sh.delivered, sh.nextOrder)
+				if o.cust < 0 || int(o.cust) >= sh.cfg.Customers {
+					t.Fatalf("accepted an order of customer %d at position %d of the window [%d, %d)", o.cust, i, sh.delivered, sh.nextOrder)
 				}
 			}
 			// What a delivery indexes with must be in range.

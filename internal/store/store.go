@@ -71,10 +71,10 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// order is one undelivered order at its home warehouse. It is written
-// once, by newOrder, and never after: clones and snapshots share it.
+// order is one undelivered order at its home warehouse; its id is its
+// position, delivered+i in the pending queue. It is written once, by
+// newOrder, and never after: clones and snapshots share it.
 type order struct {
-	id    uint64
 	cust  int32
 	total int64
 	lines []gtpcc.OrderLine
@@ -327,12 +327,11 @@ func (s *Shard) newOrder(tx gtpcc.Tx, rec *trace.ExecRecord) bool {
 			total += int64(l.Qty) * ItemPrice(s.cfg.Seed, l.Supply, index(l.Item, int32(s.cfg.Items)))
 			s.orderedFrom[l.Supply] += int64(l.Qty)
 		}
-		id := s.nextOrder
-		s.nextOrder++
 		// tx was decoded from the payload by Apply, so its lines are
 		// this shard's to keep.
-		s.pending = append(s.pending, order{id: id, cust: cust, total: total, lines: tx.Lines})
-		s.lastOrder[cust] = int64(id)
+		s.pending = append(s.pending, order{cust: cust, total: total, lines: tx.Lines})
+		s.lastOrder[cust] = int64(s.nextOrder)
+		s.nextOrder++
 		s.touch(rec, trace.TableOrders, 0, true)
 		s.touch(rec, trace.TableCustomer, cust, true)
 	}
@@ -473,8 +472,8 @@ func (s *Shard) Digest() [32]byte {
 		le(uint64(s.balance[c]), uint64(s.ytdPaid[c]), uint64(uint32(s.payCnt[c])), uint64(s.lastOrder[c]))
 	}
 	le(uint64(len(s.pending)))
-	for _, o := range s.pending {
-		le(o.id, uint64(uint32(o.cust)), uint64(o.total), uint64(len(o.lines)))
+	for i, o := range s.pending {
+		le(s.delivered+uint64(i), uint64(uint32(o.cust)), uint64(o.total), uint64(len(o.lines)))
 		for _, l := range o.lines {
 			le(uint64(uint32(l.Item)), uint64(uint32(l.Supply)), uint64(uint32(l.Qty)))
 		}

@@ -10,6 +10,10 @@
 // builds on. Envelope slices are borrowed at every hand-off, in both
 // directions: SendBatch copies or encodes what it is given before it
 // returns, and a BatchHandler gets a buffer the transport reuses.
+//
+// Hosts reach either transport through one seam — Attach(id, handler)
+// returns the node's send function, Close tears the transport down
+// (runtime.Net) — implemented by InMemNet and TCPMesh.
 package transport
 
 import (
@@ -24,7 +28,11 @@ import (
 // boundaries are not preserved). The slice is borrowed for the duration
 // of the call — the transport reuses it afterwards — so a handler that
 // keeps envelopes copies them.
-type BatchHandler func(envs []amcast.Envelope)
+type BatchHandler = func(envs []amcast.Envelope)
+
+// SendFunc transmits one batch from the node it was attached for to a
+// peer; it borrows the slice for the call (see the package comment).
+type SendFunc = func(to amcast.NodeID, envs []amcast.Envelope)
 
 // InMemNet connects nodes through bounded mailboxes, one mailbox
 // goroutine per node — the group-sharding of the in-process runtime.
@@ -55,19 +63,18 @@ func NewInMemNet() *InMemNet {
 	return &InMemNet{nodes: make(map[amcast.NodeID]*inmemNode)}
 }
 
-// AddHandler attaches a raw per-envelope handler (clients use this).
-func (n *InMemNet) AddHandler(id amcast.NodeID, h func(env amcast.Envelope)) error {
-	return n.addNode(id, func(envs []amcast.Envelope) {
-		for _, env := range envs {
-			h(env)
-		}
-	})
-}
-
 // AddBatchHandler attaches a raw batch handler; the node runtime
 // (internal/runtime) registers itself this way.
 func (n *InMemNet) AddBatchHandler(id amcast.NodeID, h BatchHandler) error {
 	return n.addNode(id, h)
+}
+
+// Attach registers id's batch handler and returns its send function.
+func (n *InMemNet) Attach(id amcast.NodeID, h BatchHandler) (SendFunc, error) {
+	if err := n.addNode(id, h); err != nil {
+		return nil, err
+	}
+	return func(to amcast.NodeID, envs []amcast.Envelope) { n.SendBatch(id, to, envs) }, nil
 }
 
 func (n *InMemNet) addNode(id amcast.NodeID, h BatchHandler) error {
@@ -89,16 +96,11 @@ func (n *InMemNet) addNode(id amcast.NodeID, h BatchHandler) error {
 	return nil
 }
 
-// Send enqueues one envelope to the destination mailbox. Envelopes to
-// unknown nodes are dropped (matching a network that loses packets to
-// dead hosts); per-pair ordering is the mailbox's FIFO order.
-func (n *InMemNet) Send(from, to amcast.NodeID, env amcast.Envelope) {
-	n.SendBatch(from, to, []amcast.Envelope{env})
-}
-
 // SendBatch enqueues a batch as one unit: one mailbox operation however
 // many envelopes it carries. The envelopes are copied into the mailbox;
-// the caller keeps the slice.
+// the caller keeps the slice. Batches to unknown nodes are dropped
+// (matching a network that loses packets to dead hosts); per-pair
+// ordering is the mailbox's FIFO order.
 func (n *InMemNet) SendBatch(from, to amcast.NodeID, envs []amcast.Envelope) {
 	if len(envs) == 0 {
 		return

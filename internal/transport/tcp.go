@@ -54,20 +54,19 @@ type peerConn struct {
 	w    *bufio.Writer
 }
 
-// NewTCPNode starts listening on the node's address from the book and
-// dispatches inbound envelopes to handler, one call per envelope.
-func NewTCPNode(id amcast.NodeID, book AddrBook, handler func(env amcast.Envelope)) (*TCPNode, error) {
-	return NewTCPBatchNode(id, book, func(envs []amcast.Envelope) {
-		for _, env := range envs {
-			handler(env)
-		}
-	})
-}
-
 // NewTCPBatchNode starts listening on the node's address from the book
 // and dispatches inbound batches to handler; the node runtime
 // (internal/runtime) attaches this way.
 func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TCPNode, error) {
+	ln, err := listen(book, id)
+	if err != nil {
+		return nil, err
+	}
+	return newTCPNodeOn(id, book, ln, handler), nil
+}
+
+// listen binds id's address from the book.
+func listen(book AddrBook, id amcast.NodeID) (net.Listener, error) {
 	addr, ok := book[id]
 	if !ok {
 		return nil, fmt.Errorf("transport: node %s not in address book", id)
@@ -76,15 +75,12 @@ func NewTCPBatchNode(id amcast.NodeID, book AddrBook, handler BatchHandler) (*TC
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return NewTCPBatchNodeOn(id, book, ln, handler), nil
+	return ln, nil
 }
 
-// NewTCPBatchNodeOn is NewTCPBatchNode on a listener the caller already
-// holds, which the node takes over and closes with itself. A deployment
-// that picks its own ports (listen on :0) builds the address book from
-// the listeners' addresses and hands them over here, so a port is never
-// released between being chosen and being served.
-func NewTCPBatchNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler BatchHandler) *TCPNode {
+// newTCPNodeOn starts a node on a listener it takes over and closes with
+// itself.
+func newTCPNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler BatchHandler) *TCPNode {
 	n := &TCPNode{
 		id:      id,
 		book:    book,
@@ -100,6 +96,72 @@ func NewTCPBatchNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler
 		n.in.drain(handler)
 	}()
 	return n
+}
+
+// TCPMesh is the TCP transport behind the Attach seam (runtime.Net). It
+// binds the listener of every node this process hosts when it is built —
+// before any of them can dial a peer — and writes the bound addresses
+// into its own copy of the book, so a deployment that picks its ports
+// (":0") never releases one between choosing and serving it.
+type TCPMesh struct {
+	book AddrBook
+
+	mu        sync.Mutex
+	listeners map[amcast.NodeID]net.Listener // bound, not yet attached
+	nodes     []*TCPNode
+}
+
+// ListenTCP binds the book's address of every local node; the book also
+// names every remote peer they will send to.
+func ListenTCP(book AddrBook, local ...amcast.NodeID) (*TCPMesh, error) {
+	m := &TCPMesh{book: make(AddrBook, len(book)), listeners: make(map[amcast.NodeID]net.Listener, len(local))}
+	for id, addr := range book {
+		m.book[id] = addr
+	}
+	for _, id := range local {
+		ln, err := listen(m.book, id)
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		m.listeners[id] = ln
+		m.book[id] = ln.Addr().String()
+	}
+	return m, nil
+}
+
+// Addr returns the address id is bound to (a remote peer's: listed under).
+func (m *TCPMesh) Addr(id amcast.NodeID) string { return m.book[id] }
+
+// Attach starts serving local node id: inbound batches go to h, the
+// returned function sends id's batches. A send to an unreachable peer is
+// dropped after the node's one redial — the protocols assume reliable
+// FIFO links, so that only happens while a deployment shuts down.
+func (m *TCPMesh) Attach(id amcast.NodeID, h BatchHandler) (SendFunc, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ln, ok := m.listeners[id]
+	if !ok {
+		return nil, fmt.Errorf("transport: node %s is not an unattached local node of this mesh", id)
+	}
+	delete(m.listeners, id)
+	tn := newTCPNodeOn(id, m.book, ln, h)
+	m.nodes = append(m.nodes, tn)
+	return func(to amcast.NodeID, envs []amcast.Envelope) { _ = tn.SendBatch(to, envs) }, nil
+}
+
+// Close stops every attached node and releases the listeners never
+// attached.
+func (m *TCPMesh) Close() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, ln := range m.listeners {
+		ln.Close()
+	}
+	for _, tn := range m.nodes {
+		tn.Close()
+	}
+	m.listeners, m.nodes = nil, nil
 }
 
 // Addr returns the actual listen address (useful with ":0" test setups).

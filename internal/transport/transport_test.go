@@ -63,38 +63,28 @@ func (l *deliverLog) total() int {
 // every in-process deployment (Cluster, loadgen) hosts engines with.
 func hostInMem(t *testing.T, net *InMemNet, eng amcast.Engine, onDeliver func(amcast.Delivery)) {
 	t.Helper()
-	id := amcast.GroupNode(eng.Group())
-	node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
-		net.SendBatch(id, to, envs)
-	}, runtime.Config{OnDeliver: onDeliver})
-	t.Cleanup(node.Close)
-	if err := net.AddBatchHandler(id, node.Submit); err != nil {
+	node, err := runtime.Host(net, eng, runtime.Config{OnDeliver: onDeliver})
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(node.Close)
 }
 
-// hostTCP runs eng under the batched node runtime behind a TCP batch
-// node, wired exactly as cmd/flexnode wires it: the listener accepts
-// before the TCPNode variable is assigned, so the send path parks on
-// ready until the assignment is published.
+// hostTCP runs eng under the batched node runtime on a TCP mesh of its
+// own, as cmd/flexnode does: one process per group.
 func hostTCP(t *testing.T, eng amcast.Engine, book AddrBook, onDeliver func(amcast.Delivery)) {
 	t.Helper()
-	var tcp *TCPNode
-	ready := make(chan struct{})
-	node := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
-		<-ready
-		if tcp != nil {
-			_ = tcp.SendBatch(to, envs) // fails only once the peer is shutting down
-		}
-	}, runtime.Config{OnDeliver: onDeliver})
-	tcp, err := NewTCPBatchNode(amcast.GroupNode(eng.Group()), book, node.Submit)
-	close(ready)
+	mesh, err := ListenTCP(book, amcast.GroupNode(eng.Group()))
 	if err != nil {
-		node.Close()
+		t.Fatal(err)
+	}
+	node, err := runtime.Host(mesh, eng, runtime.Config{OnDeliver: onDeliver})
+	if err != nil {
+		mesh.Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		tcp.Close()
+		mesh.Close()
 		node.Close()
 	})
 }

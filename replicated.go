@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/sim"
 	"flexcast/internal/smr"
@@ -37,10 +37,11 @@ type ReplicatedCluster struct {
 	s      *sim.Simulator
 	net    *sim.Network
 	groups map[GroupID]*smr.Group
-	seq    uint64
-	// replied[id] counts distinct group replies, for WaitAll bookkeeping.
-	replied map[MsgID]map[GroupID]bool
-	dst     map[MsgID][]GroupID
+	// calls holds the multicasts still awaiting a destination's reply;
+	// ids are client 0's seqs 1..seq, so an id at or below seq that is no
+	// longer open has been delivered everywhere (Delivered).
+	calls *client.Calls[struct{}]
+	seq   uint64
 }
 
 // NewReplicatedCluster builds the deployment.
@@ -56,12 +57,11 @@ func NewReplicatedCluster(cfg ReplicatedClusterConfig) (*ReplicatedCluster, erro
 		cfg.InterRegionRTT = 100 * time.Millisecond
 	}
 	c := &ReplicatedCluster{
-		cfg:     cfg,
-		dep:     dep,
-		s:       sim.New(),
-		groups:  make(map[GroupID]*smr.Group),
-		replied: make(map[MsgID]map[GroupID]bool),
-		dst:     make(map[MsgID][]GroupID),
+		cfg:    cfg,
+		dep:    dep,
+		s:      sim.New(),
+		groups: make(map[GroupID]*smr.Group),
+		calls:  client.NewCalls[struct{}](0, dep.Route),
 	}
 	oneWay := sim.Time(cfg.InterRegionRTT.Microseconds() / 2)
 	c.net = sim.NewNetwork(c.s, func(from, to NodeID) sim.Time { return oneWay })
@@ -83,43 +83,25 @@ func NewReplicatedCluster(cfg ReplicatedClusterConfig) (*ReplicatedCluster, erro
 		c.groups[g] = grp
 		grp.Start()
 	}
-	c.net.Register(amcast.ClientNode(0), sim.HandlerFunc(func(env Envelope) {
-		if env.Kind != amcast.KindReply {
-			return
-		}
-		m := c.replied[env.Msg.ID]
-		if m == nil {
-			m = make(map[GroupID]bool)
-			c.replied[env.Msg.ID] = m
-		}
-		m[env.From.Group()] = true
-	}))
+	c.net.Register(c.calls.ID(), sim.HandlerFunc(func(env Envelope) { c.calls.Reply(env) }))
 	return c, nil
 }
 
 // Multicast enqueues a message to the destination groups; it is
 // processed as Run advances virtual time.
 func (c *ReplicatedCluster) Multicast(dst []GroupID, payload []byte) (MsgID, error) {
-	norm := amcast.NormalizeDst(append([]GroupID(nil), dst...))
-	if len(norm) == 0 {
+	if len(dst) == 0 {
 		return 0, fmt.Errorf("flexcast: empty destination set")
 	}
-	for _, g := range norm {
+	for _, g := range dst {
 		if _, ok := c.groups[g]; !ok {
 			return 0, fmt.Errorf("flexcast: group %d not in cluster", g)
 		}
 	}
 	c.seq++
-	m := Message{
-		ID:      amcast.NewMsgID(0, c.seq),
-		Sender:  amcast.ClientNode(0),
-		Dst:     norm,
-		Payload: append([]byte(nil), payload...),
-	}
-	c.dst[m.ID] = norm
-	for _, to := range c.dep.Route(m) {
-		c.net.Send(m.Sender, to, Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
-	}
+	m := c.calls.Message(c.seq, append([]GroupID(nil), dst...), 0, append([]byte(nil), payload...))
+	c.calls.Issue(m, struct{}{})
+	c.calls.Requests(m, func(to NodeID, env Envelope) { c.net.Send(m.Sender, to, env) })
 	return m.ID, nil
 }
 
@@ -132,17 +114,8 @@ func (c *ReplicatedCluster) Run(d time.Duration) {
 // Delivered reports whether every destination group has acknowledged
 // delivery of the message.
 func (c *ReplicatedCluster) Delivered(id MsgID) bool {
-	dst, ok := c.dst[id]
-	if !ok {
-		return false
-	}
-	got := c.replied[id]
-	for _, g := range dst {
-		if !got[g] {
-			return false
-		}
-	}
-	return true
+	issued := id.Client() == 0 && id.Seq() >= 1 && id.Seq() <= c.seq
+	return issued && !c.calls.Open(id)
 }
 
 // CrashReplica kills one replica of a group. Paxos keeps the group

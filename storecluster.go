@@ -3,11 +3,11 @@ package flexcast
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/store"
@@ -191,40 +191,27 @@ func (sc *StoreCluster) checkCustomer(customer int) error {
 	return nil
 }
 
-// exec multicasts one transaction and folds the per-warehouse verdicts.
+// exec multicasts one transaction and reports its verdict.
 func (sc *StoreCluster) exec(tx gtpcc.Tx) (*TxResult, error) {
-	id, results, err := sc.c.CallResults(tx.Involved(), gtpcc.EncodeTx(tx))
+	_, call, err := sc.c.call(tx.Involved(), gtpcc.EncodeTx(tx))
 	if err != nil {
 		return nil, err
 	}
-	return foldVerdicts(id, results)
+	return txResult(call)
 }
 
-// foldVerdicts checks that every involved warehouse executed and that
-// the verdicts agree, and assembles the transaction result.
-func foldVerdicts(id MsgID, results map[GroupID]uint8) (*TxResult, error) {
-	res := &TxResult{ID: id, Results: results}
-	first := uint8(0)
-	groups := make([]GroupID, 0, len(results))
-	for g := range results {
-		groups = append(groups, g)
+// txResult assembles the transaction result of a completed call: every
+// involved warehouse must have executed and reached the same verdict
+// (the call's fold, client.Calls).
+func txResult(call *client.Call[callWaiter]) (*TxResult, error) {
+	if g := call.Unexecuted; g != amcast.NoGroup {
+		return nil, fmt.Errorf("flexcast: warehouse %d did not execute tx %s", g, call.Msg.ID)
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-	for i, g := range groups {
-		code := results[g]
-		if code == amcast.ResultNone {
-			return nil, fmt.Errorf("flexcast: warehouse %d did not execute tx %s", g, id)
-		}
-		if i == 0 {
-			first = code
-			continue
-		}
-		if code != first {
-			return nil, fmt.Errorf("flexcast: tx %s verdicts diverge across warehouses: %v", id, results)
-		}
+	results, err := callResults(call)
+	if err != nil {
+		return nil, err
 	}
-	res.Committed = first == amcast.ResultCommitted
-	return res, nil
+	return &TxResult{ID: call.Msg.ID, Committed: call.Result == amcast.ResultCommitted, Results: results}, nil
 }
 
 // newOrderTx validates and assembles a new-order transaction.
@@ -443,16 +430,16 @@ func (sc *StoreCluster) Session() *Session {
 // exec runs one multicast transaction and folds the replies' delivered
 // prefixes (and piggybacked watermarks) into the session barrier.
 func (s *Session) exec(tx gtpcc.Tx) (*TxResult, error) {
-	id, results, observed, err := s.sc.c.callObserved(tx.Involved(), gtpcc.EncodeTx(tx))
+	_, call, err := s.sc.c.call(tx.Involved(), gtpcc.EncodeTx(tx))
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	for g, p := range observed {
+	for g, p := range call.Data.observed {
 		s.barrier.Fold(g, p)
 	}
 	s.mu.Unlock()
-	return foldVerdicts(id, results)
+	return txResult(call)
 }
 
 // NewOrder is StoreCluster.NewOrder through this session's barrier.
