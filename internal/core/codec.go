@@ -14,7 +14,8 @@ import (
 
 // Binary snapshot codec for the FlexCast engine. Map iteration is
 // always sorted, so the same snapshot marshals to the same bytes; the
-// history arena is serialized slot by slot (history.AppendBinary). The
+// history is the image capture took of it (history.AppendBinary, slot by
+// slot) and the accepted-notification log is written as it stands. The
 // delivery log comes last, in delivery order and fixed-width: it is the
 // encoding's tail (amcast.TailSnapshot) — an instalment is the entries
 // appended since the previous snapshot, a journal their concatenation,
@@ -157,7 +158,7 @@ func (s *snapshot) AppendSplit(body, tail []byte, prev amcast.Snapshot) ([]byte,
 
 func (s *snapshot) appendBody(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(uint32(s.g)))
-	buf = s.hst.AppendBinary(buf)
+	buf = append(buf, s.hst...)
 	buf = appendIDSet(buf, s.open)
 	buf = binary.AppendUvarint(buf, uint64(len(s.queues)))
 	for _, g := range sortedGroups(s.queues) {
@@ -184,14 +185,10 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.notifDone)))
-	for _, id := range sortedIDs(s.notifDone) {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		done := s.notifDone[id]
-		buf = binary.AppendUvarint(buf, uint64(len(done)))
-		for _, e := range done {
-			buf = binary.AppendUvarint(buf, uint64(uint32(e.g)))
-			buf = binary.AppendUvarint(buf, e.v)
-		}
+	for _, p := range s.notifDone {
+		buf = binary.AppendUvarint(buf, uint64(p.id))
+		buf = binary.AppendUvarint(buf, uint64(uint32(p.notifier)))
+		buf = binary.AppendUvarint(buf, p.epoch)
 	}
 	buf = appendGroupEpochs(buf, s.trafficSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(s.notifSent)))
@@ -223,10 +220,11 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 // MarshalBinary. The result restores into an Engine of the same group.
 func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	r := codec.NewReader(data)
-	s := &snapshot{
-		g:   amcast.GroupID(r.Uvarint()),
-		hst: history.Decode(r),
-	}
+	s := &snapshot{g: amcast.GroupID(r.Uvarint())}
+	// The history section is validated here and kept as bytes for Restore.
+	at := len(data) - r.Len()
+	history.Decode(r)
+	s.hst = slices.Clone(data[at : len(data)-r.Len()])
 	s.open = readIDSet(r)
 	nQ := r.Count()
 	s.queues = make(map[amcast.GroupID][]amcast.MsgID, nQ)
@@ -259,15 +257,16 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 		}
 		s.pendNotif = append(s.pendNotif, pn)
 	}
-	nND := r.Count()
-	s.notifDone = make(map[amcast.MsgID]byGroup[uint64], nND)
-	for i := 0; i < nND && r.Err() == nil; i++ {
-		id := amcast.MsgID(r.Uvarint())
-		var done byGroup[uint64]
-		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-			done = done.put(amcast.GroupID(r.Uvarint()), r.Uvarint())
+	// The index is built only to check the log: a put must raise the epoch
+	// it supersedes, which is also what rules out epoch 0.
+	done := make(map[amcast.MsgID]byGroup[uint64])
+	for n := r.Count(); len(s.notifDone) < n && r.Err() == nil; {
+		p := notifPut{id: amcast.MsgID(r.Uvarint()), notifier: amcast.GroupID(r.Uvarint()), epoch: r.Uvarint()}
+		if r.Err() == nil && p.epoch <= done[p.id].get(p.notifier) {
+			r.Fail(fmt.Errorf("core: accepted-notification log entry %d: epoch %d of %s from group %d does not exceed the one it supersedes", len(s.notifDone), p.epoch, p.id, p.notifier))
 		}
-		s.notifDone[id] = done
+		done[p.id] = done[p.id].put(p.notifier, p.epoch)
+		s.notifDone = append(s.notifDone, p)
 	}
 	s.trafficSeq = readGroupEpochs(r)
 	nNS := r.Count()

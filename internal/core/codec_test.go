@@ -43,33 +43,3 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// TestSnapshotDecodeRejectsCorruption checks the decoder fails cleanly
-// (error, not panic) on truncated and bit-flipped records.
-func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
-	ov, err := overlay.NewCDAG([]amcast.GroupID{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.MustNew(core.Config{Group: 1, Overlay: ov})
-	eng.OnEnvelope(amcast.Envelope{
-		Kind: amcast.KindRequest,
-		From: amcast.ClientNode(0),
-		Msg: amcast.Message{
-			ID: amcast.NewMsgID(0, 1), Sender: amcast.ClientNode(0),
-			Dst: []amcast.GroupID{1}, Payload: []byte("x"),
-		},
-	})
-	data, err := eng.Snapshot().(amcast.BinarySnapshot).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(data); cut += 3 {
-		if _, err := core.UnmarshalSnapshot(data[:cut]); err == nil {
-			t.Fatalf("decode of %d/%d-byte truncation succeeded", cut, len(data))
-		}
-	}
-	if _, err := core.UnmarshalSnapshot(append(append([]byte(nil), data...), 0)); err == nil {
-		t.Fatal("decode with trailing byte succeeded")
-	}
-}

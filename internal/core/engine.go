@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -52,6 +53,14 @@ type Config struct {
 type notifState struct {
 	epoch uint64
 	seq   uint64
+}
+
+// notifPut is one notifDoneLog entry: notifier's NOTIF about id accepted
+// at epoch (≥ 1, and above every earlier put of the same two).
+type notifPut struct {
+	id       amcast.MsgID
+	notifier amcast.GroupID
+	epoch    uint64
 }
 
 // byGroup is a per-message collection keyed by group. Like pending's, it
@@ -208,8 +217,11 @@ type Engine struct {
 	// fresh edge since, and is processed anew with a fresh dependency
 	// snapshot. Distinct notifiers are never folded against each other:
 	// each snapshots its own dependency set — see the pending.notif
-	// comment and DESIGN.md §4.
-	notifDone map[amcast.MsgID]byGroup[uint64]
+	// comment and DESIGN.md §4. The table only grows, so like the delivery
+	// log it is an append-only log of the accepted (message, notifier,
+	// epoch) puts, which a snapshot takes by prefix; the map is its index.
+	notifDone    map[amcast.MsgID]byGroup[uint64]
+	notifDoneLog []notifPut
 	// trafficSeq[d] counts the history nodes addressed to d that have
 	// entered this engine's history (merged diffs and local
 	// deliveries). A NOTIF to d certifies the edges known at a given
@@ -236,6 +248,10 @@ type Engine struct {
 
 	// counters for tests and debugging.
 	nPruned int
+
+	// hstImage is capture's encoding buffer: the snapshot's copy of the
+	// history image is then allocated once, at its final size.
+	hstImage []byte
 }
 
 var _ amcast.Engine = (*Engine)(nil)
@@ -434,11 +450,12 @@ func (e *Engine) onNotif(env amcast.Envelope, outs *[]amcast.Output) {
 		return
 	}
 	e.notifDone[m.ID] = done.put(notifier, epoch)
+	e.notifDoneLog = append(e.notifDoneLog, notifPut{m.ID, notifier, epoch})
 	if len(e.open) == 0 {
 		e.sendFlushAck(m.Header(), []amcast.AckCover{{Notifier: notifier, Epoch: epoch}}, outs)
 		return
 	}
-	e.pendNotif = append(e.pendNotif, &pendingNotif{msg: m.Header(), notifier: notifier, epoch: epoch, deps: copyIDSet(e.open)})
+	e.pendNotif = append(e.pendNotif, &pendingNotif{msg: m.Header(), notifier: notifier, epoch: epoch, deps: maps.Clone(e.open)})
 }
 
 func (e *Engine) wasDelivered(id amcast.MsgID) bool {

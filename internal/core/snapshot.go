@@ -6,26 +6,30 @@ import (
 	"slices"
 
 	"flexcast/amcast"
+	"flexcast/internal/codec"
 	"flexcast/internal/history"
 )
 
 // snapshot is the FlexCast engine's amcast.Snapshot: a deep copy of every
-// mutable field of Engine except the delivery log, which is append-only
-// and therefore shared by prefix. Config (group, overlay, GC switch) is
-// not captured — a snapshot is restored into an engine built with the
+// mutable field of Engine except the two append-only logs (deliveries,
+// accepted notifications), which are shared by prefix, and the history,
+// which is captured as its encoding. Config (group, overlay, GC switch)
+// is not captured — a snapshot is restored into an engine built with the
 // same configuration, which Restore verifies via the group id.
 type snapshot struct {
-	g   amcast.GroupID
-	hst *history.History
-	// delivered is the engine's deliveredLog up to the capture, capacity
-	// clipped: the engine appends past it and nothing writes into it, so
-	// another goroutine may read it while the engine runs.
+	g amcast.GroupID
+	// hst is the history's AppendBinary image: the body copies it, install
+	// decodes it.
+	hst []byte
+	// delivered and notifDone are the engine's two logs up to the capture,
+	// capacity clipped: the engine appends past them and nothing writes
+	// into them, so another goroutine may read them while the engine runs.
 	delivered  []amcast.MsgID
+	notifDone  []notifPut
 	open       map[amcast.MsgID]bool
 	queues     map[amcast.GroupID][]amcast.MsgID
 	pend       map[amcast.MsgID]*pending
 	pendNotif  []*pendingNotif
-	notifDone  map[amcast.MsgID]byGroup[uint64]
 	trafficSeq map[amcast.GroupID]uint64
 	notifSent  map[amcast.MsgID]byGroup[notifState]
 	cursors    map[amcast.GroupID]history.Cursor
@@ -39,20 +43,6 @@ type snapshot struct {
 func (s *snapshot) SnapshotGroup() amcast.GroupID { return s.g }
 
 var _ amcast.SnapshotEngine = (*Engine)(nil)
-
-// copyIDSet never returns nil: the result backs an engine's or a pending
-// notification's set, which is written to.
-func copyIDSet(m map[amcast.MsgID]bool) map[amcast.MsgID]bool {
-	c := make(map[amcast.MsgID]bool, len(m))
-	maps.Copy(c, m)
-	return c
-}
-
-func copyGroupEpochs(m map[amcast.GroupID]uint64) map[amcast.GroupID]uint64 {
-	c := make(map[amcast.GroupID]uint64, len(m))
-	maps.Copy(c, m)
-	return c
-}
 
 // copyByGroup copies a per-message table of byGroup collections; put
 // writes an entry in place, so each collection is cloned.
@@ -75,26 +65,28 @@ func copyPending(p *pending) *pending {
 func copyPendNotifs(pns []*pendingNotif) []*pendingNotif {
 	var c []*pendingNotif
 	for _, pn := range pns {
-		c = append(c, &pendingNotif{msg: pn.msg, notifier: pn.notifier, epoch: pn.epoch, deps: copyIDSet(pn.deps)})
+		c = append(c, &pendingNotif{msg: pn.msg, notifier: pn.notifier, epoch: pn.epoch, deps: maps.Clone(pn.deps)})
 	}
 	return c
 }
 
-// capture copies the engine's mutable state. It backs both Snapshot
-// (engine → snapshot) and Restore (snapshot → engine), so a snapshot can
-// be restored repeatedly without the running engine corrupting it.
+// capture copies the engine's mutable state; install is its inverse and
+// copies again, so a snapshot can be restored repeatedly without the
+// running engine corrupting it. The history is encoded into the engine's
+// buffer and copied out: one allocation however many nodes there are.
 func (e *Engine) capture() *snapshot {
-	n := len(e.deliveredLog)
+	n, nd := len(e.deliveredLog), len(e.notifDoneLog)
+	e.hstImage = e.hst.AppendBinary(e.hstImage[:0])
 	s := &snapshot{
 		g:          e.g,
-		hst:        e.hst.Clone(),
+		hst:        slices.Clone(e.hstImage),
 		delivered:  e.deliveredLog[:n:n],
-		open:       copyIDSet(e.open),
+		notifDone:  e.notifDoneLog[:nd:nd],
+		open:       maps.Clone(e.open),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID, len(e.queues)),
 		pend:       make(map[amcast.MsgID]*pending, len(e.pend)),
 		pendNotif:  copyPendNotifs(e.pendNotif),
-		notifDone:  copyByGroup(e.notifDone),
-		trafficSeq: copyGroupEpochs(e.trafficSeq),
+		trafficSeq: maps.Clone(e.trafficSeq),
 		notifSent:  copyByGroup(e.notifSent),
 		cursors:    maps.Clone(e.cursors),
 		deliveries: append([]amcast.Delivery(nil), e.deliveries...),
@@ -111,17 +103,23 @@ func (e *Engine) capture() *snapshot {
 }
 
 // install is the inverse of capture: it deep-copies snapshot state into
-// the engine. The engine's first append after it reallocates the log
-// (the snapshot's slice has no spare capacity), leaving the snapshot's
-// prefix untouched.
-func (e *Engine) install(s *snapshot) {
-	e.hst = s.hst.Clone()
+// the engine, which is untouched when the history image does not decode.
+// The engine's first append to a log after it reallocates the log (the
+// snapshot's slice has no spare capacity), leaving the snapshot's prefix
+// untouched.
+func (e *Engine) install(s *snapshot) error {
+	r := codec.NewReader(s.hst)
+	hst := history.Decode(r)
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("core: restore: history image: %w", err)
+	}
+	e.hst = hst
 	e.deliveredLog = s.delivered[:len(s.delivered):len(s.delivered)]
 	e.delivered = make(map[amcast.MsgID]struct{}, len(s.delivered))
 	for _, id := range s.delivered {
 		e.delivered[id] = struct{}{}
 	}
-	e.open = copyIDSet(s.open)
+	e.open = maps.Clone(s.open)
 	e.queues = make(map[amcast.GroupID][]amcast.MsgID, len(s.queues))
 	for g, q := range s.queues {
 		e.queues[g] = append([]amcast.MsgID(nil), q...)
@@ -131,13 +129,18 @@ func (e *Engine) install(s *snapshot) {
 		e.pend[id] = copyPending(p)
 	}
 	e.pendNotif = copyPendNotifs(s.pendNotif)
-	e.notifDone = copyByGroup(s.notifDone)
-	e.trafficSeq = copyGroupEpochs(s.trafficSeq)
+	e.notifDoneLog = s.notifDone[:len(s.notifDone):len(s.notifDone)]
+	e.notifDone = make(map[amcast.MsgID]byGroup[uint64], len(s.notifDone))
+	for _, p := range s.notifDone {
+		e.notifDone[p.id] = e.notifDone[p.id].put(p.notifier, p.epoch)
+	}
+	e.trafficSeq = maps.Clone(s.trafficSeq)
 	e.notifSent = copyByGroup(s.notifSent)
 	e.cursors = maps.Clone(s.cursors)
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq
 	e.nPruned = s.nPruned
+	return nil
 }
 
 // Snapshot implements amcast.SnapshotEngine.
@@ -152,6 +155,5 @@ func (e *Engine) Restore(snap amcast.Snapshot) error {
 	if s.g != e.g {
 		return fmt.Errorf("core: restore of group %d snapshot into group %d", s.g, e.g)
 	}
-	e.install(s)
-	return nil
+	return e.install(s)
 }

@@ -137,8 +137,8 @@ func (e passThrough) Restore(s amcast.Snapshot) error   { return e.inner.Restore
 
 // checkTombstonesJournaled closes a driven flexcast store+durable stack
 // and checks what it left on disk: every group's first delivery is in
-// journal.log as a fixed-width tail entry and in no snapshot file, and
-// the snapshot file plus the journal prefix it names is the whole
+// journal.log as a fixed-width tail entry and in no snapshot body, and
+// the snapshot body plus the journal prefix it names is the whole
 // snapshot recovery restores.
 func checkTombstonesJournaled(t *testing.T, s stack, r *prototest.Router, engines map[amcast.GroupID]amcast.SnapshotEngine) {
 	t.Helper()
@@ -151,17 +151,14 @@ func checkTombstonesJournaled(t *testing.T, s stack, r *prototest.Router, engine
 		if err != nil || len(journal) == 0 {
 			t.Fatalf("group %d: journal.log: %d bytes, %v", g, len(journal), err)
 		}
-		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-		if len(snaps) != 1 {
-			t.Fatalf("group %d: snapshot files %v, want one", g, snaps)
+		info, err := durable.Inspect(dir)
+		if err != nil || info.SnapshotEpoch == 0 {
+			t.Fatalf("group %d: no snapshot on disk (epochs %v, %v)", g, info.Epochs, err)
 		}
-		snap, err := os.ReadFile(snaps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := info.SnapshotBody
 		first := binary.LittleEndian.AppendUint64(nil, uint64(r.Seq(g)[0]))
 		if !bytes.Contains(journal, first) || bytes.Contains(snap, first) {
-			t.Errorf("group %d: first tombstone in journal: %v, in the snapshot file: %v; want it journaled only",
+			t.Errorf("group %d: first tombstone in journal: %v, in the snapshot body: %v; want it journaled only",
 				g, bytes.Contains(journal, first), bytes.Contains(snap, first))
 		}
 		fresh, err := s.newEngine(g)
@@ -171,10 +168,9 @@ func checkTombstonesJournaled(t *testing.T, s stack, r *prototest.Router, engine
 		de := fresh.(*durable.Engine)
 		st := de.Recovery()
 		de.Close()
-		// The file is u32le checksum ‖ u64le J ‖ body.
-		tail := int(binary.LittleEndian.Uint64(snap[4:]))
-		if tail == 0 || st.SnapshotBytes != len(snap)-12+tail {
-			t.Errorf("group %d: restored %d snapshot bytes from a %d-byte file naming %d journal bytes", g, st.SnapshotBytes, len(snap), tail)
+		if tail := info.SnapshotTail; tail == 0 || st.SnapshotEpoch != info.SnapshotEpoch || st.SnapshotBytes != len(snap)+tail {
+			t.Errorf("group %d: restored %d snapshot bytes opening epoch %d from a %d-byte body opening epoch %d and naming %d journal bytes",
+				g, st.SnapshotBytes, st.SnapshotEpoch, len(snap), info.SnapshotEpoch, tail)
 		}
 	}
 }

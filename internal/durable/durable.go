@@ -1,16 +1,16 @@
 // Package durable is the pluggable persistence layer behind the
 // amcast.SnapshotEngine seam: a write-ahead log of every input envelope
-// (CRC-framed, fsync-batched) plus periodic snapshot files, organized
-// in epochs, plus one journal of the snapshots' tails.
+// (CRC-framed, fsync-batched), organized in epochs each of which ends,
+// once sealed, with a snapshot, plus one journal of the snapshots' tails.
 //
-//	wal-%08d.log   input records of epoch e (wire-codec frames)
-//	snap-%08d.snap engine state after every record of epochs < e: a
-//	               checksum, the length J of the journal prefix the
-//	               snapshot is joined with, and the snapshot body
+//	wal-%08d.log   epoch e: its input records (wire-codec frames), then,
+//	               once sealed, a snapshot record — the engine state after
+//	               the epoch's last input: the length J of the journal
+//	               prefix the snapshot is joined with, and its body
 //	journal.log    the tail instalments (amcast.TailSnapshot) of every
 //	               snapshot taken so far, one after the other, never
-//	               rotated: snapshot e decodes from its body and the
-//	               journal's first J bytes
+//	               rotated: the snapshot in wal-e decodes from its body
+//	               and the journal's first J bytes
 //
 // What a tail holds is the snapshot's business — append-only logs whose
 // entries are written once instead of once per snapshot: FlexCast's
@@ -19,34 +19,37 @@
 // instalment that follows the previous persisted snapshot's, appends it,
 // and hands Options.Decode the body joined with the journal prefix.
 //
-// At a cadence point the engine goroutine captures a snapshot, fsyncs
-// and closes wal-e, opens wal-(e+1) and hands the snapshot value to a
-// background persist job (persist.go), which appends the new instalment
-// to the journal, writes snap-(e+1) (tmp + rename, so a crash never
-// leaves a half-written snapshot under the real name) and deletes epoch
-// e — the store-level consumer of the paper's §4.3 truncate-delivered-
-// prefixes rule. Recovery restores the newest snapshot that decodes and
-// replays only the WAL epochs at or after it, so recovery work is
-// bounded by the snapshot cadence — one cadence of input once the
-// persist job has finished, two while it is in flight — never by run
-// length. A torn record at the WAL tail (the partial write a kill -9
-// leaves) is detected by its frame CRC and truncated away.
+// At a cadence point the engine goroutine captures a snapshot, creates
+// wal-(e+1) and hands the snapshot value and wal-e's open file to a
+// background persist job (persist.go) — no fsync, no close. The job
+// journals the new instalment, appends the snapshot record to wal-e,
+// fsyncs it (the seal) and deletes the epochs below e — the store-level
+// consumer of the paper's §4.3 truncate-delivered-prefixes rule. Recovery
+// restores the newest snapshot that decodes and replays only the epochs
+// behind it, so its work is bounded by the snapshot cadence — one cadence
+// of input once the persist job has finished, two while it is in flight —
+// never by run length. A torn record at the tail of the newest epoch (the
+// partial write a kill -9 leaves) is detected by its frame CRC and
+// truncated away, a snapshot record cut short is ignored, and a damaged
+// input record in an older epoch is a hole in the input: recovery fails.
 //
 // The failure model is process crash (kill -9): write()n data survives
 // in the page cache even when the process dies before fsync. Batched
 // fsync (Options.FsyncEvery) bounds what a simultaneous machine crash
-// could lose; tests inject torn tails explicitly rather than relying on
-// the kernel to produce them.
+// could lose: at most FsyncEvery unsynced appends of the open epoch plus
+// what the epoch being sealed had not synced — and never a record behind
+// a lost one, because an epoch is not fsynced before its predecessor is
+// sealed (walWriter.sync). Tests inject torn tails explicitly rather than
+// relying on the kernel to produce them.
 package durable
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"flexcast/amcast"
@@ -65,13 +68,13 @@ type Options struct {
 	// FsyncEvery fsyncs the WAL every N appends (default 64; 1 fsyncs
 	// every append, <0 never fsyncs — kill -9 durability only).
 	FsyncEvery int
-	// Decode decodes a snapshot file previously written by the engine's
+	// Decode decodes a snapshot previously written by the engine's
 	// Snapshot (an amcast.BinarySnapshot). Required: it is the protocol
 	// half of the on-disk format (core.UnmarshalSnapshot, or
 	// store.UnmarshalSnapshot composed over it for executors).
 	Decode func([]byte) (amcast.Snapshot, error)
-	// KeepEpochs retains superseded WAL and snapshot files instead of
-	// deleting them (debugging, archaeology).
+	// KeepEpochs retains superseded epochs instead of deleting them
+	// (debugging, archaeology).
 	KeepEpochs bool
 }
 
@@ -96,8 +99,9 @@ type RecoveryStats struct {
 	// Recovered is true when any prior state (snapshot or WAL records)
 	// was found.
 	Recovered bool
-	// SnapshotEpoch is the epoch of the restored snapshot (0 = none,
-	// recovery started from the engine's fresh state).
+	// SnapshotEpoch is the first epoch behind the restored snapshot, which
+	// sits at the end of wal-(SnapshotEpoch-1) and holds the state after its
+	// last record (0 = none, recovery started from the engine's fresh state).
 	SnapshotEpoch uint64
 	// SnapshotBytes is the restored snapshot's size: its body plus the
 	// journal prefix it was joined with.
@@ -108,11 +112,13 @@ type RecoveryStats struct {
 	// ReplayedEnvelopes counts the envelopes inside those records — the
 	// recovery bound the crash tests assert on.
 	ReplayedEnvelopes int
-	// TornTailBytes is the length of the discarded torn WAL tail.
+	// TornTailBytes is the length of the discarded torn tail of the newest
+	// epoch.
 	TornTailBytes int64
-	// CorruptSnapshots counts snapshot files that existed but failed to
-	// read or decode, forcing fallback to an older epoch. Recovery fails
-	// outright when no snapshot on disk decodes at all.
+	// CorruptSnapshots counts snapshots that were whole on disk but failed
+	// their checksum, named journal bytes that are not there or did not
+	// decode, forcing fallback to an older epoch; one a crash cut short does
+	// not count. Recovery fails when none decodes and epoch 0 is gone.
 	CorruptSnapshots int
 	// Elapsed is the wall-clock recovery time (restore + replay).
 	Elapsed time.Duration
@@ -122,59 +128,24 @@ func walPath(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%08d.log", epoch))
 }
 
-func snapPath(dir string, epoch uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%08d.snap", epoch))
-}
-
-const snapTmpSuffix = ".tmp"
-
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
-// snapHeaderSize is the snapshot file's header: u32le CRC-32C of
-// everything behind it, then u64le J, the number of journal bytes that
-// are the snapshot's tail. The body follows unframed (a snapshot file
-// is not a WAL record and has no size limit). The checksum is what makes
-// "the newest snapshot that decodes" a defence: a flipped bit inside a
-// varint still decodes, into a different state.
-const snapHeaderSize = 12
-
-// sealSnapshot fills in the header of a snapshot file image whose body
-// is in place behind it.
-func sealSnapshot(file []byte, j uint64) {
-	binary.LittleEndian.PutUint64(file[4:], j)
-	binary.LittleEndian.PutUint32(file, crc32.Checksum(file[4:], crcTable))
-}
-
-// scanEpochs lists the wal and snapshot epochs present in dir, sorted
-// ascending.
-func scanEpochs(dir string) (wals, snaps []uint64, err error) {
+// scanEpochs lists the epochs present in dir, ascending.
+func scanEpochs(dir string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var wals []uint64
 	for _, ent := range ents {
+		const pattern = "wal-%08d.log"
 		var e uint64
-		switch {
-		case matchEpoch(ent.Name(), "wal-%08d.log", &e):
+		if n, err := fmt.Sscanf(ent.Name(), pattern, &e); n == 1 && err == nil && fmt.Sprintf(pattern, e) == ent.Name() {
 			wals = append(wals, e)
-		case matchEpoch(ent.Name(), "snap-%08d.snap", &e):
-			snaps = append(snaps, e)
 		}
 	}
-	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	return wals, snaps, nil
-}
-
-func matchEpoch(name, pattern string, e *uint64) bool {
-	var got uint64
-	if n, err := fmt.Sscanf(name, pattern, &got); n == 1 && err == nil {
-		if fmt.Sprintf(pattern, got) == name {
-			*e = got
-			return true
-		}
-	}
-	return false
+	slices.Sort(wals)
+	return wals, nil
 }
 
 // Engine wraps an amcast.SnapshotEngine with the durable backend. It is
@@ -225,44 +196,43 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// readSnapshot reads snap-epoch and joins its body with the journal
-// prefix it names, giving back the snapshot encoding and J. The journal's
-// tail bytes are joined[room:]; the body is copied in front of them, so
-// that what a join moves is a body, not a journal — after a long run most
-// of the directory.
-func readSnapshot(dir string, epoch uint64, joined []byte, room int) (data []byte, j int, err error) {
-	file, err := os.ReadFile(snapPath(dir, epoch))
-	if err != nil {
-		return nil, 0, err
+// decodeSnapshot decodes the snapshot behind a scanned epoch's inputs —
+// nil without error when there is none, or only the stump a crash left of
+// one — and gives back its encoding and J. The encoding is the body
+// joined with the journal prefix it names: the journal's tail bytes are
+// joined[room:], and the body is copied in front of them, so that a join
+// moves a body, not a journal — after a long run most of the directory.
+func (e *Engine) decodeSnapshot(scan walScan, joined []byte, room int) (snap amcast.Snapshot, data []byte, j int, err error) {
+	switch {
+	case scan.corrupt:
+		return nil, nil, 0, errors.New("checksum mismatch")
+	case scan.snap == nil:
+		return nil, nil, 0, nil
+	case len(scan.snap[0]) < snapJSize:
+		return nil, nil, 0, errors.New("shorter than its J")
 	}
-	if len(file) < snapHeaderSize || len(file) > room {
-		return nil, 0, fmt.Errorf("%d-byte file: shorter than its header, or grown since recovery began", len(file))
-	}
-	if crc32.Checksum(file[4:], crcTable) != binary.LittleEndian.Uint32(file) {
-		return nil, 0, fmt.Errorf("checksum mismatch")
-	}
-	need := binary.LittleEndian.Uint64(file[4:])
+	need := binary.LittleEndian.Uint64(scan.snap[0])
 	if have := len(joined) - room; need > uint64(have) {
-		return nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, have)
+		return nil, nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, have)
 	}
-	body := file[snapHeaderSize:]
-	copy(joined[room-len(body):], body)
-	return joined[room-len(body) : room+int(need)], int(need), nil
+	at := room
+	for i := len(scan.snap) - 1; i >= 0; i-- {
+		at -= copy(joined[at-len(scan.snap[i]):], scan.snap[i])
+	}
+	data = joined[at+snapJSize : room+int(need)]
+	if snap, err = e.opts.Decode(data); err != nil {
+		return nil, nil, 0, fmt.Errorf("decode: %w", err)
+	}
+	return snap, data, int(need), nil
 }
 
-// recover restores the newest decodable snapshot, replays WAL epochs at
-// or after it, and opens the current WAL for appending (past any torn
-// tail, which is truncated).
+// recover restores the newest snapshot that decodes, replays the WAL
+// epochs behind it, and opens the current WAL for appending (past any
+// torn tail, which is truncated).
 func (e *Engine) recover() error {
 	start := time.Now()
 	dir := e.opts.Dir
-	// A crash mid-write leaves a snap-*.tmp: never renamed, so nothing
-	// refers to it. A miss here only leaks the file.
-	tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*"+snapTmpSuffix))
-	for _, tmp := range tmps {
-		_ = os.Remove(tmp)
-	}
-	wals, snaps, err := scanEpochs(dir)
+	wals, err := scanEpochs(dir)
 	if err != nil {
 		return err
 	}
@@ -270,9 +240,9 @@ func (e *Engine) recover() error {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	room := 0 // for the largest snapshot file: see readSnapshot
-	for _, se := range snaps {
-		if info, err := os.Stat(snapPath(dir, se)); err == nil {
+	room := 0 // for the largest snapshot body: see decodeSnapshot
+	for _, we := range wals {
+		if info, err := os.Stat(walPath(dir, we)); err == nil {
 			room = max(room, int(info.Size()))
 		}
 	}
@@ -280,40 +250,54 @@ func (e *Engine) recover() error {
 	for _, rec := range jscan.records {
 		joined = append(joined, rec...)
 	}
-	// Restore the newest snapshot that decodes. An unreadable snapshot
-	// costs replay length, not correctness, when an older one plus its
-	// WAL epochs still exist (KeepEpochs, or a crash before the persist
-	// job's delete) — fall back and report it in CorruptSnapshots. When
-	// nothing on disk decodes the truncated prefix is unrecoverable: fail
-	// loudly below instead of silently starting from fresh state plus
-	// the surviving WAL suffix.
-	snapEpoch := uint64(0)
-	tailLen := 0
+	// Restore the newest snapshot that decodes, reading epochs from the
+	// newest down. An unreadable snapshot costs replay length, not
+	// correctness, when an older one and the epochs since still exist
+	// (KeepEpochs, or a crash before the persist job's delete) — fall back
+	// and report it in CorruptSnapshots. When nothing decodes, the run is
+	// replayed from epoch 0; when that is gone too, recovery fails loudly
+	// below instead of silently starting from fresh state plus the
+	// surviving WAL suffix.
+	scans := make([]walScan, len(wals))
+	base, tailLen := -1, 0 // the restored epoch's index, its J
 	var snapErr error
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, j, err := readSnapshot(dir, snaps[i], joined, room)
+	for i := len(wals) - 1; i >= 0 && base < 0; i-- {
+		scan, err := readWAL(walPath(dir, wals[i]))
 		if err != nil {
-			snapErr = fmt.Errorf("durable: read snapshot epoch %d: %w", snaps[i], err)
-			e.stats.CorruptSnapshots++
-			continue
+			return err
 		}
-		snap, err := e.opts.Decode(data)
+		scans[i] = scan
+		// Every input of an epoch was written before the next epoch was
+		// created: an older epoch that ends in a damaged input record has
+		// lost input that newer epochs build on.
+		if i < len(wals)-1 && scan.tornBytes > 0 {
+			return fmt.Errorf("durable: wal epoch %d: %d bytes of damaged input records behind byte %d, and epoch %d follows: a hole in the input",
+				wals[i], scan.tornBytes, scan.goodLen, wals[i+1])
+		}
+		snap, data, j, err := e.decodeSnapshot(scan, joined, room)
 		if err != nil {
-			snapErr = fmt.Errorf("durable: decode snapshot epoch %d: %w", snaps[i], err)
+			snapErr = fmt.Errorf("durable: snapshot behind epoch %d: %w", wals[i], err)
 			e.stats.CorruptSnapshots++
+		}
+		if snap == nil {
 			continue
 		}
 		if err := e.inner.Restore(snap); err != nil {
-			return fmt.Errorf("durable: restore snapshot epoch %d: %w", snaps[i], err)
+			return fmt.Errorf("durable: restore snapshot behind epoch %d: %w", wals[i], err)
 		}
 		e.inner.TakeDeliveries() // restore discards undrained deliveries
-		snapEpoch, tailLen, e.p.prev = snaps[i], j, snap
-		e.stats.SnapshotEpoch = snaps[i]
+		base, tailLen, e.p.prev = i, j, snap
+		e.stats.SnapshotEpoch = wals[i] + 1
 		e.stats.SnapshotBytes = len(data)
 		e.stats.Recovered = true
-		break
 	}
-	if snapEpoch == 0 && snapErr != nil {
+	// What is replayed must be every epoch since the restored state: the
+	// epochs are sorted, so the first and the last say whether one is gone.
+	next := e.stats.SnapshotEpoch
+	if rest := wals[base+1:]; len(rest) > 0 && (rest[0] != next || rest[len(rest)-1] != next+uint64(len(rest)-1)) {
+		if snapErr == nil {
+			snapErr = fmt.Errorf("durable: wal epochs %v do not continue from epoch %d, and no snapshot covers the gap", rest, next)
+		}
 		return snapErr
 	}
 	// The journal continues from the restored snapshot's tail: whatever
@@ -322,24 +306,14 @@ func (e *Engine) recover() error {
 	if err := e.p.openJournal(jscan, tailLen); err != nil {
 		return err
 	}
-	e.p.oldest = snapEpoch
-	// Replay the WAL suffix: every record of every epoch >= snapEpoch,
-	// ascending. Outputs and deliveries were already emitted before the
-	// crash; replay only rebuilds state.
-	curEpoch := snapEpoch
-	var curGoodLen int64
-	for _, we := range wals {
-		if we < snapEpoch {
-			continue
-		}
-		scan, err := readWAL(walPath(e.opts.Dir, we))
-		if err != nil {
-			return err
-		}
-		for _, rec := range scan.records {
+	// Replay the WAL suffix: every input record of every epoch behind the
+	// restored one, ascending. Outputs and deliveries were already emitted
+	// before the crash; replay only rebuilds state.
+	for i := base + 1; i < len(wals); i++ {
+		for _, rec := range scans[i].records {
 			envs, err := codec.DecodeFrame(rec)
 			if err != nil {
-				return fmt.Errorf("durable: wal epoch %d record %d: %w", we, e.stats.ReplayedRecords, err)
+				return fmt.Errorf("durable: wal epoch %d record %d: %w", wals[i], e.stats.ReplayedRecords, err)
 			}
 			amcast.BatchStep(e.inner, envs)
 			e.inner.TakeDeliveries()
@@ -347,34 +321,37 @@ func (e *Engine) recover() error {
 			e.stats.ReplayedEnvelopes += len(envs)
 			e.stats.Recovered = true
 		}
-		e.stats.TornTailBytes += scan.tornBytes
-		if we >= curEpoch {
-			curEpoch, curGoodLen = we, scan.goodLen
+	}
+	// Appending resumes in the newest epoch, behind its last whole record, or
+	// in a fresh one if that epoch is sealed (its successor's name was lost).
+	var goodLen int64
+	cur := len(wals) - 1 // index of the epoch appended to, if it exists
+	if cur >= 0 {
+		e.epoch, goodLen = wals[cur], scans[cur].goodLen
+		e.stats.TornTailBytes = scans[cur].tornBytes
+		if scans[cur].sealed {
+			e.epoch, goodLen, cur = e.epoch+1, 0, cur+1
+		}
+		e.p.oldest = wals[0] // whatever the restored snapshot covers goes with the next job
+	}
+	// The epochs below it went to persist jobs that may not have sealed
+	// them, and the open one must not be fsynced before they are.
+	for i := max(base, 0); i < cur && e.opts.FsyncEvery > 0; i++ {
+		f, err := os.OpenFile(walPath(dir, wals[i]), os.O_WRONLY, 0)
+		if err == nil {
+			err = f.Sync()
+			f.Close()
+		}
+		if err != nil {
+			return err
 		}
 	}
-	e.epoch = curEpoch
 	e.sinceSnap = e.stats.ReplayedEnvelopes
-	e.w, err = openWALWriter(walPath(e.opts.Dir, curEpoch), e.opts.FsyncEvery, curGoodLen)
+	f, err := openAppendAt(walPath(dir, e.epoch), goodLen)
 	if err != nil {
 		return err
 	}
-	if !e.opts.KeepEpochs {
-		// Epochs below the restored snapshot are covered by it. Superseded
-		// snapshots go first: a crash mid-way then leaves an orphaned old
-		// WAL (harmless, re-deleted next time) rather than an old snapshot
-		// whose WAL epochs are gone, which recovery could otherwise fall
-		// back on and silently replay an incomplete suffix.
-		for _, se := range snaps {
-			if se < snapEpoch {
-				_ = os.Remove(snapPath(dir, se)) // a leftover costs space only
-			}
-		}
-		for _, we := range wals {
-			if we < snapEpoch {
-				_ = os.Remove(walPath(dir, we))
-			}
-		}
-	}
+	e.w = &walWriter{f: f, fsyncEvery: e.opts.FsyncEvery}
 	e.stats.Elapsed = time.Since(start)
 	return nil
 }
@@ -455,9 +432,9 @@ func (e *Engine) awaitPersist() {
 	}
 }
 
-// snapshot is a cadence point: capture the engine state, seal wal-e,
-// open wal-(e+1), and leave everything that touches the snapshot file
-// to a persist job. One job runs at a time, so a due snapshot first
+// snapshot is a cadence point: capture the engine state, create
+// wal-(e+1), and leave wal-e — its snapshot record, its fsync, its close
+// — to a persist job. One job runs at a time, so a due snapshot first
 // waits for the previous one — every cadence point snapshots, and the
 // image on disk is never more than two cadences behind.
 func (e *Engine) snapshot() error {
@@ -468,20 +445,14 @@ func (e *Engine) snapshot() error {
 		return e.err
 	}
 	snap := e.inner.Snapshot()
-	// wal-e must be on disk before the snapshot that supersedes it can
-	// be: snap-(e+1) claims to cover every record of epoch e.
-	if err := e.w.close(); err != nil {
-		return err
-	}
-	next := e.epoch + 1
-	w, err := openWALWriter(walPath(e.opts.Dir, next), e.opts.FsyncEvery, 0)
+	f, err := os.OpenFile(walPath(e.opts.Dir, e.epoch+1), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	e.w = w
-	e.epoch = next
+	e.p.start(snap, e.epoch, e.w.f)
+	e.w = &walWriter{f: f, fsyncEvery: e.opts.FsyncEvery, buf: e.w.buf, sealed: e.p.wait}
+	e.epoch++
 	e.sinceSnap = 0
-	e.p.start(snap, next)
 	snapshotHist.Record(uint64(time.Since(start)))
 	return nil
 }

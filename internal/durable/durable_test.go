@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"flexcast/amcast"
+	"flexcast/internal/codec"
 	"flexcast/internal/core"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/overlay"
@@ -169,7 +171,7 @@ func TestTornTailDiscarded(t *testing.T) {
 			// Tear: an unprocessed input was mid-append when the process
 			// died. The record is framed correctly, then cut (or corrupted),
 			// exactly as an interrupted write() sequence would leave it.
-			rec := appendWALRecord(nil, []byte("unprocessed input never fully written"))
+			rec := appendRecords(nil, []byte("unprocessed input never fully written"), false)
 			walFile := walPath(dir, deng.Epoch())
 			f, err := os.OpenFile(walFile, os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
@@ -213,9 +215,19 @@ func TestTornTailDiscarded(t *testing.T) {
 	}
 }
 
+// inspect is Inspect of a directory no engine is writing to.
+func inspect(t testing.TB, dir string) DirInfo {
+	t.Helper()
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
 // TestSnapshotRotationTruncatesOldEpochs asserts the GC half of the
-// design: once snap-e exists, epochs < e are deleted — the WAL never
-// accumulates the whole run.
+// design: once epoch e is sealed, the epochs below it are deleted — the
+// WAL never accumulates the whole run.
 func TestSnapshotRotationTruncatesOldEpochs(t *testing.T) {
 	dir := t.TempDir()
 	deng, err := Wrap(newCoreEngine(t), opts(dir, 5))
@@ -226,18 +238,12 @@ func TestSnapshotRotationTruncatesOldEpochs(t *testing.T) {
 	if err := deng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wals, snaps, err := scanEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
+	info := inspect(t, dir)
+	if len(info.Epochs) != 2 || info.Epochs[1] != info.Epochs[0]+1 || info.SnapshotEpoch != info.Epochs[1] {
+		t.Fatalf("after rotation: epochs %v with the newest snapshot opening epoch %d; want the sealed epoch and the open one behind it", info.Epochs, info.SnapshotEpoch)
 	}
-	if len(wals) != 1 || len(snaps) != 1 {
-		t.Fatalf("after rotation: %d wal files %v, %d snapshots %v; want 1 and 1", len(wals), wals, len(snaps), snaps)
-	}
-	if wals[0] != snaps[0] {
-		t.Fatalf("wal epoch %d != snapshot epoch %d", wals[0], snaps[0])
-	}
-	if wals[0] < 8 {
-		t.Fatalf("epoch %d after 42 inputs at cadence 5: rotation did not keep up", wals[0])
+	if info.Epochs[1] < 8 {
+		t.Fatalf("epoch %d after 42 inputs at cadence 5: rotation did not keep up", info.Epochs[1])
 	}
 }
 
@@ -252,57 +258,39 @@ func TestKeepEpochsRetainsHistory(t *testing.T) {
 	}
 	feed(deng, 1, 20)
 	deng.Close()
-	wals, _, err := scanEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wals) < 3 {
-		t.Fatalf("KeepEpochs retained only %d wal files", len(wals))
+	if wals := inspect(t, dir).Epochs; len(wals) != 5 || wals[0] != 0 {
+		t.Fatalf("KeepEpochs retained epochs %v, want 0 to 4", wals)
 	}
 }
 
-// TestCrashBetweenRenameAndRemove is the in-between crash: snap-(e+1)
-// is visible but epoch e has not been removed yet (the WAL rotated
-// before the job started). Recovery must prefer the snapshot and ignore
-// the superseded wal-e records.
-func TestCrashBetweenRenameAndRemove(t *testing.T) {
-	dir := t.TempDir()
-	live := newCoreEngine(t)
-	deng, err := Wrap(live, opts(dir, 9))
+// newestSnapshot returns the epoch file that ends in the newest whole
+// snapshot under dir and the offset of the snapshot's first record in it.
+func newestSnapshot(t *testing.T, dir string) (path string, off int64) {
+	t.Helper()
+	info := inspect(t, dir)
+	if info.SnapshotEpoch == 0 {
+		t.Fatalf("no snapshot among epochs %v", info.Epochs)
+	}
+	path = walPath(dir, info.SnapshotEpoch-1)
+	scan, err := readWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked, release := make(chan struct{}), make(chan struct{})
-	deng.p.hook = func(at persistStep) error {
-		if at == stepRename {
-			parked <- struct{}{}
-			<-release
-		}
-		return nil
-	}
-	feed(deng, 1, 9)
-	<-parked
-	want := marshalState(t, live)
-	img := copyDir(t, dir)
-	release <- struct{}{}
-	if err := deng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if wals, snaps, _ := scanEpochs(img); fmt.Sprint(wals, snaps) != "[0 1] [1]" {
-		t.Fatalf("image holds wals and snaps %v %v, want the superseded wal-0 beside epoch 1", wals, snaps)
-	}
-	rec := newCoreEngine(t)
-	deng2, err := Wrap(rec, opts(img, 9))
+	return path, scan.goodLen
+}
+
+// flipSnapshotByte flips one byte of the newest snapshot's body, at
+// offset at of it.
+func flipSnapshotByte(t *testing.T, dir string, at int) {
+	t.Helper()
+	path, off := newestSnapshot(t, dir)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer deng2.Close()
-	st := deng2.Recovery()
-	if st.SnapshotEpoch != 1 || st.ReplayedEnvelopes != 0 {
-		t.Fatalf("restored epoch %d and replayed %d envelopes over a snapshot that already covers them", st.SnapshotEpoch, st.ReplayedEnvelopes)
-	}
-	if got := marshalState(t, rec); !bytes.Equal(got, want) {
-		t.Fatal("recovered state differs")
+	file[int(off)+walHeaderSize+snapJSize+at] ^= 0x40
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -322,34 +310,27 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := marshalState(t, live)
-	_, snaps, err := scanEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
+	newest := inspect(t, dir)
+	if newest.SnapshotEpoch < 2 {
+		t.Fatalf("need ≥2 snapshots, the newest opens epoch %d", newest.SnapshotEpoch)
 	}
-	if len(snaps) < 2 {
-		t.Fatalf("need ≥2 snapshots, have %d", len(snaps))
-	}
-	newest := snaps[len(snaps)-1]
 	// The older snapshot's tail is a shorter prefix of the one journal.
 	journal, err := readWAL(journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const room = 1 << 16 // for a snapshot body in front of the journal's bytes
-	tail := make([]byte, room)
+	older, err := readWAL(walPath(dir, newest.SnapshotEpoch-2))
+	if err != nil || older.snap == nil {
+		t.Fatalf("epoch %d: no snapshot behind it (%v)", newest.SnapshotEpoch-2, err)
+	}
+	tail := 0
 	for _, rec := range journal.records {
-		tail = append(tail, rec...)
+		tail += len(rec)
 	}
-	_, jOld, err := readSnapshot(dir, snaps[len(snaps)-2], tail, room)
-	if err != nil {
-		t.Fatal(err)
+	if jOld := int(binary.LittleEndian.Uint64(older.snap[0])); jOld >= newest.SnapshotTail || newest.SnapshotTail != tail {
+		t.Fatalf("snapshot tails %d and %d of a %d-byte journal, want the older one a proper prefix of the whole", jOld, newest.SnapshotTail, tail)
 	}
-	if _, jNew, err := readSnapshot(dir, newest, tail, room); err != nil || jOld >= jNew || jNew != len(tail)-room {
-		t.Fatalf("snapshot tails %d and %d of a %d-byte journal (%v), want the older one a proper prefix of the whole", jOld, jNew, len(tail)-room, err)
-	}
-	if err := os.WriteFile(snapPath(dir, newest), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipSnapshotByte(t, dir, 0)
 	rec := newCoreEngine(t)
 	deng2, err := Wrap(rec, o)
 	if err != nil {
@@ -357,8 +338,8 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	defer deng2.Close()
 	st := deng2.Recovery()
-	if st.SnapshotEpoch >= newest {
-		t.Fatalf("recovery claims snapshot epoch %d, which is corrupt", st.SnapshotEpoch)
+	if st.SnapshotEpoch != newest.SnapshotEpoch-1 {
+		t.Fatalf("recovery restored the snapshot opening epoch %d, want the one before the corrupt one, %d", st.SnapshotEpoch, newest.SnapshotEpoch-1)
 	}
 	if st.CorruptSnapshots != 1 {
 		t.Fatalf("CorruptSnapshots = %d, want 1 (the fallback must be surfaced, not silent)", st.CorruptSnapshots)
@@ -405,26 +386,19 @@ func TestCorruptSnapshotFallsBackOnFlippedByte(t *testing.T) {
 	if err := deng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, snaps, err := scanEpochs(dir)
-	if err != nil || len(snaps) < 2 {
-		t.Fatalf("snapshots %v (%v), want at least two", snaps, err)
+	newest := inspect(t, dir)
+	if newest.SnapshotEpoch < 2 {
+		t.Fatalf("the newest snapshot opens epoch %d, want at least two snapshots", newest.SnapshotEpoch)
 	}
-	newest := snaps[len(snaps)-1]
 	flips := map[string]func(t *testing.T, img string){
 		"inside cfg.Items": func(t *testing.T, img string) {
-			// checksum ‖ J ‖ u32le n ‖ n bytes of engine body ‖ warehouse ‖ items
-			file, err := os.ReadFile(snapPath(img, newest))
-			if err != nil {
-				t.Fatal(err)
+			// u32le n ‖ n bytes of engine body ‖ warehouse ‖ items
+			body := newest.SnapshotBody
+			at := 4 + int(binary.LittleEndian.Uint32(body)) + 1
+			if v, n := binary.Uvarint(body[at:]); v != gtpcc.NumItems || n != 1 {
+				t.Fatalf("byte %d of the snapshot body is not the shard's item count", at)
 			}
-			at := snapHeaderSize + 4 + int(binary.LittleEndian.Uint32(file[snapHeaderSize:])) + 1
-			if v, n := binary.Uvarint(file[at:]); v != gtpcc.NumItems || n != 1 {
-				t.Fatalf("byte %d of the snapshot file is not the shard's item count", at)
-			}
-			file[at] ^= 0x80 >> 1 // still one byte, still a varint: 100 → 36
-			if err := os.WriteFile(snapPath(img, newest), file, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			flipSnapshotByte(t, img, at) // still one byte, still a varint: 100 → 36
 		},
 		"inside an order": func(t *testing.T, img string) {
 			// The last journal record is the newest snapshot's instalment,
@@ -449,8 +423,8 @@ func TestCorruptSnapshotFallsBackOnFlippedByte(t *testing.T) {
 				t.Fatalf("recovery failed: %v", err)
 			}
 			defer deng.Close()
-			if st := deng.Recovery(); st.CorruptSnapshots != 1 || st.SnapshotEpoch != snaps[len(snaps)-2] {
-				t.Fatalf("restored epoch %d skipping %d snapshots, want epoch %d skipping the one damaged", st.SnapshotEpoch, st.CorruptSnapshots, snaps[len(snaps)-2])
+			if st := deng.Recovery(); st.CorruptSnapshots != 1 || st.SnapshotEpoch != newest.SnapshotEpoch-1 {
+				t.Fatalf("restored epoch %d skipping %d snapshots, want epoch %d skipping the one damaged", st.SnapshotEpoch, st.CorruptSnapshots, newest.SnapshotEpoch-1)
 			}
 			if rec.Digest() != live.Digest() {
 				t.Fatal("fallback recovery diverged from the live digest")
@@ -460,8 +434,8 @@ func TestCorruptSnapshotFallsBackOnFlippedByte(t *testing.T) {
 }
 
 // TestCorruptOnlySnapshotFailsLoudly: without KeepEpochs, truncation
-// already deleted every older snapshot and WAL epoch — when the one
-// remaining snapshot does not decode there is nothing to fall back on,
+// already deleted every older epoch — when the one remaining snapshot
+// does not decode there is nothing to fall back on,
 // and recovery must fail instead of silently rebuilding from fresh
 // state plus only the current WAL epoch (silent data loss).
 func TestCorruptOnlySnapshotFailsLoudly(t *testing.T) {
@@ -472,37 +446,33 @@ func TestCorruptOnlySnapshotFailsLoudly(t *testing.T) {
 	}
 	feed(deng, 1, 23)
 	deng.Close()
-	_, snaps, err := scanEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
+	if info := inspect(t, dir); len(info.Epochs) != 2 || info.SnapshotEpoch != info.Epochs[1] {
+		t.Fatalf("test premise broken: want one sealed epoch and the open one, have %v with the snapshot opening %d", info.Epochs, info.SnapshotEpoch)
 	}
-	if len(snaps) != 1 {
-		t.Fatalf("test premise broken: want exactly 1 retained snapshot, have %v", snaps)
-	}
-	if err := os.WriteFile(snapPath(dir, snaps[0]), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Wrap(newCoreEngine(t), opts(dir, 5)); err == nil {
-		t.Fatal("recovery silently succeeded with the only snapshot corrupt")
+	flipSnapshotByte(t, dir, 3)
+	if _, err := Wrap(newCoreEngine(t), opts(dir, 5)); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("recovery with the only snapshot corrupt: %v, want the checksum failure", err)
 	}
 }
 
-// FuzzWALRecover hammers the WAL reader with arbitrary bytes: it must
-// never panic, must account for every byte (records + torn tail), and
-// truncating to goodLen must yield a byte-stable scan (the recovery
-// path truncates exactly there).
+// FuzzWALRecover hammers the record reader and the recovery above it
+// with arbitrary bytes as epoch 0, the newest epoch or, with a valid
+// epoch 1 behind it, an older one. The reader must never panic, must
+// account for every byte of an unsealed file (records + torn tail), and
+// truncating to goodLen must yield a byte-stable scan (the recovery path
+// truncates exactly there). Recovery may refuse the directory; when it
+// accepts it, closing and recovering again must find it clean.
 func FuzzWALRecover(f *testing.F) {
 	var valid []byte
-	for i := 0; i < 3; i++ {
-		valid = appendWALRecord(valid, []byte(fmt.Sprintf("record-%d", i)))
+	for i := uint64(1); i <= 3; i++ {
+		valid = appendRecords(valid, codec.Marshal(reqEnv(i)), false)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	corrupt := append([]byte(nil), valid...)
+	snap := func(body string) []byte { return append(make([]byte, snapJSize), body...) }
+	sealed := appendRecords(slices.Clone(valid), snap("state behind three inputs"), true)
+	corrupt := slices.Clone(valid)
 	corrupt[5] ^= 0xA5
-	f.Add(corrupt)
+	badSnap := slices.Clone(sealed)
+	badSnap[len(badSnap)-1] ^= 1
 	// journal.log shares the framing: fixed-width tail entries, one
 	// record per snapshot, torn mid-record by a crash.
 	var journal []byte
@@ -511,13 +481,25 @@ func FuzzWALRecover(f *testing.F) {
 		for i := 0; i < 4; i++ {
 			delta = binary.LittleEndian.AppendUint64(delta, uint64(amcast.NewMsgID(rec, uint64(i+1))))
 		}
-		journal = appendWALRecord(journal, delta)
+		journal = appendRecords(journal, delta, false)
 	}
-	f.Add(journal)
-	f.Add(journal[:len(journal)-11])
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, older := range []bool{false, true} {
+		f.Add(valid, older)
+		f.Add(valid[:len(valid)-3], older) // torn input: a hole when epoch 1 follows
+		f.Add([]byte{}, older)
+		f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}, older)
+		f.Add(corrupt, older)
+		f.Add(sealed, older)
+		f.Add(sealed[:len(sealed)-5], older)                 // snapshot record cut short
+		f.Add(sealed[:len(valid)+2], older)                  // … inside its header
+		f.Add(badSnap, older)                                // … or failing its checksum
+		f.Add(append(slices.Clone(sealed), valid...), older) // input behind a snapshot
+		f.Add(journal, older)
+		f.Add(journal[:len(journal)-11], older)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, older bool) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "wal-00000000.log")
+		path := walPath(dir, 0)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -525,29 +507,50 @@ func FuzzWALRecover(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scan.goodLen+scan.tornBytes != int64(len(data)) {
-			t.Fatalf("goodLen %d + torn %d != %d bytes", scan.goodLen, scan.tornBytes, len(data))
+		if scan.goodLen < 0 || scan.goodLen > int64(len(data)) || !scan.sealed && scan.goodLen+scan.tornBytes != int64(len(data)) {
+			t.Fatalf("goodLen %d, torn %d, sealed %v of %d bytes", scan.goodLen, scan.tornBytes, scan.sealed, len(data))
 		}
-		if scan.goodLen > int64(len(data)) || scan.goodLen < 0 {
-			t.Fatalf("goodLen %d out of range", scan.goodLen)
+		if scan.snap != nil && (!scan.sealed || scan.corrupt) || scan.sealed && scan.tornBytes != 0 {
+			t.Fatalf("inconsistent scan: sealed %v, corrupt %v, torn %d, %d snapshot chunks", scan.sealed, scan.corrupt, scan.tornBytes, len(scan.snap))
 		}
-		// Truncating at goodLen (what openWALWriter does) must preserve
-		// exactly the valid records and report a clean file.
-		if err := os.WriteFile(path, data[:scan.goodLen], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		again, err := readWAL(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.tornBytes != 0 || len(again.records) != len(scan.records) {
-			t.Fatalf("re-scan after truncation: %d records torn %d, want %d records torn 0",
-				len(again.records), again.tornBytes, len(scan.records))
+		// Truncating at goodLen (what recovery does) must preserve
+		// exactly the valid records and report a clean, unsealed file.
+		again := scanRecords(data[:scan.goodLen])
+		if again.tornBytes != 0 || again.sealed || len(again.records) != len(scan.records) {
+			t.Fatalf("re-scan after truncation: %d records torn %d sealed %v, want %d records torn 0",
+				len(again.records), again.tornBytes, again.sealed, len(scan.records))
 		}
 		for i := range scan.records {
 			if !bytes.Equal(scan.records[i], again.records[i]) {
 				t.Fatalf("record %d changed across truncation", i)
 			}
 		}
+		if older {
+			if err := os.WriteFile(walPath(dir, 1), valid, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := Options{Dir: dir, SnapshotEvery: 2, FsyncEvery: -1, Decode: func(data []byte) (amcast.Snapshot, error) {
+			return bigSnapshot(data), nil
+		}}
+		deng, err := Wrap(&bigSnapshotEngine{}, o)
+		if err != nil {
+			return
+		}
+		if hole := older && !scan.sealed && scan.tornBytes > 0; hole {
+			t.Fatalf("recovery stepped over %d damaged bytes of epoch 0 into epoch 1", scan.tornBytes)
+		}
+		feed(deng, 100, 3)
+		if err := deng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		deng, err = Wrap(&bigSnapshotEngine{}, o)
+		if err != nil {
+			t.Fatalf("second recovery: %v", err)
+		}
+		if st := deng.Recovery(); st.TornTailBytes != 0 || st.CorruptSnapshots != 0 {
+			t.Fatalf("second recovery: torn %d, corrupt snapshots %d", st.TornTailBytes, st.CorruptSnapshots)
+		}
+		deng.Close()
 	})
 }

@@ -14,7 +14,7 @@ import (
 // appended. It is a fault-injection helper for crash tests; the engine
 // itself never calls it.
 func TearTail(dir string, payload []byte) (int64, error) {
-	wals, _, err := scanEpochs(dir)
+	wals, err := scanEpochs(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -24,48 +24,34 @@ func TearTail(dir string, payload []byte) (int64, error) {
 	if len(payload) == 0 {
 		payload = []byte("torn-tail-fragment-never-recovered")
 	}
-	rec := appendWALRecord(nil, payload)
 	cut := walHeaderSize + len(payload)/2
 	f, err := os.OpenFile(walPath(dir, wals[len(wals)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.Write(rec[:cut]); err != nil {
-		f.Close()
-		return 0, err
+	_, err = f.Write(appendRecords(nil, payload, false)[:cut])
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	return int64(cut), nil
+	return int64(cut), err
 }
 
-// TruncateLastRecord cuts the newest WAL's final complete record in half
-// — header plus a partial payload — turning it into a torn tail, as if
-// the crash had struck mid-append of that record (so its input is lost
+// TruncateLastRecord cuts the newest WAL's final complete input record in
+// half — header plus a partial payload — turning it into a torn tail, as
+// if the crash had struck mid-append of that record (so its input is lost
 // and recovery must stop cleanly at the record before it). Returns false
 // when the newest WAL holds no complete record to truncate. Like
 // TearTail, it is a fault-injection helper for crash tests.
 func TruncateLastRecord(dir string) (bool, error) {
-	wals, _, err := scanEpochs(dir)
-	if err != nil {
+	wals, err := scanEpochs(dir)
+	if err != nil || len(wals) == 0 {
 		return false, err
-	}
-	if len(wals) == 0 {
-		return false, nil
 	}
 	path := walPath(dir, wals[len(wals)-1])
 	scan, err := readWAL(path)
-	if err != nil {
+	if err != nil || len(scan.records) == 0 {
 		return false, err
-	}
-	if len(scan.records) == 0 {
-		return false, nil
 	}
 	last := int64(len(scan.records[len(scan.records)-1]))
-	recStart := scan.goodLen - walHeaderSize - last
-	if err := os.Truncate(path, recStart+walHeaderSize+last/2); err != nil {
-		return false, err
-	}
-	return true, nil
+	return true, os.Truncate(path, scan.goodLen-last+last/2)
 }

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -9,24 +10,27 @@ import (
 	"flexcast/amcast"
 )
 
-// persistStep names one step of a persist job, in execution order. A
-// crash after any of them leaves a directory recovery accepts:
+// persistStep names one step of a persist job, in execution order. The
+// job seals epoch e: it is handed the snapshot taken behind e's last
+// input and wal-e's open file, while the engine appends to wal-(e+1). A
+// crash after any step leaves a directory recovery accepts:
 //
-//	journalAppend, journalSync  the journal holds an instalment no visible
+//	journalAppend, journalSync  the journal holds an instalment no
 //	                            snapshot names; recovery cuts it back
-//	tmpWrite, tmpSync           a snap-*.tmp nothing refers to; removed
-//	rename                      snap-(e+1) is visible and complete (its
-//	                            journal bytes were fsynced two steps ago);
-//	                            epoch e is still there as well
-//	dirSync                     the rename is durable — only now may the
-//	                            superseded epoch go
-//	remove                      snap-e first, then wal-e: a crash between
-//	                            the two leaves an orphaned WAL, never a
-//	                            snapshot without its log
+//	snapshotAppend              wal-e ends in a snapshot record, whole or
+//	                            (a crash inside the write) cut short: a
+//	                            short one is ignored, a whole one is
+//	                            usable — its journal bytes were fsynced
+//	                            one step ago; the older epochs are still
+//	                            there either way
+//	seal                        wal-e is fsynced, inputs and snapshot —
+//	                            only now may what it supersedes go
+//	remove                      every epoch below e; a crash mid-way
+//	                            leaves old files recovery deletes
 //
 // The journal goes first because a visible snapshot must find its tail:
-// were it appended after the rename, a crash in between would leave the
-// newest snapshot asking for journal bytes that do not exist.
+// were it appended after the snapshot record, a crash in between would
+// leave the newest snapshot asking for journal bytes that do not exist.
 //
 // What to append is the persister's knowledge: prev, the snapshot whose
 // tail the journal ends with. The engine cannot know it — its Snapshot()
@@ -38,22 +42,15 @@ type persistStep int
 const (
 	stepJournalAppend persistStep = iota
 	stepJournalSync
-	stepTmpWrite
-	stepTmpSync
-	stepRename
-	stepDirSync
+	stepSnapshotAppend
+	stepSeal
 	stepRemove
 	numPersistSteps
 )
 
 var persistStepNames = [numPersistSteps]string{
-	"journal append", "journal fsync", "snapshot write", "snapshot fsync", "rename", "directory fsync", "remove superseded epoch",
+	"journal append", "journal fsync", "snapshot append", "seal", "remove superseded epochs",
 }
-
-// journalChunk bounds one journal record's payload (maxWALRecord is the
-// reader's corruption threshold; an instalment is a few kilobytes unless
-// the snapshot cadence is set very wide).
-const journalChunk = 1 << 20
 
 // persister makes captured snapshots durable off the engine goroutine,
 // one job at a time. Its fields belong to the running job's goroutine
@@ -69,13 +66,13 @@ type persister struct {
 	journal    *os.File
 	journalLen int
 	prev       amcast.Snapshot
-	// file, tail and delta are the job's buffers — the snapshot file's
-	// image, the tail instalment, the instalment framed into journal
-	// records — kept from one job to the next, so each is built once at
-	// its final size instead of grown from nothing every time.
-	file, tail, delta []byte
-	// oldest is the lowest epoch whose files may still be on disk: each
-	// job removes [oldest, its own epoch).
+	// body, tail and recs are the job's buffers — J and the snapshot body,
+	// the tail instalment, either of them framed into records — kept from
+	// one job to the next, so each is built once at its final size instead
+	// of grown from nothing every time.
+	body, tail, recs []byte
+	// oldest is the lowest epoch whose file may still be on disk: each
+	// job removes [oldest, the epoch it seals).
 	oldest uint64
 	// done is closed when the job in flight finishes; nil when idle.
 	done chan struct{}
@@ -132,15 +129,17 @@ func (p *persister) wait() error {
 	return p.err
 }
 
-// start launches the job persisting snap as snap-epoch. The caller has
-// waited for the previous job and seen no error.
-func (p *persister) start(snap amcast.Snapshot, epoch uint64) {
+// start launches the job that seals epoch with snap, the state behind
+// the last record of f, that epoch's file; the job owns f from here. The
+// caller has waited for the previous job and seen no error.
+func (p *persister) start(snap amcast.Snapshot, epoch uint64, f *os.File) {
 	done := make(chan struct{})
 	p.done = done
 	abandoned.Store(p.dir, done)
 	go func() {
 		start := time.Now()
-		p.err = p.persist(snap, epoch)
+		p.err = p.persist(snap, epoch, f)
+		f.Close()
 		persistHist.Record(uint64(time.Since(start)))
 		abandoned.CompareAndDelete(p.dir, done)
 		close(done)
@@ -160,30 +159,27 @@ func splitSnapshot(snap, prev amcast.Snapshot, body, tail []byte) ([]byte, []byt
 	return nil, nil, fmt.Errorf("durable: snapshot %T has no binary form", snap)
 }
 
-func (p *persister) persist(snap amcast.Snapshot, epoch uint64) error {
-	file, tail, err := splitSnapshot(snap, p.prev, append(p.file[:0], make([]byte, snapHeaderSize)...), p.tail[:0])
+// snapJSize is what precedes the body in a snapshot's payload: u64le J,
+// the number of journal bytes that are the snapshot's tail.
+const snapJSize = 8
+
+func (p *persister) persist(snap amcast.Snapshot, epoch uint64, f *os.File) error {
+	body, tail, err := splitSnapshot(snap, p.prev, append(p.body[:0], make([]byte, snapJSize)...), p.tail[:0])
 	if err != nil {
 		return err
 	}
-	delta := p.delta[:0]
-	for rest := tail; len(rest) > 0; {
-		n := min(len(rest), journalChunk)
-		delta = appendWALRecord(delta, rest[:n])
-		rest = rest[n:]
+	p.body, p.tail = body, tail
+	binary.LittleEndian.PutUint64(body, uint64(p.journalLen+len(tail)))
+	bodyBytesHist.Record(uint64(len(body) - snapJSize))
+	write := func(to *os.File, payload []byte, snapshot bool) error {
+		p.recs = appendRecords(p.recs[:0], payload, snapshot)
+		_, err := to.Write(p.recs)
+		return err
 	}
-	p.file, p.tail, p.delta = file, tail, delta
-	sealSnapshot(file, uint64(p.journalLen+len(tail)))
-	bodyBytesHist.Record(uint64(len(file) - snapHeaderSize))
-	final := snapPath(p.dir, epoch)
-	tmp := final + snapTmpSuffix
-	var f *os.File
 	steps := [numPersistSteps]func() error{
-		stepJournalAppend: func() error {
-			_, err := p.journal.Write(delta)
-			return err
-		},
+		stepJournalAppend: func() error { return write(p.journal, tail, false) },
 		stepJournalSync: func() error {
-			if len(delta) == 0 {
+			if len(tail) == 0 {
 				return nil
 			}
 			if err := p.journal.Sync(); err != nil {
@@ -193,28 +189,11 @@ func (p *persister) persist(snap amcast.Snapshot, epoch uint64) error {
 			p.prev = snap
 			return nil
 		},
-		stepTmpWrite: func() (err error) {
-			if f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
-				return err
-			}
-			if _, err = f.Write(file); err != nil {
-				f.Close()
-			}
-			return err
-		},
-		stepTmpSync: func() error {
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		},
-		stepRename:  func() error { return os.Rename(tmp, final) },
-		stepDirSync: func() error { return syncDir(p.dir) },
+		stepSnapshotAppend: func() error { return write(f, body, true) },
+		stepSeal:           f.Sync,
 		stepRemove: func() error {
 			for ; !p.keep && p.oldest < epoch; p.oldest++ {
 				// A leftover costs space only, and recovery removes it.
-				_ = os.Remove(snapPath(p.dir, p.oldest))
 				_ = os.Remove(walPath(p.dir, p.oldest))
 			}
 			return nil

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -250,17 +251,36 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// checkNames fails when dir holds anything but WAL epochs and the
+// journal: no step of a persist job creates another name, not even for a
+// moment — there is nothing to rename and nothing to sweep.
+func checkNames(t *testing.T, dir string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Error(err)
+	}
+	for _, ent := range ents {
+		var e uint64
+		if n, _ := fmt.Sscanf(ent.Name(), "wal-%08d.log", &e); n != 1 && ent.Name() != "journal.log" {
+			t.Errorf("%s holds %q", dir, ent.Name())
+		}
+	}
+}
+
 // TestCrashAtEveryPersistStep enumerates the crash points of a persist
 // job instead of sampling them: every job of a run parks after the same
 // step while input keeps arriving, the directory is copied as it then
 // stands — the kill -9 image, not drained — and the image must recover
 // to exactly the state of a reference engine fed the same input prefix,
-// replaying at most two cadences and a batch. Each image is recovered a
-// second time with its journal damaged (cut mid-record while the newest
-// delta is not yet needed, a torn record appended otherwise), and the
-// recovered engine then finishes the run and recovers once more, which
-// fails unless the first recovery cut the journal back to the restored
-// snapshot's J.
+// replaying at most two cadences and a batch. Each image is recovered
+// again with its journal damaged (cut mid-record while the newest delta
+// is not yet needed, a torn record appended otherwise) and, while what
+// the snapshot record supersedes is still there, with that record cut
+// short — the crash inside the step rather than behind it. The recovered engine then
+// finishes the run and recovers once more, which fails unless the first
+// recovery cut the journal back to the restored snapshot's J. Parking
+// after the seal is the crash between seal and remove: the sealed epoch
+// and everything it supersedes are both on disk.
 func TestCrashAtEveryPersistStep(t *testing.T) {
 	const cadence, batch = 24, 4
 	for _, s := range crashStacks() {
@@ -287,7 +307,10 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 					t.Fatal(err)
 				}
 				parked, release := make(chan struct{}), make(chan struct{})
+				var ran []persistStep // by all jobs so far
 				de.p.hook = func(at persistStep) error {
+					ran = append(ran, at)
+					checkNames(t, dir)
 					if at == step {
 						parked <- struct{}{}
 						<-release
@@ -319,31 +342,41 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 						off += n
 					}
 					want := marshalState(t, prefix)
-					for _, damage := range []bool{false, true} {
+					damages := []string{"", "journal"}
+					if step == stepSnapshotAppend || step == stepSeal {
+						// Until the remove step the older epochs are there to
+						// fall back on.
+						damages = append(damages, "snapshot")
+					}
+					for _, damage := range damages {
 						img := copyDir(t, dir)
-						if damage {
-							damageJournal(t, img, step <= stepJournalSync)
+						// A snapshot is usable from the moment it is whole.
+						visible := de.Epoch() - 1
+						if step >= stepSnapshotAppend {
+							visible = de.Epoch()
+						}
+						switch damage {
+						case "journal":
+							damageJournal(t, img, step < stepSnapshotAppend)
+						case "snapshot":
+							tearSnapshot(t, img)
+							visible--
 						}
 						rec := s.mk(s.target)
 						rde, err := Wrap(rec, o(img))
 						if err != nil {
-							t.Fatalf("image %d (damaged journal: %v): %v", images, damage, err)
+							t.Fatalf("image %d (damaged: %q): %v", images, damage, err)
 						}
 						st := rde.Recovery()
 						if st.ReplayedEnvelopes > 2*cadence+batch {
 							t.Fatalf("image %d: replayed %d envelopes, bound is %d", images, st.ReplayedEnvelopes, 2*cadence+batch)
 						}
-						// A snapshot is usable from the moment it is visible.
-						visible := de.Epoch() - 1
-						if step >= stepRename {
-							visible = de.Epoch()
-						}
 						if st.SnapshotEpoch != visible || st.CorruptSnapshots != 0 {
-							t.Fatalf("image %d (damaged journal: %v): restored snapshot epoch %d skipping %d, want epoch %d skipping none",
+							t.Fatalf("image %d (damaged: %q): restored snapshot epoch %d skipping %d, want epoch %d skipping none",
 								images, damage, st.SnapshotEpoch, st.CorruptSnapshots, visible)
 						}
 						if got := marshalState(t, rec); !bytes.Equal(got, want) {
-							t.Fatalf("image %d (damaged journal: %v): recovered state differs from the reference at input %d", images, damage, off)
+							t.Fatalf("image %d (damaged: %q): recovered state differs from the reference at input %d", images, damage, off)
 						}
 						// The recovered engine carries on and recovers again.
 						feedBatches(rde, inputs[off:], batch)
@@ -353,12 +386,13 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 						again := s.mk(s.target)
 						ade, err := Wrap(again, o(img))
 						if err != nil {
-							t.Fatalf("image %d (damaged journal: %v): second recovery: %v", images, damage, err)
+							t.Fatalf("image %d (damaged: %q): second recovery: %v", images, damage, err)
 						}
 						ade.Close()
 						if got := marshalState(t, again); !bytes.Equal(got, final) {
-							t.Fatalf("image %d (damaged journal: %v): state after finishing the run on the recovered engine differs", images, damage)
+							t.Fatalf("image %d (damaged: %q): state after finishing the run on the recovered engine differs", images, damage)
 						}
+						checkNames(t, img)
 					}
 					images++
 					release <- struct{}{}
@@ -368,6 +402,16 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 				}
 				if images < 6 {
 					t.Fatalf("only %d crash images taken", images)
+				}
+				// A job is the five steps, in order, once: two of them fsync
+				// (the journal, the sealed epoch) and none renames.
+				for i, at := range ran {
+					if at != persistStep(i%int(numPersistSteps)) {
+						t.Fatalf("step %d of the jobs was %q", i, persistStepNames[at])
+					}
+				}
+				if len(ran) != images*int(numPersistSteps) {
+					t.Fatalf("%d jobs ran %d steps", images, len(ran))
 				}
 			})
 		}
@@ -386,7 +430,7 @@ func damageJournal(t *testing.T, dir string, cut bool) {
 	if cut && len(data) > 3 {
 		data = data[:len(data)-3]
 	} else {
-		rec := appendWALRecord(nil, bytes.Repeat([]byte{0xAB}, 64))
+		rec := appendRecords(nil, bytes.Repeat([]byte{0xAB}, 64), false)
 		data = append(data, rec[:len(rec)/2]...)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -394,67 +438,181 @@ func damageJournal(t *testing.T, dir string, cut bool) {
 	}
 }
 
-// TestDirSyncFailureKeepsSupersededEpoch: when the directory fsync after
-// the rename fails, the new snapshot is not known to be durable, so the
-// epoch it supersedes — the only other copy of that state — must stay,
-// the failure must reach Err, and the directory must still recover.
-func TestDirSyncFailureKeepsSupersededEpoch(t *testing.T) {
-	dir := t.TempDir()
-	live := newCoreEngine(t)
-	deng, err := Wrap(live, opts(dir, 5))
+// tearSnapshot cuts the newest snapshot short, two thirds into its
+// first record: what a kill -9 inside the job's write(2) leaves.
+func tearSnapshot(t *testing.T, dir string) {
+	t.Helper()
+	path, off := newestSnapshot(t, dir)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("injected directory fsync failure")
-	jobs := 0
-	deng.p.hook = func(at persistStep) error {
-		if at == stepDirSync {
-			if jobs++; jobs == 3 {
+	if err := os.Truncate(path, off+(st.Size()-off)*2/3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryRefusesHoles: every input of an epoch is written before the
+// next epoch exists, so an older epoch ending in a damaged input record
+// has lost input the newer ones build on — recovery must fail and name
+// it, not replay across the gap. A damaged snapshot record behind an
+// older epoch's inputs is different: cut short, it is what a crash inside
+// the persist job's write leaves, and recovery falls back without
+// comment; failing its checksum, it falls back and says so.
+func TestRecoveryRefusesHoles(t *testing.T) {
+	dir := t.TempDir()
+	o := opts(dir, 6)
+	o.KeepEpochs = true
+	live := newCoreEngine(t)
+	deng, err := Wrap(live, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(deng, 1, 20) // epochs 0, 1 and 2 sealed, two inputs in epoch 3
+	if err := deng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := marshalState(t, live)
+	sealed, err := readWAL(walPath(dir, 2))
+	if err != nil || sealed.snap == nil {
+		t.Fatalf("epoch 2: no snapshot behind its inputs (%v)", err)
+	}
+	lastInput := sealed.goodLen - int64(len(sealed.records[len(sealed.records)-1]))/2
+	cases := []struct {
+		name   string
+		damage func(file []byte) []byte
+		// refused names the epoch when recovery must fail; otherwise it
+		// restores the snapshot opening epoch restored, replays the inputs
+		// since, and counts corrupt snapshots.
+		refused           string
+		restored, replays uint64
+		corrupt           int
+	}{
+		{name: "untouched", damage: func(f []byte) []byte { return f }, restored: 3, replays: 2},
+		{name: "snapshot record cut short", damage: func(f []byte) []byte { return f[:len(f)-9] }, restored: 2, replays: 8},
+		{name: "snapshot record cut inside its header", damage: func(f []byte) []byte { return f[:sealed.goodLen+5] }, restored: 2, replays: 8},
+		{name: "snapshot record failing its checksum", damage: func(f []byte) []byte { f[len(f)-9] ^= 1; return f }, restored: 2, replays: 8, corrupt: 1},
+		{name: "input record cut short", damage: func(f []byte) []byte { return f[:lastInput] }, refused: "epoch 2"},
+		{name: "input record failing its checksum", damage: func(f []byte) []byte { f[lastInput] ^= 1; return f }, refused: "epoch 2"},
+		{name: "input record cut inside its header", damage: func(f []byte) []byte {
+			return f[:sealed.goodLen-int64(len(sealed.records[len(sealed.records)-1]))-2]
+		}, refused: "epoch 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			img := copyDir(t, dir)
+			file, err := os.ReadFile(walPath(img, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walPath(img, 2), c.damage(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o := o
+			o.Dir = img
+			rec := newCoreEngine(t)
+			rde, err := Wrap(rec, o)
+			if c.refused != "" {
+				if err == nil || !strings.Contains(err.Error(), c.refused) || !strings.Contains(err.Error(), "hole") {
+					t.Fatalf("Wrap = %v, want it to refuse the hole in %s", err, c.refused)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rde.Close()
+			if st := rde.Recovery(); st.SnapshotEpoch != c.restored || uint64(st.ReplayedEnvelopes) != c.replays || st.CorruptSnapshots != c.corrupt || st.TornTailBytes != 0 {
+				t.Fatalf("recovery %+v, want epoch %d restored, %d envelopes replayed, %d corrupt snapshots", st, c.restored, c.replays, c.corrupt)
+			}
+			if !bytes.Equal(marshalState(t, rec), want) {
+				t.Fatal("recovered state differs")
+			}
+		})
+	}
+}
+
+// TestEpochNotSyncedBeforePredecessorSealed: while the job sealing epoch
+// e has not fsynced it, appends to epoch e+1 go through but its fsync
+// waits; and when the seal fails, the fsync fails with it instead of
+// making a later epoch durable behind one that is not.
+func TestEpochNotSyncedBeforePredecessorSealed(t *testing.T) {
+	o := func(t *testing.T) Options {
+		return Options{Dir: t.TempDir(), SnapshotEvery: 4, FsyncEvery: -1, Decode: core.UnmarshalSnapshot}
+	}
+	t.Run("blocked seal", func(t *testing.T) {
+		deng, err := Wrap(newCoreEngine(t), o(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked, release := make(chan struct{}), make(chan struct{})
+		deng.p.hook = func(at persistStep) error {
+			if at == stepSnapshotAppend { // the next step is the seal
+				parked <- struct{}{}
+				<-release
+			}
+			return nil
+		}
+		feed(deng, 1, 4)
+		<-parked
+		feed(deng, 5, 3) // appends to epoch 1 do not wait
+		if deng.Epoch() != 1 || deng.SinceSnapshot() != 3 || deng.Err() != nil {
+			t.Fatalf("epoch %d, %d inputs since the snapshot, err %v", deng.Epoch(), deng.SinceSnapshot(), deng.Err())
+		}
+		synced := make(chan error)
+		go func() { synced <- deng.w.sync() }()
+		select {
+		case err := <-synced:
+			t.Fatalf("epoch 1 fsynced (%v) while epoch 0 was not sealed", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		release <- struct{}{}
+		if err := <-synced; err != nil {
+			t.Fatal(err)
+		}
+		if err := deng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("failed seal", func(t *testing.T) {
+		opts := o(t)
+		live := newCoreEngine(t)
+		deng, err := Wrap(live, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boom := errors.New("injected failure before the seal")
+		deng.p.hook = func(at persistStep) error {
+			if at == stepJournalSync {
 				return boom
 			}
+			return nil
 		}
-		return nil
-	}
-	feed(deng, 1, 12) // snapshots 1 and 2 persist
-	if err := deng.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	feed(deng, 13, 3) // snapshot 3: rename made, directory fsync fails
-	if err := deng.Sync(); !errors.Is(err, boom) {
-		t.Fatalf("Sync after the failed persist = %v, want the injected failure", err)
-	}
-	if !errors.Is(deng.Err(), boom) {
-		t.Fatalf("Err() = %v, want the injected failure", deng.Err())
-	}
-	feed(deng, 16, 20) // the engine keeps running; nothing more is persisted
-	want := marshalState(t, live)
-	wals, snaps, err := scanEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(wals) != "[2 3]" || fmt.Sprint(snaps) != "[2 3]" {
-		t.Fatalf("after the failed directory fsync: wals %v snaps %v, want epoch 2 kept beside epoch 3", wals, snaps)
-	}
-	if err := deng.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close = %v, want the latched failure", err)
-	}
-	// Inputs after the failure were not logged (durability is reported
-	// broken, the engine runs on), so the image recovers to the state at
-	// the failure: 15 inputs.
-	rec := newCoreEngine(t)
-	deng2, err := Wrap(rec, opts(dir, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer deng2.Close()
-	ref := newCoreEngine(t)
-	feed(ref, 1, 15)
-	if got := marshalState(t, rec); !bytes.Equal(got, marshalState(t, ref)) {
-		t.Fatal("recovery from the image of a failed directory fsync diverged")
-	}
-	if bytes.Equal(marshalState(t, rec), want) {
-		t.Fatal("test premise broken: inputs after the latched failure were persisted")
-	}
+		feed(deng, 1, 6)
+		if err := deng.w.sync(); !errors.Is(err, boom) {
+			t.Fatalf("fsync of epoch 1 behind a failed seal = %v, want the job's failure", err)
+		}
+		if err := deng.Sync(); !errors.Is(err, boom) || !errors.Is(deng.Err(), boom) {
+			t.Fatalf("Sync = %v, Err = %v, want the injected failure latched", err, deng.Err())
+		}
+		feed(deng, 7, 10) // the engine keeps running; nothing more is logged
+		if err := deng.Close(); !errors.Is(err, boom) {
+			t.Fatalf("Close = %v, want the latched failure", err)
+		}
+		// Inputs up to the failure were logged, the unsealed epoch kept: the
+		// directory recovers to the state at the failure.
+		rec := newCoreEngine(t)
+		rde, err := Wrap(rec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rde.Close()
+		ref := newCoreEngine(t)
+		feed(ref, 1, 6)
+		if st := rde.Recovery(); st.SnapshotEpoch != 0 || st.ReplayedEnvelopes != 6 || !bytes.Equal(marshalState(t, rec), marshalState(t, ref)) {
+			t.Fatalf("recovery %+v: want all six logged inputs replayed onto a fresh engine, to the reference state", st)
+		}
+	})
 }
 
 // bigSnapshotEngine is a stub whose snapshot body exceeds maxWALRecord.
@@ -474,9 +632,9 @@ func (e *bigSnapshotEngine) Restore(s amcast.Snapshot) error {
 	return nil
 }
 
-// TestSnapshotLargerThanWALRecordLimit: snapshot files are not WAL
-// records, so a body beyond maxWALRecord — the WAL reader's corruption
-// threshold — persists and recovers.
+// TestSnapshotLargerThanWALRecordLimit: a snapshot is written as chunks
+// of at most recordChunk bytes, so a body beyond maxWALRecord — the
+// reader's corruption threshold for one record — persists and recovers.
 func TestSnapshotLargerThanWALRecordLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("writes a 64 MiB snapshot")
@@ -534,6 +692,27 @@ func tombstoneLoad(tb testing.TB) cadenceLoad {
 	}
 }
 
+// historyLoad is group 1 of a two-group FlexCast overlay: its first nodes
+// inputs are addressed to both groups, delivered on arrival at their lca
+// and kept in the history; the rest are addressed to group 1 alone and
+// never enter it, so every cadence point from then on captures a history
+// of exactly that many nodes.
+func historyLoad(tb testing.TB, nodes int) cadenceLoad {
+	i := uint64(0)
+	return cadenceLoad{
+		eng:    core.MustNew(core.Config{Group: 1, Overlay: overlay.MustCDAG([]amcast.GroupID{1, 2})}),
+		decode: core.UnmarshalSnapshot,
+		next: func() amcast.Envelope {
+			i++
+			env := reqEnv(i)
+			if i <= uint64(nodes) {
+				env.Msg.Dst = []amcast.GroupID{1, 2}
+			}
+			return env
+		},
+	}
+}
+
 // orderLoad is a mirrored store executor over that engine. Its first
 // pending inputs are new-orders, leaving that many undelivered; from then
 // on ten new-orders alternate with one delivery of ten, which holds the
@@ -572,15 +751,6 @@ func cadencePoint(tb testing.TB, load cadenceLoad, warm int) (stall time.Duratio
 		tb.Fatal(err)
 	}
 	defer deng.Close()
-	size := func() (n int64) {
-		ents, _ := os.ReadDir(dir)
-		for _, ent := range ents {
-			if info, err := ent.Info(); err == nil {
-				n += info.Size()
-			}
-		}
-		return n
-	}
 	feedN := func(n int) {
 		for ; n > 0; n-- {
 			deng.OnEnvelope(load.next())
@@ -591,12 +761,18 @@ func cadencePoint(tb testing.TB, load cadenceLoad, warm int) (stall time.Duratio
 	if err := deng.Sync(); err != nil {
 		tb.Fatal(err)
 	}
-	// The cadence points measured: the directory grows by the journal
-	// delta (plus one WAL epoch replacing another of the same size), and
-	// each snapshot file replaces the previous one.
+	// The cadence points measured: each writes a snapshot body behind the
+	// epoch it seals and appends its tail's instalment to the journal.
 	const points = 8
 	stall = time.Hour
-	before := size()
+	journalBytes := func() int64 {
+		st, err := os.Stat(journalPath(dir))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return st.Size()
+	}
+	before := journalBytes()
 	for p := 0; p < points; p++ {
 		feedN(cadence - 1)
 		deng.OnEnvelope(load.next())
@@ -606,14 +782,9 @@ func cadencePoint(tb testing.TB, load cadenceLoad, warm int) (stall time.Duratio
 		if err := deng.Sync(); err != nil {
 			tb.Fatal(err)
 		}
-		_, snaps, _ := scanEpochs(dir)
-		info, err := os.Stat(snapPath(dir, snaps[len(snaps)-1]))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		written += info.Size()
+		written += int64(len(inspect(tb, dir).SnapshotBody))
 	}
-	written += size() - before
+	written += journalBytes() - before
 	return stall, written / points
 }
 
@@ -658,7 +829,8 @@ func TestSnapshotCostIndependentOfPendingOrders(t *testing.T) {
 }
 
 // BenchmarkDurableCadencePoint reports the engine-goroutine stall of a
-// cadence point at two tombstone counts and at two order-queue lengths.
+// cadence point at two tombstone counts, at two order-queue lengths and
+// with a history of the size a hot group holds between flushes.
 func BenchmarkDurableCadencePoint(b *testing.B) {
 	report := func(b *testing.B, load func() cadenceLoad, warm int) {
 		for i := 0; i < b.N; i++ {
@@ -677,6 +849,9 @@ func BenchmarkDurableCadencePoint(b *testing.B) {
 			report(b, func() cadenceLoad { return orderLoad(b, pending) }, pending)
 		})
 	}
+	b.Run("history=1000", func(b *testing.B) {
+		report(b, func() cadenceLoad { return historyLoad(b, 1000) }, 1024)
+	})
 }
 
 var walAppendSink []amcast.Output

@@ -23,19 +23,18 @@ var (
 )
 
 // FsyncHist is the WAL fsync-batch latency distribution: one sample per
-// actual fsync(2) (batched appends share one sample; skipped no-op
-// syncs record nothing).
+// actual fsync(2) an engine goroutine issued (batched appends share one;
+// a persist job's fsyncs, the seal included, are in SnapshotPersistHist).
 func FsyncHist() *metrics.Histogram { return fsyncHist }
 
 // SnapshotHist is the stall a snapshot cadence point inserts into the
 // engine's input path: waiting for the previous persist, capturing the
-// state, fsyncing and closing the WAL epoch, opening the next. One
-// sample per snapshot.
+// state, creating the next WAL epoch. One sample per snapshot.
 func SnapshotHist() *metrics.Histogram { return snapshotHist }
 
 // SnapshotPersistHist is the duration of the background persist jobs:
-// marshal, journal append + fsync, snapshot file write + fsync, rename,
-// directory fsync, deletion of the superseded epoch.
+// marshal, journal append + fsync, snapshot record append, fsync and
+// close of the sealed epoch, deletion of the epochs it supersedes.
 func SnapshotPersistHist() *metrics.Histogram { return persistHist }
 
 // SnapshotBackpressureHist is the part of each SnapshotHist sample spent

@@ -6,15 +6,15 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
+	"flexcast/internal/durable"
 	"flexcast/internal/loadgen"
 	"flexcast/internal/stats"
 )
 
-// maxSnapGrowth bounds the largest snapshot file of the run's second half
+// maxSnapGrowth bounds the largest snapshot body of the run's second half
 // against the largest of its first half: a snapshot holds live state, so
 // its size may wander (history between two flushes) but not climb.
 const maxSnapGrowth = 1.25
@@ -28,10 +28,10 @@ const maxJournalBytesPerTx = 64
 // runSoak executes a durable load run while a sampler walks the
 // persistence directory and the heap gauge, then asserts the first
 // slice of the ROADMAP soak item. The rotating files stay bounded by the
-// snapshot cadence: the durable backend retains one snapshot plus one
-// WAL epoch per group (KeepEpochs off), two while a persist job runs, so
-// their peak must sit within DiskBoundFactor × groups × (max snapshot +
-// max WAL epoch) — a bound that moves with the snapshot size, which is
+// snapshot cadence: the durable backend retains the open WAL epoch and
+// the sealed one before it, which ends in the snapshot, per group
+// (KeepEpochs off), one more while a persist job runs, so their peak must
+// sit within DiskBoundFactor × groups × (max snapshot + max WAL epoch) — a bound that moves with the snapshot size, which is
 // why the snapshot size has a check of its own: the largest snapshot of
 // the second half of the run within maxSnapGrowth of the first half's.
 // journal.log is never rotated; it is sampled apart and bounded per
@@ -110,8 +110,8 @@ func runSoak(cell Cell, cfg loadgen.Config) (*loadgen.Artefact, error) {
 }
 
 // soakSampler periodically walks the durable root (bytes in rotating
-// files, bytes in journals, largest single snapshot, largest single WAL
-// epoch) and reads the heap gauge.
+// files, bytes in journals, largest single snapshot body, largest single
+// WAL epoch) and reads the heap gauge.
 type soakSampler struct {
 	root   string
 	period time.Duration
@@ -120,8 +120,8 @@ type soakSampler struct {
 	wg     sync.WaitGroup
 
 	mu      sync.Mutex
-	disk    []float64 // snapshot + WAL epoch bytes per sample
-	snap    []float64 // largest snapshot file per sample
+	disk    []float64 // WAL epoch bytes, snapshots included, per sample
+	snap    []float64 // largest snapshot body per sample
 	heap    []float64 // HeapAlloc per sample
 	journal float64   // journal.log bytes, all groups, at the last sample
 	maxWal  float64
@@ -154,23 +154,26 @@ func (s *soakSampler) stop() {
 func (s *soakSampler) sample() {
 	var rotating, journal, maxSnap, maxWal float64
 	filepath.WalkDir(s.root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil {
 			return nil // files vanish mid-walk as epochs truncate; skip
+		}
+		if d.IsDir() {
+			// A directory that is not an engine's holds no snapshot.
+			if info, err := durable.Inspect(path); err == nil {
+				maxSnap = max(maxSnap, float64(len(info.SnapshotBody)))
+			}
+			return nil
 		}
 		info, err := d.Info()
 		if err != nil {
 			return nil
 		}
 		sz := float64(info.Size())
-		switch {
-		case d.Name() == "journal.log":
+		if d.Name() == "journal.log" {
 			journal += sz
 			return nil
-		case strings.HasSuffix(d.Name(), ".snap"):
-			maxSnap = max(maxSnap, sz)
-		case strings.HasSuffix(d.Name(), ".log"):
-			maxWal = max(maxWal, sz)
 		}
+		maxWal = max(maxWal, sz)
 		rotating += sz
 		return nil
 	})

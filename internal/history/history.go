@@ -23,7 +23,6 @@ package history
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"flexcast/amcast"
@@ -552,38 +551,6 @@ func (h *History) dropMarked(a *adj, epoch uint32) {
 		}
 	}
 	a.truncate(k)
-}
-
-// Clone returns a deep copy of the history: mutating either copy leaves
-// the other untouched. Node destination slices are shared — they are
-// immutable once inserted. Engines use Clone to implement the
-// amcast.SnapshotEngine crash/recovery contract.
-func (h *History) Clone() *History {
-	c := &History{
-		nodes:   slices.Clone(h.nodes),
-		index:   maps.Clone(h.index),
-		free:    slices.Clone(h.free),
-		last:    h.last,
-		msgsTo:  slices.Clone(h.msgsTo),
-		log:     slices.Clone(h.log),
-		nextSeq: h.nextSeq,
-		epoch:   h.epoch,
-	}
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		nd.pred.more = cloneSpill(nd.pred.more)
-		nd.succ.more = cloneSpill(nd.succ.more)
-	}
-	return c
-}
-
-// cloneSpill never shares a backing array, not even an empty one with
-// spare capacity.
-func cloneSpill(s []uint32) []uint32 {
-	if len(s) == 0 {
-		return nil
-	}
-	return slices.Clone(s)
 }
 
 // Snapshot returns all live nodes sorted by id and all live edges sorted

@@ -289,10 +289,10 @@ func (d *differ) apply(op, a, b, c byte, nIDs int) {
 			t.Fatalf("step %d: AnyBeforeUntil(%s, %08b, %08b) = %v, model %v", d.step, ida, b, c, got, want)
 		}
 	case 7:
-		// Continue on the clone and wreck the original: the copies must
-		// share nothing the comparison can see.
+		// Continue on a decoded copy and wreck the original: the copies
+		// must share nothing the comparison can see.
 		old := h
-		d.h = h.Clone()
+		d.h = Decode(codec.NewReader(h.AppendBinary(nil)))
 		old.AppendDelivered(Node{ID: 1000, Dst: opDst(7)})
 		old.Merge(&amcast.HistDelta{Edges: []amcast.HistEdge{{From: ida, To: 1001}, {From: 1001, To: idb}}})
 		old.PruneBefore(1000)
@@ -372,7 +372,7 @@ func opSeeds() [][]byte {
 // seeded random op sequences — AddNode and placeholder fill-in, AddEdge,
 // AppendDelivered, Merge, DiffSince on three cursors, PruneBefore with the
 // model's compaction and cursor remap, AnyBeforeUntil, the open/delivered
-// flags, Clone and the codec round trip — asserting identical results and
+// flags, copy isolation and the codec round trip — asserting identical results and
 // identical live state after every op.
 func TestDifferentialVsModel(t *testing.T) {
 	for _, ops := range opSeeds() {

@@ -13,6 +13,7 @@ import (
 	"flexcast/internal/core"
 	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
+	"flexcast/internal/history"
 	"flexcast/internal/overlay"
 )
 
@@ -336,6 +337,79 @@ func badSnapshots(t testing.TB) map[string][]byte {
 	return bad
 }
 
+// notifExecutor is an executor over group 2 of a three-group FlexCast
+// overlay that has accepted two NOTIFs about one message of groups 1 and
+// 3, at epochs 2 and 4, the first carrying a two-node history: its engine
+// body holds a history image and an accepted-notification log.
+func notifExecutor(t testing.TB) (ex *Executor, id amcast.MsgID, hist *amcast.HistDelta) {
+	t.Helper()
+	eng := core.MustNew(core.Config{Group: 2, Overlay: overlay.MustCDAG([]amcast.GroupID{1, 2, 3})})
+	ex, err := NewExecutor(eng, Config{Warehouse: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, other := amcast.NewMsgID(3, 77), amcast.NewMsgID(3, 78)
+	dst := []amcast.GroupID{1, 3}
+	hist = &amcast.HistDelta{
+		Nodes: []amcast.HistNode{{ID: id, Dst: dst}, {ID: other, Dst: dst}},
+		Edges: []amcast.HistEdge{{From: id, To: other}},
+	}
+	for _, epoch := range []uint64{2, 4} {
+		ex.OnEnvelope(amcast.Envelope{Kind: amcast.KindNotif, From: amcast.GroupNode(1), CertEpoch: epoch, Hist: hist,
+			Msg: amcast.Message{ID: id, Sender: amcast.ClientNode(3), Dst: dst}})
+	}
+	return ex, id, hist
+}
+
+// badEngineBodies are executor snapshots whose engine body a recovery
+// must refuse: notifExecutor's with one byte changed or dropped, found by
+// what the intact body must contain.
+func badEngineBodies(t testing.TB) map[string][]byte {
+	t.Helper()
+	ex, id, hist := notifExecutor(t)
+	data := marshalExec(t, ex)
+	if _, err := decodeExecCore(data); err != nil {
+		t.Fatalf("unmodified snapshot: %v", err)
+	}
+	put := func(epoch byte) []byte { return append(binary.AppendUvarint(nil, uint64(id)), 1, epoch) }
+	log := bytes.Index(data, append(put(2), put(4)...))
+	h := history.New()
+	h.Merge(hist)
+	image := h.AppendBinary(nil)
+	img := bytes.Index(data, image)
+	// The image ends: one predecessor, slot 0; no free slots; nextSeq 3;
+	// three log entries, 2 bytes + 1 + 1 + 3·3 from its end.
+	pred := img + len(image) - 13
+	if log < 0 || img < 0 || !bytes.Equal(data[pred-1:pred+4], []byte{1, 0, 0, 3, 3}) {
+		t.Fatalf("accepted-notification log at %d, history image at %d of the snapshot: not where expected", log, img)
+	}
+	with := func(at int, b byte) []byte {
+		out := bytes.Clone(data)
+		out[at] = b
+		return out
+	}
+	first, second := log+len(put(2))-1, log+2*len(put(2))-1
+	cut := append(bytes.Clone(data[:img+len(image)-1]), data[img+len(image):]...)
+	binary.LittleEndian.PutUint32(cut, binary.LittleEndian.Uint32(data)-1)
+	return map[string][]byte{
+		"put of epoch 0": with(first, 0),
+		"put that repeats the epoch it supersedes": with(second, 2),
+		"put below the epoch it supersedes":        with(second, 1),
+		"history image with a self-edge":           with(pred, 1),
+		"history image cut short":                  cut,
+	}
+}
+
+// TestUnmarshalSnapshotRejectsBadEngineBodies: the store's decoder hands
+// the engine body to the engine's, whose refusals are its own.
+func TestUnmarshalSnapshotRejectsBadEngineBodies(t *testing.T) {
+	for name, data := range badEngineBodies(t) {
+		if _, err := decodeExecCore(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestUnmarshalSnapshotRejectsBadFrames: the journal-form decoder has the
 // strictness of the other codecs — ids missing, doubled, out of order or
 // beyond the log are errors, as are tables an order or a transaction
@@ -351,7 +425,8 @@ func TestUnmarshalSnapshotRejectsBadFrames(t *testing.T) {
 // FuzzUnmarshalSnapshot: whatever decodes must satisfy the shard's
 // invariants — a contiguous window of orders of known customers, tables
 // of the configured sizes — and must marshal to a canonical form that
-// decodes to itself.
+// decodes to itself. Whatever also decodes with the FlexCast engine's
+// decoder behind the store's must do the same there, and restore.
 func FuzzUnmarshalSnapshot(f *testing.F) {
 	ex := churnExecutor(f)
 	f.Add(marshalExec(f, ex))
@@ -362,10 +437,41 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 	for _, bad := range badSnapshots(f) {
 		f.Add(bad)
 	}
+	notif, _, _ := notifExecutor(f)
+	f.Add(marshalExec(f, notif))
+	for _, bad := range badEngineBodies(f) {
+		f.Add(bad)
+	}
+	// One executor per group of an overlay to restore into, built once: a
+	// shard's tables are the expensive part.
+	ov := overlay.MustCDAG([]amcast.GroupID{1, 2, 3})
+	restoreInto := make(map[amcast.GroupID]*Executor)
+	for _, g := range ov.Order() {
+		ex, err := NewExecutor(core.MustNew(core.Config{Group: g, Overlay: ov}), Config{Warehouse: g}, false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		restoreInto[g] = ex
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := decodeExecRaw(data)
 		if err != nil {
 			return
+		}
+		if full, err := decodeExecCore(data); err == nil {
+			canon, _ := full.(amcast.BinarySnapshot).MarshalBinary()
+			again, err := decodeExecCore(canon)
+			if err != nil {
+				t.Fatalf("canonical form of a snapshot accepted with its engine body does not decode: %v", err)
+			}
+			if recanon, _ := again.(amcast.BinarySnapshot).MarshalBinary(); !bytes.Equal(recanon, canon) {
+				t.Fatal("decode → marshal is not a fixed point with the engine body decoded")
+			}
+			if ex := restoreInto[full.SnapshotGroup()]; ex != nil {
+				if err := ex.Restore(full); err != nil {
+					t.Fatalf("accepted snapshot does not restore: %v", err)
+				}
+			}
 		}
 		canon, err := snap.(amcast.BinarySnapshot).MarshalBinary()
 		if err != nil {
