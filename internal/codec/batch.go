@@ -41,9 +41,22 @@ func AppendBatch(buf []byte, envs []amcast.Envelope) []byte {
 	buf = append(buf, BatchKind)
 	buf = binary.AppendUvarint(buf, uint64(len(envs)))
 	for _, env := range envs {
-		buf = binary.AppendUvarint(buf, uint64(Size(env)))
-		buf = Append(buf, env)
+		at := len(buf)
+		buf = putLength(Append(append(buf, 0), env), at)
 	}
+	return buf
+}
+
+// putLength writes the length of what follows the one-byte slot at
+// buf[at] into the slot, first widening the slot in place when the length
+// needs a longer varint — each envelope is encoded once, not sized first.
+func putLength(buf []byte, at int) []byte {
+	n := len(buf) - at - 1
+	if w := uvarintLen(uint64(n)); w > 1 {
+		buf = append(buf, make([]byte, w-1)...)
+		copy(buf[at+w:], buf[at+1:at+1+n])
+	}
+	binary.PutUvarint(buf[at:], uint64(n))
 	return buf
 }
 
@@ -137,6 +150,9 @@ func UnmarshalBatch(buf []byte) ([]amcast.Envelope, error) {
 	}
 	if n > MaxBatchEnvelopes {
 		return nil, fmt.Errorf("codec: batch of %d envelopes exceeds limit %d", n, MaxBatchEnvelopes)
+	}
+	if left := len(buf) - d.off; n > uint64(left/minEntry) {
+		return nil, fmt.Errorf("codec: batch of %d envelopes exceeds the %d bytes left", n, left)
 	}
 	envs := make([]amcast.Envelope, 0, n)
 	for i := uint64(0); i < n; i++ {

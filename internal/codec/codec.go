@@ -36,6 +36,15 @@
 // Optional sections are present only for the envelope kinds that use them,
 // keeping auxiliary messages (ACK/NOTIF/TS/REPLY) small, as in the paper's
 // prototypes.
+//
+// The decoder allocates nothing a frame cannot account for: every
+// collection count is checked against the bytes left in the frame at the
+// smallest encoding of one element — a group 1 byte, a history node or
+// edge 2, an ack cover 2, a notification pair 3, a batch entry 2 — before
+// anything is allocated for it, so a frame of n bytes costs O(n) memory
+// however large the counts it claims. A history diff decodes into a
+// constant number of allocations whatever its size: the delta, its node
+// and edge arrays, and one slab holding every node's destination set.
 package codec
 
 import (
@@ -226,13 +235,19 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		v := d.buf[d.off]
+		d.off++
+		return uint64(v)
+	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
 		d.err = fmt.Errorf("codec: truncated varint at offset %d", d.off)
 		return 0
 	}
-	if n != uvarintLen(v) {
-		// Reject non-minimal encodings: the wire format is canonical
+	if d.buf[d.off+n-1] == 0 {
+		// Reject non-minimal encodings — a varint of two or more bytes
+		// whose last byte adds nothing: the wire format is canonical
 		// (exactly one byte string per envelope), which the round-trip
 		// fuzzer relies on and which keeps Size exact.
 		d.err = fmt.Errorf("codec: non-minimal varint at offset %d", d.off)
@@ -285,6 +300,17 @@ func (d *decoder) bytes(n int) []byte {
 // hostile frames.
 const maxCount = 1 << 22
 
+// Smallest encodings of one collection element, in bytes: what a count
+// is checked against before anything is allocated for it.
+const (
+	minGroup    = 1 // varint
+	minHistNode = 2 // id, destination count
+	minHistEdge = 2 // from, to
+	minPair     = 3 // notifier, notified, epoch
+	minCover    = 2 // notifier, epoch
+	minEntry    = 2 // length, envelope kind
+)
+
 func (d *decoder) count() int {
 	v := d.uvarint()
 	if v > maxCount {
@@ -294,11 +320,25 @@ func (d *decoder) count() int {
 	return int(v)
 }
 
+// countOf decodes the length of a collection whose elements take at
+// least size bytes each, rejecting one the rest of the buffer cannot hold.
+func (d *decoder) countOf(size int) int {
+	n := d.count() // ≤ maxCount, so n*size cannot overflow
+	if left := len(d.buf) - d.off; d.err == nil && n*size > left {
+		d.err = fmt.Errorf("codec: count %d exceeds the %d bytes left at offset %d", n, left, d.off)
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) groups(n int) []amcast.GroupID {
 	if n == 0 {
 		return nil
 	}
-	gs := make([]amcast.GroupID, n)
+	return d.groupsInto(make([]amcast.GroupID, n))
+}
+
+func (d *decoder) groupsInto(gs []amcast.GroupID) []amcast.GroupID {
 	for i := range gs {
 		gs[i] = amcast.GroupID(d.uvarint32())
 	}
@@ -391,10 +431,10 @@ func Unmarshal(buf []byte) (amcast.Envelope, error) {
 		}
 	}
 	if hasNotifList(env.Kind) {
-		env.NotifList = d.pairs(d.count())
+		env.NotifList = d.pairs(d.countOf(minPair))
 	}
 	if hasAckCovers(env.Kind) {
-		env.AckCovers = d.covers(d.count())
+		env.AckCovers = d.covers(d.countOf(minCover))
 	}
 	if hasTS(env.Kind) {
 		env.TS = d.uvarint()
@@ -418,6 +458,38 @@ func Unmarshal(buf []byte) (amcast.Envelope, error) {
 	return env, nil
 }
 
+// histGroups returns the total destination count of the n history nodes
+// ahead of the cursor, which it leaves where it is: the size of the slab
+// their sets decode into. It only finds varint boundaries; the decoding
+// pass validates. Where the bytes run out or a count exceeds what is
+// left, it stops, and the decoding pass fails at or before that point.
+func (d *decoder) histGroups(n int) int {
+	b, total := d.buf[d.off:], 0
+	for ; n > 0; n-- {
+		b = skipUvarint(b) // id
+		k, w := binary.Uvarint(b)
+		if w <= 0 || k > uint64(len(b)-w) {
+			break
+		}
+		b = b[w:]
+		total += int(k)
+		for ; k > 0; k-- {
+			b = skipUvarint(b)
+		}
+	}
+	return total
+}
+
+// skipUvarint returns b after its first varint (empty if b ends first).
+func skipUvarint(b []byte) []byte {
+	for i, c := range b {
+		if c < 0x80 {
+			return b[i+1:]
+		}
+	}
+	return nil
+}
+
 func (d *decoder) message(payload bool) amcast.Message {
 	var m amcast.Message
 	m.ID = amcast.MsgID(d.uvarint())
@@ -430,7 +502,7 @@ func (d *decoder) message(payload bool) amcast.Message {
 			return m
 		}
 	}
-	m.Dst = d.groups(d.count())
+	m.Dst = d.groups(d.countOf(minGroup))
 	if payload {
 		m.Payload = d.bytes(d.count())
 	}
@@ -438,19 +510,31 @@ func (d *decoder) message(payload bool) amcast.Message {
 }
 
 func (d *decoder) hist() *amcast.HistDelta {
-	nNodes := d.count()
+	nNodes := d.countOf(minHistNode)
 	if d.err != nil {
 		return nil
 	}
 	var h *amcast.HistDelta
 	if nNodes > 0 {
 		h = &amcast.HistDelta{Nodes: make([]amcast.HistNode, nNodes)}
+		var slab []amcast.GroupID
+		if n := d.histGroups(nNodes); n > 0 {
+			slab = make([]amcast.GroupID, n)
+		}
 		for i := range h.Nodes {
 			h.Nodes[i].ID = amcast.MsgID(d.uvarint())
-			h.Nodes[i].Dst = d.groups(d.count())
+			n := d.count() // bounded by the slab, which the frame bounds
+			if n > len(slab) && d.err == nil {
+				d.err = fmt.Errorf("codec: history node %d has more destinations than its diff", i)
+			}
+			if n == 0 || d.err != nil {
+				continue
+			}
+			h.Nodes[i].Dst = d.groupsInto(slab[:n:n])
+			slab = slab[n:]
 		}
 	}
-	nEdges := d.count()
+	nEdges := d.countOf(minHistEdge)
 	if d.err != nil {
 		return h
 	}

@@ -79,6 +79,9 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 	f.Add([]byte{byte(amcast.KindMsg), 0x01, 0x01, 0x01, 0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{BatchKind, 0x00})
 	f.Add([]byte{BatchKind, 0xFF, 0xFF, 0xFF, 0x7F})
+	for _, frame := range hostileFrames {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if IsBatch(data) {
@@ -92,6 +95,9 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 			re := MarshalBatch(envs)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("batch round trip not canonical:\n in  %x\n out %x", data, re)
+			}
+			if sized := appendBatchSized(nil, envs); !bytes.Equal(re, sized) {
+				t.Fatalf("batch encoding differs from the sized one:\n got  %x\n want %x", re, sized)
 			}
 			if got := BatchSize(envs); got != len(data) {
 				t.Fatalf("BatchSize = %d, wire length = %d", got, len(data))

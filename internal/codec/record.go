@@ -106,7 +106,7 @@ func (r *Reader) Delivery() amcast.Delivery {
 }
 
 // Groups decodes a count-prefixed group list.
-func (r *Reader) Groups() []amcast.GroupID { return r.d.groups(r.d.count()) }
+func (r *Reader) Groups() []amcast.GroupID { return r.d.groups(r.d.countOf(minGroup)) }
 
 // AppendGroups appends a count-prefixed group list.
 func AppendGroups(buf []byte, gs []amcast.GroupID) []byte {

@@ -30,6 +30,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"flexcast/amcast"
 	"flexcast/internal/history"
@@ -489,11 +490,15 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 		for _, dst := range n.Dst {
 			e.trafficSeq[dst]++
 		}
+		mine := slices.Contains(n.Dst, e.g)
 		switch {
+		case len(n.Dst) > 0 && !mine:
+			// Never delivered here (genuineness: g delivers only messages
+			// addressed to it), so the delivered set need not be asked.
 		case e.wasDelivered(n.ID):
 			// Pruned after its delivery here, back through a late diff.
 			e.hst.MarkDelivered(n.ID)
-		case slices.Contains(n.Dst, e.g):
+		case mine:
 			e.open[n.ID] = true
 			e.hst.MarkOpen(n.ID)
 		}
@@ -702,6 +707,10 @@ func (e *Engine) reprocess(outs *[]amcast.Output) []amcast.Output {
 			}
 			id := q[0]
 			if e.canDeliver(id) {
+				// canDeliver's last walk went back from id and found nothing
+				// open: every node it visited precedes a delivered message
+				// from here on (DESIGN.md §4 deviation 5).
+				e.hst.CloseWalked(id)
 				e.deliver(e.pend[id].msg, outs)
 				progressed = true
 			}
@@ -746,10 +755,46 @@ func (e *Engine) canDeliver(id amcast.MsgID) bool {
 		}
 	}
 	// Condition 2: no undelivered message addressed to g precedes m. The
-	// search prunes at locally delivered nodes: everything ordered before
-	// a delivered message and addressed to g was delivered first, so no
-	// open dependency can hide behind one.
-	return !e.hst.AnyOpenBefore(id)
+	// search prunes at locally delivered and at closed nodes: everything
+	// ordered before a delivered message and addressed to g was delivered
+	// first, so no open dependency can hide behind one.
+	return !e.openBefore(id)
+}
+
+// WalkReport is one condition-2 walk as WalkCheck sees it: group g asked
+// whether an open dependency precedes Msg.
+type WalkReport struct {
+	Group amcast.GroupID
+	Msg   amcast.MsgID
+	// Full is the answer of the full walk — AnyBeforeUntil over the
+	// engine's own open and delivered sets, stopping only at delivered
+	// nodes — and Pruned the answer of the walk the engine acts on, which
+	// also stops at closed nodes.
+	Full, Pruned bool
+	// FullNodes and PrunedNodes count the nodes each walk reached.
+	FullNodes, PrunedNodes int
+}
+
+// WalkCheck, when set, is called with every condition-2 walk. It exists
+// for tests that check the closed rule against the walk it prunes;
+// nothing else sets it. The pruned walk runs last, so the engine behaves
+// as it does without a check.
+var WalkCheck atomic.Pointer[func(WalkReport)]
+
+// openBefore is condition 2's walk: whether an open dependency precedes
+// id in the history.
+func (e *Engine) openBefore(id amcast.MsgID) bool {
+	check := WalkCheck.Load()
+	if check == nil {
+		return e.hst.AnyOpenBefore(id)
+	}
+	r := WalkReport{Group: e.g, Msg: id}
+	r.Full = e.hst.AnyBeforeUntil(id, func(x amcast.MsgID) bool { return e.open[x] }, e.wasDelivered)
+	r.FullNodes = e.hst.Walked()
+	r.Pruned = e.hst.AnyOpenBefore(id)
+	r.PrunedNodes = e.hst.Walked()
+	(*check)(r)
+	return r.Pruned
 }
 
 // CheckHistoryAcyclic verifies that the merged history remains a DAG —

@@ -85,7 +85,8 @@ type OrderLine struct {
 // every destination warehouse.
 type Tx struct {
 	Type TxType
-	// Dst is the destination warehouse set (sorted, home included).
+	// Dst is the destination warehouse set (sorted, home included). A
+	// decoded Tx leaves it nil; Involved computes it.
 	Dst []amcast.GroupID
 	// Home is the client's home warehouse (the transaction's district).
 	Home amcast.GroupID

@@ -60,8 +60,9 @@ func EncodeTx(tx Tx) []byte {
 }
 
 // DecodeTx parses a transaction payload produced by EncodeTx. Trailing
-// padding must be zero. The decoded Tx's Dst and PayloadSize are
-// recomputed from the transaction detail.
+// padding must be zero. The decoded Tx's PayloadSize is the payload's
+// length; its Dst is left nil — the executing shard does not need it, and
+// Involved computes it from the transaction detail.
 func DecodeTx(buf []byte) (Tx, error) {
 	var tx Tx
 	if len(buf) == 0 {
@@ -108,14 +109,21 @@ func DecodeTx(buf []byte) (Tx, error) {
 		}
 	}
 	tx.PayloadSize = len(buf)
-	tx.Dst = tx.Involved()
 	return tx, nil
 }
 
 // Involved returns the warehouses the transaction touches (sorted,
-// duplicate-free): the destination set of its multicast.
+// duplicate-free): the destination set of its multicast. It allocates
+// the set once.
 func (tx Tx) Involved() []amcast.GroupID {
-	dst := []amcast.GroupID{tx.Home}
+	n := 1
+	switch tx.Type {
+	case NewOrder:
+		n += len(tx.Lines)
+	case Payment:
+		n++
+	}
+	dst := append(make([]amcast.GroupID, 0, n), tx.Home)
 	switch tx.Type {
 	case NewOrder:
 		for _, l := range tx.Lines {

@@ -17,6 +17,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decode: %v", tx.Type, err)
 		}
 		got.PayloadSize = tx.PayloadSize // decode reports the wire size
+		got.Dst = got.Involved()         // and leaves the destination set to Involved
 		if len(got.Lines) == 0 {
 			got.Lines = nil
 		}

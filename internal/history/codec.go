@@ -13,22 +13,25 @@ import (
 // destinations and predecessor slots), the free list and the log. Slots
 // and predecessor order are written as they are, so a decoded history
 // allocates, walks, prunes and encodes exactly like the original; the
-// index, the successor lists (whose order nothing observes) and the
-// msgsTo counters are derived on decode.
+// index, the successor lists (whose order nothing observes), the interned
+// destination sets, the msgsTo counters and the derived flags (closed,
+// has-destinations) are rebuilt on decode — a decoded history starts
+// with no node closed.
 func (h *History) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(h.last))
 	buf = binary.AppendUvarint(buf, uint64(len(h.nodes)))
 	for i := range h.nodes {
-		nd := &h.nodes[i]
-		buf = append(buf, nd.flags)
-		if nd.flags&flagLive == 0 {
+		f := h.flags[i] & persistedFlags
+		buf = append(buf, f)
+		if f&flagLive == 0 {
 			continue
 		}
+		nd, p := &h.nodes[i], &h.preds[i]
 		buf = binary.AppendUvarint(buf, uint64(nd.id))
 		buf = codec.AppendGroups(buf, nd.dst)
-		buf = binary.AppendUvarint(buf, uint64(nd.pred.n))
-		for j := uint32(0); j < nd.pred.n; j++ {
-			buf = binary.AppendUvarint(buf, uint64(nd.pred.at(j)))
+		buf = binary.AppendUvarint(buf, uint64(p.n))
+		for j := uint32(0); j < p.n; j++ {
+			buf = binary.AppendUvarint(buf, uint64(p.at(j)))
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(h.free)))
@@ -55,18 +58,24 @@ func Decode(r *codec.Reader) *History {
 	// Collections grow by append while the reader is healthy, so a corrupt
 	// count cannot make Decode allocate more than the record holds.
 	for n := r.Count(); len(h.nodes) < n && r.Err() == nil; {
-		nd := vertex{flags: r.Byte() & (flagLive | flagOpen | flagDelivered)}
-		if nd.flags&flagLive == 0 {
-			nd.flags = 0
+		var nd vertex
+		var p adj
+		f := r.Byte() & persistedFlags
+		if f&flagLive == 0 {
+			f = 0
 		} else {
 			nd.id = amcast.MsgID(r.Uvarint())
-			nd.dst = r.Groups()
+			nd.dst = h.intern(r.Groups())
+			f |= hasDst(nd.dst)
 			for k := r.Count(); k > 0 && r.Err() == nil; k-- {
-				nd.pred.add(uint32(r.Uvarint()))
+				p.add(uint32(r.Uvarint()))
 			}
 		}
 		h.nodes = append(h.nodes, nd)
+		h.flags = append(h.flags, f)
+		h.preds = append(h.preds, p)
 	}
+	h.mark = make([]uint32, len(h.nodes))
 	for n := r.Count(); len(h.free) < n && r.Err() == nil; {
 		h.free = append(h.free, uint32(r.Uvarint()))
 	}
@@ -91,37 +100,38 @@ func Decode(r *codec.Reader) *History {
 // slots, and a log that is not ordered below nextSeq.
 func (h *History) link() error {
 	live := func(s uint32) bool {
-		return uint64(s) < uint64(len(h.nodes)) && h.nodes[s].flags&flagLive != 0
+		return uint64(s) < uint64(len(h.nodes)) && h.flags[s]&flagLive != 0
 	}
 	for i := range h.nodes {
 		nd := &h.nodes[i]
-		if nd.flags&flagLive == 0 {
+		if h.flags[i]&flagLive == 0 {
 			continue
 		}
-		if _, dup := h.index[nd.id]; dup {
+		if _, dup := h.slot(nd.id); dup {
 			return fmt.Errorf("history: decode: message %s in two slots", nd.id)
 		}
-		h.index[nd.id] = uint32(i)
+		h.index.put(uint64(nd.id), uint32(i))
 		h.countDst(nd.dst, 1)
-		for j := uint32(0); j < nd.pred.n; j++ {
-			p := nd.pred.at(j)
+		preds := &h.preds[i]
+		for j := uint32(0); j < preds.n; j++ {
+			p := preds.at(j)
 			if !live(p) || p == uint32(i) || h.nodes[p].succ.has(uint32(i)) {
 				return fmt.Errorf("history: decode: slot %d has a bad predecessor slot %d", i, p)
 			}
 			h.nodes[p].succ.add(uint32(i))
 		}
 	}
-	if len(h.free) != len(h.nodes)-len(h.index) {
-		return fmt.Errorf("history: decode: %d free-list entries for %d free slots", len(h.free), len(h.nodes)-len(h.index))
+	if len(h.free) != len(h.nodes)-h.Len() {
+		return fmt.Errorf("history: decode: %d free-list entries for %d free slots", len(h.free), len(h.nodes)-h.Len())
 	}
 	for _, s := range h.free {
-		if uint64(s) >= uint64(len(h.nodes)) || h.nodes[s].flags != 0 || h.nodes[s].mark != 0 {
+		if uint64(s) >= uint64(len(h.nodes)) || h.flags[s] != 0 || h.mark[s] != 0 {
 			return fmt.Errorf("history: decode: bad free-list slot %d", s)
 		}
-		h.nodes[s].mark = 1 // seen; cleared below
+		h.mark[s] = 1 // seen; cleared below
 	}
 	for _, s := range h.free {
-		h.nodes[s].mark = 0
+		h.mark[s] = 0
 	}
 	seq := uint64(0)
 	for _, le := range h.log {

@@ -5,12 +5,24 @@
 // merging the history diffs received from ancestor groups, and it shrinks
 // through flush-based garbage collection (§4.3).
 //
-// Nodes live in a dense arena: one slot-indexed slice, adjacency as small
-// inline slot lists (a message's in- and out-degree is bounded by its
-// destination count), a free list for slot reuse and one MsgID → slot
-// index as the only map. Graph walks mark visited slots with an epoch
-// stamp and keep their work list in a reused buffer, so the steady-state
-// operations allocate nothing.
+// Nodes live in a dense arena with no Go map in it. A slot's vertex holds
+// what only encoding and diffs read — id, destinations, successors —
+// while what the hot paths test lives in per-slot arrays beside it: the
+// flags (live, open, delivered, closed, has-destinations), the walk's
+// epoch mark and the predecessor list. Adjacency is small inline slot
+// lists (a message's in- and out-degree is bounded by its destination
+// count), freed slots go on a free list, and the MsgID → slot index is an
+// open-addressing table with backward-shift deletion. Destination sets
+// are interned in a history-owned table keyed by the set's group bitmask,
+// so a node whose set was seen before costs no allocation and the arena
+// never keeps a decoded frame's memory alive. A duplicate node in a
+// merged diff therefore costs one index probe, a duplicate edge two
+// probes and a look at one predecessor list. Graph walks mark visited
+// slots with an epoch stamp and keep their work list in a reused buffer,
+// so the steady-state operations allocate nothing. Condition 2's walk
+// (AnyOpenBefore) stops at delivered nodes and at closed ones — nodes the
+// owner closed as ancestors of a message it delivered (CloseWalked) — so
+// it stays near the open frontier instead of re-walking settled history.
 //
 // The structure also maintains an append-only log of first-seen nodes and
 // edges, each entry stamped with a sequence number that is never reused.
@@ -37,11 +49,21 @@ type Node struct {
 // Node flags. The engine owning the history records per node whether the
 // message is an open dependency (addressed to the group, not delivered
 // yet) or was delivered locally, so that AnyOpenBefore tests a bit
-// instead of calling back into the engine's sets.
+// instead of calling back into the engine's sets. Closed and
+// has-destinations are derived: the codec writes neither.
 const (
 	flagLive uint8 = 1 << iota
 	flagOpen
 	flagDelivered
+	// flagClosed marks an ancestor of a message this group delivered
+	// (CloseWalked): condition 2's walk stops there as at a delivered node.
+	flagClosed
+	// flagHasDst marks a node whose destinations are known, i.e. not a
+	// placeholder.
+	flagHasDst
+
+	// persistedFlags are the flags AppendBinary writes.
+	persistedFlags = flagLive | flagOpen | flagDelivered
 )
 
 const (
@@ -102,13 +124,12 @@ func (a *adj) truncate(k uint32) {
 	}
 }
 
+// vertex is the cold part of a slot; the hot part is History's per-slot
+// arrays.
 type vertex struct {
-	id         amcast.MsgID
-	dst        []amcast.GroupID
-	pred, succ adj
-	// mark is the epoch of the last walk that visited the node.
-	mark  uint32
-	flags uint8
+	id   amcast.MsgID
+	dst  []amcast.GroupID
+	succ adj
 }
 
 // logEntry is one first-seen node (b == noSlot) or edge a → b. Entries of
@@ -125,10 +146,15 @@ type groupCount struct {
 }
 
 // History is the history H = (M, D, lastDlvd) of one group. The zero value
-// is not usable; call New.
+// is an empty history, as is New's.
 type History struct {
 	nodes []vertex
-	index map[amcast.MsgID]uint32
+	// flags, mark (the epoch of the last walk that visited the slot) and
+	// preds are indexed by slot like nodes.
+	flags []uint8
+	mark  []uint32
+	preds []adj
+	index table // MsgID → slot
 	free  []uint32
 	last  amcast.MsgID // lastDlvd; 0 means ⊥
 	// msgsTo counts live nodes addressed to each group, backing the
@@ -139,44 +165,57 @@ type History struct {
 	// is the sequence number the next entry gets.
 	log     []logEntry
 	nextSeq uint64
+	// sets interns destination sets: group bitmask → index in setList.
+	sets    table
+	setList [][]amcast.GroupID
 
 	epoch uint32
-	work  []uint32 // walk stack / prune set, reused
-	added []Node   // Merge's result, reused
+	// work is the walk list / prune set, reused. After AnyOpenBefore(walkFrom)
+	// found nothing open, closable is set and work lists every slot that
+	// walk visited, for CloseWalked.
+	work     []uint32
+	walkFrom amcast.MsgID
+	closable bool
+	added    []Node // Merge's result, reused
 }
 
 // New returns an empty history.
-func New() *History {
-	return &History{index: make(map[amcast.MsgID]uint32)}
-}
+func New() *History { return &History{} }
 
 // Len returns the number of live nodes.
-func (h *History) Len() int { return len(h.index) }
+func (h *History) Len() int { return h.index.n }
 
 // EdgeCount returns the number of live edges.
 func (h *History) EdgeCount() int {
 	n := 0
-	for i := range h.nodes {
-		if h.nodes[i].flags&flagLive != 0 {
-			n += int(h.nodes[i].succ.n)
-		}
+	for i := range h.preds {
+		n += int(h.preds[i].n)
 	}
 	return n
 }
 
+// slot returns id's slot and whether id is a live node.
+func (h *History) slot(id amcast.MsgID) (uint32, bool) { return h.index.get(uint64(id)) }
+
 // Contains reports whether the message id is a live node.
 func (h *History) Contains(id amcast.MsgID) bool {
-	_, ok := h.index[id]
+	_, ok := h.slot(id)
 	return ok
 }
 
 // NodeOf returns the node for id, and whether it exists.
 func (h *History) NodeOf(id amcast.MsgID) (Node, bool) {
-	s, ok := h.index[id]
+	s, ok := h.slot(id)
 	if !ok {
 		return Node{}, false
 	}
 	return Node{ID: id, Dst: h.nodes[s].dst}, true
+}
+
+// Closed reports whether id is a live node CloseWalked closed.
+func (h *History) Closed(id amcast.MsgID) bool {
+	s, ok := h.slot(id)
+	return ok && h.flags[s]&flagClosed != 0
 }
 
 // LastDelivered returns the id of the last message delivered at this
@@ -207,6 +246,40 @@ next:
 	}
 }
 
+// intern returns the history's own copy of a destination set, nil for an
+// empty one. A strictly ascending set of groups below 64 — every set the
+// engines build (amcast.NormalizeDst) in a deployment of fewer than 64
+// groups — is keyed by its group bitmask and shared by every node with
+// that set, so it is allocated once per distinct set; any other set is
+// copied as it stands. Interned sets are never written.
+func (h *History) intern(dst []amcast.GroupID) []amcast.GroupID {
+	if len(dst) == 0 {
+		return nil
+	}
+	var key uint64
+	for i, g := range dst {
+		if uint32(g) >= 64 || i > 0 && g <= dst[i-1] {
+			return slices.Clone(dst)
+		}
+		key |= 1 << uint32(g)
+	}
+	if i, ok := h.sets.get(key); ok {
+		return h.setList[i]
+	}
+	set := slices.Clone(dst)
+	h.sets.put(key, uint32(len(h.setList)))
+	h.setList = append(h.setList, set)
+	return set
+}
+
+// hasDst is the flag a node with destination set dst carries.
+func hasDst(dst []amcast.GroupID) uint8 {
+	if len(dst) > 0 {
+		return flagHasDst
+	}
+	return 0
+}
+
 // alloc takes a slot for a new live node and logs it.
 func (h *History) alloc(id amcast.MsgID, dst []amcast.GroupID) uint32 {
 	var s uint32
@@ -216,31 +289,40 @@ func (h *History) alloc(id amcast.MsgID, dst []amcast.GroupID) uint32 {
 	} else {
 		s = uint32(len(h.nodes))
 		h.nodes = append(h.nodes, vertex{})
+		h.flags = append(h.flags, 0)
+		h.mark = append(h.mark, 0)
+		h.preds = append(h.preds, adj{})
 	}
-	nd := &h.nodes[s]
-	nd.id, nd.dst, nd.flags = id, dst, flagLive
-	h.index[id] = s
+	dst = h.intern(dst)
+	h.nodes[s].id, h.nodes[s].dst = id, dst
+	h.flags[s] = flagLive | hasDst(dst)
+	h.index.put(uint64(id), s)
 	h.countDst(dst, 1)
 	h.appendLog(s, noSlot)
 	return s
 }
 
+// appendLog logs a new node, a filled-in placeholder or a new edge — every
+// change to the graph but a prune.
 func (h *History) appendLog(a, b uint32) {
 	h.log = append(h.log, logEntry{seq: h.nextSeq, a: a, b: b})
 	h.nextSeq++
+	h.closable = false
 }
 
 // addNode inserts n or fills in a placeholder's destinations; it reports
 // the slot, whether the node was created, and whether a placeholder was
 // filled in.
 func (h *History) addNode(n Node) (s uint32, created, filled bool) {
-	s, ok := h.index[n.ID]
+	s, ok := h.slot(n.ID)
 	if !ok {
 		return h.alloc(n.ID, n.Dst), true, false
 	}
-	if nd := &h.nodes[s]; len(nd.dst) == 0 && len(n.Dst) > 0 {
-		nd.dst = n.Dst
-		h.countDst(n.Dst, 1)
+	if h.flags[s]&flagHasDst == 0 && len(n.Dst) > 0 {
+		dst := h.intern(n.Dst)
+		h.nodes[s].dst = dst
+		h.flags[s] |= flagHasDst
+		h.countDst(dst, 1)
 		// Re-log the now-complete node so descendants whose diff cursor
 		// already passed the placeholder entry still learn the
 		// destinations.
@@ -265,9 +347,9 @@ func (h *History) addEdge(from, to amcast.MsgID) (added, newFrom, newTo bool) {
 	if from == to {
 		return false, false, false
 	}
-	fs, fok := h.index[from]
-	ts, tok := h.index[to]
-	if fok && tok && h.nodes[fs].succ.has(ts) {
+	fs, fok := h.slot(from)
+	ts, tok := h.slot(to)
+	if fok && tok && h.preds[ts].has(fs) {
 		return false, false, false
 	}
 	if !fok {
@@ -277,7 +359,7 @@ func (h *History) addEdge(from, to amcast.MsgID) (added, newFrom, newTo bool) {
 		ts = h.alloc(to, nil)
 	}
 	h.nodes[fs].succ.add(ts)
-	h.nodes[ts].pred.add(fs)
+	h.preds[ts].add(fs)
 	h.appendLog(fs, ts)
 	return true, !fok, !tok
 }
@@ -301,17 +383,17 @@ func (h *History) AppendDelivered(n Node) bool {
 		h.addEdge(h.last, n.ID)
 	}
 	h.last = n.ID
-	h.nodes[s].setDelivered()
+	h.setDelivered(s)
 	return created
 }
 
-func (nd *vertex) setDelivered() { nd.flags = nd.flags&^flagOpen | flagDelivered }
+func (h *History) setDelivered(s uint32) { h.flags[s] = h.flags[s]&^flagOpen | flagDelivered }
 
 // MarkOpen flags a live node as an open dependency of the owning group:
 // addressed to it and not delivered yet.
 func (h *History) MarkOpen(id amcast.MsgID) {
-	if s, ok := h.index[id]; ok {
-		h.nodes[s].flags |= flagOpen
+	if s, ok := h.slot(id); ok {
+		h.flags[s] |= flagOpen
 	}
 }
 
@@ -319,8 +401,8 @@ func (h *History) MarkOpen(id amcast.MsgID) {
 // a message whose node was pruned after its delivery and has re-entered
 // the history through a late diff.
 func (h *History) MarkDelivered(id amcast.MsgID) {
-	if s, ok := h.index[id]; ok {
-		h.nodes[s].setDelivered()
+	if s, ok := h.slot(id); ok {
+		h.setDelivered(s)
 	}
 }
 
@@ -330,16 +412,16 @@ func (h *History) MarkDelivered(id amcast.MsgID) {
 // this diff fills in: the caller maintains its open-dependency set from
 // the returned nodes, and a fill-in is the first time the destinations
 // are known, so omitting it would leave a hole in dependency tracking.
-// The returned slice is valid until the next Merge.
+// The returned slice is valid until the next Merge; its destination sets
+// are the history's own, and the history keeps nothing of d.
 func (h *History) Merge(d *amcast.HistDelta) []Node {
 	if d == nil {
 		return nil
 	}
 	added := h.added[:0]
 	for _, hn := range d.Nodes {
-		n := Node{ID: hn.ID, Dst: hn.Dst}
-		if _, created, filled := h.addNode(n); created || filled {
-			added = append(added, n)
+		if s, created, filled := h.addNode(Node{ID: hn.ID, Dst: hn.Dst}); created || filled {
+			added = append(added, Node{ID: hn.ID, Dst: h.nodes[s].dst})
 		}
 	}
 	for _, e := range d.Edges {
@@ -404,9 +486,7 @@ func (h *History) LogLen() int { return len(h.log) }
 func (h *History) nextEpoch() uint32 {
 	h.epoch++
 	if h.epoch == 0 {
-		for i := range h.nodes {
-			h.nodes[i].mark = 0
-		}
+		clear(h.mark)
 		h.epoch = 1
 	}
 	return h.epoch
@@ -415,10 +495,10 @@ func (h *History) nextEpoch() uint32 {
 // pushPreds appends the predecessors of slot s that do not carry the
 // epoch stamp yet, stamping them.
 func (h *History) pushPreds(list []uint32, s, epoch uint32) []uint32 {
-	p := &h.nodes[s].pred
+	p := &h.preds[s]
 	for i := uint32(0); i < p.n; i++ {
-		if q := p.at(i); h.nodes[q].mark != epoch {
-			h.nodes[q].mark = epoch
+		if q := p.at(i); h.mark[q] != epoch {
+			h.mark[q] = epoch
 			list = append(list, q)
 		}
 	}
@@ -426,26 +506,28 @@ func (h *History) pushPreds(list []uint32, s, epoch uint32) []uint32 {
 }
 
 // walkBack visits every node with a (transitive) path to m, m excluded,
-// until visit reports found; predecessors of a node for which visit
-// reports stop are not explored. visit must not call back into h.
-func (h *History) walkBack(m amcast.MsgID, visit func(nd *vertex) (found, stop bool)) bool {
-	s, ok := h.index[m]
-	if !ok {
-		return false
-	}
-	epoch := h.nextEpoch()
-	h.nodes[s].mark = epoch
-	stack := h.pushPreds(h.work[:0], s, epoch)
-	found := false
-	for len(stack) > 0 && !found {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var stop bool
-		if found, stop = visit(&h.nodes[cur]); !found && !stop {
-			stack = h.pushPreds(stack, cur, epoch)
+// breadth first, until visit reports found; predecessors of a node for
+// which visit reports stop are not explored. It leaves the slots it
+// reached in h.work — all of them visited when it found nothing. visit
+// must not call back into h.
+func (h *History) walkBack(m amcast.MsgID, visit func(s uint32) (found, stop bool)) bool {
+	list, found := h.work[:0], false
+	if s, ok := h.slot(m); ok {
+		epoch := h.nextEpoch()
+		h.mark[s] = epoch
+		list = h.pushPreds(list, s, epoch)
+		for i := 0; i < len(list); i++ {
+			f, stop := visit(list[i])
+			if f {
+				found = true
+				break
+			}
+			if !stop {
+				list = h.pushPreds(list, list[i], epoch)
+			}
 		}
 	}
-	h.work = stack[:0]
+	h.work, h.walkFrom, h.closable = list, m, false
 	return found
 }
 
@@ -459,25 +541,51 @@ func (h *History) AnyBefore(m amcast.MsgID, pred func(amcast.MsgID) bool) bool {
 // returns true are tested against pred but their own predecessors are not
 // explored. Neither callback may call back into h.
 func (h *History) AnyBeforeUntil(m amcast.MsgID, pred, stop func(amcast.MsgID) bool) bool {
-	return h.walkBack(m, func(nd *vertex) (bool, bool) {
-		if pred(nd.id) {
+	return h.walkBack(m, func(s uint32) (bool, bool) {
+		id := h.nodes[s].id
+		if pred(id) {
 			return true, false
 		}
-		return false, stop != nil && stop(nd.id)
+		return false, stop != nil && stop(id)
 	})
 }
 
 // AnyOpenBefore implements the second can-deliver condition of
 // Algorithm 3: "is there an undelivered message addressed to me ordered
-// before m". The search prunes at locally delivered nodes — the protocol
-// guarantees that when a message is delivered every predecessor addressed
-// to this group was delivered first, so nothing open can hide behind a
-// delivered node. This turns the per-delivery dependency check from
-// O(|history|) into O(open frontier).
+// before m". The search prunes at locally delivered and at closed nodes —
+// the protocol guarantees that when a message is delivered every
+// predecessor addressed to this group was delivered first, so nothing
+// open can hide behind a delivered node, nor behind a closed one, which
+// is an ancestor of a delivered message (CloseWalked). This turns the
+// per-delivery dependency check from O(|history|) into O(open frontier).
 func (h *History) AnyOpenBefore(m amcast.MsgID) bool {
-	return h.walkBack(m, func(nd *vertex) (bool, bool) {
-		return nd.flags&flagOpen != 0, nd.flags&flagDelivered != 0
+	found := h.walkBack(m, func(s uint32) (bool, bool) {
+		f := h.flags[s]
+		return f&flagOpen != 0, f&(flagDelivered|flagClosed) != 0
 	})
+	h.closable = !found
+	return found
+}
+
+// Walked reports how many nodes the last walk reached.
+func (h *History) Walked() int { return len(h.work) }
+
+// CloseWalked marks closed every node the last walk visited, provided
+// that walk was an AnyOpenBefore(m) that found nothing open and the graph
+// has not changed since. The owner calls it as it delivers
+// m: every such node is then an ancestor of a delivered message, so by
+// the argument that lets the walk stop at delivered nodes nothing open
+// can precede it, and later walks stop there too. The closed bit is
+// derived state: the codec does not write it, and a decoded history
+// starts without it.
+func (h *History) CloseWalked(m amcast.MsgID) {
+	if !h.closable || h.walkFrom != m {
+		return
+	}
+	for _, s := range h.work {
+		h.flags[s] |= flagClosed
+	}
+	h.closable = false
 }
 
 // DependsOn reports whether m transitively depends on mPrime (mPrime was
@@ -492,14 +600,15 @@ func (h *History) DependsOn(m, mPrime amcast.MsgID) bool {
 // sweep. The flush node itself survives as the new history root; diff
 // cursors stay valid. Returns the number of removed nodes.
 func (h *History) PruneBefore(flushID amcast.MsgID) int {
-	fs, ok := h.index[flushID]
+	fs, ok := h.slot(flushID)
 	if !ok {
 		return 0
 	}
 	// Collect the prune set: all strict ancestors of flushID, breadth
 	// first, the list doubling as the queue.
+	h.closable = false
 	epoch := h.nextEpoch()
-	h.nodes[fs].mark = epoch
+	h.mark[fs] = epoch
 	doomed := h.pushPreds(h.work[:0], fs, epoch)
 	for i := 0; i < len(doomed); i++ {
 		doomed = h.pushPreds(doomed, doomed[i], epoch)
@@ -508,11 +617,11 @@ func (h *History) PruneBefore(flushID amcast.MsgID) int {
 	if len(doomed) == 0 {
 		return 0
 	}
-	h.nodes[fs].mark = 0 // from here on a node is doomed iff it carries the stamp
+	h.mark[fs] = 0 // from here on a node is doomed iff it carries the stamp
 
 	live := h.log[:0]
 	for _, le := range h.log {
-		if h.nodes[le.a].mark == epoch || (le.b != noSlot && h.nodes[le.b].mark == epoch) {
+		if h.mark[le.a] == epoch || (le.b != noSlot && h.mark[le.b] == epoch) {
 			continue
 		}
 		live = append(live, le)
@@ -525,15 +634,15 @@ func (h *History) PruneBefore(flushID amcast.MsgID) int {
 		// graph, the flush node); only its edges into survivors need
 		// unlinking.
 		for i := uint32(0); i < nd.succ.n; i++ {
-			if t := nd.succ.at(i); h.nodes[t].mark != epoch {
-				h.dropMarked(&h.nodes[t].pred, epoch)
+			if t := nd.succ.at(i); h.mark[t] != epoch {
+				h.dropMarked(&h.preds[t], epoch)
 			}
 		}
 		h.countDst(nd.dst, -1)
-		delete(h.index, nd.id)
-		nd.pred.truncate(0)
+		h.index.del(uint64(nd.id))
+		h.preds[s].truncate(0)
 		nd.succ.truncate(0)
-		nd.id, nd.dst, nd.flags = 0, nil, 0
+		nd.id, nd.dst, h.flags[s] = 0, nil, 0
 		h.free = append(h.free, s)
 	}
 	// A no-op unless a cycle runs through the flush node.
@@ -545,7 +654,7 @@ func (h *History) PruneBefore(flushID amcast.MsgID) int {
 func (h *History) dropMarked(a *adj, epoch uint32) {
 	k := uint32(0)
 	for i := uint32(0); i < a.n; i++ {
-		if s := a.at(i); h.nodes[s].mark != epoch {
+		if s := a.at(i); h.mark[s] != epoch {
 			a.set(k, s)
 			k++
 		}
@@ -556,11 +665,11 @@ func (h *History) dropMarked(a *adj, epoch uint32) {
 // Snapshot returns all live nodes sorted by id and all live edges sorted
 // by (from, to); used by tests and debugging dumps.
 func (h *History) Snapshot() ([]Node, []amcast.HistEdge) {
-	ns := make([]Node, 0, len(h.index))
+	ns := make([]Node, 0, h.Len())
 	var es []amcast.HistEdge
 	for i := range h.nodes {
 		nd := &h.nodes[i]
-		if nd.flags&flagLive == 0 {
+		if h.flags[i]&flagLive == 0 {
 			continue
 		}
 		ns = append(ns, Node{ID: nd.id, Dst: nd.dst})
@@ -584,8 +693,8 @@ func (h *History) CheckAcyclic() error {
 	indeg := make([]uint32, len(h.nodes))
 	var ready []uint32
 	for i := range h.nodes {
-		if nd := &h.nodes[i]; nd.flags&flagLive != 0 {
-			if indeg[i] = nd.pred.n; indeg[i] == 0 {
+		if h.flags[i]&flagLive != 0 {
+			if indeg[i] = h.preds[i].n; indeg[i] == 0 {
 				ready = append(ready, uint32(i))
 			}
 		}

@@ -1,12 +1,14 @@
 package history
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"flexcast/amcast"
+	"flexcast/internal/prototest"
 )
 
 func node(id int, dst ...int) Node {
@@ -370,5 +372,206 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	if diffs == 0 {
 		t.Fatal("no diffs taken")
+	}
+}
+
+// TestCloseWalkedStopsLaterWalks pins the closed rule: after a walk from
+// m found nothing open and the owner closed it, every node that walk
+// visited is closed and a later walk from another message stops there as
+// at a delivered node. The test then breaks the protocol invariant on
+// purpose — an ancestor of the closed nodes turns open — to show that the
+// pruned walk no longer looks behind them while the full walk does.
+func TestCloseWalkedStopsLaterWalks(t *testing.T) {
+	h := New()
+	// 1 → 2 → 3 → 10 and 3 → 11; 0 → 1 is added later.
+	h.AddEdge(1, 2)
+	h.AddEdge(2, 3)
+	h.AddEdge(3, 10)
+	h.AddEdge(3, 11)
+	if h.AnyOpenBefore(10) {
+		t.Fatal("open dependency found in a history without one")
+	}
+	h.CloseWalked(10)
+	for _, id := range []amcast.MsgID{1, 2, 3} {
+		if !h.Closed(id) {
+			t.Fatalf("ancestor %s of the delivered message not closed", id)
+		}
+	}
+	if h.Closed(10) || h.Closed(11) {
+		t.Fatal("a node the walk did not visit was closed")
+	}
+	h.AddEdge(0, 1)
+	h.MarkOpen(0)
+	isOpen := func(id amcast.MsgID) bool { return id == 0 }
+	if !h.AnyBeforeUntil(11, isOpen, nil) {
+		t.Fatal("full walk misses the open ancestor")
+	}
+	if h.AnyOpenBefore(11) {
+		t.Fatal("walk did not stop at the closed node 3")
+	}
+	// A closed node that is itself open is still found.
+	h.MarkOpen(3)
+	if !h.AnyOpenBefore(11) {
+		t.Fatal("an open closed node was skipped")
+	}
+}
+
+// TestCloseWalkedOnlyAfterItsOwnWalk: closing applies the last walk only
+// when it was AnyOpenBefore of the same message, found nothing, and the
+// graph has not changed since.
+func TestCloseWalkedOnlyAfterItsOwnWalk(t *testing.T) {
+	build := func() *History {
+		h := New()
+		h.AppendDelivered(node(1, 1, 2))
+		h.AddEdge(5, 1) // placeholder 5 behind the delivered node
+		h.AddEdge(1, 2)
+		h.AddEdge(2, 3)
+		h.AddNode(node(4, 1, 2))
+		h.AddEdge(4, 3)
+		return h
+	}
+	never := func(amcast.MsgID) bool { return false }
+	cases := []struct {
+		name string
+		walk func(h *History)
+	}{
+		{"other message", func(h *History) { h.AnyOpenBefore(2) }},
+		{"found open", func(h *History) { h.MarkOpen(4); h.AnyOpenBefore(3) }},
+		{"other walk", func(h *History) { h.AnyOpenBefore(3); h.AnyBeforeUntil(3, never, nil) }},
+		{"prune", func(h *History) { h.AnyOpenBefore(3); h.PruneBefore(1) }},
+		{"merge", func(h *History) { h.AnyOpenBefore(3); h.AddEdge(6, 2) }},
+	}
+	for _, c := range cases {
+		h := build()
+		c.walk(h)
+		h.CloseWalked(3)
+		for _, id := range []amcast.MsgID{1, 2, 4, 5} {
+			if h.Closed(id) {
+				t.Fatalf("%s: node %s closed", c.name, id)
+			}
+		}
+	}
+	h := build()
+	h.AnyOpenBefore(3)
+	h.CloseWalked(3)
+	// The walk stopped at delivered 1, so placeholder 5 behind it was not
+	// visited; 1 itself was.
+	for id, want := range map[amcast.MsgID]bool{1: true, 2: true, 4: true, 5: false, 3: false} {
+		if h.Closed(id) != want {
+			t.Fatalf("Closed(%s) = %v, want %v", id, !want, want)
+		}
+	}
+}
+
+// TestClosedBitIsNotEncoded: closing changes no byte of the image, and a
+// decoded history starts with no node closed.
+func TestClosedBitIsNotEncoded(t *testing.T) {
+	h := New()
+	h.AppendDelivered(node(1, 1, 2))
+	h.Merge(&amcast.HistDelta{
+		Nodes: []amcast.HistNode{{ID: 2, Dst: []amcast.GroupID{2, 3}}, {ID: 3, Dst: []amcast.GroupID{1, 3}}},
+		Edges: []amcast.HistEdge{{From: 2, To: 3}, {From: 1, To: 3}},
+	})
+	before := h.AppendBinary(nil)
+	if h.AnyOpenBefore(3) {
+		t.Fatal("unexpected open dependency")
+	}
+	h.CloseWalked(3)
+	if !h.Closed(2) {
+		t.Fatal("nothing closed")
+	}
+	if after := h.AppendBinary(nil); !bytes.Equal(before, after) {
+		t.Fatal("closing changed the encoded image")
+	}
+	dec := roundTrip(t, h)
+	if dec.Closed(1) || dec.Closed(2) {
+		t.Fatal("decoded history has closed nodes")
+	}
+}
+
+// TestAllocBudgetMerge: merging a diff whose nodes and edges the history
+// already holds allocates nothing, and a node costs no allocation once
+// its destination set has been seen — the arena keeps nothing of the
+// delta, so a decoded frame is garbage as soon as the merge returns.
+func TestAllocBudgetMerge(t *testing.T) {
+	if prototest.RaceEnabled() {
+		t.Skip("allocation budgets are measured without -race")
+	}
+	delta := func(first amcast.MsgID) *amcast.HistDelta {
+		d := &amcast.HistDelta{}
+		for i := amcast.MsgID(0); i < 20; i++ {
+			id := first + i
+			d.Nodes = append(d.Nodes, amcast.HistNode{ID: id, Dst: []amcast.GroupID{1, amcast.GroupID(2 + i%3)}})
+			if i > 0 {
+				d.Edges = append(d.Edges, amcast.HistEdge{From: id - 1, To: id})
+			}
+		}
+		return d
+	}
+	h := New()
+	seen := delta(1)
+	h.Merge(seen)
+	if n := testing.AllocsPerRun(100, func() { h.Merge(seen) }); n != 0 {
+		t.Fatalf("merging an already-seen delta allocates %v objects", n)
+	}
+	// Fresh nodes with known destination sets: the slots, the index and the
+	// log grow to a working size and stay there across prunes.
+	next := amcast.MsgID(1000)
+	round := func() {
+		d := delta(next)
+		d.Edges = append(d.Edges, amcast.HistEdge{From: next - 1000 + 20 - 1, To: next})
+		h.Merge(d)
+		h.PruneBefore(next + 19)
+		next += 1000
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	deltas := make([]*amcast.HistDelta, 0, 101)
+	for i := 0; i <= 100; i++ {
+		deltas = append(deltas, delta(next+amcast.MsgID(i)*1000))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		h.Merge(deltas[i])
+		h.PruneBefore(deltas[i].Nodes[19].ID)
+		i++
+	}); n != 0 {
+		t.Fatalf("merging fresh nodes with known destination sets allocates %v objects per delta", n)
+	}
+}
+
+// TestAllocBudgetIntern: a destination set is copied once, on
+// first sight, and shared by every later node with the same set; a set
+// the bitmask key cannot represent is copied as it stands.
+func TestAllocBudgetIntern(t *testing.T) {
+	if prototest.RaceEnabled() {
+		t.Skip("allocation budgets are measured without -race")
+	}
+	var sets [][]amcast.GroupID
+	for a := amcast.GroupID(0); a < 64; a++ {
+		for b := a + 1; b < 64; b += 3 {
+			sets = append(sets, []amcast.GroupID{a, b})
+		}
+	}
+	h := New()
+	i := 0
+	perSet := testing.AllocsPerRun(len(sets)-1, func() { h.intern(sets[i%len(sets)]); i++ })
+	// Growing the set list and its table adds a logarithmic handful.
+	if perSet > 1.05 {
+		t.Fatalf("interning a new set allocates %.3f objects, want 1 (+ amortised growth)", perSet)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.intern(sets[7]) }); n != 0 {
+		t.Fatalf("interning a known set allocates %v objects", n)
+	}
+	a, b := h.intern([]amcast.GroupID{3, 9}), h.intern([]amcast.GroupID{3, 9})
+	if &a[0] != &b[0] {
+		t.Fatal("equal sets not shared")
+	}
+	for _, odd := range [][]amcast.GroupID{{9, 3}, {3, 3}, {3, 64}, {-1, 2}} {
+		got := h.intern(odd)
+		if !reflect.DeepEqual(got, odd) || &got[0] == &odd[0] {
+			t.Fatalf("intern(%v) = %v, want a copy as it stands", odd, got)
+		}
 	}
 }

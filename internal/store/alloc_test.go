@@ -10,8 +10,8 @@ import (
 
 // TestAllocBudgetApply pins "a transaction pays only for what it
 // keeps": with nobody auditing, applying a transaction allocates no more
-// than decoding its payload does — no record, no rows, no second shard
-// set, no copy of the order lines. (A new-order also appends to the
+// than decoding its payload does — no record, no rows, no shard set, no
+// copy of the order lines. (A new-order also appends to the
 // order queue; its amortised growth is a handful of allocations over the
 // whole run and rounds to zero per transaction.)
 func TestAllocBudgetApply(t *testing.T) {
@@ -51,6 +51,11 @@ func TestAllocBudgetApply(t *testing.T) {
 		})
 		if apply > decode {
 			t.Errorf("%s: Apply(d, nil) allocates %v per transaction, decoding its payload %v", tx.Type, apply, decode)
+		}
+		// A new-order keeps its order lines (one object); the destination
+		// set, wanted only by an audit record, is never built.
+		if tx.Type == gtpcc.NewOrder && apply > 2 {
+			t.Errorf("%s: Apply(d, nil) allocates %v objects, want its order lines and at most one more", tx.Type, apply)
 		}
 	}
 	if err := s.CheckLocalInvariants(); err != nil {

@@ -239,7 +239,7 @@ func (s *Shard) Apply(d amcast.Delivery, rec *trace.ExecRecord) uint8 {
 			TxID:     d.Msg.ID,
 			Kind:     uint8(tx.Type),
 			ReadSet:  readSetDigest(d.Msg.Payload),
-			Involved: tx.Dst,
+			Involved: tx.Involved(),
 		}
 	}
 	s.applied++
