@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"flexcast/amcast"
 )
@@ -120,23 +121,35 @@ func IsBatch(buf []byte) bool {
 
 // DecodeFrame decodes one frame — a batch or a single envelope,
 // discriminated by the first byte. Every consumer of mixed frames (the
-// TCP transport, Paxos decided values in internal/smr) goes through it,
-// so frame discrimination lives in exactly one place.
+// TCP transport, Paxos decided values in internal/smr) goes through it
+// or DecodeFrameInto, so frame discrimination lives in exactly one
+// place.
 func DecodeFrame(buf []byte) ([]amcast.Envelope, error) {
+	return DecodeFrameInto(nil, buf)
+}
+
+// DecodeFrameInto is DecodeFrame appending to dst: a reader that decodes
+// frame after frame into one reused envelope buffer allocates none per
+// frame. On error it returns nil.
+func DecodeFrameInto(dst []amcast.Envelope, buf []byte) ([]amcast.Envelope, error) {
 	if IsBatch(buf) {
-		return UnmarshalBatch(buf)
+		return unmarshalBatchInto(dst, buf)
 	}
 	env, err := Unmarshal(buf)
 	if err != nil {
 		return nil, err
 	}
-	return []amcast.Envelope{env}, nil
+	return append(dst, env), nil
 }
 
 // UnmarshalBatch decodes a batch frame, validating structure, canonical
 // inner encodings and the batch-size limit, and rejecting trailing
 // garbage.
 func UnmarshalBatch(buf []byte) ([]amcast.Envelope, error) {
+	return unmarshalBatchInto(nil, buf)
+}
+
+func unmarshalBatchInto(dst []amcast.Envelope, buf []byte) ([]amcast.Envelope, error) {
 	d := &decoder{buf: buf}
 	if d.byte() != BatchKind {
 		return nil, fmt.Errorf("codec: not a batch frame")
@@ -154,7 +167,7 @@ func UnmarshalBatch(buf []byte) ([]amcast.Envelope, error) {
 	if left := len(buf) - d.off; n > uint64(left/minEntry) {
 		return nil, fmt.Errorf("codec: batch of %d envelopes exceeds the %d bytes left", n, left)
 	}
-	envs := make([]amcast.Envelope, 0, n)
+	envs := slices.Grow(dst, int(n))
 	for i := uint64(0); i < n; i++ {
 		size := d.uvarint()
 		if d.err != nil {

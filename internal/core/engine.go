@@ -195,9 +195,10 @@ type Engine struct {
 	// It doubles as deliveredInG and as the tombstone set that prevents
 	// re-delivery after garbage collection, and it is append-only: a
 	// snapshot takes it by prefix (capture), so a written entry is never
-	// overwritten. delivered is its membership index.
+	// overwritten. delivered is its membership index, rebuilt from the
+	// log on restore.
 	deliveredLog []amcast.MsgID
-	delivered    map[amcast.MsgID]struct{}
+	delivered    amcast.IDSet
 	// open is the open-dependency set: messages present in hst, addressed
 	// to g, not yet delivered (open-dependencies() in Algorithm 3).
 	open map[amcast.MsgID]bool
@@ -273,7 +274,6 @@ func New(cfg Config) (*Engine, error) {
 		ov:         cfg.Overlay,
 		ancestors:  cfg.Overlay.Ancestors(cfg.Group),
 		hst:        history.New(),
-		delivered:  make(map[amcast.MsgID]struct{}),
 		open:       make(map[amcast.MsgID]bool),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID),
 		pend:       make(map[amcast.MsgID]*pending),
@@ -459,10 +459,7 @@ func (e *Engine) onNotif(env amcast.Envelope, outs *[]amcast.Output) {
 	e.pendNotif = append(e.pendNotif, &pendingNotif{msg: m.Header(), notifier: notifier, epoch: epoch, deps: maps.Clone(e.open)})
 }
 
-func (e *Engine) wasDelivered(id amcast.MsgID) bool {
-	_, ok := e.delivered[id]
-	return ok
-}
+func (e *Engine) wasDelivered(id amcast.MsgID) bool { return e.delivered.Has(id) }
 
 func (e *Engine) pending(id amcast.MsgID) *pending {
 	p, ok := e.pend[id]
@@ -509,7 +506,7 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 // the outputs it generates.
 func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
 	e.deliveredLog = append(e.deliveredLog, m.ID)
-	e.delivered[m.ID] = struct{}{}
+	e.delivered.Add(m.ID)
 	e.deliveries = append(e.deliveries, amcast.Delivery{Group: e.g, Seq: e.seq, Msg: m})
 	e.seq++
 	if len(m.Dst) == 1 {

@@ -115,9 +115,9 @@ func (e *Engine) install(s *snapshot) error {
 	}
 	e.hst = hst
 	e.deliveredLog = s.delivered[:len(s.delivered):len(s.delivered)]
-	e.delivered = make(map[amcast.MsgID]struct{}, len(s.delivered))
+	e.delivered = amcast.IDSet{}
 	for _, id := range s.delivered {
-		e.delivered[id] = struct{}{}
+		e.delivered.Add(id)
 	}
 	e.open = maps.Clone(s.open)
 	e.queues = make(map[amcast.GroupID][]amcast.MsgID, len(s.queues))

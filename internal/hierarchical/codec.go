@@ -3,14 +3,14 @@ package hierarchical
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"flexcast/amcast"
 	"flexcast/internal/codec"
 )
 
-// Binary snapshot codec for the hierarchical engine; sorted map
-// iteration keeps the encoding canonical.
+// Binary snapshot codec for the hierarchical engine. The seen set is
+// encoded as it was when it was a map[MsgID]bool: ascending ids, each
+// with true.
 
 var _ amcast.BinarySnapshot = (*snapshot)(nil)
 
@@ -18,16 +18,12 @@ var _ amcast.BinarySnapshot = (*snapshot)(nil)
 func (s *snapshot) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 128)
 	buf = binary.AppendUvarint(buf, uint64(uint32(s.g)))
-	ids := make([]amcast.MsgID, 0, len(s.seen))
-	for id := range s.seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
+	buf = binary.AppendUvarint(buf, uint64(s.seen.Len()))
+	s.seen.Ascend(func(id amcast.MsgID) bool {
 		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = codec.AppendBool(buf, s.seen[id])
-	}
+		buf = codec.AppendBool(buf, true)
+		return true
+	})
 	buf = binary.AppendUvarint(buf, uint64(len(s.deliveries)))
 	for _, d := range s.deliveries {
 		buf = codec.AppendDelivery(buf, d)
@@ -43,10 +39,12 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	r := codec.NewReader(data)
 	s := &snapshot{g: amcast.GroupID(r.Uvarint())}
 	nSeen := r.Count()
-	s.seen = make(map[amcast.MsgID]bool, nSeen)
+	s.seen = &amcast.IDSet{}
 	for i := 0; i < nSeen && r.Err() == nil; i++ {
-		id := amcast.MsgID(r.Uvarint())
-		s.seen[id] = r.Bool()
+		// A false entry is absent, as the map lookup treated it.
+		if id := amcast.MsgID(r.Uvarint()); r.Bool() {
+			s.seen.Add(id)
+		}
 	}
 	nD := r.Count()
 	s.deliveries = make([]amcast.Delivery, 0, nD)

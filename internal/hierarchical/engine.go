@@ -32,7 +32,7 @@ type Engine struct {
 	g    amcast.GroupID
 	tree *overlay.Tree
 
-	seen       map[amcast.MsgID]bool
+	seen       amcast.IDSet
 	deliveries []amcast.Delivery
 	seq        uint64
 	relayed    uint64
@@ -50,7 +50,7 @@ func New(cfg Config) (*Engine, error) {
 	if !cfg.Tree.Contains(cfg.Group) {
 		return nil, fmt.Errorf("hierarchical: group %d not in tree", cfg.Group)
 	}
-	return &Engine{g: cfg.Group, tree: cfg.Tree, seen: make(map[amcast.MsgID]bool)}, nil
+	return &Engine{g: cfg.Group, tree: cfg.Tree}, nil
 }
 
 // MustNew is New for known-good configurations; it panics on error.
@@ -108,10 +108,9 @@ func (e *Engine) step(env amcast.Envelope, outs *[]amcast.Output) {
 }
 
 func (e *Engine) handle(m amcast.Message, outs *[]amcast.Output) {
-	if e.seen[m.ID] {
+	if !e.seen.Add(m.ID) {
 		return
 	}
-	e.seen[m.ID] = true
 	if m.HasDst(e.g) {
 		e.deliveries = append(e.deliveries, amcast.Delivery{Group: e.g, Seq: e.seq, Msg: m})
 		e.seq++

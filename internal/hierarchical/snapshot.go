@@ -11,7 +11,7 @@ import (
 // from FIFO links).
 type snapshot struct {
 	g          amcast.GroupID
-	seen       map[amcast.MsgID]bool
+	seen       *amcast.IDSet
 	deliveries []amcast.Delivery
 	seq        uint64
 	relayed    uint64
@@ -26,13 +26,10 @@ var _ amcast.SnapshotEngine = (*Engine)(nil)
 func (e *Engine) Snapshot() amcast.Snapshot {
 	s := &snapshot{
 		g:          e.g,
-		seen:       make(map[amcast.MsgID]bool, len(e.seen)),
+		seen:       e.seen.Clone(),
 		deliveries: append([]amcast.Delivery(nil), e.deliveries...),
 		seq:        e.seq,
 		relayed:    e.relayed,
-	}
-	for id, v := range e.seen {
-		s.seen[id] = v
 	}
 	return s
 }
@@ -46,10 +43,7 @@ func (e *Engine) Restore(snap amcast.Snapshot) error {
 	if s.g != e.g {
 		return fmt.Errorf("hierarchical: restore of group %d snapshot into group %d", s.g, e.g)
 	}
-	e.seen = make(map[amcast.MsgID]bool, len(s.seen))
-	for id, v := range s.seen {
-		e.seen[id] = v
-	}
+	e.seen = *s.seen.Clone()
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq
 	e.relayed = s.relayed

@@ -41,8 +41,8 @@ type delayItem struct {
 }
 
 // delayLinkDepth bounds a link's in-flight queue in batches; a full
-// queue blocks the sender, mirroring the in-memory transport's
-// mailbox backpressure.
+// queue blocks the sender, mirroring the backpressure of a full node
+// queue.
 const delayLinkDepth = 4096
 
 type delayLink struct {

@@ -30,21 +30,29 @@ type Batcher struct {
 	mu   sync.Mutex
 	send SendBatchFunc
 	max  int
-	// pending holds one reusable buffer per destination ever sent to; a
-	// destination has a batch pending while its buffer is non-empty.
-	pending map[amcast.NodeID][]amcast.Envelope
-	// control marks destinations whose pending batch carries at least
-	// one control envelope; FlushAll sends those first.
-	control map[amcast.NodeID]bool
-	// order lists destinations with pending envelopes in first-Add order
-	// so FlushAll is deterministic and starvation-free.
-	order []amcast.NodeID
+	// dests holds one entry per destination ever sent to, found by
+	// linear scan: a node talks to at most a dozen groups plus its
+	// clients, so a scan beats hashing. A destination has a batch
+	// pending while its buffer is non-empty.
+	dests []destBatch
+	// order lists the dests indices with pending envelopes in first-Add
+	// order so FlushAll is deterministic and starvation-free.
+	order []int
 
 	// tracer, when non-nil, stamps StageFlush on sampled write replies as
 	// their batch leaves for the transport.
 	tracer *telemetry.Tracer
 
 	stats BatcherStats
+}
+
+// destBatch is one destination's reusable batch buffer. control marks a
+// pending batch carrying at least one control envelope; FlushAll sends
+// those first.
+type destBatch struct {
+	to      amcast.NodeID
+	q       []amcast.Envelope
+	control bool
 }
 
 // BatcherStats counts what the batcher moved.
@@ -95,12 +103,7 @@ func NewBatcher(send SendBatchFunc, max int) *Batcher {
 	if max < 1 {
 		max = 1
 	}
-	return &Batcher{
-		send:    send,
-		max:     max,
-		pending: make(map[amcast.NodeID][]amcast.Envelope),
-		control: make(map[amcast.NodeID]bool),
-	}
+	return &Batcher{send: send, max: max}
 }
 
 // SetTracer attaches the lifecycle tracer (nil detaches). Called once
@@ -141,18 +144,30 @@ func (b *Batcher) Add(to amcast.NodeID, env amcast.Envelope) {
 		b.sendLocked(to, []amcast.Envelope{env})
 		return
 	}
-	q := append(b.pending[to], env)
-	b.pending[to] = q
-	if len(q) == 1 {
-		b.order = append(b.order, to)
+	i := b.dest(to)
+	d := &b.dests[i]
+	d.q = append(d.q, env)
+	if len(d.q) == 1 {
+		b.order = append(b.order, i)
 	}
 	if isControl(env) {
-		b.control[to] = true
+		d.control = true
 	}
-	if len(q) >= b.max {
+	if len(d.q) >= b.max {
 		b.stats.SizeFlushes++
-		b.flushLocked(to, q)
+		b.flushLocked(i)
 	}
+}
+
+// dest returns the index of to's entry, adding one on first use.
+func (b *Batcher) dest(to amcast.NodeID) int {
+	for i := range b.dests {
+		if b.dests[i].to == to {
+			return i
+		}
+	}
+	b.dests = append(b.dests, destBatch{to: to})
+	return len(b.dests) - 1
 }
 
 // FlushAll sends every pending batch: control-bearing destinations
@@ -180,19 +195,16 @@ func (b *Batcher) flushAll(timer bool) {
 	// its backing array is put back, empty, for the next chunk.
 	order := b.order
 	b.order = nil
-	for _, to := range order {
-		if !b.control[to] {
-			continue
-		}
-		if q := b.pending[to]; len(q) > 0 {
+	for _, i := range order {
+		if d := &b.dests[i]; d.control && len(d.q) > 0 {
 			*ctr++
-			b.flushLocked(to, q)
+			b.flushLocked(i)
 		}
 	}
-	for _, to := range order {
-		if q := b.pending[to]; len(q) > 0 {
+	for _, i := range order {
+		if len(b.dests[i].q) > 0 {
 			*ctr++
-			b.flushLocked(to, q)
+			b.flushLocked(i)
 		}
 	}
 	b.order = order[:0]
@@ -212,18 +224,19 @@ func (b *Batcher) Stats() BatcherStats {
 // fail loudly.
 var Scrub = func(envs []amcast.Envelope) { clear(envs) }
 
-// flushLocked sends one destination's batch and clears its bookkeeping.
-// The send only borrowed q, so the buffer is scrubbed and kept for the
+// flushLocked sends dests[i]'s batch and clears its bookkeeping. The
+// send only borrowed the buffer, so it is scrubbed and kept for the
 // destination's next batch.
-func (b *Batcher) flushLocked(to amcast.NodeID, q []amcast.Envelope) {
-	b.dropFromOrder(to)
-	if b.control[to] {
+func (b *Batcher) flushLocked(i int) {
+	b.dropFromOrder(i)
+	d := &b.dests[i]
+	if d.control {
 		b.stats.ControlBatches++
-		delete(b.control, to)
+		d.control = false
 	}
-	b.sendLocked(to, q)
-	Scrub(q)
-	b.pending[to] = q[:0]
+	b.sendLocked(d.to, d.q)
+	Scrub(d.q)
+	d.q = d.q[:0]
 }
 
 // sendLocked transmits one batch while holding the mutex; the transport
@@ -248,10 +261,10 @@ func (b *Batcher) sendLocked(to amcast.NodeID, envs []amcast.Envelope) {
 	b.send(to, envs)
 }
 
-func (b *Batcher) dropFromOrder(to amcast.NodeID) {
-	for i, d := range b.order {
-		if d == to {
-			b.order = append(b.order[:i], b.order[i+1:]...)
+func (b *Batcher) dropFromOrder(i int) {
+	for k, d := range b.order {
+		if d == i {
+			b.order = append(b.order[:k], b.order[k+1:]...)
 			return
 		}
 	}

@@ -5,11 +5,14 @@
 // adds the throughput layer the bare transports lack:
 //
 //   - each node is a sharded worker goroutine draining a bounded inbound
-//     queue; the bound is counted in envelopes — batching must never
-//     widen effective buffering, or queue residency (and with it the
-//     protocols' in-flight dependency state) balloons — and a full queue
-//     blocks the transport, so a saturated node exerts backpressure on
-//     its senders instead of buffering without limit;
+//     queue — the only queue between the wire and the engine: the
+//     transports call Submit directly, on the sending goroutine in
+//     memory and on the connection's reader over TCP. The bound is
+//     counted in envelopes — batching must never widen effective
+//     buffering, or queue residency (and with it the protocols'
+//     in-flight dependency state) balloons — and a full queue blocks
+//     Submit, so a saturated node exerts backpressure on its senders
+//     instead of buffering without limit;
 //   - the worker drains up to MaxBatch queued envelopes per wakeup and
 //     steps the engine once per chunk through its batch fast path
 //     (amcast.BatchStep) — one queue operation, one fixpoint scan, and
@@ -25,6 +28,15 @@
 // scheduling unit (see amcast.BatchStepper) — so the simulator, the
 // chaos explorer and the replicas (internal/smr) verify the same state
 // machines this runtime executes.
+//
+// Because a send runs the receiver's Submit on the sender's goroutine,
+// locks nest across nodes in one order only: the sender's Batcher.mu,
+// then the receiver's queue lock or (serving a read) its executor's
+// read lock, then a client's lock when a reply reaches it. Nothing
+// takes them the other way: a client handler never sends, and a client
+// transmits outside its own lock. A blocked send is a wait-for edge
+// from the sending worker to the receiving one; DESIGN.md §1b shows why
+// no protocol closes a cycle of them.
 package runtime
 
 import (
@@ -236,9 +248,11 @@ func (n *Node) Operating() (batch int, interval time.Duration) {
 // ID returns the node's network address.
 func (n *Node) ID() amcast.NodeID { return n.id }
 
-// Submit enqueues one inbound batch. It blocks while the queue holds
-// QueueDepth or more envelopes (backpressure) and drops the batch once
-// the node is closed.
+// Submit enqueues one inbound batch; it is the node's transport handler
+// and runs on the transport's goroutine for the link (BatchHandler). It
+// blocks while the queue holds QueueDepth or more envelopes
+// (backpressure) and drops the batch once the node is closed. The
+// batch is copied in, so Submit only borrows envs.
 func (n *Node) Submit(envs []amcast.Envelope) {
 	if len(envs) == 0 {
 		return
@@ -280,7 +294,7 @@ func (n *Node) Submit(envs []amcast.Envelope) {
 
 // serveReads diverts KindRead envelopes out of an inbound batch and
 // serves them through the configured ReadHandler, on the submitting
-// goroutine; the filtered batch (usually the whole batch — reads are
+// goroutine — the sender's own in memory; the filtered batch (usually the whole batch — reads are
 // rare relative to protocol traffic on any one link) continues to the
 // queue. Replies go out directly, bypassing the worker-owned batcher: a
 // read completes without ever synchronizing with the write path.

@@ -16,7 +16,7 @@ import (
 )
 
 // deployment wires a FlexCast group set over the in-memory transport
-// with one runtime.Node per group, plus a client mailbox collecting
+// with one runtime.Node per group, plus a client handler collecting
 // replies.
 type deployment struct {
 	ov    *overlay.CDAG
@@ -32,7 +32,7 @@ type deployment struct {
 
 func newDeployment(t *testing.T, groups []amcast.GroupID, maxBatch int) *deployment {
 	t.Helper()
-	// Every hand-off between batcher, mailboxes and nodes is poisoned
+	// Every hand-off between batchers, transport and nodes is poisoned
 	// the moment its call returns: nothing here may keep a lent slice.
 	prototest.PoisonLoans(t, &runtime.Scrub, &transport.Scrub)
 	d := &deployment{

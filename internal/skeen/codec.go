@@ -10,7 +10,8 @@ import (
 )
 
 // Binary snapshot codec for the Skeen engine; sorted map iteration
-// keeps the encoding canonical.
+// keeps the encoding canonical. The delivered set is encoded as it was
+// when it was a map[MsgID]bool: ascending ids, each with true.
 
 var _ amcast.BinarySnapshot = (*snapshot)(nil)
 
@@ -45,16 +46,12 @@ func (s *snapshot) MarshalBinary() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, p.final)
 		buf = codec.AppendBool(buf, p.hasFinal)
 	}
-	del := make([]amcast.MsgID, 0, len(s.delivered))
-	for id := range s.delivered {
-		del = append(del, id)
-	}
-	sort.Slice(del, func(i, j int) bool { return del[i] < del[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(del)))
-	for _, id := range del {
+	buf = binary.AppendUvarint(buf, uint64(s.delivered.Len()))
+	s.delivered.Ascend(func(id amcast.MsgID) bool {
 		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = codec.AppendBool(buf, s.delivered[id])
-	}
+		buf = codec.AppendBool(buf, true)
+		return true
+	})
 	buf = binary.AppendUvarint(buf, uint64(len(s.deliveries)))
 	for _, d := range s.deliveries {
 		buf = codec.AppendDelivery(buf, d)
@@ -92,10 +89,12 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 		s.pend[id] = p
 	}
 	nDel := r.Count()
-	s.delivered = make(map[amcast.MsgID]bool, nDel)
+	s.delivered = &amcast.IDSet{}
 	for i := 0; i < nDel && r.Err() == nil; i++ {
-		id := amcast.MsgID(r.Uvarint())
-		s.delivered[id] = r.Bool()
+		// A false entry is absent, as the map lookup treated it.
+		if id := amcast.MsgID(r.Uvarint()); r.Bool() {
+			s.delivered.Add(id)
+		}
 	}
 	nD := r.Count()
 	s.deliveries = make([]amcast.Delivery, 0, nD)

@@ -59,7 +59,7 @@ type Engine struct {
 	// order is the set of pending ids; delivery scans it for the minimal
 	// candidate (kept as a slice re-sorted on demand; pending sets are
 	// small because messages drain quickly).
-	delivered  map[amcast.MsgID]bool
+	delivered  amcast.IDSet
 	deliveries []amcast.Delivery
 	seq        uint64
 }
@@ -74,9 +74,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("skeen: missing group id")
 	}
 	return &Engine{
-		g:         cfg.Group,
-		pend:      make(map[amcast.MsgID]*pend),
-		delivered: make(map[amcast.MsgID]bool),
+		g:    cfg.Group,
+		pend: make(map[amcast.MsgID]*pend),
 	}, nil
 }
 
@@ -143,7 +142,7 @@ func (e *Engine) apply(env amcast.Envelope, outs *[]amcast.Output) {
 
 func (e *Engine) onRequest(env amcast.Envelope, outs *[]amcast.Output) {
 	m := env.Msg
-	if !m.HasDst(e.g) || e.delivered[m.ID] {
+	if !m.HasDst(e.g) || e.delivered.Has(m.ID) {
 		return
 	}
 	p := e.pending(m.ID)
@@ -180,7 +179,7 @@ func (e *Engine) onTS(env amcast.Envelope) {
 	if env.TS > e.clock {
 		e.clock = env.TS
 	}
-	if !m.HasDst(e.g) || e.delivered[m.ID] {
+	if !m.HasDst(e.g) || e.delivered.Has(m.ID) {
 		return
 	}
 	p := e.pending(m.ID)
@@ -250,7 +249,7 @@ func (e *Engine) drain() {
 
 func (e *Engine) deliver(id amcast.MsgID, p *pend) {
 	delete(e.pend, id)
-	e.delivered[id] = true
+	e.delivered.Add(id)
 	e.deliveries = append(e.deliveries, amcast.Delivery{Group: e.g, Seq: e.seq, Msg: p.msg})
 	e.seq++
 }

@@ -12,7 +12,7 @@ type snapshot struct {
 	g          amcast.GroupID
 	clock      uint64
 	pend       map[amcast.MsgID]*pend
-	delivered  map[amcast.MsgID]bool
+	delivered  *amcast.IDSet
 	deliveries []amcast.Delivery
 	seq        uint64
 }
@@ -52,12 +52,9 @@ func (e *Engine) Snapshot() amcast.Snapshot {
 		g:          e.g,
 		clock:      e.clock,
 		pend:       copyPendTable(e.pend),
-		delivered:  make(map[amcast.MsgID]bool, len(e.delivered)),
+		delivered:  e.delivered.Clone(),
 		deliveries: append([]amcast.Delivery(nil), e.deliveries...),
 		seq:        e.seq,
-	}
-	for id, v := range e.delivered {
-		s.delivered[id] = v
 	}
 	return s
 }
@@ -73,10 +70,7 @@ func (e *Engine) Restore(snap amcast.Snapshot) error {
 	}
 	e.clock = s.clock
 	e.pend = copyPendTable(s.pend)
-	e.delivered = make(map[amcast.MsgID]bool, len(s.delivered))
-	for id, v := range s.delivered {
-		e.delivered[id] = v
-	}
+	e.delivered = *s.delivered.Clone()
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq
 	return nil

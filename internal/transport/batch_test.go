@@ -15,9 +15,8 @@ func copyingHandler(got chan<- []amcast.Envelope) BatchHandler {
 
 // expectLinkFIFO collects dispatches until want envelopes arrived and
 // checks what the protocols rely on: every envelope arrives exactly
-// once, in send order. How the transport groups them into dispatches is
-// its own business (a consumer gets everything queued since its last
-// call).
+// once, in send order. How the transport groups them into handler
+// calls is its own business.
 func expectLinkFIFO(t *testing.T, got <-chan []amcast.Envelope, want int) {
 	t.Helper()
 	seq := uint64(0)
@@ -90,8 +89,8 @@ func TestTCPBatchFrameRoundTrip(t *testing.T) {
 }
 
 // TestInMemBatchDispatch checks that SendBatch delivers the whole batch
-// and preserves per-pair FIFO with Send, and that the sender keeps its
-// slice: the mailbox copied it.
+// and preserves per-pair FIFO with Send, and that the sender may reuse
+// its slice once SendBatch returns: the handler only borrowed it.
 func TestInMemBatchDispatch(t *testing.T) {
 	net := NewInMemNet()
 	defer net.Close()

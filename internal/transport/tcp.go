@@ -25,28 +25,36 @@ const maxFrame = 16 << 20
 const dialRetry = 200 * time.Millisecond
 
 // TCPNode is one process in a TCP deployment: it listens for inbound
-// envelopes, maintains lazy persistent connections to peers, and feeds a
-// handler from a single dispatcher goroutine (preserving the engine
-// single-threaded contract). Frames are either single envelopes or batch
-// frames (codec.BatchKind); the dispatcher hands the handler every
-// envelope decoded since its previous call, frames concatenated in
-// arrival order, in a buffer it reuses (see BatchHandler).
+// envelopes, maintains lazy persistent connections to peers, and runs
+// one reader per inbound connection. Frames are either single envelopes
+// or batch frames (codec.BatchKind); a reader calls the handler once per
+// frame, with the frame's envelopes decoded into a buffer it reuses (see
+// BatchHandler). A reader blocked in the handler reads nothing more, so
+// a saturated node pushes backpressure into the kernel socket buffers.
 type TCPNode struct {
-	id   amcast.NodeID
-	book AddrBook
-	ln   net.Listener
+	id      amcast.NodeID
+	book    AddrBook
+	ln      net.Listener
+	handler BatchHandler
 
 	mu      sync.Mutex
 	conns   map[amcast.NodeID]*peerConn
 	inbound map[net.Conn]struct{}
 	closed  bool
+	// reading counts the readers that are not inside a handler call;
+	// Close waits (idle, on mu) until it is zero.
+	reading int
+	idle    *sync.Cond
 
-	// in is envelope-bounded (see envQueue): inbound buffering is the
-	// same whatever the batch size, and a saturated dispatcher pushes
-	// backpressure into the kernel socket buffers.
-	in *envQueue
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the accept loop
 }
+
+// Scrub ends a handler's loan of a reader's decode buffer: zeroed, so
+// the payloads it referenced are collectable while the reader waits for
+// the next frame. A variable only so tests can poison instead
+// (prototest.PoisonLoans) and make a handler that kept the slice fail
+// loudly.
+var Scrub = func(envs []amcast.Envelope) { clear(envs) }
 
 type peerConn struct {
 	mu   sync.Mutex // serializes frame writes
@@ -85,16 +93,13 @@ func newTCPNodeOn(id amcast.NodeID, book AddrBook, ln net.Listener, handler Batc
 		id:      id,
 		book:    book,
 		ln:      ln,
+		handler: handler,
 		conns:   make(map[amcast.NodeID]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
-		in:      newEnvQueue(mailboxDepth),
 	}
-	n.wg.Add(2)
+	n.idle = sync.NewCond(&n.mu)
+	n.wg.Add(1)
 	go n.acceptLoop()
-	go func() {
-		defer n.wg.Done()
-		n.in.drain(handler)
-	}()
 	return n
 }
 
@@ -181,14 +186,19 @@ func (n *TCPNode) acceptLoop() {
 			return
 		}
 		n.inbound[conn] = struct{}{}
+		n.reading++
 		n.mu.Unlock()
-		n.wg.Add(1)
 		go n.readLoop(conn)
 	}
 }
 
+// readLoop hands the handler every frame of one connection, in arrival
+// order, decoded into one envelope buffer for the connection's lifetime.
+// It ends when the connection fails or the node closes. Close waits for
+// a reader only while it is outside the handler: a reader blocked in the
+// handler (a full node queue) stays blocked until the handler's owner
+// releases it, and then exits without another call.
 func (n *TCPNode) readLoop(conn net.Conn) {
-	defer n.wg.Done()
 	defer func() {
 		conn.Close()
 		n.mu.Lock()
@@ -196,15 +206,42 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 	r := bufio.NewReader(conn)
+	var envs []amcast.Envelope
 	for {
-		envs, err := readFrame(r)
-		if err != nil {
+		var err error
+		envs, err = readFrame(r, envs[:0])
+		if !n.enterHandler(err == nil) {
 			return
 		}
-		if !n.in.push(envs) {
-			return // node closed
+		n.handler(envs)
+		if !n.leaveHandler() {
+			return
 		}
+		Scrub(envs)
 	}
+}
+
+// enterHandler takes a reader out of the count Close waits for, before
+// a handler call (call set) or its exit, and reports whether to call.
+func (n *TCPNode) enterHandler(call bool) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.reading--; n.reading == 0 {
+		n.idle.Broadcast()
+	}
+	return call && !n.closed
+}
+
+// leaveHandler counts a reader back in after a handler call, unless the
+// node closed meanwhile: then the reader exits.
+func (n *TCPNode) leaveHandler() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return false
+	}
+	n.reading++
+	return true
 }
 
 // Send transmits one envelope, dialing and caching the peer connection.
@@ -304,8 +341,9 @@ func (n *TCPNode) dropPeer(to amcast.NodeID, pc *peerConn) {
 	pc.conn.Close()
 }
 
-// Close shuts the node down: the listener, all connections, and the
-// dispatcher.
+// Close shuts the node down: the listener and all connections. It
+// returns once the accept loop and every reader have stopped, except a
+// reader blocked in the handler, which exits when the call returns.
 func (n *TCPNode) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -324,7 +362,6 @@ func (n *TCPNode) Close() {
 	}
 	n.mu.Unlock()
 
-	n.in.close()
 	n.ln.Close()
 	for _, pc := range conns {
 		pc.conn.Close()
@@ -332,7 +369,12 @@ func (n *TCPNode) Close() {
 	for _, c := range inbound {
 		c.Close()
 	}
-	n.wg.Wait()
+	n.wg.Wait() // no reader is counted in after this
+	n.mu.Lock()
+	for n.reading > 0 {
+		n.idle.Wait()
+	}
+	n.mu.Unlock()
 }
 
 func (pc *peerConn) writeFrame(payload []byte) error {
@@ -350,13 +392,14 @@ func (pc *peerConn) writeFrame(payload []byte) error {
 }
 
 // readFrame reads one length-prefixed frame and decodes it as a batch or
-// a single envelope, discriminated by the payload's first byte. The
-// frame lands in a pooled buffer: control frames (no payload bytes —
-// the decoder copies every other section) recycle it immediately, so
-// the ACK/NOTIF/TS/REPLY traffic that dominates FlexCast's envelope
-// count decodes without a per-frame allocation. Payload frames keep
-// buffer ownership, exactly the allocation the unpooled path made.
-func readFrame(r *bufio.Reader) ([]amcast.Envelope, error) {
+// a single envelope, discriminated by the payload's first byte, appending
+// to dst. The frame lands in a pooled buffer: control frames (no payload
+// bytes — the decoder copies every other section) recycle it
+// immediately, so the ACK/NOTIF/TS/REPLY traffic that dominates
+// FlexCast's envelope count decodes without a per-frame allocation.
+// Payload frames keep buffer ownership, exactly the allocation the
+// unpooled path made.
+func readFrame(r *bufio.Reader, dst []amcast.Envelope) ([]amcast.Envelope, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -370,7 +413,7 @@ func readFrame(r *bufio.Reader) ([]amcast.Envelope, error) {
 		f.Release()
 		return nil, err
 	}
-	envs, err := codec.DecodeFrame(f.B)
+	envs, err := codec.DecodeFrameInto(dst, f.B)
 	if err != nil {
 		f.Release()
 		return nil, err
