@@ -20,11 +20,21 @@
 //     totally ordered and proposer-unique).
 //   - Decided values are learned via Decide broadcasts and delivered in
 //     instance order through TakeDecisions.
+//
+// What a replica keeps: the decided values from Base() to Decided() in
+// one slice, per-instance acceptor and proposer state only for the
+// undecided window from Decided() on, and two ballots — the floor
+// promise a Prepare makes for the whole log suffix, and the fold of the
+// promises of every delivered instance. Accept, Accepted and Decide
+// messages about an instance below Decided() are answered from those
+// two ballots without any per-instance state (DESIGN.md §1i).
 package paxos
 
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -50,6 +60,14 @@ func (b Ballot) Less(o Ballot) bool {
 
 // IsZero reports whether b is the zero ballot (never used by proposers).
 func (b Ballot) IsZero() bool { return b.Counter == 0 && b.Replica == 0 }
+
+// maxBallot returns the larger of two ballots.
+func maxBallot(a, b Ballot) Ballot {
+	if a.Less(b) {
+		return b
+	}
+	return a
+}
 
 // MsgKind discriminates Paxos messages.
 type MsgKind uint8
@@ -129,34 +147,35 @@ type Decision struct {
 type Config struct {
 	// ID is this replica's id.
 	ID ReplicaID
-	// N is the group size (replicas are 0..N-1).
+	// N is the group size (replicas are 0..N-1, at most 64).
 	N int
 	// ElectionTimeout is the number of ticks without leader activity
 	// before a follower promotes itself (default 10).
 	ElectionTimeout int
 }
 
-type instState struct {
-	promised Ballot
-	accepted Ballot
-	value    []byte
-	// proposer bookkeeping (leader only)
-	acks     map[ReplicaID]bool
-	decided  bool
-	inFlight bool
-}
+// maxReplicas bounds N: a proposal's acks are one bit per replica.
+const maxReplicas = 64
 
 // Replica is one Paxos participant: proposer, acceptor and learner.
 // Not safe for concurrent use; runtimes serialize access.
 type Replica struct {
 	cfg Config
 
-	// Acceptor/learner state per instance.
-	insts map[InstanceID]*instState
-	// decidedLog holds chosen values; nextDeliver is the in-order cursor.
-	decidedVals map[InstanceID][]byte
+	// log holds the decided values of instances base..nextDeliver-1;
+	// nextDeliver is the in-order delivery cursor (Decided()).
+	log         [][]byte
 	nextDeliver InstanceID
 	out         []Decision
+	// win is the acceptor/proposer state of instances nextDeliver on.
+	win window
+	// done folds the promises of every delivered instance: what an
+	// Accept for an instance below nextDeliver is answered against,
+	// together with floor.
+	done Ballot
+	// scanned counts instance states visited by Phase 1 (maxPromised and
+	// the Promise's report), so tests can bound a campaign's work.
+	scanned uint64
 
 	// Leadership.
 	ballot      Ballot // current ballot when leading/campaigning
@@ -178,11 +197,10 @@ type Replica struct {
 	// repository do).
 	outstanding [][]byte
 	retryTicks  int
-	// floor is the highest promise covering instances that have no
-	// per-instance state yet (a Prepare promises a whole log suffix);
-	// floorFrom is the first instance it covers.
-	floor     Ballot
-	floorFrom InstanceID
+	// floor is the highest promise made by a Prepare, which covers the
+	// whole log suffix from its instance on: every instance's promise is
+	// at least floor.
+	floor Ballot
 	// base is the truncation floor: instances below it were decided,
 	// delivered and then dropped from memory because an application-level
 	// snapshot covers them (TruncateBefore / InstallSnapshot). base never
@@ -195,19 +213,13 @@ type Replica struct {
 // NewReplica builds a replica; replica 0 boots as the presumed leader
 // (it still runs Phase 1 before proposing).
 func NewReplica(cfg Config) (*Replica, error) {
-	if cfg.N < 1 || int(cfg.ID) >= cfg.N || cfg.ID < 0 {
-		return nil, fmt.Errorf("paxos: invalid replica id %d of %d", cfg.ID, cfg.N)
+	if cfg.N < 1 || cfg.N > maxReplicas || int(cfg.ID) >= cfg.N || cfg.ID < 0 {
+		return nil, fmt.Errorf("paxos: invalid replica id %d of %d (groups of 1..%d)", cfg.ID, cfg.N, maxReplicas)
 	}
 	if cfg.ElectionTimeout == 0 {
 		cfg.ElectionTimeout = 10
 	}
-	r := &Replica{
-		cfg:         cfg,
-		insts:       make(map[InstanceID]*instState),
-		decidedVals: make(map[InstanceID][]byte),
-		leader:      0,
-	}
-	return r, nil
+	return &Replica{cfg: cfg, leader: 0}, nil
 }
 
 // MustNewReplica is NewReplica for known-good configurations.
@@ -268,11 +280,7 @@ func (r *Replica) SuffixFrom(start InstanceID) [][]byte {
 	if start >= r.nextDeliver {
 		return nil
 	}
-	log := make([][]byte, 0, r.nextDeliver-start)
-	for i := start; i < r.nextDeliver; i++ {
-		log = append(log, r.decidedVals[i])
-	}
-	return log
+	return append([][]byte(nil), r.log[start-r.base:]...)
 }
 
 // CatchUp installs decided values for instances start, start+1, …
@@ -290,12 +298,12 @@ func (r *Replica) CatchUp(start InstanceID, vals [][]byte) {
 // snapshot.
 func (r *Replica) Base() InstanceID { return r.base }
 
-// TruncateBefore drops the decided values and acceptor state of all
-// instances below i, because an application-level snapshot now covers
-// them (§4.3's flush-GC discipline applied to the Paxos log). i is
-// clamped to the delivered prefix: undecided or undelivered instances
-// are never truncated, so the operation cannot lose consensus state —
-// only re-derivable history.
+// TruncateBefore drops the decided values of all instances below i,
+// because an application-level snapshot now covers them (§4.3's
+// flush-GC discipline applied to the Paxos log), and keeps no reference
+// to them. i is clamped to the delivered prefix: undecided or
+// undelivered instances are never truncated, so the operation cannot
+// lose consensus state — only re-derivable history.
 func (r *Replica) TruncateBefore(i InstanceID) {
 	if i > r.nextDeliver {
 		i = r.nextDeliver
@@ -303,9 +311,14 @@ func (r *Replica) TruncateBefore(i InstanceID) {
 	if i <= r.base {
 		return
 	}
-	for j := r.base; j < i; j++ {
-		delete(r.decidedVals, j)
-		delete(r.insts, j)
+	rest := r.log[i-r.base:]
+	if len(rest) <= cap(r.log)/4 {
+		// Mostly dropped: move the suffix to an array of its own size.
+		r.log = append([][]byte(nil), rest...)
+	} else {
+		n := copy(r.log, rest)
+		clear(r.log[n:])
+		r.log = r.log[:n]
 	}
 	r.base = i
 }
@@ -320,9 +333,10 @@ func (r *Replica) InstallSnapshot(i InstanceID) {
 		r.TruncateBefore(i)
 		return
 	}
-	for j := r.base; j < i; j++ {
-		delete(r.decidedVals, j)
-		delete(r.insts, j)
+	r.log = nil
+	for ; r.nextDeliver < i && r.win.n > 0; r.nextDeliver++ {
+		r.done = maxBallot(r.done, r.win.slot(0).promised)
+		r.win.drop()
 	}
 	kept := r.out[:0]
 	for _, d := range r.out {
@@ -338,31 +352,17 @@ func (r *Replica) InstallSnapshot(i InstanceID) {
 	}
 	// Deliver any decisions that were waiting on the gap the snapshot
 	// just covered.
-	for {
-		val, ok := r.decidedVals[r.nextDeliver]
-		if !ok {
-			break
-		}
-		r.out = append(r.out, Decision{Instance: r.nextDeliver, Value: val})
-		r.nextDeliver++
-	}
+	r.deliverReady()
 }
 
 func (r *Replica) majority() int { return r.cfg.N/2 + 1 }
 
-func (r *Replica) inst(i InstanceID) *instState {
-	st, ok := r.insts[i]
-	if !ok {
-		st = &instState{}
-		if i >= r.floorFrom {
-			// New instances inherit the promise made for the whole log
-			// suffix during Phase 1.
-			st.promised = r.floor
-		}
-		r.insts[i] = st
-	}
-	return st
-}
+// inst returns the state of instance i >= Decided(), creating it.
+func (r *Replica) inst(i InstanceID) *instState { return r.win.at(uint64(i - r.nextDeliver)) }
+
+// peek returns the state of instance i >= Decided(), or nil if the
+// replica never touched it.
+func (r *Replica) peek(i InstanceID) *instState { return r.win.peek(uint64(i - r.nextDeliver)) }
 
 // TakeDecisions returns chosen values in instance order (contiguous
 // prefix) accumulated since the previous call.
@@ -538,21 +538,21 @@ func (r *Replica) onPrepare(m Message) []Message {
 		return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: maxPromised}}
 	}
 	r.observeLeader(m.From)
+	// Instances below Decided() are decided and never reported; the
+	// window is in instance order, so the report is too.
 	var acc []accepted
-	for i, st := range r.insts {
-		if i >= m.Instance {
-			if st.promised.Less(m.Ballot) {
-				st.promised = m.Ballot
-			}
-			if !st.accepted.IsZero() && !st.decided {
-				acc = append(acc, accepted{Instance: i, Ballot: st.accepted, Value: st.value})
-			}
+	for k := 0; k < r.win.n; k++ {
+		r.scanned++
+		st := r.win.slot(k)
+		if i := r.nextDeliver + InstanceID(k); i >= m.Instance && !st.accepted.IsZero() && !st.decided {
+			acc = append(acc, accepted{Instance: i, Ballot: st.accepted, Value: st.value})
 		}
 	}
-	// Remember the floor promise for instances not yet materialized.
-	r.inst(m.Instance) // ensure at least the floor instance exists
-	r.floorPromise(m.Ballot, m.Instance)
-	sort.Slice(acc, func(i, j int) bool { return acc[i].Instance < acc[j].Instance })
+	// The promise covers every instance from m.Instance on, those with
+	// state included: each one's promise is at least floor.
+	if r.floor.Less(m.Ballot) {
+		r.floor = m.Ballot
+	}
 	reply := Message{
 		Kind: MsgPromise, From: r.cfg.ID, To: m.From,
 		Ballot: m.Ballot, Instance: m.Instance, Accepted: acc,
@@ -563,20 +563,14 @@ func (r *Replica) onPrepare(m Message) []Message {
 	return []Message{reply}
 }
 
-func (r *Replica) floorPromise(b Ballot, from InstanceID) {
-	// Materialized lazily: any instance created later inherits the floor.
-	if r.floor.Less(b) {
-		r.floor = b
-		r.floorFrom = from
-	}
-}
-
+// maxPromised is the highest promise this acceptor made for any
+// instance: the floor, the fold of the delivered instances and the
+// undecided window.
 func (r *Replica) maxPromised() Ballot {
-	max := r.floor
-	for _, st := range r.insts {
-		if max.Less(st.promised) {
-			max = st.promised
-		}
+	max := maxBallot(r.floor, r.done)
+	for k := 0; k < r.win.n; k++ {
+		r.scanned++
+		max = maxBallot(max, r.win.slot(k).promised)
 	}
 	return max
 }
@@ -629,26 +623,44 @@ func (r *Replica) onPromise(m Message) []Message {
 // pump assigns pending values to fresh instances.
 func (r *Replica) pump() []Message {
 	var outs []Message
-	for len(r.pending) > 0 {
-		v := r.pending[0]
-		r.pending = r.pending[1:]
-		for r.insts[r.nextInstance] != nil && (r.insts[r.nextInstance].decided || r.insts[r.nextInstance].inFlight) {
+	for i := 0; i < len(r.pending); i++ {
+		v := r.pending[i]
+		r.pending[i] = nil
+		for r.taken(r.nextInstance) {
 			r.nextInstance++
 		}
-		outs = append(outs, r.propose(r.nextInstance, v)...)
+		if outs == nil {
+			outs = r.propose(r.nextInstance, v)
+		} else {
+			outs = append(outs, r.propose(r.nextInstance, v)...)
+		}
 		r.nextInstance++
 	}
+	r.pending = r.pending[:0]
 	return outs
 }
 
+// taken reports whether instance i is decided or carries a proposal of
+// this replica.
+func (r *Replica) taken(i InstanceID) bool {
+	if i < r.nextDeliver {
+		return true
+	}
+	st := r.peek(i)
+	return st != nil && (st.decided || st.inFlight)
+}
+
 func (r *Replica) propose(i InstanceID, v []byte) []Message {
+	if i < r.nextDeliver {
+		return nil // decided
+	}
 	st := r.inst(i)
 	if st.decided {
 		return nil
 	}
 	st.inFlight = true
-	st.acks = make(map[ReplicaID]bool)
-	var outs []Message
+	st.acks = 0
+	outs := make([]Message, 0, r.cfg.N)
 	for p := 0; p < r.cfg.N; p++ {
 		m := Message{
 			Kind: MsgAccept, From: r.cfg.ID, To: ReplicaID(p),
@@ -664,39 +676,31 @@ func (r *Replica) propose(i InstanceID, v []byte) []Message {
 }
 
 func (r *Replica) onAccept(m Message) []Message {
-	if m.Instance < r.base {
-		// Decided and truncated: the chosen value is fixed and learn()
-		// ignores re-decisions, so a current-ballot retransmission can be
-		// acked (as the pre-truncation decided instance would have)
-		// without resurrecting state below the floor. Ballots below the
-		// promise floor are Nacked like the normal path: acking would
-		// hand a deposed leader a bogus quorum vote and flip this
-		// replica's leader pointer off the current leader.
-		if m.Ballot.Less(r.floor) {
-			return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: r.floor}}
-		}
-		r.observeLeader(m.From)
-		reply := Message{
-			Kind: MsgAccepted, From: r.cfg.ID, To: m.From,
-			Ballot: m.Ballot, Instance: m.Instance,
-		}
-		if m.From == r.cfg.ID {
-			return r.onAccepted(reply)
-		}
-		return []Message{reply}
-	}
-	st := r.inst(m.Instance)
-	promised := st.promised
-	if promised.Less(r.floor) {
-		promised = r.floor
+	// An instance below Decided() is decided and holds no state: the
+	// chosen value is fixed and learn() ignores re-decisions, so a
+	// retransmission is acked — unless its ballot is below a promise this
+	// replica made (the floor, or one folded in when an instance was
+	// delivered): acking would hand a deposed leader a bogus quorum vote
+	// and flip this replica's leader pointer off the current leader.
+	var st *instState
+	promised := maxBallot(r.floor, r.done)
+	if m.Instance >= r.nextDeliver {
+		st = r.inst(m.Instance)
+		promised = maxBallot(st.promised, r.floor)
 	}
 	if m.Ballot.Less(promised) {
 		return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: promised}}
 	}
+	if st == nil {
+		r.done = m.Ballot // the ack is a promise, as an undecided instance's would be
+	} else {
+		st.promised = m.Ballot
+		st.accepted = m.Ballot
+		if !st.decided {
+			st.value = m.Value // a decided instance keeps its chosen value
+		}
+	}
 	r.observeLeader(m.From)
-	st.promised = m.Ballot
-	st.accepted = m.Ballot
-	st.value = m.Value
 	reply := Message{
 		Kind: MsgAccepted, From: r.cfg.ID, To: m.From,
 		Ballot: m.Ballot, Instance: m.Instance,
@@ -708,21 +712,21 @@ func (r *Replica) onAccept(m Message) []Message {
 }
 
 func (r *Replica) onAccepted(m Message) []Message {
-	if !r.leading || m.Ballot != r.ballot || m.Instance < r.base {
+	if !r.leading || m.Ballot != r.ballot || m.Instance < r.nextDeliver {
 		return nil
 	}
-	st := r.inst(m.Instance)
-	if st.decided || st.acks == nil {
-		return nil
+	st := r.peek(m.Instance)
+	if st == nil || !st.inFlight {
+		return nil // decided, or not proposed by this replica
 	}
-	st.acks[m.From] = true
-	if len(st.acks) < r.majority() {
+	st.acks |= 1 << uint(m.From)
+	if bits.OnesCount64(st.acks) < r.majority() {
 		return nil
 	}
 	// Chosen: learn locally and broadcast the decision.
 	v := st.value
 	r.learn(m.Instance, v)
-	var outs []Message
+	outs := make([]Message, 0, r.cfg.N-1)
 	for p := 0; p < r.cfg.N; p++ {
 		if ReplicaID(p) == r.cfg.ID {
 			continue
@@ -750,10 +754,9 @@ func (r *Replica) onNack(m Message) []Message {
 }
 
 func (r *Replica) learn(i InstanceID, v []byte) {
-	if i < r.base {
-		// A late Decide for a truncated instance: already covered by the
-		// snapshot that justified the truncation; resurrecting its state
-		// would leak below the floor.
+	if i < r.nextDeliver {
+		// Already decided — and, below Base(), covered by the snapshot
+		// that justified the truncation.
 		return
 	}
 	st := r.inst(i)
@@ -763,19 +766,28 @@ func (r *Replica) learn(i InstanceID, v []byte) {
 	st.decided = true
 	st.inFlight = false
 	st.value = v
-	r.decidedVals[i] = v
 	for idx, ov := range r.outstanding {
 		if bytes.Equal(ov, v) {
-			r.outstanding = append(r.outstanding[:idx], r.outstanding[idx+1:]...)
+			r.outstanding = slices.Delete(r.outstanding, idx, idx+1)
 			break
 		}
 	}
-	for {
-		val, ok := r.decidedVals[r.nextDeliver]
-		if !ok {
-			break
+	r.deliverReady()
+}
+
+// deliverReady delivers the decided instances at the front of the
+// window: each value moves to the log, its promise folds into done and
+// its state is dropped.
+func (r *Replica) deliverReady() {
+	for r.win.n > 0 {
+		st := r.win.slot(0)
+		if !st.decided {
+			return
 		}
-		r.out = append(r.out, Decision{Instance: r.nextDeliver, Value: val})
+		r.done = maxBallot(r.done, st.promised)
+		r.log = append(r.log, st.value)
+		r.out = append(r.out, Decision{Instance: r.nextDeliver, Value: st.value})
+		r.win.drop()
 		r.nextDeliver++
 	}
 }

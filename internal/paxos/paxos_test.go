@@ -280,6 +280,9 @@ func TestNewReplicaValidation(t *testing.T) {
 	if _, err := NewReplica(Config{ID: 0, N: 0}); err == nil {
 		t.Error("empty group accepted")
 	}
+	if _, err := NewReplica(Config{ID: 0, N: maxReplicas + 1}); err == nil {
+		t.Error("group larger than the ack bitmask accepted")
+	}
 }
 
 func TestCrashedReplicaIsSilent(t *testing.T) {

@@ -3,7 +3,12 @@ package paxos
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // decideN drives n values through a 3-replica cluster and returns it
@@ -40,15 +45,48 @@ func TestTruncateBeforeDropsOnlyDeliveredPrefix(t *testing.T) {
 			t.Fatalf("suffix[%d] = %q, want %q", i, v, want)
 		}
 	}
-	// Dropped entries are genuinely gone.
-	for i := InstanceID(0); i < 7; i++ {
-		if _, ok := r.decidedVals[i]; ok {
-			t.Fatalf("instance %d survived truncation", i)
+	// Dropped entries are genuinely gone: nothing reachable from the
+	// replica — the spare capacity of its slices included — still
+	// refers to their values, on the follower or on the leader.
+	c.reps[0].TruncateBefore(7)
+	for _, rep := range []*Replica{r, c.reps[0]} {
+		refs := referencedValues(rep)
+		for i, v := range c.log[1][:7] {
+			if refs[unsafe.SliceData(v)] {
+				t.Fatalf("replica %d still references the value of truncated instance %d", rep.ID(), i)
+			}
 		}
-		if _, ok := r.insts[i]; ok {
-			t.Fatalf("instance %d acceptor state survived truncation", i)
+		for i, v := range c.log[1][7:] {
+			if !refs[unsafe.SliceData(v)] {
+				t.Fatalf("replica %d lost the value of retained instance %d", rep.ID(), 7+i)
+			}
+		}
+		if rep.win.n != 0 {
+			t.Fatalf("replica %d holds state for %d instances after delivering everything", rep.ID(), rep.win.n)
 		}
 	}
+	// The collector agrees: on a replica that decides alone, the values
+	// of a truncated prefix are freed.
+	solo := MustNewReplica(Config{ID: 0, N: 1})
+	var freed atomic.Int32
+	for i := 0; i < 12; i++ {
+		v := make([]byte, 64)
+		if i < 7 {
+			runtime.SetFinalizer(&v[0], func(*byte) { freed.Add(1) })
+		}
+		solo.Propose(v)
+	}
+	if solo.Decided() != 12 || len(solo.TakeDecisions()) != 12 {
+		t.Fatalf("solo replica decided %d of 12", solo.Decided())
+	}
+	solo.TruncateBefore(7)
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < 7; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 7 truncated values freed", freed.Load())
+		}
+		runtime.GC()
+	}
+	runtime.KeepAlive(solo)
 	// Truncation beyond the delivered prefix clamps; truncation below the
 	// floor is a no-op.
 	r.TruncateBefore(100)
@@ -92,60 +130,106 @@ func TestTruncatedClusterKeepsDeciding(t *testing.T) {
 		if got := int(r.Decided()); got != 16 {
 			t.Fatalf("replica %d decided %d of 16 after truncation", id, got)
 		}
-		if r.Base() > 0 {
-			for i := InstanceID(0); i < r.Base(); i++ {
-				if _, ok := r.decidedVals[i]; ok {
-					t.Fatalf("replica %d: truncated instance %d resurrected", id, i)
-				}
-			}
+		if got, want := len(r.log), int(r.Decided()-r.Base()); got != want {
+			t.Fatalf("replica %d retains %d values for instances %d..%d", id, got, r.Base(), r.Decided())
 		}
 	}
 	c.checkPrefixAgreement()
 }
 
-// TestLateDecideBelowBaseIgnored feeds a stale Decide for a truncated
-// instance directly; it must not recreate state below the floor.
-func TestLateDecideBelowBaseIgnored(t *testing.T) {
-	c := decideN(t, 6)
-	r := c.reps[2]
-	r.TruncateBefore(6)
-	r.OnMessage(Message{Kind: MsgDecide, From: 0, To: 2, Instance: 2, Value: []byte("stale")})
-	if _, ok := r.decidedVals[2]; ok {
-		t.Fatal("late Decide resurrected a truncated instance")
-	}
-	if r.Decided() != 6 || r.Base() != 6 {
-		t.Fatalf("late Decide moved cursors: decided %d base %d", r.Decided(), r.Base())
+// belowDecided runs f on a replica that delivered instances 0..5, once
+// with its whole log retained and once truncated at Decided(): a message
+// about instance 2 is about a decided instance either way, and must be
+// answered the same way.
+func belowDecided(t *testing.T, f func(t *testing.T, r *Replica)) {
+	for _, truncate := range []bool{false, true} {
+		name := "retained"
+		if truncate {
+			name = "truncated"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := decideN(t, 6)
+			r := c.reps[2]
+			if truncate {
+				r.TruncateBefore(6)
+			}
+			f(t, r)
+			if r.Decided() != 6 || r.win.n != 0 {
+				t.Fatalf("decided %d with state for %d instances, want 6 and none", r.Decided(), r.win.n)
+			}
+			if log := r.SuffixFrom(0); len(log) != int(6-r.Base()) || (!truncate && string(log[2]) != "v002") {
+				t.Fatalf("retained log changed: %q", log)
+			}
+		})
 	}
 }
 
-// TestStaleAcceptBelowBaseNacked: a deposed leader retransmitting an
-// Accept for a truncated instance must be Nacked like any stale ballot
+// TestLateDecideBelowDecidedIgnored feeds a stale Decide for a delivered
+// instance directly; it must not recreate state or change the log.
+func TestLateDecideBelowDecidedIgnored(t *testing.T) {
+	belowDecided(t, func(t *testing.T, r *Replica) {
+		base := r.Base()
+		r.OnMessage(Message{Kind: MsgDecide, From: 0, To: 2, Instance: 2, Value: []byte("stale")})
+		if r.Base() != base {
+			t.Fatalf("late Decide moved the base to %d", r.Base())
+		}
+		if d := r.TakeDecisions(); len(d) != 0 {
+			t.Fatalf("late Decide delivered %v", d)
+		}
+	})
+}
+
+// TestStaleAcceptBelowDecidedNacked: a deposed leader retransmitting an
+// Accept for a delivered instance must be Nacked like any stale ballot
 // — acking would hand it a bogus quorum vote and flip this replica's
 // leader pointer off the current leader. A current-ballot
-// retransmission still gets its ack without resurrecting state.
-func TestStaleAcceptBelowBaseNacked(t *testing.T) {
-	c := decideN(t, 6)
-	r := c.reps[2]
-	r.TruncateBefore(6)
-	leader := r.leader
-	stale := Ballot{Counter: 0, Replica: 1}
-	if !stale.Less(r.floor) {
-		t.Fatalf("test premise broken: ballot %+v not below floor %+v", stale, r.floor)
+// retransmission still gets its ack without creating state.
+func TestStaleAcceptBelowDecidedNacked(t *testing.T) {
+	belowDecided(t, func(t *testing.T, r *Replica) {
+		leader := r.leader
+		stale := Ballot{Counter: 0, Replica: 1}
+		if !stale.Less(r.floor) {
+			t.Fatalf("test premise broken: ballot %+v not below floor %+v", stale, r.floor)
+		}
+		out := r.OnMessage(Message{Kind: MsgAccept, From: 1, To: 2, Ballot: stale, Instance: 2, Value: []byte("stale")})
+		if len(out) != 1 || out[0].Kind != MsgNack || out[0].Ballot != r.floor {
+			t.Fatalf("stale below-Decided Accept answered %v, want a Nack with %+v", out, r.floor)
+		}
+		if r.leader != leader {
+			t.Fatalf("stale below-Decided Accept flipped leader pointer to %d", r.leader)
+		}
+		cur := r.floor
+		out = r.OnMessage(Message{Kind: MsgAccept, From: cur.Replica, To: 2, Ballot: cur, Instance: 2, Value: []byte("retrans")})
+		if len(out) != 1 || out[0].Kind != MsgAccepted {
+			t.Fatalf("current-ballot below-Decided Accept answered %v, want an Accepted", out)
+		}
+	})
+}
+
+// TestAcceptBelowDecidedHonoursFoldedPromise: an instance's promise
+// outlives its state. A follower that missed a Prepare accepts a higher
+// ballot for one instance; once that instance is delivered, an Accept
+// from the older ballot about it — or about any other delivered
+// instance — is Nacked with the folded promise, as the acceptor's
+// per-instance promise was, not acked against the lower floor.
+func TestAcceptBelowDecidedHonoursFoldedPromise(t *testing.T) {
+	r := MustNewReplica(Config{ID: 2, N: 3})
+	old, newer := Ballot{Counter: 1, Replica: 0}, Ballot{Counter: 2, Replica: 1}
+	r.OnMessage(Message{Kind: MsgPrepare, From: 0, To: 2, Ballot: old})
+	r.OnMessage(Message{Kind: MsgAccept, From: 0, To: 2, Ballot: old, Instance: 0, Value: []byte("a")})
+	r.OnMessage(Message{Kind: MsgAccept, From: 1, To: 2, Ballot: newer, Instance: 1, Value: []byte("b")})
+	r.CatchUp(0, [][]byte{[]byte("a"), []byte("b")})
+	if r.Decided() != 2 || r.win.n != 0 {
+		t.Fatalf("decided %d with %d window instances, want 2 and none", r.Decided(), r.win.n)
 	}
-	out := r.OnMessage(Message{Kind: MsgAccept, From: 1, To: 2, Ballot: stale, Instance: 2, Value: []byte("stale")})
-	if len(out) != 1 || out[0].Kind != MsgNack {
-		t.Fatalf("stale below-base Accept answered %v, want a Nack", out)
+	for _, i := range []InstanceID{0, 1} {
+		out := r.OnMessage(Message{Kind: MsgAccept, From: 0, To: 2, Ballot: old, Instance: i, Value: []byte("x")})
+		if len(out) != 1 || out[0].Kind != MsgNack || out[0].Ballot != newer {
+			t.Fatalf("Accept(%+v) for delivered instance %d answered %v, want a Nack with %+v", old, i, out, newer)
+		}
 	}
-	if r.leader != leader {
-		t.Fatalf("stale below-base Accept flipped leader pointer to %d", r.leader)
-	}
-	cur := r.floor
-	out = r.OnMessage(Message{Kind: MsgAccept, From: cur.Replica, To: 2, Ballot: cur, Instance: 2, Value: []byte("retrans")})
-	if len(out) != 1 || out[0].Kind != MsgAccepted {
-		t.Fatalf("current-ballot below-base Accept answered %v, want an Accepted", out)
-	}
-	if _, ok := r.decidedVals[2]; ok {
-		t.Fatal("below-base Accept resurrected a truncated instance")
+	if r.Leader() != 1 {
+		t.Fatalf("leader pointer %d, want 1 (the newer ballot's)", r.Leader())
 	}
 }
 
@@ -204,4 +288,49 @@ func TestInstallSnapshotDropsQueuedPrefix(t *testing.T) {
 	if len(decs) != 2 || decs[0].Instance != 8 || decs[1].Instance != 9 {
 		t.Fatalf("after filling the gap: decisions %v", decs)
 	}
+}
+
+// referencedValues returns the data pointer of every byte slice
+// reachable from r — through pointers, maps, struct fields and every
+// slice's full capacity, which is what the garbage collector scans.
+func referencedValues(r *Replica) map[*byte]bool {
+	refs := make(map[*byte]bool)
+	seen := make(map[uintptr]bool)
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				walk(v.Elem())
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.Cap() == 0 {
+				return
+			}
+			if v.Type().Elem().Kind() == reflect.Uint8 {
+				refs[(*byte)(v.UnsafePointer())] = true
+				return
+			}
+			full := v.Slice3(0, v.Cap(), v.Cap())
+			for i := 0; i < full.Len(); i++ {
+				walk(full.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(r))
+	return refs
 }

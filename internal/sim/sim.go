@@ -10,8 +10,6 @@
 // a pure function of its configuration.
 package sim
 
-import "container/heap"
-
 // Time is simulated time in microseconds since the start of the run.
 type Time = int64
 
@@ -21,23 +19,56 @@ type event struct {
 	fn  func()
 }
 
+// before is the queue's order: (at, seq), a total order because seq is
+// unique, so which event fires next never depends on how the heap
+// happens to be arranged.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events held by value: no interface
+// boxing on push or pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = event{} // release the closure
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // Simulator is the event loop. The zero value is not usable; call New.
@@ -71,7 +102,7 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.heap, event{at: at, seq: s.seq, fn: fn})
+	s.heap.push(event{at: at, seq: s.seq, fn: fn})
 }
 
 // Run executes events until the queue is empty.
@@ -99,7 +130,7 @@ func (s *Simulator) RunFor(d Time) { s.RunUntil(s.now + d) }
 func (s *Simulator) Pending() int { return len(s.heap) }
 
 func (s *Simulator) step() {
-	e := heap.Pop(&s.heap).(event)
+	e := s.heap.pop()
 	s.now = e.at
 	s.nSteps++
 	e.fn()

@@ -206,6 +206,10 @@ func New(cfg Config, s *sim.Simulator, net *sim.Network) (*Group, error) {
 	g := &Group{cfg: cfg, s: s, net: net, proposedAt: make(map[amcast.MsgID]sim.Time)}
 	g.telem.Commit = metrics.NewHistogram()
 	for i := 0; i < cfg.Replicas; i++ {
+		pax, err := paxos.NewReplica(paxos.Config{ID: paxos.ReplicaID(i), N: cfg.Replicas})
+		if err != nil {
+			return nil, fmt.Errorf("smr: %w", err)
+		}
 		eng, err := cfg.NewEngine()
 		if err != nil {
 			return nil, err
@@ -214,7 +218,7 @@ func New(cfg Config, s *sim.Simulator, net *sim.Network) (*Group, error) {
 			grp:  g,
 			idx:  i,
 			node: ReplicaNode(cfg.Group, i),
-			pax:  paxos.MustNewReplica(paxos.Config{ID: paxos.ReplicaID(i), N: cfg.Replicas}),
+			pax:  pax,
 			eng:  eng,
 		}
 		g.replicas = append(g.replicas, r)

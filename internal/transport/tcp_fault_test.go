@@ -2,8 +2,10 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,6 +23,14 @@ type rxNode struct {
 
 func startRxNode(t *testing.T, id amcast.NodeID, book AddrBook) *rxNode {
 	t.Helper()
+	r, err := newRxNode(id, book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func newRxNode(id amcast.NodeID, book AddrBook) (*rxNode, error) {
 	r := &rxNode{}
 	n, err := NewTCPNode(id, book, func(env amcast.Envelope) {
 		r.mu.Lock()
@@ -28,10 +38,26 @@ func startRxNode(t *testing.T, id amcast.NodeID, book AddrBook) *rxNode {
 		r.mu.Unlock()
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	r.node = n
-	return r
+	return r, nil
+}
+
+// restartRxNode starts id again on the address its previous node held.
+// Binding it can fail with EADDRINUSE until the kernel lets go of the
+// closed listener's port, so that error is retried for a while.
+func restartRxNode(t *testing.T, id amcast.NodeID, book AddrBook) *rxNode {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		r, err := newRxNode(id, book)
+		if err == nil {
+			return r
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
 }
 
 func (r *rxNode) count() int {
@@ -53,19 +79,6 @@ func testEnv(id uint64) amcast.Envelope {
 	}
 }
 
-// reservePort grabs an ephemeral loopback port and releases it so a
-// later listener can bind the same address.
-func reservePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net_Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
 // TestReconnectAfterPeerRestart covers the Send retry path: a peer
 // closes (crash), restarts on the same address, and the cached broken
 // connection is replaced by a fresh dial.
@@ -74,9 +87,9 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		a amcast.NodeID = 1
 		b amcast.NodeID = 2
 	)
-	book := AddrBook{a: "127.0.0.1:0", b: reservePort(t)}
+	book := AddrBook{a: "127.0.0.1:0", b: "127.0.0.1:0"}
 	rb := startRxNode(t, b, book)
-	book[a] = "127.0.0.1:0"
+	book[b] = rb.node.Addr() // the address b restarts on and a dials
 	ra := startRxNode(t, a, book)
 	defer ra.node.Close()
 
@@ -87,7 +100,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 
 	// Restart b on the same address; a's cached connection is now dead.
 	rb.node.Close()
-	rb2 := startRxNode(t, b, book)
+	rb2 := restartRxNode(t, b, book)
 	defer rb2.node.Close()
 
 	// A write into the dead connection may succeed (kernel buffer)

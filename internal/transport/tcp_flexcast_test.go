@@ -20,17 +20,13 @@ func TestTCPFlexCastThreeGroups(t *testing.T) {
 		amcast.GroupNode(1), amcast.GroupNode(2), amcast.GroupNode(3),
 		amcast.ClientNode(0),
 	}
-	book := tcpBook(t, ids...)
+	mesh := tcpBook(t, ids...)
 
 	log := newDeliverLog()
 	for _, g := range ov.Order() {
-		hostTCP(t, core.MustNew(core.Config{Group: g, Overlay: ov}), book, log.add)
+		hostTCP(t, core.MustNew(core.Config{Group: g, Overlay: ov}), mesh, log.add)
 	}
-	cl, err := NewTCPNode(amcast.ClientNode(0), book, func(amcast.Envelope) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := tcpNode(t, mesh, amcast.ClientNode(0), func(amcast.Envelope) {})
 
 	// The Figure-3(c) message pattern plus extras, issued in sequence so
 	// the entry order is deterministic.

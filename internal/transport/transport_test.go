@@ -70,23 +70,15 @@ func hostInMem(t *testing.T, net *InMemNet, eng amcast.Engine, onDeliver func(am
 	t.Cleanup(node.Close)
 }
 
-// hostTCP runs eng under the batched node runtime on a TCP mesh of its
-// own, as cmd/flexnode does: one process per group.
-func hostTCP(t *testing.T, eng amcast.Engine, book AddrBook, onDeliver func(amcast.Delivery)) {
+// hostTCP runs eng under the batched node runtime on mesh, attached to
+// the listener the mesh bound for its group.
+func hostTCP(t *testing.T, eng amcast.Engine, mesh *TCPMesh, onDeliver func(amcast.Delivery)) {
 	t.Helper()
-	mesh, err := ListenTCP(book, amcast.GroupNode(eng.Group()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	node, err := runtime.Host(mesh, eng, runtime.Config{OnDeliver: onDeliver})
 	if err != nil {
-		mesh.Close()
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		mesh.Close()
-		node.Close()
-	})
+	t.Cleanup(node.Close)
 }
 
 func msg(id uint64, dst ...amcast.GroupID) amcast.Message {
@@ -163,40 +155,49 @@ func TestInMemCloseIdempotent(t *testing.T) {
 	}
 }
 
-func tcpBook(t *testing.T, ids ...amcast.NodeID) AddrBook {
+// tcpBook binds a loopback listener for every id through ListenTCP,
+// which picks free ports (":0") and keeps each listener until its node
+// is attached: no port is released between choosing and serving it.
+func tcpBook(t *testing.T, ids ...amcast.NodeID) *TCPMesh {
 	t.Helper()
-	book := make(AddrBook)
-	for _, id := range ids {
-		ln, err := net_Listen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		book[id] = addr
+	mesh, err := ListenTCP(anyPortBook(ids...), ids...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return book
+	t.Cleanup(mesh.Close)
+	return mesh
+}
+
+// tcpNode starts a TCPNode for id on the listener mesh bound for it.
+func tcpNode(t *testing.T, mesh *TCPMesh, id amcast.NodeID, h func(amcast.Envelope)) *TCPNode {
+	t.Helper()
+	mesh.mu.Lock()
+	ln, ok := mesh.listeners[id]
+	delete(mesh.listeners, id)
+	mesh.mu.Unlock()
+	if !ok {
+		t.Fatalf("node %s has no listener in the mesh", id)
+	}
+	n := newTCPNodeOn(id, mesh.book, ln, perEnvelope(h))
+	t.Cleanup(n.Close)
+	return n
 }
 
 func TestTCPSkeenTwoGroups(t *testing.T) {
 	groups := []amcast.GroupID{1, 2}
 	ids := []amcast.NodeID{amcast.GroupNode(1), amcast.GroupNode(2), amcast.ClientNode(0)}
-	book := tcpBook(t, ids...)
+	mesh := tcpBook(t, ids...)
 
 	log := newDeliverLog()
 	for _, g := range groups {
-		hostTCP(t, skeen.MustNew(skeen.Config{Group: g, Groups: groups}), book, log.add)
+		hostTCP(t, skeen.MustNew(skeen.Config{Group: g, Groups: groups}), mesh, log.add)
 	}
 	var replyCount sync.Map
-	cl, err := NewTCPNode(amcast.ClientNode(0), book, func(env amcast.Envelope) {
+	cl := tcpNode(t, mesh, amcast.ClientNode(0), func(env amcast.Envelope) {
 		if env.Kind == amcast.KindReply {
 			replyCount.Store(fmt.Sprintf("%s-%d", env.Msg.ID, env.From), true)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
 	for i := uint64(1); i <= 3; i++ {
 		m := msg(i, 1, 2)
@@ -214,12 +215,7 @@ func TestTCPSkeenTwoGroups(t *testing.T) {
 }
 
 func TestTCPUnknownPeer(t *testing.T) {
-	book := tcpBook(t, amcast.ClientNode(0))
-	n, err := NewTCPNode(amcast.ClientNode(0), book, func(amcast.Envelope) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := tcpNode(t, tcpBook(t, amcast.ClientNode(0)), amcast.ClientNode(0), func(amcast.Envelope) {})
 	if err := n.Send(amcast.GroupNode(9), amcast.Envelope{Kind: amcast.KindFwd}); err == nil {
 		t.Fatal("send to unknown peer succeeded")
 	}
@@ -232,11 +228,7 @@ func TestTCPNodeNotInBook(t *testing.T) {
 }
 
 func TestTCPCloseUnblocks(t *testing.T) {
-	book := tcpBook(t, amcast.ClientNode(0))
-	n, err := NewTCPNode(amcast.ClientNode(0), book, func(amcast.Envelope) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := tcpNode(t, tcpBook(t, amcast.ClientNode(0)), amcast.ClientNode(0), func(amcast.Envelope) {})
 	done := make(chan struct{})
 	go func() {
 		n.Close()
