@@ -17,19 +17,21 @@ import (
 // WAN curves measure the protocols against real wall-clock latency
 // instead of a zero-latency loopback.
 //
-// Each link is one goroutine draining an ordered queue: items carry
-// their due time (enqueue + the link's constant delay), the drainer
-// sleeps until each item is due, so a link can never reorder. Links
-// are created lazily — a deployment only pays for the pairs that
-// actually talk.
+// Each link is one goroutine draining an ordered queue, so a link can
+// never reorder: items carry their due time (enqueue + the link's
+// constant delay) and the drainer waits for each in sleepUntil (a
+// kernel-timed sleep on Linux). Links are created lazily — a deployment
+// only pays for the pairs that actually talk.
 type delayNet struct {
 	inner  runtime.Net
 	groups []amcast.GroupID
 
-	mu     sync.Mutex
-	links  map[delayLinkKey]*delayLink
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	links   map[delayLinkKey]chan delayItem
+	closed  bool
+	stop    chan struct{}  // closed by Close: releases senders blocked on a full link
+	sending sync.WaitGroup // sends past their closed check, not yet in their link
+	wg      sync.WaitGroup // link drainers
 }
 
 type delayLinkKey struct{ from, to amcast.NodeID }
@@ -45,12 +47,8 @@ type delayItem struct {
 // queue.
 const delayLinkDepth = 4096
 
-type delayLink struct {
-	ch chan delayItem
-}
-
 func newDelayNet(inner runtime.Net, groups []amcast.GroupID) *delayNet {
-	return &delayNet{inner: inner, groups: groups, links: make(map[delayLinkKey]*delayLink)}
+	return &delayNet{inner: inner, groups: groups, links: make(map[delayLinkKey]chan delayItem), stop: make(chan struct{})}
 }
 
 // Attach attaches id to the inner transport and returns a send function
@@ -88,7 +86,9 @@ func (d *delayNet) delay(from, to amcast.NodeID) time.Duration {
 // send delays one batch by the link's one-way latency, then forwards it
 // through deliver. The batcher only lends its send function the slice
 // and this is the one sink that holds a batch past the call, so the
-// delay queue keeps its own copy.
+// delay queue keeps its own copy. A send racing Close either enters its
+// link before Close shuts the links, and is delivered, or is dropped;
+// no lock is held while it waits on a full link.
 func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver func(to amcast.NodeID, envs []amcast.Envelope)) {
 	if len(envs) == 0 {
 		return
@@ -101,26 +101,31 @@ func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver 
 	}
 	link, ok := d.links[key]
 	if !ok {
-		link = &delayLink{ch: make(chan delayItem, delayLinkDepth)}
+		link = make(chan delayItem, delayLinkDepth)
 		d.links[key] = link
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			for item := range link.ch {
-				if wait := time.Until(item.due); wait > 0 {
-					time.Sleep(wait)
-				}
+			for item := range link {
+				sleepUntil(item.due)
 				deliver(item.to, item.envs)
 			}
 		}()
 	}
+	d.sending.Add(1)
 	d.mu.Unlock()
-	link.ch <- delayItem{due: time.Now().Add(d.delay(from, to)), to: to, envs: append([]amcast.Envelope(nil), envs...)}
+	defer d.sending.Done()
+	select {
+	case link <- delayItem{due: time.Now().Add(d.delay(from, to)), to: to, envs: append([]amcast.Envelope(nil), envs...)}:
+	case <-d.stop:
+	}
 }
 
 // Close stops every link drainer — queued batches still in flight are
 // delivered first (the drainers finish their channels) — then closes the
-// inner transport.
+// inner transport. Senders blocked on a full link are released and
+// their batches dropped; a link is shut only once no send is on its way
+// into it.
 func (d *delayNet) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -130,8 +135,10 @@ func (d *delayNet) Close() {
 	d.closed = true
 	links := d.links
 	d.mu.Unlock()
+	close(d.stop)
+	d.sending.Wait()
 	for _, l := range links {
-		close(l.ch)
+		close(l)
 	}
 	d.wg.Wait()
 	d.inner.Close()
