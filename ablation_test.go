@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"flexcast"
-	"flexcast/amcast"
-	"flexcast/internal/harness"
 )
 
 // BenchmarkAblationFlushGC compares FlexCast's per-node traffic with and
@@ -28,10 +26,9 @@ import (
 func BenchmarkAblationFlushGC(b *testing.B) {
 	run := func(b *testing.B, flushEvery int64) float64 {
 		b.Helper()
-		res, err := harness.Run(harness.Config{
-			Protocol:   harness.FlexCast,
+		res, err := flexcast.RunExperiment(flexcast.FlexCast, flexcast.ExperimentConfig{
 			Locality:   0.95,
-			NumClients: 120,
+			Clients:    120,
 			GlobalOnly: true,
 			Duration:   8_000_000,
 			Seed:       1,
@@ -41,8 +38,7 @@ func BenchmarkAblationFlushGC(b *testing.B) {
 			b.Fatal(err)
 		}
 		var envs, bytes float64
-		for _, g := range res.Metrics.Groups() {
-			c := res.Metrics.Node(amcast.GroupNode(g))
+		for _, c := range res.Traffic {
 			envs += float64(c.EnvsReceived)
 			bytes += float64(c.BytesReceived)
 		}

@@ -9,10 +9,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"flexcast"
 	"flexcast/amcast"
 	"flexcast/internal/codec"
 	"flexcast/internal/core"
-	"flexcast/internal/harness"
 	"flexcast/internal/history"
 	"flexcast/internal/overlay"
 	"flexcast/internal/paxos"
@@ -190,10 +190,9 @@ func benchEnvelope() amcast.Envelope {
 // whole simulated stack.
 func BenchmarkGTPCCWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := harness.Run(harness.Config{
-			Protocol:   harness.Hierarchical,
+		_, err := flexcast.RunExperiment(flexcast.Hierarchical, flexcast.ExperimentConfig{
 			Locality:   0.90,
-			NumClients: 240,
+			Clients:    240,
 			GlobalOnly: true,
 			Duration:   3_000_000,
 			Seed:       int64(i + 1),

@@ -22,7 +22,6 @@ import (
 
 	"flexcast/internal/chaos"
 	"flexcast/internal/deploy"
-	"flexcast/internal/harness"
 	"flexcast/internal/telemetry"
 )
 
@@ -30,28 +29,79 @@ func main() {
 	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-func run(stdout, stderr io.Writer, args []string) int {
+// command is one parsed command line: the deployments to explore, the
+// exploration options, and the schedule seed to replay instead (0:
+// explore).
+type command struct {
+	deps      []chaos.Deployment
+	opts      chaos.Options
+	reproSeed int64
+	telemetry string
+}
+
+// parse resolves the command line; the flag set prints its own usage
+// errors on stderr.
+func parse(stderr io.Writer, args []string) (*command, error) {
 	fs := flag.NewFlagSet("flexbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seed       = fs.Int64("seed", 1, "random seed the schedule seeds derive from")
-		schedules  = fs.Int("schedules", 100, "number of seeded fault schedules per protocol")
+		c          command
 		protocol   = fs.String("protocol", "all", "flexcast, skeen|distributed, hierarchical|tree, or all")
-		reproSeed  = fs.Int64("repro-seed", 0, "rerun exactly one schedule seed (from a failure report)")
+		execute    = fs.Bool("execute", false, "run the gTPC-C store at every group and audit execution (serializability, invariants, replica digests)")
+		profile    = fs.String("profile", "random", "environment profile: random (default) or wan (WAN latency matrix + gTPC-C destination locality)")
+		schedules  = fs.Int("schedules", 100, "number of seeded fault schedules per protocol")
+		seed       = fs.Int64("seed", 1, "random seed the schedule seeds derive from")
 		chaosBug   = fs.Int("chaos-bug", 0, "test-only ordering-bug hook; >0 flips every n-th delivery batch to validate the checker")
 		closedLoop = fs.Bool("closed-loop", false, "closed-loop workload (each client issues on completion; denser schedules)")
 		messages   = fs.Int("messages", 0, "multicasts per client (0 = default)")
-		execute    = fs.Bool("execute", false, "run the gTPC-C store at every group and audit execution (serializability, invariants, replica digests)")
-		profile    = fs.String("profile", "random", "environment profile: random (default) or wan (WAN latency matrix + gTPC-C destination locality)")
 		durable    = fs.Bool("durable", false, "persist every node through the real durable WAL+snapshot backend; crashes abandon the files (half tear the WAL tail) and recovery rebuilds from disk")
 		traceSmp   = fs.Int("trace-sample", 0, "lifecycle-trace one multicast in N in virtual time (0 = default 4, negative disables)")
-		telem      = fs.String("telemetry", "", "serve /metrics (JSON) and /debug/pprof on this address (e.g. 127.0.0.1:8090)")
 	)
+	fs.Int64Var(&c.reproSeed, "repro-seed", 0, "rerun exactly one schedule seed (from a failure report)")
+	fs.StringVar(&c.telemetry, "telemetry", "", "serve /metrics (JSON) and /debug/pprof on this address (e.g. 127.0.0.1:8090)")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if *schedules <= 0 {
+		return nil, fmt.Errorf("-schedules must be > 0 (got %d)", *schedules)
+	}
+	c.opts = chaos.Options{Seed: *seed, Schedules: *schedules, BugFlipEvery: *chaosBug,
+		ClosedLoop: *closedLoop, Messages: *messages, Durable: *durable, TraceSample: *traceSmp}
+	switch *profile {
+	case "", "random":
+	case "wan":
+		c.opts.Locality = 0.95
+	default:
+		return nil, fmt.Errorf("unknown profile %q (random or wan)", *profile)
+	}
+	protos := []deploy.Protocol{deploy.FlexCast, deploy.Skeen, deploy.Hierarchical}
+	if strings.ToLower(*protocol) != "all" {
+		p, err := deploy.ParseProtocol(*protocol)
+		if err != nil {
+			return nil, err
+		}
+		protos = []deploy.Protocol{p}
+	}
+	for _, p := range protos {
+		d, err := chaos.NewDeployment(deploy.Spec{Protocol: p}, *execute)
+		if err != nil {
+			return nil, err
+		}
+		c.deps = append(c.deps, d)
+	}
+	return &c, nil
+}
+
+func run(stdout, stderr io.Writer, args []string) int {
+	c, err := parse(stderr, args)
+	if err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintf(stderr, "flexbench: %v\n", err)
+		}
 		return 2
 	}
-	if *telem != "" {
-		srv, err := telemetry.Serve(*telem, telemetry.Default)
+	if c.telemetry != "" {
+		srv, err := telemetry.Serve(c.telemetry, telemetry.Default)
 		if err != nil {
 			fmt.Fprintf(stderr, "flexbench: telemetry: %v\n", err)
 			return 1
@@ -59,74 +109,17 @@ func run(stdout, stderr io.Writer, args []string) int {
 		defer srv.Close()
 		fmt.Fprintf(stdout, "telemetry on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
-	return runChaos(stdout, stderr, chaosRunConfig{
-		protocol: *protocol, seed: *seed, schedules: *schedules, reproSeed: *reproSeed,
-		bugEvery: *chaosBug, closedLoop: *closedLoop, messages: *messages,
-		execute: *execute, profile: *profile, durable: *durable, traceSample: *traceSmp,
-	})
-}
-
-// chaosProtocols resolves the -protocol selector: one protocol name, or
-// all.
-func chaosProtocols(sel string) ([]deploy.Protocol, error) {
-	if strings.ToLower(sel) == "all" {
-		return []deploy.Protocol{deploy.FlexCast, deploy.Skeen, deploy.Hierarchical}, nil
-	}
-	p, err := deploy.ParseProtocol(sel)
-	return []deploy.Protocol{p}, err
-}
-
-// chaosRunConfig bundles the flags.
-type chaosRunConfig struct {
-	protocol    string
-	seed        int64
-	schedules   int
-	reproSeed   int64
-	bugEvery    int
-	closedLoop  bool
-	messages    int
-	execute     bool
-	profile     string
-	durable     bool
-	traceSample int
-}
-
-// runChaos drives the fault-injection explorer. The exit code reports
-// safety: 0 only when every explored schedule upheld every invariant.
-func runChaos(stdout, stderr io.Writer, rc chaosRunConfig) int {
-	protocol, seed, schedules, reproSeed := rc.protocol, rc.seed, rc.schedules, rc.reproSeed
-	protos, err := chaosProtocols(protocol)
-	if err != nil {
-		fmt.Fprintf(stderr, "flexbench: %v\n", err)
-		return 2
-	}
-	if schedules <= 0 {
-		fmt.Fprintf(stderr, "flexbench: -schedules must be > 0 (got %d)\n", schedules)
-		return 2
-	}
-	opts := chaos.Options{Seed: seed, Schedules: schedules, BugFlipEvery: rc.bugEvery,
-		ClosedLoop: rc.closedLoop, Messages: rc.messages, Durable: rc.durable,
-		TraceSample: rc.traceSample}
-	switch rc.profile {
-	case "", "random":
-	case "wan":
-		harness.ApplyWANProfile(&opts, 0.95, rc.execute)
-	default:
-		fmt.Fprintf(stderr, "flexbench: unknown profile %q (random or wan)\n", rc.profile)
-		return 2
-	}
 	failed := false
-	for _, p := range protos {
-		cfg := harness.ChaosConfig{Protocol: p, Options: opts, Execute: rc.execute}
+	for _, d := range c.deps {
 		start := time.Now()
-		if reproSeed != 0 {
-			res, err := harness.ReplayChaos(cfg, reproSeed)
+		if c.reproSeed != 0 {
+			res, err := chaos.RunSchedule(d, c.opts, c.reproSeed)
 			if err != nil {
-				fmt.Fprintf(stderr, "flexbench: chaos %s: %v\n", p, err)
+				fmt.Fprintf(stderr, "flexbench: chaos %s: %v\n", d.Name, err)
 				return 1
 			}
 			fmt.Fprintf(stdout, "chaos %-12s  seed=%d multicasts=%d deliveries=%d events=%d\n",
-				p, res.Seed, res.Multicasts, res.Deliveries, res.Events)
+				d.Name, res.Seed, res.Multicasts, res.Deliveries, res.Events)
 			if res.Err != nil {
 				failed = true
 				fmt.Fprintf(stdout, "  INVARIANT VIOLATION: %v\n", res.Err)
@@ -138,9 +131,9 @@ func runChaos(stdout, stderr io.Writer, rc chaosRunConfig) int {
 			}
 			continue
 		}
-		rep, err := harness.RunChaos(cfg)
+		rep, err := chaos.Explore(d, c.opts)
 		if err != nil {
-			fmt.Fprintf(stderr, "flexbench: chaos %s: %v\n", p, err)
+			fmt.Fprintf(stderr, "flexbench: chaos %s: %v\n", d.Name, err)
 			return 1
 		}
 		if rep.Tracer != nil {
@@ -149,7 +142,7 @@ func runChaos(stdout, stderr io.Writer, rc chaosRunConfig) int {
 			telemetry.Default.RegisterTracer("chaos_"+rep.Deployment, rep.Tracer)
 		}
 		rep.Print(stdout)
-		fmt.Fprintf(stdout, "(%s explored in %v)\n\n", p, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s explored in %v)\n\n", d.Name, time.Since(start).Round(time.Millisecond))
 		if rep.Failed() {
 			failed = true
 		}

@@ -23,10 +23,9 @@ func main() {
 		"1st dest 90/95/99p (ms)", "2nd dest 90/95/99p (ms)", "3rd dest 90/95/99p (ms)")
 
 	for _, p := range []flexcast.Protocol{flexcast.FlexCast, flexcast.Hierarchical, flexcast.Distributed} {
-		res, err := flexcast.RunExperiment(flexcast.ExperimentConfig{
-			Protocol:   p,
+		res, err := flexcast.RunExperiment(p, flexcast.ExperimentConfig{
 			Locality:   0.95,
-			NumClients: 240,
+			Clients:    240,
 			GlobalOnly: true,
 			Duration:   10_000_000, // 10 virtual seconds
 			Seed:       42,

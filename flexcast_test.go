@@ -172,10 +172,9 @@ func TestAWSTopologyExports(t *testing.T) {
 }
 
 func TestRunExperimentSmoke(t *testing.T) {
-	res, err := flexcast.RunExperimentChecked(flexcast.ExperimentConfig{
-		Protocol:   flexcast.FlexCast,
+	res, err := flexcast.RunExperimentChecked(flexcast.FlexCast, flexcast.ExperimentConfig{
 		Locality:   0.95,
-		NumClients: 24,
+		Clients:    24,
 		GlobalOnly: true,
 		Duration:   1_000_000,
 		Seed:       3,

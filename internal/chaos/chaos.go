@@ -28,6 +28,12 @@
 // volatile state, which it must rebuild from its last snapshot plus a
 // write-ahead input log (the same recovery shape internal/smr implements
 // with Paxos log replay).
+//
+// The package is also the repository's one simulated deployment host:
+// the paper's measured runs (§5, the grid's sim cells) are timed
+// schedules with every fault class off (Options.Duration), hosted by
+// the same nodes and closed-loop clients and auditable by the same
+// checkers.
 package chaos
 
 import (
@@ -42,8 +48,8 @@ import (
 // implement amcast.SnapshotEngine so crash/recovery can be explored.
 type EngineFactory func(g amcast.GroupID) (amcast.SnapshotEngine, error)
 
-// Deployment describes the protocol under test; internal/harness builds
-// one per protocol (FlexCast, Skeen's, hierarchical).
+// Deployment describes the protocol under test; NewDeployment builds one
+// of the paper's three on its 12 regions.
 type Deployment struct {
 	// Name labels the deployment in reports.
 	Name string
@@ -69,6 +75,9 @@ type Deployment struct {
 	// post-quiescence audit, optionally the read fast path the
 	// explorer's clients exercise, and the rebind durable recovery needs.
 	Instrument func(engines map[amcast.GroupID]amcast.SnapshotEngine, now func() sim.Time) *Instrumentation
+	// execute marks a NewDeployment whose groups run the gTPC-C store:
+	// its clients multicast executable gTPC-C transactions.
+	execute bool
 }
 
 // Instrumentation carries one schedule's execution-level hooks.
@@ -138,19 +147,40 @@ type Options struct {
 	// ClosedLoop switches the workload from open-loop (all multicasts
 	// scheduled up front at random times) to closed-loop: each client
 	// issues its next multicast the moment the previous one completed
-	// (every destination's reply received), after ThinkTime. Closed-loop
-	// schedules keep the protocol continuously saturated relative to its
-	// own progress — delivery, ack and flush phases overlap densely in
-	// ways the open-loop injector rarely produces.
+	// (every destination's reply received). Closed-loop schedules keep
+	// the protocol continuously saturated relative to its own progress —
+	// delivery, ack and flush phases overlap densely in ways the
+	// open-loop injector rarely produces.
 	ClosedLoop bool
-	// ThinkTime is the closed-loop delay between a completion and the
-	// next issue (default 0: immediate).
-	ThinkTime sim.Time
 	// FlushEvery adds the paper's §4.3 flush/garbage-collection client:
 	// a flush message multicast to every group on this period, so
-	// exploration also covers history pruning (default 400ms; negative
-	// disables).
+	// exploration also covers history pruning (default 400ms, off in a
+	// timed run; negative disables).
 	FlushEvery sim.Time
+
+	// Locality, when > 0, replaces chaos's random environment with the
+	// paper's: link latencies from the 12-region WAN matrix (client i
+	// sits in region i mod 12) and gTPC-C transactions whose remote
+	// warehouses are drawn at this locality rate. GlobalOnly restricts
+	// the gTPC-C mix to multi-warehouse transactions, the paper's
+	// latency workload.
+	Locality   float64
+	GlobalOnly bool
+
+	// Duration, when > 0, makes the schedule a timed run of the paper's
+	// measurement (§5.3) instead of a bounded exploration: every client
+	// is closed-loop with no message budget, starts 137 µs after the
+	// client of the previous region, and stops at Duration; completions
+	// issued inside the trimmed window (the middle 80 %) are counted with
+	// their per-destination reply latencies. Its defaults are the paper's
+	// too: 240 clients, locality 0.95, and every fault class, fast reads,
+	// the flush client and the lifecycle tracer off.
+	Duration sim.Time
+	// ProcCostBase and ProcCostPerKB model server capacity: a group node
+	// handles envelopes serially at ProcCostBase µs plus ProcCostPerKB µs
+	// per KiB of encoded envelope each (default 0: infinitely fast).
+	ProcCostBase  sim.Time
+	ProcCostPerKB float64
 
 	// DropProb is the per-transmission probability of a simulated drop:
 	// the envelope is delayed by a retransmission backoff of roughly
@@ -221,27 +251,20 @@ type Options struct {
 	// deliberate ordering violation the safety checker must catch.
 	// Production callers leave it 0.
 	BugFlipEvery int
-
-	// Observer, when non-nil, sees every envelope as it is handed to a
-	// node (after faults, queueing and crash parking) — a debugging aid
-	// for analyzing a failing schedule. It does not perturb the run.
-	Observer sim.SendHook
-
-	// Latency, when non-nil, replaces the default random per-link
-	// latency model with a fixed one — e.g. the harness's WAN matrix
-	// (internal/harness.ApplyWANProfile), whose latency topology the
-	// random model does not emulate.
-	Latency func(from, to amcast.NodeID) sim.Time
-	// NextTx, when non-nil, replaces the uniform random workload: it is
-	// called once per (schedule, client) with the schedule's seed and
-	// returns the generator of that client's multicast sequence
-	// (destination set and payload per message). The harness's WAN
-	// profile plugs gTPC-C destination locality (and executable
-	// transaction payloads) in through it.
-	NextTx func(scheduleSeed int64, client int) func(i int) ([]amcast.GroupID, []byte)
 }
 
 func (o *Options) fill() {
+	if o.Duration > 0 {
+		if o.Clients == 0 {
+			o.Clients = 240
+		}
+		if o.Locality == 0 {
+			o.Locality = 0.95
+		}
+		o.DropProb, o.DupProb, o.FastReadProb = off(o.DropProb), off(o.DupProb), off(o.FastReadProb)
+		o.Partitions, o.Crashes, o.TraceSample = off(o.Partitions), off(o.Crashes), off(o.TraceSample)
+		o.JitterMax, o.FlushEvery = off(o.JitterMax), off(o.FlushEvery)
+	}
 	if o.Schedules == 0 {
 		o.Schedules = 50
 	}
@@ -295,6 +318,14 @@ func (o *Options) fill() {
 	}
 	// Negative knobs ("fault class off") are kept as-is so fill stays
 	// idempotent; the injector treats them as zero.
+}
+
+// off turns a knob left at its zero value off (negative).
+func off[T ~int | ~int64 | ~float64](v T) T {
+	if v == 0 {
+		return -1
+	}
+	return v
 }
 
 // ScheduleSeed derives the seed of schedule i from the base seed, using

@@ -6,7 +6,6 @@ import (
 
 	"flexcast/internal/chaos"
 	"flexcast/internal/core"
-	"flexcast/internal/harness"
 	"flexcast/internal/prototest"
 )
 
@@ -60,11 +59,7 @@ func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
 	}
 	if !testing.Short() {
 		for seed := int64(1); seed <= seeds; seed++ {
-			res, err := harness.Run(fig5Config(seed, 250_000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireClean(t, seed, res.Trace)
+			requireClean(t, seed, fig5(t, seed, 250_000))
 		}
 	}
 	if r := first.Load(); r != nil {

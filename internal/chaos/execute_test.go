@@ -1,12 +1,32 @@
-package harness_test
+package chaos_test
 
 import (
 	"strings"
 	"testing"
 
 	"flexcast/internal/chaos"
-	"flexcast/internal/harness"
+	"flexcast/internal/deploy"
 )
+
+// explore runs Explore on an executing deployment of protocol p and
+// fails the test on any violation.
+func explore(t *testing.T, p deploy.Protocol, opt chaos.Options) *chaos.Report {
+	t.Helper()
+	d, err := chaos.NewDeployment(deploy.Spec{Protocol: p}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := chaos.Explore(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() {
+		var b strings.Builder
+		rep.Print(&b)
+		t.Fatalf("execute-mode schedules violated invariants:\n%s", b.String())
+	}
+	return rep
+}
 
 // TestChaosExecuteStoreAudits runs store-backed chaos schedules — full
 // fault model including crash/recovery, so store state is rebuilt from
@@ -14,22 +34,10 @@ import (
 // agreement, conflict serializability, cross-shard invariants, mirror
 // digests) to pass alongside the multicast safety properties.
 func TestChaosExecuteStoreAudits(t *testing.T) {
-	for _, p := range []harness.Protocol{harness.FlexCast, harness.Distributed, harness.Hierarchical} {
+	for _, p := range protocols {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			rep, err := harness.RunChaos(harness.ChaosConfig{
-				Protocol: p,
-				Execute:  true,
-				Options:  chaos.Options{Seed: 11, Schedules: 6},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Failed() {
-				var b strings.Builder
-				rep.Print(&b)
-				t.Fatalf("execute-mode schedules violated invariants:\n%s", b.String())
-			}
+			rep := explore(t, p, chaos.Options{Seed: 11, Schedules: 6})
 			if rep.Deliveries == 0 {
 				t.Fatal("nothing delivered")
 			}
@@ -53,23 +61,11 @@ func TestChaosFastReadsUnderFaults(t *testing.T) {
 			name = "closed-loop"
 		}
 		t.Run(name, func(t *testing.T) {
-			rep, err := harness.RunChaos(harness.ChaosConfig{
-				Protocol: harness.FlexCast,
-				Execute:  true,
-				Options: chaos.Options{
-					Seed: 77, Schedules: 4,
-					ClosedLoop:   closedLoop,
-					FastReadProb: 1,
-				},
+			rep := explore(t, deploy.FlexCast, chaos.Options{
+				Seed: 77, Schedules: 4,
+				ClosedLoop:   closedLoop,
+				FastReadProb: 1,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Failed() {
-				var b strings.Builder
-				rep.Print(&b)
-				t.Fatalf("fast-read schedules violated invariants:\n%s", b.String())
-			}
 			if rep.FastReads == 0 {
 				t.Fatal("no fast reads issued")
 			}
@@ -91,25 +87,13 @@ func TestChaosFastReadsUnderFaults(t *testing.T) {
 // correct behavior, a stale serve would fail CheckFastReads (see
 // trace.TestCheckFastReadsViolations for the detector proof).
 func TestChaosLeaseRefusalsAcrossCrashes(t *testing.T) {
-	rep, err := harness.RunChaos(harness.ChaosConfig{
-		Protocol: harness.FlexCast,
-		Execute:  true,
-		Options: chaos.Options{
-			Seed: 42, Schedules: 8,
-			ClosedLoop:   true,
-			FastReadProb: 1,
-			Crashes:      3,
-			Partitions:   4,
-		},
+	rep := explore(t, deploy.FlexCast, chaos.Options{
+		Seed: 42, Schedules: 8,
+		ClosedLoop:   true,
+		FastReadProb: 1,
+		Crashes:      3,
+		Partitions:   4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		var b strings.Builder
-		rep.Print(&b)
-		t.Fatalf("lease schedules violated invariants:\n%s", b.String())
-	}
 	if rep.Faults.Crashes == 0 {
 		t.Fatal("schedules explored no crashes alongside the leased reads")
 	}
@@ -128,21 +112,7 @@ func TestChaosLeaseRefusalsAcrossCrashes(t *testing.T) {
 // latency matrix, gTPC-C destination locality, closed-loop saturation,
 // executable payloads and the full fault model.
 func TestChaosExecuteClosedLoopWANProfile(t *testing.T) {
-	opts := chaos.Options{Seed: 3, Schedules: 4, ClosedLoop: true}
-	harness.ApplyWANProfile(&opts, 0.95, true)
-	rep, err := harness.RunChaos(harness.ChaosConfig{
-		Protocol: harness.FlexCast,
-		Execute:  true,
-		Options:  opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		var b strings.Builder
-		rep.Print(&b)
-		t.Fatalf("WAN-profile execute schedules violated invariants:\n%s", b.String())
-	}
+	explore(t, deploy.FlexCast, chaos.Options{Seed: 3, Schedules: 4, ClosedLoop: true, Locality: 0.95})
 }
 
 // TestChaosExecuteDurableWANProfile is the nightly hunt's flag
@@ -152,18 +122,8 @@ func TestChaosExecuteClosedLoopWANProfile(t *testing.T) {
 // (observers, lock-step follower digests) must follow the store onto the
 // recovered engine (chaos.Instrumentation.Rebind).
 func TestChaosExecuteDurableWANProfile(t *testing.T) {
-	opts := chaos.Options{Seed: 12, Schedules: 2, Durable: true}
-	harness.ApplyWANProfile(&opts, 0.95, true)
-	for _, p := range []harness.Protocol{harness.FlexCast, harness.Distributed, harness.Hierarchical} {
-		rep, err := harness.RunChaos(harness.ChaosConfig{Protocol: p, Execute: true, Options: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Failed() {
-			var b strings.Builder
-			rep.Print(&b)
-			t.Fatalf("durable execute schedules violated invariants:\n%s", b.String())
-		}
+	for _, p := range protocols {
+		rep := explore(t, p, chaos.Options{Seed: 12, Schedules: 2, Durable: true, Locality: 0.95})
 		if rep.Faults.Crashes == 0 || rep.FastReads == 0 {
 			t.Fatalf("%s: %d crashes, %d fast reads: the combination explored nothing", p, rep.Faults.Crashes, rep.FastReads)
 		}
@@ -174,19 +134,13 @@ func TestChaosExecuteDurableWANProfile(t *testing.T) {
 // path uses the same executable workload as exploration (a replayed
 // seed must rebuild the identical schedule).
 func TestChaosExecuteReplayMatchesExploration(t *testing.T) {
-	cfg := harness.ChaosConfig{
-		Protocol: harness.FlexCast,
-		Execute:  true,
-		Options:  chaos.Options{Seed: 21, Schedules: 2},
-	}
-	rep, err := harness.RunChaos(cfg)
+	opt := chaos.Options{Seed: 21, Schedules: 2}
+	rep := explore(t, deploy.FlexCast, opt)
+	d, err := chaos.NewDeployment(deploy.Spec{Protocol: deploy.FlexCast}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed() {
-		t.Fatal("exploration failed")
-	}
-	res, err := harness.ReplayChaos(cfg, chaos.ScheduleSeed(21, 0))
+	res, err := chaos.RunSchedule(d, opt, chaos.ScheduleSeed(21, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +149,8 @@ func TestChaosExecuteReplayMatchesExploration(t *testing.T) {
 	}
 	if res.Multicasts == 0 || res.Deliveries == 0 {
 		t.Fatalf("replay ran empty: %+v", res)
+	}
+	if per := rep.Multicasts / rep.Schedules; res.Multicasts != per {
+		t.Fatalf("replay issued %d multicasts, exploration %d per schedule", res.Multicasts, per)
 	}
 }

@@ -4,31 +4,35 @@ import (
 	"testing"
 
 	"flexcast/amcast"
-	"flexcast/internal/harness"
+	"flexcast/internal/chaos"
+	"flexcast/internal/deploy"
 	"flexcast/internal/sim"
 	"flexcast/internal/trace"
 	"flexcast/internal/wan"
 )
 
-// fig5Config is the exact configuration of the formerly-open
-// acyclic-order repro, the grid cells fig5-verify/seed=N of
-// experiments.json: the paper's latency setup (FlexCast on O1, 240
-// closed-loop clients with per-destination reply waits, global-only
-// gTPC-C at 90 % locality) with the prototype's §4.3 flush cadence
-// over 2 virtual seconds.
-func fig5Config(seed int64, flushEvery sim.Time) harness.Config {
-	return harness.Config{
-		Protocol:   harness.FlexCast,
-		Overlay:    wan.O1(),
+// fig5 runs the exact configuration of the formerly-open acyclic-order
+// repro, the grid cells fig5-verify/seed=N of experiments.json: the
+// paper's latency setup (FlexCast on O1, 240 closed-loop clients with
+// per-destination reply waits, global-only gTPC-C at 90 % locality) with
+// the given flush cadence over 2 virtual seconds, drained and recorded.
+func fig5(t *testing.T, seed int64, flushEvery sim.Time) *chaos.ScheduleResult {
+	t.Helper()
+	d, err := chaos.NewDeployment(deploy.Spec{Protocol: deploy.FlexCast, Overlay: wan.O1()}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := chaos.RunSchedule(d, chaos.Options{
 		Locality:   0.90,
-		NumClients: 240,
+		Clients:    240,
 		GlobalOnly: true,
 		Duration:   2_000_000,
-		TrimFrac:   0.1,
-		Seed:       seed,
 		FlushEvery: flushEvery,
-		Record:     true,
+	}, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 // findDeliveryCycle extracts one cycle from the union of the per-group
@@ -84,15 +88,15 @@ func findDeliveryCycle(rec *trace.Recorder) []amcast.MsgID {
 	return nil
 }
 
-// requireClean asserts a fig5 run upholds every recorded invariant —
+// requireClean asserts a fig5 run upholds every checked invariant —
 // integrity, agreement, pairwise prefix order AND global acyclicity.
 // On an acyclicity violation it extracts the delivery cycle for the
 // failure message, the shape the pre-fix staircase ring used to take
 // (scripted shrink: core.TestFreshRequestRingCycle).
-func requireClean(t *testing.T, seed int64, rec *trace.Recorder) {
+func requireClean(t *testing.T, seed int64, res *chaos.ScheduleResult) {
 	t.Helper()
-	if err := rec.CheckAll(true); err != nil {
-		if ring := findDeliveryCycle(rec); ring != nil {
+	if err := res.Err; err != nil {
+		if ring := findDeliveryCycle(res.Trace); ring != nil {
 			t.Fatalf("seed %d: %v\ndelivery cycle (length %d): %v", seed, err, len(ring), ring)
 		}
 		t.Fatalf("seed %d: %v", seed, err)
@@ -110,11 +114,7 @@ func TestFig5KnownRingSignature(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig5-scale replay; skipped in -short")
 	}
-	res, err := harness.Run(fig5Config(2, 250_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireClean(t, 2, res.Trace)
+	requireClean(t, 2, fig5(t, 2, 250_000))
 }
 
 // TestFig5RingWithoutFlushGC reruns seed 2 with the flush client
@@ -128,11 +128,7 @@ func TestFig5RingWithoutFlushGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig5-scale replay; skipped in -short")
 	}
-	res, err := harness.Run(fig5Config(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireClean(t, 2, res.Trace)
+	requireClean(t, 2, fig5(t, 2, -1))
 }
 
 // TestFig5SeedSweep sweeps seeds 1–32 of the exact fig5 configuration
@@ -149,10 +145,6 @@ func TestFig5SeedSweep(t *testing.T) {
 		t.Skip("fig5-scale seed sweep; skipped in -short")
 	}
 	for seed := int64(1); seed <= 32; seed++ {
-		res, err := harness.Run(fig5Config(seed, 250_000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireClean(t, seed, res.Trace)
+		requireClean(t, seed, fig5(t, seed, 250_000))
 	}
 }

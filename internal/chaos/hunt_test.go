@@ -7,16 +7,16 @@ import (
 	"testing"
 
 	"flexcast/internal/chaos"
-	"flexcast/internal/harness"
+	"flexcast/internal/deploy"
 )
 
 // TestHuntFlushGC hunts for staircase-ring regressions (the formerly
 // open acyclic-order hole, DESIGN.md §4 deviation 8): dense, fault-free
-// closed-loop schedules with aggressive flushing on the profile that
-// mirrors the measurement harness — the WAN latency matrix plus gTPC-C
-// destination locality (harness.ApplyWANProfile), which the
-// random-latency, uniform-destination hunts cannot emulate and which
-// the historical repro (the fig5-verify grid cells) depended on.
+// closed-loop schedules with aggressive flushing in the paper's
+// environment — the WAN latency matrix plus gTPC-C destination locality
+// (Options.Locality), which the random-latency, uniform-destination
+// hunts cannot emulate and which the historical repro (the fig5-verify
+// grid cells) depended on.
 // Enabled via CHAOS_HUNT=<schedules> (the scheduled CI ring-hunt job
 // runs it nightly); CHAOS_HUNT_RANDOM=1 falls back to the random
 // environment. Any violation FAILS the test; each failing seed is
@@ -44,14 +44,15 @@ func TestHuntFlushGC(t *testing.T) {
 		SnapshotEvery: 1 << 30,
 	}
 	if os.Getenv("CHAOS_HUNT_RANDOM") == "" {
-		// The fig5 harness runs the global-only latency workloads at high
+		// The fig5 cells run the global-only latency workloads at high
 		// locality; 0.95 is its middle setting.
-		harness.ApplyWANProfile(&opts, 0.95, false)
+		opts.Locality = 0.95
 	}
-	rep, err := harness.RunChaos(harness.ChaosConfig{
-		Protocol: harness.FlexCast,
-		Options:  opts,
-	})
+	d, err := chaos.NewDeployment(deploy.Spec{Protocol: deploy.FlexCast}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := chaos.Explore(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,6 +104,13 @@ func newInjector(opt Options, groups []amcast.GroupID, rng *rand.Rand, s *sim.Si
 	return inj
 }
 
+// perEnvelope reports whether any per-transmission fault class is on;
+// a schedule with none installs no fault hook on its network.
+func (inj *injector) perEnvelope() bool {
+	o := inj.opt
+	return o.DropProb > 0 || o.DupProb > 0 || o.JitterMax > 0 || len(inj.partitions) > 0
+}
+
 // Fault implements sim.FaultFunc.
 func (inj *injector) Fault(from, to amcast.NodeID, env amcast.Envelope) sim.LinkFault {
 	var f sim.LinkFault

@@ -6,6 +6,7 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/durable"
+	"flexcast/internal/metrics"
 	"flexcast/internal/sim"
 )
 
@@ -15,7 +16,8 @@ import (
 // persist its state (internal/smr persists the input sequence in the
 // Paxos log instead; §4.4). On recovery the engine is restored from the
 // snapshot and the WAL is replayed with outputs suppressed — they were
-// already transmitted before the crash.
+// already transmitted before the crash. A node whose schedule has no
+// crash windows keeps neither: nothing will ever recover it.
 //
 // In durable mode (Options.Durable) the in-memory model is replaced by
 // the real backend: inputs run through a durable.Engine writing an
@@ -29,10 +31,14 @@ type node struct {
 	net       *sim.Network
 	onDeliver func(d amcast.Delivery) error
 	fail      func(err error)
+	// traffic counts what the group received (the schedule's send hook)
+	// and delivered.
+	traffic metrics.NodeCounters
 
-	snapEvery int
-	snap      amcast.Snapshot
-	wal       []amcast.Envelope
+	snapEvery   int
+	recoverable bool // the schedule has crash windows: keep snap and wal
+	snap        amcast.Snapshot
+	wal         []amcast.Envelope
 	// delsSince counts deliveries since the snapshot; recovery replay
 	// must regenerate exactly this many (a cheap determinism audit that
 	// catches incomplete Snapshot/Restore implementations).
@@ -60,14 +66,12 @@ type node struct {
 	batches  int
 }
 
-func newNode(id amcast.NodeID, eng amcast.SnapshotEngine, net *sim.Network, snapEvery int) *node {
-	return &node{
-		id:        id,
-		eng:       eng,
-		net:       net,
-		snapEvery: snapEvery,
-		snap:      eng.Snapshot(),
+func newNode(id amcast.NodeID, eng amcast.SnapshotEngine, net *sim.Network, snapEvery int, recoverable bool) *node {
+	n := &node{id: id, eng: eng, net: net, snapEvery: snapEvery, recoverable: recoverable}
+	if recoverable {
+		n.snap = eng.Snapshot()
 	}
+	return n
 }
 
 // enableDurable switches the node to the real backend: the engine's
@@ -109,7 +113,9 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 			n.fail(fmt.Errorf("chaos: durable backend of %s: %w", n.id, err))
 		}
 	} else {
-		n.wal = append(n.wal, env)
+		if n.recoverable {
+			n.wal = append(n.wal, env)
+		}
 		outs = n.eng.OnEnvelope(env)
 		dels = n.eng.TakeDeliveries()
 	}
@@ -124,6 +130,7 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 	}
 	for _, d := range dels {
 		n.delsSince++
+		n.traffic.Delivered++
 		if err := n.onDeliver(d); err != nil {
 			n.fail(err)
 		}
@@ -131,12 +138,8 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 			n.net.Send(n.id, d.Msg.Sender, amcast.ReplyFor(n.id, d))
 		}
 	}
-	if n.de != nil {
-		// Snapshots and rotation happen inside the backend on its own
-		// cadence; nothing to do here.
-		return
-	}
-	if len(n.wal) >= n.snapEvery {
+	// The durable backend snapshots and rotates on its own cadence.
+	if n.de == nil && n.recoverable && len(n.wal) >= n.snapEvery {
 		n.snap = n.eng.Snapshot()
 		n.wal = n.wal[:0]
 		n.delsSince = 0

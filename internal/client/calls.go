@@ -1,3 +1,8 @@
+// Package client is the one implementation of the client half of the
+// protocol: Calls, the table every client in the repository issues
+// requests and collects replies through — the root package's clusters,
+// loadgen, the chaos explorer's simulated clients, cmd/flexclient. It
+// knows no clock, transport or lock.
 package client
 
 import (

@@ -8,8 +8,8 @@ import (
 )
 
 // simKnobs are the cell parameters that are not load-run knobs: sim_ops
-// sizes the simbench loops; the other four each set one harness.Config
-// field of a sim cell (runSim). Load and soak cells reject them.
+// sizes the simbench loops; the other four each set one chaos.Options
+// field or the overlay of a sim cell (runSim). Load and soak cells reject them.
 type simKnobs struct {
 	SimOps int `json:"sim_ops,omitempty"`
 	// Overlay names one of the paper's overlays: o1 or o2 (FlexCast's

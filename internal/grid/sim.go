@@ -3,25 +3,25 @@ package grid
 import (
 	"fmt"
 
-	"flexcast/amcast"
+	"flexcast/internal/chaos"
 	"flexcast/internal/deploy"
-	"flexcast/internal/harness"
 	"flexcast/internal/sim"
 	"flexcast/internal/stats"
 	"flexcast/internal/wan"
 )
 
-// runSim runs one harness deployment — a protocol on the virtual-time
-// 12-region WAN under closed-loop gTPC-C clients, the paper's §5 setup —
-// from the cell's parameters and flattens the result into the cell's
-// metric map. Every figure and table of the paper's evaluation is a set
-// of these cells (the paper-* experiments of experiments.json), and
-// with "verify" the run is recorded and checked against the §2.2
-// properties, so a violation fails the cell and with it the grid run.
+// runSim runs one timed, fault-free chaos schedule — a protocol on the
+// virtual-time 12-region WAN under closed-loop gTPC-C clients, the
+// paper's §5 setup — from the cell's parameters and flattens the result
+// into the cell's metric map. Every figure and table of the paper's
+// evaluation is a set of these cells (the paper-* experiments of
+// experiments.json), and with "verify" the run is recorded, drained and
+// checked against the §2.2 properties, so a violation fails the cell and
+// with it the grid run.
 //
 // The load-knob keys it reads are protocol, clients, locality,
-// global_only, flush_every_ms, duration_ms and seed; unset ones take
-// harness.Config's defaults (240 clients, 60 virtual seconds). The
+// global_only, flush_every_ms, duration_ms and seed; unset ones take the
+// paper's defaults (240 clients, locality 0.95, 60 virtual seconds). The
 // flush client defaults to the prototype's 250 ms garbage-collection
 // period (§4.3) for FlexCast and to off for the two baselines;
 // a negative flush_every_ms disables it, as for a load cell.
@@ -43,46 +43,52 @@ func runSim(cell string, p *cellParams) (map[string]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("grid: cell %s: %w", cell, err)
 	}
-	cfg := harness.Config{
-		Protocol:      proto,
+	opt := chaos.Options{
+		Clients:       p.load.Clients,
 		Locality:      p.load.Locality,
-		NumClients:    p.load.Clients,
 		GlobalOnly:    p.load.GlobalOnly,
 		Duration:      sim.Time(p.load.Duration.Microseconds()),
-		Seed:          p.load.Seed,
 		ProcCostBase:  sim.Time(p.ProcCostUs),
 		ProcCostPerKB: p.ProcCostUsPerKB,
 		FlushEvery:    sim.Time(p.load.FlushEvery.Microseconds()),
 	}
-	switch {
-	case cfg.FlushEvery < 0:
-		cfg.FlushEvery = 0
-	case cfg.FlushEvery == 0 && proto == deploy.FlexCast:
-		cfg.FlushEvery = 250_000
+	if opt.Duration == 0 {
+		opt.Duration = 60_000_000
 	}
+	if opt.FlushEvery == 0 && proto == deploy.FlexCast {
+		opt.FlushEvery = 250_000
+	}
+	spec := deploy.Spec{Protocol: proto}
 	switch p.Overlay {
 	case "":
 	case "o1":
-		cfg.Overlay = wan.O1()
+		spec.Overlay = wan.O1()
 	case "o2":
-		cfg.Overlay = wan.O2()
+		spec.Overlay = wan.O2()
 	case "t1":
-		cfg.Tree = wan.T1()
+		spec.Tree = wan.T1()
 	case "t2":
-		cfg.Tree = wan.T2()
+		spec.Tree = wan.T2()
 	case "t3":
-		cfg.Tree = wan.T3()
+		spec.Tree = wan.T3()
 	default:
 		return nil, fmt.Errorf("grid: cell %s: unknown overlay %q (o1, o2, t1, t2, t3)", cell, p.Overlay)
 	}
-	if cfg.Overlay != nil && proto != deploy.FlexCast || cfg.Tree != nil && proto != deploy.Hierarchical {
+	if spec.Overlay != nil && proto != deploy.FlexCast || spec.Tree != nil && proto != deploy.Hierarchical {
 		return nil, fmt.Errorf("grid: cell %s: overlay %q does not fit protocol %s", cell, p.Overlay, name)
 	}
-	run := harness.Run
-	if p.Verify {
-		run = harness.RunChecked
+	d, err := chaos.NewDeployment(spec, false)
+	if err != nil {
+		return nil, fmt.Errorf("grid: cell %s: %w", cell, err)
 	}
-	res, err := run(cfg)
+	run := chaos.Measure
+	if p.Verify {
+		run = chaos.RunSchedule
+	}
+	res, err := run(d, opt, p.load.Seed)
+	if err == nil {
+		err = res.Err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("grid: cell %s: %w", cell, err)
 	}
@@ -92,7 +98,8 @@ func runSim(cell string, p *cellParams) (map[string]float64, error) {
 		"completed":       float64(res.Completed),
 		"sim_events":      float64(res.Events),
 	}
-	for k, rec := range res.PerDest {
+	for k := range res.PerDest {
+		rec := &res.PerDest[k]
 		if rec.Len() == 0 {
 			continue // e.g. no 3-destination transaction fell in a short window
 		}
@@ -100,10 +107,10 @@ func runSim(cell string, p *cellParams) (map[string]float64, error) {
 			m[fmt.Sprintf("dest%d_p%.0f_ms", k+1, pct)] = rec.Percentile(pct) / 1000
 		}
 	}
-	secs := float64(res.Cfg.Duration) / 1e6
+	secs := float64(opt.Duration) / 1e6
 	var overhead stats.Recorder
 	for _, g := range wan.Groups() {
-		c := res.Metrics.Node(amcast.GroupNode(g))
+		c := res.Traffic[g]
 		pct := c.Overhead() * 100
 		overhead.Add(pct)
 		m[fmt.Sprintf("overhead_pct_g%02d", g)] = pct

@@ -1,34 +1,38 @@
-// Package metrics collects per-node communication counters: envelopes and
-// bytes sent/received, payload messages received, and application messages
-// delivered. These counters back the paper's communication-overhead
-// metric (Figures 1 and 9, Table 4: overhead = 1 − delivered/received over
-// payload messages) and the message-cost experiment (Figure 8: messages
-// per second, average message size, and KB/s per node).
+// Package metrics holds the repository's two measuring instruments: a
+// group's traffic counters (this file) and the latency histogram
+// (histogram.go). The counters back the paper's communication-overhead
+// metric (Figures 1 and 9, Table 4: overhead = 1 − delivered/received
+// over payload messages) and the message-cost experiment (Figure 8:
+// messages per second, average message size, and KB/s per node).
 package metrics
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"flexcast/amcast"
 	"flexcast/internal/codec"
 )
 
-// NodeCounters aggregates traffic for one node.
+// NodeCounters counts one node's received traffic and deliveries. The
+// simulator that feeds it is single-threaded, so the counters are plain
+// integers.
 type NodeCounters struct {
-	EnvsSent      uint64
-	BytesSent     uint64
 	EnvsReceived  uint64
 	BytesReceived uint64
-	// ReceivedByKind counts received envelopes per kind.
-	ReceivedByKind map[amcast.Kind]uint64
 	// PayloadReceived counts received envelopes of payload-carrying kinds
 	// (REQUEST/MSG/FWD) — the denominator of the overhead metric.
 	PayloadReceived uint64
 	// Delivered counts application messages delivered by the node — the
 	// numerator of the overhead metric.
 	Delivered uint64
+}
+
+// OnReceive counts one envelope sent to the node; its wire size is the
+// real codec's, so simulated and TCP runs report identical bytes.
+func (c *NodeCounters) OnReceive(env amcast.Envelope) {
+	c.EnvsReceived++
+	c.BytesReceived += uint64(codec.Size(env))
+	if env.Kind.IsPayload() {
+		c.PayloadReceived++
+	}
 }
 
 // Overhead returns the paper's communication overhead for this node:
@@ -51,153 +55,4 @@ func (c NodeCounters) AvgReceivedSize() float64 {
 		return 0
 	}
 	return float64(c.BytesReceived) / float64(c.EnvsReceived)
-}
-
-// kindSlots sizes the fixed per-kind counter array: the protocol kinds
-// are a small dense enum (KindRequest=1 … KindRead=8), so a received
-// envelope increments one array slot instead of a map entry under a
-// lock. Slot 0 collects any out-of-range kind a future protocol might
-// introduce before this array is widened.
-const kindSlots = int(amcast.KindRead) + 1
-
-// counterStripe is one stripe of a node's counters. Striping by the
-// sending node spreads concurrent updates to a hot receiver (every
-// client updates its serving group's receive counters) over distinct
-// cache lines; a snapshot sums the stripes.
-// The stripe keeps the minimal independent set: envelopes received and
-// payload envelopes received are recomputed from the per-kind counts at
-// snapshot time (every envelope has exactly one kind), so recording a
-// receive is two atomic adds, not four.
-type counterStripe struct {
-	envsSent      atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesReceived atomic.Uint64
-	byKind        [kindSlots]atomic.Uint64
-	delivered     atomic.Uint64
-	// pad the stripe to a cache-line multiple so neighbouring stripes
-	// never share a line.
-	_ [3]uint64
-}
-
-const counterStripes = 8
-
-// nodeCounters is the internal all-atomic form of one node's counters:
-// every update is one atomic add into the stripe picked by the peer
-// node, so send accounting never serializes the TCP runtime's
-// connection goroutines behind a registry-wide mutex — nor behind one
-// hot node's cache lines.
-type nodeCounters struct {
-	stripes [counterStripes]counterStripe
-}
-
-// stripeOf picks the stripe a peer's updates land in.
-func stripeOf(peer amcast.NodeID) int {
-	return int((uint64(peer) * 0x9E3779B97F4A7C15) >> 61 & (counterStripes - 1))
-}
-
-// Registry holds counters for all nodes of a deployment. Safe for
-// concurrent use (the TCP runtime updates it from multiple goroutines; the
-// simulator is single-threaded). The hot paths (OnSend, OnDeliver) are
-// lock-free: the node table is an atomic pointer to an immutable map,
-// rebuilt copy-on-write on the rare insert of a new node (the node set
-// stabilizes as soon as a deployment is up), and every counter is an
-// atomic add — no registry-wide mutex serializing transmissions.
-type Registry struct {
-	nodes atomic.Pointer[map[amcast.NodeID]*nodeCounters]
-	mu    sync.Mutex // serializes copy-on-write inserts only
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{}
-	m := make(map[amcast.NodeID]*nodeCounters)
-	r.nodes.Store(&m)
-	return r
-}
-
-func (r *Registry) counters(n amcast.NodeID) *nodeCounters {
-	if c, ok := (*r.nodes.Load())[n]; ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := *r.nodes.Load()
-	if c, ok := m[n]; ok {
-		return c
-	}
-	next := make(map[amcast.NodeID]*nodeCounters, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	c := &nodeCounters{}
-	next[n] = c
-	r.nodes.Store(&next)
-	return c
-}
-
-// OnSend records a transmission; wire size is computed with the real
-// codec so simulated and TCP runs report identical numbers.
-func (r *Registry) OnSend(from, to amcast.NodeID, env amcast.Envelope) {
-	size := uint64(codec.Size(env))
-	c := &r.counters(from).stripes[stripeOf(to)]
-	c.envsSent.Add(1)
-	c.bytesSent.Add(size)
-	d := &r.counters(to).stripes[stripeOf(from)]
-	d.bytesReceived.Add(size)
-	slot := int(env.Kind)
-	if slot >= kindSlots {
-		slot = 0
-	}
-	d.byKind[slot].Add(1)
-}
-
-// OnDeliver records an application delivery at a group.
-func (r *Registry) OnDeliver(g amcast.GroupID) {
-	n := amcast.GroupNode(g)
-	r.counters(n).stripes[stripeOf(n)].delivered.Add(1)
-}
-
-// Node returns a snapshot of the counters for one node. Concurrent
-// writers may land between field loads; each counter is individually
-// consistent, which is all reporting needs.
-func (r *Registry) Node(n amcast.NodeID) NodeCounters {
-	c, ok := (*r.nodes.Load())[n]
-	if !ok {
-		return NodeCounters{ReceivedByKind: map[amcast.Kind]uint64{}}
-	}
-	cp := NodeCounters{ReceivedByKind: make(map[amcast.Kind]uint64)}
-	var byKind [kindSlots]uint64
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		cp.EnvsSent += s.envsSent.Load()
-		cp.BytesSent += s.bytesSent.Load()
-		cp.BytesReceived += s.bytesReceived.Load()
-		cp.Delivered += s.delivered.Load()
-		for k := range s.byKind {
-			byKind[k] += s.byKind[k].Load()
-		}
-	}
-	for k, v := range byKind {
-		if v == 0 {
-			continue
-		}
-		cp.ReceivedByKind[amcast.Kind(k)] = v
-		cp.EnvsReceived += v
-		if amcast.Kind(k).IsPayload() {
-			cp.PayloadReceived += v
-		}
-	}
-	return cp
-}
-
-// Groups returns the group nodes present in the registry, sorted.
-func (r *Registry) Groups() []amcast.GroupID {
-	var gs []amcast.GroupID
-	for n := range *r.nodes.Load() {
-		if !n.IsClient() {
-			gs = append(gs, n.Group())
-		}
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	return gs
 }

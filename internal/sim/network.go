@@ -25,8 +25,9 @@ type LatencyFunc func(from, to amcast.NodeID) Time
 // envelope. Return 0 for an infinitely fast node.
 type ProcCostFunc func(node amcast.NodeID, env amcast.Envelope) Time
 
-// SendHook observes every transmission; the harness uses it to record the
-// per-node message and byte counters behind Figures 1, 8 and 9.
+// SendHook observes every transmission; internal/chaos uses it to feed
+// the trace checkers and the per-group traffic counters behind Figures
+// 1, 8 and 9.
 type SendHook func(from, to amcast.NodeID, env amcast.Envelope)
 
 // LinkFault is the perturbation a FaultFunc applies to one transmission.
@@ -79,9 +80,6 @@ type Network struct {
 	lastArrival map[linkKey]Time
 	busyUntil   map[amcast.NodeID]Time
 	onSend      SendHook
-	onHandle    SendHook
-	dropped     uint64
-	partitioned map[linkKey]bool
 	faults      FaultFunc
 	down        map[amcast.NodeID]bool
 	parked      map[amcast.NodeID][]parkedEnv
@@ -111,12 +109,6 @@ func WithSendHook(h SendHook) NetworkOption {
 	return func(n *Network) { n.onSend = h }
 }
 
-// WithHandleHook observes every envelope as it is handed to its
-// destination handler (after latency and queueing).
-func WithHandleHook(h SendHook) NetworkOption {
-	return func(n *Network) { n.onHandle = h }
-}
-
 // WithFaults installs a fault injector consulted on every transmission
 // (internal/chaos builds seeded ones).
 func WithFaults(f FaultFunc) NetworkOption {
@@ -132,7 +124,6 @@ func NewNetwork(s *Simulator, latency LatencyFunc, opts ...NetworkOption) *Netwo
 		handlers:    make(map[amcast.NodeID]Handler),
 		lastArrival: make(map[linkKey]Time),
 		busyUntil:   make(map[amcast.NodeID]Time),
-		partitioned: make(map[linkKey]bool),
 		down:        make(map[amcast.NodeID]bool),
 		parked:      make(map[amcast.NodeID][]parkedEnv),
 	}
@@ -151,20 +142,6 @@ func (n *Network) Register(id amcast.NodeID, h Handler) {
 	n.handlers[id] = h
 }
 
-// Partition drops all traffic from 'from' to 'to' until Heal is called.
-// Used by failure-injection tests.
-func (n *Network) Partition(from, to amcast.NodeID) {
-	n.partitioned[linkKey{from, to}] = true
-}
-
-// Heal restores a partitioned link.
-func (n *Network) Heal(from, to amcast.NodeID) {
-	delete(n.partitioned, linkKey{from, to})
-}
-
-// Dropped returns the number of envelopes dropped by partitions.
-func (n *Network) Dropped() uint64 { return n.dropped }
-
 // dupSpacing separates duplicate copies from the original arrival.
 const dupSpacing Time = 3
 
@@ -175,11 +152,6 @@ const dupSpacing Time = 3
 func (n *Network) Send(from, to amcast.NodeID, env amcast.Envelope) {
 	if n.onSend != nil {
 		n.onSend(from, to, env)
-	}
-	key := linkKey{from, to}
-	if n.partitioned[key] {
-		n.dropped++
-		return
 	}
 	lat := n.latency(from, to)
 	if n.jitter != nil {
@@ -194,6 +166,7 @@ func (n *Network) Send(from, to amcast.NodeID, env amcast.Envelope) {
 	}
 	arrival := n.sim.Now() + lat
 	if !n.noFIFO {
+		key := linkKey{from, to}
 		if last := n.lastArrival[key]; arrival < last {
 			arrival = last
 		}
@@ -236,9 +209,6 @@ func (n *Network) handoff(from, to amcast.NodeID, env amcast.Envelope) {
 	if n.down[to] {
 		n.parked[to] = append(n.parked[to], parkedEnv{from: from, env: env})
 		return
-	}
-	if n.onHandle != nil {
-		n.onHandle(from, to, env)
 	}
 	n.handlers[to].HandleEnvelope(env)
 }
