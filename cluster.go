@@ -48,9 +48,6 @@ type ClusterConfig struct {
 	// the runtime default (64); 1 disables batching. Batching never
 	// delays an idle cluster — batches form only when queues have depth.
 	MaxBatch int
-	// FlushInterval bounds the latency a partially filled batch may add
-	// under sustained load (0 takes the runtime default, 500µs).
-	FlushInterval time.Duration
 	// Durable, when non-nil, selects the durable persistence backend:
 	// each group's engine runs behind a write-ahead log plus
 	// periodic snapshot files (internal/durable) rooted under
@@ -181,9 +178,8 @@ func newCluster(cfg ClusterConfig, dep *deploy.Deployment) (*Cluster, error) {
 	var err error
 	c.nodes, err = dep.Host(c.net, func(amcast.GroupID) runtime.Config {
 		return runtime.Config{
-			MaxBatch:      cfg.MaxBatch,
-			FlushInterval: cfg.FlushInterval,
-			OnDeliver:     cfg.OnDeliver,
+			MaxBatch:  cfg.MaxBatch,
+			OnDeliver: cfg.OnDeliver,
 		}
 	})
 	if err == nil {
@@ -376,9 +372,10 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	c.calls.Drain(func(call *client.Call[callWaiter]) {
+	c.calls.Sweep(func(call *client.Call[callWaiter]) bool {
 		call.Data.closed = true
 		close(call.Data.done)
+		return true
 	})
 	c.mu.Unlock()
 	c.net.Close()

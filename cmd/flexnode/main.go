@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"flexcast/amcast"
 	"flexcast/internal/deploy"
@@ -36,17 +35,16 @@ func main() {
 		treeF    = flag.String("tree", "", "tree as root:parent=child|child,parent=child (hierarchical only)")
 		peersF   = flag.String("peers", "", "comma-separated nodeid=host:port pairs (g1=..., c0=...)")
 		batch    = flag.Int("batch", 64, "max envelopes per runtime batch (1 disables batching)")
-		flush    = flag.Duration("flush-interval", 500*time.Microsecond, "batch flush period")
 		telem    = flag.String("telemetry", "", "serve /metrics (JSON) and /debug/pprof on this address (e.g. 127.0.0.1:8090)")
 		verbose  = flag.Bool("v", false, "log every delivery")
 	)
 	flag.Parse()
-	if err := run(*group, *protocol, *overlayF, *treeF, *peersF, *batch, *flush, *telem, *verbose); err != nil {
+	if err := run(*group, *protocol, *overlayF, *treeF, *peersF, *batch, *telem, *verbose); err != nil {
 		log.Fatalf("flexnode: %v", err)
 	}
 }
 
-func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush time.Duration, telem string, verbose bool) error {
+func run(group int, protocol, overlayF, treeF, peersF string, batch int, telem string, verbose bool) error {
 	if group <= 0 {
 		return fmt.Errorf("missing -group")
 	}
@@ -77,7 +75,7 @@ func run(group int, protocol, overlayF, treeF, peersF string, batch int, flush t
 	if err != nil {
 		return err
 	}
-	rt, err := runtime.Host(mesh, eng, runtime.Config{MaxBatch: batch, FlushInterval: flush, OnDeliver: onDeliver})
+	rt, err := runtime.Host(mesh, eng, runtime.Config{MaxBatch: batch, OnDeliver: onDeliver})
 	if err != nil {
 		mesh.Close()
 		return err

@@ -180,10 +180,11 @@ func (t *Calls[T]) Abandon(id amcast.MsgID) *Call[T] {
 	return c
 }
 
-// Drain abandons every open call, handing each to fn.
-func (t *Calls[T]) Drain(fn func(c *Call[T])) {
+// Sweep abandons every open call abandon reports true for.
+func (t *Calls[T]) Sweep(abandon func(c *Call[T]) bool) {
 	for id, c := range t.open {
-		delete(t.open, id)
-		fn(c)
+		if abandon(c) {
+			delete(t.open, id)
+		}
 	}
 }

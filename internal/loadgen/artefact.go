@@ -241,7 +241,7 @@ func validateSLO(res *Result) error {
 	}
 	prev := int64(-1)
 	for i, p := range s.Trajectory {
-		if p.Batch < 1 || p.FlushIntervalUs <= 0 || p.QueueDepth < 0 {
+		if p.Batch < 1 || p.FlushIntervalUs < 0 || p.QueueDepth < 0 {
 			return fmt.Errorf("loadgen: result: slo trajectory point %d invalid: %+v", i, p)
 		}
 		if p.TMs < prev {

@@ -38,52 +38,3 @@ func TestRunUnderPoisonedLoans(t *testing.T) {
 		}
 	}
 }
-
-// TestDeadlineOutcomes covers the reusable session deadline: each of
-// the three ways a wait ends, and reuse after a timer that fired while
-// another case won the select (a stale tick must not time the next wait
-// out).
-func TestDeadlineOutcomes(t *testing.T) {
-	var dl deadline
-	done, stop, never := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	close(done)
-	close(stop)
-	if got := dl.await(done, time.Hour, never); got != waitDone {
-		t.Fatalf("closed done: %v", got)
-	}
-	if got := dl.await(never, time.Hour, stop); got != waitStopped {
-		t.Fatalf("closed stop: %v", got)
-	}
-	if got := dl.await(never, time.Millisecond, never); got != waitTimedOut {
-		t.Fatalf("expired: %v", got)
-	}
-	// Let the timer fire before the select runs: done wins or loses the
-	// race, and either way the next long wait must see done, not a tick.
-	for i := 0; i < 50; i++ {
-		dl.await(done, time.Nanosecond, never)
-		if got := dl.await(done, time.Hour, never); got != waitDone {
-			t.Fatalf("round %d: stale timer tick leaked into the next wait: %v", i, got)
-		}
-	}
-}
-
-// TestAllocBudgetDeadline pins "one timer per session": after the
-// first wait has created the timer, a closed-loop iteration's wait arms
-// no new one (time.After allocated a timer and its channel per
-// transaction, uncollectable until it fired).
-func TestAllocBudgetDeadline(t *testing.T) {
-	if prototest.RaceEnabled() {
-		t.Skip("allocation budgets are measured without -race")
-	}
-	var dl deadline
-	done, never := make(chan struct{}), make(chan struct{})
-	close(done)
-	dl.await(done, 30*time.Second, never)
-	first := dl.t
-	if n := testing.AllocsPerRun(1000, func() { dl.await(done, 30*time.Second, never) }); n != 0 {
-		t.Fatalf("a wait allocates %v, want 0", n)
-	}
-	if dl.t != first {
-		t.Fatal("the session's timer was replaced")
-	}
-}

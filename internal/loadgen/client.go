@@ -16,6 +16,8 @@ import (
 type txState struct {
 	issued time.Time
 	done   chan struct{} // closed-loop sessions wait on it; nil open-loop
+	// timedOut is set by the run's sweep (expire) before it closes done.
+	timedOut bool
 	// silent transactions (the flush client's) stay out of the metrics.
 	silent bool
 	// isRead marks a remote KindRead transaction: measured in the read
@@ -32,16 +34,14 @@ type txState struct {
 }
 
 // clientProc is one client process: its own node id on the transport, a
-// request batcher fed by a dispatcher goroutine that coalesces the
-// process's concurrent sessions (the same adaptive batching as
-// runtime.Node — batches form only when sessions outpace the transport,
-// and an idle client flushes immediately), and the table of open calls
-// (client.Calls) its reply handler resolves.
+// request batcher its sessions post to themselves (the same adaptive
+// batching as runtime.Node — batches form only when sessions outpace
+// the transport, and an idle client flushes immediately), and the table
+// of open calls (client.Calls) its reply handler resolves.
 type clientProc struct {
 	idx     int
 	id      amcast.NodeID
 	batcher *runtime.Batcher
-	out     chan amcast.Message
 
 	// calls is the in-flight table; calls.Prefix is this client process's
 	// session barrier: the delivered prefix observed per group from
@@ -119,40 +119,13 @@ func (c *clientProc) observedPrefix(g amcast.GroupID) uint64 {
 	return c.calls.Prefix.Prefix(g)
 }
 
-// dispatcher drains queued requests into the batcher and flushes when
-// the queue runs dry.
-func (c *clientProc) dispatcher(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		var m amcast.Message
-		select {
-		case m = <-c.out:
-		case <-stop:
-			// Sessions have unblocked, but one may have queued a final
-			// request the select raced past: drain before exiting, or
-			// the execute-mode drain phase waits on a never-sent tx.
-			for {
-				select {
-				case m := <-c.out:
-					c.addRequest(m)
-				default:
-					c.batcher.FlushAll()
-					return
-				}
-			}
-		}
-		c.addRequest(m)
-	drain:
-		for {
-			select {
-			case more := <-c.out:
-				c.addRequest(more)
-			default:
-				break drain
-			}
-		}
-		c.batcher.FlushAll()
-	}
+// post hands m to the batcher on the posting session's own goroutine and
+// flushes: the request is with the transport when post returns. Posts
+// racing a send queue on Batcher.mu and go out together in the next
+// flush; mu is never held while sending (DESIGN.md §1b).
+func (c *clientProc) post(m amcast.Message) {
+	c.addRequest(m)
+	c.batcher.FlushAll()
 }
 
 func (c *clientProc) addRequest(m amcast.Message) {
@@ -211,6 +184,24 @@ func (c *clientProc) onReplies(envs []amcast.Envelope) {
 	}
 }
 
+// expire abandons the waited-on calls issued before cutoff: each is
+// marked timedOut and its waiter released, and a reply landing later is
+// Stale. Open-loop calls (no waiter) stay: the execute-mode drain bounds
+// them.
+func (c *clientProc) expire(cutoff time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls.Sweep(func(call *client.Call[txState]) bool {
+		tx := &call.Data
+		if tx.done == nil || !tx.issued.Before(cutoff) {
+			return false
+		}
+		tx.timedOut = true
+		close(tx.done)
+		return true
+	})
+}
+
 // inflightLen reports the client's in-flight transaction count.
 func (c *clientProc) inflightLen() int {
 	c.mu.Lock()
@@ -219,7 +210,7 @@ func (c *clientProc) inflightLen() int {
 }
 
 // issue opens one transaction's call — tx carries what the caller knows
-// of it; issue stamps the rest — and queues it to the dispatcher.
+// of it; issue stamps the rest — and posts its request.
 func (c *clientProc) issue(m amcast.Message, tx txState, closedLoop bool) *client.Call[txState] {
 	if closedLoop {
 		tx.done = make(chan struct{})
@@ -230,7 +221,7 @@ func (c *clientProc) issue(m amcast.Message, tx txState, closedLoop bool) *clien
 	c.mu.Unlock()
 	if !tx.silent && !tx.isRead {
 		// Trace records exist only for measured writes: Begin before the
-		// dispatcher can send, so no downstream stamp precedes it. Flush
+		// request is sent, so no downstream stamp precedes it. Flush
 		// multicasts (silent) and reads never begin a record, so their
 		// ids' stamps are dropped at lookup.
 		c.run.tracer.Begin(m.ID)
@@ -240,6 +231,6 @@ func (c *clientProc) issue(m amcast.Message, tx txState, closedLoop bool) *clien
 			c.run.issued.Add(1)
 		}
 	}
-	c.out <- m
+	c.post(m)
 	return call
 }

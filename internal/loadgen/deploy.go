@@ -19,6 +19,9 @@ type deployment struct {
 	close func()
 }
 
+// wrapNet decorates every run's transport; tests swap it to fault links.
+var wrapNet = func(n runtime.Net) runtime.Net { return n }
+
 // launch builds the group servers and client processes on the selected
 // transport: the in-memory net, the same behind the WAN delay decorator,
 // or a loopback TCP mesh with one listener per group and per client
@@ -32,7 +35,6 @@ func launch(cfg Config, r *run) (*deployment, []*clientProc, error) {
 		clients[i] = &clientProc{
 			idx:   i,
 			id:    amcast.ClientNode(i),
-			out:   make(chan amcast.Message, cfg.Workers),
 			calls: client.NewCalls[txState](i, proto.Route),
 			run:   r,
 		}
@@ -67,6 +69,7 @@ func launch(cfg Config, r *run) (*deployment, []*clientProc, error) {
 	default:
 		net = transport.NewInMemNet()
 	}
+	net = wrapNet(net)
 	dep := &deployment{}
 	// Idempotent: a durable run closes the deployment before its
 	// recovery verification, and Run's deferred close follows.

@@ -50,7 +50,7 @@ var knobs = []knob{
 	{flag: "batch", key: "batch", field: func(c *Config) any { return &c.MaxBatch },
 		help: "max envelopes per runtime batch (1 disables batching)"},
 	{flag: "flush-interval", key: "flush_interval_us", unit: time.Microsecond, field: func(c *Config) any { return &c.FlushInterval },
-		help: "batch flush period"},
+		help: "adaptive batching's flush-interval ceiling (with -adaptive; static nodes flush at chunk end)"},
 	{flag: "payload", key: "payload", field: func(c *Config) any { return &c.PayloadSize },
 		help: "payload bytes (0 = gTPC-C sizes)"},
 	{flag: "locality", key: "locality", field: func(c *Config) any { return &c.Locality },

@@ -74,8 +74,9 @@ type Config struct {
 	// MaxBatch is the runtime batch cap for servers and clients; 1
 	// disables batching (the baseline), 0 defaults to 64.
 	MaxBatch int
-	// FlushInterval is the batch flush period (default 500µs, matching
-	// the runtime's own default).
+	// FlushInterval is the adaptive controller's flush-interval ceiling
+	// (default 500µs, the runtime's own); static nodes flush at the end
+	// of every chunk and run no timer.
 	FlushInterval time.Duration
 	// PayloadSize overrides the gTPC-C payload size when > 0.
 	PayloadSize int
@@ -674,17 +675,16 @@ func Run(cfg Config) (*Result, error) {
 	defer dep.close()
 	registerTelemetry(r, dep, clients)
 
-	// Sessions stop first; dispatchers stop after every session has
-	// unblocked, so an issue() in flight is always drained.
+	// Sessions stop between transactions: each returns once its in-flight
+	// call has completed or expired, so the sweep outlives them.
 	stop := make(chan struct{})
-	stopDispatch := make(chan struct{})
+	stopExpire, expired := make(chan struct{}), make(chan struct{})
+	go func() {
+		expireLoop(clients, cfg.Timeout, stopExpire)
+		close(expired)
+	}()
 	errCh := make(chan error, cfg.Clients*cfg.Workers+1)
 	var wg sync.WaitGroup
-	var dispatchWG sync.WaitGroup
-	for _, c := range clients {
-		dispatchWG.Add(1)
-		go c.dispatcher(stopDispatch, &dispatchWG)
-	}
 
 	// The flush/garbage-collection client (paper §4.3): a closed-loop
 	// flush multicast to every group on a fixed period, keeping engine
@@ -746,8 +746,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	close(stop)
 	wg.Wait()
-	close(stopDispatch)
-	dispatchWG.Wait()
+	close(stopExpire)
+	<-expired
 
 	select {
 	case err := <-errCh:

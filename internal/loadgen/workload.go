@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"flexcast/amcast"
+	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/store"
@@ -27,10 +28,10 @@ import (
 //     value and watermark back.
 //
 // Every serve folds the read's watermark into the session barrier
-// (monotonic reads across replicas). A non-nil dl selects closed-loop
-// semantics for the remote form (wait for the reply under the caller's
-// deadline); synchronous serves ignore it.
-func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, dl *deadline) error {
+// (monotonic reads across replicas). wait selects closed-loop semantics
+// for the remote form (wait for the reply); synchronous serves ignore
+// it.
+func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, wait bool) error {
 	tx := gen.NextRead()
 	if cfg.Replicas <= 1 {
 		ex := c.run.proto.Executors[tx.Home]
@@ -65,62 +66,30 @@ func (c *clientProc) doRead(gen *gtpcc.Gen, cfg Config, stop <-chan struct{}, dl
 		c.run.leaseRefusals.Add(1)
 		// Lease lapsed: fall back to the serving node, remotely.
 	}
-	return c.remoteRead(tx, cfg, stop, dl)
+	return c.remoteRead(tx, cfg, wait)
 }
 
 // remoteRead ships one read to the serving node as a KindRead
-// transaction. With a deadline (closed loop) it blocks for the reply;
-// the reply's watermark folds into the session barrier via the ordinary
+// transaction. With wait (closed loop) it blocks for the reply; the
+// reply's watermark folds into the session barrier via the ordinary
 // reply path (onReplies), and completion lands in the read histogram
 // (complete).
-func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, stop <-chan struct{}, dl *deadline) error {
+func (c *clientProc) remoteRead(tx gtpcc.Tx, cfg Config, wait bool) error {
 	m := c.calls.Message(readSeqBase+c.readSeq.Add(1), []amcast.GroupID{tx.Home}, amcast.FlagRead, gtpcc.EncodeTx(tx))
-	st := c.issue(m, txState{txType: tx.Type, isRead: true}, dl != nil)
-	if dl != nil && dl.await(st.Data.done, cfg.Timeout, stop) == waitTimedOut {
+	call := c.issue(m, txState{txType: tx.Type, isRead: true}, wait)
+	if wait && await(call) {
 		return fmt.Errorf("loadgen: client %d remote read %s to warehouse %d timed out after %v",
 			c.idx, m.ID, tx.Home, cfg.Timeout)
 	}
 	return nil
 }
 
-// deadline is one session goroutine's reusable timeout. time.After
-// would arm a fresh timer per transaction, and under go.mod's go 1.22
-// timer semantics an unfired timer stays reachable until it fires: a
-// closed loop at 80k tx/s pinned 30 s worth of them.
-type deadline struct{ t *time.Timer }
-
-type waitResult int
-
-const (
-	waitDone waitResult = iota
-	waitTimedOut
-	waitStopped
-)
-
-// await blocks until done closes, the timeout passes or stop closes.
-func (d *deadline) await(done <-chan struct{}, timeout time.Duration, stop <-chan struct{}) waitResult {
-	if d.t == nil {
-		d.t = time.NewTimer(timeout)
-	} else {
-		d.t.Reset(timeout)
-	}
-	res := waitDone
-	select {
-	case <-done:
-	case <-d.t.C:
-		return waitTimedOut
-	case <-stop:
-		res = waitStopped
-	}
-	if !d.t.Stop() {
-		// Fired after the select chose: drain, so the next Reset starts
-		// from an empty channel.
-		select {
-		case <-d.t.C:
-		default:
-		}
-	}
-	return res
+// await blocks until a waited-on call completes or the run's sweep
+// abandons it (expireLoop) and reports whether it timed out. One
+// channel receive: no timer and no select per transaction.
+func await(call *client.Call[txState]) bool {
+	<-call.Data.done
+	return call.Data.timedOut
 }
 
 // readLoop is one dedicated read-only session: reads back-to-back at
@@ -132,14 +101,13 @@ func readLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh
 		sendErr(errCh, err)
 		return
 	}
-	var dl deadline
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if err := c.doRead(gen, cfg, stop, &dl); err != nil {
+		if err := c.doRead(gen, cfg, true); err != nil {
 			sendErr(errCh, err)
 			return
 		}
@@ -160,7 +128,8 @@ func readRNG(cfg Config, client, worker int) *rand.Rand {
 
 // closedLoop is one session: issue, wait for every destination's reply,
 // repeat. With a read mix, ReadPct percent of iterations issue a
-// fast-path read instead of a multicast.
+// fast-path read instead of a multicast. stop ends the loop between
+// transactions, never a wait.
 func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh chan<- error) {
 	gen, err := newGen(c, worker, cfg)
 	if err != nil {
@@ -169,7 +138,6 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 	}
 	reads := readRNG(cfg, c.idx, worker)
 	seq := uint64(worker) << 24 // per-worker id space within the client
-	var dl deadline
 	for {
 		select {
 		case <-stop:
@@ -177,7 +145,7 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		default:
 		}
 		if readRoll(reads, cfg) {
-			if err := c.doRead(gen, cfg, stop, &dl); err != nil {
+			if err := c.doRead(gen, cfg, true); err != nil {
 				sendErr(errCh, err)
 				return
 			}
@@ -185,12 +153,9 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		}
 		seq++
 		m, meta := nextMessage(c, gen, cfg, seq)
-		switch dl.await(c.issue(m, meta, true).Data.done, cfg.Timeout, stop) {
-		case waitTimedOut:
+		if await(c.issue(m, meta, true)) {
 			sendErr(errCh, fmt.Errorf("loadgen: client %d worker %d: tx %s to %v timed out after %v",
 				c.idx, worker, m.ID, m.Dst, cfg.Timeout))
-			return
-		case waitStopped:
 			return
 		}
 	}
@@ -231,7 +196,7 @@ func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- erro
 					// budget; remote reads issue asynchronously and
 					// resolve through the reply handler (they do
 					// occupy the in-flight table until answered).
-					if err := c.doRead(gen, cfg, stop, nil); err != nil {
+					if err := c.doRead(gen, cfg, false); err != nil {
 						sendErr(errCh, err)
 						return
 					}
@@ -284,7 +249,7 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 			for seq < owed {
 				seq++
 				if readRoll(reads, cfg) {
-					if err := c.doRead(gen, cfg, stop, nil); err != nil {
+					if err := c.doRead(gen, cfg, false); err != nil {
 						sendErr(errCh, err)
 						return
 					}
@@ -316,7 +281,6 @@ func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan 
 	t := time.NewTicker(cfg.FlushEvery)
 	defer t.Stop()
 	seq := uint64(1) << 38 // clear of every worker's id space
-	var dl deadline
 	for {
 		select {
 		case <-stop:
@@ -325,13 +289,28 @@ func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan 
 		}
 		seq++
 		m := c.calls.Message(seq, append([]amcast.GroupID(nil), proto.Groups...), amcast.FlagFlush, nil)
-		switch dl.await(c.issue(m, txState{silent: true}, true).Data.done, cfg.Timeout, stop) {
-		case waitTimedOut:
+		if await(c.issue(m, txState{silent: true}, true)) {
 			sendErr(errCh, fmt.Errorf("loadgen: flush multicast %s timed out after %v (GC stalled)",
 				m.ID, cfg.Timeout))
 			return
-		case waitStopped:
+		}
+	}
+}
+
+// expireLoop enforces cfg.Timeout on every waited-on call: once per
+// Timeout/8 it abandons the calls older than Timeout (clientProc.expire),
+// whose sessions then fail the run naming the transaction.
+func expireLoop(clients []*clientProc, timeout time.Duration, stop <-chan struct{}) {
+	t := time.NewTicker(max(timeout/8, time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
 			return
+		case now := <-t.C:
+			for _, c := range clients {
+				c.expire(now.Add(-timeout))
+			}
 		}
 	}
 }

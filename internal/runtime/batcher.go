@@ -10,7 +10,7 @@ import (
 // Batcher accumulates outbound envelopes per destination and hands them
 // to the transport as batches: a destination's batch is sent when it
 // reaches the size cap, when the owning node's queue runs dry, or when
-// the flush timer fires. Sends happen under the batcher's mutex, so per-
+// an adaptive node's controller tick fires. Sends happen under the batcher's mutex, so per-
 // destination envelope order is exactly the Add order — the FIFO-link
 // property the protocols assume survives batching. The send function
 // only borrows a batch (SendBatchFunc): each destination's buffer lives
@@ -68,9 +68,10 @@ type BatcherStats struct {
 	ControlBatches uint64
 	// SizeFlushes counts batches sent because they hit the size cap,
 	// ChunkFlushes batches sent by the worker's chunk-end flush, and
-	// TimerFlushes batches sent by the periodic flush timer. Their ratio
-	// shows whether batching is fill-driven (throughput-bound) or
-	// timer-driven (idle / latency-bound).
+	// TimerFlushes batches sent by an adaptive node's controller tick (a
+	// static node runs no timer: always 0). Their ratio shows whether
+	// batching is fill-driven (throughput-bound) or timer-driven (idle /
+	// latency-bound).
 	SizeFlushes  uint64
 	ChunkFlushes uint64
 	TimerFlushes uint64
@@ -176,7 +177,7 @@ func (b *Batcher) dest(to amcast.NodeID) int {
 // transport. This is the worker's chunk-end flush.
 func (b *Batcher) FlushAll() { b.flushAll(false) }
 
-// FlushTimer is FlushAll invoked from the periodic flush timer; the
+// FlushTimer is FlushAll invoked from an adaptive node's tick; the
 // batches it sends are accounted as timer flushes instead of chunk
 // flushes.
 func (b *Batcher) FlushTimer() { b.flushAll(true) }

@@ -1,6 +1,6 @@
-// Latency-targeted adaptive batching (DESIGN.md §1h). The static
-// -batch/-flush-interval pair picks one point on the latency/throughput
-// curve at configuration time; the controller moves along that curve at
+// Latency-targeted adaptive batching (DESIGN.md §1h). The static -batch
+// cap picks one point on the latency/throughput curve at configuration
+// time; the controller moves along that curve at
 // runtime instead. Each node tracks an effective (batch, interval)
 // operating point between a floor (per-envelope, prompt flushes) and
 // the configured ceiling (the static values), steered by the inbound
@@ -11,8 +11,8 @@
 // The controller is a pure state machine — Tick(queueDepth) in,
 // (batch, interval) out — with no clock and no goroutine of its own, so
 // the unit tests drive it with synthetic depth series and assert
-// convergence and stability exactly. The node's flush timer provides
-// the cadence in production: every timer fire is one tick, and the
+// convergence and stability exactly. The adaptive node's flush loop
+// provides the cadence in production: every timer fire is one tick, and the
 // interval the controller returns is the time until the next tick.
 //
 // Protocol safety is free: the operating point only changes chunk

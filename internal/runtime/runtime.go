@@ -20,9 +20,10 @@
 //   - outputs are batched per destination (Batcher) and flushed at the
 //     end of every chunk: amortization comes from within a chunk, never
 //     from holding outputs across chunks, so an idle node adds no
-//     batching latency;
-//   - a periodic flush timer remains as a safety net bounding the wait
-//     of any batch parked while the worker blocks on backpressure.
+//     batching latency. A static node runs no flush timer: every send
+//     happens under Batcher.mu, so a batch parked by backpressure is
+//     parked by the worker holding the lock a timer would need, and the
+//     worker flushes everything at the end of the chunk.
 //
 // The per-envelope protocol semantics are unchanged — a batch is a
 // scheduling unit (see amcast.BatchStepper) — so the simulator, the
@@ -64,8 +65,9 @@ type Config struct {
 	// 1 disables batching entirely — the per-envelope baseline the
 	// benchmark subsystem compares against. 0 takes the default (64).
 	MaxBatch int
-	// FlushInterval bounds how long an output batch parked by
-	// backpressure may wait (default 500µs; unused when MaxBatch is 1).
+	// FlushInterval is the adaptive controller's flush-interval ceiling
+	// (default 500µs). A static node flushes at the end of every chunk
+	// and never reads it.
 	FlushInterval time.Duration
 	// QueueDepth bounds the inbound queue in envelopes (default 1024) —
 	// the same effective buffering whatever MaxBatch is.
@@ -147,7 +149,7 @@ type Node struct {
 
 	// ctrl is the adaptive batching controller (nil on static nodes);
 	// owned by flushLoop. intervalUs mirrors its current flush interval
-	// for the telemetry readers.
+	// for the telemetry readers (0 on static nodes: no timer).
 	ctrl       *BatchController
 	intervalUs atomic.Int64
 
@@ -208,7 +210,6 @@ func NewNode(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
 	n.batcher.SetTracer(cfg.Tracer)
 	n.qcond = sync.NewCond(&n.qmu)
 	n.maxBatch = cfg.MaxBatch
-	n.intervalUs.Store(cfg.FlushInterval.Microseconds())
 	if cfg.Adaptive != nil {
 		n.ctrl = NewBatchController(*cfg.Adaptive)
 		batch, interval := n.ctrl.Operating()
@@ -216,7 +217,7 @@ func NewNode(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
 	}
 	n.wg.Add(1)
 	go n.worker()
-	if cfg.MaxBatch > 1 {
+	if n.ctrl != nil {
 		n.wg.Add(1)
 		go n.flushLoop()
 	}
@@ -235,9 +236,10 @@ func (n *Node) applyOperating(batch int, interval time.Duration) {
 }
 
 // Operating reports the node's current effective (batch, flush
-// interval) — the static configuration on static nodes, the
-// controller's live operating point on adaptive ones. Telemetry and
-// the SLO trajectory sampler read it.
+// interval) — the configured batch cap and no interval (0) on static
+// nodes, which run no flush timer; the controller's live operating
+// point on adaptive ones. Telemetry and the SLO trajectory sampler read
+// it.
 func (n *Node) Operating() (batch int, interval time.Duration) {
 	n.qmu.Lock()
 	batch = n.maxBatch
@@ -477,27 +479,13 @@ func (n *Node) process(envs []amcast.Envelope) {
 	}
 }
 
-// flushLoop is the periodic flush timer: it bounds the wait of output
-// batches parked while the worker is blocked on downstream backpressure.
-// On adaptive nodes it doubles as the controller's cadence — every fire
-// is one Tick on the current queue depth, and the interval until the
-// next fire is whatever the controller returned, so a latency-bound
-// node both flushes and re-samples fast while a loaded node relaxes to
-// the configured ceiling.
+// flushLoop is an adaptive node's controller cadence: every fire
+// flushes, then Ticks the controller on the current queue depth, and the
+// interval until the next fire is whatever the controller returned, so
+// a latency-bound node both flushes and re-samples fast while a loaded
+// node relaxes to the configured ceiling.
 func (n *Node) flushLoop() {
 	defer n.wg.Done()
-	if n.ctrl == nil {
-		t := time.NewTicker(n.cfg.FlushInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				n.batcher.FlushTimer()
-			case <-n.stop:
-				return
-			}
-		}
-	}
 	_, interval := n.ctrl.Operating()
 	t := time.NewTimer(interval)
 	defer t.Stop()

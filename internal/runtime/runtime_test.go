@@ -1,7 +1,10 @@
 package runtime_test
 
 import (
+	"bytes"
 	"fmt"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -292,33 +295,85 @@ func TestBatcherUnbatchedPassThrough(t *testing.T) {
 	}
 }
 
-// TestFlushTimerBoundsLatency checks that a partially filled batch left
-// behind by a busy queue is sent by the periodic flush timer.
-func TestFlushTimerBoundsLatency(t *testing.T) {
+// nodeGoroutines returns the headers ("goroutine N [...]") of the live
+// goroutines a runtime.NewNode started. Goroutine ids are never reused,
+// so the headers new in a later call are exactly the goroutines started
+// in between, whatever earlier nodes' goroutines exited meanwhile.
+func nodeGoroutines() map[string]bool {
+	var buf bytes.Buffer
+	pprof.Lookup("goroutine").WriteTo(&buf, 2)
+	ids := map[string]bool{}
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(g, "created by flexcast/internal/runtime.NewNode") {
+			header, _, _ := strings.Cut(g, "[")
+			ids[header] = true
+		}
+	}
+	return ids
+}
+
+// TestStaticNodeRunsNoTimer pins the goroutine and timer accounting: a
+// static node starts its worker only, an adaptive node its worker plus
+// the controller's flush loop, and a static node under load sends every
+// batch — a partially filled one under a cap it never reaches included —
+// from the worker's chunk-end flush, never a timer.
+func TestStaticNodeRunsNoTimer(t *testing.T) {
 	groups := []amcast.GroupID{1}
 	ov := overlay.MustCDAG(groups)
-	eng := core.MustNew(core.Config{Group: 1, Overlay: ov})
-
-	sent := make(chan []amcast.Envelope, 16)
-	n := runtime.NewNode(eng, func(to amcast.NodeID, envs []amcast.Envelope) {
-		sent <- append([]amcast.Envelope(nil), envs...)
-	}, runtime.Config{MaxBatch: 1024, FlushInterval: time.Millisecond})
-	defer n.Close()
-
-	// A single-destination request delivers immediately and queues a
-	// client reply; with a huge cap only a flush can send it.
-	n.Submit([]amcast.Envelope{{
-		Kind: amcast.KindRequest,
-		From: amcast.ClientNode(0),
-		Msg: amcast.Message{ID: amcast.NewMsgID(0, 1), Sender: amcast.ClientNode(0),
-			Dst: []amcast.GroupID{1}},
-	}})
-	select {
-	case envs := <-sent:
-		if len(envs) != 1 || envs[0].Kind != amcast.KindReply {
-			t.Fatalf("unexpected flush contents: %+v", envs)
+	newNode := func(cfg runtime.Config, send runtime.SendBatchFunc) (*runtime.Node, int) {
+		before := nodeGoroutines()
+		n := runtime.NewNode(core.MustNew(core.Config{Group: 1, Overlay: ov}), send, cfg)
+		started := 0
+		for id := range nodeGoroutines() {
+			if !before[id] {
+				started++
+			}
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("flush timer never fired")
+		return n, started
+	}
+	drop := func(amcast.NodeID, []amcast.Envelope) {}
+	adaptive, adaptiveStarted := newNode(runtime.Config{Adaptive: &runtime.AdaptiveConfig{}}, drop)
+	adaptive.Close()
+	if adaptiveStarted != 2 {
+		t.Fatalf("adaptive node started %d goroutines, want 2 (worker, flush loop)", adaptiveStarted)
+	}
+
+	const senders, perSender = 4, 500
+	var replies sync.WaitGroup
+	replies.Add(senders * perSender)
+	n, started := newNode(runtime.Config{MaxBatch: 1024, FlushInterval: 50 * time.Microsecond},
+		func(to amcast.NodeID, envs []amcast.Envelope) {
+			for _, env := range envs {
+				if env.Kind == amcast.KindReply {
+					replies.Done()
+				}
+			}
+		})
+	defer n.Close()
+	if started != 1 {
+		t.Fatalf("static node started %d goroutines, want 1 (worker)", started)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				from := amcast.ClientNode(s)
+				n.Submit([]amcast.Envelope{{Kind: amcast.KindRequest, From: from,
+					Msg: amcast.Message{ID: amcast.NewMsgID(s, uint64(i+1)), Sender: from, Dst: []amcast.GroupID{1}}}})
+			}
+		}(s)
+	}
+	wg.Wait()
+	done := make(chan struct{})
+	go func() { replies.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("replies below the batch cap were never sent")
+	}
+	if st := n.Stats(); st.TimerFlushes != 0 || st.ChunkFlushes == 0 {
+		t.Fatalf("static node flushed %d batches by timer, %d at chunk end; want 0 and > 0", st.TimerFlushes, st.ChunkFlushes)
 	}
 }

@@ -34,12 +34,9 @@ type StoreClusterConfig struct {
 	Customers int
 	// StoreSeed drives the deterministic initial population (default 1).
 	StoreSeed int64
-	// MaxBatch, FlushInterval and CallTimeout pass through to the
-	// underlying ClusterConfig.
+	// MaxBatch and CallTimeout pass through to the underlying
+	// ClusterConfig.
 	MaxBatch int
-	// FlushInterval is the runtime's batch flush period (see
-	// ClusterConfig.FlushInterval).
-	FlushInterval time.Duration
 	// CallTimeout bounds each transaction call (see
 	// ClusterConfig.CallTimeout); it also bounds fast-path read waits.
 	CallTimeout time.Duration
@@ -157,10 +154,9 @@ func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 		Seed:      cfg.StoreSeed,
 	}, true, cfg.ReadReplicas, cfg.LeaseTerm)
 	c, err := newCluster(ClusterConfig{
-		MaxBatch:      cfg.MaxBatch,
-		FlushInterval: cfg.FlushInterval,
-		CallTimeout:   cfg.CallTimeout,
-		Durable:       cfg.Durable,
+		MaxBatch:    cfg.MaxBatch,
+		CallTimeout: cfg.CallTimeout,
+		Durable:     cfg.Durable,
 	}, dep)
 	if err != nil {
 		return nil, err
