@@ -16,26 +16,28 @@ import (
 	"flexcast/internal/transport"
 )
 
-// ProtocolKind selects which multicast protocol a Cluster runs.
-type ProtocolKind = deploy.Protocol
+// Protocol selects which multicast protocol a cluster or an experiment
+// runs.
+type Protocol = deploy.Protocol
 
+// Protocols under evaluation (Table 1 of the paper).
 const (
-	// ProtocolFlexCast runs the paper's protocol on a C-DAG overlay.
-	ProtocolFlexCast = deploy.FlexCast
-	// ProtocolSkeen runs the distributed genuine baseline.
-	ProtocolSkeen = deploy.Skeen
-	// ProtocolHierarchical runs the tree-overlay baseline.
-	ProtocolHierarchical = deploy.Hierarchical
+	// FlexCast is the paper's genuine C-DAG protocol.
+	FlexCast = deploy.FlexCast
+	// Distributed is Skeen's genuine fully connected protocol.
+	Distributed = deploy.Skeen
+	// Hierarchical is the non-genuine tree protocol.
+	Hierarchical = deploy.Hierarchical
 )
 
 // ClusterConfig configures an in-process cluster.
 type ClusterConfig struct {
-	// Protocol selects the multicast protocol (default ProtocolFlexCast).
-	Protocol ProtocolKind
-	// Overlay is required for ProtocolFlexCast; its order defines the
-	// group set for every protocol unless Tree is set.
+	// Protocol selects the multicast protocol (default FlexCast).
+	Protocol Protocol
+	// Overlay is required for FlexCast; its order defines the group set
+	// for every protocol unless Tree is set.
 	Overlay *Overlay
-	// Tree is required for ProtocolHierarchical.
+	// Tree is required for Hierarchical.
 	Tree *Tree
 	// OnDeliver observes every delivery at every group. Calls are
 	// serialized per group but concurrent across groups; the callback
@@ -141,7 +143,7 @@ type callWaiter struct {
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Protocol == 0 {
-		cfg.Protocol = ProtocolFlexCast
+		cfg.Protocol = FlexCast
 	}
 	dep, err := deploy.New(deploy.Spec{Protocol: cfg.Protocol, Overlay: cfg.Overlay, Tree: cfg.Tree})
 	if err != nil {

@@ -1,24 +1,29 @@
 // Command flexgrid is the paper-grade experiment grid runner: it
 // expands experiments.json (axes × repeats) into cells, runs each
 // cell in-process through internal/loadgen (plus the sim
-// microbenchmark and soak kinds), and writes one raw JSON per run and
-// an aggregated summary — per-cell medians, IQR noise bands, stage
-// decompositions and fig5/fig6-style curve tables. On top sit the
-// perf trajectory (-append-history folds the summary into
-// BENCH_history.jsonl) and the CI regression gate (-compare fails
-// when a tracked metric regresses beyond its noise band).
+// microbenchmark, soak, paper-simulation and chaos-exploration kinds),
+// and writes one raw JSON per run and an aggregated summary — per-cell
+// medians, IQR noise bands, stage decompositions and fig5/fig6-style
+// curve tables. A violating chaos cell fails the run and prints, per
+// failing schedule, the -repro-seed command that replays it. On top sit
+// the perf trajectory (-append-history folds the summary into
+// BENCH_history.jsonl) and the CI regression gate (-compare fails when a
+// tracked metric regresses beyond its noise band).
 //
 // Usage:
 //
 //	flexgrid -config experiments.json -out-dir bench/grid
 //	flexgrid -config experiments.json -append-history BENCH_history.jsonl
 //	flexgrid -config bench/experiments-ci.json -compare bench/grid-ci-baseline.json
+//	flexgrid -config bench/experiments-chaos.json -out-dir ''   # fault exploration
+//	flexgrid -config bench/experiments-chaos.json -cells '^chaos-random/protocol=flexcast$' -repro-seed N
 //	flexgrid -load summary.json -compare baseline.json   # gate without re-running
 //	flexgrid -validate summary.json
 //	flexgrid -validate-history BENCH_history.jsonl
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -40,6 +45,7 @@ func main() {
 		compare    = flag.String("compare", "", "gate the summary against this baseline summary; regressions exit non-zero")
 		validate   = flag.String("validate", "", "validate a summary file and exit")
 		valHist    = flag.String("validate-history", "", "validate a history file and exit")
+		reproSeed  = flag.Int64("repro-seed", 0, "replay this one schedule of the single chaos cell -cells selects (from a reproduce line)")
 	)
 	flag.Parse()
 
@@ -78,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("flexgrid: %v", err)
 		}
-		opt := grid.Options{OutDir: *outDir, Log: os.Stdout, Spec: filepath.Base(*config)}
+		opt := grid.Options{OutDir: *outDir, Log: os.Stdout, Spec: filepath.Base(*config), ReproSeed: *reproSeed}
 		if *cellsF != "" {
 			re, err := regexp.Compile(*cellsF)
 			if err != nil {
@@ -88,7 +94,14 @@ func main() {
 		}
 		summary, err = grid.RunSpec(spec, opt)
 		if err != nil {
-			log.Fatalf("flexgrid: %v", err)
+			log.Printf("flexgrid: %v", err)
+			var v *grid.Violation
+			if errors.As(err, &v) {
+				for _, line := range v.Reproduce(*config) {
+					fmt.Fprintln(os.Stderr, line)
+				}
+			}
+			os.Exit(1)
 		}
 		path := *out
 		if path == "" && *outDir != "" {

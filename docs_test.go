@@ -108,10 +108,13 @@ func TestDocsOpenIssuesAreOnRoadmap(t *testing.T) {
 
 // TestDocsCommandFlagsExist keeps documented command lines runnable:
 // every -flag on a `go run ./cmd/<name> …` line (shell continuations
-// included) of the top-level docs, the CI workflow and the verify skill
-// must be a flag that command's -h lists.
+// included) and in a backticked `flex<name> -flag …` span of the
+// top-level docs, the CI workflow and the verify skill must be a flag
+// that command's -h lists, and the command must still be a directory
+// of cmd/.
 func TestDocsCommandFlagsExist(t *testing.T) {
-	cmdLine := regexp.MustCompile(`go run \./cmd/([a-z]+)((?:\\\n|[^\n])*)`)
+	goRun := regexp.MustCompile(`go run \./cmd/([a-z]+)((?:\\\n|[^\n])*)`)
+	span := regexp.MustCompile("`(flex[a-z]+)( -[^`]*)`")
 	quoted := regexp.MustCompile(`'[^']*'|"[^"]*"`)
 	flagTok := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
 	helpFlag := regexp.MustCompile(`(?m)^\s+-([a-z][a-z0-9-]*)`)
@@ -122,8 +125,13 @@ func TestDocsCommandFlagsExist(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", doc, err)
 		}
-		for _, m := range cmdLine.FindAllStringSubmatch(string(buf), -1) {
+		commands := append(goRun.FindAllStringSubmatch(string(buf), -1), span.FindAllStringSubmatch(string(buf), -1)...)
+		for _, m := range commands {
 			name, args := m[1], quoted.ReplaceAllString(strings.ReplaceAll(m[2], "\\\n", " "), "")
+			if _, err := os.Stat(filepath.Join("cmd", name)); err != nil {
+				t.Errorf("%s: documents `%s%s`, but cmd/ has no %s", doc, name, m[2], name)
+				continue
+			}
 			// The command's own arguments end at a comment or at the
 			// next shell operator.
 			if i := strings.IndexAny(args, "#|;&>`"); i >= 0 {
@@ -132,17 +140,17 @@ func TestDocsCommandFlagsExist(t *testing.T) {
 			if defined[name] == nil {
 				// -h exits non-zero after printing the flag set.
 				out, _ := exec.Command("go", "run", "./cmd/"+name, "-h").CombinedOutput()
-				defined[name] = map[string]bool{}
+				defined[name] = map[string]bool{"h": true}
 				for _, f := range helpFlag.FindAllStringSubmatch(string(out), -1) {
 					defined[name][f[1]] = true
 				}
-				if len(defined[name]) == 0 {
+				if len(defined[name]) == 1 {
 					t.Fatalf("cmd/%s -h listed no flags:\n%s", name, out)
 				}
 			}
 			for _, f := range flagTok.FindAllStringSubmatch(args, -1) {
 				if !defined[name][f[1]] {
-					t.Errorf("%s: `go run ./cmd/%s … -%s`: %s has no such flag", doc, name, f[1], name)
+					t.Errorf("%s: `%s … -%s`: %s has no such flag", doc, name, f[1], name)
 				}
 			}
 		}

@@ -17,18 +17,6 @@ type (
 	ExperimentConfig = chaos.Options
 	// ExperimentResult carries latencies, throughput and traffic counters.
 	ExperimentResult = chaos.ScheduleResult
-	// Protocol selects the protocol under test in experiments.
-	Protocol = deploy.Protocol
-)
-
-// Protocols under evaluation (Table 1 of the paper).
-const (
-	// FlexCast is the paper's genuine C-DAG protocol.
-	FlexCast = deploy.FlexCast
-	// Distributed is Skeen's genuine fully connected protocol.
-	Distributed = deploy.Skeen
-	// Hierarchical is the non-genuine tree protocol.
-	Hierarchical = deploy.Hierarchical
 )
 
 // RunExperiment executes one simulated experiment of protocol p on the

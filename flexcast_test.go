@@ -57,9 +57,9 @@ func TestClusterAllProtocolsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	configs := map[string]flexcast.ClusterConfig{
-		"flexcast":     {Protocol: flexcast.ProtocolFlexCast, Overlay: abcOverlay(t)},
-		"skeen":        {Protocol: flexcast.ProtocolSkeen, Overlay: abcOverlay(t)},
-		"hierarchical": {Protocol: flexcast.ProtocolHierarchical, Tree: tree},
+		"flexcast":     {Protocol: flexcast.FlexCast, Overlay: abcOverlay(t)},
+		"skeen":        {Protocol: flexcast.Distributed, Overlay: abcOverlay(t)},
+		"hierarchical": {Protocol: flexcast.Hierarchical, Tree: tree},
 	}
 	for name, cfg := range configs {
 		name, cfg := name, cfg
@@ -122,10 +122,10 @@ func TestClusterMulticastAsync(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := flexcast.NewCluster(flexcast.ClusterConfig{Protocol: flexcast.ProtocolFlexCast}); err == nil {
+	if _, err := flexcast.NewCluster(flexcast.ClusterConfig{Protocol: flexcast.FlexCast}); err == nil {
 		t.Error("flexcast cluster without overlay accepted")
 	}
-	if _, err := flexcast.NewCluster(flexcast.ClusterConfig{Protocol: flexcast.ProtocolHierarchical}); err == nil {
+	if _, err := flexcast.NewCluster(flexcast.ClusterConfig{Protocol: flexcast.Hierarchical}); err == nil {
 		t.Error("hierarchical cluster without tree accepted")
 	}
 	cl, err := flexcast.NewCluster(flexcast.ClusterConfig{Overlay: abcOverlay(t)})

@@ -41,31 +41,19 @@ import (
 	"math/rand"
 
 	"flexcast/amcast"
+	"flexcast/internal/deploy"
 	"flexcast/internal/sim"
 )
 
-// EngineFactory builds the protocol engine of one group. Engines must
-// implement amcast.SnapshotEngine so crash/recovery can be explored.
-type EngineFactory func(g amcast.GroupID) (amcast.SnapshotEngine, error)
-
-// Deployment describes the protocol under test; NewDeployment builds one
-// of the paper's three on its 12 regions.
+// Deployment is the protocol under test: a resolved deploy.Deployment —
+// its groups, engine constructor (snapshot engines, so crash/recovery
+// can be explored), client route, snapshot decoder (the protocol half of
+// the durable on-disk format, required for Options.Durable) and whether
+// the genuineness audit applies — plus the execution hooks of an
+// executing deployment. NewDeployment builds one of the paper's three on
+// its 12 regions; reports label it Protocol.String().
 type Deployment struct {
-	// Name labels the deployment in reports.
-	Name string
-	// Groups is the group set.
-	Groups []amcast.GroupID
-	// Factory builds one engine per group.
-	Factory EngineFactory
-	// Route maps a message to its protocol entry node(s).
-	Route func(m amcast.Message) []amcast.NodeID
-	// Minimality enables the genuineness audit (false for the
-	// non-genuine hierarchical protocol).
-	Minimality bool
-	// Decode rebuilds an engine snapshot from its binary form — the
-	// protocol half of the durable on-disk format. Required for
-	// Options.Durable, unused otherwise.
-	Decode func(data []byte) (amcast.Snapshot, error)
+	*deploy.Deployment
 	// Instrument, when non-nil, is called once per schedule right after
 	// the engines are built — the hook execute-mode deployments use to
 	// attach execution observers and follower read replicas
@@ -113,11 +101,11 @@ type Instrumentation struct {
 }
 
 func (d *Deployment) validate() error {
-	if len(d.Groups) == 0 {
+	if d.Deployment == nil || len(d.Groups) == 0 {
 		return fmt.Errorf("chaos: deployment has no groups")
 	}
-	if d.Factory == nil || d.Route == nil {
-		return fmt.Errorf("chaos: deployment missing factory or route")
+	if d.NewEngine == nil || d.Route == nil {
+		return fmt.Errorf("chaos: deployment missing engine constructor or route")
 	}
 	return nil
 }
@@ -217,7 +205,7 @@ type Options struct {
 	// to a CRC-framed on-disk WAL, snapshots rotate it on the
 	// SnapshotEvery cadence, a crash abandons the files exactly as
 	// kill -9 would, and recovery rebuilds a fresh engine from disk
-	// (Deployment.Decode required). Every recovery is audited: the
+	// (Deployment.DecodeSnapshot required). Every recovery is audited: the
 	// recovered state must equal the crashed engine's final state byte
 	// for byte, and the replay length must stay within the snapshot
 	// cadence. Instrument deployments are re-attached to each recovered

@@ -7,64 +7,34 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/chaos"
-	"flexcast/internal/core"
-	"flexcast/internal/hierarchical"
+	"flexcast/internal/deploy"
 	"flexcast/internal/overlay"
-	"flexcast/internal/skeen"
 )
 
-func flexDeployment(groups []amcast.GroupID) chaos.Deployment {
-	ov := overlay.MustCDAG(groups)
-	return chaos.Deployment{
-		Name:   "FlexCast",
-		Groups: groups,
-		Factory: func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return core.New(core.Config{Group: g, Overlay: ov})
-		},
-		Route: func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-		},
-		Minimality: true,
-		Decode:     core.UnmarshalSnapshot,
+// deployment resolves spec through the protocol table, as every chaos
+// deployment is.
+func deployment(spec deploy.Spec) chaos.Deployment {
+	dep, err := deploy.New(spec)
+	if err != nil {
+		panic(err)
 	}
+	return chaos.Deployment{Deployment: dep}
+}
+
+// flexDeployment is FlexCast on a chain C-DAG over groups (in id order).
+func flexDeployment(groups []amcast.GroupID) chaos.Deployment {
+	return deployment(deploy.Spec{Protocol: deploy.FlexCast, Overlay: overlay.MustCDAG(groups)})
 }
 
 func skeenDeployment(groups []amcast.GroupID) chaos.Deployment {
-	return chaos.Deployment{
-		Name:   "Distributed",
-		Groups: groups,
-		Factory: func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return skeen.New(skeen.Config{Group: g, Groups: groups})
-		},
-		Route: func(m amcast.Message) []amcast.NodeID {
-			nodes := make([]amcast.NodeID, len(m.Dst))
-			for i, g := range m.Dst {
-				nodes[i] = amcast.GroupNode(g)
-			}
-			return nodes
-		},
-		Minimality: true,
-		Decode:     skeen.UnmarshalSnapshot,
-	}
+	return deployment(deploy.Spec{Protocol: deploy.Skeen, Groups: len(groups)})
 }
 
 func treeDeployment() chaos.Deployment {
-	tree := overlay.MustTree(1, map[amcast.GroupID][]amcast.GroupID{
+	return deployment(deploy.Spec{Protocol: deploy.Hierarchical, Tree: overlay.MustTree(1, map[amcast.GroupID][]amcast.GroupID{
 		1: {2, 3},
 		2: {4, 5},
-	})
-	return chaos.Deployment{
-		Name:   "Hierarchical",
-		Groups: tree.Groups(),
-		Factory: func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
-			return hierarchical.New(hierarchical.Config{Group: g, Tree: tree})
-		},
-		Route: func(m amcast.Message) []amcast.NodeID {
-			return []amcast.NodeID{amcast.GroupNode(tree.Lca(m.Dst))}
-		},
-		Minimality: false,
-		Decode:     hierarchical.UnmarshalSnapshot,
-	}
+	})})
 }
 
 var groups5 = []amcast.GroupID{1, 2, 3, 4, 5}
@@ -77,7 +47,7 @@ func TestExploreAllProtocolsClean(t *testing.T) {
 	deps := []chaos.Deployment{flexDeployment(groups5), skeenDeployment(groups5), treeDeployment()}
 	for _, d := range deps {
 		d := d
-		t.Run(d.Name, func(t *testing.T) {
+		t.Run(d.Protocol.String(), func(t *testing.T) {
 			rep, err := chaos.Explore(d, chaos.Options{Seed: 1, Schedules: 30})
 			if err != nil {
 				t.Fatal(err)
@@ -228,7 +198,7 @@ func TestExploreValidation(t *testing.T) {
 	if _, err := chaos.Explore(chaos.Deployment{}, chaos.Options{}); err == nil {
 		t.Fatal("empty deployment accepted")
 	}
-	if _, err := chaos.RunSchedule(chaos.Deployment{Name: "x"}, chaos.Options{}, 1); err == nil {
+	if _, err := chaos.RunSchedule(chaos.Deployment{Deployment: &deploy.Deployment{Protocol: deploy.FlexCast}}, chaos.Options{}, 1); err == nil {
 		t.Fatal("deployment without groups accepted")
 	}
 }

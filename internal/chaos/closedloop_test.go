@@ -18,7 +18,7 @@ func TestClosedLoopExploreClean(t *testing.T) {
 	deps := []chaos.Deployment{flexDeployment(groups5), skeenDeployment(groups5), treeDeployment()}
 	for _, d := range deps {
 		d := d
-		t.Run(d.Name, func(t *testing.T) {
+		t.Run(d.Protocol.String(), func(t *testing.T) {
 			opt := chaos.Options{Seed: 3, Schedules: 15, ClosedLoop: true, Messages: 15}
 			rep, err := chaos.Explore(d, opt)
 			if err != nil {

@@ -26,14 +26,10 @@ func NewDeployment(spec deploy.Spec, execute bool) (Deployment, error) {
 	if err != nil {
 		return Deployment{}, err
 	}
-	d := Deployment{Name: spec.Protocol.String(), execute: execute}
-	if execute {
-		dep = dep.WithStore(store.Config{}, true, 0, 0)
-		d.Instrument = instrumentExecution
+	if !execute {
+		return Deployment{Deployment: dep}, nil
 	}
-	d.Groups, d.Factory, d.Route = dep.Groups, dep.NewEngine, dep.Route
-	d.Minimality, d.Decode = dep.Genuine, dep.DecodeSnapshot
-	return d, nil
+	return Deployment{Deployment: dep.WithStore(store.Config{}, true, 0, 0), Instrument: instrumentExecution, execute: true}, nil
 }
 
 // leaseTerm and leaseMargin parameterize the follower read leases of

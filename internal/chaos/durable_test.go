@@ -21,7 +21,7 @@ func TestDurableKillRestartSchedules(t *testing.T) {
 	deps := []chaos.Deployment{flexDeployment(groups5), skeenDeployment(groups5), treeDeployment()}
 	for _, d := range deps {
 		d := d
-		t.Run(d.Name, func(t *testing.T) {
+		t.Run(d.Protocol.String(), func(t *testing.T) {
 			rep, err := chaos.Explore(d, chaos.Options{
 				Seed:      3,
 				Schedules: 10,
@@ -80,7 +80,7 @@ func TestDurableScheduleDeterminism(t *testing.T) {
 // deep inside recovery.
 func TestDurableRequiresDecode(t *testing.T) {
 	d := flexDeployment(groups5)
-	d.Decode = nil
+	d.DecodeSnapshot = nil
 	if _, err := chaos.RunSchedule(d, chaos.Options{Durable: true}, 1); err == nil {
 		t.Fatal("durable deployment without Decode accepted")
 	}

@@ -115,8 +115,8 @@ func TestChaosExecuteClosedLoopWANProfile(t *testing.T) {
 	explore(t, deploy.FlexCast, chaos.Options{Seed: 3, Schedules: 4, ClosedLoop: true, Locality: 0.95})
 }
 
-// TestChaosExecuteDurableWANProfile is the nightly hunt's flag
-// combination (flexbench -profile wan -execute -durable -seed 12) at two
+// TestChaosExecuteDurableWANProfile is the hunt-wan-durable grid cell's
+// combination (locality 0.95, execute, durable, seed 12) at two
 // schedules per protocol: every crash abandons the on-disk files, every
 // recovery rebuilds a fresh executor from them, and the execution audits
 // (observers, lock-step follower digests) must follow the store onto the

@@ -18,10 +18,8 @@ import (
 	"flexcast/internal/trace"
 )
 
-// ScheduleResult is the outcome of one explored schedule.
-type ScheduleResult struct {
-	// Seed reproduces the schedule exactly via RunSchedule.
-	Seed int64
+// Counts is what one schedule did, or an exploration's schedules summed.
+type Counts struct {
 	// Multicasts and Deliveries count the workload.
 	Multicasts int
 	Deliveries int
@@ -37,6 +35,22 @@ type ScheduleResult struct {
 	Events uint64
 	// Faults counts the injected faults.
 	Faults FaultStats
+}
+
+func (c *Counts) add(o Counts) {
+	c.Multicasts += o.Multicasts
+	c.Deliveries += o.Deliveries
+	c.FastReads += o.FastReads
+	c.LeaseRefusals += o.LeaseRefusals
+	c.Events += o.Events
+	c.Faults.Add(o.Faults)
+}
+
+// ScheduleResult is the outcome of one explored schedule.
+type ScheduleResult struct {
+	// Seed reproduces the schedule exactly via RunSchedule.
+	Seed int64
+	Counts
 	// Err is the first invariant violation (nil for a clean schedule).
 	Err error
 	// FaultTrace is the schedule's fault log, kept for failure reports.
@@ -80,57 +94,23 @@ type Report struct {
 	Deployment string
 	// Schedules is the number of schedules explored.
 	Schedules int
-	// Multicasts, Deliveries, FastReads, LeaseRefusals and Events
-	// aggregate the workload.
-	Multicasts    int
-	Deliveries    int
-	FastReads     int
-	LeaseRefusals int
-	Events        uint64
-	// Faults aggregates the injected faults.
-	Faults FaultStats
+	// Counts sums the schedules' workload and injected faults.
+	Counts
 	// Violations holds every schedule that failed a safety check.
 	Violations []ScheduleResult
-	// Tracer aggregates every schedule's lifecycle tracer and Stages is
-	// its serialized decomposition (submit → delivery → completion, in
-	// simulated nanoseconds); both nil when tracing is disabled.
-	Tracer *telemetry.Tracer
+	// Stages is the lifecycle decomposition merged over every schedule
+	// (submit → delivery → completion, in simulated nanoseconds); nil
+	// when tracing is disabled.
 	Stages *telemetry.StagesReport
 	// minimality records whether the genuineness audit ran (Print).
 	minimality bool
-	// repro holds the flexbench flags that shaped the schedules, so a
-	// printed reproduce command replays exactly the failing one.
-	repro string
-}
-
-// reproFlags spells, as flexbench flags, every option a flexbench
-// exploration can set that shapes a schedule.
-func reproFlags(d Deployment, opt Options) string {
-	flags := ""
-	if opt.BugFlipEvery > 0 {
-		flags += fmt.Sprintf(" -chaos-bug %d", opt.BugFlipEvery)
-	}
-	if opt.ClosedLoop {
-		flags += " -closed-loop"
-	}
-	flags += fmt.Sprintf(" -messages %d", opt.Messages)
-	if d.execute {
-		flags += " -execute"
-	}
-	if opt.Locality > 0 {
-		flags += " -profile wan"
-	}
-	if opt.Durable {
-		flags += " -durable"
-	}
-	return flags
 }
 
 // Failed reports whether any schedule violated an invariant.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
-// Print renders the report; violations come with their seed and fault
-// trace so they can be replayed.
+// Print renders the report; violations come with their seed (replay it
+// with RunSchedule) and fault trace.
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "chaos %-12s  schedules=%d multicasts=%d deliveries=%d fast-reads=%d lease-refusals=%d events=%d\n",
 		r.Deployment, r.Schedules, r.Multicasts, r.Deliveries, r.FastReads, r.LeaseRefusals, r.Events)
@@ -152,7 +132,6 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "  INVARIANT VIOLATIONS: %d\n", len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "  seed %d: %v\n", v.Seed, v.Err)
-		fmt.Fprintf(w, "    reproduce: flexbench -protocol %s -repro-seed %d%s\n", r.Deployment, v.Seed, r.repro)
 		for _, line := range v.FaultTrace {
 			fmt.Fprintf(w, "    %s\n", line)
 		}
@@ -167,29 +146,25 @@ func Explore(d Deployment, opt Options) (*Report, error) {
 		return nil, err
 	}
 	opt.fill()
-	rep := &Report{Deployment: d.Name, Schedules: opt.Schedules, minimality: d.Minimality, repro: reproFlags(d, opt)}
+	rep := &Report{Deployment: d.Protocol.String(), Schedules: opt.Schedules, minimality: d.Genuine}
+	var merged *telemetry.Tracer
 	for i := 0; i < opt.Schedules; i++ {
 		res, tracer, err := runSchedule(d, opt, ScheduleSeed(opt.Seed, i), true)
 		if err != nil {
 			return nil, err
 		}
-		rep.Multicasts += res.Multicasts
-		rep.Deliveries += res.Deliveries
-		rep.FastReads += res.FastReads
-		rep.LeaseRefusals += res.LeaseRefusals
-		rep.Events += res.Events
-		rep.Faults.Add(res.Faults)
+		rep.Counts.add(res.Counts)
 		if tracer != nil {
-			if rep.Tracer == nil {
-				rep.Tracer = telemetry.NewTracer(tracer.SampleEvery(), nil)
+			if merged == nil {
+				merged = telemetry.NewTracer(tracer.SampleEvery(), nil)
 			}
-			rep.Tracer.Merge(tracer)
+			merged.Merge(tracer)
 		}
 		if res.Err != nil {
 			rep.Violations = append(rep.Violations, *res)
 		}
 	}
-	rep.Stages = rep.Tracer.Report()
+	rep.Stages = merged.Report()
 	return rep, nil
 }
 
@@ -459,8 +434,8 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 	// per-schedule temporary directory, removed when the schedule ends.
 	var durDir string
 	if opt.Durable {
-		if d.Decode == nil {
-			return nil, nil, fmt.Errorf("chaos: Options.Durable requires Deployment.Decode")
+		if d.DecodeSnapshot == nil {
+			return nil, nil, fmt.Errorf("chaos: Options.Durable requires Deployment.DecodeSnapshot")
 		}
 		dir, err := os.MkdirTemp("", "chaos-durable-")
 		if err != nil {
@@ -482,7 +457,7 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 
 	engines := make(map[amcast.GroupID]amcast.SnapshotEngine, len(d.Groups))
 	for _, g := range d.Groups {
-		eng, err := d.Factory(g)
+		eng, err := d.NewEngine(g)
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos: build engine for group %d: %w", g, err)
 		}
@@ -493,7 +468,7 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 		if opt.Durable {
 			g := g
 			err := n.enableDurable(filepath.Join(durDir, fmt.Sprintf("group-%d", g)),
-				func() (amcast.SnapshotEngine, error) { return d.Factory(g) }, d.Decode)
+				func() (amcast.SnapshotEngine, error) { return d.NewEngine(g) }, d.DecodeSnapshot)
 			if err != nil {
 				return nil, nil, fmt.Errorf("chaos: durable backend for group %d: %w", g, err)
 			}
@@ -592,7 +567,7 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 // reads, cross-shard invariants, replica digests).
 func (r *run) check(instr *Instrumentation) {
 	if r.res.Err == nil {
-		r.res.Err = r.rec.CheckAll(r.d.Minimality)
+		r.res.Err = r.rec.CheckAll(r.d.Genuine)
 	}
 	for _, g := range r.d.Groups {
 		if c, ok := r.nodes[g].eng.(interface{ CheckHistoryAcyclic() error }); ok && r.res.Err == nil {

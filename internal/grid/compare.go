@@ -27,6 +27,8 @@ func trackedMetrics(kind string) []string {
 		return []string{"soak_disk_peak_bytes", "soak_snap_growth", "soak_heap_ratio"}
 	case "sim":
 		return []string{"throughput_tx_s", "dest1_p50_ms"}
+	case "chaos":
+		return nil // a violation fails the run; the counts are exact
 	default:
 		return []string{"throughput_tx_s", "latency_p50_us", "latency_p99_us"}
 	}

@@ -118,7 +118,7 @@ func TestDecodeParamsRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
-// TestCellConfigsMatchGolden decodes every cell of the two committed
+// TestCellConfigsMatchGolden decodes every cell of the three committed
 // specs, repeats 0 and 1, and compares the loadgen.Config (and non-load
 // knobs, where set) each yields with testdata/cell-configs.golden — its
 // load cells captured with the hand-written grid.loadParams/loadConfig
@@ -139,7 +139,7 @@ func TestCellConfigsMatchGolden(t *testing.T) {
 		want[f[0]+"\t"+f[1]+"\t"+f[2]] = f[3]
 	}
 	seen := 0
-	for _, name := range []string{"experiments.json", "bench/experiments-ci.json"} {
+	for _, name := range []string{"experiments.json", "bench/experiments-ci.json", "bench/experiments-chaos.json"} {
 		spec, err := LoadSpec(filepath.Join("..", "..", name))
 		if err != nil {
 			t.Fatal(err)

@@ -326,7 +326,7 @@ func TestSimCellRejectsBadParameters(t *testing.T) {
 		"mistyped verify":       {Kind: "sim", Params: map[string]any{"verify": "yes"}},
 		"sim key on a load run": {Kind: "load", Params: map[string]any{"verify": true}},
 	} {
-		if _, err := runCell(cell, 0); err == nil {
+		if _, err := runCell(cell, 0, 0); err == nil {
 			t.Errorf("%s: accepted", label)
 		}
 	}

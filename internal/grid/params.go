@@ -8,8 +8,9 @@ import (
 )
 
 // simKnobs are the cell parameters that are not load-run knobs: sim_ops
-// sizes the simbench loops; the other four each set one chaos.Options
-// field or the overlay of a sim cell (runSim). Load and soak cells reject them.
+// sizes the simbench loops; the others each set one chaos.Options field
+// or the overlay of a sim or chaos cell (schedule). Load and soak cells
+// reject them.
 type simKnobs struct {
 	SimOps int `json:"sim_ops,omitempty"`
 	// Overlay names one of the paper's overlays: o1 or o2 (FlexCast's
@@ -23,10 +24,20 @@ type simKnobs struct {
 	// Verify records the run and checks the §2.2 multicast properties
 	// after draining it; a violation fails the cell.
 	Verify bool `json:"verify,omitempty"`
+	// Schedules is the number of seeded fault schedules a chaos cell
+	// explores; ClosedLoop chains each client's multicasts to the
+	// previous completion; Messages is the multicasts per client (0: the
+	// default); ChaosBug > 0 swaps every n-th delivery batch, a
+	// deliberate violation that validates the checkers.
+	Schedules  int  `json:"schedules,omitempty"`
+	ClosedLoop bool `json:"closed_loop,omitempty"`
+	Messages   int  `json:"messages,omitempty"`
+	ChaosBug   int  `json:"chaos_bug,omitempty"`
 }
 
 var simKeys = map[string]bool{
 	"sim_ops": true, "overlay": true, "proc_cost_us": true, "proc_cost_us_per_kb": true, "verify": true,
+	"schedules": true, "closed_loop": true, "messages": true, "chaos_bug": true,
 }
 
 // cellParams is a cell's decoded parameter set: a loadgen.Config under

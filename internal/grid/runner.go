@@ -27,6 +27,10 @@ type Options struct {
 	Filter *regexp.Regexp
 	// Spec labels the summary with the config file it came from.
 	Spec string
+	// ReproSeed, when non-zero, replays that one schedule of the single
+	// chaos cell the filter selects instead of exploring (a violation's
+	// Reproduce line names it).
+	ReproSeed int64
 }
 
 // rawRun is the per-run artifact, one repeat of one cell: loadgen's
@@ -41,8 +45,9 @@ type rawRun struct {
 
 // RunSpec executes every cell of the spec (repeats included) and
 // aggregates the runs into a summary. Cell kinds that assert (soak,
-// sim with verify) fail the whole run on violation — a grid that published numbers
-// past a failed assertion would be a different benchmark.
+// sim with verify, chaos) fail the whole run on violation — a grid that
+// published numbers past a failed assertion would be a different
+// benchmark.
 func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 	cells, err := spec.Cells()
 	if err != nil {
@@ -59,6 +64,12 @@ func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("grid: no cells to run")
+	}
+	if opt.ReproSeed != 0 {
+		if len(cells) > 1 || cells[0].Kind != "chaos" {
+			return nil, fmt.Errorf("grid: a replay needs a filter that selects one chaos cell; it selects %d, the first %s of kind %s", len(cells), cells[0].Name, cells[0].Kind)
+		}
+		cells[0].Repeats = 1
 	}
 	if opt.OutDir != "" {
 		if err := os.MkdirAll(opt.OutDir, 0o755); err != nil {
@@ -89,7 +100,7 @@ func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 		repeats := make([]map[string]float64, 0, cell.Repeats)
 		for rep := 0; rep < cell.Repeats; rep++ {
 			runStart := time.Now()
-			raw, err := runCell(cell, rep)
+			raw, err := runCell(cell, rep, opt.ReproSeed)
 			if err != nil {
 				return nil, fmt.Errorf("grid: cell %s repeat %d: %w", cell.Name, rep, err)
 			}
@@ -121,11 +132,12 @@ func RunSpec(spec *Spec, opt Options) (*Summary, error) {
 	return summary, nil
 }
 
-// runCell executes one repeat of one cell by kind. Load and soak cells
+// runCell executes one repeat of one cell by kind (a chaos cell replays
+// reproSeed instead of exploring when it is non-zero). Load and soak cells
 // go through loadgen.RunArtefact, so a result that fails Result.Validate
 // fails the cell — and with it the grid run — before any number of it is
 // aggregated.
-func runCell(cell Cell, repeat int) (*rawRun, error) {
+func runCell(cell Cell, repeat int, reproSeed int64) (*rawRun, error) {
 	p, err := decodeParams(cell, repeat)
 	if err != nil {
 		return nil, err
@@ -136,9 +148,11 @@ func runCell(cell Cell, repeat int) (*rawRun, error) {
 		raw.Metrics, err = runSimbench(cell.Name, p)
 	case "sim":
 		raw.Metrics, err = runSim(cell.Name, p)
+	case "chaos":
+		raw.Metrics, err = runChaos(cell.Name, p, reproSeed)
 	default:
 		if p.simKnobs != (simKnobs{}) {
-			return nil, fmt.Errorf("grid: sim_ops is a simbench parameter; overlay, proc_cost_us, proc_cost_us_per_kb and verify are sim parameters")
+			return nil, fmt.Errorf("grid: sim_ops is a simbench parameter; overlay, proc_cost_us, proc_cost_us_per_kb and verify are sim parameters; schedules, closed_loop, messages and chaos_bug are chaos parameters")
 		}
 		var art *loadgen.Artefact
 		if cell.Kind == "soak" {
@@ -168,6 +182,9 @@ func headline(kind string, m map[string]float64) string {
 			m["throughput_tx_s"], m["soak_disk_peak_bytes"], m["soak_disk_bound_bytes"], m["soak_journal_bytes"], m["soak_snap_growth"], m["soak_heap_ratio"])
 	case "sim":
 		return fmt.Sprintf("%.0f tx/s, 1st destination p50 %.1f ms", m["throughput_tx_s"], m["dest1_p50_ms"])
+	case "chaos":
+		return fmt.Sprintf("%.0f schedules, %.0f multicasts, %.0f deliveries, %.0f events, invariants OK",
+			m["schedules"], m["multicasts"], m["deliveries"], m["events"])
 	default:
 		return fmt.Sprintf("%.0f tx/s, p50 %.0f µs", m["throughput_tx_s"], m["latency_p50_us"])
 	}

@@ -19,12 +19,13 @@ import (
 // checked against the §2.2 properties, so a violation fails the cell and
 // with it the grid run.
 //
-// The load-knob keys it reads are protocol, clients, locality,
-// global_only, flush_every_ms, duration_ms and seed; unset ones take the
-// paper's defaults (240 clients, locality 0.95, 60 virtual seconds). The
-// flush client defaults to the prototype's 250 ms garbage-collection
-// period (§4.3) for FlexCast and to off for the two baselines;
-// a negative flush_every_ms disables it, as for a load cell.
+// Its keys are the ones schedule maps; the paper cells set protocol,
+// clients, locality, global_only, flush_every_ms, duration_ms, seed and
+// the sim knobs, and unset ones take the paper's defaults (240 clients,
+// locality 0.95, 60 virtual seconds). The flush client defaults to the
+// prototype's 250 ms garbage-collection period (§4.3) for FlexCast and
+// to off for the two baselines; a negative flush_every_ms disables it,
+// as for a load cell.
 //
 // Metrics (per-group keys carry the group id as gNN):
 //
@@ -35,49 +36,7 @@ import (
 //	recv_msgs_s_gNN, recv_avg_b_gNN, recv_kb_s_gNN   received traffic
 //	sim_events                   simulator events executed
 func runSim(cell string, p *cellParams) (map[string]float64, error) {
-	name := p.load.Protocol
-	if name == "" {
-		name = "flexcast"
-	}
-	proto, err := deploy.ParseProtocol(name)
-	if err != nil {
-		return nil, fmt.Errorf("grid: cell %s: %w", cell, err)
-	}
-	opt := chaos.Options{
-		Clients:       p.load.Clients,
-		Locality:      p.load.Locality,
-		GlobalOnly:    p.load.GlobalOnly,
-		Duration:      sim.Time(p.load.Duration.Microseconds()),
-		ProcCostBase:  sim.Time(p.ProcCostUs),
-		ProcCostPerKB: p.ProcCostUsPerKB,
-		FlushEvery:    sim.Time(p.load.FlushEvery.Microseconds()),
-	}
-	if opt.Duration == 0 {
-		opt.Duration = 60_000_000
-	}
-	if opt.FlushEvery == 0 && proto == deploy.FlexCast {
-		opt.FlushEvery = 250_000
-	}
-	spec := deploy.Spec{Protocol: proto}
-	switch p.Overlay {
-	case "":
-	case "o1":
-		spec.Overlay = wan.O1()
-	case "o2":
-		spec.Overlay = wan.O2()
-	case "t1":
-		spec.Tree = wan.T1()
-	case "t2":
-		spec.Tree = wan.T2()
-	case "t3":
-		spec.Tree = wan.T3()
-	default:
-		return nil, fmt.Errorf("grid: cell %s: unknown overlay %q (o1, o2, t1, t2, t3)", cell, p.Overlay)
-	}
-	if spec.Overlay != nil && proto != deploy.FlexCast || spec.Tree != nil && proto != deploy.Hierarchical {
-		return nil, fmt.Errorf("grid: cell %s: overlay %q does not fit protocol %s", cell, p.Overlay, name)
-	}
-	d, err := chaos.NewDeployment(spec, false)
+	d, opt, err := p.schedule(true)
 	if err != nil {
 		return nil, fmt.Errorf("grid: cell %s: %w", cell, err)
 	}
@@ -122,4 +81,65 @@ func runSim(cell string, p *cellParams) (map[string]float64, error) {
 	m["overhead_std_pct"] = overhead.Std()
 	m["overhead_max_pct"] = overhead.Max()
 	return m, nil
+}
+
+// schedule maps a sim or chaos cell's parameters to the deployment and
+// options of its chaos schedules: the one place a cell's keys become a
+// schedule. A timed (sim) cell gets the paper's 60 virtual seconds and
+// FlexCast's 250 ms flush period by default; a chaos cell has no
+// duration, its exploration is bounded by the messages per client.
+func (p *cellParams) schedule(timed bool) (d chaos.Deployment, opt chaos.Options, err error) {
+	name := p.load.Protocol
+	if name == "" {
+		name = "flexcast"
+	}
+	proto, err := deploy.ParseProtocol(name)
+	if err != nil {
+		return d, opt, err
+	}
+	opt = chaos.Options{
+		Seed:          p.load.Seed,
+		Schedules:     p.Schedules,
+		Clients:       p.load.Clients,
+		Messages:      p.Messages,
+		ClosedLoop:    p.ClosedLoop,
+		FlushEvery:    sim.Time(p.load.FlushEvery.Microseconds()),
+		Locality:      p.load.Locality,
+		GlobalOnly:    p.load.GlobalOnly,
+		ProcCostBase:  sim.Time(p.ProcCostUs),
+		ProcCostPerKB: p.ProcCostUsPerKB,
+		Durable:       p.load.Durable,
+		TraceSample:   p.load.TraceSample,
+		BugFlipEvery:  p.ChaosBug,
+	}
+	if timed {
+		opt.Duration = sim.Time(p.load.Duration.Microseconds())
+		if opt.Duration == 0 {
+			opt.Duration = 60_000_000
+		}
+		if opt.FlushEvery == 0 && proto == deploy.FlexCast {
+			opt.FlushEvery = 250_000
+		}
+	}
+	spec := deploy.Spec{Protocol: proto}
+	switch p.Overlay {
+	case "":
+	case "o1":
+		spec.Overlay = wan.O1()
+	case "o2":
+		spec.Overlay = wan.O2()
+	case "t1":
+		spec.Tree = wan.T1()
+	case "t2":
+		spec.Tree = wan.T2()
+	case "t3":
+		spec.Tree = wan.T3()
+	default:
+		return d, opt, fmt.Errorf("unknown overlay %q (o1, o2, t1, t2, t3)", p.Overlay)
+	}
+	if spec.Overlay != nil && proto != deploy.FlexCast || spec.Tree != nil && proto != deploy.Hierarchical {
+		return d, opt, fmt.Errorf("overlay %q does not fit protocol %s", p.Overlay, name)
+	}
+	d, err = chaos.NewDeployment(spec, p.load.Execute)
+	return d, opt, err
 }

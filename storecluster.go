@@ -17,8 +17,8 @@ import (
 // batched in-process runtime) whose groups each own one warehouse shard
 // of the partitioned gTPC-C database (internal/store).
 type StoreClusterConfig struct {
-	// Protocol selects the multicast protocol (default ProtocolFlexCast).
-	Protocol ProtocolKind
+	// Protocol selects the multicast protocol (default FlexCast).
+	Protocol Protocol
 	// Warehouses is the number of warehouse groups; when Overlay/Tree
 	// are unset a chain overlay (or a star tree for the hierarchical
 	// protocol) over groups 1..Warehouses is built (default 4).
@@ -121,7 +121,7 @@ type StoreCluster struct {
 // NewStoreCluster builds and starts an executing cluster.
 func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 	if cfg.Protocol == 0 {
-		cfg.Protocol = ProtocolFlexCast
+		cfg.Protocol = FlexCast
 	}
 	if cfg.Warehouses == 0 {
 		cfg.Warehouses = 4

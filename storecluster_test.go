@@ -44,8 +44,8 @@ func driveStore(t *testing.T, sc *flexcast.StoreCluster) {
 }
 
 func TestStoreCluster(t *testing.T) {
-	for _, proto := range []flexcast.ProtocolKind{
-		flexcast.ProtocolFlexCast, flexcast.ProtocolSkeen, flexcast.ProtocolHierarchical,
+	for _, proto := range []flexcast.Protocol{
+		flexcast.FlexCast, flexcast.Distributed, flexcast.Hierarchical,
 	} {
 		t.Run(proto.String(), func(t *testing.T) {
 			sc, err := flexcast.NewStoreCluster(flexcast.StoreClusterConfig{
