@@ -255,37 +255,6 @@ func (c *Cluster) Call(dst []GroupID, payload []byte) (MsgID, error) {
 	return id, err
 }
 
-// CallResults is Call, additionally returning each destination group's
-// execution result code (amcast.ResultCommitted / amcast.ResultAborted
-// on executing clusters, amcast.ResultNone on pure-multicast ones). The
-// destinations of one call must agree: a call whose destinations
-// reported different verdicts, or only some of which executed, fails.
-func (c *Cluster) CallResults(dst []GroupID, payload []byte) (MsgID, map[GroupID]uint8, error) {
-	id, call, err := c.call(dst, payload)
-	if err != nil {
-		return id, nil, err
-	}
-	results, err := callResults(call)
-	return id, results, err
-}
-
-// callResults expands a completed call's folded verdict (client.Calls)
-// to one result code per destination.
-func callResults(call *client.Call[callWaiter]) (map[GroupID]uint8, error) {
-	id := call.Msg.ID
-	if call.Diverged {
-		return nil, fmt.Errorf("flexcast: tx %s verdicts diverge across its destinations", id)
-	}
-	if call.Result != amcast.ResultNone && call.Unexecuted != amcast.NoGroup {
-		return nil, fmt.Errorf("flexcast: group %d did not execute tx %s", call.Unexecuted, id)
-	}
-	results := make(map[GroupID]uint8, len(call.Msg.Dst))
-	for _, g := range call.Msg.Dst {
-		results[g] = call.Result
-	}
-	return results, nil
-}
-
 // call multicasts payload and waits for the completed call, whose entry
 // carries the folded verdict and the delivered prefixes this call's
 // replies alone witnessed.

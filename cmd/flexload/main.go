@@ -82,9 +82,11 @@ func printResult(label string, r *loadgen.Result) {
 		fmt.Printf("  slo: target %.0fms  goodput %.0f tx/s (%.1f%% of completions good)  shed %d (rate %.3f)\n",
 			s.TargetMs, s.Goodput, 100*s.GoodFraction, r.Shed, s.ShedRate)
 		if n := len(s.Trajectory); n > 0 {
-			last := s.Trajectory[n-1]
-			fmt.Printf("  controller: %d trajectory points, final batch %d / flush %dµs (queue %d)\n",
-				n, last.Batch, last.FlushIntervalUs, last.QueueDepth)
+			deepest := 0
+			for _, p := range s.Trajectory {
+				deepest = max(deepest, p.QueueDepth)
+			}
+			fmt.Printf("  queue depth: %d trajectory points, deepest %d, final %d\n", n, deepest, s.Trajectory[n-1].QueueDepth)
 		}
 	}
 	if st := r.Stages; st != nil {

@@ -1,42 +1,6 @@
 package flexcast
 
-import (
-	"flexcast/amcast"
-	"flexcast/internal/deploy"
-)
-
-// newEngine builds group g's engine of the deployment a spec describes.
-func newEngine(spec deploy.Spec, g GroupID) (Engine, error) {
-	d, err := deploy.New(spec)
-	if err != nil {
-		return nil, err
-	}
-	return d.NewEngine(g)
-}
-
-// NewFlexCastEngine builds the FlexCast protocol state machine for one
-// group on the given C-DAG overlay — the paper's contribution
-// (Algorithms 1-3). The engine is deterministic and single-threaded;
-// attach it to a Cluster, the simulator harness, or a TCP node.
-func NewFlexCastEngine(g GroupID, ov *Overlay) (Engine, error) {
-	return newEngine(deploy.Spec{Protocol: deploy.FlexCast, Overlay: ov}, g)
-}
-
-// NewSkeenEngine builds the distributed genuine baseline: Skeen's
-// timestamp-based atomic multicast over a fully connected topology.
-func NewSkeenEngine(g GroupID, groups []GroupID) (Engine, error) {
-	ov, err := NewOverlay(groups)
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(deploy.Spec{Protocol: deploy.Skeen, Overlay: ov}, g)
-}
-
-// NewHierarchicalEngine builds the non-genuine tree baseline (ByzCast's
-// ordering scheme with single-process groups).
-func NewHierarchicalEngine(g GroupID, tree *Tree) (Engine, error) {
-	return newEngine(deploy.Spec{Protocol: deploy.Hierarchical, Tree: tree}, g)
-}
+import "flexcast/amcast"
 
 // EntryNodes returns the node(s) a client must send a message to for each
 // protocol: FlexCast enters at the C-DAG lca, the hierarchical protocol

@@ -9,7 +9,6 @@ import (
 	"flexcast/internal/core"
 	"flexcast/internal/overlay"
 	"flexcast/internal/prototest"
-	rt "flexcast/internal/runtime"
 )
 
 // TestBatchStepSafety validates the FlexCast batch fast path (one
@@ -66,48 +65,6 @@ func TestPriorityDrainSafety(t *testing.T) {
 				return core.MustNew(core.Config{Group: g, Overlay: ov})
 			},
 			Seed:          911 + seed,
-			PriorityDrain: true,
-		}, true)
-	}
-}
-
-// TestAdaptiveControllerChunkSafety proves the adaptive batching
-// controller (runtime.BatchController, DESIGN.md §1h) never changes
-// protocol outcomes — only timing. The controller is plugged in as the
-// chunked runner's ChunkSizer, so every chunk boundary in the run is
-// chosen by a live controller trajectory (each node's controller ticks
-// on its own buffered depth, exactly the signal the runtime feeds it),
-// and the run must still satisfy the full atomic multicast
-// specification, deterministically. Combined with the per-sender-FIFO
-// priority drain the controller shares the worker with, this is the
-// safety half of the §1h argument: batch size is a scheduling choice,
-// and every scheduling choice is just another arrival interleaving.
-func TestAdaptiveControllerChunkSafety(t *testing.T) {
-	groups := []amcast.GroupID{1, 2, 3, 4, 5}
-	ov := overlay.MustCDAG(groups)
-	for seed := int64(0); seed < 4; seed++ {
-		ctrls := make(map[amcast.GroupID]*rt.BatchController)
-		reset := func() {
-			for _, g := range groups {
-				ctrls[g] = rt.NewBatchController(rt.AdaptiveConfig{MinBatch: 1, MaxBatch: 8})
-			}
-		}
-		prototest.RunChunkedSafety(t, prototest.RandomConfig{
-			OnRunStart: reset,
-			Groups:     groups,
-			Clients:    3,
-			Messages:   25,
-			Route: func(m amcast.Message) []amcast.NodeID {
-				return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-			},
-			Factory: func(g amcast.GroupID) amcast.Engine {
-				return core.MustNew(core.Config{Group: g, Overlay: ov})
-			},
-			Seed: 1733 + seed,
-			ChunkSizer: func(g amcast.GroupID, buffered int) int {
-				batch, _ := ctrls[g].Tick(buffered)
-				return batch
-			},
 			PriorityDrain: true,
 		}, true)
 	}

@@ -63,7 +63,6 @@ func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
 	t.Run("ring-cycle", TestFreshRequestRingCycle)
 	t.Run("chunked", TestBatchStepSafety)
 	t.Run("priority-drain", TestPriorityDrainSafety)
-	t.Run("adaptive-chunks", TestAdaptiveControllerChunkSafety)
 	w.verify(t)
 }
 

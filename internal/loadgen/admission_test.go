@@ -7,6 +7,7 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/client"
+	"flexcast/internal/deploy"
 	"flexcast/internal/metrics"
 )
 
@@ -243,7 +244,7 @@ func TestWindowAccounting(t *testing.T) {
 // arithmetic (goodput, good fraction, shed rate over offered load) must
 // come out exactly.
 func TestBuildSLO(t *testing.T) {
-	s := buildSLO(5, 80, 100, 120, 30, 2, []SLOPoint{{TMs: 0, Batch: 1, FlushIntervalUs: 50}})
+	s := buildSLO(5, 80, 100, 120, 30, 2, []SLOPoint{{TMs: 0, QueueDepth: 3}})
 	if s.TargetMs != 5 || s.GoodCompleted != 80 {
 		t.Fatalf("target/good mangled: %+v", s)
 	}
@@ -313,12 +314,12 @@ func TestValidateSLOSection(t *testing.T) {
 	check("good-gt-completed", func(r *Result) { r.SLO.GoodCompleted = 101 }, "exceed completions")
 	check("shed-rate-skew", func(r *Result) { r.SLO.ShedRate = 0.5 }, "inconsistent with shed")
 	check("bad-trajectory", func(r *Result) {
-		r.SLO.Trajectory = []SLOPoint{{TMs: 5, Batch: 0, FlushIntervalUs: 50}}
+		r.SLO.Trajectory = []SLOPoint{{TMs: 5, QueueDepth: -1}}
 	}, "trajectory point")
 	check("unordered-trajectory", func(r *Result) {
 		r.SLO.Trajectory = []SLOPoint{
-			{TMs: 5, Batch: 1, FlushIntervalUs: 50},
-			{TMs: 4, Batch: 1, FlushIntervalUs: 50},
+			{TMs: 5, QueueDepth: 1},
+			{TMs: 4, QueueDepth: 1},
 		}
 	}, "not time-ordered")
 }
@@ -341,5 +342,57 @@ func TestSessionConfigContract(t *testing.T) {
 	cfg.Sessions = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative session count accepted")
+	}
+}
+
+// TestOpenLoopShedsWriteSlotsOnly drives the open loop at a read mix of
+// 50 % behind the process-wide gate with the process already at its cap
+// (its one allowed call in flight), so the gate refuses every write.
+// Every slot the loop takes is then a read it served or a write it
+// shed: the shed count must equal the write slots among the slots
+// taken, replayed from the same read coin. Shedding the rest of a
+// refused slot's burst at once would count the burst's read slots as
+// shed writes.
+func TestOpenLoopShedsWriteSlotsOnly(t *testing.T) {
+	cfg := Config{Rate: 20000, ReadPct: 50, Replicas: 2, MaxOutstanding: 1, Seed: 1, Locality: 0.95}
+	reads := 0 // remote reads sent; the open loop's goroutine is the only sender
+	c := postClient(func(_ amcast.NodeID, envs []amcast.Envelope) {
+		for _, env := range envs {
+			if env.Kind == amcast.KindRead {
+				reads++
+			}
+		}
+	})
+	c.run = &run{cfg: cfg, proto: &deploy.Deployment{Groups: []amcast.GroupID{1, 2}}}
+	c.run.measuring.Store(true)
+	c.issue(postMsg(0, 1), txState{silent: true}, false)
+
+	stop, done, errCh := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		openLoop(c, cfg, stop, errCh)
+		close(done)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	close(stop)
+	<-done
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	shed := c.run.shed.Load()
+	slots := uint64(reads) + shed
+	if slots < 100 || c.run.issued.Load() != 0 {
+		t.Fatalf("%d slots taken, %d writes issued past a full gate; want >= 100 and 0", slots, c.run.issued.Load())
+	}
+	coin := readRNG(cfg, c.idx, 0)
+	var writes uint64
+	for i := uint64(0); i < slots; i++ {
+		if !readRoll(coin, cfg) {
+			writes++
+		}
+	}
+	if shed != writes {
+		t.Fatalf("%d slots (%d reads): shed %d, want the %d write slots", slots, reads, shed, writes)
 	}
 }

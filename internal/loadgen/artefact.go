@@ -214,8 +214,8 @@ func (res *Result) Validate(cfg Config) error {
 // subset of completions, the shed rate must be a consistent fraction of
 // offered load, a run shedding more than it issued is operating past
 // any admissible envelope (the measurement is of the shed path, not the
-// system), and the controller trajectory must be a time-ordered series
-// of valid operating points.
+// system), and the queue-depth trajectory must be a time-ordered series
+// of non-negative depths.
 func validateSLO(res *Result) error {
 	s := res.SLO
 	if s.TargetMs <= 0 {
@@ -241,7 +241,7 @@ func validateSLO(res *Result) error {
 	}
 	prev := int64(-1)
 	for i, p := range s.Trajectory {
-		if p.Batch < 1 || p.FlushIntervalUs < 0 || p.QueueDepth < 0 {
+		if p.QueueDepth < 0 {
 			return fmt.Errorf("loadgen: result: slo trajectory point %d invalid: %+v", i, p)
 		}
 		if p.TMs < prev {

@@ -34,9 +34,9 @@ type txState struct {
 }
 
 // clientProc is one client process: its own node id on the transport, a
-// request batcher its sessions post to themselves (the same adaptive
-// batching as runtime.Node — batches form only when sessions outpace
-// the transport, and an idle client flushes immediately), and the table
+// request batcher its sessions post to themselves (batches form only
+// when sessions outpace the transport, and an idle client flushes
+// immediately, as a runtime.Node does at chunk end), and the table
 // of open calls (client.Calls) its reply handler resolves.
 type clientProc struct {
 	idx     int

@@ -102,19 +102,7 @@ func launch(cfg Config, r *run) (*deployment, []*clientProc, error) {
 }
 
 func runtimeConfig(cfg Config, tracer *telemetry.Tracer) runtime.Config {
-	rc := runtime.Config{
-		MaxBatch:      cfg.MaxBatch,
-		FlushInterval: cfg.FlushInterval,
-		Tracer:        tracer,
-	}
-	if cfg.Adaptive {
-		// The zero AdaptiveConfig fills to the full range: floor 1
-		// envelope / 50µs, ceiling the static knobs above. Adaptivity is
-		// server-side only — client batchers coalesce their own sessions
-		// and flush when the queue runs dry, which is already adaptive.
-		rc.Adaptive = &runtime.AdaptiveConfig{}
-	}
-	return rc
+	return runtime.Config{MaxBatch: cfg.MaxBatch, Tracer: tracer}
 }
 
 // nodeConfig is runtimeConfig plus, on executing deployments, the

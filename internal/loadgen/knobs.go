@@ -49,8 +49,6 @@ var knobs = []knob{
 		help: "measurement window"},
 	{flag: "batch", key: "batch", field: func(c *Config) any { return &c.MaxBatch },
 		help: "max envelopes per runtime batch (1 disables batching)"},
-	{flag: "flush-interval", key: "flush_interval_us", unit: time.Microsecond, field: func(c *Config) any { return &c.FlushInterval },
-		help: "adaptive batching's flush-interval ceiling (with -adaptive; static nodes flush at chunk end)"},
 	{flag: "payload", key: "payload", field: func(c *Config) any { return &c.PayloadSize },
 		help: "payload bytes (0 = gTPC-C sizes)"},
 	{flag: "locality", key: "locality", field: func(c *Config) any { return &c.Locality },
@@ -85,10 +83,8 @@ var knobs = []knob{
 		help: "snapshot + WAL-rotation cadence in input envelopes (0 = backend default, 256)"},
 	{flag: "durable-fsync-every", key: "durable_fsync_every", field: func(c *Config) any { return &c.DurableFsyncEvery },
 		help: "WAL fsync cadence in appends (0 = backend default, 64)"},
-	{flag: "adaptive", key: "adaptive", field: func(c *Config) any { return &c.Adaptive },
-		help: "latency-targeted adaptive batching: -batch/-flush-interval become the ceiling, each node steers on queue depth"},
 	{flag: "slo-ms", key: "slo_ms", field: func(c *Config) any { return &c.SLOMs },
-		help: "tail-latency SLO target in ms (> 0 adds the results.slo section: goodput at target, shed rate, controller trajectory)"},
+		help: "tail-latency SLO target in ms (> 0 adds the results.slo section: goodput at target, shed rate, queue-depth trajectory)"},
 	{flag: "sessions", key: "sessions", field: func(c *Config) any { return &c.Sessions },
 		help: "virtual sessions multiplexed per client process in open loop (0 = process-level admission; requires -rate)"},
 	{flag: "session-outstanding", key: "session_outstanding", field: func(c *Config) any { return &c.SessionOutstanding },

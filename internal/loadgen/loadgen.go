@@ -74,9 +74,9 @@ type Config struct {
 	// MaxBatch is the runtime batch cap for servers and clients; 1
 	// disables batching (the baseline), 0 defaults to 64.
 	MaxBatch int
-	// FlushInterval is the adaptive controller's flush-interval ceiling
-	// (default 500µs, the runtime's own); static nodes flush at the end
-	// of every chunk and run no timer.
+	// FlushInterval is read by nothing: nodes flush at the end of every
+	// chunk and run no timer. It has no knob row (no flag, no JSON key)
+	// and stays only because the benchmark's workload table sets it.
 	FlushInterval time.Duration
 	// PayloadSize overrides the gTPC-C payload size when > 0.
 	PayloadSize int
@@ -160,16 +160,9 @@ type Config struct {
 	// 256 and 64).
 	DurableSnapshotEvery int
 	DurableFsyncEvery    int
-	// Adaptive runs every server node under the latency-targeted
-	// adaptive batching controller (runtime.AdaptiveConfig, DESIGN.md
-	// §1h): MaxBatch/FlushInterval become the ceiling of the operating
-	// range instead of the fixed operating point, and each node steers
-	// between the per-envelope floor and that ceiling on its own queue
-	// depth.
-	Adaptive bool
 	// SLOMs, when > 0, adds the tail-latency SLO section to the result:
 	// goodput at p99 <= SLOMs milliseconds, shed rate, and the
-	// controller trajectory over the measurement window.
+	// queue-depth trajectory over the measurement window.
 	SLOMs float64
 	// Sessions, when > 0, multiplexes that many virtual sessions over
 	// each client process's single transport connection in open-loop
@@ -238,9 +231,6 @@ func (c *Config) Fill() error {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = 512
@@ -461,7 +451,7 @@ type Result struct {
 	// bucket and outstanding cap.
 	Shed uint64 `json:"shed,omitempty"`
 	// SLO is the tail-latency service-level section (-slo-ms): goodput
-	// at the latency target, shed rate, controller trajectory.
+	// at the latency target, shed rate, queue-depth trajectory.
 	SLO *SLOResult `json:"slo,omitempty"`
 	// Batching statistics aggregated over all server and client nodes.
 	BatchesSent   uint64  `json:"batches_sent"`
@@ -693,7 +683,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			flushLoop(clients[0], cfg, proto, stop, errCh)
+			flushClient(clients[0], cfg, proto, stop, errCh)
 		}()
 	}
 	for _, c := range clients {

@@ -260,7 +260,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestArtefactRoundTrip writes the artefact of a run that carries every
-// optional section (execute, reads, SLO with a controller trajectory,
+// optional section (execute, reads, SLO with a queue-depth trajectory,
 // stages) and reads it back: the result must still pass Validate
 // against the configuration that travelled with it, the effective
 // configuration must come back under the knob table's keys, and
@@ -272,7 +272,6 @@ func TestArtefactRoundTrip(t *testing.T) {
 	cfg.ReadPct = 25
 	cfg.Rate = 2000
 	cfg.Sessions = 256
-	cfg.Adaptive = true
 	cfg.SLOMs = 500
 	cfg.TraceSample = 4
 	art, err := RunArtefact(cfg)
@@ -491,14 +490,12 @@ func TestFollowerReadsConfigContract(t *testing.T) {
 
 // TestRunSessionsOpenLoop is the session-multiplexed open loop end to
 // end on the in-memory transport: ~10^3 virtual sessions per client
-// ride the process's single connection, the adaptive controller runs
-// the nodes, and the result carries a validatable SLO section with a
-// controller trajectory.
+// ride the process's single connection, and the result carries a
+// validatable SLO section with a time-ordered queue-depth trajectory.
 func TestRunSessionsOpenLoop(t *testing.T) {
 	cfg := shortCfg()
 	cfg.Rate = 4000
 	cfg.Sessions = 1024
-	cfg.Adaptive = true
 	cfg.SLOMs = 200
 	res, err := Run(cfg)
 	if err != nil {
@@ -518,11 +515,12 @@ func TestRunSessionsOpenLoop(t *testing.T) {
 		t.Fatalf("good %d exceeds completed %d", slo.GoodCompleted, res.Completed)
 	}
 	if len(slo.Trajectory) == 0 {
-		t.Fatalf("no controller trajectory sampled over a %v window", cfg.Duration)
+		t.Fatalf("no queue-depth trajectory sampled over a %v window", cfg.Duration)
 	}
 	for i, p := range slo.Trajectory {
-		if p.Batch < 1 || p.FlushIntervalUs < 50 {
-			t.Fatalf("trajectory point %d outside the controller range: %+v", i, p)
+		if p.QueueDepth < 0 || p.TMs < 0 || p.TMs > cfg.Duration.Milliseconds() ||
+			i > 0 && p.TMs < slo.Trajectory[i-1].TMs {
+			t.Fatalf("trajectory point %d out of the window or out of order: %+v", i, slo.Trajectory)
 		}
 	}
 	if err := res.Validate(cfg); err != nil {
@@ -541,7 +539,6 @@ func TestRunSessionsTCP(t *testing.T) {
 	cfg.Groups = 4
 	cfg.Rate = 2000
 	cfg.Sessions = 256
-	cfg.Adaptive = true
 	cfg.SLOMs = 500
 	cfg.Execute = true
 	res, err := Run(cfg)

@@ -6,21 +6,17 @@ import (
 	"flexcast/internal/runtime"
 )
 
-// SLOPoint is one sample of the adaptive controller's trajectory: the
-// hottest node's effective operating point and queue depth at TMs
-// milliseconds into the measurement window. On static runs the
-// operating point is constant (the configured knobs) and only the
-// depth varies.
+// SLOPoint is one sample of the queue-depth trajectory: the inbound
+// queue depth of the deepest-queued node at TMs milliseconds into the
+// measurement window.
 type SLOPoint struct {
-	TMs             int64 `json:"t_ms"`
-	Batch           int   `json:"batch"`
-	FlushIntervalUs int64 `json:"flush_interval_us"`
-	QueueDepth      int   `json:"queue_depth"`
+	TMs        int64 `json:"t_ms"`
+	QueueDepth int   `json:"queue_depth"`
 }
 
 // SLOResult is the tail-latency service-level report (-slo-ms): how
 // much of the measured window's completed work met the latency target,
-// at what shed rate, and the controller trajectory that produced it.
+// at what shed rate, and how deep the servers' queues stood meanwhile.
 // Goodput — throughput counting only completions within the target —
 // is the section's headline: it is the number that gets WORSE when a
 // system buys throughput with tail latency, which plain throughput
@@ -41,7 +37,7 @@ type SLOResult struct {
 	// Sessions echoes the multiplexed session count (0: process-level
 	// admission, the legacy -max-outstanding cap).
 	Sessions int `json:"sessions,omitempty"`
-	// Trajectory samples the controller operating point over the window.
+	// Trajectory samples the deepest queue over the window.
 	Trajectory []SLOPoint `json:"trajectory,omitempty"`
 }
 
@@ -66,15 +62,14 @@ func buildSLO(targetMs float64, good, completed, issued, shed uint64, windowSecs
 	return s
 }
 
-// trajectoryEvery is the controller-trajectory sampling period: coarse
+// trajectoryEvery is the trajectory sampling period: coarse
 // enough to be free, fine enough that a 5s window yields ~100 points.
 const trajectoryEvery = 50 * time.Millisecond
 
-// sampleTrajectory records the operating point of the deepest-queued
-// node every trajectoryEvery until stop closes, then delivers the
-// samples on out. The deepest queue is the node the controller story
-// is about: under skewed load (an LCA hot spot) it is the node whose
-// batch rides the ceiling while idle nodes sit at the floor.
+// sampleTrajectory records the deepest inbound queue of nodes every
+// trajectoryEvery until stop closes, then delivers the samples on out.
+// Under skewed load (an LCA hot spot) the deepest queue is the node
+// that saturates first.
 func sampleTrajectory(nodes []*runtime.Node, start time.Time, stop <-chan struct{}, out chan<- []SLOPoint) {
 	var points []SLOPoint
 	t := time.NewTicker(trajectoryEvery)
@@ -85,19 +80,11 @@ func sampleTrajectory(nodes []*runtime.Node, start time.Time, stop <-chan struct
 			out <- points
 			return
 		case now := <-t.C:
-			hot, depth := nodes[0], -1
+			depth := 0
 			for _, n := range nodes {
-				if d := n.QueueLen(); d > depth {
-					hot, depth = n, d
-				}
+				depth = max(depth, n.QueueLen())
 			}
-			batch, interval := hot.Operating()
-			points = append(points, SLOPoint{
-				TMs:             now.Sub(start).Milliseconds(),
-				Batch:           batch,
-				FlushIntervalUs: interval.Microseconds(),
-				QueueDepth:      depth,
-			})
+			points = append(points, SLOPoint{TMs: now.Sub(start).Milliseconds(), QueueDepth: depth})
 		}
 	}
 }

@@ -163,78 +163,25 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 
 // openLoop issues at a fixed rate per client process, completions
 // resolving asynchronously through the reply handler. Pacing is
-// burst-based: a millisecond ticker issues however many transactions the
+// burst-based: a millisecond ticker takes however many slots the
 // elapsed time owes, so the offered rate is honored far beyond the
-// ticker resolution. With -sessions the loop runs session-multiplexed
-// instead (openLoopSessions).
+// ticker resolution. A slot is three steps: the read roll (a read slot
+// serves its read — local and follower reads synchronously, remote
+// reads through the reply handler), then one gate decision (admit),
+// then one issued write or one shed write. A refused slot is shed on
+// the spot, counted and never queued, and the loop moves on to the
+// next slot.
 func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- error) {
+	gen, err := newGen(c, 0, cfg)
+	if err != nil {
+		sendErr(errCh, err)
+		return
+	}
+	reads := readRNG(cfg, c.idx, 0)
+	var gate admission
 	if cfg.Sessions > 0 {
-		openLoopSessions(c, cfg, stop, errCh)
-		return
+		gate = newAdmission(cfg)
 	}
-	gen, err := newGen(c, 0, cfg)
-	if err != nil {
-		sendErr(errCh, err)
-		return
-	}
-	reads := readRNG(cfg, c.idx, 0)
-	t := time.NewTicker(time.Millisecond)
-	defer t.Stop()
-	start := time.Now()
-	seq := uint64(0)
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			owed := uint64(cfg.Rate * now.Sub(start).Seconds())
-			for seq < owed {
-				seq++
-				if readRoll(reads, cfg) {
-					// A read slot: local and follower reads serve
-					// synchronously and never occupy the outstanding
-					// budget; remote reads issue asynchronously and
-					// resolve through the reply handler (they do
-					// occupy the in-flight table until answered).
-					if err := c.doRead(gen, cfg, false); err != nil {
-						sendErr(errCh, err)
-						return
-					}
-					continue
-				}
-				if c.inflightLen() >= cfg.MaxOutstanding {
-					if c.run.measuring.Load() {
-						c.run.shed.Add(owed - seq + 1)
-					}
-					seq = owed
-					break
-				}
-				m, meta := nextMessage(c, gen, cfg, seq)
-				c.issue(m, meta, false)
-			}
-		}
-	}
-}
-
-// openLoopSessions is the session-multiplexed open loop (-sessions):
-// the process's offered rate splits evenly across its virtual sessions
-// — round-robin, so the issue order over the shared connection
-// interleaves sessions while each session's own requests stay FIFO —
-// and every issuance passes that session's admission gate (token
-// bucket + outstanding cap, admission.go). A refused issuance is shed
-// on the spot and the loop moves on: one stalled session (its admitted
-// transactions stuck behind a latency spike) cannot make the process
-// queue work for it, and cannot stop the other sessions from issuing.
-// Admitted requests carry the session id on the envelope (FlagSession),
-// so replies resolve the session's barrier and outstanding slot.
-func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- error) {
-	gen, err := newGen(c, 0, cfg)
-	if err != nil {
-		sendErr(errCh, err)
-		return
-	}
-	reads := readRNG(cfg, c.idx, 0)
-	gate := newAdmission(cfg)
 	t := time.NewTicker(time.Millisecond)
 	defer t.Stop()
 	start := time.Now()
@@ -255,29 +202,47 @@ func openLoopSessions(c *clientProc, cfg Config, stop <-chan struct{}, errCh cha
 					}
 					continue
 				}
-				s := c.sessions[seq%uint64(len(c.sessions))]
-				if !gate.admit(s, nowNs) {
+				s, ok := c.admit(gate, seq, nowNs)
+				if !ok {
 					if c.run.measuring.Load() {
 						c.run.shed.Add(1)
 					}
 					continue
 				}
 				m, meta := nextMessage(c, gen, cfg, seq)
-				m.Flags |= amcast.FlagSession
-				m.Session = s.id
-				meta.sess = s
+				if s != nil {
+					m.Flags |= amcast.FlagSession
+					m.Session = s.id
+					meta.sess = s
+				}
 				c.issue(m, meta, false)
 			}
 		}
 	}
 }
 
-// flushLoop issues one FlagFlush multicast to all groups per period,
+// admit is the open loop's one gate decision for write slot seq. With
+// sessions (-sessions) the slots go round-robin over them — the issue
+// order over the shared connection interleaves sessions while each
+// session's own requests stay FIFO — and the slot's session admits it
+// through its own gate (token bucket + outstanding cap, admission.go),
+// so one stalled session cannot stop the others from issuing. Without
+// sessions the gate is the process-wide cap of MaxOutstanding calls in
+// flight. It returns the admitting session, nil without sessions.
+func (c *clientProc) admit(gate admission, seq uint64, nowNs int64) (*session, bool) {
+	if len(c.sessions) == 0 {
+		return nil, c.inflightLen() < c.run.cfg.MaxOutstanding
+	}
+	s := c.sessions[seq%uint64(len(c.sessions))]
+	return s, gate.admit(s, nowNs)
+}
+
+// flushClient issues one FlagFlush multicast to all groups per period,
 // waiting for delivery everywhere before the next (the distinguished
 // flush process of §4.3). A flush that times out fails the run: a
 // benchmark silently running without garbage collection would publish
 // numbers for a different system.
-func flushLoop(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan struct{}, errCh chan<- error) {
+func flushClient(c *clientProc, cfg Config, proto *deploy.Deployment, stop <-chan struct{}, errCh chan<- error) {
 	t := time.NewTicker(cfg.FlushEvery)
 	defer t.Stop()
 	seq := uint64(1) << 38 // clear of every worker's id space

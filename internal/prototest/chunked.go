@@ -17,9 +17,6 @@ import (
 // delivery sequence (for determinism comparison).
 func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) (*trace.Recorder, map[amcast.GroupID][]amcast.MsgID) {
 	t.Helper()
-	if cfg.OnRunStart != nil {
-		cfg.OnRunStart()
-	}
 	rng := rand.New(rand.NewSource(runSeed))
 	rec := trace.NewRecorder()
 	engines := make(map[amcast.GroupID]amcast.Engine, len(cfg.Groups))
@@ -114,13 +111,9 @@ func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) (*trace.Recorder,
 			q := flight[l]
 			flight[l] = q[1:]
 			buffers[l.to.Group()] = append(buffers[l.to.Group()], q[0])
-			// Cap buffers so a hot node still flushes: at the controller's
-			// chunk size when one is plugged in, otherwise seeded random.
-			cap := 1 + rng.Intn(8)
-			if cfg.ChunkSizer != nil {
-				cap = cfg.ChunkSizer(l.to.Group(), len(buffers[l.to.Group()]))
-			}
-			if len(buffers[l.to.Group()]) >= cap {
+			// Cap buffers at a seeded random chunk size so a hot node
+			// still flushes.
+			if len(buffers[l.to.Group()]) >= 1+rng.Intn(8) {
 				flush(l.to.Group())
 			}
 			continue

@@ -193,17 +193,6 @@ type RandomConfig struct {
 	// OnEngines, when non-nil, observes the engines after the run
 	// quiesces (digest comparisons across execution strategies).
 	OnEngines func(engines map[amcast.GroupID]amcast.Engine)
-	// ChunkSizer, when non-nil, replaces the chunked runner's seeded
-	// random chunk sizes: it is consulted with a node's group and current
-	// buffered depth and returns the batch size at which that node
-	// flushes. The runtime's adaptive batching controller plugs in here,
-	// proving controller-chosen chunk boundaries stay inside the
-	// protocols' safety envelope just like random ones.
-	ChunkSizer func(g amcast.GroupID, buffered int) int
-	// OnRunStart, when non-nil, fires at the top of every chunked run.
-	// A stateful ChunkSizer resets here so the determinism re-run of
-	// RunChunkedSafety sees identical chunk boundaries.
-	OnRunStart func()
 	// PriorityDrain makes the chunked runner reorder every chunk the way
 	// the node runtime's receiver-side control-priority drain does
 	// (internal/runtime): control envelopes ahead of payload envelopes

@@ -9,10 +9,10 @@ import (
 
 // Batcher accumulates outbound envelopes per destination and hands them
 // to the transport as batches: a destination's batch is sent when it
-// reaches the size cap, when the owning node's queue runs dry, or when
-// an adaptive node's controller tick fires. Sends happen under the batcher's mutex, so per-
-// destination envelope order is exactly the Add order — the FIFO-link
-// property the protocols assume survives batching. The send function
+// reaches the size cap or when the owning node's chunk ends. Sends
+// happen under the batcher's mutex, so per-destination envelope order
+// is exactly the Add order — the FIFO-link property the protocols
+// assume survives batching. The send function
 // only borrows a batch (SendBatchFunc): each destination's buffer lives
 // as long as the batcher and is refilled after every send.
 //
@@ -67,14 +67,11 @@ type BatcherStats struct {
 	// phase (carrying at least one ACK/NOTIF/TS/REPLY envelope).
 	ControlBatches uint64
 	// SizeFlushes counts batches sent because they hit the size cap,
-	// ChunkFlushes batches sent by the worker's chunk-end flush, and
-	// TimerFlushes batches sent by an adaptive node's controller tick (a
-	// static node runs no timer: always 0). Their ratio shows whether
-	// batching is fill-driven (throughput-bound) or timer-driven (idle /
-	// latency-bound).
+	// ChunkFlushes batches sent by the chunk-end flush. Their ratio
+	// shows whether batching is fill-driven (throughput-bound) or
+	// chunk-driven (idle / latency-bound).
 	SizeFlushes  uint64
 	ChunkFlushes uint64
-	TimerFlushes uint64
 }
 
 // AvgBatch returns the mean envelopes per transport send.
@@ -92,7 +89,6 @@ func (s *BatcherStats) Add(s2 BatcherStats) {
 	s.ControlBatches += s2.ControlBatches
 	s.SizeFlushes += s2.SizeFlushes
 	s.ChunkFlushes += s2.ChunkFlushes
-	s.TimerFlushes += s2.TimerFlushes
 	if s2.MaxBatch > s.MaxBatch {
 		s.MaxBatch = s2.MaxBatch
 	}
@@ -112,19 +108,6 @@ func NewBatcher(send SendBatchFunc, max int) *Batcher {
 func (b *Batcher) SetTracer(t *telemetry.Tracer) {
 	b.mu.Lock()
 	b.tracer = t
-	b.mu.Unlock()
-}
-
-// SetMax republishes the size cap — the adaptive controller's lever.
-// Batches already pending above a shrunk cap flush on the next Add or
-// FlushAll; lowering the cap to 1 keeps pass-through semantics for new
-// envelopes only, never reorders what is queued.
-func (b *Batcher) SetMax(max int) {
-	if max < 1 {
-		max = 1
-	}
-	b.mu.Lock()
-	b.max = max
 	b.mu.Unlock()
 }
 
@@ -175,22 +158,11 @@ func (b *Batcher) dest(to amcast.NodeID) int {
 // first (in first-Add order), payload-only destinations after, so acks
 // and replies are never stuck behind payload frames on a backpressured
 // transport. This is the worker's chunk-end flush.
-func (b *Batcher) FlushAll() { b.flushAll(false) }
-
-// FlushTimer is FlushAll invoked from an adaptive node's tick; the
-// batches it sends are accounted as timer flushes instead of chunk
-// flushes.
-func (b *Batcher) FlushTimer() { b.flushAll(true) }
-
-func (b *Batcher) flushAll(timer bool) {
+func (b *Batcher) FlushAll() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.order) == 0 {
 		return
-	}
-	ctr := &b.stats.ChunkFlushes
-	if timer {
-		ctr = &b.stats.TimerFlushes
 	}
 	// Sends run under mu, so nothing is added while order is detached;
 	// its backing array is put back, empty, for the next chunk.
@@ -198,13 +170,13 @@ func (b *Batcher) flushAll(timer bool) {
 	b.order = nil
 	for _, i := range order {
 		if d := &b.dests[i]; d.control && len(d.q) > 0 {
-			*ctr++
+			b.stats.ChunkFlushes++
 			b.flushLocked(i)
 		}
 	}
 	for _, i := range order {
 		if len(b.dests[i].q) > 0 {
-			*ctr++
+			b.stats.ChunkFlushes++
 			b.flushLocked(i)
 		}
 	}

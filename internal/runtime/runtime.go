@@ -20,7 +20,7 @@
 //   - outputs are batched per destination (Batcher) and flushed at the
 //     end of every chunk: amortization comes from within a chunk, never
 //     from holding outputs across chunks, so an idle node adds no
-//     batching latency. A static node runs no flush timer: every send
+//     batching latency. A node runs no flush timer: every send
 //     happens under Batcher.mu, so a batch parked by backpressure is
 //     parked by the worker holding the lock a timer would need, and the
 //     worker flushes everything at the end of the chunk.
@@ -65,20 +65,9 @@ type Config struct {
 	// 1 disables batching entirely — the per-envelope baseline the
 	// benchmark subsystem compares against. 0 takes the default (64).
 	MaxBatch int
-	// FlushInterval is the adaptive controller's flush-interval ceiling
-	// (default 500µs). A static node flushes at the end of every chunk
-	// and never reads it.
-	FlushInterval time.Duration
 	// QueueDepth bounds the inbound queue in envelopes (default 1024) —
 	// the same effective buffering whatever MaxBatch is.
 	QueueDepth int
-	// Adaptive, when non-nil, puts the node under the latency-targeted
-	// batching controller (controller.go): MaxBatch and FlushInterval
-	// become the ceiling of an adaptive range instead of the operating
-	// point, and the node shrinks its effective batch and flush interval
-	// toward the floor whenever the inbound queue is shallow. Requires
-	// MaxBatch > 1 (with batching off there is nothing to adapt).
-	Adaptive *AdaptiveConfig
 	// OnDeliver observes every delivery after the client reply has been
 	// queued. Called from the node's worker goroutine. May be nil.
 	OnDeliver func(d amcast.Delivery)
@@ -103,18 +92,8 @@ func (c *Config) fill() {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
-	}
-	if c.Adaptive != nil {
-		if c.MaxBatch <= 1 {
-			c.Adaptive = nil // nothing to adapt
-		} else {
-			c.Adaptive.fill(c.MaxBatch, c.FlushInterval)
-		}
 	}
 }
 
@@ -136,10 +115,6 @@ type Node struct {
 	qcond   *sync.Cond
 	queue   []amcast.Envelope
 	stopped bool
-	// maxBatch is the effective chunk cap, read by take under qmu.
-	// Static nodes pin it at cfg.MaxBatch; adaptive nodes' flush loop
-	// republishes the controller's operating point every tick.
-	maxBatch int
 	// marks and blocked are the priority drain's reusable scratch
 	// (allocation-free selection; see takePriorityLocked).
 	marks   []bool
@@ -147,20 +122,12 @@ type Node struct {
 
 	batcher *Batcher
 
-	// ctrl is the adaptive batching controller (nil on static nodes);
-	// owned by flushLoop. intervalUs mirrors its current flush interval
-	// for the telemetry readers (0 on static nodes: no timer).
-	ctrl       *BatchController
-	intervalUs atomic.Int64
-
 	// Backpressure accounting: stalls counts Submit calls that blocked
 	// on a full queue, stallNs their total blocked time.
 	stalls  atomic.Uint64
 	stallNs atomic.Uint64
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // Net is the seam between a host and its transport: Attach registers a
@@ -205,46 +172,12 @@ func NewNode(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
 		eng:     eng,
 		send:    send,
 		batcher: NewBatcher(send, cfg.MaxBatch),
-		stop:    make(chan struct{}),
 	}
 	n.batcher.SetTracer(cfg.Tracer)
 	n.qcond = sync.NewCond(&n.qmu)
-	n.maxBatch = cfg.MaxBatch
-	if cfg.Adaptive != nil {
-		n.ctrl = NewBatchController(*cfg.Adaptive)
-		batch, interval := n.ctrl.Operating()
-		n.applyOperating(batch, interval)
-	}
 	n.wg.Add(1)
 	go n.worker()
-	if n.ctrl != nil {
-		n.wg.Add(1)
-		go n.flushLoop()
-	}
 	return n
-}
-
-// applyOperating publishes a controller operating point: the chunk cap
-// for take, the batcher's size cap, and the telemetry mirror of the
-// flush interval.
-func (n *Node) applyOperating(batch int, interval time.Duration) {
-	n.qmu.Lock()
-	n.maxBatch = batch
-	n.qmu.Unlock()
-	n.batcher.SetMax(batch)
-	n.intervalUs.Store(interval.Microseconds())
-}
-
-// Operating reports the node's current effective (batch, flush
-// interval) — the configured batch cap and no interval (0) on static
-// nodes, which run no flush timer; the controller's live operating
-// point on adaptive ones. Telemetry and the SLO trajectory sampler read
-// it.
-func (n *Node) Operating() (batch int, interval time.Duration) {
-	n.qmu.Lock()
-	batch = n.maxBatch
-	n.qmu.Unlock()
-	return batch, time.Duration(n.intervalUs.Load()) * time.Microsecond
 }
 
 // ID returns the node's network address.
@@ -346,11 +279,8 @@ func (n *Node) take(buf []amcast.Envelope) []amcast.Envelope {
 	for len(n.queue) == 0 && !n.stopped {
 		n.qcond.Wait()
 	}
-	k := len(n.queue)
-	if k > n.maxBatch {
-		k = n.maxBatch
-	}
-	if len(n.queue) > n.maxBatch && n.maxBatch > 1 {
+	k := min(len(n.queue), n.cfg.MaxBatch)
+	if len(n.queue) > k && k > 1 {
 		// Backlogged: the unselected remainder waits at least one more
 		// chunk, so promotion changes real processing order — select.
 		buf = n.takePriorityLocked(buf, k)
@@ -479,29 +409,6 @@ func (n *Node) process(envs []amcast.Envelope) {
 	}
 }
 
-// flushLoop is an adaptive node's controller cadence: every fire
-// flushes, then Ticks the controller on the current queue depth, and the
-// interval until the next fire is whatever the controller returned, so
-// a latency-bound node both flushes and re-samples fast while a loaded
-// node relaxes to the configured ceiling.
-func (n *Node) flushLoop() {
-	defer n.wg.Done()
-	_, interval := n.ctrl.Operating()
-	t := time.NewTimer(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			n.batcher.FlushTimer()
-			batch, interval := n.ctrl.Tick(n.QueueLen())
-			n.applyOperating(batch, interval)
-			t.Reset(interval)
-		case <-n.stop:
-			return
-		}
-	}
-}
-
 // Stats reports the batcher's counters.
 func (n *Node) Stats() BatcherStats { return n.batcher.Stats() }
 
@@ -525,13 +432,10 @@ func (n *Node) Backpressure() (stalls, ns uint64) {
 // durable backend's WAL syncs and closes here — after the worker
 // stopped, so the engine is quiesced).
 func (n *Node) Close() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-		n.qmu.Lock()
-		n.stopped = true
-		n.qmu.Unlock()
-		n.qcond.Broadcast()
-	})
+	n.qmu.Lock()
+	n.stopped = true
+	n.qmu.Unlock()
+	n.qcond.Broadcast()
 	n.wg.Wait()
 	n.batcher.FlushAll()
 	if c, ok := n.eng.(io.Closer); ok {

@@ -312,46 +312,32 @@ func nodeGoroutines() map[string]bool {
 	return ids
 }
 
-// TestStaticNodeRunsNoTimer pins the goroutine and timer accounting: a
-// static node starts its worker only, an adaptive node its worker plus
-// the controller's flush loop, and a static node under load sends every
-// batch — a partially filled one under a cap it never reaches included —
-// from the worker's chunk-end flush, never a timer.
+// TestStaticNodeRunsNoTimer pins the goroutine and flush accounting: a
+// node starts its worker only, and under load it sends every batch — a
+// partially filled one under a cap it never reaches included — because
+// the batch filled or the worker's chunk ended, never on a timer.
 func TestStaticNodeRunsNoTimer(t *testing.T) {
-	groups := []amcast.GroupID{1}
-	ov := overlay.MustCDAG(groups)
-	newNode := func(cfg runtime.Config, send runtime.SendBatchFunc) (*runtime.Node, int) {
-		before := nodeGoroutines()
-		n := runtime.NewNode(core.MustNew(core.Config{Group: 1, Overlay: ov}), send, cfg)
-		started := 0
-		for id := range nodeGoroutines() {
-			if !before[id] {
-				started++
-			}
-		}
-		return n, started
-	}
-	drop := func(amcast.NodeID, []amcast.Envelope) {}
-	adaptive, adaptiveStarted := newNode(runtime.Config{Adaptive: &runtime.AdaptiveConfig{}}, drop)
-	adaptive.Close()
-	if adaptiveStarted != 2 {
-		t.Fatalf("adaptive node started %d goroutines, want 2 (worker, flush loop)", adaptiveStarted)
-	}
-
 	const senders, perSender = 4, 500
 	var replies sync.WaitGroup
 	replies.Add(senders * perSender)
-	n, started := newNode(runtime.Config{MaxBatch: 1024, FlushInterval: 50 * time.Microsecond},
+	before := nodeGoroutines()
+	n := runtime.NewNode(core.MustNew(core.Config{Group: 1, Overlay: overlay.MustCDAG([]amcast.GroupID{1})}),
 		func(to amcast.NodeID, envs []amcast.Envelope) {
 			for _, env := range envs {
 				if env.Kind == amcast.KindReply {
 					replies.Done()
 				}
 			}
-		})
+		}, runtime.Config{MaxBatch: 1024})
 	defer n.Close()
+	started := 0
+	for id := range nodeGoroutines() {
+		if !before[id] {
+			started++
+		}
+	}
 	if started != 1 {
-		t.Fatalf("static node started %d goroutines, want 1 (worker)", started)
+		t.Fatalf("node started %d goroutines, want 1 (worker)", started)
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -373,7 +359,8 @@ func TestStaticNodeRunsNoTimer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("replies below the batch cap were never sent")
 	}
-	if st := n.Stats(); st.TimerFlushes != 0 || st.ChunkFlushes == 0 {
-		t.Fatalf("static node flushed %d batches by timer, %d at chunk end; want 0 and > 0", st.TimerFlushes, st.ChunkFlushes)
+	if st := n.Stats(); st.Batches != st.SizeFlushes+st.ChunkFlushes || st.ChunkFlushes == 0 {
+		t.Fatalf("node sent %d batches: %d on size, %d at chunk end; want every batch accounted for and some at chunk end",
+			st.Batches, st.SizeFlushes, st.ChunkFlushes)
 	}
 }

@@ -17,7 +17,6 @@ func takeNode(maxBatch int, queue ...amcast.Envelope) *Node {
 	n := &Node{cfg: Config{MaxBatch: maxBatch, QueueDepth: 1024}}
 	n.cfg.fill()
 	n.cfg.MaxBatch = maxBatch
-	n.maxBatch = maxBatch
 	n.qcond = sync.NewCond(&n.qmu)
 	n.queue = append(n.queue, queue...)
 	return n

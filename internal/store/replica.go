@@ -91,17 +91,6 @@ type Replica struct {
 	wg    sync.WaitGroup
 }
 
-// newReplica builds a follower over a fresh seeded shard (the same pure
-// population function as the serving node's, so applying the same
-// delivery prefix reproduces the same state).
-func newReplica(shardCfg Config, cfg ReplicaConfig) (*Replica, error) {
-	shard, err := New(shardCfg)
-	if err != nil {
-		return nil, err
-	}
-	return newReplicaAt(shard, 0, cfg)
-}
-
 // newReplicaAt builds a follower over an installed (snapshot-shipped)
 // shard: the shard already reflects every delivery below start, so the
 // replica's watermark begins there and earlier feeds are skipped as

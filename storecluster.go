@@ -200,14 +200,18 @@ func (sc *StoreCluster) exec(tx gtpcc.Tx) (*TxResult, error) {
 // involved warehouse must have executed and reached the same verdict
 // (the call's fold, client.Calls).
 func txResult(call *client.Call[callWaiter]) (*TxResult, error) {
+	id := call.Msg.ID
 	if g := call.Unexecuted; g != amcast.NoGroup {
-		return nil, fmt.Errorf("flexcast: warehouse %d did not execute tx %s", g, call.Msg.ID)
+		return nil, fmt.Errorf("flexcast: warehouse %d did not execute tx %s", g, id)
 	}
-	results, err := callResults(call)
-	if err != nil {
-		return nil, err
+	if call.Diverged {
+		return nil, fmt.Errorf("flexcast: tx %s verdicts diverge across its destinations", id)
 	}
-	return &TxResult{ID: call.Msg.ID, Committed: call.Result == amcast.ResultCommitted, Results: results}, nil
+	results := make(map[GroupID]uint8, len(call.Msg.Dst))
+	for _, g := range call.Msg.Dst {
+		results[g] = call.Result
+	}
+	return &TxResult{ID: id, Committed: call.Result == amcast.ResultCommitted, Results: results}, nil
 }
 
 // newOrderTx validates and assembles a new-order transaction.
