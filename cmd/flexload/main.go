@@ -89,6 +89,10 @@ func printResult(label string, r *loadgen.Result) {
 			fmt.Printf("  queue depth: %d trajectory points, deepest %d, final %d\n", n, deepest, s.Trajectory[n-1].QueueDepth)
 		}
 	}
+	if h := r.History; h != nil {
+		fmt.Printf("  history nodes: flush %d sent, %.0f%% new at receiver; other %d sent, %.0f%% new; %d envelopes held behind flushes, longest hold %.0fµs\n",
+			h.NodesSentFlush, pct(h.NodesNewFlush, h.NodesSentFlush), h.NodesSentOther, pct(h.NodesNewOther, h.NodesSentOther), h.EnvsHeld, h.HoldMaxUs)
+	}
 	if st := r.Stages; st != nil {
 		fmt.Printf("  stages (1 in %d sampled, %d records): e2e p50 %s  p99 %s\n",
 			st.SampleEvery, st.Records, time.Duration(st.E2E.P50), time.Duration(st.E2E.P99))
@@ -114,4 +118,12 @@ func printResult(label string, r *loadgen.Result) {
 				typ, st.Committed, st.Aborted, st.Latency.P50, st.Latency.P99)
 		}
 	}
+}
+
+// pct is 100·a/b, 0 when b is.
+func pct(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 100 * float64(a) / float64(b)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"flexcast/amcast"
 	"flexcast/internal/codec"
@@ -15,7 +16,8 @@ import (
 // Binary snapshot codec for the FlexCast engine. Map iteration is
 // always sorted, so the same snapshot marshals to the same bytes; the
 // history is the image capture took of it (history.AppendBinary, slot by
-// slot) and the accepted-notification log is written as it stands. The
+// slot), the accepted-notification log is written as it stands and a
+// held envelope is its wire encoding, length-prefixed. The
 // delivery log comes last, in delivery order and fixed-width: it is the
 // encoding's tail (amcast.TailSnapshot) — an instalment is the entries
 // appended since the previous snapshot, a journal their concatenation,
@@ -207,6 +209,16 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
 		buf = binary.AppendUvarint(buf, uint64(s.cursors[g]))
 	}
+	buf = binary.AppendUvarint(buf, uint64(len(s.holds)))
+	for _, h := range s.holds {
+		buf = binary.AppendUvarint(buf, uint64(uint32(h.from)))
+		buf = binary.AppendUvarint(buf, uint64(h.flush))
+		buf = binary.AppendUvarint(buf, uint64(len(h.envs)))
+		for _, env := range h.envs {
+			buf = binary.AppendUvarint(buf, uint64(codec.Size(env)))
+			buf = codec.Append(buf, env)
+		}
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.deliveries)))
 	for _, d := range s.deliveries {
 		buf = codec.AppendDelivery(buf, d)
@@ -284,6 +296,22 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	for i := 0; i < nCur && r.Err() == nil; i++ {
 		g := amcast.GroupID(r.Uvarint())
 		s.cursors[g] = history.Cursor(r.Uvarint())
+	}
+	for n := r.Count(); len(s.holds) < n && r.Err() == nil; {
+		h := &hold{from: amcast.GroupID(r.Uvarint()), flush: amcast.MsgID(r.Uvarint()), since: time.Now()}
+		if k := len(s.holds); k > 0 && h.from <= s.holds[k-1].from {
+			r.Fail(fmt.Errorf("core: hold on group %d out of order", h.from))
+		}
+		for k := r.Count(); len(h.envs) < k && r.Err() == nil; {
+			// The envelope is decoded from a copy: its payload aliases the
+			// bytes it is decoded from, and the caller keeps data.
+			env, err := codec.Unmarshal(slices.Clone(r.BytesN(r.Count())))
+			if err != nil {
+				r.Fail(fmt.Errorf("core: held envelope: %w", err))
+			}
+			h.envs = append(h.envs, env)
+		}
+		s.holds = append(s.holds, h)
 	}
 	nDel := r.Count()
 	s.deliveries = make([]amcast.Delivery, 0, nDel)

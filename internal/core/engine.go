@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"flexcast/amcast"
 	"flexcast/internal/history"
@@ -176,6 +177,26 @@ type pendingNotif struct {
 	deps     map[amcast.MsgID]bool
 }
 
+// hold is the envelopes from one sender that this group holds back after
+// applying the sender's MSG or ack for flush, which this group has not
+// delivered: they wait until flush's MSG and the flush acks of every
+// group ranked below the sender are applied here (DESIGN.md §4
+// deviation 10).
+type hold struct {
+	from  amcast.GroupID
+	flush amcast.MsgID
+	envs  []amcast.Envelope
+	// since is when the hold began, for the hold-time gauge only: it is
+	// not engine state, and a restored hold starts its clock anew.
+	since time.Time
+}
+
+// cursorDiff is one entry of Engine.diffs.
+type cursorDiff struct {
+	cur, next history.Cursor
+	delta     *amcast.HistDelta
+}
+
 // Engine is the FlexCast state machine for one group. It implements
 // amcast.Engine. Not safe for concurrent use; runtimes serialize access.
 type Engine struct {
@@ -244,6 +265,17 @@ type Engine struct {
 	// cursors tracks, per descendant, the prefix of the history already
 	// sent (hst(h) in Algorithm 1 line 18, as a log cursor).
 	cursors map[amcast.GroupID]history.Cursor
+	// holds lists the senders whose envelopes are held, ordered by group.
+	holds []*hold
+
+	// flushDiffs is set while a flush addressed to every group sends its
+	// MSG or acks: their diffs leave out the merged entries the flush is
+	// about to prune (history.FlushDiffSince). diffs memoizes, within one
+	// sendDescendants, the delta built for each distinct cursor, so the
+	// destinations at one cursor share one delta; nothing mutates a
+	// delta once built.
+	flushDiffs bool
+	diffs      []cursorDiff
 
 	deliveries []amcast.Delivery
 	seq        uint64
@@ -356,8 +388,113 @@ func (e *Engine) step(env amcast.Envelope, outs *[]amcast.Output) {
 }
 
 // apply performs one envelope's state updates without the trailing
-// reprocess fixpoint.
+// reprocess fixpoint, or holds the envelope back behind a flush.
 func (e *Engine) apply(env amcast.Envelope, outs *[]amcast.Output) {
+	if h := e.holdOf(env.From); h != nil {
+		h.envs = append(h.envs, env)
+		stats.held.Add(1)
+		return
+	}
+	e.applyNow(env, outs)
+	if len(e.holds) > 0 {
+		e.releaseHolds(outs)
+	}
+}
+
+// holdOf returns the hold on from's envelopes, nil if there is none.
+func (e *Engine) holdOf(from amcast.NodeID) *hold {
+	if from.IsClient() {
+		return nil
+	}
+	for _, h := range e.holds {
+		if h.from == from.Group() {
+			return h
+		}
+	}
+	return nil
+}
+
+// applyNow applies one envelope, then starts holding its sender's later
+// envelopes if it is the sender's MSG or ack for a flush addressed to
+// every group that this group has not delivered, and this group has not
+// yet applied that flush's MSG and the flush acks of every group ranked
+// below the sender. The sender left out of its flush diff the entries
+// those groups created (DESIGN.md §4 deviation 10); its later envelopes
+// may rest on them.
+func (e *Engine) applyNow(env amcast.Envelope, outs *[]amcast.Output) {
+	e.applyEnv(env, outs)
+	m := env.Msg
+	if (env.Kind == amcast.KindMsg || env.Kind == amcast.KindAck) && !env.From.IsClient() &&
+		e.toAll(m) && !e.wasDelivered(m.ID) && !e.belowApplied(m.ID, env.From.Group()) {
+		h := &hold{from: env.From.Group(), flush: m.ID, since: time.Now()}
+		i := 0
+		for i < len(e.holds) && e.holds[i].from < h.from {
+			i++
+		}
+		e.holds = slices.Insert(e.holds, i, h)
+	}
+}
+
+// belowApplied reports whether this group has applied flush's MSG and the
+// flush acks of every group ranked below from, or delivered flush. The
+// flush is addressed to every group, so its lca is rank 0 and sends the
+// MSG; ranks 1 and up ack.
+func (e *Engine) belowApplied(flush amcast.MsgID, from amcast.GroupID) bool {
+	if e.wasDelivered(flush) {
+		return true
+	}
+	p := e.pend[flush]
+	if p == nil || !p.hasMsg {
+		return false
+	}
+	for r := 1; r < e.ov.Rank(from); r++ {
+		if !slices.Contains(p.acks, e.ov.GroupAt(r)) {
+			return false
+		}
+	}
+	return true
+}
+
+// releaseHolds ends every hold whose flush acks have been applied and
+// applies the envelopes it held, in arrival order, until one of them
+// starts a new hold on the same sender; released envelopes can end
+// further holds, so it repeats until none ends. Holds end in group order,
+// which keeps the engine a deterministic function of its input.
+func (e *Engine) releaseHolds(outs *[]amcast.Output) {
+	for i := 0; i < len(e.holds); {
+		h := e.holds[i]
+		if !e.belowApplied(h.flush, h.from) {
+			i++
+			continue
+		}
+		e.holds = slices.Delete(e.holds, i, i+1)
+		stats.noteHold(time.Since(h.since))
+		for k, env := range h.envs {
+			e.applyNow(env, outs)
+			if nh := e.holdOf(env.From); nh != nil {
+				nh.envs = append(nh.envs, h.envs[k+1:]...)
+				break
+			}
+		}
+		i = 0
+	}
+}
+
+// toAll reports whether m is a flush addressed to every group of the
+// overlay.
+func (e *Engine) toAll(m amcast.Message) bool {
+	if m.Flags&amcast.FlagFlush == 0 {
+		return false
+	}
+	for _, g := range e.ov.Order() {
+		if !m.HasDst(g) {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *Engine) applyEnv(env amcast.Envelope, outs *[]amcast.Output) {
 	switch env.Kind {
 	case amcast.KindRequest:
 		e.onRequest(env, outs)
@@ -384,7 +521,7 @@ func (e *Engine) onRequest(env amcast.Envelope, outs *[]amcast.Output) {
 // onMsg handles an application message propagated by its lca (Algorithm 2
 // lines 3-6).
 func (e *Engine) onMsg(env amcast.Envelope, outs *[]amcast.Output) {
-	e.mergeHist(env.Hist)
+	e.mergeHist(env)
 	m := env.Msg
 	if !m.HasDst(e.g) || e.wasDelivered(m.ID) {
 		// Duplicate or misrouted: the history merge above is still useful.
@@ -406,7 +543,7 @@ func (e *Engine) onMsg(env amcast.Envelope, outs *[]amcast.Output) {
 // onAck handles an acknowledgment from an ancestor destination or a
 // notified ancestor (Algorithm 2 lines 7-11).
 func (e *Engine) onAck(env amcast.Envelope, outs *[]amcast.Output) {
-	e.mergeHist(env.Hist)
+	e.mergeHist(env)
 	m := env.Msg
 	if e.wasDelivered(m.ID) {
 		return
@@ -437,7 +574,7 @@ func (e *Engine) onAck(env amcast.Envelope, outs *[]amcast.Output) {
 // The resulting ack declares the (notifier, epoch) entries it answers
 // (AckCovers), letting destinations pair acks with notifier epochs.
 func (e *Engine) onNotif(env amcast.Envelope, outs *[]amcast.Output) {
-	e.mergeHist(env.Hist)
+	e.mergeHist(env)
 	m := env.Msg
 	notifier := env.From.Group()
 	epoch := env.CertEpoch
@@ -479,11 +616,18 @@ func (e *Engine) mergeNotifList(p *pending, ps []amcast.NotifPair) {
 	}
 }
 
-// mergeHist integrates a received history diff (update-hst in Algorithm 3)
-// and maintains the open-dependency set and the per-group traffic
-// counters driving NOTIF re-certification.
-func (e *Engine) mergeHist(d *amcast.HistDelta) {
-	for _, n := range e.hst.Merge(d) {
+// mergeHist integrates an envelope's history diff (update-hst in
+// Algorithm 3) and maintains the open-dependency set and the per-group
+// traffic counters driving NOTIF re-certification.
+func (e *Engine) mergeHist(env amcast.Envelope) {
+	if env.Hist == nil {
+		return
+	}
+	added, fresh := e.hst.Merge(env.Hist), 0
+	for _, n := range added {
+		if len(n.Dst) > 0 {
+			fresh++
+		}
 		for _, dst := range n.Dst {
 			e.trafficSeq[dst]++
 		}
@@ -499,6 +643,9 @@ func (e *Engine) mergeHist(d *amcast.HistDelta) {
 			e.open[n.ID] = true
 			e.hst.MarkOpen(n.ID)
 		}
+	}
+	if fresh > 0 {
+		stats.nodesNew[flushKind(env.Msg)].Add(uint64(fresh))
 	}
 }
 
@@ -528,6 +675,15 @@ func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
 	}
 	delete(e.open, m.ID)
 
+	// A flush prunes what precedes it (§4.3): marked now, swept below. A
+	// flush addressed to every group ships of the marked entries only the
+	// ones this group created; each group below it ships its own to every
+	// group above (DESIGN.md §4 deviation 10).
+	gc := m.Flags&amcast.FlagFlush != 0 && !e.cfg.DisableGC
+	if gc {
+		e.hst.MarkBefore(m.ID)
+	}
+	e.flushDiffs = gc && e.toAll(m)
 	lca := e.ov.Lca(m.Dst)
 	if lca == e.g {
 		e.sendDescendants(m, amcast.KindMsg, nil, outs)
@@ -535,6 +691,7 @@ func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
 		e.dequeue(lca, m.ID)
 		e.sendDescendants(m.Header(), amcast.KindAck, nil, outs)
 	}
+	e.flushDiffs = false
 	delete(e.pend, m.ID)
 	// This group never notifies about m again after delivering it (all
 	// sends for m happen above), so its notifier-side record is dead.
@@ -543,8 +700,8 @@ func (e *Engine) deliver(m amcast.Message, outs *[]amcast.Output) {
 	if len(e.pendNotif) > 0 {
 		e.releaseNotifs(m.ID, outs)
 	}
-	if m.Flags&amcast.FlagFlush != 0 && !e.cfg.DisableGC {
-		e.nPruned += e.hst.PruneBefore(m.ID)
+	if gc {
+		e.nPruned += e.hst.SweepMarked()
 	}
 }
 
@@ -608,6 +765,7 @@ func (e *Engine) sendFlushAck(m amcast.Message, covers []amcast.AckCover, outs *
 // NOTIFs were actually sent at — a destination can never learn a pair
 // without also learning its current certification epoch.
 func (e *Engine) sendDescendants(m amcast.Message, kind amcast.Kind, covers []amcast.AckCover, outs *[]amcast.Output) {
+	e.diffs = e.diffs[:0]
 	notifList := e.sendNotifs(m, outs)
 	if p, ok := e.pend[m.ID]; ok {
 		notifList = append(notifList, p.notif...)
@@ -619,7 +777,7 @@ func (e *Engine) sendDescendants(m amcast.Message, kind amcast.Kind, covers []am
 		if e.ov.Rank(d) <= myRank {
 			continue
 		}
-		delta := e.diffFor(d)
+		delta := e.diffFor(d, m)
 		*outs = append(*outs, amcast.Output{
 			To: amcast.GroupNode(d),
 			Env: amcast.Envelope{
@@ -668,7 +826,7 @@ func (e *Engine) sendNotifs(m amcast.Message, outs *[]amcast.Output) []amcast.No
 			st = notifState{epoch: st.epoch + 1, seq: cur}
 		}
 		e.notifSent[m.ID] = sent.put(d, st)
-		delta := e.diffFor(d)
+		delta := e.diffFor(d, m)
 		*outs = append(*outs, amcast.Output{
 			To: amcast.GroupNode(d),
 			Env: amcast.Envelope{
@@ -684,9 +842,25 @@ func (e *Engine) sendNotifs(m amcast.Message, outs *[]amcast.Output) []amcast.No
 	return notified
 }
 
-func (e *Engine) diffFor(d amcast.GroupID) *amcast.HistDelta {
-	delta, cur := e.hst.DiffSince(e.cursors[d])
-	e.cursors[d] = cur
+// diffFor returns the history diff to send to d and advances d's cursor.
+// Destinations at one cursor share one delta (see Engine.diffs).
+func (e *Engine) diffFor(d amcast.GroupID, m amcast.Message) *amcast.HistDelta {
+	cd := cursorDiff{cur: e.cursors[d]}
+	if i := slices.IndexFunc(e.diffs, func(x cursorDiff) bool { return x.cur == cd.cur }); i >= 0 {
+		cd = e.diffs[i]
+	} else {
+		if e.flushDiffs {
+			cd.delta, cd.next = e.hst.FlushDiffSince(cd.cur)
+		} else {
+			cd.delta, cd.next = e.hst.DiffSince(cd.cur)
+		}
+		e.diffs = append(e.diffs, cd)
+	}
+	e.cursors[d] = cd.next
+	delta := cd.delta
+	if delta != nil && len(delta.Nodes) > 0 {
+		stats.nodesSent[flushKind(m)].Add(uint64(len(delta.Nodes)))
+	}
 	return delta
 }
 
@@ -817,8 +991,9 @@ func (e *Engine) OpenDependencies() []amcast.MsgID {
 }
 
 // DebugDump renders the engine's blocking state — queued messages with
-// the acks they hold and need, open dependencies, withheld notifications
-// — for chaos-schedule failure analysis and tests.
+// the acks they hold and need, open dependencies, withheld
+// notifications, envelopes held behind a flush — for chaos-schedule
+// failure analysis and tests.
 func (e *Engine) DebugDump() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "group %d: delivered=%d open=%v\n", e.g, len(e.deliveredLog), e.OpenDependencies())
@@ -847,6 +1022,13 @@ func (e *Engine) DebugDump() string {
 		}
 		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
 		fmt.Fprintf(&sb, "  withheld notif-ack for %s (notifier %d epoch %d): waiting on %v\n", pn.msg.ID, pn.notifier, pn.epoch, deps)
+	}
+	for _, h := range e.holds {
+		fmt.Fprintf(&sb, "  held from group %d: %d envelope(s) waiting on the acks below it for flush %s:", h.from, len(h.envs), h.flush)
+		for _, env := range h.envs {
+			fmt.Fprintf(&sb, " %s(%s)", env.Kind, env.Msg.ID)
+		}
+		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"time"
 
 	"flexcast/amcast"
 	"flexcast/internal/codec"
@@ -33,6 +34,7 @@ type snapshot struct {
 	trafficSeq map[amcast.GroupID]uint64
 	notifSent  map[amcast.MsgID]byGroup[notifState]
 	cursors    map[amcast.GroupID]history.Cursor
+	holds      []*hold
 
 	deliveries []amcast.Delivery
 	seq        uint64
@@ -70,6 +72,16 @@ func copyPendNotifs(pns []*pendingNotif) []*pendingNotif {
 	return c
 }
 
+// copyHolds copies the holds and their envelope lists; an envelope's
+// history delta is shared, as nothing writes a delta.
+func copyHolds(hs []*hold) []*hold {
+	var c []*hold
+	for _, h := range hs {
+		c = append(c, &hold{from: h.from, flush: h.flush, envs: slices.Clone(h.envs), since: time.Now()})
+	}
+	return c
+}
+
 // capture copies the engine's mutable state; install is its inverse and
 // copies again, so a snapshot can be restored repeatedly without the
 // running engine corrupting it. The history is encoded into the engine's
@@ -89,6 +101,7 @@ func (e *Engine) capture() *snapshot {
 		trafficSeq: maps.Clone(e.trafficSeq),
 		notifSent:  copyByGroup(e.notifSent),
 		cursors:    maps.Clone(e.cursors),
+		holds:      copyHolds(e.holds),
 		deliveries: append([]amcast.Delivery(nil), e.deliveries...),
 		seq:        e.seq,
 		nPruned:    e.nPruned,
@@ -137,6 +150,7 @@ func (e *Engine) install(s *snapshot) error {
 	e.trafficSeq = maps.Clone(s.trafficSeq)
 	e.notifSent = copyByGroup(s.notifSent)
 	e.cursors = maps.Clone(s.cursors)
+	e.holds = copyHolds(s.holds)
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq
 	e.nPruned = s.nPruned

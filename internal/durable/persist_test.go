@@ -73,6 +73,16 @@ func crashStacks() []crashStack {
 			inputs: func(t *testing.T, cadence int) []amcast.Envelope { return orderChurn(t, 3, 12, cadence) },
 		},
 		{
+			// The same stack behind a flush hold: see flushHoldInputs.
+			name: "flexcast+store/flush holds",
+			mk: executing(func(g amcast.GroupID) amcast.SnapshotEngine {
+				return core.MustNew(core.Config{Group: g, Overlay: ov})
+			}),
+			decode: over(core.UnmarshalSnapshot),
+			target: 4,
+			inputs: func(t *testing.T, cadence int) []amcast.Envelope { return flushHoldInputs(t, 4, 600) },
+		},
+		{
 			name: "skeen+store",
 			mk: executing(func(g amcast.GroupID) amcast.SnapshotEngine {
 				e, err := skeen.New(skeen.Config{Group: g, Groups: crashGroups})
@@ -151,6 +161,76 @@ func recordInputs(s crashStack, txs int) []amcast.Envelope {
 	}
 	for len(queue) > 0 {
 		step()
+	}
+	return inputs
+}
+
+// flushHoldInputs is group g's input, g ranked last, under a gTPC-C
+// stream of txs transactions with a flush to every group after every
+// 10th, run through plain FlexCast engines on a network whose link from
+// the second-ranked group to g lags: the flush acks of the groups ranked
+// between reach g first, so g holds what follows them until the
+// lagging ack arrives (DESIGN.md §4 deviation 10) — and a snapshot taken
+// meanwhile carries held envelopes. It fails the test if g held nothing.
+func flushHoldInputs(t *testing.T, g amcast.GroupID, txs int) []amcast.Envelope {
+	ov := overlay.MustCDAG(crashGroups)
+	engines := make(map[amcast.GroupID]*core.Engine)
+	gens := make([]*gtpcc.Gen, len(crashGroups))
+	for i, home := range crashGroups {
+		engines[home] = core.MustNew(core.Config{Group: home, Overlay: ov})
+		var nearest []amcast.GroupID
+		for _, o := range crashGroups {
+			if o != home {
+				nearest = append(nearest, o)
+			}
+		}
+		gens[i] = gtpcc.MustNew(gtpcc.Config{Home: home, Nearest: nearest, Locality: 0.4}, rand.New(rand.NewSource(int64(31+i))))
+	}
+	type hop struct {
+		to  amcast.GroupID
+		env amcast.Envelope
+	}
+	lagging := ov.GroupAt(1)
+	var queue, slow []hop
+	var inputs []amcast.Envelope
+	steps := 0
+	step := func() {
+		if steps++; len(slow) > 0 && (steps%20 == 0 || len(queue) == 0) {
+			queue, slow = append(queue, slow[0]), slow[1:]
+		}
+		h := queue[0]
+		queue = queue[1:]
+		if h.to == g {
+			inputs = append(inputs, h.env)
+		}
+		for _, out := range engines[h.to].OnEnvelope(h.env) {
+			switch {
+			case out.To.IsClient():
+			case h.to == lagging && out.To.Group() == g:
+				slow = append(slow, hop{g, out.Env})
+			default:
+				queue = append(queue, hop{out.To.Group(), out.Env})
+			}
+		}
+		engines[h.to].TakeDeliveries()
+	}
+	held := core.ReadStats().EnvsHeld
+	for i := 0; i < txs; i++ {
+		tx := gens[i%len(gens)].Next()
+		m := amcast.Message{ID: amcast.NewMsgID(0, uint64(i+1)), Sender: amcast.ClientNode(0), Dst: tx.Dst, Payload: gtpcc.EncodeTx(tx)}
+		if i%10 == 9 {
+			m = amcast.Message{ID: amcast.NewMsgID(1, uint64(i+1)), Sender: amcast.ClientNode(1), Dst: crashGroups, Flags: amcast.FlagFlush}
+		}
+		queue = append(queue, hop{ov.Lca(m.Dst), amcast.Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m}})
+		for n := 0; n < 2 && len(queue) > 0; n++ {
+			step()
+		}
+	}
+	for len(queue)+len(slow) > 0 {
+		step()
+	}
+	if core.ReadStats().EnvsHeld == held {
+		t.Fatalf("group %d held no envelope", g)
 	}
 	return inputs
 }
@@ -740,52 +820,95 @@ func orderLoad(tb testing.TB, pending int) cadenceLoad {
 	}
 }
 
-// cadencePoint measures one cadence point of a load that has consumed
-// warm inputs: the engine-goroutine stall (the least of several, fsync
-// times vary) and the bytes the persist job wrote for it.
-func cadencePoint(tb testing.TB, load cadenceLoad, warm int) (stall time.Duration, written int64) {
-	dir := tb.TempDir()
-	const cadence = 256
-	deng, err := Wrap(load.eng, Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: load.decode})
+// cadenceMeter drives a load through a durable engine one cadence point
+// at a time.
+type cadenceMeter struct {
+	tb   testing.TB
+	load cadenceLoad
+	dir  string
+	deng *Engine
+}
+
+// meterCadence wraps a load that has consumed warm inputs.
+func meterCadence(tb testing.TB, load cadenceLoad, warm int) *cadenceMeter {
+	m := &cadenceMeter{tb: tb, load: load, dir: tb.TempDir()}
+	deng, err := Wrap(load.eng, Options{Dir: m.dir, SnapshotEvery: meterCadenceLen, FsyncEvery: -1, Decode: load.decode})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer deng.Close()
-	feedN := func(n int) {
-		for ; n > 0; n-- {
-			deng.OnEnvelope(load.next())
-			deng.TakeDeliveries()
-		}
-	}
-	feedN(warm - warm%cadence)
+	m.deng = deng
+	m.feed(warm - warm%meterCadenceLen)
 	if err := deng.Sync(); err != nil {
 		tb.Fatal(err)
 	}
-	// The cadence points measured: each writes a snapshot body behind the
-	// epoch it seals and appends its tail's instalment to the journal.
-	const points = 8
-	stall = time.Hour
+	return m
+}
+
+const meterCadenceLen = 256
+
+func (m *cadenceMeter) feed(n int) {
+	for ; n > 0; n-- {
+		m.deng.OnEnvelope(m.load.next())
+		m.deng.TakeDeliveries()
+	}
+}
+
+// point feeds one cadence of inputs and returns the engine-goroutine
+// stall of the cadence point that ends it and the bytes the persist job
+// wrote for it: a snapshot body behind the epoch it seals and its tail's
+// instalment to the journal.
+func (m *cadenceMeter) point() (stall time.Duration, written int64) {
 	journalBytes := func() int64 {
-		st, err := os.Stat(journalPath(dir))
+		st, err := os.Stat(journalPath(m.dir))
 		if err != nil {
-			tb.Fatal(err)
+			m.tb.Fatal(err)
 		}
 		return st.Size()
 	}
 	before := journalBytes()
-	for p := 0; p < points; p++ {
-		feedN(cadence - 1)
-		deng.OnEnvelope(load.next())
-		start := time.Now()
-		deng.TakeDeliveries()
-		stall = min(stall, time.Since(start))
-		if err := deng.Sync(); err != nil {
-			tb.Fatal(err)
-		}
-		written += int64(len(inspect(tb, dir).SnapshotBody))
+	m.feed(meterCadenceLen - 1)
+	m.deng.OnEnvelope(m.load.next())
+	start := time.Now()
+	m.deng.TakeDeliveries()
+	stall = time.Since(start)
+	if err := m.deng.Sync(); err != nil {
+		m.tb.Fatal(err)
 	}
-	written += journalBytes() - before
+	return stall, int64(len(inspect(m.tb, m.dir).SnapshotBody)) + journalBytes() - before
+}
+
+// cadencePoint measures 8 cadence points of a load that has consumed
+// warm inputs: the least engine-goroutine stall and the mean bytes
+// written per point.
+func cadencePoint(tb testing.TB, load cadenceLoad, warm int) (stall time.Duration, written int64) {
+	m := meterCadence(tb, load, warm)
+	defer m.deng.Close()
+	const points = 8
+	stall = time.Hour
+	for p := 0; p < points; p++ {
+		st, w := m.point()
+		stall, written = min(stall, st), written+w
+	}
 	return stall, written / points
+}
+
+// cadencePoints measures the cadence points of a small and a big load
+// interleaved, one point of each per round, so that whatever else the
+// machine runs meanwhile (other test packages) falls on both alike; each
+// stall is the least of its rounds, each byte count the mean.
+func cadencePoints(tb testing.TB, small, big cadenceLoad, warmSmall, warmBig int) (smallStall, bigStall time.Duration, smallBytes, bigBytes int64) {
+	ms, mb := meterCadence(tb, small, warmSmall), meterCadence(tb, big, warmBig)
+	defer ms.deng.Close()
+	defer mb.deng.Close()
+	const rounds = 24
+	smallStall, bigStall = time.Hour, time.Hour
+	for r := 0; r < rounds; r++ {
+		st, w := ms.point()
+		smallStall, smallBytes = min(smallStall, st), smallBytes+w
+		st, w = mb.point()
+		bigStall, bigBytes = min(bigStall, st), bigBytes+w
+	}
+	return smallStall, bigStall, smallBytes / rounds, bigBytes / rounds
 }
 
 // checkCadenceCostFlat fails when what a cadence point costs — the engine
@@ -809,8 +932,7 @@ func TestSnapshotCostIndependentOfTombstones(t *testing.T) {
 	if testing.Short() {
 		t.Skip("delivers 200k messages")
 	}
-	smallStall, smallBytes := cadencePoint(t, tombstoneLoad(t), 2_000)
-	bigStall, bigBytes := cadencePoint(t, tombstoneLoad(t), 200_000)
+	smallStall, bigStall, smallBytes, bigBytes := cadencePoints(t, tombstoneLoad(t), tombstoneLoad(t), 2_000, 200_000)
 	t.Logf("2k deliveries: stall %v, %d B per cadence point; 200k deliveries: stall %v, %d B", smallStall, smallBytes, bigStall, bigBytes)
 	checkCadenceCostFlat(t, "tombstone count", smallStall, bigStall, smallBytes, bigBytes)
 }
@@ -822,8 +944,7 @@ func TestSnapshotCostIndependentOfPendingOrders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queues 100k orders")
 	}
-	smallStall, smallBytes := cadencePoint(t, orderLoad(t, 1_000), 1_000)
-	bigStall, bigBytes := cadencePoint(t, orderLoad(t, 100_000), 100_000)
+	smallStall, bigStall, smallBytes, bigBytes := cadencePoints(t, orderLoad(t, 1_000), orderLoad(t, 100_000), 1_000, 100_000)
 	t.Logf("1k undelivered orders: stall %v, %d B per cadence point; 100k: stall %v, %d B", smallStall, smallBytes, bigStall, bigBytes)
 	checkCadenceCostFlat(t, "order queue", smallStall, bigStall, smallBytes, bigBytes)
 }

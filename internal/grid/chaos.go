@@ -16,8 +16,9 @@ import (
 // run, with a *Violation.
 //
 // The keys it reads are protocol, seed, clients, execute, durable,
-// locality (> 0: the WAN latency matrix and gTPC-C destinations) and
-// trace_sample, plus schedules, closed_loop, messages and chaos_bug. A
+// locality (> 0: the WAN latency matrix and gTPC-C destinations),
+// flush_every_ms (the flush client's period) and trace_sample, plus
+// schedules, closed_loop, messages and chaos_bug. A
 // chaos cell is never timed, so duration_ms, warmup_ms, groups and
 // workers do not apply: the messages per client bound an exploration.
 //

@@ -10,7 +10,8 @@ import (
 
 // AppendBinary appends the history's encoding: lastDlvd, the arena slot
 // by slot (a free slot is one zero byte; a live one its flags, id,
-// destinations and predecessor slots), the free list and the log. Slots
+// destinations and predecessor slots), the free list and the log (each
+// entry's sequence number and origin bit as one key). Slots
 // and predecessor order are written as they are, so a decoded history
 // allocates, walks, prunes and encodes exactly like the original; the
 // index, the successor lists (whose order nothing observes), the interned
@@ -41,7 +42,7 @@ func (h *History) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, h.nextSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(h.log)))
 	for _, le := range h.log {
-		buf = binary.AppendUvarint(buf, le.seq)
+		buf = binary.AppendUvarint(buf, le.key)
 		buf = binary.AppendUvarint(buf, uint64(le.a))
 		buf = binary.AppendUvarint(buf, uint64(le.b+1)) // noSlot + 1 == 0
 	}
@@ -81,7 +82,7 @@ func Decode(r *codec.Reader) *History {
 	}
 	h.nextSeq = r.Uvarint()
 	for n := r.Count(); len(h.log) < n && r.Err() == nil; {
-		h.log = append(h.log, logEntry{seq: r.Uvarint(), a: uint32(r.Uvarint()), b: uint32(r.Uvarint()) - 1})
+		h.log = append(h.log, logEntry{key: r.Uvarint(), a: uint32(r.Uvarint()), b: uint32(r.Uvarint()) - 1})
 	}
 	if r.Err() == nil {
 		if err := h.link(); err != nil {
@@ -135,10 +136,10 @@ func (h *History) link() error {
 	}
 	seq := uint64(0)
 	for _, le := range h.log {
-		if le.seq < seq || le.seq >= h.nextSeq || !live(le.a) || (le.b != noSlot && !live(le.b)) {
+		if le.seq() < seq || le.seq() >= h.nextSeq || !live(le.a) || (le.b != noSlot && !live(le.b)) {
 			return fmt.Errorf("history: decode: bad log entry %+v", le)
 		}
-		seq = le.seq + 1
+		seq = le.seq() + 1
 	}
 	return nil
 }

@@ -25,11 +25,15 @@
 // it stays near the open frontier instead of re-walking settled history.
 //
 // The structure also maintains an append-only log of first-seen nodes and
-// edges, each entry stamped with a sequence number that is never reused.
-// Per-descendant diff tracking (diff-hst in Algorithm 3) is a sequence
-// number into this log, which makes computing "the part of my history I
-// have not yet sent to h" O(new entries) instead of O(|history|), and
-// lets garbage collection drop dead entries without touching any cursor.
+// edges, each entry stamped with a sequence number that is never reused
+// and with its origin: merged (learned from another group's diff) or
+// created here. Per-descendant diff tracking (diff-hst in Algorithm 3) is
+// a sequence number into this log, which makes computing "the part of my
+// history I have not yet sent to h" O(new entries) instead of
+// O(|history|), and lets garbage collection drop dead entries without
+// touching any cursor. Garbage collection is a mark (MarkBefore) and a
+// sweep (SweepMarked); between the two, FlushDiffSince leaves out the
+// merged entries the sweep is about to drop.
 package history
 
 import (
@@ -134,11 +138,17 @@ type vertex struct {
 
 // logEntry is one first-seen node (b == noSlot) or edge a → b. Entries of
 // pruned nodes are removed by the prune itself, so a logged slot is always
-// live.
+// live. key is the entry's sequence number shifted left once, its low bit
+// set (logMerged) when Merge logged the entry.
 type logEntry struct {
-	seq  uint64
+	key  uint64
 	a, b uint32
 }
+
+// logMerged is the origin bit of logEntry.key.
+const logMerged = 1
+
+func (le logEntry) seq() uint64 { return le.key >> 1 }
 
 type groupCount struct {
 	g amcast.GroupID
@@ -165,6 +175,9 @@ type History struct {
 	// is the sequence number the next entry gets.
 	log     []logEntry
 	nextSeq uint64
+	// origin is the origin bit appendLog stamps: logMerged while Merge
+	// runs, 0 otherwise.
+	origin uint64
 	// sets interns destination sets: group bitmask → index in setList.
 	sets    table
 	setList [][]amcast.GroupID
@@ -177,6 +190,13 @@ type History struct {
 	walkFrom amcast.MsgID
 	closable bool
 	added    []Node // Merge's result, reused
+	// doomed lists the slots MarkBefore(doomID) marked, each carrying the
+	// walk's epoch doomEpoch in mark; doomRoot is doomID's slot. The marks
+	// hold while no walk and no graph change came after them (marked).
+	doomed    []uint32
+	doomRoot  uint32
+	doomID    amcast.MsgID
+	doomEpoch uint32
 }
 
 // New returns an empty history.
@@ -305,9 +325,10 @@ func (h *History) alloc(id amcast.MsgID, dst []amcast.GroupID) uint32 {
 // appendLog logs a new node, a filled-in placeholder or a new edge — every
 // change to the graph but a prune.
 func (h *History) appendLog(a, b uint32) {
-	h.log = append(h.log, logEntry{seq: h.nextSeq, a: a, b: b})
+	h.log = append(h.log, logEntry{key: h.nextSeq<<1 | h.origin, a: a, b: b})
 	h.nextSeq++
 	h.closable = false
+	h.doomEpoch = 0
 }
 
 // addNode inserts n or fills in a placeholder's destinations; it reports
@@ -419,6 +440,7 @@ func (h *History) Merge(d *amcast.HistDelta) []Node {
 		return nil
 	}
 	added := h.added[:0]
+	h.origin = logMerged
 	for _, hn := range d.Nodes {
 		if s, created, filled := h.addNode(Node{ID: hn.ID, Dst: hn.Dst}); created || filled {
 			added = append(added, Node{ID: hn.ID, Dst: h.nodes[s].dst})
@@ -435,6 +457,7 @@ func (h *History) Merge(d *amcast.HistDelta) []Node {
 			added = append(added, Node{ID: e.To})
 		}
 	}
+	h.origin = 0
 	h.added = added
 	return added
 }
@@ -449,30 +472,56 @@ type Cursor uint64
 // log: they recorded dependencies that are fully resolved system-wide
 // (everything before a delivered flush), so descendants no longer need
 // them — this is what keeps FlexCast's history piggybacking bounded
-// (§4.3).
-func (h *History) DiffSince(c Cursor) (*amcast.HistDelta, Cursor) {
-	from, nNodes := len(h.log), 0
-	for from > 0 && h.log[from-1].seq >= uint64(c) {
+// (§4.3). The delta is the caller's to share: the history keeps nothing
+// of it.
+func (h *History) DiffSince(c Cursor) (*amcast.HistDelta, Cursor) { return h.diff(c, false) }
+
+// FlushDiffSince is DiffSince without the merged entries MarkBefore
+// marked for the sweep: a merged node it marked, and a merged edge whose
+// two endpoints it marked. Entries this history created are never left
+// out. A flush ack carries this diff (DESIGN.md §4 deviation 10); the
+// cursor advances past the entries left out as past the ones sent.
+func (h *History) FlushDiffSince(c Cursor) (*amcast.HistDelta, Cursor) { return h.diff(c, true) }
+
+// marked reports whether the last MarkBefore's marks still hold.
+func (h *History) marked() bool { return h.doomEpoch != 0 && h.doomEpoch == h.epoch }
+
+// omitted reports whether FlushDiffSince leaves le out, the marks holding.
+func (h *History) omitted(le logEntry) bool {
+	e := h.doomEpoch
+	return le.key&logMerged != 0 && h.mark[le.a] == e && (le.b == noSlot || h.mark[le.b] == e)
+}
+
+func (h *History) diff(c Cursor, omit bool) (*amcast.HistDelta, Cursor) {
+	omit = omit && h.marked()
+	from, nNodes, nEdges := len(h.log), 0, 0
+	for from > 0 && h.log[from-1].key >= uint64(c)<<1 {
 		from--
-		if h.log[from].b == noSlot {
+		switch le := h.log[from]; {
+		case omit && h.omitted(le):
+		case le.b == noSlot:
 			nNodes++
+		default:
+			nEdges++
 		}
 	}
-	if from == len(h.log) {
+	if nNodes+nEdges == 0 {
 		return nil, Cursor(h.nextSeq)
 	}
 	d := &amcast.HistDelta{}
 	if nNodes > 0 {
 		d.Nodes = make([]amcast.HistNode, 0, nNodes)
 	}
-	if nEdges := len(h.log) - from - nNodes; nEdges > 0 {
+	if nEdges > 0 {
 		d.Edges = make([]amcast.HistEdge, 0, nEdges)
 	}
 	for _, le := range h.log[from:] {
-		if le.b == noSlot {
+		switch {
+		case omit && h.omitted(le):
+		case le.b == noSlot:
 			nd := &h.nodes[le.a]
 			d.Nodes = append(d.Nodes, amcast.HistNode{ID: nd.id, Dst: nd.dst})
-		} else {
+		default:
 			d.Edges = append(d.Edges, amcast.HistEdge{From: h.nodes[le.a].id, To: h.nodes[le.b].id})
 		}
 	}
@@ -487,7 +536,7 @@ func (h *History) nextEpoch() uint32 {
 	h.epoch++
 	if h.epoch == 0 {
 		clear(h.mark)
-		h.epoch = 1
+		h.epoch, h.doomEpoch = 1, 0
 	}
 	return h.epoch
 }
@@ -596,29 +645,53 @@ func (h *History) DependsOn(m, mPrime amcast.MsgID) bool {
 
 // PruneBefore removes every node with a path to flushID (i.e. every
 // message ordered before the flush message), their edges and their log
-// entries, implementing the garbage collection of §4.3 in one marked
-// sweep. The flush node itself survives as the new history root; diff
-// cursors stay valid. Returns the number of removed nodes.
+// entries, implementing the garbage collection of §4.3: MarkBefore, then
+// SweepMarked. The flush node itself survives as the new history root;
+// diff cursors stay valid. Returns the number of removed nodes.
 func (h *History) PruneBefore(flushID amcast.MsgID) int {
-	fs, ok := h.slot(flushID)
+	h.MarkBefore(flushID)
+	return h.SweepMarked()
+}
+
+// MarkBefore marks every node with a path to id — the set the next
+// SweepMarked removes, id itself excluded — and returns how many it
+// marked. A walk or a graph change after the mark drops it: FlushDiffSince
+// then leaves nothing out, and SweepMarked marks again.
+func (h *History) MarkBefore(id amcast.MsgID) int {
+	h.doomID, h.doomEpoch, h.doomed = id, 0, h.doomed[:0]
+	fs, ok := h.slot(id)
 	if !ok {
 		return 0
 	}
-	// Collect the prune set: all strict ancestors of flushID, breadth
-	// first, the list doubling as the queue.
+	// All strict ancestors of id, breadth first, the list doubling as the
+	// queue.
 	h.closable = false
 	epoch := h.nextEpoch()
 	h.mark[fs] = epoch
-	doomed := h.pushPreds(h.work[:0], fs, epoch)
+	doomed := h.pushPreds(h.doomed, fs, epoch)
 	for i := 0; i < len(doomed); i++ {
 		doomed = h.pushPreds(doomed, doomed[i], epoch)
 	}
-	h.work = doomed[:0]
+	h.mark[fs] = 0 // from here on a node is doomed iff it carries the stamp
+	h.doomed, h.doomRoot, h.doomEpoch = doomed, fs, epoch
+	return len(doomed)
+}
+
+// SweepMarked removes the nodes MarkBefore marked, their edges and their
+// log entries, and returns how many nodes it removed.
+func (h *History) SweepMarked() int {
+	if h.doomID == 0 {
+		return 0
+	}
+	if !h.marked() {
+		h.MarkBefore(h.doomID)
+	}
+	doomed, epoch := h.doomed, h.doomEpoch
+	h.doomID, h.doomEpoch = 0, 0
 	if len(doomed) == 0 {
 		return 0
 	}
-	h.mark[fs] = 0 // from here on a node is doomed iff it carries the stamp
-
+	h.closable = false
 	live := h.log[:0]
 	for _, le := range h.log {
 		if h.mark[le.a] == epoch || (le.b != noSlot && h.mark[le.b] == epoch) {
@@ -631,8 +704,7 @@ func (h *History) PruneBefore(flushID amcast.MsgID) int {
 	for _, s := range doomed {
 		nd := &h.nodes[s]
 		// Every predecessor of a doomed node is doomed too (or, in a cyclic
-		// graph, the flush node); only its edges into survivors need
-		// unlinking.
+		// graph, the root); only its edges into survivors need unlinking.
 		for i := uint32(0); i < nd.succ.n; i++ {
 			if t := nd.succ.at(i); h.mark[t] != epoch {
 				h.dropMarked(&h.preds[t], epoch)
@@ -645,8 +717,9 @@ func (h *History) PruneBefore(flushID amcast.MsgID) int {
 		nd.id, nd.dst, h.flags[s] = 0, nil, 0
 		h.free = append(h.free, s)
 	}
-	// A no-op unless a cycle runs through the flush node.
-	h.dropMarked(&h.nodes[fs].succ, epoch)
+	// A no-op unless a cycle runs through the root.
+	h.dropMarked(&h.nodes[h.doomRoot].succ, epoch)
+	h.doomed = doomed[:0]
 	return len(doomed)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"flexcast/amcast"
+	"flexcast/internal/codec"
 	"flexcast/internal/prototest"
 )
 
@@ -572,6 +573,55 @@ func TestAllocBudgetIntern(t *testing.T) {
 		got := h.intern(odd)
 		if !reflect.DeepEqual(got, odd) || &got[0] == &odd[0] {
 			t.Fatalf("intern(%v) = %v, want a copy as it stands", odd, got)
+		}
+	}
+}
+
+// TestFlushDiffSinceOmitsMergedMarked: between MarkBefore(F) and the
+// sweep, FlushDiffSince leaves out exactly the merged entries that
+// precede F — a merged node, and a merged edge with both ends marked —
+// and ships what this history created and what does not precede F. The
+// origin bit survives the image, a second MarkBefore forgets the first
+// one's marks, and a walk after the mark drops it.
+func TestFlushDiffSinceOmitsMergedMarked(t *testing.T) {
+	h := New()
+	h.Merge(&amcast.HistDelta{Nodes: []amcast.HistNode{{ID: 1, Dst: []amcast.GroupID{1, 2}}}})
+	h.AppendDelivered(node(2, 2, 3))
+	h.Merge(&amcast.HistDelta{Edges: []amcast.HistEdge{{From: 1, To: 2}}})
+	h.Merge(&amcast.HistDelta{Nodes: []amcast.HistNode{{ID: 3, Dst: []amcast.GroupID{1, 3}}}})
+	h.AppendDelivered(node(9, 1, 2, 3))
+	want := &amcast.HistDelta{
+		Nodes: []amcast.HistNode{{ID: 2, Dst: []amcast.GroupID{2, 3}}, {ID: 3, Dst: []amcast.GroupID{1, 3}}, {ID: 9, Dst: []amcast.GroupID{1, 2, 3}}},
+		Edges: []amcast.HistEdge{{From: 2, To: 9}},
+	}
+	full, _ := h.DiffSince(0)
+	for _, hh := range []*History{h, Decode(codec.NewReader(h.AppendBinary(nil)))} {
+		if got := hh.MarkBefore(3); got != 0 {
+			t.Fatalf("MarkBefore(3) marked %d nodes, want none", got)
+		}
+		if got, _ := hh.FlushDiffSince(0); !reflect.DeepEqual(got, full) {
+			t.Fatalf("nothing marked: FlushDiffSince = %+v, want the full diff %+v", got, full)
+		}
+		hh.MarkBefore(9)
+		hh.AnyOpenBefore(9)
+		if got, _ := hh.FlushDiffSince(0); !reflect.DeepEqual(got, full) {
+			t.Fatalf("a walk after the mark: FlushDiffSince = %+v, want the full diff %+v", got, full)
+		}
+		if got := hh.MarkBefore(9); got != 2 {
+			t.Fatalf("MarkBefore(9) marked %d nodes, want 2", got)
+		}
+		got, cur := hh.FlushDiffSince(0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("FlushDiffSince = %+v, want %+v", got, want)
+		}
+		if _, fullCur := hh.DiffSince(0); cur != fullCur {
+			t.Fatalf("FlushDiffSince cursor %d, DiffSince's %d", cur, fullCur)
+		}
+		if got := hh.SweepMarked(); got != 2 || hh.Len() != 2 || hh.Contains(1) || hh.Contains(2) {
+			t.Fatalf("SweepMarked removed %d nodes, left %d", got, hh.Len())
+		}
+		if got := hh.SweepMarked(); got != 0 {
+			t.Fatalf("second SweepMarked removed %d nodes", got)
 		}
 	}
 }

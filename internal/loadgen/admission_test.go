@@ -396,3 +396,34 @@ func TestOpenLoopShedsWriteSlotsOnly(t *testing.T) {
 		t.Fatalf("%d slots (%d reads): shed %d, want the %d write slots", slots, reads, shed, writes)
 	}
 }
+
+// TestOpenLoopStopsWhenBehind drives the open loop of
+// TestOpenLoopShedsWriteSlotsOnly at 100 M slots/s, far beyond what one
+// goroutine serves: every tick owes a burst larger than the last, and a
+// loop that looked at stop only between bursts would never return. It
+// must return within 1 s of stop, 20 times out of 20.
+func TestOpenLoopStopsWhenBehind(t *testing.T) {
+	cfg := Config{Rate: 100e6, ReadPct: 50, Replicas: 2, MaxOutstanding: 1, Seed: 1, Locality: 0.95}
+	for i := 0; i < 20; i++ {
+		c := postClient(func(amcast.NodeID, []amcast.Envelope) {})
+		c.run = &run{cfg: cfg, proto: &deploy.Deployment{Groups: []amcast.GroupID{1, 2}}}
+		c.issue(postMsg(0, 1), txState{silent: true}, false)
+		stop, done, errCh := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			openLoop(c, cfg, stop, errCh)
+			close(done)
+		}()
+		time.Sleep(20 * time.Millisecond)
+		close(stop)
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("run %d: the open loop did not stop within 1 s", i)
+		}
+		select {
+		case err := <-errCh:
+			t.Fatal(err)
+		default:
+		}
+	}
+}

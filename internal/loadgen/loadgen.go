@@ -21,6 +21,7 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/client"
+	"flexcast/internal/core"
 	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
@@ -458,10 +459,38 @@ type Result struct {
 	EnvelopesSent uint64  `json:"envelopes_sent"`
 	AvgBatch      float64 `json:"avg_batch"`
 	LargestBatch  int     `json:"largest_batch"`
+	// History is the FlexCast engines' history traffic over the run
+	// (absent when no engine shipped a history node).
+	History *HistoryResult `json:"history,omitempty"`
 	// Stages is the sampled write-path stage-latency decomposition
 	// (TraceSample > 0): one nanosecond summary per lifecycle transition,
 	// telescoping to the traced end-to-end distribution.
 	Stages *telemetry.StagesReport `json:"stages,omitempty"`
+}
+
+// HistoryResult is core.Stats over one run, deployment start to load
+// drain: the history nodes the FlexCast engines shipped and the ones new
+// at their receiver, a flush's MSG and acks apart from every other
+// envelope, and the envelopes flush holds delayed (DESIGN.md §4
+// deviation 10) with the longest hold.
+type HistoryResult struct {
+	NodesSentFlush uint64  `json:"nodes_sent_flush"`
+	NodesSentOther uint64  `json:"nodes_sent_other"`
+	NodesNewFlush  uint64  `json:"nodes_new_flush"`
+	NodesNewOther  uint64  `json:"nodes_new_other"`
+	EnvsHeld       uint64  `json:"envs_held"`
+	HoldMaxUs      float64 `json:"hold_max_us"`
+}
+
+func historyResult(s core.Stats) *HistoryResult {
+	if s.NodesSent == [2]uint64{} {
+		return nil
+	}
+	return &HistoryResult{
+		NodesSentFlush: s.NodesSent[1], NodesSentOther: s.NodesSent[0],
+		NodesNewFlush: s.NodesNew[1], NodesNewOther: s.NodesNew[0],
+		EnvsHeld: s.EnvsHeld, HoldMaxUs: float64(s.HoldMaxNs) / 1e3,
+	}
 }
 
 // assemble resolves the run's protocol at cfg.Groups groups and stacks
@@ -658,6 +687,8 @@ func Run(cfg Config) (*Result, error) {
 		r.typeHists[i] = metrics.NewHistogram()
 	}
 
+	core.ResetHoldMax()
+	histStart := core.ReadStats()
 	dep, clients, err := launch(cfg, r)
 	if err != nil {
 		return nil, err
@@ -767,6 +798,8 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// Read before the durable check, whose recoveries replay envelopes.
+	hist := historyResult(core.ReadStats().Since(histStart))
 	var durRes *DurableResult
 	if cfg.Durable {
 		// The load has stopped and drained. Stop the nodes — the durable
@@ -786,6 +819,7 @@ func Run(cfg Config) (*Result, error) {
 		Latency:    r.hist.Summary(),
 		Execute:    execRes,
 		Durable:    durRes,
+		History:    hist,
 	}
 	if windowSecs > 0 {
 		res.Throughput = float64(res.Completed) / windowSecs

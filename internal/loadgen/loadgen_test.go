@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"flexcast/internal/telemetry"
 )
 
 func shortCfg() Config {
@@ -574,5 +576,41 @@ func TestRunSessionsShedUnderOverload(t *testing.T) {
 	}
 	if res.SLO == nil || res.SLO.ShedRate <= 0 {
 		t.Fatalf("shed rate missing from slo section: %+v", res.SLO)
+	}
+}
+
+// TestRunReportsHistoryTraffic: a FlexCast run with a fast flush client
+// reports its history traffic — flush and other nodes sent, and the new
+// ones among them — in its result and on /metrics; a Skeen run, whose
+// engines ship no history, reports none.
+func TestRunReportsHistoryTraffic(t *testing.T) {
+	cfg := shortCfg()
+	cfg.FlushEvery = 50 * time.Millisecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := res.History
+	if h == nil || h.NodesSentFlush == 0 || h.NodesSentOther == 0 || h.NodesNewFlush == 0 || h.NodesNewOther == 0 {
+		t.Fatalf("history section %+v", h)
+	}
+	if h.NodesNewFlush > h.NodesSentFlush || h.NodesNewOther > h.NodesSentOther {
+		t.Fatalf("more nodes new than sent: %+v", h)
+	}
+	snap := telemetry.Default.Snapshot()
+	for _, name := range []string{"hist_nodes_sent_flush", "hist_nodes_sent_other", "hist_nodes_new_flush", "hist_nodes_new_other", "flush_held_envs"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("/metrics has no counter %s", name)
+		}
+	}
+	if _, ok := snap.Gauges["flush_hold_max_us"]; !ok {
+		t.Error("/metrics has no gauge flush_hold_max_us")
+	}
+	cfg.Protocol = "skeen"
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if res.History != nil {
+		t.Fatalf("skeen run reports history traffic %+v", res.History)
 	}
 }

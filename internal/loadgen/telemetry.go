@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"flexcast/internal/core"
 	"flexcast/internal/durable"
 	"flexcast/internal/runtime"
 	"flexcast/internal/store"
@@ -34,6 +35,7 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	reg.RegisterCounter("remote_reads", r.remoteReads.Load)
 
 	runtime.RegisterTelemetry(reg, dep.nodes, clientBatchers(clients))
+	registerHistory(reg)
 
 	// Replicated-run gauges: lease renewals across follower replicas and
 	// the worst follower watermark lag behind its group's serving node.
@@ -74,4 +76,15 @@ func clientBatchers(clients []*clientProc) []*runtime.Batcher {
 		out[i] = c.batcher
 	}
 	return out
+}
+
+// registerHistory publishes core.Stats, process-wide counters of the
+// FlexCast engines' history traffic and flush holds.
+func registerHistory(reg *telemetry.Registry) {
+	reg.RegisterCounter("hist_nodes_sent_flush", func() uint64 { return core.ReadStats().NodesSent[1] })
+	reg.RegisterCounter("hist_nodes_sent_other", func() uint64 { return core.ReadStats().NodesSent[0] })
+	reg.RegisterCounter("hist_nodes_new_flush", func() uint64 { return core.ReadStats().NodesNew[1] })
+	reg.RegisterCounter("hist_nodes_new_other", func() uint64 { return core.ReadStats().NodesNew[0] })
+	reg.RegisterCounter("flush_held_envs", func() uint64 { return core.ReadStats().EnvsHeld })
+	reg.RegisterGauge("flush_hold_max_us", func() float64 { return float64(core.ReadStats().HoldMaxNs) / 1e3 })
 }

@@ -170,7 +170,10 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 // reads through the reply handler), then one gate decision (admit),
 // then one issued write or one shed write. A refused slot is shed on
 // the spot, counted and never queued, and the loop moves on to the
-// next slot.
+// next slot. A burst looks at stop every stopEvery slots and the loop
+// looks before it takes the ticker, so a loop that cannot keep up with
+// its rate — whose bursts then grow without end — still stops within
+// stopEvery slots of being told to.
 func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- error) {
 	gen, err := newGen(c, 0, cfg)
 	if err != nil {
@@ -186,7 +189,7 @@ func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- erro
 	defer t.Stop()
 	start := time.Now()
 	seq := uint64(0)
-	for {
+	for !stopped(stop) {
 		select {
 		case <-stop:
 			return
@@ -194,6 +197,9 @@ func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- erro
 			owed := uint64(cfg.Rate * now.Sub(start).Seconds())
 			nowNs := now.UnixNano()
 			for seq < owed {
+				if seq%stopEvery == 0 && stopped(stop) {
+					return
+				}
 				seq++
 				if readRoll(reads, cfg) {
 					if err := c.doRead(gen, cfg, false); err != nil {
@@ -218,6 +224,20 @@ func openLoop(c *clientProc, cfg Config, stop <-chan struct{}, errCh chan<- erro
 				c.issue(m, meta, false)
 			}
 		}
+	}
+}
+
+// stopEvery is how many slots of a burst openLoop takes between two
+// looks at its stop channel.
+const stopEvery = 64
+
+// stopped reports, without blocking, whether stop is closed.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
 	}
 }
 

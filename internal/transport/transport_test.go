@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -242,5 +243,91 @@ func TestTCPCloseUnblocks(t *testing.T) {
 	}
 	if err := n.Send(amcast.ClientNode(0), amcast.Envelope{Kind: amcast.KindFwd}); err == nil {
 		t.Fatal("send after close succeeded")
+	}
+}
+
+// deltaTap is a FlexCast engine that records which destinations each
+// history delta it sends goes to.
+type deltaTap struct {
+	*core.Engine
+	mu  *sync.Mutex
+	dst map[*amcast.HistDelta][]amcast.NodeID
+}
+
+func (tp deltaTap) OnEnvelope(env amcast.Envelope) []amcast.Output {
+	return tp.record(tp.Engine.OnEnvelope(env))
+}
+
+func (tp deltaTap) BatchStep(envs []amcast.Envelope) []amcast.Output {
+	return tp.record(tp.Engine.BatchStep(envs))
+}
+
+func (tp deltaTap) record(outs []amcast.Output) []amcast.Output {
+	tp.mu.Lock()
+	for _, o := range outs {
+		if o.Env.Hist != nil {
+			tp.dst[o.Env.Hist] = append(tp.dst[o.Env.Hist], o.To)
+		}
+	}
+	tp.mu.Unlock()
+	return outs
+}
+
+// TestInMemFlexCastSharesFlushDeltas: after traffic addressed to groups
+// 1 and 2, group 1's flush MSG to the ten groups above 2 — all at the
+// same cursor — is one delta, which ten receiving nodes merge at once
+// on their own goroutines. Nothing may write a delta it received: under
+// -race a write is a reported race, and the deliveries must agree.
+func TestInMemFlexCastSharesFlushDeltas(t *testing.T) {
+	var groups []amcast.GroupID
+	for g := amcast.GroupID(1); g <= 12; g++ {
+		groups = append(groups, g)
+	}
+	ov := overlay.MustCDAG(groups)
+	net := NewInMemNet()
+	defer net.Close()
+	log := newDeliverLog()
+	var mu sync.Mutex
+	sent := make(map[*amcast.HistDelta][]amcast.NodeID)
+	for _, g := range groups {
+		hostInMem(t, net, deltaTap{core.MustNew(core.Config{Group: g, Overlay: ov}), &mu, sent}, log.add)
+	}
+	if err := net.AddHandler(amcast.ClientNode(0), func(amcast.Envelope) {}); err != nil {
+		t.Fatal(err)
+	}
+	multicast := func(m amcast.Message) {
+		net.Send(amcast.ClientNode(0), amcast.GroupNode(ov.Lca(m.Dst)), amcast.Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
+	}
+	const n = 20
+	for i := uint64(1); i <= n; i++ {
+		multicast(msg(i, 1, 2))
+	}
+	waitFor(t, 5*time.Second, func() bool { return log.total() == 2*n })
+	flush := msg(1000, groups...)
+	flush.Flags = amcast.FlagFlush
+	multicast(flush)
+	for i := uint64(n + 1); i <= 2*n; i++ {
+		multicast(msg(i, amcast.GroupID(1+i%3), amcast.GroupID(4+i%9)))
+	}
+	waitFor(t, 5*time.Second, func() bool { return log.total() == 2*n+len(groups)+2*n })
+
+	mu.Lock()
+	shared := 0
+	for _, to := range sent {
+		if len(to) > 1 {
+			shared++
+		}
+	}
+	mu.Unlock()
+	if shared == 0 {
+		t.Fatal("no delta went to more than one destination")
+	}
+	for _, g := range groups {
+		if got := log.seq(g); !slices.Contains(got, 1000) {
+			t.Fatalf("group %d did not deliver the flush: %v", g, got)
+		}
+	}
+	if a, b := log.seq(1), log.seq(2); !reflect.DeepEqual(a[:n], b[:n]) {
+		t.Fatalf("groups 1 and 2 disagree: %v, %v", a, b)
 	}
 }
