@@ -76,8 +76,9 @@ func printResult(label string, r *loadgen.Result) {
 		// The headline fast-path gap; sub-microsecond reads clamp to 1µs.
 		fmt.Printf("  write p50 / read p50: %.0fx\n", float64(l.P50)/float64(max(rl.P50, 1)))
 	}
-	fmt.Printf("  batching: %d envelopes in %d sends, avg %.1f/batch, largest %d\n",
-		r.EnvelopesSent, r.BatchesSent, r.AvgBatch, r.LargestBatch)
+	fmt.Printf("  batching: %d envelopes in %d sends, avg %.1f/batch, largest %d; clients: %d requests in %d frames, avg %.1f/frame\n",
+		r.EnvelopesSent, r.BatchesSent, r.AvgBatch, r.LargestBatch,
+		r.ClientEnvelopes, r.ClientBatches, float64(r.ClientEnvelopes)/float64(max(r.ClientBatches, 1)))
 	if s := r.SLO; s != nil {
 		fmt.Printf("  slo: target %.0fms  goodput %.0f tx/s (%.1f%% of completions good)  shed %d (rate %.3f)\n",
 			s.TargetMs, s.Goodput, 100*s.GoodFraction, r.Shed, s.ShedRate)

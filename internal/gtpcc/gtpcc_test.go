@@ -9,7 +9,7 @@ import (
 	"flexcast/internal/wan"
 )
 
-func gen(t *testing.T, home amcast.GroupID, locality float64, globalOnly bool, seed int64) *Gen {
+func gen(t testing.TB, home amcast.GroupID, locality float64, globalOnly bool, seed int64) *Gen {
 	t.Helper()
 	g, err := New(Config{
 		Home:       home,

@@ -53,8 +53,10 @@ func EncodeTx(tx Tx) []byte {
 	case StockLevel:
 		buf = binary.AppendUvarint(buf, uint64(uint32(tx.Threshold)))
 	}
-	for len(buf) < tx.PayloadSize {
-		buf = append(buf, 0)
+	if len(buf) < tx.PayloadSize {
+		// The fields fit in the capacity make zeroed: the padding is
+		// already there.
+		buf = buf[:tx.PayloadSize]
 	}
 	return buf
 }
@@ -103,9 +105,15 @@ func DecodeTx(buf []byte) (Tx, error) {
 	if d.err != nil {
 		return tx, d.err
 	}
-	for i := d.off; i < len(buf); i++ {
-		if buf[i] != 0 {
-			return tx, fmt.Errorf("gtpcc: non-zero padding at offset %d", i)
+	// The padding is tested a word at a time; the word holding a
+	// non-zero byte, and the tail, byte by byte.
+	pad := buf[d.off:]
+	for len(pad) >= 8 && binary.LittleEndian.Uint64(pad) == 0 {
+		pad = pad[8:]
+	}
+	for i, b := range pad {
+		if b != 0 {
+			return tx, fmt.Errorf("gtpcc: non-zero padding at offset %d", len(buf)-len(pad)+i)
 		}
 	}
 	tx.PayloadSize = len(buf)
@@ -147,6 +155,12 @@ type txDecoder struct {
 func (d *txDecoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
+	}
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		// A 1-byte varint: most fields of a gTPC-C transaction.
+		v := d.buf[d.off]
+		d.off++
+		return uint64(v)
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {

@@ -1,7 +1,10 @@
 package gtpcc
 
 import (
+	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flexcast/amcast"
@@ -90,6 +93,76 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	buf[len(buf)-1] = 7
 	if _, err := DecodeTx(buf); err == nil {
 		t.Fatal("non-zero padding accepted")
+	}
+}
+
+// TestDecodeReportsNonZeroPadding puts one non-zero byte in the first
+// word, a middle word and the sub-word tail of a padding that starts off
+// word alignment: each is rejected, naming its offset.
+func TestDecodeReportsNonZeroPadding(t *testing.T) {
+	tx := Tx{Type: StockLevel, Home: 2, Threshold: 300, PayloadSize: 45}
+	clean := EncodeTx(tx)
+	if _, err := DecodeTx(clean); err != nil {
+		t.Fatal(err)
+	}
+	start := 4 // type, home, a 2-byte threshold
+	for _, off := range []int{start, start + 3, start + 8 + 5, start + 24, len(clean) - 1} {
+		buf := append([]byte(nil), clean...)
+		buf[off] = 0x40
+		_, err := DecodeTx(buf)
+		if want := fmt.Sprintf("non-zero padding at offset %d", off); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("non-zero byte at %d: error %v, want %q", off, err, want)
+		}
+	}
+}
+
+// TestDecodeRejectsOverflowingField sets a 32-bit field to 2^32.
+func TestDecodeRejectsOverflowingField(t *testing.T) {
+	buf := binary.AppendUvarint([]byte{byte(OrderStatus), 1}, 1<<32)
+	if _, err := DecodeTx(buf); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("a 33-bit customer decoded with error %v", err)
+	}
+}
+
+// txStream is a 1 024-transaction local gTPC-C stream.
+func txStream(b *testing.B) []Tx {
+	g := gen(b, 3, 0.95, false, 1)
+	txs := make([]Tx, 1024)
+	for i := range txs {
+		txs[i] = g.Next()
+	}
+	return txs
+}
+
+// Sinks keep the benchmarked calls' results live.
+var (
+	sinkBuf []byte
+	sinkTx  Tx
+)
+
+func BenchmarkEncodeTx(b *testing.B) {
+	txs := txStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBuf = EncodeTx(txs[i%len(txs)])
+	}
+}
+
+func BenchmarkDecodeTx(b *testing.B) {
+	txs := txStream(b)
+	bufs := make([][]byte, len(txs))
+	for i, tx := range txs {
+		bufs[i] = EncodeTx(tx)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx, err := DecodeTx(bufs[i%len(bufs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTx = tx
 	}
 }
 

@@ -149,6 +149,10 @@ func (res *Result) Validate(cfg Config) error {
 	if res.EnvelopesSent < res.BatchesSent {
 		return fmt.Errorf("loadgen: result: %d envelopes in %d batches", res.EnvelopesSent, res.BatchesSent)
 	}
+	if res.ClientEnvelopes < res.ClientBatches || res.ClientBatches > res.BatchesSent || res.ClientEnvelopes > res.EnvelopesSent {
+		return fmt.Errorf("loadgen: result: clients sent %d requests in %d frames, of %d envelopes in %d batches in all",
+			res.ClientEnvelopes, res.ClientBatches, res.EnvelopesSent, res.BatchesSent)
+	}
 	if res.Execute != nil {
 		if err := validateExecute(res.Execute); err != nil {
 			return err

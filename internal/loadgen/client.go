@@ -31,6 +31,9 @@ type txState struct {
 	// (session-multiplexed open loop); completion releases its
 	// outstanding slot. nil outside session mode.
 	sess *session
+	// woken is set by onReplies, before it closes done, when the
+	// completion counted the waiting session into its client's wave.
+	woken bool
 }
 
 // clientProc is one client process: its own node id on the transport, a
@@ -42,6 +45,15 @@ type clientProc struct {
 	idx     int
 	id      amcast.NodeID
 	batcher *runtime.Batcher
+
+	// holdWaves selects the TCP client's flush policy (launch): a
+	// closed-loop write completion counts its session into wave, and the
+	// woken sessions' requests wait in the batcher until the last of
+	// them posts or leaves (postWoken, leave), so the sessions one reply
+	// frame woke send their next requests in one write per destination.
+	// Without it every post flushes.
+	holdWaves bool
+	wave      atomic.Int64
 
 	// calls is the in-flight table; calls.Prefix is this client process's
 	// session barrier: the delivered prefix observed per group from
@@ -128,6 +140,23 @@ func (c *clientProc) post(m amcast.Message) {
 	c.batcher.FlushAll()
 }
 
+// postWoken is post for a session in the wave: its request waits in the
+// batcher unless this is the wave's last post, whose flush sends the
+// whole wave's requests.
+func (c *clientProc) postWoken(m amcast.Message) {
+	c.addRequest(m)
+	c.leave()
+}
+
+// leave takes one session out of the wave, posting or not; the last one
+// out flushes. Every request a woken session added precedes its own
+// decrement, so the flush at zero sends all of them (DESIGN.md §1b).
+func (c *clientProc) leave() {
+	if c.wave.Add(-1) == 0 {
+		c.batcher.FlushAll()
+	}
+}
+
 func (c *clientProc) addRequest(m amcast.Message) {
 	if m.Flags&amcast.FlagRead != 0 {
 		// A remote read: straight to the serving node (no multicast
@@ -179,6 +208,12 @@ func (c *clientProc) onReplies(envs []amcast.Envelope) {
 		}
 		c.run.complete(call, now)
 		if tx.done != nil {
+			if c.holdWaves && !tx.silent && !tx.isRead {
+				// A closed-loop write's session joins the wave; the
+				// flush client's and remote reads' waiters do not.
+				tx.woken = true
+				c.wave.Add(1)
+			}
 			close(tx.done)
 		}
 	}
@@ -209,9 +244,16 @@ func (c *clientProc) inflightLen() int {
 	return c.calls.Len()
 }
 
-// issue opens one transaction's call — tx carries what the caller knows
-// of it; issue stamps the rest — and posts its request.
+// issue opens one transaction's call and posts its request.
 func (c *clientProc) issue(m amcast.Message, tx txState, closedLoop bool) *client.Call[txState] {
+	call := c.open(m, tx, closedLoop)
+	c.post(m)
+	return call
+}
+
+// open opens one transaction's call — tx carries what the caller knows
+// of it; open stamps the rest. The caller posts its request.
+func (c *clientProc) open(m amcast.Message, tx txState, closedLoop bool) *client.Call[txState] {
 	if closedLoop {
 		tx.done = make(chan struct{})
 	}
@@ -231,6 +273,5 @@ func (c *clientProc) issue(m amcast.Message, tx txState, closedLoop bool) *clien
 			c.run.issued.Add(1)
 		}
 	}
-	c.post(m)
 	return call
 }

@@ -64,6 +64,13 @@ func launch(cfg Config, r *run) (*deployment, []*clientProc, error) {
 			return nil, nil, fmt.Errorf("loadgen: %w", err)
 		}
 		net = mesh
+		// A TCP send is a write(2) plus the receiver's read and wake-up,
+		// so a client holds a wave of woken sessions' requests for one
+		// frame. In memory a send is a call: the hold would only add its
+		// wait to each request's latency (DESIGN.md §1b).
+		for _, c := range clients {
+			c.holdWaves = true
+		}
 	case "wan":
 		net = newDelayNet(transport.NewInMemNet(), proto.Groups)
 	default:

@@ -459,6 +459,11 @@ type Result struct {
 	EnvelopesSent uint64  `json:"envelopes_sent"`
 	AvgBatch      float64 `json:"avg_batch"`
 	LargestBatch  int     `json:"largest_batch"`
+	// ClientBatches and ClientEnvelopes are the client processes' part
+	// of the two sums above: request frames sent, and the requests and
+	// remote reads they carried.
+	ClientBatches   uint64 `json:"client_batches"`
+	ClientEnvelopes uint64 `json:"client_envelopes"`
 	// History is the FlexCast engines' history traffic over the run
 	// (absent when no engine shipped a history node).
 	History *HistoryResult `json:"history,omitempty"`
@@ -775,6 +780,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	default:
 	}
+	for _, c := range clients {
+		// Every woken session left its wave on its way out, so the last
+		// one flushed: no request waits in a client batcher.
+		if n := c.wave.Load(); n != 0 {
+			return nil, fmt.Errorf("loadgen: client %d: %d woken sessions never left the wave", c.idx, n)
+		}
+	}
 
 	var execRes *ExecuteResult
 	if cfg.Execute {
@@ -861,6 +873,8 @@ func Run(cfg Config) (*Result, error) {
 	res.EnvelopesSent = stats.Envelopes
 	res.AvgBatch = stats.AvgBatch()
 	res.LargestBatch = stats.MaxBatch
+	cs := runtime.SumStats(nil, clientBatchers(clients))
+	res.ClientBatches, res.ClientEnvelopes = cs.Batches, cs.Envelopes
 	res.Stages = r.tracer.Report()
 	return res, nil
 }

@@ -4,9 +4,14 @@ package loadgen
 
 import "time"
 
-// sleepUntil returns once due has passed. Outside Linux it waits on a Go
+// linkTimer is one delay link's wait. Outside Linux it waits on a Go
 // timer, at whatever granularity the platform's netpoller gives an idle
 // runtime (see the Linux variant).
-func sleepUntil(due time.Time) {
-	time.Sleep(time.Until(due))
-}
+type linkTimer struct{}
+
+func newLinkTimer() *linkTimer { return &linkTimer{} }
+
+// wait returns once due has passed.
+func (*linkTimer) wait(due time.Time) { time.Sleep(time.Until(due)) }
+
+func (*linkTimer) close() {}

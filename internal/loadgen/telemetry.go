@@ -35,6 +35,11 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	reg.RegisterCounter("remote_reads", r.remoteReads.Load)
 
 	runtime.RegisterTelemetry(reg, dep.nodes, clientBatchers(clients))
+	// The client processes' request frames apart from the groups' (the
+	// batch_* figures above fold both).
+	clientStats := func() runtime.BatcherStats { return runtime.SumStats(nil, clientBatchers(clients)) }
+	reg.RegisterCounter("client_batches", func() uint64 { return clientStats().Batches })
+	reg.RegisterCounter("client_envelopes", func() uint64 { return clientStats().Envelopes })
 	registerHistory(reg)
 
 	// Replicated-run gauges: lease renewals across follower replicas and

@@ -19,9 +19,10 @@ import (
 //
 // Each link is one goroutine draining an ordered queue, so a link can
 // never reorder: items carry their due time (enqueue + the link's
-// constant delay) and the drainer waits for each in sleepUntil (a
-// kernel-timed sleep on Linux). Links are created lazily — a deployment
-// only pays for the pairs that actually talk.
+// constant delay) and the drainer waits for each on its own linkTimer (a
+// kernel-timed timerfd in the netpoller on Linux, closed with the link).
+// Links are created lazily — a deployment only pays for the pairs that
+// actually talk.
 type delayNet struct {
 	inner  runtime.Net
 	groups []amcast.GroupID
@@ -106,8 +107,10 @@ func (d *delayNet) send(from, to amcast.NodeID, envs []amcast.Envelope, deliver 
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
+			timer := newLinkTimer()
+			defer timer.close()
 			for item := range link {
-				sleepUntil(item.due)
+				timer.wait(item.due)
 				deliver(item.to, item.envs)
 			}
 		}()

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -158,4 +159,125 @@ func TestDelayNetDeliversOnTime(t *testing.T) {
 type arrival struct {
 	seq uint64
 	at  time.Time
+}
+
+// TestDelayNetManyLinksNeverEarly runs 96 sub-millisecond links at once
+// — 48 client processes, each to and from its same-region group (0.5 ms)
+// — with paced batches on every link: no batch arrives before its due
+// time, and every batch arrives, per link in order.
+func TestDelayNetManyLinksNeverEarly(t *testing.T) {
+	const clients, batches = 48, 40
+	groups := make([]amcast.GroupID, 12)
+	for i := range groups {
+		groups[i] = amcast.GroupID(i + 1)
+	}
+	d := newDelayNet(transport.NewInMemNet(), groups)
+	type link struct{ from, to amcast.NodeID }
+	var links []link
+	for i := 0; i < clients; i++ {
+		c, g := amcast.ClientNode(i), amcast.GroupNode(groups[i%len(groups)])
+		links = append(links, link{c, g}, link{g, c})
+	}
+	// A batch carries its link index and its due time; the receiver
+	// checks the due time as the batch arrives.
+	var mu sync.Mutex
+	early, got := 0, make([]int, len(links))
+	receive := func(envs []amcast.Envelope) {
+		now := time.Now().UnixNano()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range envs {
+			if now < int64(e.TS) {
+				early++
+			}
+			l := int(e.TSFrom)
+			if int(e.Watermark) != got[l] {
+				t.Errorf("link %d: batch %d arrived as number %d", l, e.Watermark, got[l])
+			}
+			got[l]++
+		}
+	}
+	sends := map[amcast.NodeID]func(amcast.NodeID, []amcast.Envelope){}
+	for _, l := range links {
+		if sends[l.from] != nil {
+			continue
+		}
+		send, err := d.Attach(l.from, receive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sends[l.from] = send
+	}
+	var wg sync.WaitGroup
+	for i, l := range links {
+		delay := d.delay(l.from, l.to)
+		if delay >= time.Millisecond {
+			t.Fatalf("link %v→%v delays %v, want sub-millisecond", l.from, l.to, delay)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < batches; k++ {
+				// The due time is stamped before the send, so it is no
+				// later than the one the link computes.
+				due := time.Now().Add(delay).UnixNano()
+				sends[l.from](l.to, []amcast.Envelope{{Kind: amcast.KindAck, TS: uint64(due),
+					TSFrom: amcast.GroupID(i), Watermark: uint64(k)}})
+				time.Sleep(300 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	d.Close() // delivers every accepted batch before it returns
+	mu.Lock()
+	defer mu.Unlock()
+	if early != 0 {
+		t.Fatalf("%d batches arrived before their due time", early)
+	}
+	for l, n := range got {
+		if n != batches {
+			t.Fatalf("link %d: %d of %d batches arrived", l, n, batches)
+		}
+	}
+}
+
+// TestDelayNetCloseLeavesNoTimerFds opens 24 links and closes the net:
+// the process holds as many descriptors afterwards as before, so a
+// link's wait takes nothing with it that Close does not give back.
+func TestDelayNetCloseLeavesNoTimerFds(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	groups := []amcast.GroupID{1, 2, 3, 4}
+	before := fds()
+	d := newDelayNet(transport.NewInMemNet(), groups)
+	var sends []func(amcast.NodeID, []amcast.Envelope)
+	for _, g := range groups {
+		send, err := d.Attach(amcast.GroupNode(g), func([]amcast.Envelope) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sends = append(sends, send)
+	}
+	for i, send := range sends {
+		for j, g := range groups {
+			if i != j {
+				send(amcast.GroupNode(g), []amcast.Envelope{{Kind: amcast.KindAck}})
+			}
+		}
+	}
+	// Each link's drainer makes its timer as it starts; give the 12
+	// drainers a moment to have done so.
+	time.Sleep(20 * time.Millisecond)
+	during := fds()
+	d.Close()
+	after := fds()
+	t.Logf("descriptors: %d before, %d with 12 links open, %d after Close", before, during, after)
+	if after > before {
+		t.Fatalf("%d descriptors after Close, %d before", after, before)
+	}
 }

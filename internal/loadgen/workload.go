@@ -129,7 +129,10 @@ func readRNG(cfg Config, client, worker int) *rand.Rand {
 // closedLoop is one session: issue, wait for every destination's reply,
 // repeat. With a read mix, ReadPct percent of iterations issue a
 // fast-path read instead of a multicast. stop ends the loop between
-// transactions, never a wait.
+// transactions, never a wait. A session its write's completion put in
+// the client's wave (TCP) holds its place until its next write posts;
+// every other way on — a read, stop, an error — leaves the wave first,
+// so a held request never waits on a session that is itself waiting.
 func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, errCh chan<- error) {
 	gen, err := newGen(c, worker, cfg)
 	if err != nil {
@@ -138,6 +141,12 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 	}
 	reads := readRNG(cfg, c.idx, worker)
 	seq := uint64(worker) << 24 // per-worker id space within the client
+	woken := false
+	defer func() {
+		if woken {
+			c.leave()
+		}
+	}()
 	for {
 		select {
 		case <-stop:
@@ -145,6 +154,10 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		default:
 		}
 		if readRoll(reads, cfg) {
+			if woken {
+				woken = false
+				c.leave()
+			}
 			if err := c.doRead(gen, cfg, true); err != nil {
 				sendErr(errCh, err)
 				return
@@ -153,7 +166,15 @@ func closedLoop(c *clientProc, worker int, cfg Config, stop <-chan struct{}, err
 		}
 		seq++
 		m, meta := nextMessage(c, gen, cfg, seq)
-		if await(c.issue(m, meta, true)) {
+		call := c.open(m, meta, true)
+		if woken {
+			c.postWoken(m)
+		} else {
+			c.post(m)
+		}
+		timedOut := await(call)
+		woken = call.Data.woken
+		if timedOut {
 			sendErr(errCh, fmt.Errorf("loadgen: client %d worker %d: tx %s to %v timed out after %v",
 				c.idx, worker, m.ID, m.Dst, cfg.Timeout))
 			return

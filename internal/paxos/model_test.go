@@ -3,8 +3,9 @@ package paxos
 // The reference model for the differential tests (differential_test.go):
 // the map-based Replica this package had before its state became a
 // decided-value slice and an undecided window. Only the type names and
-// two amendments differ, each marked: the ballot forgotten, and pump's
-// skip of the truncated range. Message, Ballot and the other wire types
+// three amendments differ, each marked: the ballot forgotten, pump's
+// skip of the truncated range, and the election fix (a Promise reports
+// decided instances, an Accept for one is answered with the Decide). Message, Ballot and the other wire types
 // are shared, so both implementations answer in the same vocabulary.
 
 import (
@@ -386,7 +387,10 @@ func (r *modelReplica) OnMessage(m Message) []Message {
 		return r.onNack(m)
 	case MsgDecide:
 		r.learn(m.Instance, m.Value)
-		if m.From != r.cfg.ID {
+		// Amended (election fix): only a leader's broadcast (zero
+		// ballot) names the leader; an acceptor's answer to an Accept
+		// carries that Accept's ballot.
+		if m.From != r.cfg.ID && m.Ballot.IsZero() {
 			r.observeLeader(m.From)
 		}
 		return nil
@@ -420,6 +424,14 @@ func (r *modelReplica) onPrepare(m Message) []Message {
 	if m.Ballot.Less(maxPromised) {
 		return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: maxPromised}}
 	}
+	// Amended (election fix): the earlier code promised from below base
+	// and left decided instances out of the report, so a candidate that
+	// missed a decision could choose another value for it (DESIGN.md
+	// §1i). A Prepare from below base gets no promise, and the report
+	// carries every decided instance with its chosen value.
+	if m.Instance < r.base {
+		return nil
+	}
 	r.observeLeader(m.From)
 	var acc []accepted
 	for i, st := range r.insts {
@@ -427,7 +439,9 @@ func (r *modelReplica) onPrepare(m Message) []Message {
 			if st.promised.Less(m.Ballot) {
 				st.promised = m.Ballot
 			}
-			if !st.accepted.IsZero() && !st.decided {
+			if st.decided {
+				acc = append(acc, accepted{Instance: i, Value: r.decidedVals[i], Decided: true})
+			} else if !st.accepted.IsZero() {
 				acc = append(acc, accepted{Instance: i, Ballot: st.accepted, Value: st.value})
 			}
 		}
@@ -483,8 +497,8 @@ func (r *modelReplica) onPromise(m Message) []Message {
 	adopt := make(map[InstanceID]accepted)
 	for _, accs := range r.promises {
 		for _, a := range accs {
-			cur, ok := adopt[a.Instance]
-			if !ok || cur.Ballot.Less(a.Ballot) {
+			// Amended (election fix): a decided value wins.
+			if cur, ok := adopt[a.Instance]; !ok || !cur.Decided && (a.Decided || cur.Ballot.Less(a.Ballot)) {
 				adopt[a.Instance] = a
 			}
 		}
@@ -555,28 +569,17 @@ func (r *modelReplica) propose(i InstanceID, v []byte) []Message {
 
 func (r *modelReplica) onAccept(m Message) []Message {
 	if m.Instance < r.base {
-		// Decided and truncated: the chosen value is fixed and learn()
-		// ignores re-decisions, so a current-ballot retransmission can be
-		// acked (as the pre-truncation decided instance would have)
-		// without resurrecting state below the floor. Ballots below the
-		// promise floor are Nacked like the normal path: acking would
-		// hand a deposed leader a bogus quorum vote and flip this
-		// replica's leader pointer off the current leader.
+		// Decided and truncated. Ballots below the promise floor are
+		// Nacked like the normal path: acking would hand a deposed leader
+		// a bogus quorum vote and flip this replica's leader pointer off
+		// the current leader. Amended (election fix): any other Accept is
+		// not acked — the value it would vote for need not be the chosen
+		// one, and the chosen one is in a snapshot, not here.
 		if m.Ballot.Less(r.floor) {
 			return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: r.floor}}
 		}
-		if r.forgotten.Less(m.Ballot) {
-			r.forgotten = m.Ballot
-		}
 		r.observeLeader(m.From)
-		reply := Message{
-			Kind: MsgAccepted, From: r.cfg.ID, To: m.From,
-			Ballot: m.Ballot, Instance: m.Instance,
-		}
-		if m.From == r.cfg.ID {
-			return r.onAccepted(reply)
-		}
-		return []Message{reply}
+		return nil
 	}
 	st := r.inst(m.Instance)
 	promised := st.promised
@@ -587,6 +590,10 @@ func (r *modelReplica) onAccept(m Message) []Message {
 		return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: promised}}
 	}
 	r.observeLeader(m.From)
+	if st.decided {
+		// Amended (election fix): answered with the Decide, not an ack.
+		return []Message{{Kind: MsgDecide, From: r.cfg.ID, To: m.From, Ballot: m.Ballot, Instance: m.Instance, Value: r.decidedVals[m.Instance]}}
+	}
 	st.promised = m.Ballot
 	st.accepted = m.Ballot
 	st.value = m.Value

@@ -87,7 +87,9 @@ const (
 	MsgAccepted
 	// MsgNack rejects a stale ballot and reveals the newer one.
 	MsgNack
-	// MsgDecide announces a chosen value.
+	// MsgDecide announces a chosen value: broadcast by the leader that
+	// chose it (zero Ballot), or sent by an acceptor in answer to an
+	// Accept for an instance it knows decided (that Accept's Ballot).
 	MsgDecide
 	// MsgHeartbeat is the leader's periodic liveness signal; it suppresses
 	// follower elections.
@@ -119,11 +121,13 @@ func (k MsgKind) String() string {
 }
 
 // accepted is one previously accepted (instance, ballot, value) triple
-// reported in a Promise.
+// reported in a Promise, or, with Decided set, an instance the acceptor
+// knows decided and its chosen value (Ballot zero).
 type accepted struct {
 	Instance InstanceID
 	Ballot   Ballot
 	Value    []byte
+	Decided  bool
 }
 
 // Message is one Paxos protocol message.
@@ -503,7 +507,9 @@ func (r *Replica) OnMessage(m Message) []Message {
 		return r.onNack(m)
 	case MsgDecide:
 		r.learn(m.Instance, m.Value)
-		if m.From != r.cfg.ID {
+		if m.From != r.cfg.ID && m.Ballot.IsZero() {
+			// A leader's broadcast; an acceptor's answer to an Accept says
+			// nothing about who leads.
 			r.observeLeader(m.From)
 		}
 		return nil
@@ -537,14 +543,30 @@ func (r *Replica) onPrepare(m Message) []Message {
 	if m.Ballot.Less(maxPromised) {
 		return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: maxPromised}}
 	}
+	if m.Instance < r.base {
+		// The instances from m.Instance to Base() are decided, but their
+		// values are gone: a promise could not report them, and the
+		// candidate could choose anew where a value is already chosen.
+		// No promise; a candidate from Base() on can win.
+		return nil
+	}
 	r.observeLeader(m.From)
-	// Instances below Decided() are decided and never reported; the
-	// window is in instance order, so the report is too.
+	// The report covers every instance from m.Instance on, in instance
+	// order: the decided ones — delivered in the log or decided in the
+	// window — with their chosen values, then the accepted ones.
 	var acc []accepted
+	for i := m.Instance; i < r.nextDeliver; i++ {
+		acc = append(acc, accepted{Instance: i, Value: r.log[i-r.base], Decided: true})
+	}
 	for k := 0; k < r.win.n; k++ {
 		r.scanned++
 		st := r.win.slot(k)
-		if i := r.nextDeliver + InstanceID(k); i >= m.Instance && !st.accepted.IsZero() && !st.decided {
+		i := r.nextDeliver + InstanceID(k)
+		switch {
+		case i < m.Instance:
+		case st.decided:
+			acc = append(acc, accepted{Instance: i, Value: st.value, Decided: true})
+		case !st.accepted.IsZero():
 			acc = append(acc, accepted{Instance: i, Ballot: st.accepted, Value: st.value})
 		}
 	}
@@ -583,16 +605,16 @@ func (r *Replica) onPromise(m Message) []Message {
 	if len(r.promises) < r.majority() {
 		return nil
 	}
-	// Phase 1 complete: adopt the highest-ballot accepted value per
-	// instance, then re-propose them, then pump pending values.
+	// Phase 1 complete: adopt per instance the decided value, else the
+	// highest-ballot accepted one, then re-propose them, then pump
+	// pending values.
 	r.campaigning = false
 	r.leading = true
 	r.leader = r.cfg.ID
 	adopt := make(map[InstanceID]accepted)
 	for _, accs := range r.promises {
 		for _, a := range accs {
-			cur, ok := adopt[a.Instance]
-			if !ok || cur.Ballot.Less(a.Ballot) {
+			if cur, ok := adopt[a.Instance]; !ok || !cur.Decided && (a.Decided || cur.Ballot.Less(a.Ballot)) {
 				adopt[a.Instance] = a
 			}
 		}
@@ -676,12 +698,12 @@ func (r *Replica) propose(i InstanceID, v []byte) []Message {
 }
 
 func (r *Replica) onAccept(m Message) []Message {
-	// An instance below Decided() is decided and holds no state: the
-	// chosen value is fixed and learn() ignores re-decisions, so a
-	// retransmission is acked — unless its ballot is below a promise this
-	// replica made (the floor, or one folded in when an instance was
-	// delivered): acking would hand a deposed leader a bogus quorum vote
-	// and flip this replica's leader pointer off the current leader.
+	// An instance below Decided() is decided and holds no state. An
+	// Accept whose ballot is below a promise this replica made (the
+	// floor, or one folded in when an instance was delivered) is Nacked:
+	// that deposes a stale leader. Any other Accept for a decided
+	// instance is answered with the Decide, never an ack — an ack would
+	// be a quorum vote for m.Value, which need not be the chosen value.
 	var st *instState
 	promised := maxBallot(r.floor, r.done)
 	if m.Instance >= r.nextDeliver {
@@ -691,16 +713,22 @@ func (r *Replica) onAccept(m Message) []Message {
 	if m.Ballot.Less(promised) {
 		return []Message{{Kind: MsgNack, From: r.cfg.ID, To: m.From, Ballot: promised}}
 	}
-	if st == nil {
-		r.done = m.Ballot // the ack is a promise, as an undecided instance's would be
-	} else {
-		st.promised = m.Ballot
-		st.accepted = m.Ballot
-		if !st.decided {
-			st.value = m.Value // a decided instance keeps its chosen value
-		}
-	}
 	r.observeLeader(m.From)
+	if st == nil || st.decided {
+		var v []byte
+		switch {
+		case st != nil:
+			v = st.value
+		case m.Instance >= r.base:
+			v = r.log[m.Instance-r.base]
+		default:
+			return nil // truncated: the value is in a snapshot, not here
+		}
+		return []Message{{Kind: MsgDecide, From: r.cfg.ID, To: m.From, Ballot: m.Ballot, Instance: m.Instance, Value: v}}
+	}
+	st.promised = m.Ballot
+	st.accepted = m.Ballot
+	st.value = m.Value
 	reply := Message{
 		Kind: MsgAccepted, From: r.cfg.ID, To: m.From,
 		Ballot: m.Ballot, Instance: m.Instance,

@@ -309,3 +309,38 @@ func TestMsgKindString(t *testing.T) {
 		t.Fatal("unknown kind name wrong")
 	}
 }
+
+// TestCampaignAfterMissedDecisionKeepsChosenValue is the election bug of
+// DESIGN.md §1i as a schedule: replica 0 leads and chooses v for
+// instance 0 with replica 1's vote; replica 2 misses both the Accept
+// and the Decide of instance 0. Replica 2 then campaigns and w is
+// proposed at it. Every replica must deliver v at instance 0 — a Promise
+// reports decided instances, and an Accept for a decided instance is
+// answered with the Decide, so 2's campaign can neither miss v nor win
+// votes for w there. Before the fix 0 and 1 delivered v and 2 delivered
+// w at instance 0.
+func TestCampaignAfterMissedDecisionKeepsChosenValue(t *testing.T) {
+	c := newCluster(t, 3, 1)
+	c.propose(0, "v")
+	for len(c.queue) > 0 {
+		m := c.queue[0]
+		c.queue = c.queue[1:]
+		if m.To == 2 && m.Instance == 0 && (m.Kind == MsgAccept || m.Kind == MsgDecide) {
+			continue
+		}
+		c.send(c.reps[m.To].OnMessage(m))
+	}
+	c.collect()
+	if len(c.log[0]) != 1 || len(c.log[1]) != 1 || len(c.log[2]) != 0 {
+		t.Fatalf("premise: logs %q, want v at replicas 0 and 1 only", c.log)
+	}
+	c.send(c.reps[2].campaign())
+	c.propose(2, "w")
+	c.run(5000)
+	c.checkPrefixAgreement()
+	for r := ReplicaID(0); r < 3; r++ {
+		if got := c.log[r]; len(got) != 2 || string(got[0]) != "v" || string(got[1]) != "w" {
+			t.Fatalf("replica %d delivered %q, want [v w]", r, got)
+		}
+	}
+}
