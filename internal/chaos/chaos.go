@@ -33,7 +33,9 @@
 // the paper's measured runs (§5, the grid's sim cells) are timed
 // schedules with every fault class off (Options.Duration), hosted by
 // the same nodes and closed-loop clients and auditable by the same
-// checkers.
+// checkers. A node is the production runtime.Node, stepped on the
+// simulator's clock: the checkers audit the node step the wall-clock
+// deployments run, not a copy of it.
 package chaos
 
 import (

@@ -7,17 +7,20 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/durable"
 	"flexcast/internal/metrics"
+	"flexcast/internal/runtime"
 	"flexcast/internal/sim"
 )
 
-// node runs one group's engine under crash/recovery: it keeps a periodic
+// node hosts one group's engine on the simulator under the production
+// node runtime (runtime.NewStepped): each handoff is one Submit plus
+// one Step, with the batcher's sends looped onto the simulated network.
+// What node adds is crash and recovery bookkeeping. It keeps a periodic
 // state snapshot as simulated stable storage plus a write-ahead log of
-// the inputs applied since, mirroring how a real group server would
-// persist its state (internal/smr persists the input sequence in the
-// Paxos log instead; §4.4). On recovery the engine is restored from the
-// snapshot and the WAL is replayed with outputs suppressed — they were
-// already transmitted before the crash. A node whose schedule has no
-// crash windows keeps neither: nothing will ever recover it.
+// the inputs applied since (internal/smr persists the input sequence in
+// the Paxos log instead; §4.4); on recovery the engine is restored from
+// the snapshot and the WAL is replayed with outputs suppressed — they
+// were already transmitted. A node whose schedule has no crash windows
+// keeps neither.
 //
 // In durable mode (Options.Durable) the in-memory model is replaced by
 // the real backend: inputs run through a durable.Engine writing an
@@ -34,6 +37,12 @@ type node struct {
 	// traffic counts what the group received (the schedule's send hook)
 	// and delivered.
 	traffic metrics.NodeCounters
+
+	// rt steps the engine (the durable backend in durable mode) with buf
+	// as its chunk buffer; dels collects a step's deliveries.
+	rt   *runtime.Node
+	buf  []amcast.Envelope
+	dels []amcast.Delivery
 
 	snapEvery   int
 	recoverable bool // the schedule has crash windows: keep snap and wal
@@ -71,7 +80,27 @@ func newNode(id amcast.NodeID, eng amcast.SnapshotEngine, net *sim.Network, snap
 	if recoverable {
 		n.snap = eng.Snapshot()
 	}
+	n.host()
 	return n
+}
+
+// host builds the runtime node over the current engine. Its queue and
+// batcher are empty between simulator events: nothing carries over.
+func (n *node) host() {
+	var eng amcast.Engine = n.eng
+	if n.de != nil {
+		eng = n.de
+	}
+	n.rt = runtime.NewStepped(eng, n.send, runtime.Config{
+		OnDeliver: func(d amcast.Delivery) { n.dels = append(n.dels, d) },
+	})
+}
+
+// send transmits a batch as one simulated send per envelope, in order.
+func (n *node) send(to amcast.NodeID, envs []amcast.Envelope) {
+	for _, env := range envs {
+		n.net.Send(n.id, to, env)
+	}
 }
 
 // enableDurable switches the node to the real backend: the engine's
@@ -80,23 +109,22 @@ func newNode(id amcast.NodeID, eng amcast.SnapshotEngine, net *sim.Network, snap
 // crash, where the page cache is the surviving image; tests inject torn
 // tails explicitly.
 func (n *node) enableDurable(dir string, rebuild func() (amcast.SnapshotEngine, error), decode func([]byte) (amcast.Snapshot, error)) error {
-	de, err := durable.Wrap(n.eng, durable.Options{
-		Dir:           dir,
-		SnapshotEvery: n.snapEvery,
-		FsyncEvery:    -1,
-		Decode:        decode,
-	})
+	n.dir, n.rebuild, n.decode = dir, rebuild, decode
+	de, err := n.wrap(n.eng)
 	if err != nil {
 		return err
 	}
 	n.de = de
-	n.dir = dir
-	n.rebuild = rebuild
-	n.decode = decode
+	n.host()
 	return nil
 }
 
-// HandleEnvelope implements sim.Handler.
+// wrap puts eng behind the backend in the node's directory.
+func (n *node) wrap(eng amcast.SnapshotEngine) (*durable.Engine, error) {
+	return durable.Wrap(eng, durable.Options{Dir: n.dir, SnapshotEvery: n.snapEvery, FsyncEvery: -1, Decode: n.decode})
+}
+
+// HandleEnvelope implements sim.Handler: one handoff is one chunk.
 func (n *node) HandleEnvelope(env amcast.Envelope) {
 	if n.down {
 		// The network parks traffic for crashed nodes; reaching here
@@ -104,24 +132,15 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 		n.fail(fmt.Errorf("chaos: envelope handed to crashed node %s", n.id))
 		return
 	}
-	var outs []amcast.Output
-	var dels []amcast.Delivery
-	if n.de != nil {
-		outs = n.de.OnEnvelope(env)
-		dels = n.de.TakeDeliveries()
-		if err := n.de.Err(); err != nil {
-			n.fail(fmt.Errorf("chaos: durable backend of %s: %w", n.id, err))
-		}
-	} else {
-		if n.recoverable {
-			n.wal = append(n.wal, env)
-		}
-		outs = n.eng.OnEnvelope(env)
-		dels = n.eng.TakeDeliveries()
+	if n.de == nil && n.recoverable {
+		n.wal = append(n.wal, env)
 	}
-	for _, o := range outs {
-		n.net.Send(n.id, o.To, o.Env)
+	n.rt.Submit([]amcast.Envelope{env})
+	n.buf = n.rt.Step(n.buf)
+	if n.de != nil && n.de.Err() != nil {
+		n.fail(fmt.Errorf("chaos: durable backend of %s: %w", n.id, n.de.Err()))
 	}
+	dels := n.dels
 	if n.bugEvery > 0 && len(dels) >= 2 {
 		n.batches++
 		if n.batches%n.bugEvery == 0 {
@@ -134,10 +153,8 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 		if err := n.onDeliver(d); err != nil {
 			n.fail(err)
 		}
-		if d.Msg.Sender.IsClient() {
-			n.net.Send(n.id, d.Msg.Sender, amcast.ReplyFor(n.id, d))
-		}
 	}
+	n.dels = dels[:0]
 	// The durable backend snapshots and rotates on its own cadence.
 	if n.de == nil && n.recoverable && len(n.wal) >= n.snapEvery {
 		n.snap = n.eng.Snapshot()
@@ -231,12 +248,7 @@ func (n *node) recoverDurable() error {
 	if err != nil {
 		return err
 	}
-	de, err := durable.Wrap(fresh, durable.Options{
-		Dir:           n.dir,
-		SnapshotEvery: n.snapEvery,
-		FsyncEvery:    -1,
-		Decode:        n.decode,
-	})
+	de, err := n.wrap(fresh)
 	if err != nil {
 		return err
 	}
@@ -260,6 +272,7 @@ func (n *node) recoverDurable() error {
 	n.eng = fresh
 	n.de = de
 	n.delsSince = 0
+	n.host()
 	if n.rebind != nil {
 		return n.rebind(fresh)
 	}

@@ -14,7 +14,10 @@ import (
 // TestBatchStepSafety validates the FlexCast batch fast path (one
 // reprocess fixpoint per chunk, consolidated acks) against the full
 // atomic multicast specification over seeded random chunked executions,
-// including determinism over batch sequences.
+// including determinism over batch sequences. The chunks are
+// runtime.Node steps, so take's control-priority drain runs too:
+// FlexCast's incremental history diffs are the most sensitive to its
+// reordering (DESIGN.md §1b).
 func TestBatchStepSafety(t *testing.T) {
 	for _, n := range []int{3, 6} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -39,34 +42,6 @@ func TestBatchStepSafety(t *testing.T) {
 				}, true)
 			})
 		}
-	}
-}
-
-// TestPriorityDrainSafety validates the node runtime's receiver-side
-// control-priority drain against the full multicast specification:
-// chunked executions in which every chunk is reordered control-first
-// (per-sender FIFO preserved — the exact permutation runtime.Node.take
-// applies under backlog) must still deliver acyclically, agree, stay
-// genuine and remain deterministic. FlexCast is the protocol whose
-// incremental history diffs are most sensitive to reordering, which is
-// why the drain's safety argument (DESIGN.md §1b) is proven here.
-func TestPriorityDrainSafety(t *testing.T) {
-	groups := []amcast.GroupID{1, 2, 3, 4, 5}
-	ov := overlay.MustCDAG(groups)
-	for seed := int64(0); seed < 4; seed++ {
-		prototest.RunChunkedSafety(t, prototest.RandomConfig{
-			Groups:   groups,
-			Clients:  3,
-			Messages: 25,
-			Route: func(m amcast.Message) []amcast.NodeID {
-				return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
-			},
-			Factory: func(g amcast.GroupID) amcast.Engine {
-				return core.MustNew(core.Config{Group: g, Overlay: ov})
-			},
-			Seed:          911 + seed,
-			PriorityDrain: true,
-		}, true)
 	}
 }
 

@@ -62,7 +62,6 @@ func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
 	w := checkWalks(t)
 	t.Run("ring-cycle", TestFreshRequestRingCycle)
 	t.Run("chunked", TestBatchStepSafety)
-	t.Run("priority-drain", TestPriorityDrainSafety)
 	w.verify(t)
 }
 

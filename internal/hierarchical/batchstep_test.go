@@ -30,11 +30,10 @@ func TestBatchStepEquivalence(t *testing.T) {
 	}
 }
 
-// TestPriorityDrainSafety runs the chunked executions with the
-// receiver-side control-priority reordering (runtime.Node.take's
-// permutation) on the tree protocol; the hierarchical baseline is not
-// genuine, so minimality is not asserted.
-func TestPriorityDrainSafety(t *testing.T) {
+// TestBatchStepSafety runs chunked executions under the node runtime's
+// step (prototest.RunChunkedSafety) on the tree protocol; the
+// hierarchical baseline is not genuine, so minimality is not asserted.
+func TestBatchStepSafety(t *testing.T) {
 	tr := wan.T1()
 	for seed := int64(0); seed < 2; seed++ {
 		prototest.RunChunkedSafety(t, prototest.RandomConfig{
@@ -47,8 +46,7 @@ func TestPriorityDrainSafety(t *testing.T) {
 			Factory: func(g amcast.GroupID) amcast.Engine {
 				return hierarchical.MustNew(hierarchical.Config{Group: g, Tree: tr})
 			},
-			Seed:          seed*37 + 5,
-			PriorityDrain: true,
+			Seed: seed*37 + 5,
 		}, false)
 	}
 }

@@ -20,9 +20,6 @@ import (
 // across a chunk and is validated by RunChunkedSafety instead.
 func RunBatchEquivalence(t *testing.T, cfg RandomConfig) {
 	t.Helper()
-	if cfg.MaxDst == 0 || cfg.MaxDst > len(cfg.Groups) {
-		cfg.MaxDst = len(cfg.Groups)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := sim.New()
 
@@ -63,7 +60,7 @@ func RunBatchEquivalence(t *testing.T, cfg RandomConfig) {
 		cid := amcast.ClientNode(c)
 		net.Register(cid, sim.HandlerFunc(func(env amcast.Envelope) {}))
 		for i := 0; i < cfg.Messages; i++ {
-			m := cfg.message(c, i, cfg.MaxDst, rng)
+			m := cfg.message(c, i, rng)
 			at := sim.Time(rng.Int63n(50_000))
 			s.ScheduleAt(at, func() {
 				for _, to := range cfg.Route(m) {

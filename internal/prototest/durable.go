@@ -70,9 +70,6 @@ func copyCrashImage(t *testing.T, src string) string {
 // path mishandles a crash artifact.
 func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcast.Snapshot, error), snapshotEvery int) {
 	t.Helper()
-	if cfg.MaxDst == 0 || cfg.MaxDst > len(cfg.Groups) {
-		cfg.MaxDst = len(cfg.Groups)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := sim.New()
 	root := t.TempDir()
@@ -125,7 +122,7 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 		cid := amcast.ClientNode(c)
 		net.Register(cid, sim.HandlerFunc(func(env amcast.Envelope) {}))
 		for i := 0; i < cfg.Messages; i++ {
-			m := cfg.message(c, i, cfg.MaxDst, rng)
+			m := cfg.message(c, i, rng)
 			at := sim.Time(rng.Int63n(50_000))
 			s.ScheduleAt(at, func() {
 				for _, to := range cfg.Route(m) {

@@ -193,20 +193,17 @@ type RandomConfig struct {
 	// OnEngines, when non-nil, observes the engines after the run
 	// quiesces (digest comparisons across execution strategies).
 	OnEngines func(engines map[amcast.GroupID]amcast.Engine)
-	// PriorityDrain makes the chunked runner reorder every chunk the way
-	// the node runtime's receiver-side control-priority drain does
-	// (internal/runtime): control envelopes ahead of payload envelopes
-	// from other senders, per-sender FIFO preserved. Chunked-equivalence
-	// runs with it prove the drain's reordering stays inside the
-	// protocols' safety envelope.
-	PriorityDrain bool
 }
 
 // message builds client c's i-th multicast: via NextMessage when set,
 // otherwise a uniform random destination set.
-func (cfg *RandomConfig) message(c, i, maxDst int, rng *rand.Rand) amcast.Message {
+func (cfg *RandomConfig) message(c, i int, rng *rand.Rand) amcast.Message {
 	if cfg.NextMessage != nil {
 		return cfg.NextMessage(c, i, rng)
+	}
+	maxDst := len(cfg.Groups)
+	if cfg.MaxDst > 0 && cfg.MaxDst < maxDst {
+		maxDst = cfg.MaxDst
 	}
 	nDst := 1 + rng.Intn(maxDst)
 	perm := rng.Perm(len(cfg.Groups))
@@ -277,9 +274,6 @@ func (s *snapTap) consume(env amcast.Envelope) ([]amcast.Output, []amcast.Delive
 // any aliasing between snapshot and engine, shows up as a divergence.
 func RunSnapshotReplay(t *testing.T, cfg RandomConfig, snapAfter int) {
 	t.Helper()
-	if cfg.MaxDst == 0 || cfg.MaxDst > len(cfg.Groups) {
-		cfg.MaxDst = len(cfg.Groups)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := sim.New()
 	taps := make(map[amcast.GroupID]*snapTap, len(cfg.Groups))
@@ -314,7 +308,7 @@ func RunSnapshotReplay(t *testing.T, cfg RandomConfig, snapAfter int) {
 		cid := amcast.ClientNode(c)
 		net.Register(cid, sim.HandlerFunc(func(env amcast.Envelope) {}))
 		for i := 0; i < cfg.Messages; i++ {
-			m := cfg.message(c, i, cfg.MaxDst, rng)
+			m := cfg.message(c, i, rng)
 			at := sim.Time(rng.Int63n(50_000))
 			s.ScheduleAt(at, func() {
 				for _, to := range cfg.Route(m) {
@@ -375,9 +369,6 @@ func normDels(d []amcast.Delivery) []amcast.Delivery {
 
 func runRandom(t *testing.T, cfg RandomConfig, noFIFO bool) *trace.Recorder {
 	t.Helper()
-	if cfg.MaxDst == 0 || cfg.MaxDst > len(cfg.Groups) {
-		cfg.MaxDst = len(cfg.Groups)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := sim.New()
 	rec := trace.NewRecorder()
@@ -430,7 +421,7 @@ func runRandom(t *testing.T, cfg RandomConfig, noFIFO bool) *trace.Recorder {
 		cid := amcast.ClientNode(c)
 		net.Register(cid, sim.HandlerFunc(func(env amcast.Envelope) {}))
 		for i := 0; i < cfg.Messages; i++ {
-			m := cfg.message(c, i, cfg.MaxDst, rng)
+			m := cfg.message(c, i, rng)
 			rec.OnMulticast(m)
 			at := sim.Time(rng.Int63n(50_000))
 			s.ScheduleAt(at, func() {

@@ -1,4 +1,4 @@
-package runtime
+package runtime_test
 
 import (
 	"reflect"
@@ -6,6 +6,7 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/prototest"
+	"flexcast/internal/runtime"
 )
 
 // TestAllocBudgetBatcher pins the borrow-only hand-off on the sending
@@ -18,7 +19,7 @@ func TestAllocBudgetBatcher(t *testing.T) {
 		t.Skip("allocation budgets are measured without -race")
 	}
 	sent := 0
-	b := NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) { sent += len(envs) }, 4)
+	b := runtime.NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) { sent += len(envs) }, 4)
 	msg := amcast.Message{ID: amcast.NewMsgID(0, 1), Dst: []amcast.GroupID{1, 2}}
 	chunk := func() {
 		for i := 0; i < 6; i++ { // group 1 hits the cap once, then parks two
@@ -50,13 +51,13 @@ func TestAllocBudgetBatcherFanOut(t *testing.T) {
 	if prototest.RaceEnabled() {
 		t.Skip("allocation budgets are measured without -race")
 	}
-	for i, typ := 0, reflect.TypeOf(Batcher{}); i < typ.NumField(); i++ {
+	for i, typ := 0, reflect.TypeOf(runtime.Batcher{}); i < typ.NumField(); i++ {
 		if typ.Field(i).Type.Kind() == reflect.Map {
 			t.Fatalf("Batcher.%s is a map", typ.Field(i).Name)
 		}
 	}
 	sends := make([]amcast.NodeID, 0, 64)
-	b := NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) { sends = append(sends, to) }, 64)
+	b := runtime.NewBatcher(func(to amcast.NodeID, envs []amcast.Envelope) { sends = append(sends, to) }, 64)
 	msg := amcast.Message{ID: amcast.NewMsgID(0, 1), Dst: []amcast.GroupID{1, 2}}
 	gn, cn := amcast.GroupNode, amcast.ClientNode
 	want := []amcast.NodeID{gn(12), gn(9), cn(1), cn(0), gn(6), gn(3), gn(11), gn(10), gn(8), gn(7), gn(5), gn(4), gn(2), gn(1)}

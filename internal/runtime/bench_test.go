@@ -64,6 +64,6 @@ func BenchmarkTakeBacklog(b *testing.B) {
 			n.queue = append(n.queue[:0], mixed...)
 			b.StartTimer()
 		}
-		buf = n.take(buf)
+		buf = n.take(buf, false)
 	}
 }

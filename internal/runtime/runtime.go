@@ -1,34 +1,29 @@
-// Package runtime is the production node runtime shared by the real
-// (wall-clock) deployments: the in-process Cluster (flexcast root
-// package), the TCP server (cmd/flexnode) and the sustained-load
-// benchmark (cmd/flexload). It wraps one protocol engine per node and
-// adds the throughput layer the bare transports lack:
+// Package runtime is the production node runtime: it wraps one
+// protocol engine per node for the wall-clock deployments (the
+// in-process Cluster, cmd/flexnode, cmd/flexload) and for the
+// simulator's chaos host (internal/chaos), and adds the throughput
+// layer the bare transports lack:
 //
-//   - each node is a sharded worker goroutine draining a bounded inbound
-//     queue — the only queue between the wire and the engine: the
-//     transports call Submit directly, on the sending goroutine in
-//     memory and on the connection's reader over TCP. The bound is
-//     counted in envelopes — batching must never widen effective
-//     buffering, or queue residency (and with it the protocols'
-//     in-flight dependency state) balloons — and a full queue blocks
-//     Submit, so a saturated node exerts backpressure on its senders
-//     instead of buffering without limit;
-//   - the worker drains up to MaxBatch queued envelopes per wakeup and
-//     steps the engine once per chunk through its batch fast path
-//     (amcast.BatchStep) — one queue operation, one fixpoint scan, and
-//     per-destination output batches amortized across the chunk;
-//   - outputs are batched per destination (Batcher) and flushed at the
-//     end of every chunk: amortization comes from within a chunk, never
-//     from holding outputs across chunks, so an idle node adds no
-//     batching latency. A node runs no flush timer: every send
-//     happens under Batcher.mu, so a batch parked by backpressure is
-//     parked by the worker holding the lock a timer would need, and the
-//     worker flushes everything at the end of the chunk.
-//
-// The per-envelope protocol semantics are unchanged — a batch is a
-// scheduling unit (see amcast.BatchStepper) — so the simulator, the
-// chaos explorer and the replicas (internal/smr) verify the same state
-// machines this runtime executes.
+//   - each node has a bounded inbound queue — the only queue between
+//     the wire and the engine: transports call Submit directly, on the
+//     sending goroutine in memory and on the connection's reader over
+//     TCP. The bound is counted in envelopes — batching must never
+//     widen effective buffering, or queue residency (and with it the
+//     protocols' in-flight dependency state) balloons — and a full
+//     queue blocks Submit: a saturated node backpressures its senders;
+//   - a step pops up to MaxBatch queued envelopes, steps the engine
+//     once for the chunk through its batch fast path (amcast.BatchStep;
+//     a batch is a scheduling unit, the protocol semantics stay
+//     per-envelope) and flushes the per-destination output batches
+//     (Batcher) at the chunk's end: amortization comes from within a
+//     chunk, never from holding outputs across chunks, so an idle node
+//     adds no batching latency. No flush timer: a batch parked by
+//     backpressure is parked by the step holding Batcher.mu, the lock a
+//     timer would need;
+//   - a wall-clock node's worker goroutine waits for work and steps; a
+//     simulator builds its nodes with NewStepped and steps them on its
+//     own clock, so the chaos cells check this step, not a model of it.
+//     The replicas (internal/smr) still step their engines themselves.
 //
 // Because a send runs the receiver's Submit on the sender's goroutine,
 // locks nest across nodes in one order only: the sender's Batcher.mu,
@@ -165,6 +160,16 @@ func Host(net Net, eng amcast.Engine, cfg Config) (*Node, error) {
 // call it through Host, which also registers the node's Submit as the
 // transport's batch handler for the engine's group.
 func NewNode(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
+	n := NewStepped(eng, send, cfg)
+	n.wg.Add(1)
+	go n.worker()
+	return n
+}
+
+// NewStepped builds a node with no goroutine, for a simulator: the
+// caller runs each chunk with Step, so it must step before the queue
+// reaches QueueDepth, or Submit blocks.
+func NewStepped(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{
 		id:      amcast.GroupNode(eng.Group()),
@@ -175,8 +180,6 @@ func NewNode(eng amcast.Engine, send SendBatchFunc, cfg Config) *Node {
 	}
 	n.batcher.SetTracer(cfg.Tracer)
 	n.qcond = sync.NewCond(&n.qmu)
-	n.wg.Add(1)
-	go n.worker()
 	return n
 }
 
@@ -259,8 +262,9 @@ func (n *Node) serveReads(envs []amcast.Envelope) []amcast.Envelope {
 	return rest
 }
 
-// take pops up to MaxBatch queued envelopes, blocking until at least one
-// is available or the node stops (then draining the remainder).
+// take pops up to MaxBatch queued envelopes into buf. With wait it
+// blocks until at least one is available or the node stops (then
+// draining the remainder); without, an empty queue returns buf empty.
 //
 // Receiver-side control-priority drain: when the backlog exceeds one
 // chunk, control envelopes (ACK/NOTIF/TS — everything that unblocks
@@ -271,12 +275,12 @@ func (n *Node) serveReads(envs []amcast.Envelope) []amcast.Envelope {
 // senders, never past an earlier envelope from its own sender — the
 // only ordering the protocols assume (FIFO links), and the one
 // FlexCast's incremental history diffs rely on. Reordering across
-// senders is indistinguishable from a different arrival interleaving,
-// which the chunked-equivalence tests (internal/prototest) randomize
-// over; see DESIGN.md §1b.
-func (n *Node) take(buf []amcast.Envelope) []amcast.Envelope {
+// senders is indistinguishable from a different arrival interleaving;
+// prototest.RunChunkedSafety runs this selection on seeded backlogs
+// (DESIGN.md §1b).
+func (n *Node) take(buf []amcast.Envelope, wait bool) []amcast.Envelope {
 	n.qmu.Lock()
-	for len(n.queue) == 0 && !n.stopped {
+	for wait && len(n.queue) == 0 && !n.stopped {
 		n.qcond.Wait()
 	}
 	k := min(len(n.queue), n.cfg.MaxBatch)
@@ -363,21 +367,32 @@ func (n *Node) takePriorityLocked(buf []amcast.Envelope, k int) []amcast.Envelop
 	return buf
 }
 
-// worker drains the inbound queue chunk by chunk: one queue pop, one
-// engine step (amcast.BatchStep), one batcher flush per chunk.
+// worker drains the inbound queue chunk by chunk: wait for work, step.
 func (n *Node) worker() {
 	defer n.wg.Done()
 	// One chunk buffer for the node's lifetime: take refills it in
 	// place, so the hot path allocates nothing per chunk.
 	buf := make([]amcast.Envelope, 0, n.cfg.MaxBatch)
 	for {
-		buf = n.take(buf)
-		if len(buf) == 0 {
+		if buf = n.step(buf, true); len(buf) == 0 {
 			return // stopped and drained
 		}
+	}
+}
+
+// Step runs one chunk without blocking and returns buf holding it,
+// empty when the queue was. The chunk was only lent to the engine.
+func (n *Node) Step(buf []amcast.Envelope) []amcast.Envelope { return n.step(buf, false) }
+
+// step is one queue pop (take), one engine step (process), one batcher
+// flush.
+func (n *Node) step(buf []amcast.Envelope, wait bool) []amcast.Envelope {
+	buf = n.take(buf, wait)
+	if len(buf) > 0 {
 		n.process(buf)
 		n.batcher.FlushAll()
 	}
+	return buf
 }
 
 // process steps the engine once for the whole chunk.

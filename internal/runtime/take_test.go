@@ -37,7 +37,7 @@ func TestTakePriorityDrain(t *testing.T) {
 		env(amcast.KindMsg, c, 6), // P3(c)
 		env(amcast.KindAck, b, 7), // C4(b) — blocked by P2
 	)
-	got := n.take(nil)
+	got := n.take(nil, false)
 	want := []uint64{1, 2, 4} // head first, then promoted controls in order
 	if len(got) != len(want) {
 		t.Fatalf("take returned %d envelopes, want %d", len(got), len(want))
@@ -61,7 +61,7 @@ func TestTakePriorityDrain(t *testing.T) {
 	var all []amcast.Envelope
 	all = append(all, got...)
 	for len(n.queue) > 0 {
-		all = append(all, n.take(nil)...)
+		all = append(all, n.take(nil, false)...)
 	}
 	checkSenderFIFO(t, all, map[amcast.NodeID][]uint64{
 		a: {1, 2, 5}, b: {3, 7}, c: {4, 6},
@@ -80,7 +80,7 @@ func TestTakeHeadNeverStarves(t *testing.T) {
 		queue = append(queue, env(amcast.KindAck, amcast.GroupNode(amcast.GroupID(1+i%5)), uint64(100+i)))
 	}
 	n := takeNode(4, queue...)
-	got := n.take(nil)
+	got := n.take(nil, false)
 	if uint64(got[0].Msg.ID) != 1 {
 		t.Fatalf("payload head not selected under control flood: chunk %v", got)
 	}
@@ -95,7 +95,7 @@ func TestTakePlainWhenUnderBatch(t *testing.T) {
 		env(amcast.KindAck, b, 2),
 		env(amcast.KindMsg, b, 3),
 	)
-	got := n.take(nil)
+	got := n.take(nil, false)
 	for i, w := range []uint64{1, 2, 3} {
 		if uint64(got[i].Msg.ID) != w {
 			t.Fatalf("take[%d] = msg %d, want %d", i, got[i].Msg.ID, w)
@@ -125,7 +125,7 @@ func TestTakePriorityRandomFIFO(t *testing.T) {
 		n := takeNode(1+int(next(7)), queue...)
 		var all []amcast.Envelope
 		for len(n.queue) > 0 {
-			all = append(all, n.take(nil)...)
+			all = append(all, n.take(nil, false)...)
 		}
 		if len(all) != total {
 			t.Fatalf("round %d: drained %d envelopes, want %d", round, len(all), total)

@@ -33,12 +33,11 @@ func TestBatchStepEquivalence(t *testing.T) {
 	}
 }
 
-// TestPriorityDrainSafety runs the chunked executions with the receiver-
-// side control-priority reordering (runtime.Node.take's permutation):
-// Skeen's protocol orders by timestamps exchanged in TS envelopes —
-// exactly the control class the drain promotes — so the full spec must
-// survive the reordering.
-func TestPriorityDrainSafety(t *testing.T) {
+// TestBatchStepSafety runs chunked executions under the node runtime's
+// step (prototest.RunChunkedSafety): Skeen orders by timestamps
+// exchanged in TS envelopes — exactly the control class take's priority
+// drain promotes under backlog — so the full spec must survive it.
+func TestBatchStepSafety(t *testing.T) {
 	groups := []amcast.GroupID{1, 2, 3, 4, 5}
 	for seed := int64(0); seed < 2; seed++ {
 		prototest.RunChunkedSafety(t, prototest.RandomConfig{
@@ -55,8 +54,7 @@ func TestPriorityDrainSafety(t *testing.T) {
 			Factory: func(g amcast.GroupID) amcast.Engine {
 				return skeen.MustNew(skeen.Config{Group: g, Groups: groups})
 			},
-			Seed:          seed*31 + 7,
-			PriorityDrain: true,
+			Seed: seed*31 + 7,
 		}, true)
 	}
 }
