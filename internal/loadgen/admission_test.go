@@ -322,6 +322,34 @@ func TestValidateSLOSection(t *testing.T) {
 			{TMs: 4, QueueDepth: 1},
 		}
 	}, "not time-ordered")
+	check("trajectory-at-window-end", func(r *Result) {
+		r.SLO.Trajectory = []SLOPoint{{TMs: 2000, QueueDepth: 1}}
+	}, "")
+	check("trajectory-past-window", func(r *Result) {
+		r.SLO.Trajectory = []SLOPoint{{TMs: 2001, QueueDepth: 1}}
+	}, "past the 2 s window")
+}
+
+// TestTrajectoryStopsAtWindowEnd: the sampler keeps ticking until stop
+// closes, which happens after the window end, and records no tick
+// taken after it.
+func TestTrajectoryStopsAtWindowEnd(t *testing.T) {
+	start := time.Now()
+	end := start.Add(3 * trajectoryEvery / 2)
+	stop := make(chan struct{})
+	out := make(chan []SLOPoint, 1)
+	go sampleTrajectory(nil, start, end, stop, out)
+	time.Sleep(5 * trajectoryEvery)
+	close(stop)
+	points := <-out
+	if len(points) == 0 {
+		t.Fatal("no trajectory point inside the window")
+	}
+	for _, p := range points {
+		if p.TMs > end.Sub(start).Milliseconds() {
+			t.Fatalf("trajectory point at %d ms past the %d ms window: %+v", p.TMs, end.Sub(start).Milliseconds(), points)
+		}
+	}
 }
 
 // TestSessionConfigContract pins the new knobs' validation: sessions

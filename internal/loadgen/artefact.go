@@ -219,7 +219,7 @@ func (res *Result) Validate(cfg Config) error {
 // offered load, a run shedding more than it issued is operating past
 // any admissible envelope (the measurement is of the shed path, not the
 // system), and the queue-depth trajectory must be a time-ordered series
-// of non-negative depths.
+// of non-negative depths inside the window.
 func validateSLO(res *Result) error {
 	s := res.SLO
 	if s.TargetMs <= 0 {
@@ -250,6 +250,9 @@ func validateSLO(res *Result) error {
 		}
 		if p.TMs < prev {
 			return fmt.Errorf("loadgen: result: slo trajectory not time-ordered at point %d", i)
+		}
+		if float64(p.TMs) > res.WindowSecs*1000 {
+			return fmt.Errorf("loadgen: result: slo trajectory point %d at %d ms is past the %v s window", i, p.TMs, res.WindowSecs)
 		}
 		prev = p.TMs
 	}

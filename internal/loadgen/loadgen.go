@@ -760,7 +760,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.SLOMs > 0 {
 		trajStop = make(chan struct{})
 		trajOut = make(chan []SLOPoint, 1)
-		go sampleTrajectory(dep.nodes, r.windowStart, trajStop, trajOut)
+		go sampleTrajectory(dep.nodes, r.windowStart, r.windowStart.Add(cfg.Duration), trajStop, trajOut)
 	}
 	time.Sleep(cfg.Duration)
 	r.measuring.Store(false)

@@ -69,8 +69,10 @@ const trajectoryEvery = 50 * time.Millisecond
 // sampleTrajectory records the deepest inbound queue of nodes every
 // trajectoryEvery until stop closes, then delivers the samples on out.
 // Under skewed load (an LCA hot spot) the deepest queue is the node
-// that saturates first.
-func sampleTrajectory(nodes []*runtime.Node, start time.Time, stop <-chan struct{}, out chan<- []SLOPoint) {
+// that saturates first. A tick after end, the window's close fixed at
+// open time, is dropped: stop closes only once the run has seen the
+// window end, and the sampler can take a tick in between.
+func sampleTrajectory(nodes []*runtime.Node, start, end time.Time, stop <-chan struct{}, out chan<- []SLOPoint) {
 	var points []SLOPoint
 	t := time.NewTicker(trajectoryEvery)
 	defer t.Stop()
@@ -80,6 +82,9 @@ func sampleTrajectory(nodes []*runtime.Node, start time.Time, stop <-chan struct
 			out <- points
 			return
 		case now := <-t.C:
+			if now.After(end) {
+				continue
+			}
 			depth := 0
 			for _, n := range nodes {
 				depth = max(depth, n.QueueLen())

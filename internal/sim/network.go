@@ -200,7 +200,14 @@ func (n *Network) arrive(from, to amcast.NodeID, env amcast.Envelope) {
 	}
 	finish := start + cost
 	n.busyUntil[to] = finish
-	n.sim.ScheduleAt(finish, func() { n.handoff(from, to, env) })
+	n.handoffAt(finish, from, to, env)
+}
+
+// handoffAt schedules a handoff. It is its own function so that only a
+// costed arrival moves its envelope to the heap for the closure, not
+// every arrival.
+func (n *Network) handoffAt(at Time, from, to amcast.NodeID, env amcast.Envelope) {
+	n.sim.ScheduleAt(at, func() { n.handoff(from, to, env) })
 }
 
 // handoff hands an envelope to its destination handler, or parks it when

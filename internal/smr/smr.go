@@ -18,17 +18,27 @@
 // amcast.BatchStep, which is applying its envelopes in order.
 //
 // Output strategy: every live replica emits its engine's outputs
-// (protocol envelopes and client replies). This trades bandwidth for
-// simplicity and fault tolerance — no output is lost when the leader
-// crashes between deciding and sending — and is safe because every
-// receiver in this repository is idempotent: engines deduplicate
-// MSG/ACK/NOTIF/REQUEST/TS envelopes and clients deduplicate replies.
+// (protocol envelopes and client replies), so no output is lost when the
+// leader crashes between deciding and sending. An envelope one group
+// sends another thus reaches the ingress once per sending replica, byte
+// for byte the same. The copies stop there: the ingress encodes each
+// peer envelope once and leaves it out of the instant's proposal when
+// the same bytes are among the last seenRing peer envelopes proposed (a
+// digest finds the candidate, a byte comparison confirms it). Client
+// requests are sent once and skip the check. Dropping a copy is safe
+// because every receiver here is idempotent (engines deduplicate
+// MSG/ACK/NOTIF/REQUEST/TS envelopes, clients deduplicate replies): it
+// would have been applied as a no-op. A copy that outlives the ring is
+// proposed and applied as that no-op, which is what every copy cost
+// before the check.
 package smr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 
 	"flexcast/amcast"
 	"flexcast/internal/codec"
@@ -115,9 +125,21 @@ type Group struct {
 	replicas []*replica
 	stopped  bool
 
-	// pending holds the envelopes that reached the ingress at the current
-	// instant; it is non-empty exactly while a flush is scheduled.
-	pending       []amcast.Envelope
+	// The instant's proposals under construction, back to back in enc:
+	// each a batch frame, BatchKind | count | (len, encoding)…, whose
+	// one-byte count (maxBatch < 128) flush fills in. drafts is non-empty
+	// exactly while a flush is scheduled; one is the arriving envelope's
+	// encoding.
+	enc    []byte
+	drafts []draft
+	one    []byte
+	// seen is a ring of the last seenRing peer envelopes proposed (digest
+	// and encoding), oldest overwritten first; seenAt maps a digest to
+	// its newest slot.
+	seen     [seenRing]seenEnc
+	seenNext int
+	seenAt   map[uint64]int
+
 	nBatchesProp  uint64
 	nEnvsProposed uint64
 	lastRecovery  *RecoveryStats
@@ -136,6 +158,26 @@ type Group struct {
 // instant's envelopes follow in further proposals at the same instant.
 const maxBatch = 64
 
+// seenRing is how many proposed peer envelopes the ingress remembers.
+// Every copy of an envelope reaches the ingress within a few intra-group
+// hops of the first, so on smr-sim's shape (4 groups × 3 replicas) no
+// copy outlives it.
+const seenRing = 1024
+
+// draft is one proposal under construction: where it starts in enc and
+// how many envelopes it carries.
+type draft struct{ at, n int }
+
+// seenEnc is a proposed peer envelope: its digest, and its encoding,
+// which a digest hit is compared with byte for byte.
+type seenEnc struct {
+	sum uint64
+	enc string
+}
+
+// crcTable digests encodings: CRC-64, the same on every run.
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
 // GroupTelemetry is the group's observability state: lease-protocol
 // counters and the Paxos commit-latency distribution.
 type GroupTelemetry struct {
@@ -149,6 +191,9 @@ type GroupTelemetry struct {
 	// LeaseRefusals counts FollowerRead calls refused for want of a
 	// valid lease.
 	LeaseRefusals uint64
+	// Suppressed counts the peer envelopes the ingress left out of a
+	// proposal because the same bytes were proposed recently.
+	Suppressed uint64
 	// Commit is the propose→first-decide latency distribution in
 	// nanoseconds (sim µs × 1000, matching the telemetry plane's unit).
 	Commit *metrics.Histogram
@@ -162,6 +207,9 @@ type replica struct {
 	eng     amcast.Engine
 	crashed bool
 	applied uint64
+	// envs is the reused buffer a decided value decodes into, lent to
+	// the engine for one step (amcast.BatchStep) and then scrubbed.
+	envs []amcast.Envelope
 	// leaseExpiry is the expiry of the newest lease grant this replica
 	// has applied from the decided log (0: none). Each replica holds its
 	// own view: a lagging replica holds an older — hence safer — lease.
@@ -196,7 +244,7 @@ func New(cfg Config, s *sim.Simulator, net *sim.Network) (*Group, error) {
 	if cfg.LeaseTerm > 0 && cfg.LeaseMargin == 0 {
 		cfg.LeaseMargin = cfg.LeaseTerm / 4
 	}
-	g := &Group{cfg: cfg, s: s, net: net, proposedAt: make(map[*byte]sim.Time)}
+	g := &Group{cfg: cfg, s: s, net: net, proposedAt: make(map[*byte]sim.Time), seenAt: make(map[uint64]int)}
 	g.telem.Commit = metrics.NewHistogram()
 	for i := 0; i < cfg.Replicas; i++ {
 		pax, err := paxos.NewReplica(paxos.Config{ID: paxos.ReplicaID(i), N: cfg.Replicas})
@@ -475,13 +523,15 @@ func (r *replica) replay(vals [][]byte) {
 			r.applyLease(v)
 			continue
 		}
-		envs, err := codec.DecodeFrame(v)
+		envs, err := codec.DecodeFrameInto(r.envs[:0], v)
 		if err != nil {
 			continue // mirrors apply: skip deterministically
 		}
+		r.envs = envs
 		r.applied++
 		amcast.BatchStep(r.eng, envs)
 		r.eng.TakeDeliveries()
+		clear(envs)
 	}
 }
 
@@ -592,33 +642,58 @@ func (g *Group) Applied(idx int) uint64 { return g.replicas[idx].applied }
 // Engine exposes replica idx's engine for test inspection.
 func (g *Group) Engine(idx int) amcast.Engine { return g.replicas[idx].eng }
 
-// ingress collects an external envelope into the current instant's
-// proposal. The first envelope of an instant schedules the flush with
-// zero delay: the simulator fires equal-time events in scheduling order,
-// so every envelope already due at this instant reaches the ingress
-// before the flush does.
+// ingress encodes an external envelope into the current instant's
+// proposal, unless it is a peer envelope whose bytes were proposed
+// recently (see Output strategy). The first envelope of an instant
+// schedules the flush with zero delay: the simulator fires equal-time
+// events in scheduling order, so every envelope already due at this
+// instant reaches the ingress before the flush does.
 func (g *Group) ingress(env amcast.Envelope) {
-	if len(g.pending) == 0 {
+	g.one = codec.Append(g.one[:0], env)
+	if !env.From.IsClient() {
+		sum := crc64.Checksum(g.one, crcTable)
+		if slot, ok := g.seenAt[sum]; ok && g.seen[slot].enc == string(g.one) {
+			g.telem.Suppressed++
+			return
+		}
+		slot := g.seenNext
+		g.seenNext = (slot + 1) % seenRing
+		if old := g.seen[slot]; g.seenAt[old.sum] == slot {
+			delete(g.seenAt, old.sum)
+		}
+		g.seen[slot] = seenEnc{sum: sum, enc: string(g.one)}
+		g.seenAt[sum] = slot
+	}
+	if len(g.drafts) == 0 {
 		g.s.Schedule(0, g.flush)
 	}
-	g.pending = append(g.pending, env)
+	if len(g.drafts) == 0 || g.drafts[len(g.drafts)-1].n == maxBatch {
+		g.drafts = append(g.drafts, draft{at: len(g.enc)})
+		g.enc = append(g.enc, codec.BatchKind, 0)
+	}
+	g.drafts[len(g.drafts)-1].n++
+	g.enc = binary.AppendUvarint(g.enc, uint64(len(g.one)))
+	g.enc = append(g.enc, g.one...)
 }
 
-// flush proposes the instant's envelopes, maxBatch per value; a lone
-// envelope goes out as a plain frame.
+// flush proposes the instant's drafts, each copied into its own backing
+// array; a lone envelope goes out as a plain frame (its encoding alone).
 func (g *Group) flush() {
-	envs := g.pending
-	for len(envs) > 0 {
-		n := min(len(envs), maxBatch)
-		if n == 1 {
-			g.propose(codec.Marshal(envs[0]), 1)
-		} else {
-			g.propose(codec.MarshalBatch(envs[:n]), n)
+	for i, d := range g.drafts {
+		end := len(g.enc)
+		if i+1 < len(g.drafts) {
+			end = g.drafts[i+1].at
 		}
-		envs = envs[n:]
+		from := d.at
+		if d.n == 1 {
+			_, w := binary.Uvarint(g.enc[from+2:])
+			from += 2 + w
+		} else {
+			g.enc[from+1] = byte(d.n)
+		}
+		g.propose(bytes.Clone(g.enc[from:end]), d.n)
 	}
-	clear(g.pending)
-	g.pending = g.pending[:0]
+	g.enc, g.drafts = g.enc[:0], g.drafts[:0]
 }
 
 // propose sequences one encoded value (a single envelope or a batch
@@ -647,10 +722,11 @@ func (g *Group) propose(value []byte, nEnvs int) {
 	target.apply()
 }
 
-// Proposals reports how many Paxos values the group proposed and how
-// many envelopes they carried (tests, metrics).
-func (g *Group) Proposals() (values, envelopes uint64) {
-	return g.nBatchesProp, g.nEnvsProposed
+// Proposals reports how many Paxos values the group proposed, how many
+// envelopes they carried and how many peer envelopes the ingress
+// suppressed as copies (tests, metrics).
+func (g *Group) Proposals() (values, envelopes, suppressed uint64) {
+	return g.nBatchesProp, g.nEnvsProposed, g.telem.Suppressed
 }
 
 // Telemetry returns the group's observability state. The histogram
@@ -687,12 +763,13 @@ func (r *replica) apply() {
 			r.maybeSnapshot(dec.Instance + 1)
 			continue
 		}
-		envs, err := codec.DecodeFrame(dec.Value)
+		envs, err := codec.DecodeFrameInto(r.envs[:0], dec.Value)
 		if err != nil {
 			// A corrupt decided value would be a codec bug; skip it
 			// deterministically on every replica.
 			continue
 		}
+		r.envs = envs
 		// First replica to apply this value records its propose→decide
 		// latency (sim µs scaled to ns) and retires the key.
 		if t0, ok := r.grp.proposedAt[&dec.Value[0]]; ok {
@@ -714,6 +791,7 @@ func (r *replica) apply() {
 				r.grp.net.Send(from, d.Msg.Sender, amcast.ReplyFor(from, d))
 			}
 		}
+		clear(envs)
 		r.maybeSnapshot(dec.Instance + 1)
 	}
 }

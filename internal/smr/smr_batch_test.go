@@ -37,7 +37,7 @@ func TestBatchedProposalsDeliverConsistently(t *testing.T) {
 
 	// The lca (group 1) absorbed all n requests in one injection burst:
 	// batching must have collapsed them into fewer proposals.
-	values, envs := d.groups[1].Proposals()
+	values, envs, _ := d.groups[1].Proposals()
 	if envs < n {
 		t.Fatalf("group 1 proposed %d envelopes, want >= %d", envs, n)
 	}

@@ -19,10 +19,13 @@ type abcDeployment struct {
 	groups map[amcast.GroupID]*Group
 	// delivered[g][replica] is the delivery sequence of one replica.
 	delivered map[amcast.GroupID][][]amcast.MsgID
-	// at[g][id] is the virtual time replica 0 of g delivered id.
+	// at[g][id] is the virtual time replica recFrom[g] of g delivered id.
 	at  map[amcast.GroupID]map[amcast.MsgID]sim.Time
 	rec *trace.Recorder
 	ov  *overlay.CDAG
+	// recFrom[g] is the replica whose deliveries feed rec and at (0
+	// unless a test that crashes replica 0 sets it first).
+	recFrom map[amcast.GroupID]int
 }
 
 // deployABC builds a 3-group overlay where every group is replicated by
@@ -48,6 +51,7 @@ func deployGroups(t testing.TB, nGroups int, cfg Config, oneWay sim.Time, opts .
 		at:        make(map[amcast.GroupID]map[amcast.MsgID]sim.Time),
 		rec:       trace.NewRecorder(),
 		ov:        overlay.MustCDAG(ids),
+		recFrom:   make(map[amcast.GroupID]int),
 	}
 	d.net = sim.NewNetwork(d.s, func(from, to amcast.NodeID) sim.Time { return oneWay }, opts...)
 	for _, g := range d.ov.Order() {
@@ -61,7 +65,7 @@ func deployGroups(t testing.TB, nGroups int, cfg Config, oneWay sim.Time, opts .
 		}
 		gcfg.OnDeliver = func(rep int, del amcast.Delivery) {
 			d.delivered[g][rep] = append(d.delivered[g][rep], del.Msg.ID)
-			if rep == 0 {
+			if rep == d.recFrom[g] {
 				d.at[g][del.Msg.ID] = d.s.Now()
 				if err := d.rec.OnDeliver(del); err != nil {
 					t.Error(err)
