@@ -89,3 +89,35 @@ type SnapshotEngine interface {
 	// snapshot of the wrong concrete type or group.
 	Restore(Snapshot) error
 }
+
+// Mark identifies one state of a DeltaEngine, for a later AppendDelta to
+// write what changed since. Taking a mark changes nothing in the engine:
+// its holder keeps it, any number of holders keep their own, and
+// Snapshot() callers move nobody's.
+type Mark any
+
+// DeltaEngine is a SnapshotEngine that can also write the difference
+// between its current state and an earlier one, and apply such a
+// difference: the durable backend's checkpoint seam (internal/durable),
+// which appends a delta where it would otherwise write a snapshot.
+//
+// Contract: for a mark m taken at state S, an engine in state S (restored
+// from a snapshot of it, or replayed to it) that applies
+// AppendDelta(nil, m) of a later state T is in state T, to the byte of
+// every snapshot encoding.
+type DeltaEngine interface {
+	SnapshotEngine
+	// Mark returns a mark of the current state, or nil when the engine
+	// cannot write deltas after all (a wrapper over an engine that
+	// cannot).
+	Mark() Mark
+	// AppendDelta appends to buf the delta from the state marked since,
+	// a mark of this engine taken since its last Restore or ApplyDelta,
+	// to the current state.
+	AppendDelta(buf []byte, since Mark) ([]byte, error)
+	// ApplyDelta moves the engine from the state a delta was written
+	// against to the state it was written at. It fails, leaving the
+	// engine as it was, on a delta that does not decode or that was
+	// written against another state as far as the engine can tell.
+	ApplyDelta(delta []byte) error
+}

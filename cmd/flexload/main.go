@@ -104,8 +104,8 @@ func printResult(label string, r *loadgen.Result) {
 		}
 	}
 	if d := r.Durable; d != nil {
-		fmt.Printf("  durable: %d groups recovered (%d from snapshots), digests match, replay max %d envelopes (total %d), recovery mean %.0fµs max %dµs\n",
-			d.Groups, d.SnapshottedGroups, d.MaxReplayedEnvelopes, d.ReplayedEnvelopes, d.RecoveryMeanUs, d.RecoveryMaxUs)
+		fmt.Printf("  durable: %d groups recovered (%d from snapshots, %d delta checkpoints), digests match, replay max %d envelopes (total %d), recovery mean %.0fµs max %dµs\n",
+			d.Groups, d.SnapshottedGroups, d.Checkpoints, d.MaxReplayedEnvelopes, d.ReplayedEnvelopes, d.RecoveryMeanUs, d.RecoveryMaxUs)
 	}
 	if ex := r.Execute; ex != nil {
 		fmt.Printf("  execute: %d shards, %d applies, abort rate %.4f, invariants ok, digest %s…\n",

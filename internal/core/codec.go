@@ -161,6 +161,13 @@ func (s *snapshot) AppendSplit(body, tail []byte, prev amcast.Snapshot) ([]byte,
 func (s *snapshot) appendBody(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(uint32(s.g)))
 	buf = append(buf, s.hst...)
+	buf = s.appendState(buf, 0)
+	return binary.AppendUvarint(buf, uint64(len(s.delivered)))
+}
+
+// appendState appends the sections between the history and the delivery
+// log, with the accepted-notification log from entry from on.
+func (s *snapshot) appendState(buf []byte, from int) []byte {
 	buf = appendIDSet(buf, s.open)
 	buf = binary.AppendUvarint(buf, uint64(len(s.queues)))
 	for _, g := range sortedGroups(s.queues) {
@@ -186,8 +193,8 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 			buf = binary.AppendUvarint(buf, uint64(id))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.notifDone)))
-	for _, p := range s.notifDone {
+	buf = binary.AppendUvarint(buf, uint64(len(s.notifDone)-from))
+	for _, p := range s.notifDone[from:] {
 		buf = binary.AppendUvarint(buf, uint64(p.id))
 		buf = binary.AppendUvarint(buf, uint64(uint32(p.notifier)))
 		buf = binary.AppendUvarint(buf, p.epoch)
@@ -224,8 +231,7 @@ func (s *snapshot) appendBody(buf []byte) []byte {
 		buf = codec.AppendDelivery(buf, d)
 	}
 	buf = binary.AppendUvarint(buf, s.seq)
-	buf = binary.AppendUvarint(buf, uint64(s.nPruned))
-	return binary.AppendUvarint(buf, uint64(len(s.delivered)))
+	return binary.AppendUvarint(buf, uint64(s.nPruned))
 }
 
 // UnmarshalSnapshot decodes a snapshot previously produced by
@@ -237,6 +243,28 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	at := len(data) - r.Len()
 	history.Decode(r)
 	s.hst = slices.Clone(data[at : len(data)-r.Len()])
+	s.readState(r, nil)
+	// The log is everything after its count, so the count is checked
+	// against the bytes that are there before anything is allocated.
+	if n := r.Uvarint(); n <= uint64(len(data))/idWidth {
+		raw := r.BytesN(int(n) * idWidth)
+		s.delivered = make([]amcast.MsgID, 0, len(raw)/idWidth)
+		for ; len(raw) > 0; raw = raw[idWidth:] {
+			s.delivered = append(s.delivered, amcast.MsgID(binary.LittleEndian.Uint64(raw)))
+		}
+	} else {
+		r.Fail(fmt.Errorf("core: delivery log of %d entries in a %d-byte snapshot", n, len(data)))
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("core: snapshot decode: %w", err)
+	}
+	return s, nil
+}
+
+// readState reads an appendState record into s. An accepted-notification
+// log entry must raise the epoch it supersedes, in the log read so far or
+// in done, the index of the log it continues (nil: none).
+func (s *snapshot) readState(r *codec.Reader, done map[amcast.MsgID]byGroup[uint64]) {
 	s.open = readIDSet(r)
 	nQ := r.Count()
 	s.queues = make(map[amcast.GroupID][]amcast.MsgID, nQ)
@@ -271,13 +299,13 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	}
 	// The index is built only to check the log: a put must raise the epoch
 	// it supersedes, which is also what rules out epoch 0.
-	done := make(map[amcast.MsgID]byGroup[uint64])
+	read := make(map[amcast.MsgID]byGroup[uint64])
 	for n := r.Count(); len(s.notifDone) < n && r.Err() == nil; {
 		p := notifPut{id: amcast.MsgID(r.Uvarint()), notifier: amcast.GroupID(r.Uvarint()), epoch: r.Uvarint()}
-		if r.Err() == nil && p.epoch <= done[p.id].get(p.notifier) {
+		if r.Err() == nil && p.epoch <= max(read[p.id].get(p.notifier), done[p.id].get(p.notifier)) {
 			r.Fail(fmt.Errorf("core: accepted-notification log entry %d: epoch %d of %s from group %d does not exceed the one it supersedes", len(s.notifDone), p.epoch, p.id, p.notifier))
 		}
-		done[p.id] = done[p.id].put(p.notifier, p.epoch)
+		read[p.id] = read[p.id].put(p.notifier, p.epoch)
 		s.notifDone = append(s.notifDone, p)
 	}
 	s.trafficSeq = readGroupEpochs(r)
@@ -320,19 +348,4 @@ func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
 	}
 	s.seq = r.Uvarint()
 	s.nPruned = int(r.Uvarint())
-	// The log is everything after its count, so the count is checked
-	// against the bytes that are there before anything is allocated.
-	if n := r.Uvarint(); n <= uint64(len(data))/idWidth {
-		raw := r.BytesN(int(n) * idWidth)
-		s.delivered = make([]amcast.MsgID, 0, len(raw)/idWidth)
-		for ; len(raw) > 0; raw = raw[idWidth:] {
-			s.delivered = append(s.delivered, amcast.MsgID(binary.LittleEndian.Uint64(raw)))
-		}
-	} else {
-		r.Fail(fmt.Errorf("core: delivery log of %d entries in a %d-byte snapshot", n, len(data)))
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("core: snapshot decode: %w", err)
-	}
-	return s, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -132,6 +133,18 @@ func (e *Engine) install(s *snapshot) error {
 	for _, id := range s.delivered {
 		e.delivered.Add(id)
 	}
+	e.notifDoneLog = s.notifDone[:len(s.notifDone):len(s.notifDone)]
+	e.notifDone = make(map[amcast.MsgID]byGroup[uint64], len(s.notifDone))
+	for _, p := range s.notifDone {
+		e.notifDone[p.id] = e.notifDone[p.id].put(p.notifier, p.epoch)
+	}
+	e.installState(s)
+	return nil
+}
+
+// installState deep-copies what appendState writes of s but the
+// accepted-notification log.
+func (e *Engine) installState(s *snapshot) {
 	e.open = maps.Clone(s.open)
 	e.queues = make(map[amcast.GroupID][]amcast.MsgID, len(s.queues))
 	for g, q := range s.queues {
@@ -142,11 +155,6 @@ func (e *Engine) install(s *snapshot) error {
 		e.pend[id] = copyPending(p)
 	}
 	e.pendNotif = copyPendNotifs(s.pendNotif)
-	e.notifDoneLog = s.notifDone[:len(s.notifDone):len(s.notifDone)]
-	e.notifDone = make(map[amcast.MsgID]byGroup[uint64], len(s.notifDone))
-	for _, p := range s.notifDone {
-		e.notifDone[p.id] = e.notifDone[p.id].put(p.notifier, p.epoch)
-	}
 	e.trafficSeq = maps.Clone(s.trafficSeq)
 	e.notifSent = copyByGroup(s.notifSent)
 	e.cursors = maps.Clone(s.cursors)
@@ -154,7 +162,6 @@ func (e *Engine) install(s *snapshot) error {
 	e.deliveries = append([]amcast.Delivery(nil), s.deliveries...)
 	e.seq = s.seq
 	e.nPruned = s.nPruned
-	return nil
 }
 
 // Snapshot implements amcast.SnapshotEngine.
@@ -170,4 +177,94 @@ func (e *Engine) Restore(snap amcast.Snapshot) error {
 		return fmt.Errorf("core: restore of group %d snapshot into group %d", s.g, e.g)
 	}
 	return e.install(s)
+}
+
+var _ amcast.DeltaEngine = (*Engine)(nil)
+
+// mark is the engine's amcast.Mark: the history's, and the lengths of the
+// two append-only logs.
+type mark struct {
+	hst                  history.Mark
+	delivered, notifDone int
+}
+
+// Mark implements amcast.DeltaEngine.
+func (e *Engine) Mark() amcast.Mark {
+	return mark{hst: e.hst.Mark(), delivered: len(e.deliveredLog), notifDone: len(e.notifDoneLog)}
+}
+
+// AppendDelta implements amcast.DeltaEngine. A delta is the snapshot body
+// with the history written as its delta (history.AppendDelta) and the two
+// logs as the entries appended since the mark, behind the length they
+// had:
+//
+//	delta := g ‖ history delta ‖ notifFrom ‖ state, its accepted-notification
+//	         log from notifFrom on ‖ deliveredFrom ‖ count ‖ count × u64le id
+//
+// The state is written from the engine's own fields, not copied first:
+// the caller encodes on the engine goroutine.
+func (e *Engine) AppendDelta(buf []byte, since amcast.Mark) ([]byte, error) {
+	m, ok := since.(mark)
+	if !ok || m.delivered > len(e.deliveredLog) || m.notifDone > len(e.notifDoneLog) {
+		return nil, fmt.Errorf("core: delta against a foreign mark %v", since)
+	}
+	live := &snapshot{
+		notifDone: e.notifDoneLog, open: e.open, queues: e.queues, pend: e.pend, pendNotif: e.pendNotif,
+		trafficSeq: e.trafficSeq, notifSent: e.notifSent, cursors: e.cursors, holds: e.holds,
+		deliveries: e.deliveries, seq: e.seq, nPruned: e.nPruned,
+	}
+	buf = binary.AppendUvarint(buf, uint64(uint32(e.g)))
+	buf = e.hst.AppendDelta(buf, m.hst)
+	buf = binary.AppendUvarint(buf, uint64(m.notifDone))
+	buf = live.appendState(buf, m.notifDone)
+	buf = binary.AppendUvarint(buf, uint64(m.delivered))
+	buf = binary.AppendUvarint(buf, uint64(len(e.deliveredLog)-m.delivered))
+	for _, id := range e.deliveredLog[m.delivered:] {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+	}
+	return buf, nil
+}
+
+// ApplyDelta implements amcast.DeltaEngine. Everything is decoded and
+// checked before the engine is touched: the history delta against the
+// engine's history, each log's starting length against the log, an
+// accepted notification against the epochs it supersedes, a delivery
+// against the deliveries before it.
+func (e *Engine) ApplyDelta(delta []byte) error {
+	r := codec.NewReader(delta)
+	if g := amcast.GroupID(r.Uvarint()); r.Err() == nil && g != e.g {
+		return fmt.Errorf("core: delta of group %d applied to group %d", g, e.g)
+	}
+	applyHistory := e.hst.ReadDelta(r)
+	if from := r.Count(); r.Err() == nil && from != len(e.notifDoneLog) {
+		r.Fail(fmt.Errorf("core: delta written against %d accepted notifications, the engine has %d", from, len(e.notifDoneLog)))
+	}
+	var s snapshot
+	s.readState(r, e.notifDone)
+	if from := r.Count(); r.Err() == nil && from != len(e.deliveredLog) {
+		r.Fail(fmt.Errorf("core: delta written against %d deliveries, the engine has %d", from, len(e.deliveredLog)))
+	}
+	raw := r.BytesN(r.Count() * idWidth)
+	var fresh amcast.IDSet
+	for i := 0; i < len(raw) && r.Err() == nil; i += idWidth {
+		id := amcast.MsgID(binary.LittleEndian.Uint64(raw[i:]))
+		if e.delivered.Has(id) || !fresh.Add(id) {
+			r.Fail(fmt.Errorf("core: delta delivers %s twice", id))
+		}
+	}
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("core: delta: %w", err)
+	}
+	e.hst = applyHistory()
+	for i := 0; i < len(raw); i += idWidth {
+		id := amcast.MsgID(binary.LittleEndian.Uint64(raw[i:]))
+		e.deliveredLog = append(e.deliveredLog, id)
+		e.delivered.Add(id)
+	}
+	for _, p := range s.notifDone {
+		e.notifDoneLog = append(e.notifDoneLog, p)
+		e.notifDone[p.id] = e.notifDone[p.id].put(p.notifier, p.epoch)
+	}
+	e.installState(&s)
+	return nil
 }

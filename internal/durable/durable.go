@@ -1,12 +1,17 @@
 // Package durable is the pluggable persistence layer behind the
 // amcast.SnapshotEngine seam: a write-ahead log of every input envelope
-// (CRC-framed, fsync-batched), organized in epochs each of which ends,
-// once sealed, with a snapshot, plus one journal of the snapshots' tails.
+// (CRC-framed, fsync-batched) with a checkpoint every Options.SnapshotEvery
+// inputs, organized in epochs each of which ends, once sealed, with a
+// snapshot, plus one journal of the snapshots' tails.
 //
-//	wal-%08d.log   epoch e: its input records (wire-codec frames), then,
-//	               once sealed, a snapshot record — the engine state after
-//	               the epoch's last input: the length J of the journal
-//	               prefix the snapshot is joined with, and its body
+//	wal-%08d.log   epoch e: its input records (wire-codec frames) and,
+//	               between them, its checkpoint records — each a delta
+//	               (amcast.DeltaEngine) from the state at the checkpoint
+//	               before it, the first from the snapshot sealing epoch
+//	               e-1 — then, once sealed, a snapshot record: the engine
+//	               state after the epoch's last input, as the length J of
+//	               the journal prefix the snapshot is joined with, and its
+//	               body
 //	journal.log    the tail instalments (amcast.TailSnapshot) of every
 //	               snapshot taken so far, one after the other, never
 //	               rotated: the snapshot in wal-e decodes from its body
@@ -19,19 +24,31 @@
 // instalment that follows the previous persisted snapshot's, appends it,
 // and hands Options.Decode the body joined with the journal prefix.
 //
-// At a cadence point the engine goroutine captures a snapshot, creates
-// wal-(e+1) and hands the snapshot value and wal-e's open file to a
-// background persist job (persist.go) — no fsync, no close. The job
+// A cadence point (a checkpoint) is, as a rule, one write on the engine
+// goroutine: a checkpoint record holding what changed since the last
+// checkpoint. Only when the deltas written since the last snapshot
+// outweigh that snapshot's body — so that recovery decodes at most about
+// twice a body — or when there is no chain to extend (the engine writes
+// no deltas, nothing was snapshotted since Wrap or Restore) does the
+// cadence point snapshot: the engine goroutine captures the state, splits
+// it into body and tail instalment, creates wal-(e+1) and hands them and
+// wal-e's open file to a background persist job (persist.go) — no fsync,
+// no close. The job
 // journals the new instalment, appends the snapshot record to wal-e,
 // fsyncs it (the seal) and deletes the epochs below e — the store-level
-// consumer of the paper's §4.3 truncate-delivered-prefixes rule. Recovery
-// restores the newest snapshot that decodes and replays only the epochs
-// behind it, so its work is bounded by the snapshot cadence — one cadence
-// of input once the persist job has finished, two while it is in flight —
-// never by run length. A torn record at the tail of the newest epoch (the
-// partial write a kill -9 leaves) is detected by its frame CRC and
-// truncated away, a snapshot record cut short is ignored, and a damaged
-// input record in an older epoch is a hole in the input: recovery fails.
+// consumer of the paper's §4.3 truncate-delivered-prefixes rule.
+//
+// Recovery restores the newest snapshot that decodes, applies the
+// checkpoints behind it in order and replays only the inputs behind the
+// last of them, so its work is bounded by the checkpoint cadence — one
+// cadence of input once the persist job has finished, two while it is in
+// flight — never by run length. A torn record at the tail of the newest
+// epoch (the partial write a kill -9 leaves) is detected by its frame CRC
+// and truncated away, a snapshot record cut short is ignored, a
+// checkpoint whose delta is damaged is stepped over — the inputs it
+// covered are replayed, and the next checkpoint applies on top — and a
+// damaged input record in an older epoch is a hole in the input:
+// recovery fails.
 //
 // The failure model is process crash (kill -9): write()n data survives
 // in the page cache even when the process dies before fsync. Batched
@@ -61,9 +78,11 @@ type Options struct {
 	// Dir is the persistence directory (required; created if missing).
 	// One engine per directory.
 	Dir string
-	// SnapshotEvery takes a snapshot and rotates the WAL every N input
-	// envelopes (default 256; <0 disables snapshots, the WAL grows
-	// unbounded and recovery replays it all).
+	// SnapshotEvery checkpoints every N input envelopes (default 256; <0
+	// disables checkpoints, the WAL grows unbounded and recovery replays
+	// it all): a checkpoint record, or a snapshot and a WAL rotation when
+	// the checkpoints since the last snapshot outweigh its body. The
+	// replay a crash costs is bounded by it.
 	SnapshotEvery int
 	// FsyncEvery fsyncs the WAL every N appends (default 64; 1 fsyncs
 	// every append, <0 never fsyncs — kill -9 durability only).
@@ -106,8 +125,14 @@ type RecoveryStats struct {
 	// SnapshotBytes is the restored snapshot's size: its body plus the
 	// journal prefix it was joined with.
 	SnapshotBytes int
-	// ReplayedRecords counts the WAL records replayed (each one input
-	// frame: a single envelope or a batch).
+	// Checkpoints counts the checkpoint records applied on top of the
+	// restored snapshot; CorruptCheckpoints those stepped over because
+	// their delta failed its checksum or did not apply, whose inputs were
+	// replayed instead.
+	Checkpoints        int
+	CorruptCheckpoints int
+	// ReplayedRecords counts the WAL input records replayed (each one
+	// input frame: a single envelope or a batch).
 	ReplayedRecords int
 	// ReplayedEnvelopes counts the envelopes inside those records — the
 	// recovery bound the crash tests assert on.
@@ -161,14 +186,22 @@ type Engine struct {
 
 	epoch uint64
 	w     *walWriter
-	// sinceSnap counts input envelopes appended since the last captured
-	// snapshot (the replay length a crash right now would pay once that
+	// sinceSnap counts input envelopes appended since the last checkpoint
+	// (the replay length a crash right now would pay once the last
 	// snapshot's persist job has finished).
 	sinceSnap int
-	p         persister
-	stats     RecoveryStats
-	err       error
-	closed    bool
+	// delta is the wrapped engine's delta seam (nil without one); mark is
+	// the state at the last checkpoint, which the next delta is written
+	// against (nil: the next checkpoint snapshots); deltaBytes is the size
+	// of the deltas written since the last snapshot, bodyLen that of its
+	// body.
+	delta               amcast.DeltaEngine
+	mark                amcast.Mark
+	deltaBytes, bodyLen int
+	p                   persister
+	stats               RecoveryStats
+	err                 error
+	closed              bool
 }
 
 // Wrap opens (or creates) the durable state under opts.Dir, recovers
@@ -186,6 +219,7 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 	}
 	awaitAbandoned(opts.Dir)
 	e := &Engine{inner: inner, opts: opts}
+	e.delta, _ = inner.(amcast.DeltaEngine)
 	e.p.dir, e.p.keep = opts.Dir, opts.KeepEpochs
 	if err := e.recover(); err != nil {
 		if e.p.journal != nil {
@@ -226,9 +260,10 @@ func (e *Engine) decodeSnapshot(scan walScan, joined []byte, room int) (snap amc
 	return snap, data, int(need), nil
 }
 
-// recover restores the newest snapshot that decodes, replays the WAL
-// epochs behind it, and opens the current WAL for appending (past any
-// torn tail, which is truncated).
+// recover restores the newest snapshot that decodes, applies the
+// checkpoints and replays the inputs of the WAL epochs behind it, and
+// opens the current WAL for appending (past any torn tail, which is
+// truncated). The next checkpoint snapshots.
 func (e *Engine) recover() error {
 	start := time.Now()
 	dir := e.opts.Dir
@@ -248,7 +283,7 @@ func (e *Engine) recover() error {
 	}
 	joined := make([]byte, room, room+int(jscan.goodLen))
 	for _, rec := range jscan.records {
-		joined = append(joined, rec...)
+		joined = append(joined, rec.payload...)
 	}
 	// Restore the newest snapshot that decodes, reading epochs from the
 	// newest down. An unreadable snapshot costs replay length, not
@@ -306,20 +341,53 @@ func (e *Engine) recover() error {
 	if err := e.p.openJournal(jscan, tailLen); err != nil {
 		return err
 	}
-	// Replay the WAL suffix: every input record of every epoch behind the
-	// restored one, ascending. Outputs and deliveries were already emitted
-	// before the crash; replay only rebuilds state.
-	for i := base + 1; i < len(wals); i++ {
-		for _, rec := range scans[i].records {
+	// Bring the engine up to the WAL's end, through every epoch behind the
+	// restored one, ascending. A checkpoint's delta is written against the
+	// state at the checkpoint before it — for an epoch's first, the
+	// snapshot sealing the epoch before — so an applied one makes the
+	// inputs since that checkpoint moot, and they are not replayed. Where
+	// that state is not at hand — behind a checkpoint that is damaged or
+	// does not apply, and behind an epoch whose snapshot was not restored —
+	// the inputs since the last checkpoint are replayed to reach it, and
+	// the next delta applies on top. Outputs and deliveries were already
+	// emitted before the crash; replay only rebuilds state.
+	var pending [][]byte // inputs of the epoch since its last checkpoint
+	replay := func(epoch uint64) error {
+		for _, rec := range pending {
 			envs, err := codec.DecodeFrame(rec)
 			if err != nil {
-				return fmt.Errorf("durable: wal epoch %d record %d: %w", wals[i], e.stats.ReplayedRecords, err)
+				return fmt.Errorf("durable: wal epoch %d record %d: %w", epoch, e.stats.ReplayedRecords, err)
 			}
 			amcast.BatchStep(e.inner, envs)
 			e.inner.TakeDeliveries()
 			e.stats.ReplayedRecords++
 			e.stats.ReplayedEnvelopes += len(envs)
 			e.stats.Recovered = true
+		}
+		pending = pending[:0]
+		return nil
+	}
+	for i := base + 1; i < len(wals); i++ {
+		for _, rec := range scans[i].records {
+			switch {
+			case !rec.checkpoint:
+				pending = append(pending, rec.payload)
+			case e.delta != nil && rec.payload != nil && e.delta.ApplyDelta(rec.payload) == nil:
+				e.inner.TakeDeliveries()
+				pending = pending[:0]
+				e.stats.Checkpoints++
+				e.stats.Recovered = true
+			default:
+				if e.delta != nil {
+					e.stats.CorruptCheckpoints++
+				}
+				if err := replay(wals[i]); err != nil {
+					return err
+				}
+			}
+		}
+		if err := replay(wals[i]); err != nil {
+			return err
 		}
 	}
 	// Appending resumes in the newest epoch, behind its last whole record, or
@@ -374,14 +442,14 @@ func (e *Engine) Err() error { return e.err }
 func (e *Engine) Epoch() uint64 { return e.epoch }
 
 // SinceSnapshot reports the input envelopes appended since the last
-// captured snapshot — the replay length a crash would pay once that
+// checkpoint — the replay length a crash would pay once the last
 // snapshot's persist job has finished (Sync and Close wait for it).
 func (e *Engine) SinceSnapshot() int { return e.sinceSnap }
 
 // log appends one input record, built on the WAL writer's frame, before
 // its envelopes reach the engine.
 func (e *Engine) log(rec []byte, envelopes int) {
-	if err := e.w.commit(rec); err != nil {
+	if err := e.w.commit(rec, kindInput); err != nil {
 		e.err = err
 		return
 	}
@@ -395,7 +463,7 @@ func (e *Engine) Group() amcast.GroupID { return e.inner.Group() }
 // WAL, then forwarded.
 func (e *Engine) OnEnvelope(env amcast.Envelope) []amcast.Output {
 	if e.err == nil {
-		e.log(codec.Append(e.w.frame(), env), 1)
+		e.log(codec.Append(e.w.frame(kindInput), env), 1)
 	}
 	return e.inner.OnEnvelope(env)
 }
@@ -408,18 +476,18 @@ func (e *Engine) BatchStep(envs []amcast.Envelope) []amcast.Output {
 		return nil
 	}
 	if e.err == nil {
-		e.log(codec.AppendBatch(e.w.frame(), envs), len(envs))
+		e.log(codec.AppendBatch(e.w.frame(kindInput), envs), len(envs))
 	}
 	return amcast.BatchStep(e.inner, envs)
 }
 
-// TakeDeliveries implements amcast.Engine and is the snapshot point:
+// TakeDeliveries implements amcast.Engine and is the checkpoint point:
 // right after a drain the engine's delivery buffer is empty, so the
-// snapshot restores to a state with nothing half-emitted.
+// checkpoint restores to a state with nothing half-emitted.
 func (e *Engine) TakeDeliveries() []amcast.Delivery {
 	dels := e.inner.TakeDeliveries()
 	if e.err == nil && e.opts.SnapshotEvery > 0 && e.sinceSnap >= e.opts.SnapshotEvery {
-		e.err = e.snapshot()
+		e.err = e.checkpoint()
 	}
 	return dels
 }
@@ -432,19 +500,56 @@ func (e *Engine) awaitPersist() {
 	}
 }
 
-// snapshot is a cadence point: capture the engine state, create
-// wal-(e+1), and leave wal-e — its snapshot record, its fsync, its close
-// — to a persist job. One job runs at a time, so a due snapshot first
-// waits for the previous one — every cadence point snapshots, and the
-// image on disk is never more than two cadences behind.
-func (e *Engine) snapshot() error {
+// checkpoint is a cadence point. With a chain to extend and the deltas
+// since the last snapshot not yet outweighing its body, it appends a
+// delta — a fixed rule, not an option: what a recovery decodes stays
+// within about twice a body — and does not wait for the persist job in
+// flight, if any: the replay a crash costs meanwhile is the two cadences
+// around the snapshot it is sealing. Otherwise, and for a delta too large
+// for one record, it snapshots.
+func (e *Engine) checkpoint() error {
 	start := time.Now()
+	if e.mark != nil && e.deltaBytes <= e.bodyLen {
+		if err := e.p.poll(); err != nil {
+			return err
+		}
+		rec, err := e.delta.AppendDelta(e.w.frame(kindCheckpoint), e.mark)
+		if err != nil {
+			return err
+		}
+		if n := len(rec) - walHeaderSize; n <= recordChunk {
+			if err := e.w.commit(rec, kindCheckpoint); err != nil {
+				return err
+			}
+			e.mark, e.deltaBytes, e.sinceSnap = e.delta.Mark(), e.deltaBytes+n, 0
+			snapshotHist.Record(uint64(time.Since(start)))
+			return nil
+		}
+	}
+	return e.snapshot(start)
+}
+
+// snapshot is a checkpoint that captures the engine state, splits it
+// into body and tail instalment, creates wal-(e+1), and leaves wal-e —
+// its snapshot record, its fsync, its close — to a persist job. One job
+// runs at a time, so it first waits for the previous one: the image on
+// disk is never more than two cadences behind. The next delta is written
+// against the captured state.
+func (e *Engine) snapshot(start time.Time) error {
 	e.awaitPersist()
 	backpressureHist.Record(uint64(time.Since(start)))
 	if e.err != nil {
 		return e.err
 	}
 	snap := e.inner.Snapshot()
+	n, err := e.p.split(snap)
+	if err != nil {
+		return err
+	}
+	e.mark, e.deltaBytes, e.bodyLen = nil, 0, n
+	if e.delta != nil {
+		e.mark = e.delta.Mark()
+	}
 	f, err := os.OpenFile(walPath(e.opts.Dir, e.epoch+1), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -463,8 +568,12 @@ func (e *Engine) Snapshot() amcast.Snapshot { return e.inner.Snapshot() }
 // Restore implements amcast.SnapshotEngine (forwarded). Restoring past
 // state rewinds neither the on-disk log nor the journal — it is a test-
 // harness seam (the chaos explorer's in-memory model), not a durability
-// operation.
-func (e *Engine) Restore(s amcast.Snapshot) error { return e.inner.Restore(s) }
+// operation — but it ends the checkpoint chain: the next checkpoint
+// snapshots.
+func (e *Engine) Restore(s amcast.Snapshot) error {
+	e.mark = nil
+	return e.inner.Restore(s)
+}
 
 // CheckHistoryAcyclic forwards the inner engine's ordering audit.
 func (e *Engine) CheckHistoryAcyclic() error {

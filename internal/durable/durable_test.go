@@ -227,7 +227,9 @@ func inspect(t testing.TB, dir string) DirInfo {
 
 // TestSnapshotRotationTruncatesOldEpochs asserts the GC half of the
 // design: once epoch e is sealed, the epochs below it are deleted — the
-// WAL never accumulates the whole run.
+// WAL never accumulates the whole run. A one-group engine's body is a few
+// bytes, which the first delta behind it outweighs: every other
+// checkpoint snapshots and rotates.
 func TestSnapshotRotationTruncatesOldEpochs(t *testing.T) {
 	dir := t.TempDir()
 	deng, err := Wrap(newCoreEngine(t), opts(dir, 5))
@@ -242,12 +244,13 @@ func TestSnapshotRotationTruncatesOldEpochs(t *testing.T) {
 	if len(info.Epochs) != 2 || info.Epochs[1] != info.Epochs[0]+1 || info.SnapshotEpoch != info.Epochs[1] {
 		t.Fatalf("after rotation: epochs %v with the newest snapshot opening epoch %d; want the sealed epoch and the open one behind it", info.Epochs, info.SnapshotEpoch)
 	}
-	if info.Epochs[1] < 8 {
+	if info.Epochs[1] < 4 {
 		t.Fatalf("epoch %d after 42 inputs at cadence 5: rotation did not keep up", info.Epochs[1])
 	}
 }
 
-// TestKeepEpochsRetainsHistory covers the debugging knob.
+// TestKeepEpochsRetainsHistory covers the debugging knob: of the four
+// checkpoints, the first and the third snapshot.
 func TestKeepEpochsRetainsHistory(t *testing.T) {
 	dir := t.TempDir()
 	o := opts(dir, 5)
@@ -258,8 +261,8 @@ func TestKeepEpochsRetainsHistory(t *testing.T) {
 	}
 	feed(deng, 1, 20)
 	deng.Close()
-	if wals := inspect(t, dir).Epochs; len(wals) != 5 || wals[0] != 0 {
-		t.Fatalf("KeepEpochs retained epochs %v, want 0 to 4", wals)
+	if wals := inspect(t, dir).Epochs; len(wals) != 3 || wals[0] != 0 {
+		t.Fatalf("KeepEpochs retained epochs %v, want 0 to 2", wals)
 	}
 }
 
@@ -325,7 +328,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	tail := 0
 	for _, rec := range journal.records {
-		tail += len(rec)
+		tail += len(rec.payload)
 	}
 	if jOld := int(binary.LittleEndian.Uint64(older.snap[0])); jOld >= newest.SnapshotTail || newest.SnapshotTail != tail {
 		t.Fatalf("snapshot tails %d and %d of a %d-byte journal, want the older one a proper prefix of the whole", jOld, newest.SnapshotTail, tail)
@@ -435,19 +438,24 @@ func TestCorruptSnapshotFallsBackOnFlippedByte(t *testing.T) {
 
 // TestCorruptOnlySnapshotFailsLoudly: without KeepEpochs, truncation
 // already deleted every older epoch — when the one remaining snapshot
-// does not decode there is nothing to fall back on,
-// and recovery must fail instead of silently rebuilding from fresh
-// state plus only the current WAL epoch (silent data loss).
+// does not decode there is nothing to fall back on, not even the delta
+// behind it in the open epoch, which is written against it, and recovery
+// must fail instead of silently rebuilding from fresh state plus only the
+// current WAL epoch (silent data loss).
 func TestCorruptOnlySnapshotFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	deng, err := Wrap(newCoreEngine(t), opts(dir, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(deng, 1, 23)
+	feed(deng, 1, 23) // a snapshot at 15, a delta at 20
 	deng.Close()
-	if info := inspect(t, dir); len(info.Epochs) != 2 || info.SnapshotEpoch != info.Epochs[1] {
+	info := inspect(t, dir)
+	if len(info.Epochs) != 2 || info.SnapshotEpoch != info.Epochs[1] {
 		t.Fatalf("test premise broken: want one sealed epoch and the open one, have %v with the snapshot opening %d", info.Epochs, info.SnapshotEpoch)
+	}
+	if open, err := readWAL(walPath(dir, info.Epochs[1])); err != nil || len(open.records) != 9 || !open.records[5].checkpoint {
+		t.Fatalf("test premise broken: want the open epoch to hold five inputs, a delta and three inputs (%v)", err)
 	}
 	flipSnapshotByte(t, dir, 3)
 	if _, err := Wrap(newCoreEngine(t), opts(dir, 5)); err == nil || !strings.Contains(err.Error(), "checksum") {
@@ -473,6 +481,20 @@ func FuzzWALRecover(f *testing.F) {
 	corrupt[5] ^= 0xA5
 	badSnap := slices.Clone(sealed)
 	badSnap[len(badSnap)-1] ^= 1
+	// A checkpoint between the second and the third input, whole, with a
+	// damaged delta (stepped over) and with a damaged word (a torn tail).
+	ckpt := func(delta string) []byte {
+		word := uint32(4+len(delta)) | kindCheckpoint
+		payload := append(binary.LittleEndian.AppendUint32(nil, word), delta...)
+		rec := binary.LittleEndian.AppendUint32(nil, word)
+		return append(binary.LittleEndian.AppendUint32(rec, recordSum(rec, payload)), payload...)
+	}
+	second := len(appendRecords(appendRecords(nil, codec.Marshal(reqEnv(1)), false), codec.Marshal(reqEnv(2)), false))
+	checkpointed := slices.Concat(valid[:second], ckpt("delta of two inputs"), valid[second:])
+	badDelta := slices.Clone(checkpointed)
+	badDelta[len(badDelta)-len(valid)+second-2] ^= 1
+	badWord := slices.Clone(checkpointed)
+	badWord[second+1] ^= 1
 	// journal.log shares the framing: fixed-width tail entries, one
 	// record per snapshot, torn mid-record by a crash.
 	var journal []byte
@@ -494,6 +516,9 @@ func FuzzWALRecover(f *testing.F) {
 		f.Add(sealed[:len(valid)+2], older)                  // … inside its header
 		f.Add(badSnap, older)                                // … or failing its checksum
 		f.Add(append(slices.Clone(sealed), valid...), older) // input behind a snapshot
+		f.Add(checkpointed, older)
+		f.Add(badDelta, older)
+		f.Add(badWord, older)
 		f.Add(journal, older)
 		f.Add(journal[:len(journal)-11], older)
 	}
@@ -521,7 +546,7 @@ func FuzzWALRecover(f *testing.F) {
 				len(again.records), again.tornBytes, again.sealed, len(scan.records))
 		}
 		for i := range scan.records {
-			if !bytes.Equal(scan.records[i], again.records[i]) {
+			if a, b := scan.records[i], again.records[i]; !bytes.Equal(a.payload, b.payload) || a.checkpoint != b.checkpoint || a.end != b.end {
 				t.Fatalf("record %d changed across truncation", i)
 			}
 		}

@@ -37,11 +37,12 @@ func TearTail(dir string, payload []byte) (int64, error) {
 }
 
 // TruncateLastRecord cuts the newest WAL's final complete input record in
-// half — header plus a partial payload — turning it into a torn tail, as
-// if the crash had struck mid-append of that record (so its input is lost
-// and recovery must stop cleanly at the record before it). Returns false
-// when the newest WAL holds no complete record to truncate. Like
-// TearTail, it is a fault-injection helper for crash tests.
+// half — header plus a partial payload — turning it and whatever follows
+// it (a checkpoint) into a torn tail, as if the crash had struck
+// mid-append of that record (so its input is lost and recovery must stop
+// cleanly at the record before it). Returns false when the newest WAL
+// holds no complete input record to truncate. Like TearTail, it is a
+// fault-injection helper for crash tests.
 func TruncateLastRecord(dir string) (bool, error) {
 	wals, err := scanEpochs(dir)
 	if err != nil || len(wals) == 0 {
@@ -49,9 +50,14 @@ func TruncateLastRecord(dir string) (bool, error) {
 	}
 	path := walPath(dir, wals[len(wals)-1])
 	scan, err := readWAL(path)
-	if err != nil || len(scan.records) == 0 {
+	if err != nil {
 		return false, err
 	}
-	last := int64(len(scan.records[len(scan.records)-1]))
-	return true, os.Truncate(path, scan.goodLen-last+last/2)
+	for i := len(scan.records) - 1; i >= 0; i-- {
+		if rec := scan.records[i]; !rec.checkpoint {
+			n := int64(len(rec.payload))
+			return true, os.Truncate(path, rec.end-n+n/2)
+		}
+	}
+	return false, nil
 }

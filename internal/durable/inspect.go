@@ -10,7 +10,8 @@ import (
 // DirInfo is what Inspect found under one engine's directory: the WAL
 // epochs present, ascending, and the newest whole snapshot — the first
 // epoch behind it (RecoveryStats.SnapshotEpoch; 0 = there is none), the
-// number of journal bytes it names, and its body.
+// number of journal bytes it names, and its body: the full body as the
+// snapshot checkpoint wrote it, whatever checkpoint deltas follow it.
 type DirInfo struct {
 	Epochs        []uint64
 	SnapshotEpoch uint64

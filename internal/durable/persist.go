@@ -12,8 +12,9 @@ import (
 
 // persistStep names one step of a persist job, in execution order. The
 // job seals epoch e: it is handed the snapshot taken behind e's last
-// input and wal-e's open file, while the engine appends to wal-(e+1). A
-// crash after any step leaves a directory recovery accepts:
+// input, split into its body and tail instalment, and wal-e's open file,
+// while the engine appends to wal-(e+1). A crash after any step leaves a
+// directory recovery accepts:
 //
 //	journalAppend, journalSync  the journal holds an instalment no
 //	                            snapshot names; recovery cuts it back
@@ -69,7 +70,7 @@ type persister struct {
 	// body, tail and recs are the job's buffers — J and the snapshot body,
 	// the tail instalment, either of them framed into records — kept from
 	// one job to the next, so each is built once at its final size instead
-	// of grown from nothing every time.
+	// of grown from nothing every time. split fills the first two.
 	body, tail, recs []byte
 	// oldest is the lowest epoch whose file may still be on disk: each
 	// job removes [oldest, the epoch it seals).
@@ -106,8 +107,8 @@ func (p *persister) openJournal(scan walScan, tailLen int) error {
 		if n >= tailLen {
 			break
 		}
-		off += walHeaderSize + int64(len(rec))
-		n += len(rec)
+		off = rec.end
+		n += len(rec.payload)
 	}
 	if n != tailLen {
 		return fmt.Errorf("durable: journal has no record boundary at tail length %d", tailLen)
@@ -129,9 +130,37 @@ func (p *persister) wait() error {
 	return p.err
 }
 
-// start launches the job that seals epoch with snap, the state behind
-// the last record of f, that epoch's file; the job owns f from here. The
-// caller has waited for the previous job and seen no error.
+// poll returns the latched error when no job is in flight or the one in
+// flight has finished, without waiting for it.
+func (p *persister) poll() error {
+	select {
+	case <-p.done:
+		p.done = nil
+	default:
+		if p.done != nil {
+			return nil
+		}
+	}
+	return p.err
+}
+
+// split encodes snap into the job buffers, its tail as the instalment
+// that follows prev's, and returns the size of its body. The caller has
+// waited for the previous job and seen no error.
+func (p *persister) split(snap amcast.Snapshot) (int, error) {
+	body, tail, err := splitSnapshot(snap, p.prev, append(p.body[:0], make([]byte, snapJSize)...), p.tail[:0])
+	if err != nil {
+		return 0, err
+	}
+	p.body, p.tail = body, tail
+	binary.LittleEndian.PutUint64(body, uint64(p.journalLen+len(tail)))
+	bodyBytesHist.Record(uint64(len(body) - snapJSize))
+	return len(body) - snapJSize, nil
+}
+
+// start launches the job that seals epoch with snap, split into the job
+// buffers and the state behind the last record of f, that epoch's file;
+// the job owns f from here.
 func (p *persister) start(snap amcast.Snapshot, epoch uint64, f *os.File) {
 	done := make(chan struct{})
 	p.done = done
@@ -164,13 +193,7 @@ func splitSnapshot(snap, prev amcast.Snapshot, body, tail []byte) ([]byte, []byt
 const snapJSize = 8
 
 func (p *persister) persist(snap amcast.Snapshot, epoch uint64, f *os.File) error {
-	body, tail, err := splitSnapshot(snap, p.prev, append(p.body[:0], make([]byte, snapJSize)...), p.tail[:0])
-	if err != nil {
-		return err
-	}
-	p.body, p.tail = body, tail
-	binary.LittleEndian.PutUint64(body, uint64(p.journalLen+len(tail)))
-	bodyBytesHist.Record(uint64(len(body) - snapJSize))
+	body, tail := p.body, p.tail
 	write := func(to *os.File, payload []byte, snapshot bool) error {
 		p.recs = appendRecords(p.recs[:0], payload, snapshot)
 		_, err := to.Write(p.recs)

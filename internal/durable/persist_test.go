@@ -356,12 +356,22 @@ func checkNames(t *testing.T, dir string) {
 // again with its journal damaged (cut mid-record while the newest delta
 // is not yet needed, a torn record appended otherwise) and, while what
 // the snapshot record supersedes is still there, with that record cut
-// short — the crash inside the step rather than behind it. The recovered engine then
+// short — the crash inside the step rather than behind it. With the job
+// still parked, input then runs on through the checkpoints that append
+// deltas behind the unfinished snapshot, never into one that would
+// snapshot again: right behind the first delta the image is taken as it
+// stands and with that delta torn at the WAL's tail; a batch later, with
+// the delta failing its checksum in the middle of the WAL; and right
+// behind a second delta, if the rule allows one, with the first failing
+// its checksum in the middle of the chain. The recovered engine then
 // finishes the run and recovers once more, which fails unless the first
 // recovery cut the journal back to the restored snapshot's J. Parking
 // after the seal is the crash between seal and remove: the sealed epoch
-// and everything it supersedes are both on disk.
+// and everything it supersedes are both on disk. A stack whose engine
+// writes no deltas snapshots at every checkpoint, and takes only the
+// first images.
 func TestCrashAtEveryPersistStep(t *testing.T) {
+	middles := 0 // chains of two with the first delta damaged, over all stacks
 	const cadence, batch = 24, 4
 	for _, s := range crashStacks() {
 		var inputs []amcast.Envelope
@@ -376,6 +386,8 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 		ref := s.mk(s.target)
 		feedBatches(ref, inputs, batch)
 		final := marshalState(t, ref)
+		dref, deltas := ref.(amcast.DeltaEngine)
+		deltas = deltas && dref.Mark() != nil
 		o := func(dir string) Options {
 			return Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: s.decode}
 		}
@@ -398,30 +410,88 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 					return nil
 				}
 				prefix := s.mk(s.target) // the reference, fed in lockstep
-				images := 0
-				for off := 0; off < len(inputs); {
-					epoch := de.Epoch()
+				off := 0
+				feed := func() {
 					n := min(batch, len(inputs)-off)
 					feedBatches(de, inputs[off:off+n], batch)
 					feedBatches(prefix, inputs[off:off+n], batch)
 					off += n
+				}
+				images, behind := 0, 0
+				// check recovers a copy of the directory, damaged, and the
+				// recovered engine finishes the run and recovers again.
+				check := func(damage string) RecoveryStats {
+					img := copyDir(t, dir)
+					want := marshalState(t, prefix)
+					// A snapshot is usable from the moment it is whole.
+					visible := de.Epoch() - 1
+					if step >= stepSnapshotAppend {
+						visible = de.Epoch()
+					}
+					switch damage {
+					case "journal":
+						damageJournal(t, img, step < stepSnapshotAppend)
+					case "snapshot":
+						tearSnapshot(t, img)
+						visible--
+					case "torn delta":
+						tearCheckpoint(t, img, -1, false)
+					case "corrupt delta":
+						tearCheckpoint(t, img, 0, true)
+					}
+					rec := s.mk(s.target)
+					rde, err := Wrap(rec, o(img))
+					if err != nil {
+						t.Fatalf("image %d (damaged: %q): %v", images, damage, err)
+					}
+					st := rde.Recovery()
+					if st.ReplayedEnvelopes > 2*cadence+batch {
+						t.Fatalf("image %d (damaged: %q): replayed %d envelopes, bound is %d", images, damage, st.ReplayedEnvelopes, 2*cadence+batch)
+					}
+					if st.SnapshotEpoch != visible || st.CorruptSnapshots != 0 {
+						t.Fatalf("image %d (damaged: %q): restored snapshot epoch %d skipping %d, want epoch %d skipping none",
+							images, damage, st.SnapshotEpoch, st.CorruptSnapshots, visible)
+					}
+					if damage != "corrupt delta" && st.CorruptCheckpoints != 0 {
+						t.Fatalf("image %d (damaged: %q): %d undamaged deltas did not apply", images, damage, st.CorruptCheckpoints)
+					}
+					if got := marshalState(t, rec); !bytes.Equal(got, want) {
+						t.Fatalf("image %d (damaged: %q): recovered state differs from the reference at input %d", images, damage, off)
+					}
+					// The recovered engine carries on and recovers again.
+					feedBatches(rde, inputs[off:], batch)
+					if err := rde.Close(); err != nil {
+						t.Fatal(err)
+					}
+					again := s.mk(s.target)
+					ade, err := Wrap(again, o(img))
+					if err != nil {
+						t.Fatalf("image %d (damaged: %q): second recovery: %v", images, damage, err)
+					}
+					ade.Close()
+					if got := marshalState(t, again); !bytes.Equal(got, final) {
+						t.Fatalf("image %d (damaged: %q): state after finishing the run on the recovered engine differs", images, damage)
+					}
+					checkNames(t, img)
+					return st
+				}
+				for off < len(inputs) {
+					epoch := de.Epoch()
+					feed()
 					if de.Epoch() == epoch {
 						continue
 					}
 					// A job started and is parked after step. Input keeps
-					// arriving, up to the brink of the next cadence point, and
+					// arriving, up to the brink of the next checkpoint, and
 					// a snapshot nobody persists is taken on the way (the chaos
-					// model's, a follower's): what the next job journals is
-					// measured from the last persisted snapshot, not from it.
+					// model's, a follower's): what the next job journals and
+					// the next delta holds are measured from the last
+					// checkpoint, not from it.
 					<-parked
 					de.Snapshot()
 					for off < len(inputs) && de.SinceSnapshot()+batch < cadence {
-						n := min(batch, len(inputs)-off)
-						feedBatches(de, inputs[off:off+n], batch)
-						feedBatches(prefix, inputs[off:off+n], batch)
-						off += n
+						feed()
 					}
-					want := marshalState(t, prefix)
 					damages := []string{"", "journal"}
 					if step == stepSnapshotAppend || step == stepSeal {
 						// Until the remove step the older epochs are there to
@@ -429,50 +499,43 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 						damages = append(damages, "snapshot")
 					}
 					for _, damage := range damages {
-						img := copyDir(t, dir)
-						// A snapshot is usable from the moment it is whole.
-						visible := de.Epoch() - 1
-						if step >= stepSnapshotAppend {
-							visible = de.Epoch()
+						check(damage)
+					}
+					// Deltas behind the unfinished snapshot: on through the
+					// checkpoints that append one, and never into one that
+					// snapshots, which would wait for the parked job.
+					toDelta := func() bool {
+						for off < len(inputs) {
+							crossing := de.SinceSnapshot()+min(batch, len(inputs)-off) >= cadence
+							if crossing && (de.mark == nil || de.deltaBytes > de.bodyLen) {
+								return false
+							}
+							feed()
+							if crossing {
+								return true
+							}
 						}
-						switch damage {
-						case "journal":
-							damageJournal(t, img, step < stepSnapshotAppend)
-						case "snapshot":
-							tearSnapshot(t, img)
-							visible--
+						return false
+					}
+					if toDelta() {
+						if st := check(""); st.Checkpoints == 0 {
+							t.Fatalf("image %d: no delta applied behind the snapshot", images)
 						}
-						rec := s.mk(s.target)
-						rde, err := Wrap(rec, o(img))
-						if err != nil {
-							t.Fatalf("image %d (damaged: %q): %v", images, damage, err)
+						check("torn delta")
+						if off < len(inputs) {
+							feed()
+							if st := check("corrupt delta"); st.CorruptCheckpoints != 1 {
+								t.Fatalf("image %d: %d deltas stepped over, want the damaged one", images, st.CorruptCheckpoints)
+							}
 						}
-						st := rde.Recovery()
-						if st.ReplayedEnvelopes > 2*cadence+batch {
-							t.Fatalf("image %d: replayed %d envelopes, bound is %d", images, st.ReplayedEnvelopes, 2*cadence+batch)
+						behind++
+						if toDelta() {
+							if st := check("corrupt delta"); st.CorruptCheckpoints != 1 || st.Checkpoints == 0 {
+								t.Fatalf("image %d: %d deltas applied, %d stepped over; want the damaged one stepped over and the one behind it applied",
+									images, st.Checkpoints, st.CorruptCheckpoints)
+							}
+							middles++
 						}
-						if st.SnapshotEpoch != visible || st.CorruptSnapshots != 0 {
-							t.Fatalf("image %d (damaged: %q): restored snapshot epoch %d skipping %d, want epoch %d skipping none",
-								images, damage, st.SnapshotEpoch, st.CorruptSnapshots, visible)
-						}
-						if got := marshalState(t, rec); !bytes.Equal(got, want) {
-							t.Fatalf("image %d (damaged: %q): recovered state differs from the reference at input %d", images, damage, off)
-						}
-						// The recovered engine carries on and recovers again.
-						feedBatches(rde, inputs[off:], batch)
-						if err := rde.Close(); err != nil {
-							t.Fatal(err)
-						}
-						again := s.mk(s.target)
-						ade, err := Wrap(again, o(img))
-						if err != nil {
-							t.Fatalf("image %d (damaged: %q): second recovery: %v", images, damage, err)
-						}
-						ade.Close()
-						if got := marshalState(t, again); !bytes.Equal(got, final) {
-							t.Fatalf("image %d (damaged: %q): state after finishing the run on the recovered engine differs", images, damage)
-						}
-						checkNames(t, img)
 					}
 					images++
 					release <- struct{}{}
@@ -480,8 +543,13 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 				if err := de.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if images < 6 {
+				// One image per snapshot: a stack that writes deltas
+				// snapshots every few checkpoints.
+				if images < 5 {
 					t.Fatalf("only %d crash images taken", images)
+				}
+				if deltas && behind == 0 {
+					t.Fatal("no snapshot had a delta behind it while its job was parked")
 				}
 				// A job is the five steps, in order, once: two of them fsync
 				// (the journal, the sealed epoch) and none renames.
@@ -495,6 +563,52 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 				}
 			})
 		}
+	}
+	if middles == 0 {
+		t.Fatal("no chain of two deltas behind a parked job: the damaged delta was never in the middle of one")
+	}
+}
+
+// tearCheckpoint damages checkpoint record i (negative: from the end) of
+// the newest WAL epoch under dir: cuts the file in the middle of it, or
+// flips a byte of its delta.
+func tearCheckpoint(t *testing.T, dir string, i int, flip bool) {
+	t.Helper()
+	wals, err := scanEpochs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := walPath(dir, wals[len(wals)-1])
+	scan, err := readWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	for _, rec := range scan.records {
+		if rec.checkpoint {
+			ends = append(ends, rec.end)
+		}
+	}
+	if i < 0 {
+		i += len(ends)
+	}
+	if i < 0 || i >= len(ends) {
+		t.Fatalf("no checkpoint %d among the %d of %s", i, len(ends), path)
+	}
+	end := ends[i]
+	if !flip {
+		if err := os.Truncate(path, end-3); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[end-2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -548,7 +662,10 @@ func TestRecoveryRefusesHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(deng, 1, 20) // epochs 0, 1 and 2 sealed, two inputs in epoch 3
+	// Checkpoints every 6 inputs alternate between a snapshot and a delta
+	// (see TestSnapshotRotationTruncatesOldEpochs): epochs 0, 1 and 2
+	// sealed, epoch 2 with a delta halfway, two inputs in epoch 3.
+	feed(deng, 1, 32)
 	if err := deng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +674,7 @@ func TestRecoveryRefusesHoles(t *testing.T) {
 	if err != nil || sealed.snap == nil {
 		t.Fatalf("epoch 2: no snapshot behind its inputs (%v)", err)
 	}
-	lastInput := sealed.goodLen - int64(len(sealed.records[len(sealed.records)-1]))/2
+	lastInput := sealed.goodLen - int64(len(sealed.records[len(sealed.records)-1].payload))/2
 	cases := []struct {
 		name   string
 		damage func(file []byte) []byte
@@ -575,7 +692,7 @@ func TestRecoveryRefusesHoles(t *testing.T) {
 		{name: "input record cut short", damage: func(f []byte) []byte { return f[:lastInput] }, refused: "epoch 2"},
 		{name: "input record failing its checksum", damage: func(f []byte) []byte { f[lastInput] ^= 1; return f }, refused: "epoch 2"},
 		{name: "input record cut inside its header", damage: func(f []byte) []byte {
-			return f[:sealed.goodLen-int64(len(sealed.records[len(sealed.records)-1]))-2]
+			return f[:sealed.goodLen-int64(len(sealed.records[len(sealed.records)-1].payload))-2]
 		}, refused: "epoch 2"},
 	}
 	for _, c := range cases {

@@ -15,8 +15,10 @@ import (
 )
 
 // maxSnapGrowth bounds the largest snapshot body of the run's second half
-// against the largest of its first half: a snapshot holds live state, so
-// its size may wander (history between two flushes) but not climb.
+// against the largest of its first half — full bodies, as durable.Inspect
+// reports them, not the checkpoint deltas behind them: a snapshot holds
+// live state, so its size may wander (history between two flushes) but
+// not climb.
 const maxSnapGrowth = 1.25
 
 // maxJournalBytesPerTx bounds journal.log, which grows for as long as the
@@ -28,9 +30,10 @@ const maxJournalBytesPerTx = 64
 // runSoak executes a durable load run while a sampler walks the
 // persistence directory and the heap gauge, then asserts the first
 // slice of the ROADMAP soak item. The rotating files stay bounded by the
-// snapshot cadence: the durable backend retains the open WAL epoch and
-// the sealed one before it, which ends in the snapshot, per group
-// (KeepEpochs off), one more while a persist job runs, so their peak must
+// snapshot cadence: the durable backend retains the open WAL epoch, with
+// its inputs and checkpoint deltas, and the sealed one before it, which
+// ends in the snapshot, per group (KeepEpochs off), one more while a
+// persist job runs, so their peak must
 // sit within DiskBoundFactor × groups × (max snapshot + max WAL epoch) — a bound that moves with the snapshot size, which is
 // why the snapshot size has a check of its own: the largest snapshot of
 // the second half of the run within maxSnapGrowth of the first half's.

@@ -22,18 +22,7 @@ func (h *History) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(h.last))
 	buf = binary.AppendUvarint(buf, uint64(len(h.nodes)))
 	for i := range h.nodes {
-		f := h.flags[i] & persistedFlags
-		buf = append(buf, f)
-		if f&flagLive == 0 {
-			continue
-		}
-		nd, p := &h.nodes[i], &h.preds[i]
-		buf = binary.AppendUvarint(buf, uint64(nd.id))
-		buf = codec.AppendGroups(buf, nd.dst)
-		buf = binary.AppendUvarint(buf, uint64(p.n))
-		for j := uint32(0); j < p.n; j++ {
-			buf = binary.AppendUvarint(buf, uint64(p.at(j)))
-		}
+		buf = h.appendSlot(buf, i)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(h.free)))
 	for _, s := range h.free {
@@ -41,7 +30,29 @@ func (h *History) AppendBinary(buf []byte) []byte {
 	}
 	buf = binary.AppendUvarint(buf, h.nextSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(h.log)))
-	for _, le := range h.log {
+	return h.appendLogEntries(buf, h.log)
+}
+
+// appendSlot appends slot i: one zero byte when it is free, else its
+// flags, id, destinations and predecessor slots.
+func (h *History) appendSlot(buf []byte, i int) []byte {
+	f := h.flags[i] & persistedFlags
+	buf = append(buf, f)
+	if f&flagLive == 0 {
+		return buf
+	}
+	nd, p := &h.nodes[i], &h.preds[i]
+	buf = binary.AppendUvarint(buf, uint64(nd.id))
+	buf = codec.AppendGroups(buf, nd.dst)
+	buf = binary.AppendUvarint(buf, uint64(p.n))
+	for j := uint32(0); j < p.n; j++ {
+		buf = binary.AppendUvarint(buf, uint64(p.at(j)))
+	}
+	return buf
+}
+
+func (h *History) appendLogEntries(buf []byte, log []logEntry) []byte {
+	for _, le := range log {
 		buf = binary.AppendUvarint(buf, le.key)
 		buf = binary.AppendUvarint(buf, uint64(le.a))
 		buf = binary.AppendUvarint(buf, uint64(le.b+1)) // noSlot + 1 == 0
@@ -59,40 +70,56 @@ func Decode(r *codec.Reader) *History {
 	// Collections grow by append while the reader is healthy, so a corrupt
 	// count cannot make Decode allocate more than the record holds.
 	for n := r.Count(); len(h.nodes) < n && r.Err() == nil; {
-		var nd vertex
-		var p adj
-		f := r.Byte() & persistedFlags
-		if f&flagLive == 0 {
-			f = 0
-		} else {
-			nd.id = amcast.MsgID(r.Uvarint())
-			nd.dst = h.intern(r.Groups())
-			f |= hasDst(nd.dst)
-			for k := r.Count(); k > 0 && r.Err() == nil; k-- {
-				p.add(uint32(r.Uvarint()))
-			}
-		}
+		nd, f, p := h.readSlot(r)
 		h.nodes = append(h.nodes, nd)
 		h.flags = append(h.flags, f)
 		h.preds = append(h.preds, p)
 	}
-	h.mark = make([]uint32, len(h.nodes))
 	for n := r.Count(); len(h.free) < n && r.Err() == nil; {
 		h.free = append(h.free, uint32(r.Uvarint()))
 	}
 	h.nextSeq = r.Uvarint()
-	for n := r.Count(); len(h.log) < n && r.Err() == nil; {
-		h.log = append(h.log, logEntry{key: r.Uvarint(), a: uint32(r.Uvarint()), b: uint32(r.Uvarint()) - 1})
+	h.log = readLogEntries(r, r.Count(), nil)
+	if h.finish(r) {
+		return h
 	}
+	return New()
+}
+
+// readSlot reads an appendSlot record, interning the destinations.
+func (h *History) readSlot(r *codec.Reader) (nd vertex, f uint8, p adj) {
+	f = r.Byte() & persistedFlags
+	if f&flagLive == 0 {
+		return nd, 0, p
+	}
+	nd.id = amcast.MsgID(r.Uvarint())
+	nd.dst = h.intern(r.Groups())
+	f |= hasDst(nd.dst)
+	for k := r.Count(); k > 0 && r.Err() == nil; k-- {
+		p.add(uint32(r.Uvarint()))
+	}
+	return nd, f, p
+}
+
+// readLogEntries appends n appendLogEntries entries read from r to log.
+func readLogEntries(r *codec.Reader, n int, log []logEntry) []logEntry {
+	for n += len(log); len(log) < n && r.Err() == nil; {
+		log = append(log, logEntry{key: r.Uvarint(), a: uint32(r.Uvarint()), b: uint32(r.Uvarint()) - 1})
+	}
+	return log
+}
+
+// finish sizes the per-slot walk marks of a history whose arena, free
+// list and log were read from r, and links it; it reports whether r is
+// still healthy, latching link's error on it otherwise.
+func (h *History) finish(r *codec.Reader) bool {
+	h.mark = make([]uint32, len(h.nodes))
 	if r.Err() == nil {
 		if err := h.link(); err != nil {
 			r.Fail(err)
 		}
 	}
-	if r.Err() != nil {
-		return New()
-	}
-	return h
+	return r.Err() == nil
 }
 
 // link derives the index, successor lists and msgsTo counters of a

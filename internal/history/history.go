@@ -34,6 +34,10 @@
 // touching any cursor. Garbage collection is a mark (MarkBefore) and a
 // sweep (SweepMarked); between the two, FlushDiffSince leaves out the
 // merged entries the sweep is about to drop.
+//
+// Every slot also carries the sequence number current when its encoded
+// content last changed, and the history counts its sweeps: a Mark is the
+// pair, and AppendDelta writes what changed since one (delta.go).
 package history
 
 import (
@@ -159,11 +163,15 @@ type groupCount struct {
 // is an empty history, as is New's.
 type History struct {
 	nodes []vertex
-	// flags, mark (the epoch of the last walk that visited the slot) and
-	// preds are indexed by slot like nodes.
+	// flags, mark (the epoch of the last walk that visited the slot),
+	// preds and stamp (nextSeq when what AppendBinary writes of the slot
+	// last changed) are indexed by slot like nodes; stamp is nil until
+	// the first Mark, so that a history nobody takes deltas of pays
+	// nothing for them.
 	flags []uint8
 	mark  []uint32
 	preds []adj
+	stamp []uint64
 	index table // MsgID → slot
 	free  []uint32
 	last  amcast.MsgID // lastDlvd; 0 means ⊥
@@ -175,6 +183,8 @@ type History struct {
 	// is the sequence number the next entry gets.
 	log     []logEntry
 	nextSeq uint64
+	// sweeps counts the sweeps that removed nodes.
+	sweeps uint64
 	// origin is the origin bit appendLog stamps: logMerged while Merge
 	// runs, 0 otherwise.
 	origin uint64
@@ -312,14 +322,25 @@ func (h *History) alloc(id amcast.MsgID, dst []amcast.GroupID) uint32 {
 		h.flags = append(h.flags, 0)
 		h.mark = append(h.mark, 0)
 		h.preds = append(h.preds, adj{})
+		if h.stamp != nil {
+			h.stamp = append(h.stamp, 0)
+		}
 	}
 	dst = h.intern(dst)
 	h.nodes[s].id, h.nodes[s].dst = id, dst
 	h.flags[s] = flagLive | hasDst(dst)
+	h.touch(s)
 	h.index.put(uint64(id), s)
 	h.countDst(dst, 1)
 	h.appendLog(s, noSlot)
 	return s
+}
+
+// touch stamps slot s as changed now.
+func (h *History) touch(s uint32) {
+	if h.stamp != nil {
+		h.stamp[s] = h.nextSeq
+	}
 }
 
 // appendLog logs a new node, a filled-in placeholder or a new edge — every
@@ -344,6 +365,7 @@ func (h *History) addNode(n Node) (s uint32, created, filled bool) {
 		h.nodes[s].dst = dst
 		h.flags[s] |= flagHasDst
 		h.countDst(dst, 1)
+		h.touch(s)
 		// Re-log the now-complete node so descendants whose diff cursor
 		// already passed the placeholder entry still learn the
 		// destinations.
@@ -381,6 +403,7 @@ func (h *History) addEdge(from, to amcast.MsgID) (added, newFrom, newTo bool) {
 	}
 	h.nodes[fs].succ.add(ts)
 	h.preds[ts].add(fs)
+	h.touch(ts)
 	h.appendLog(fs, ts)
 	return true, !fok, !tok
 }
@@ -408,13 +431,17 @@ func (h *History) AppendDelivered(n Node) bool {
 	return created
 }
 
-func (h *History) setDelivered(s uint32) { h.flags[s] = h.flags[s]&^flagOpen | flagDelivered }
+func (h *History) setDelivered(s uint32) {
+	h.flags[s] = h.flags[s]&^flagOpen | flagDelivered
+	h.touch(s)
+}
 
 // MarkOpen flags a live node as an open dependency of the owning group:
 // addressed to it and not delivered yet.
 func (h *History) MarkOpen(id amcast.MsgID) {
 	if s, ok := h.slot(id); ok {
 		h.flags[s] |= flagOpen
+		h.touch(s)
 	}
 }
 
@@ -692,6 +719,7 @@ func (h *History) SweepMarked() int {
 		return 0
 	}
 	h.closable = false
+	h.sweeps++
 	live := h.log[:0]
 	for _, le := range h.log {
 		if h.mark[le.a] == epoch || (le.b != noSlot && h.mark[le.b] == epoch) {

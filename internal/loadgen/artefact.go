@@ -94,6 +94,7 @@ func (res *Result) Metrics() map[string]float64 {
 		m["recovery_mean_us"] = res.Durable.RecoveryMeanUs
 		m["recovery_max_us"] = float64(res.Durable.RecoveryMaxUs)
 		m["max_replayed_envelopes"] = float64(res.Durable.MaxReplayedEnvelopes)
+		m["recovery_checkpoints"] = float64(res.Durable.Checkpoints)
 	}
 	if st := res.Stages; st != nil {
 		m["e2e_p50_ns"] = float64(st.E2E.P50)
@@ -178,7 +179,7 @@ func (res *Result) Validate(cfg Config) error {
 		if d.TornTailBytes != 0 {
 			return fmt.Errorf("loadgen: result: live crash image carried a torn WAL tail (%d bytes)", d.TornTailBytes)
 		}
-		if d.RecoveryMaxUs < 0 || d.MaxReplayedEnvelopes < 0 {
+		if d.RecoveryMaxUs < 0 || d.MaxReplayedEnvelopes < 0 || d.Checkpoints < 0 {
 			return fmt.Errorf("loadgen: result: negative durable recovery stats")
 		}
 		// A run that completed transactions has real per-group state, so

@@ -84,8 +84,8 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 // page cache unbuffered — recover it into a fresh executor, and check
 // that (a) the recovered shard digest is byte-identical to the live one
 // and (b) the replay length equals the live engine's records since its
-// last snapshot, i.e. recovery work is bounded by snapshot age, not run
-// length. Either check failing fails the run.
+// last checkpoint, i.e. recovery work is bounded by checkpoint age, not
+// run length. Either check failing fails the run.
 func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	// The recovering stack is the live one over the crash images: no
 	// mirror or followers to populate, and it only reads, so never fsyncs.
@@ -125,13 +125,14 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 			return nil, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
 		}
 		if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
-			return nil, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last snapshot (snapshot age does not bound recovery)",
+			return nil, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last checkpoint (checkpoint age does not bound recovery)",
 				g, stats.ReplayedEnvelopes, since)
 		}
 		res.Groups++
 		if stats.SnapshotEpoch > 0 {
 			res.SnapshottedGroups++
 		}
+		res.Checkpoints += stats.Checkpoints
 		res.ReplayedEnvelopes += stats.ReplayedEnvelopes
 		if stats.ReplayedEnvelopes > res.MaxReplayedEnvelopes {
 			res.MaxReplayedEnvelopes = stats.ReplayedEnvelopes

@@ -80,7 +80,7 @@ var knobs = []knob{
 	{flag: "durable-dir", key: "durable_dir", field: func(c *Config) any { return &c.DurableDir },
 		help: "durable persistence root (each run uses a fresh subdirectory; default: a temp dir removed at exit)"},
 	{flag: "durable-snapshot-every", key: "durable_snapshot_every", field: func(c *Config) any { return &c.DurableSnapshotEvery },
-		help: "snapshot + WAL-rotation cadence in input envelopes (0 = backend default, 256)"},
+		help: "checkpoint cadence in input envelopes: a delta record, or a snapshot + WAL rotation once the deltas outweigh the last snapshot (0 = backend default, 256)"},
 	{flag: "durable-fsync-every", key: "durable_fsync_every", field: func(c *Config) any { return &c.DurableFsyncEvery },
 		help: "WAL fsync cadence in appends (0 = backend default, 64)"},
 	{flag: "slo-ms", key: "slo_ms", field: func(c *Config) any { return &c.SLOMs },

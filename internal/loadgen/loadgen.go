@@ -157,7 +157,7 @@ type Config struct {
 	// empty: a temp dir removed when the run ends).
 	DurableDir string
 	// DurableSnapshotEvery and DurableFsyncEvery override the backend's
-	// snapshot and fsync cadences (0: the durable package defaults,
+	// checkpoint and fsync cadences (0: the durable package defaults,
 	// 256 and 64).
 	DurableSnapshotEvery int
 	DurableFsyncEvery    int
@@ -384,10 +384,13 @@ type DurableResult struct {
 	// snapshot file (the rest replayed their whole WAL — short runs or
 	// cold groups that never hit the cadence).
 	SnapshottedGroups int `json:"snapshotted_groups"`
+	// Checkpoints totals the delta checkpoint records the recoveries
+	// applied on top of their snapshots.
+	Checkpoints int `json:"checkpoints"`
 	// ReplayedEnvelopes totals the WAL envelopes replayed across groups;
 	// MaxReplayedEnvelopes is the worst single group. Each group's replay
-	// equals its records since the last snapshot — the snapshot-age bound
-	// (checked, a violation fails the run).
+	// equals its records since the last checkpoint — the checkpoint-age
+	// bound (checked, a violation fails the run).
 	ReplayedEnvelopes    int `json:"replayed_envelopes"`
 	MaxReplayedEnvelopes int `json:"max_replayed_envelopes"`
 	// RecoveryMeanUs and RecoveryMaxUs summarize per-group recovery

@@ -129,8 +129,8 @@ func TestRunExecuteInMem(t *testing.T) {
 // every group's runtime goroutine — and ends with the crash-image
 // recovery verification: nodes stopped, engines closed, every group
 // recovered to its live digest from a replay no longer than its
-// snapshot age. A small cadence makes the one-second run cross many
-// snapshots per group.
+// checkpoint age. A small cadence makes the one-second run cross many
+// checkpoints per group, and recovery apply delta checkpoints.
 func TestRunDurable(t *testing.T) {
 	cfg := shortCfg()
 	cfg.Groups = 4
@@ -149,8 +149,8 @@ func TestRunDurable(t *testing.T) {
 	}
 	checkExecuteResult(t, res)
 	d := res.Durable
-	if d == nil || !d.DigestsMatch || d.Groups != 4 || d.SnapshottedGroups == 0 {
-		t.Fatalf("durable verification: %+v, want 4 groups recovered to matching digests, from snapshots where they took any", d)
+	if d == nil || !d.DigestsMatch || d.Groups != 4 || d.SnapshottedGroups == 0 || d.Checkpoints == 0 {
+		t.Fatalf("durable verification: %+v, want 4 groups recovered to matching digests, from snapshots and deltas where they took any", d)
 	}
 	if d.MaxReplayedEnvelopes >= cfg.DurableSnapshotEvery+cfg.MaxBatch || d.TornTailBytes != 0 {
 		t.Fatalf("durable verification replayed up to %d envelopes (torn %d bytes) at cadence %d",

@@ -24,6 +24,7 @@ func registerTelemetry(r *run, dep *deployment, clients []*clientProc) {
 	reg.RegisterHistogram("snapshot_persist_ns", durable.SnapshotPersistHist())
 	reg.RegisterHistogram("snapshot_backpressure_ns", durable.SnapshotBackpressureHist())
 	reg.RegisterHistogram("snapshot_body_bytes", durable.SnapshotBodyBytesHist())
+	reg.RegisterHistogram("wal_seal_wait_ns", durable.SealWaitHist())
 	reg.RegisterHistogram("snapshot_ship_ns", store.SnapshotShipHist())
 
 	reg.RegisterCounter("issued", r.issued.Load)

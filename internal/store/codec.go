@@ -102,8 +102,10 @@ func (s *Shard) AppendBinary(buf []byte) []byte {
 }
 
 // decodeTables reads an appendTables record from r. The result has no
-// orders yet: readOrders fills the window, ordersComplete closes it.
-func decodeTables(r *codec.Reader) *Shard {
+// orders yet: readOrders fills the window, ordersComplete closes it. The
+// window's orders from known on must fit in what r has left; those below
+// are held elsewhere (0: nowhere).
+func decodeTables(r *codec.Reader, known uint64) *Shard {
 	s := &Shard{
 		cfg: Config{
 			Warehouse: amcast.GroupID(r.Uvarint()),
@@ -124,7 +126,7 @@ func decodeTables(r *codec.Reader) *Shard {
 	s.deliveredSum = int64(r.Uvarint())
 	s.nextOrder = r.Uvarint()
 	s.refills = int64(r.Uvarint())
-	if r.Err() == nil && (s.delivered > s.nextOrder || s.nextOrder-s.delivered > uint64(r.Len())) {
+	if r.Err() == nil && (s.delivered > s.nextOrder || s.nextOrder-max(s.delivered, min(known, s.nextOrder)) > uint64(r.Len())) {
 		r.Fail(fmt.Errorf("store: order window [%d, %d) in a %d-byte record", s.delivered, s.nextOrder, r.Len()))
 	}
 	if r.Err() != nil {
@@ -154,7 +156,6 @@ func decodeTables(r *codec.Reader) *Shard {
 		w := amcast.GroupID(r.Uvarint())
 		s.orderedFrom[w] = int64(r.Uvarint())
 	}
-	s.pending = make([]order, 0, s.nextOrder-s.delivered)
 	return s
 }
 
@@ -176,6 +177,9 @@ func (s *Shard) readOrders(r *codec.Reader, end uint64) uint64 {
 	frame := section(r, size)
 	if end <= s.delivered {
 		return end
+	}
+	if s.pending == nil {
+		s.pending = make([]order, 0, s.nextOrder-s.delivered)
 	}
 	fr := codec.NewReader(frame)
 	for id := first; id < end && fr.Err() == nil; id++ {
@@ -231,7 +235,7 @@ func (s *Shard) ordersComplete(r *codec.Reader) {
 
 // DecodeShard reads an AppendBinary record from r.
 func DecodeShard(r *codec.Reader) *Shard {
-	s := decodeTables(r)
+	s := decodeTables(r, 0)
 	if r.Err() == nil {
 		s.readOrders(r, 0)
 		s.ordersComplete(r)
@@ -345,9 +349,9 @@ func UnmarshalSnapshot(data []byte, engDecode func([]byte) (amcast.Snapshot, err
 	end := 4 + int(binary.LittleEndian.Uint32(data))
 	engPieces := [][]byte{data[4:end]} // the engine's body and, per instalment, a piece of its tail
 	r := codec.NewReader(data[end:])
-	s := &execSnapshot{shard: decodeTables(r)}
+	s := &execSnapshot{shard: decodeTables(r, 0)}
 	if r.Bool() {
-		s.mirror = decodeTables(r)
+		s.mirror = decodeTables(r, 0)
 	}
 	s.watermark = r.Uvarint()
 	var shardEnd, mirrorEnd uint64
@@ -384,4 +388,145 @@ func UnmarshalSnapshot(data []byte, engDecode func([]byte) (amcast.Snapshot, err
 	}
 	s.eng = eng
 	return s, nil
+}
+
+var _ amcast.DeltaEngine = (*Executor)(nil)
+
+// execMark is the executor's amcast.Mark: the engine's, and where the
+// shard's and the mirror's order logs ended.
+type execMark struct {
+	eng           amcast.Mark
+	shard, mirror uint64
+}
+
+// Mark implements amcast.DeltaEngine: nil when the engine underneath
+// writes no deltas.
+func (e *Executor) Mark() amcast.Mark {
+	de, ok := e.eng.(amcast.DeltaEngine)
+	if !ok {
+		return nil
+	}
+	m := execMark{eng: de.Mark(), shard: e.shard.nextOrder}
+	if m.eng == nil {
+		return nil
+	}
+	if e.mirror != nil {
+		m.mirror = e.mirror.nextOrder
+	}
+	return m
+}
+
+// AppendDelta implements amcast.DeltaEngine. A delta is laid out like a
+// body and one instalment, the engine's delta in place of its body and
+// its tail, the order frames holding what the queues gained since the
+// mark:
+//
+//	delta := u32le n ‖ n bytes of engine delta ‖ tables ‖ bool ‖ [tables] ‖ uvarint watermark
+//	         ‖ uvarint frames (1|2) ‖ frame ‖ [frame]
+func (e *Executor) AppendDelta(buf []byte, since amcast.Mark) ([]byte, error) {
+	m, ok := since.(execMark)
+	de, isDelta := e.eng.(amcast.DeltaEngine)
+	if !ok || !isDelta {
+		return nil, fmt.Errorf("store: delta against a foreign mark %v", since)
+	}
+	buf, at := reserveLen(buf)
+	buf, err := de.AppendDelta(buf, m.eng)
+	if err == nil {
+		err = patchLen(buf, at)
+	}
+	if err != nil {
+		return nil, err
+	}
+	buf = e.shard.appendTables(buf)
+	buf = codec.AppendBool(buf, e.mirror != nil)
+	if e.mirror != nil {
+		buf = e.mirror.appendTables(buf)
+	}
+	buf = binary.AppendUvarint(buf, e.watermark)
+	if e.mirror == nil {
+		return e.shard.appendOrders(binary.AppendUvarint(buf, 1), m.shard), nil
+	}
+	buf = e.shard.appendOrders(binary.AppendUvarint(buf, 2), m.shard)
+	return e.mirror.appendOrders(buf, m.mirror), nil
+}
+
+// ApplyDelta implements amcast.DeltaEngine. The store half is decoded and
+// checked first, the engine's delta applied next, and only then is the
+// store half installed, so that a failure anywhere leaves the executor as
+// it was. A mirror is treated as by Restore: one the delta lacks is the
+// shard's copy, and one the executor lacks is stepped over.
+func (e *Executor) ApplyDelta(delta []byte) error {
+	de, ok := e.eng.(amcast.DeltaEngine)
+	if !ok {
+		return fmt.Errorf("store: delta applied over engine %T, which takes none", e.eng)
+	}
+	if len(delta) < 4 || uint64(binary.LittleEndian.Uint32(delta)) > uint64(len(delta)-4) {
+		return fmt.Errorf("store: delta: bad engine-delta length")
+	}
+	end := 4 + int(binary.LittleEndian.Uint32(delta))
+	r := codec.NewReader(delta[end:])
+	shard := decodeTables(r, e.shard.nextOrder)
+	var mirror *Shard
+	if r.Bool() {
+		// A mirror the executor does not keep is stepped over; it mirrors
+		// the shard.
+		known := e.shard.nextOrder
+		if e.mirror != nil {
+			known = e.mirror.nextOrder
+		}
+		mirror = decodeTables(r, known)
+	}
+	watermark := r.Uvarint()
+	frames, want := r.Uvarint(), uint64(1)
+	if mirror != nil {
+		want = 2
+	}
+	if r.Err() == nil && frames != want {
+		r.Fail(fmt.Errorf("store: delta of %d order frames, want %d", frames, want))
+	}
+	shard.continueOrders(r, e.shard)
+	if mirror != nil {
+		mirror.continueOrders(r, e.mirror)
+	}
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("store: delta: %w", err)
+	}
+	if err := de.ApplyDelta(delta[4:end]); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.shard, e.watermark = shard, watermark
+	if e.mirror != nil {
+		if mirror == nil {
+			mirror = shard.Clone()
+		}
+		e.mirror = mirror
+	}
+	return nil
+}
+
+// continueOrders reads one order frame from r into the window of s, a
+// shard decoded without orders, whose earlier orders are those prev —
+// the shard the delta was written against — still holds: the frame
+// holds the ones prev's log had not reached. With no prev (a mirror the
+// executor does not keep) the frame is stepped over.
+func (s *Shard) continueOrders(r *codec.Reader, prev *Shard) {
+	if prev == nil {
+		r.Uvarint()
+		r.Uvarint()
+		section(r, r.Uvarint())
+		return
+	}
+	if r.Err() == nil && (s.delivered < prev.delivered || s.nextOrder < prev.nextOrder) {
+		r.Fail(fmt.Errorf("store: delta moves the order window [%d, %d) back to [%d, %d)", prev.delivered, prev.nextOrder, s.delivered, s.nextOrder))
+	}
+	if r.Err() != nil {
+		return
+	}
+	// Shared like a clone's: what readOrders appends lands beyond what
+	// prev, and any clone of it, can see.
+	s.pending = prev.pending[min(s.delivered, prev.nextOrder)-prev.delivered:]
+	s.readOrders(r, 0)
+	s.ordersComplete(r)
 }
