@@ -1,6 +1,6 @@
 package amcast
 
-// Snapshot is an opaque, self-contained copy of one engine's protocol
+// Snapshot is an opaque, self-contained record of one engine's protocol
 // state. Implementations are protocol-specific and private; the only
 // shared operation is identifying the owning group, which lets runtimes
 // sanity-check that a snapshot is restored into the right engine.
@@ -15,59 +15,69 @@ type Snapshot interface {
 	SnapshotGroup() GroupID
 }
 
-// BinarySnapshot is a Snapshot with a canonical byte serialization —
-// the seam the durable backend (internal/durable) persists through.
-// MarshalBinary must capture the complete snapshot: decoding the bytes
-// with the producing package's UnmarshalSnapshot and restoring the
-// result must be indistinguishable from restoring the original.
+// BinarySnapshot is a Snapshot held as its encoding — the seam the
+// durable backend (internal/durable) persists through. Every engine in
+// this repository writes its state one way, as a record:
+//
+//	record := body(m) ‖ instalment…
+//
+// body(m) is the state written against a mark m (DeltaEngine): the
+// sections the engine rewrites every time, and the history as what
+// changed since m. An instalment is what the engine's append-only logs —
+// FlexCast's delivery tombstones, the store's order queue — gained since
+// m. A checkpoint delta is body(mark) ‖ one instalment; a snapshot is
+// body(zero mark) ‖ its journal, the instalments written by successive
+// AppendSplit calls; MarshalBinary is the delta from the zero mark, and
+// decoding any of them is the engine's ApplyDelta reader run on a reset
+// engine (the producing package's UnmarshalSnapshot).
+//
+// A snapshot value holds its body's bytes and its logs by prefix, so
+// taking one costs the body, however long the run. An engine without
+// append-only logs writes empty instalments.
 type BinarySnapshot interface {
 	Snapshot
-	// MarshalBinary returns the snapshot's canonical encoding. The same
-	// snapshot always marshals to the same bytes (map iteration is
-	// sorted), so snapshot files are reproducible and diffable.
+	// MarshalBinary returns the snapshot's canonical encoding: the body
+	// and one instalment holding the logs whole. The same snapshot always
+	// marshals to the same bytes (map iteration is sorted), so snapshot
+	// files are reproducible and diffable.
 	MarshalBinary() ([]byte, error)
-}
-
-// TailSnapshot is a BinarySnapshot part of whose state is an append-only
-// log — FlexCast's delivery tombstones, the store's order queue — that a
-// persister should write once instead of once per snapshot. Its encoding
-// is a body, rewritten every time, followed by a tail holding log
-// entries, and the tail may be handed out in instalments:
-//
-//   - A journal is the concatenation of the tails of successive
-//     AppendSplit calls on snapshots of one running engine, the first
-//     with prev == nil, each later one with prev = the snapshot of the
-//     call before (or a decoded copy of it: what the persister holds is
-//     its own knowledge, not the engine's, since an engine's Snapshot()
-//     is also taken by callers that persist nothing).
-//   - The producing package's UnmarshalSnapshot accepts body ‖ journal
-//     for the body of the last call, and for the body of any earlier call
-//     joined with the journal as it stood after that call — a prefix.
-//   - An instalment carries what the snapshot needs and prev's journal
-//     cannot supply, no more: entries created and retired between two
-//     calls are never written, entries retired later stay behind in the
-//     journal as dead weight the decoder skips. A journal is therefore
-//     not canonical; MarshalBinary() — one instalment, prev == nil, live
-//     entries only — is, and decoding any valid journal and marshalling
-//     the result yields exactly it.
-//
-// Implementations frame their own instalments (an implementation that
-// embeds another TailSnapshot nests the inner instalment inside its
-// own); the persister treats bodies and tails as opaque bytes. The seam
-// sits on the snapshot value rather than on the engine because every
-// engine wrapper forwards Snapshot(): no decorator can hide it.
-type TailSnapshot interface {
-	BinarySnapshot
-	// AppendSplit appends the snapshot's body to body and the instalment
-	// of its tail that follows prev's journal to tail, and returns both
-	// buffers. prev is nil or an earlier snapshot of the same engine, of
-	// the same concrete type; it is only read.
+	// AppendSplit appends the snapshot's body to body and, to tail, the
+	// instalment holding what its logs gained since prev, and returns
+	// both buffers. prev is nil or an earlier snapshot of the same engine
+	// (or a decoded copy of one), of the same concrete type; it is only
+	// read. A journal — the tails of successive calls, the first with
+	// prev == nil — completes the body of the last call, and any earlier
+	// call's body joined with the journal as it stood after that call.
+	// An instalment carries what prev's journal cannot supply, no more:
+	// log entries retired since stay behind in the journal as dead weight
+	// the reader skips, so a journal is not canonical; MarshalBinary is.
 	AppendSplit(body, tail []byte, prev Snapshot) ([]byte, []byte, error)
 }
 
 // JoinSnapshot assembles a snapshot encoding from a body and a journal.
 func JoinSnapshot(body, tail []byte) []byte {
 	return append(body[:len(body):len(body)], tail...)
+}
+
+// WholeSnapshot is the BinarySnapshot of an engine that writes its whole
+// state against every mark: its record, whose instalments are empty. An
+// engine embeds it in a type of its own, which its Restore asserts.
+type WholeSnapshot struct {
+	Group  GroupID
+	Record []byte
+}
+
+// SnapshotGroup implements Snapshot.
+func (s *WholeSnapshot) SnapshotGroup() GroupID { return s.Group }
+
+// MarshalBinary implements BinarySnapshot.
+func (s *WholeSnapshot) MarshalBinary() ([]byte, error) {
+	return append([]byte(nil), s.Record...), nil
+}
+
+// AppendSplit implements BinarySnapshot.
+func (s *WholeSnapshot) AppendSplit(body, tail []byte, _ Snapshot) ([]byte, []byte, error) {
+	return append(body, s.Record...), tail, nil
 }
 
 // SnapshotEngine is an Engine whose full state can be captured and
@@ -93,31 +103,34 @@ type SnapshotEngine interface {
 // Mark identifies one state of a DeltaEngine, for a later AppendDelta to
 // write what changed since. Taking a mark changes nothing in the engine:
 // its holder keeps it, any number of holders keep their own, and
-// Snapshot() callers move nobody's.
+// Snapshot() callers move nobody's. The nil Mark is the zero mark, the
+// empty state every engine starts from.
 type Mark any
 
-// DeltaEngine is a SnapshotEngine that can also write the difference
-// between its current state and an earlier one, and apply such a
-// difference: the durable backend's checkpoint seam (internal/durable),
-// which appends a delta where it would otherwise write a snapshot.
+// DeltaEngine is a SnapshotEngine that writes its state as a record
+// (BinarySnapshot) against any mark of it and applies such records: the
+// durable backend's checkpoint seam (internal/durable), which appends a
+// delta where it would otherwise write a snapshot.
 //
 // Contract: for a mark m taken at state S, an engine in state S (restored
-// from a snapshot of it, or replayed to it) that applies
-// AppendDelta(nil, m) of a later state T is in state T, to the byte of
-// every snapshot encoding.
+// from a snapshot of it, or replayed to it) that applies the record
+// AppendDelta writes against m at a later state T is in state T, to the
+// byte of every snapshot encoding. Against the zero mark the record is
+// the state's MarshalBinary, which a reset engine applies.
 type DeltaEngine interface {
 	SnapshotEngine
 	// Mark returns a mark of the current state, or nil when the engine
 	// cannot write deltas after all (a wrapper over an engine that
 	// cannot).
 	Mark() Mark
-	// AppendDelta appends to buf the delta from the state marked since,
-	// a mark of this engine taken since its last Restore or ApplyDelta,
-	// to the current state.
-	AppendDelta(buf []byte, since Mark) ([]byte, error)
-	// ApplyDelta moves the engine from the state a delta was written
+	// AppendDelta appends the body of the record written against since —
+	// nil, or a mark of this engine taken since its last Restore or
+	// ApplyDelta — to body, and its one instalment to tail; the record is
+	// the two joined.
+	AppendDelta(body, tail []byte, since Mark) ([]byte, []byte, error)
+	// ApplyDelta moves the engine from the state a record was written
 	// against to the state it was written at. It fails, leaving the
-	// engine as it was, on a delta that does not decode or that was
+	// engine as it was, on a record that does not decode or that was
 	// written against another state as far as the engine can tell.
-	ApplyDelta(delta []byte) error
+	ApplyDelta(record []byte) error
 }

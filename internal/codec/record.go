@@ -8,8 +8,10 @@
 package codec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"flexcast/amcast"
 )
@@ -91,13 +93,21 @@ func (r *Reader) Count() int { return r.d.count() }
 // BytesN decodes n raw bytes (a sub-record whose length came first).
 func (r *Reader) BytesN(n int) []byte { return r.d.bytes(n) }
 
-// Message decodes one AppendMessage record.
-func (r *Reader) Message() amcast.Message { return r.d.message(true) }
+// Message decodes one AppendMessage record. An empty payload decodes as
+// nil, as a message built without one holds it: a state restored from its
+// record holds the messages the engine held, to the field.
+func (r *Reader) Message() amcast.Message {
+	m := r.d.message(true)
+	if len(m.Payload) == 0 {
+		m.Payload = nil
+	}
+	return m
+}
 
 // Delivery decodes one AppendDelivery record.
 func (r *Reader) Delivery() amcast.Delivery {
 	var d amcast.Delivery
-	d.Msg = r.d.message(true)
+	d.Msg = r.Message()
 	d.Group = amcast.GroupID(r.d.uvarint32())
 	d.Seq = r.d.uvarint()
 	d.Result = r.d.byte()
@@ -115,4 +125,15 @@ func AppendGroups(buf []byte, gs []amcast.GroupID) []byte {
 		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
 	}
 	return buf
+}
+
+// SortedKeys returns m's keys in ascending order: a record writes a map in
+// key order, so that the same state writes the same bytes.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }

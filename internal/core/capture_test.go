@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -21,7 +22,7 @@ func marshalSnap(t *testing.T, s amcast.Snapshot) []byte {
 	return data
 }
 
-// captureChecked is an engine that audits its own capture behind every
+// captureChecked is an engine that audits its own snapshot behind every
 // drained input of a prototest run.
 type captureChecked struct {
 	*Engine
@@ -30,24 +31,33 @@ type captureChecked struct {
 
 func (c *captureChecked) TakeDeliveries() []amcast.Delivery {
 	dels := c.Engine.TakeDeliveries()
-	snap := c.capture()
-	if !bytes.Equal(snap.hst, c.hst.AppendBinary(nil)) {
-		c.t.Fatalf("group %d: the captured history image is not the live history's encoding", c.g)
+	snap := c.Snapshot()
+	data := marshalSnap(c.t, snap)
+	body, tail, err := c.AppendDelta(nil, nil, nil)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if !bytes.Equal(data, amcast.JoinSnapshot(body, tail)) {
+		c.t.Fatalf("group %d: the snapshot is not the delta from the zero mark", c.g)
+	}
+	if image := c.hst.AppendBinary(append(binary.AppendUvarint(nil, uint64(c.g)), 1)); !bytes.HasPrefix(data, image) {
+		c.t.Fatalf("group %d: the snapshot's history is not the live history's image", c.g)
 	}
 	fresh := MustNew(c.cfg)
 	if err := fresh.Restore(snap); err != nil {
 		c.t.Fatalf("group %d: %v", c.g, err)
 	}
-	if !bytes.Equal(marshalSnap(c.t, fresh.Snapshot()), marshalSnap(c.t, snap)) {
+	if !bytes.Equal(marshalSnap(c.t, fresh.Snapshot()), data) {
 		c.t.Fatalf("group %d: Restore(Snapshot()) then Snapshot() marshals to different bytes", c.g)
 	}
 	return dels
 }
 
 // TestCaptureIsEncoding: at every cut of a random run — which goes on to
-// restore one of the snapshots and replay the rest — what capture holds
-// of the history is the live history's encoding, and restoring the
-// snapshot gives an engine whose own snapshot marshals to the same bytes.
+// restore one of the snapshots and replay the rest — a snapshot marshals
+// to the delta from the zero mark, which holds the live history's image,
+// and restoring the snapshot gives an engine whose own snapshot marshals
+// to the same bytes.
 func TestCaptureIsEncoding(t *testing.T) {
 	groups := []amcast.GroupID{1, 2, 3, 4, 5}
 	ov := overlay.MustCDAG(groups)
@@ -145,21 +155,27 @@ func TestNotifDoneLogMatchesModel(t *testing.T) {
 	}
 }
 
-// TestSnapshotDecodeRejectsCorruption checks the decoder fails cleanly
+// TestSnapshotDecodeRejectsCorruption checks the reader fails cleanly
 // (error, not panic) on truncated records, on a history image that is cut
-// short or does not link, and on an accepted-notification log a running
-// engine cannot have written.
+// short or does not link, on an accepted-notification log a running
+// engine cannot have written and on a delivery log naming an id twice —
+// whether it decodes a snapshot or applies the record to a fresh engine.
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	ov := overlay.MustCDAG([]amcast.GroupID{1, 2, 3})
-	eng := MustNew(Config{Group: 2, Overlay: ov})
+	cfg := Config{Group: 2, Overlay: ov}
+	eng := MustNew(cfg)
 	a, b := amcast.NewMsgID(0, 1), amcast.NewMsgID(0, 2)
 	eng.OnEnvelope(notifEnv(a, 1, 2, &amcast.HistDelta{
 		Nodes: []amcast.HistNode{{ID: a, Dst: []amcast.GroupID{1, 3}}, {ID: b, Dst: []amcast.GroupID{1, 3}}},
 		Edges: []amcast.HistEdge{{From: a, To: b}},
 	}))
 	eng.OnEnvelope(notifEnv(a, 1, 4, nil))
-	good := eng.capture()
-	data := marshalSnap(t, good)
+	for i := uint64(1); i <= 3; i++ {
+		m := amcast.Message{ID: amcast.NewMsgID(1, i), Sender: amcast.ClientNode(1), Dst: []amcast.GroupID{2}}
+		eng.OnEnvelope(amcast.Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
+	}
+	eng.TakeDeliveries()
+	data := marshalSnap(t, eng.Snapshot())
 	if _, err := UnmarshalSnapshot(data); err != nil {
 		t.Fatal(err)
 	}
@@ -171,47 +187,64 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	if _, err := UnmarshalSnapshot(append(slices.Clone(data), 0)); err == nil {
 		t.Fatal("decode with trailing byte succeeded")
 	}
-	for name, bad := range badSnapshots(good) {
-		if _, err := UnmarshalSnapshot(marshalSnap(t, bad)); err == nil {
+	for name, bad := range badSnapshots(t, eng) {
+		if _, err := UnmarshalSnapshot(bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if name == "history image cut short" || name == "history image with a self-edge" {
-			if err := MustNew(Config{Group: 2, Overlay: ov}).Restore(bad); err == nil {
-				t.Errorf("%s: restored", name)
-			}
+		if err := MustNew(cfg).ApplyDelta(bad); err == nil {
+			t.Errorf("%s: applied", name)
 		}
 	}
 }
 
-// badSnapshots varies one thing each in a snapshot holding a two-node
-// history and the log [(a, 1, 2), (a, 1, 4)].
-func badSnapshots(good *snapshot) map[string]*snapshot {
-	with := func(change func(s *snapshot)) *snapshot {
-		s := *good
-		s.hst, s.notifDone = slices.Clone(good.hst), slices.Clone(good.notifDone)
-		change(&s)
-		return &s
+// badSnapshots varies one thing each in the record of good, an engine
+// holding a two-node history, the log [(a, 1, 2), (a, 1, 4)] and three
+// deliveries: in the history image's bytes, or in the state of a copy of
+// good that is then written as it stands.
+func badSnapshots(t *testing.T, good *Engine) map[string][]byte {
+	data := good.Snapshot().(*snapshot).body
+	image := good.hst.AppendBinary(nil)
+	at := len(binary.AppendUvarint(nil, uint64(good.g))) + 1 // behind g and the image tag
+	if !bytes.Equal(data[at:at+len(image)], image) {
+		t.Fatal("the record does not hold the history image where badSnapshots assumes")
 	}
 	// The second node's only predecessor is slot 0, the last byte of the
 	// arena before the free list, nextSeq and the three log entries.
-	selfEdge := bytes.LastIndex(good.hst, []byte{1, 0, 0, 3, 3})
+	selfEdge := bytes.LastIndex(image, []byte{1, 0, 0, 3, 3})
 	if selfEdge < 0 {
-		panic("the history image does not end the way badSnapshots assumes")
+		t.Fatal("the history image does not end the way badSnapshots assumes")
 	}
-	return map[string]*snapshot{
-		"history image cut short":                   with(func(s *snapshot) { s.hst = s.hst[:len(s.hst)-1] }),
-		"history image with a self-edge":            with(func(s *snapshot) { s.hst[selfEdge+1] = 1 }),
-		"put of epoch 0":                            with(func(s *snapshot) { s.notifDone[0].epoch = 0 }),
-		"put that repeats the epoch it supersedes":  with(func(s *snapshot) { s.notifDone[1].epoch = 2 }),
-		"put below the epoch it supersedes":         with(func(s *snapshot) { s.notifDone[1].epoch = 1 }),
-		"put of epoch 0 behind an accepted epoch 2": with(func(s *snapshot) { s.notifDone[1].epoch = 0 }),
+	edit := func(change func(rec []byte) []byte) []byte {
+		return change(marshalSnap(t, good.Snapshot()))
+	}
+	with := func(change func(e *Engine)) []byte {
+		e := MustNew(good.cfg)
+		if err := e.Restore(good.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		change(e)
+		return marshalSnap(t, e.Snapshot())
+	}
+	return map[string][]byte{
+		"history image cut short": edit(func(rec []byte) []byte {
+			return slices.Delete(rec, at+len(image)-1, at+len(image))
+		}),
+		"history image with a self-edge": edit(func(rec []byte) []byte {
+			rec[at+selfEdge+1] = 1
+			return rec
+		}),
+		"put of epoch 0": with(func(e *Engine) { e.notifDoneLog[0].epoch = 0 }),
+		"put that repeats the epoch it supersedes":  with(func(e *Engine) { e.notifDoneLog[1].epoch = 2 }),
+		"put below the epoch it supersedes":         with(func(e *Engine) { e.notifDoneLog[1].epoch = 1 }),
+		"put of epoch 0 behind an accepted epoch 2": with(func(e *Engine) { e.notifDoneLog[1].epoch = 0 }),
+		"delivery log naming an id twice":           with(func(e *Engine) { e.deliveredLog = append(e.deliveredLog, e.deliveredLog[1]) }),
 	}
 }
 
 // TestAllocBudgetCapture pins what a snapshot pays for the history: one
-// allocation, the image at its final size, however many nodes there are —
-// the rest of capture (the snapshot value and the small tables' maps) is
-// the same handful for both engines.
+// allocation, the body at its final size, however many nodes there are —
+// the rest of Snapshot (the snapshot value and the small tables' sorted
+// keys) is the same handful for both engines.
 func TestAllocBudgetCapture(t *testing.T) {
 	if prototest.RaceEnabled() {
 		t.Skip("allocation budgets are measured without -race")
@@ -234,5 +267,5 @@ func TestAllocBudgetCapture(t *testing.T) {
 	if big != small {
 		t.Errorf("a snapshot allocates %v times with 2000 history nodes and %v with 10", big, small)
 	}
-	t.Logf("allocations per capture: %v (10 nodes), %v (2000 nodes)", small, big)
+	t.Logf("allocations per snapshot: %v (10 nodes), %v (2000 nodes)", small, big)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"flexcast/amcast"
@@ -13,42 +12,29 @@ import (
 	"flexcast/internal/history"
 )
 
-// Binary snapshot codec for the FlexCast engine. Map iteration is
-// always sorted, so the same snapshot marshals to the same bytes; the
-// history is the image capture took of it (history.AppendBinary, slot by
-// slot), the accepted-notification log is written as it stands and a
-// held envelope is its wire encoding, length-prefixed. The
-// delivery log comes last, in delivery order and fixed-width: it is the
-// encoding's tail (amcast.TailSnapshot) — an instalment is the entries
-// appended since the previous snapshot, a journal their concatenation,
-// nothing in it is ever dead — and the body ends with its entry count.
-
-var _ amcast.TailSnapshot = (*snapshot)(nil)
+// The FlexCast engine's record (amcast.BinarySnapshot), written against a
+// mark m (the zero mark for a snapshot):
+//
+//	record     := body ‖ instalment…
+//	body       := g ‖ history ‖ notifFrom ‖ sections ‖ deliveredFrom ‖ count
+//	instalment := u64le id…
+//
+// The history is history.AppendDelta against m's history mark — 1 ‖ its
+// AppendBinary image against the zero mark. The sections are every other
+// part of the state in full, map iteration sorted so that the same state
+// writes the same bytes, but for the accepted-notification log, which is
+// written from entry notifFrom on (m's length of it); a held envelope is
+// its wire encoding, length-prefixed. The delivery log is the record's
+// tail: the count entries appended since deliveredFrom (m's length of it),
+// in delivery order and fixed-width, which a journal holds as the
+// concatenation of its instalments — nothing in it is ever dead.
 
 // idWidth is the encoded size of one delivery-log entry (u64le).
 const idWidth = 8
 
-func sortedIDs[V any](m map[amcast.MsgID]V) []amcast.MsgID {
-	ids := make([]amcast.MsgID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func sortedGroups[V any](m map[amcast.GroupID]V) []amcast.GroupID {
-	gs := make([]amcast.GroupID, 0, len(m))
-	for g := range m {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	return gs
-}
-
 func appendIDSet(buf []byte, m map[amcast.MsgID]bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, id := range sortedIDs(m) {
+	for _, id := range codec.SortedKeys(m) {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		buf = codec.AppendBool(buf, m[id])
 	}
@@ -67,7 +53,7 @@ func readIDSet(r *codec.Reader) map[amcast.MsgID]bool {
 
 func appendGroupEpochs(buf []byte, m map[amcast.GroupID]uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, g := range sortedGroups(m) {
+	for _, g := range codec.SortedKeys(m) {
 		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
 		buf = binary.AppendUvarint(buf, m[g])
 	}
@@ -133,44 +119,30 @@ func readPending(r *codec.Reader) *pending {
 	return p
 }
 
-// MarshalBinary implements amcast.BinarySnapshot.
-func (s *snapshot) MarshalBinary() ([]byte, error) {
-	body, tail, err := s.AppendSplit(nil, nil, nil)
-	return amcast.JoinSnapshot(body, tail), err
+// appendBody appends the body of the engine's record against m.
+func (e *Engine) appendBody(buf []byte, m mark) []byte {
+	buf = binary.AppendUvarint(buf, uint64(uint32(e.g)))
+	buf = e.hst.AppendDelta(buf, m.hst)
+	buf = binary.AppendUvarint(buf, uint64(m.notifDone))
+	buf = e.state.appendSections(buf, m.notifDone)
+	buf = binary.AppendUvarint(buf, uint64(m.delivered))
+	return binary.AppendUvarint(buf, uint64(len(e.deliveredLog)-m.delivered))
 }
 
-// AppendSplit implements amcast.TailSnapshot.
-func (s *snapshot) AppendSplit(body, tail []byte, prev amcast.Snapshot) ([]byte, []byte, error) {
-	from := 0
-	if prev != nil {
-		p, ok := prev.(*snapshot)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: snapshot tail split against foreign snapshot %T", prev)
-		}
-		from = len(p.delivered)
-		if from > len(s.delivered) || from > 0 && p.delivered[from-1] != s.delivered[from-1] {
-			return nil, nil, fmt.Errorf("core: snapshot tail split against a %d-entry delivery log that the snapshot's %d-entry log does not extend", from, len(s.delivered))
-		}
+// appendIDs appends delivery log entries, fixed-width.
+func appendIDs(buf []byte, ids []amcast.MsgID) []byte {
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
 	}
-	for _, id := range s.delivered[from:] {
-		tail = binary.LittleEndian.AppendUint64(tail, uint64(id))
-	}
-	return s.appendBody(body), tail, nil
+	return buf
 }
 
-func (s *snapshot) appendBody(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(uint32(s.g)))
-	buf = append(buf, s.hst...)
-	buf = s.appendState(buf, 0)
-	return binary.AppendUvarint(buf, uint64(len(s.delivered)))
-}
-
-// appendState appends the sections between the history and the delivery
-// log, with the accepted-notification log from entry from on.
-func (s *snapshot) appendState(buf []byte, from int) []byte {
+// appendSections appends the sections between the history and the
+// delivery log, with the accepted-notification log from entry from on.
+func (s *state) appendSections(buf []byte, from int) []byte {
 	buf = appendIDSet(buf, s.open)
 	buf = binary.AppendUvarint(buf, uint64(len(s.queues)))
-	for _, g := range sortedGroups(s.queues) {
+	for _, g := range codec.SortedKeys(s.queues) {
 		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
 		q := s.queues[g]
 		buf = binary.AppendUvarint(buf, uint64(len(q)))
@@ -179,7 +151,7 @@ func (s *snapshot) appendState(buf []byte, from int) []byte {
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.pend)))
-	for _, id := range sortedIDs(s.pend) {
+	for _, id := range codec.SortedKeys(s.pend) {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		buf = appendPending(buf, s.pend[id])
 	}
@@ -189,19 +161,19 @@ func (s *snapshot) appendState(buf []byte, from int) []byte {
 		buf = binary.AppendUvarint(buf, uint64(uint32(pn.notifier)))
 		buf = binary.AppendUvarint(buf, pn.epoch)
 		buf = binary.AppendUvarint(buf, uint64(len(pn.deps)))
-		for _, id := range sortedIDs(pn.deps) {
+		for _, id := range codec.SortedKeys(pn.deps) {
 			buf = binary.AppendUvarint(buf, uint64(id))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.notifDone)-from))
-	for _, p := range s.notifDone[from:] {
+	buf = binary.AppendUvarint(buf, uint64(len(s.notifDoneLog)-from))
+	for _, p := range s.notifDoneLog[from:] {
 		buf = binary.AppendUvarint(buf, uint64(p.id))
 		buf = binary.AppendUvarint(buf, uint64(uint32(p.notifier)))
 		buf = binary.AppendUvarint(buf, p.epoch)
 	}
 	buf = appendGroupEpochs(buf, s.trafficSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(s.notifSent)))
-	for _, id := range sortedIDs(s.notifSent) {
+	for _, id := range codec.SortedKeys(s.notifSent) {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		sent := s.notifSent[id]
 		buf = binary.AppendUvarint(buf, uint64(len(sent)))
@@ -212,7 +184,7 @@ func (s *snapshot) appendState(buf []byte, from int) []byte {
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.cursors)))
-	for _, g := range sortedGroups(s.cursors) {
+	for _, g := range codec.SortedKeys(s.cursors) {
 		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
 		buf = binary.AppendUvarint(buf, uint64(s.cursors[g]))
 	}
@@ -234,37 +206,65 @@ func (s *snapshot) appendState(buf []byte, from int) []byte {
 	return binary.AppendUvarint(buf, uint64(s.nPruned))
 }
 
-// UnmarshalSnapshot decodes a snapshot previously produced by
-// MarshalBinary. The result restores into an Engine of the same group.
-func UnmarshalSnapshot(data []byte) (amcast.Snapshot, error) {
-	r := codec.NewReader(data)
-	s := &snapshot{g: amcast.GroupID(r.Uvarint())}
-	// The history section is validated here and kept as bytes for Restore.
-	at := len(data) - r.Len()
-	history.Decode(r)
-	s.hst = slices.Clone(data[at : len(data)-r.Len()])
-	s.readState(r, nil)
-	// The log is everything after its count, so the count is checked
-	// against the bytes that are there before anything is allocated.
-	if n := r.Uvarint(); n <= uint64(len(data))/idWidth {
-		raw := r.BytesN(int(n) * idWidth)
-		s.delivered = make([]amcast.MsgID, 0, len(raw)/idWidth)
-		for ; len(raw) > 0; raw = raw[idWidth:] {
-			s.delivered = append(s.delivered, amcast.MsgID(binary.LittleEndian.Uint64(raw)))
+// read reads a record of group g's engine written against base and
+// returns the state it makes of base. Everything is decoded and checked
+// before base is touched: the history against base's history, each log's
+// starting length against the log, an accepted notification against the
+// epochs it supersedes, a delivery against the deliveries before it. What
+// the record does not carry — the history's unchanged slots, the logs'
+// earlier entries — is base's, brought forward in place.
+func (base state) read(g amcast.GroupID, rec []byte) (state, error) {
+	r := codec.NewReader(rec)
+	if got := amcast.GroupID(r.Uvarint()); r.Err() == nil && got != g {
+		return state{}, fmt.Errorf("record of group %d read into group %d", got, g)
+	}
+	applyHistory := base.hst.ReadDelta(r)
+	if from := r.Count(); r.Err() == nil && from != len(base.notifDoneLog) {
+		r.Fail(fmt.Errorf("record written against %d accepted notifications, the engine has %d", from, len(base.notifDoneLog)))
+	}
+	var st state
+	puts := st.readSections(r, base.notifDone)
+	if from := r.Count(); r.Err() == nil && from != len(base.deliveredLog) {
+		r.Fail(fmt.Errorf("record written against %d deliveries, the engine has %d", from, len(base.deliveredLog)))
+	}
+	raw := r.BytesN(r.Count() * idWidth)
+	var fresh amcast.IDSet
+	for i := 0; i < len(raw) && r.Err() == nil; i += idWidth {
+		id := amcast.MsgID(binary.LittleEndian.Uint64(raw[i:]))
+		if base.delivered.Len() > 0 && base.delivered.Has(id) || !fresh.Add(id) {
+			r.Fail(fmt.Errorf("record delivers %s twice", id))
 		}
-	} else {
-		r.Fail(fmt.Errorf("core: delivery log of %d entries in a %d-byte snapshot", n, len(data)))
 	}
 	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("core: snapshot decode: %w", err)
+		return state{}, err
 	}
-	return s, nil
+	st.hst = applyHistory()
+	st.deliveredLog = slices.Grow(base.deliveredLog, len(raw)/idWidth)
+	for i := 0; i < len(raw); i += idWidth {
+		st.deliveredLog = append(st.deliveredLog, amcast.MsgID(binary.LittleEndian.Uint64(raw[i:])))
+	}
+	// The check indexed the record's deliveries: for a whole record, all
+	// there are.
+	st.delivered = fresh
+	if base.delivered.Len() > 0 {
+		st.delivered = base.delivered
+		for _, id := range st.deliveredLog[len(base.deliveredLog):] {
+			st.delivered.Add(id)
+		}
+	}
+	st.notifDoneLog, st.notifDone = base.notifDoneLog, base.notifDone
+	for _, p := range puts {
+		st.notifDoneLog = append(st.notifDoneLog, p)
+		st.notifDone[p.id] = st.notifDone[p.id].put(p.notifier, p.epoch)
+	}
+	return st, nil
 }
 
-// readState reads an appendState record into s. An accepted-notification
-// log entry must raise the epoch it supersedes, in the log read so far or
-// in done, the index of the log it continues (nil: none).
-func (s *snapshot) readState(r *codec.Reader, done map[amcast.MsgID]byGroup[uint64]) {
+// readSections reads an appendSections record into s and returns the
+// accepted-notification log entries it holds, each of which must raise
+// the epoch it supersedes, in the entries read before it or in done, the
+// index of the log they continue.
+func (s *state) readSections(r *codec.Reader, done map[amcast.MsgID]byGroup[uint64]) (puts []notifPut) {
 	s.open = readIDSet(r)
 	nQ := r.Count()
 	s.queues = make(map[amcast.GroupID][]amcast.MsgID, nQ)
@@ -300,13 +300,13 @@ func (s *snapshot) readState(r *codec.Reader, done map[amcast.MsgID]byGroup[uint
 	// The index is built only to check the log: a put must raise the epoch
 	// it supersedes, which is also what rules out epoch 0.
 	read := make(map[amcast.MsgID]byGroup[uint64])
-	for n := r.Count(); len(s.notifDone) < n && r.Err() == nil; {
+	for n := r.Count(); len(puts) < n && r.Err() == nil; {
 		p := notifPut{id: amcast.MsgID(r.Uvarint()), notifier: amcast.GroupID(r.Uvarint()), epoch: r.Uvarint()}
 		if r.Err() == nil && p.epoch <= max(read[p.id].get(p.notifier), done[p.id].get(p.notifier)) {
-			r.Fail(fmt.Errorf("core: accepted-notification log entry %d: epoch %d of %s from group %d does not exceed the one it supersedes", len(s.notifDone), p.epoch, p.id, p.notifier))
+			r.Fail(fmt.Errorf("accepted-notification log entry %d: epoch %d of %s from group %d does not exceed the one it supersedes", len(puts), p.epoch, p.id, p.notifier))
 		}
 		read[p.id] = read[p.id].put(p.notifier, p.epoch)
-		s.notifDone = append(s.notifDone, p)
+		puts = append(puts, p)
 	}
 	s.trafficSeq = readGroupEpochs(r)
 	nNS := r.Count()
@@ -328,14 +328,14 @@ func (s *snapshot) readState(r *codec.Reader, done map[amcast.MsgID]byGroup[uint
 	for n := r.Count(); len(s.holds) < n && r.Err() == nil; {
 		h := &hold{from: amcast.GroupID(r.Uvarint()), flush: amcast.MsgID(r.Uvarint()), since: time.Now()}
 		if k := len(s.holds); k > 0 && h.from <= s.holds[k-1].from {
-			r.Fail(fmt.Errorf("core: hold on group %d out of order", h.from))
+			r.Fail(fmt.Errorf("hold on group %d out of order", h.from))
 		}
 		for k := r.Count(); len(h.envs) < k && r.Err() == nil; {
 			// The envelope is decoded from a copy: its payload aliases the
 			// bytes it is decoded from, and the caller keeps data.
 			env, err := codec.Unmarshal(slices.Clone(r.BytesN(r.Count())))
 			if err != nil {
-				r.Fail(fmt.Errorf("core: held envelope: %w", err))
+				r.Fail(fmt.Errorf("held envelope: %w", err))
 			}
 			h.envs = append(h.envs, env)
 		}
@@ -348,4 +348,5 @@ func (s *snapshot) readState(r *codec.Reader, done map[amcast.MsgID]byGroup[uint
 	}
 	s.seq = r.Uvarint()
 	s.nPruned = int(r.Uvarint())
+	return puts
 }

@@ -67,8 +67,7 @@ type notifPut struct {
 
 // byGroup is a per-message collection keyed by group. Like pending's, it
 // is a few entries long and searched linearly; unlike them it is kept
-// sorted by group, so a snapshot copies it with one slices.Clone and
-// encodes it as it stands.
+// sorted by group, so a record writes it as it stands.
 type byGroup[V any] []groupEntry[V]
 
 type groupEntry[V any] struct {
@@ -197,16 +196,10 @@ type cursorDiff struct {
 	delta     *amcast.HistDelta
 }
 
-// Engine is the FlexCast state machine for one group. It implements
-// amcast.Engine. Not safe for concurrent use; runtimes serialize access.
-type Engine struct {
-	cfg Config
-	g   amcast.GroupID
-	ov  *overlay.CDAG
-
-	// ancestors is ov.Ancestors(g), the order reprocess scans queues in.
-	ancestors []amcast.GroupID
-
+// state is the engine's mutable state: what its record writes, and what
+// ApplyDelta and Restore replace whole once a record has been read and
+// checked.
+type state struct {
 	// hst holds the multi-destination messages only: a message addressed
 	// to g alone is delivered on arrival and never becomes a node
 	// (DESIGN.md §4 deviation 9). Its nodes carry the open and delivered
@@ -215,7 +208,7 @@ type Engine struct {
 	// deliveredLog lists every message delivered here, in delivery order.
 	// It doubles as deliveredInG and as the tombstone set that prevents
 	// re-delivery after garbage collection, and it is append-only: a
-	// snapshot takes it by prefix (capture), so a written entry is never
+	// snapshot takes it by prefix (Snapshot), so a written entry is never
 	// overwritten. delivered is its membership index, rebuilt from the
 	// log on restore.
 	deliveredLog []amcast.MsgID
@@ -268,6 +261,25 @@ type Engine struct {
 	// holds lists the senders whose envelopes are held, ordered by group.
 	holds []*hold
 
+	deliveries []amcast.Delivery
+	seq        uint64
+
+	// counters for tests and debugging.
+	nPruned int
+}
+
+// Engine is the FlexCast state machine for one group. It implements
+// amcast.Engine. Not safe for concurrent use; runtimes serialize access.
+type Engine struct {
+	cfg Config
+	g   amcast.GroupID
+	ov  *overlay.CDAG
+
+	// ancestors is ov.Ancestors(g), the order reprocess scans queues in.
+	ancestors []amcast.GroupID
+
+	state
+
 	// flushDiffs is set while a flush addressed to every group sends its
 	// MSG or acks: their diffs leave out the merged entries the flush is
 	// about to prune (history.FlushDiffSince). diffs memoizes, within one
@@ -277,15 +289,9 @@ type Engine struct {
 	flushDiffs bool
 	diffs      []cursorDiff
 
-	deliveries []amcast.Delivery
-	seq        uint64
-
-	// counters for tests and debugging.
-	nPruned int
-
-	// hstImage is capture's encoding buffer: the snapshot's copy of the
-	// history image is then allocated once, at its final size.
-	hstImage []byte
+	// buf is Snapshot's encoding buffer: the snapshot's copy of the body
+	// is then allocated once, at its final size.
+	buf []byte
 }
 
 var _ amcast.Engine = (*Engine)(nil)
@@ -301,10 +307,17 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: group %d not in overlay", cfg.Group)
 	}
 	return &Engine{
-		cfg:        cfg,
-		g:          cfg.Group,
-		ov:         cfg.Overlay,
-		ancestors:  cfg.Overlay.Ancestors(cfg.Group),
+		cfg:       cfg,
+		g:         cfg.Group,
+		ov:        cfg.Overlay,
+		ancestors: cfg.Overlay.Ancestors(cfg.Group),
+		state:     newState(),
+	}, nil
+}
+
+// newState returns the empty state an engine starts from.
+func newState() state {
+	return state{
 		hst:        history.New(),
 		open:       make(map[amcast.MsgID]bool),
 		queues:     make(map[amcast.GroupID][]amcast.MsgID),
@@ -313,7 +326,7 @@ func New(cfg Config) (*Engine, error) {
 		trafficSeq: make(map[amcast.GroupID]uint64),
 		notifSent:  make(map[amcast.MsgID]byGroup[notifState]),
 		cursors:    make(map[amcast.GroupID]history.Cursor),
-	}, nil
+	}
 }
 
 // MustNew is New for known-good configurations; it panics on error.

@@ -12,17 +12,19 @@
 //	               state after the epoch's last input, as the length J of
 //	               the journal prefix the snapshot is joined with, and its
 //	               body
-//	journal.log    the tail instalments (amcast.TailSnapshot) of every
+//	journal.log    the tail instalments (amcast.BinarySnapshot) of every
 //	               snapshot taken so far, one after the other, never
 //	               rotated: the snapshot in wal-e decodes from its body
 //	               and the journal's first J bytes
 //
-// What a tail holds is the snapshot's business — append-only logs whose
-// entries are written once instead of once per snapshot: FlexCast's
-// delivery tombstones, the store's order queue, framed by whoever owns
-// them. This package sees bytes: it asks each snapshot for the
-// instalment that follows the previous persisted snapshot's, appends it,
-// and hands Options.Decode the body joined with the journal prefix.
+// Every record is the engine's one encoding of its state: a body written
+// against a mark and instalments of its append-only logs (FlexCast's
+// delivery tombstones, the store's order queue). A checkpoint is the body
+// against the previous checkpoint's mark and one instalment; a snapshot
+// is the body against the zero mark, its instalments the journal. This
+// package sees bytes: it asks each snapshot for the instalment that
+// follows the previous persisted snapshot's, appends it, and hands
+// Options.Decode the body joined with the journal prefix.
 //
 // A cadence point (a checkpoint) is, as a rule, one write on the engine
 // goroutine: a checkpoint record holding what changed since the last
@@ -87,8 +89,9 @@ type Options struct {
 	// FsyncEvery fsyncs the WAL every N appends (default 64; 1 fsyncs
 	// every append, <0 never fsyncs — kill -9 durability only).
 	FsyncEvery int
-	// Decode decodes a snapshot previously written by the engine's
-	// Snapshot (an amcast.BinarySnapshot). Required: it is the protocol
+	// Decode decodes a snapshot record previously written by the
+	// engine's Snapshot (an amcast.BinarySnapshot): its body joined with
+	// its journal. Required: it is the protocol
 	// half of the on-disk format (core.UnmarshalSnapshot, or
 	// store.UnmarshalSnapshot composed over it for executors).
 	Decode func([]byte) (amcast.Snapshot, error)
@@ -194,10 +197,11 @@ type Engine struct {
 	// the state at the last checkpoint, which the next delta is written
 	// against (nil: the next checkpoint snapshots); deltaBytes is the size
 	// of the deltas written since the last snapshot, bodyLen that of its
-	// body.
+	// body; deltaTail is the buffer the delta's instalment is written to.
 	delta               amcast.DeltaEngine
 	mark                amcast.Mark
 	deltaBytes, bodyLen int
+	deltaTail           []byte
 	p                   persister
 	stats               RecoveryStats
 	err                 error
@@ -513,10 +517,11 @@ func (e *Engine) checkpoint() error {
 		if err := e.p.poll(); err != nil {
 			return err
 		}
-		rec, err := e.delta.AppendDelta(e.w.frame(kindCheckpoint), e.mark)
+		rec, tail, err := e.delta.AppendDelta(e.w.frame(kindCheckpoint), e.deltaTail[:0], e.mark)
 		if err != nil {
 			return err
 		}
+		rec, e.deltaTail = append(rec, tail...), tail
 		if n := len(rec) - walHeaderSize; n <= recordChunk {
 			if err := e.w.commit(rec, kindCheckpoint); err != nil {
 				return err

@@ -35,9 +35,9 @@ import (
 //
 // What to append is the persister's knowledge: prev, the snapshot whose
 // tail the journal ends with. The engine cannot know it — its Snapshot()
-// is also taken by callers that persist nothing — so the delta is asked
-// of the snapshot value against prev (amcast.TailSnapshot), never kept
-// as a mark inside the engine.
+// is also taken by callers that persist nothing — so the instalment is
+// asked of the snapshot value against prev (amcast.BinarySnapshot), never
+// kept as a mark inside the engine.
 type persistStep int
 
 const (
@@ -148,7 +148,11 @@ func (p *persister) poll() error {
 // that follows prev's, and returns the size of its body. The caller has
 // waited for the previous job and seen no error.
 func (p *persister) split(snap amcast.Snapshot) (int, error) {
-	body, tail, err := splitSnapshot(snap, p.prev, append(p.body[:0], make([]byte, snapJSize)...), p.tail[:0])
+	bs, ok := snap.(amcast.BinarySnapshot)
+	if !ok {
+		return 0, fmt.Errorf("durable: snapshot %T has no binary form", snap)
+	}
+	body, tail, err := bs.AppendSplit(append(p.body[:0], make([]byte, snapJSize)...), p.tail[:0], p.prev)
 	if err != nil {
 		return 0, err
 	}
@@ -173,19 +177,6 @@ func (p *persister) start(snap amcast.Snapshot, epoch uint64, f *os.File) {
 		abandoned.CompareAndDelete(p.dir, done)
 		close(done)
 	}()
-}
-
-// splitSnapshot appends snap's body to body and, to tail, the instalment
-// of its tail that follows prev's; a snapshot without a tail is all body.
-func splitSnapshot(snap, prev amcast.Snapshot, body, tail []byte) ([]byte, []byte, error) {
-	switch s := snap.(type) {
-	case amcast.TailSnapshot:
-		return s.AppendSplit(body, tail, prev)
-	case amcast.BinarySnapshot:
-		data, err := s.MarshalBinary()
-		return append(body, data...), tail, err
-	}
-	return nil, nil, fmt.Errorf("durable: snapshot %T has no binary form", snap)
 }
 
 // snapJSize is what precedes the body in a snapshot's payload: u64le J,

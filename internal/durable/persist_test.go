@@ -367,9 +367,9 @@ func checkNames(t *testing.T, dir string) {
 // finishes the run and recovers once more, which fails unless the first
 // recovery cut the journal back to the restored snapshot's J. Parking
 // after the seal is the crash between seal and remove: the sealed epoch
-// and everything it supersedes are both on disk. A stack whose engine
-// writes no deltas snapshots at every checkpoint, and takes only the
-// first images.
+// and everything it supersedes are both on disk. Every stack's engine
+// writes deltas — Skeen's and the hierarchical engine's hold their whole
+// state — so every stack takes the images behind them too.
 func TestCrashAtEveryPersistStep(t *testing.T) {
 	middles := 0 // chains of two with the first delta damaged, over all stacks
 	const cadence, batch = 24, 4
@@ -386,8 +386,9 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 		ref := s.mk(s.target)
 		feedBatches(ref, inputs, batch)
 		final := marshalState(t, ref)
-		dref, deltas := ref.(amcast.DeltaEngine)
-		deltas = deltas && dref.Mark() != nil
+		if dref, ok := ref.(amcast.DeltaEngine); !ok || dref.Mark() == nil {
+			t.Fatalf("%s: the engine writes no deltas", s.name)
+		}
 		o := func(dir string) Options {
 			return Options{Dir: dir, SnapshotEvery: cadence, FsyncEvery: -1, Decode: s.decode}
 		}
@@ -548,7 +549,7 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 				if images < 5 {
 					t.Fatalf("only %d crash images taken", images)
 				}
-				if deltas && behind == 0 {
+				if behind == 0 {
 					t.Fatal("no snapshot had a delta behind it while its job was parked")
 				}
 				// A job is the five steps, in order, once: two of them fsync
@@ -819,6 +820,9 @@ type bigSnapshot []byte
 
 func (s bigSnapshot) SnapshotGroup() amcast.GroupID  { return 1 }
 func (s bigSnapshot) MarshalBinary() ([]byte, error) { return s, nil }
+func (s bigSnapshot) AppendSplit(body, tail []byte, _ amcast.Snapshot) ([]byte, []byte, error) {
+	return append(body, s...), tail, nil
+}
 
 func (e *bigSnapshotEngine) Group() amcast.GroupID                      { return 1 }
 func (e *bigSnapshotEngine) OnEnvelope(amcast.Envelope) []amcast.Output { return nil }

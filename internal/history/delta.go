@@ -40,9 +40,10 @@ func (h *History) Mark() Mark {
 // number, which rewrites them as they are — the free list's new length
 // and the log entries appended. A sweep since m frees slots and drops log
 // entries anywhere; the history is then small, and the delta is its image
-// — as it is for a history that never gave a mark, and so has no stamps.
+// — as it is for a history that never gave a mark, and so has no stamps,
+// and against the zero Mark, the empty history's.
 func (h *History) AppendDelta(buf []byte, m Mark) []byte {
-	if m.sweeps != h.sweeps || h.stamp == nil {
+	if m == (Mark{}) || m.sweeps != h.sweeps || h.stamp == nil {
 		return h.AppendBinary(append(buf, 1))
 	}
 	buf = append(buf, 0)

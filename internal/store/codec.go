@@ -58,24 +58,37 @@ func (s *Shard) appendTables(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(uint32(s.payCnt[c])))
 		buf = binary.AppendUvarint(buf, uint64(s.lastOrder[c]))
 	}
-	ws := make([]amcast.GroupID, 0, len(s.orderedFrom))
-	for w := range s.orderedFrom {
-		ws = append(ws, w)
-	}
-	slices.Sort(ws)
-	buf = binary.AppendUvarint(buf, uint64(len(ws)))
-	for _, w := range ws {
+	buf = binary.AppendUvarint(buf, uint64(len(s.orderedFrom)))
+	for _, w := range codec.SortedKeys(s.orderedFrom) {
 		buf = binary.AppendUvarint(buf, uint64(uint32(w)))
 		buf = binary.AppendUvarint(buf, uint64(s.orderedFrom[w]))
 	}
 	return buf
 }
 
-// appendOrders appends one frame holding the undelivered orders with
-// ids from from on (clamped to the window).
-func (s *Shard) appendOrders(buf []byte, from uint64) []byte {
-	from = min(max(from, s.delivered), s.nextOrder)
-	orders := s.pending[from-s.delivered:]
+// queue is a shard's order queue as of one state: its window of
+// undelivered ids, [delivered, next), and the orders in it, shared by
+// prefix like a clone's.
+type queue struct {
+	delivered, nextOrder uint64
+	orders               []order
+}
+
+func (s *Shard) queue() queue {
+	return queue{delivered: s.delivered, nextOrder: s.nextOrder, orders: slices.Clip(s.pending)}
+}
+
+// shard returns a shard holding the queue and nothing else: the state a
+// record written against the queue's end is read against.
+func (q queue) shard() *Shard {
+	return &Shard{delivered: q.delivered, nextOrder: q.nextOrder, pending: q.orders}
+}
+
+// appendFrame appends one frame holding the queue's orders with ids from
+// from on (clamped to the window).
+func (q queue) appendFrame(buf []byte, from uint64) []byte {
+	from = min(max(from, q.delivered), q.nextOrder)
+	orders := q.orders[from-q.delivered:]
 	buf = binary.AppendUvarint(buf, from)
 	buf = binary.AppendUvarint(buf, uint64(len(orders)))
 	start := len(buf)
@@ -98,7 +111,7 @@ func (s *Shard) appendOrders(buf []byte, from uint64) []byte {
 // AppendBinary appends the shard's canonical serialization (the same
 // field walk Digest hashes, plus the configuration needed to rebuild).
 func (s *Shard) AppendBinary(buf []byte) []byte {
-	return s.appendOrders(s.appendTables(buf), s.delivered)
+	return s.queue().appendFrame(s.appendTables(buf), s.delivered)
 }
 
 // decodeTables reads an appendTables record from r. The result has no
@@ -243,22 +256,90 @@ func DecodeShard(r *codec.Reader) *Shard {
 	return s
 }
 
-var _ amcast.TailSnapshot = (*execSnapshot)(nil)
-
-// The executor snapshot's body is the engine snapshot's body behind its
-// length, then the store state without its orders: shard tables,
-// optional mirror tables, delivered-prefix watermark. An instalment of
-// its tail (amcast.TailSnapshot) is the engine's instalment behind its
-// length, then one order frame for the shard and, when there is a
-// mirror, one for the mirror — each holding the orders its queue gained
-// since the previous snapshot and still has:
+// The executor's record (amcast.BinarySnapshot) nests the engine's: its
+// body is the engine's body behind its length, then the store state
+// without its orders — shard tables, optional mirror tables, delivered-
+// prefix watermark, always in full — and an instalment is the engine's
+// instalment behind its length, then one order frame for the shard and,
+// when there is a mirror, one for the mirror, each holding the orders its
+// queue gained since the mark (for a journal: since the previous
+// instalment) and still has:
 //
+//	record     := body ‖ instalment…
 //	body       := u32le n ‖ n bytes of engine body ‖ tables ‖ bool ‖ [tables] ‖ uvarint watermark
-//	instalment := u32le n ‖ n bytes of engine tail ‖ uvarint frames (1|2) ‖ frame ‖ [frame]
+//	instalment := u32le n ‖ n bytes of engine instalment ‖ uvarint frames (1|2) ‖ frame ‖ [frame]
 //
 // The mirror is journaled like the shard rather than rebuilt from it on
 // recovery: its point is to have been computed separately, and a replica
 // divergence from before a crash has to survive the crash to be found.
+
+var (
+	_ amcast.DeltaEngine    = (*Executor)(nil)
+	_ amcast.BinarySnapshot = (*execSnapshot)(nil)
+)
+
+// execSnapshot is the executor's amcast.BinarySnapshot: the engine's
+// snapshot, the store's body and its order queues.
+type execSnapshot struct {
+	eng    amcast.Snapshot
+	body   []byte
+	shard  queue
+	mirror *queue
+}
+
+func (s *execSnapshot) SnapshotGroup() amcast.GroupID { return s.eng.SnapshotGroup() }
+
+// state returns the executor's store state over eng, its body in the
+// executor's buffer.
+func (e *Executor) state(eng amcast.Snapshot) *execSnapshot {
+	buf := e.shard.appendTables(e.buf[:0])
+	buf = codec.AppendBool(buf, e.mirror != nil)
+	if e.mirror != nil {
+		buf = e.mirror.appendTables(buf)
+	}
+	e.buf = binary.AppendUvarint(buf, e.watermark)
+	s := &execSnapshot{eng: eng, body: e.buf, shard: e.shard.queue()}
+	if e.mirror != nil {
+		q := e.mirror.queue()
+		s.mirror = &q
+	}
+	return s
+}
+
+// Snapshot implements amcast.SnapshotEngine: engine and store state are
+// captured together, so crash/recovery replay (chaos WAL, Paxos log)
+// rebuilds application state alongside protocol state. The delivered-
+// prefix watermark is part of the state: recovery replay re-advances it
+// to (at least) its pre-crash value before any new traffic flows.
+func (e *Executor) Snapshot() amcast.Snapshot {
+	s := e.state(e.eng.Snapshot())
+	s.body = slices.Clone(s.body)
+	return s
+}
+
+// split appends the record of s, the engine's sections as eng writes
+// them (nil: empty), the frames holding the orders from from's queue ends
+// on.
+func (s *execSnapshot) split(body, tail []byte, eng func(body, tail []byte) ([]byte, []byte, error), from execMark) ([]byte, []byte, error) {
+	body, bodyAt := reserveLen(body)
+	tail, tailAt := reserveLen(tail)
+	var err error
+	if eng != nil {
+		body, tail, err = eng(body, tail)
+	}
+	if err == nil {
+		err = cmp.Or(patchLen(body, bodyAt), patchLen(tail, tailAt))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	body = append(body, s.body...)
+	if s.mirror == nil {
+		return body, s.shard.appendFrame(binary.AppendUvarint(tail, 1), from.shard), nil
+	}
+	tail = s.shard.appendFrame(binary.AppendUvarint(tail, 2), from.shard)
+	return body, s.mirror.appendFrame(tail, from.mirror), nil
+}
 
 // reserveLen appends room for a u32le length; patchLen fills it in with
 // the number of bytes appended since.
@@ -279,124 +360,44 @@ func (s *execSnapshot) MarshalBinary() ([]byte, error) {
 	return amcast.JoinSnapshot(body, tail), err
 }
 
-// AppendSplit implements amcast.TailSnapshot. The inner engine snapshot
-// must itself be an amcast.BinarySnapshot; when it has no tail of its
-// own its instalments are empty.
+// AppendSplit implements amcast.BinarySnapshot. The engine snapshot must
+// itself be an amcast.BinarySnapshot.
 func (s *execSnapshot) AppendSplit(body, tail []byte, prev amcast.Snapshot) ([]byte, []byte, error) {
-	var p execSnapshot
+	bs, ok := s.eng.(amcast.BinarySnapshot)
+	if !ok {
+		return nil, nil, fmt.Errorf("store: engine snapshot %T has no binary form", s.eng)
+	}
+	var from execMark
+	var prevEng amcast.Snapshot
 	if prev != nil {
-		ps, ok := prev.(*execSnapshot)
+		p, ok := prev.(*execSnapshot)
 		if !ok {
 			return nil, nil, fmt.Errorf("store: snapshot tail split against foreign snapshot %T", prev)
 		}
-		p = *ps
+		if p.shard.nextOrder > s.shard.nextOrder {
+			return nil, nil, fmt.Errorf("store: snapshot tail split against an order log ending at %d, the snapshot's ends at %d", p.shard.nextOrder, s.shard.nextOrder)
+		}
+		from, prevEng = p.mark(), p.eng
 	}
-	body, bodyAt := reserveLen(body)
-	tail, tailAt := reserveLen(tail)
-	var err error
-	switch eng := s.eng.(type) {
-	case amcast.TailSnapshot:
-		body, tail, err = eng.AppendSplit(body, tail, p.eng)
-	case amcast.BinarySnapshot:
-		var data []byte
-		data, err = eng.MarshalBinary()
-		body = append(body, data...)
-	default:
-		err = fmt.Errorf("store: engine snapshot %T has no binary form", s.eng)
-	}
-	if err == nil {
-		err = cmp.Or(patchLen(body, bodyAt), patchLen(tail, tailAt))
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	body = s.shard.appendTables(body)
-	body = codec.AppendBool(body, s.mirror != nil)
-	frames := uint64(1)
-	if s.mirror != nil {
-		body = s.mirror.appendTables(body)
-		frames = 2
-	}
-	body = binary.AppendUvarint(body, s.watermark)
-	tail = binary.AppendUvarint(tail, frames)
-	if tail, err = s.shard.appendOrdersSince(tail, p.shard); err == nil && s.mirror != nil {
-		tail, err = s.mirror.appendOrdersSince(tail, p.mirror)
-	}
-	return body, tail, err
+	return s.split(body, tail, func(body, tail []byte) ([]byte, []byte, error) {
+		return bs.AppendSplit(body, tail, prevEng)
+	}, from)
 }
-
-// appendOrdersSince appends the frame of s's orders that prev, an
-// earlier state of s or nil, did not have yet.
-func (s *Shard) appendOrdersSince(buf []byte, prev *Shard) ([]byte, error) {
-	from := uint64(0)
-	if prev != nil {
-		if from = prev.nextOrder; from > s.nextOrder {
-			return nil, fmt.Errorf("store: snapshot tail split against an order log ending at %d, the snapshot's ends at %d", from, s.nextOrder)
-		}
-	}
-	return s.appendOrders(buf, from), nil
-}
-
-// UnmarshalSnapshot decodes an executor snapshot: a body followed by one
-// instalment (MarshalBinary) or by the journal a persister accumulated.
-// engDecode decodes the embedded engine snapshot — pass the
-// UnmarshalSnapshot of the protocol package the deployment runs (core,
-// skeen, hierarchical).
-func UnmarshalSnapshot(data []byte, engDecode func([]byte) (amcast.Snapshot, error)) (amcast.Snapshot, error) {
-	if len(data) < 4 || uint64(binary.LittleEndian.Uint32(data)) > uint64(len(data)-4) {
-		return nil, fmt.Errorf("store: snapshot decode: bad engine-body length")
-	}
-	end := 4 + int(binary.LittleEndian.Uint32(data))
-	engPieces := [][]byte{data[4:end]} // the engine's body and, per instalment, a piece of its tail
-	r := codec.NewReader(data[end:])
-	s := &execSnapshot{shard: decodeTables(r, 0)}
-	if r.Bool() {
-		s.mirror = decodeTables(r, 0)
-	}
-	s.watermark = r.Uvarint()
-	var shardEnd, mirrorEnd uint64
-	for r.Err() == nil && r.Len() > 0 {
-		if n := r.BytesN(4); n != nil {
-			engPieces = append(engPieces, section(r, uint64(binary.LittleEndian.Uint32(n))))
-		}
-		frames := r.Uvarint()
-		if r.Err() == nil && frames != 1 && frames != 2 {
-			r.Fail(fmt.Errorf("store: instalment of %d order frames", frames))
-		}
-		if r.Err() != nil {
-			break
-		}
-		shardEnd = s.shard.readOrders(r, shardEnd)
-		if frames == 2 && s.mirror != nil {
-			mirrorEnd = s.mirror.readOrders(r, mirrorEnd)
-		} else if frames == 2 { // written while the executor had a mirror
-			r.Uvarint()
-			r.Uvarint()
-			section(r, r.Uvarint())
-		}
-	}
-	s.shard.ordersComplete(r)
-	if s.mirror != nil {
-		s.mirror.ordersComplete(r)
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("store: snapshot decode: %w", err)
-	}
-	eng, err := engDecode(slices.Concat(engPieces...))
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot decode: %w", err)
-	}
-	s.eng = eng
-	return s, nil
-}
-
-var _ amcast.DeltaEngine = (*Executor)(nil)
 
 // execMark is the executor's amcast.Mark: the engine's, and where the
 // shard's and the mirror's order logs ended.
 type execMark struct {
 	eng           amcast.Mark
 	shard, mirror uint64
+}
+
+// mark returns where the snapshot's order logs end.
+func (s *execSnapshot) mark() execMark {
+	m := execMark{shard: s.shard.nextOrder}
+	if s.mirror != nil {
+		m.mirror = s.mirror.nextOrder
+	}
+	return m
 }
 
 // Mark implements amcast.DeltaEngine: nil when the engine underneath
@@ -416,110 +417,172 @@ func (e *Executor) Mark() amcast.Mark {
 	return m
 }
 
-// AppendDelta implements amcast.DeltaEngine. A delta is laid out like a
-// body and one instalment, the engine's delta in place of its body and
-// its tail, the order frames holding what the queues gained since the
-// mark:
-//
-//	delta := u32le n ‖ n bytes of engine delta ‖ tables ‖ bool ‖ [tables] ‖ uvarint watermark
-//	         ‖ uvarint frames (1|2) ‖ frame ‖ [frame]
-func (e *Executor) AppendDelta(buf []byte, since amcast.Mark) ([]byte, error) {
+// AppendDelta implements amcast.DeltaEngine.
+func (e *Executor) AppendDelta(body, tail []byte, since amcast.Mark) ([]byte, []byte, error) {
 	m, ok := since.(execMark)
 	de, isDelta := e.eng.(amcast.DeltaEngine)
-	if !ok || !isDelta {
-		return nil, fmt.Errorf("store: delta against a foreign mark %v", since)
+	if !ok && since != nil || !isDelta {
+		return nil, nil, fmt.Errorf("store: delta against a foreign mark %v", since)
 	}
-	buf, at := reserveLen(buf)
-	buf, err := de.AppendDelta(buf, m.eng)
-	if err == nil {
-		err = patchLen(buf, at)
-	}
-	if err != nil {
-		return nil, err
-	}
-	buf = e.shard.appendTables(buf)
-	buf = codec.AppendBool(buf, e.mirror != nil)
-	if e.mirror != nil {
-		buf = e.mirror.appendTables(buf)
-	}
-	buf = binary.AppendUvarint(buf, e.watermark)
-	if e.mirror == nil {
-		return e.shard.appendOrders(binary.AppendUvarint(buf, 1), m.shard), nil
-	}
-	buf = e.shard.appendOrders(binary.AppendUvarint(buf, 2), m.shard)
-	return e.mirror.appendOrders(buf, m.mirror), nil
+	return e.state(nil).split(body, tail, func(body, tail []byte) ([]byte, []byte, error) {
+		return de.AppendDelta(body, tail, m.eng)
+	}, m)
 }
 
-// ApplyDelta implements amcast.DeltaEngine. The store half is decoded and
-// checked first, the engine's delta applied next, and only then is the
+// ApplyDelta implements amcast.DeltaEngine. The store half is read and
+// checked first, the engine's record applied next, and only then is the
 // store half installed, so that a failure anywhere leaves the executor as
-// it was. A mirror is treated as by Restore: one the delta lacks is the
-// shard's copy, and one the executor lacks is stepped over.
-func (e *Executor) ApplyDelta(delta []byte) error {
+// it was.
+func (e *Executor) ApplyDelta(record []byte) error {
 	de, ok := e.eng.(amcast.DeltaEngine)
 	if !ok {
 		return fmt.Errorf("store: delta applied over engine %T, which takes none", e.eng)
 	}
-	if len(delta) < 4 || uint64(binary.LittleEndian.Uint32(delta)) > uint64(len(delta)-4) {
-		return fmt.Errorf("store: delta: bad engine-delta length")
-	}
-	end := 4 + int(binary.LittleEndian.Uint32(delta))
-	r := codec.NewReader(delta[end:])
-	shard := decodeTables(r, e.shard.nextOrder)
-	var mirror *Shard
-	if r.Bool() {
-		// A mirror the executor does not keep is stepped over; it mirrors
-		// the shard.
-		known := e.shard.nextOrder
-		if e.mirror != nil {
-			known = e.mirror.nextOrder
-		}
-		mirror = decodeTables(r, known)
-	}
-	watermark := r.Uvarint()
-	frames, want := r.Uvarint(), uint64(1)
-	if mirror != nil {
-		want = 2
-	}
-	if r.Err() == nil && frames != want {
-		r.Fail(fmt.Errorf("store: delta of %d order frames, want %d", frames, want))
-	}
-	shard.continueOrders(r, e.shard)
-	if mirror != nil {
-		mirror.continueOrders(r, e.mirror)
-	}
-	if err := r.Close(); err != nil {
+	st, eng, err := readRecord(record, e.shard, e.mirror)
+	if err != nil {
 		return fmt.Errorf("store: delta: %w", err)
 	}
-	if err := de.ApplyDelta(delta[4:end]); err != nil {
+	if err := de.ApplyDelta(eng); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shard, e.watermark = shard, watermark
-	if e.mirror != nil {
-		if mirror == nil {
-			mirror = shard.Clone()
-		}
-		e.mirror = mirror
-	}
+	e.setState(st)
 	return nil
 }
 
-// continueOrders reads one order frame from r into the window of s, a
-// shard decoded without orders, whose earlier orders are those prev —
-// the shard the delta was written against — still holds: the frame
-// holds the ones prev's log had not reached. With no prev (a mirror the
-// executor does not keep) the frame is stepped over.
-func (s *Shard) continueOrders(r *codec.Reader, prev *Shard) {
-	if prev == nil {
-		r.Uvarint()
-		r.Uvarint()
-		section(r, r.Uvarint())
-		return
+// Restore implements amcast.SnapshotEngine: the store's half of the
+// snapshot's record, written against the snapshot's own order queues, is
+// read against shards holding them — the orders are shared, not copied —
+// the engine restores its own snapshot, and the store half is installed.
+// The snapshot stays usable for further restores.
+func (e *Executor) Restore(snap amcast.Snapshot) error {
+	s, ok := snap.(*execSnapshot)
+	if !ok {
+		return fmt.Errorf("store: snapshot type %T is not an executor snapshot", snap)
 	}
+	if g := s.SnapshotGroup(); g != e.eng.Group() {
+		return fmt.Errorf("store: snapshot of group %d restored into group %d", g, e.eng.Group())
+	}
+	body, tail, _ := s.split(nil, nil, nil, s.mark())
+	var mirror *Shard // nil: the executor keeps none
+	if e.mirror != nil && s.mirror != nil {
+		mirror = s.mirror.shard()
+	} else if e.mirror != nil {
+		mirror = &Shard{}
+	}
+	st, _, err := readRecord(amcast.JoinSnapshot(body, tail), s.shard.shard(), mirror)
+	if err != nil {
+		return fmt.Errorf("store: restore: %w", err)
+	}
+	if err := e.eng.Restore(s.eng); err != nil {
+		return err
+	}
+	e.setState(st)
+	return nil
+}
+
+// UnmarshalSnapshot decodes an executor snapshot: a body followed by one
+// instalment (MarshalBinary) or by the journal a persister accumulated.
+// engDecode decodes the embedded engine snapshot — pass the
+// UnmarshalSnapshot of the protocol package the deployment runs (core,
+// skeen, hierarchical).
+func UnmarshalSnapshot(data []byte, engDecode func([]byte) (amcast.Snapshot, error)) (amcast.Snapshot, error) {
+	empty := &Shard{}
+	st, engRec, err := readRecord(data, empty, empty)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot decode: %w", err)
+	}
+	eng, err := engDecode(engRec)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot decode: %w", err)
+	}
+	return (&Executor{shard: st.shard, mirror: st.mirror, watermark: st.watermark}).state(eng), nil
+}
+
+// storeState is what a record makes of the store.
+type storeState struct {
+	shard, mirror *Shard
+	watermark     uint64
+}
+
+// setState replaces the store state. An executor that keeps a mirror
+// takes the shard's copy for one the record lacks.
+func (e *Executor) setState(st storeState) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.mirror != nil && st.mirror == nil {
+		st.mirror = st.shard.Clone()
+	}
+	e.shard, e.mirror, e.watermark = st.shard, st.mirror, st.watermark
+}
+
+// readRecord reads an executor record written against the state whose
+// shard and mirror are given — empty shards for a whole record — and
+// returns the store state it makes and the engine's record, its body
+// joined with its instalments. A nil mirror keeps none: a mirror in the
+// record is stepped over (it mirrors the shard).
+func readRecord(rec []byte, shard, mirror *Shard) (st storeState, eng []byte, err error) {
+	r := codec.NewReader(rec)
+	pieces := [][]byte{lenSection(r)}
+	st.shard = decodeTables(r, shard.nextOrder)
+	if r.Bool() {
+		known := shard.nextOrder
+		if mirror != nil {
+			known = mirror.nextOrder
+		}
+		st.mirror = decodeTables(r, known)
+	}
+	st.watermark = r.Uvarint()
+	keepMirror := st.mirror != nil && mirror != nil
+	st.shard.continueFrom(r, shard)
+	if keepMirror {
+		st.mirror.continueFrom(r, mirror)
+	}
+	var shardEnd, mirrorEnd uint64
+	for r.Err() == nil && r.Len() > 0 {
+		pieces = append(pieces, lenSection(r))
+		frames := r.Uvarint()
+		if r.Err() == nil && frames != 1 && frames != 2 {
+			r.Fail(fmt.Errorf("store: instalment of %d order frames", frames))
+		}
+		if r.Err() != nil {
+			break
+		}
+		shardEnd = st.shard.readOrders(r, shardEnd)
+		if frames == 2 && keepMirror {
+			mirrorEnd = st.mirror.readOrders(r, mirrorEnd)
+		} else if frames == 2 { // a mirror kept by nobody, or by the writer only
+			r.Uvarint()
+			r.Uvarint()
+			section(r, r.Uvarint())
+		}
+	}
+	st.shard.ordersComplete(r)
+	if keepMirror {
+		st.mirror.ordersComplete(r)
+	} else {
+		st.mirror = nil
+	}
+	if err := r.Close(); err != nil {
+		return st, nil, err
+	}
+	return st, slices.Concat(pieces...), nil
+}
+
+// lenSection reads a section behind its u32le length.
+func lenSection(r *codec.Reader) []byte {
+	n := r.BytesN(4)
+	if n == nil {
+		return nil
+	}
+	return section(r, uint64(binary.LittleEndian.Uint32(n)))
+}
+
+// continueFrom fills the window of s, a shard decoded without orders,
+// with the orders prev — the shard the record was written against — still
+// holds: the frames behind supply those prev's queue had not reached.
+func (s *Shard) continueFrom(r *codec.Reader, prev *Shard) {
 	if r.Err() == nil && (s.delivered < prev.delivered || s.nextOrder < prev.nextOrder) {
-		r.Fail(fmt.Errorf("store: delta moves the order window [%d, %d) back to [%d, %d)", prev.delivered, prev.nextOrder, s.delivered, s.nextOrder))
+		r.Fail(fmt.Errorf("store: record moves the order window [%d, %d) back to [%d, %d)", prev.delivered, prev.nextOrder, s.delivered, s.nextOrder))
 	}
 	if r.Err() != nil {
 		return
@@ -527,6 +590,4 @@ func (s *Shard) continueOrders(r *codec.Reader, prev *Shard) {
 	// Shared like a clone's: what readOrders appends lands beyond what
 	// prev, and any clone of it, can see.
 	s.pending = prev.pending[min(s.delivered, prev.nextOrder)-prev.delivered:]
-	s.readOrders(r, 0)
-	s.ordersComplete(r)
 }

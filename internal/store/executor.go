@@ -67,6 +67,9 @@ type Executor struct {
 	// released (the followers have their own locks and watermarks).
 	followers []*Replica
 
+	// buf is the encoding buffer of the store's record body.
+	buf []byte
+
 	// tracer, when non-nil, stamps sampled client deliveries'
 	// StageDeliver (first-wins, pre-apply) and StageExecute (last-wins,
 	// post-apply) in TakeDeliveries.
@@ -331,58 +334,6 @@ func (e *Executor) Watermark() uint64 {
 func (e *Executor) CheckHistoryAcyclic() error {
 	if c, ok := e.eng.(interface{ CheckHistoryAcyclic() error }); ok {
 		return c.CheckHistoryAcyclic()
-	}
-	return nil
-}
-
-// execSnapshot is the combined engine+store snapshot.
-type execSnapshot struct {
-	eng       amcast.Snapshot
-	shard     *Shard
-	mirror    *Shard
-	watermark uint64
-}
-
-func (s *execSnapshot) SnapshotGroup() amcast.GroupID { return s.eng.SnapshotGroup() }
-
-// Snapshot implements amcast.SnapshotEngine: engine and store state are
-// captured together, so crash/recovery replay (chaos WAL, Paxos log)
-// rebuilds application state alongside protocol state. The delivered-
-// prefix watermark is part of the state: recovery replay re-advances it
-// to (at least) its pre-crash value before any new traffic flows.
-func (e *Executor) Snapshot() amcast.Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := &execSnapshot{eng: e.eng.Snapshot(), shard: e.shard.Clone(), watermark: e.watermark}
-	if e.mirror != nil {
-		s.mirror = e.mirror.Clone()
-	}
-	return s
-}
-
-// Restore implements amcast.SnapshotEngine. The snapshot stays usable
-// for further restores.
-func (e *Executor) Restore(snap amcast.Snapshot) error {
-	s, ok := snap.(*execSnapshot)
-	if !ok {
-		return fmt.Errorf("store: snapshot type %T is not an executor snapshot", snap)
-	}
-	if g := s.SnapshotGroup(); g != e.eng.Group() {
-		return fmt.Errorf("store: snapshot of group %d restored into group %d", g, e.eng.Group())
-	}
-	if err := e.eng.Restore(s.eng); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shard = s.shard.Clone()
-	e.watermark = s.watermark
-	if e.mirror != nil {
-		if s.mirror != nil {
-			e.mirror = s.mirror.Clone()
-		} else {
-			e.mirror = s.shard.Clone()
-		}
 	}
 	return nil
 }

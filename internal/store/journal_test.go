@@ -73,7 +73,7 @@ func marshalExec(t testing.TB, eng amcast.SnapshotEngine) []byte {
 }
 
 // TestOrderJournalContract plays the persister's part of the
-// amcast.TailSnapshot contract by hand: a snapshot every few inputs,
+// amcast.BinarySnapshot contract by hand: a snapshot every few inputs,
 // each split against the one before and its instalment appended to one
 // journal. After every split the newest body joined with the journal,
 // and an older body joined with the journal as it then stood, must
@@ -159,7 +159,7 @@ func TestOrderJournalContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := first.(amcast.TailSnapshot).AppendSplit(nil, nil, prev); err == nil {
+	if _, _, err := first.(amcast.BinarySnapshot).AppendSplit(nil, nil, prev); err == nil {
 		t.Fatal("split against a later snapshot accepted")
 	}
 }
@@ -260,6 +260,9 @@ type rawEngineSnapshot []byte
 
 func (s rawEngineSnapshot) SnapshotGroup() amcast.GroupID  { return 1 }
 func (s rawEngineSnapshot) MarshalBinary() ([]byte, error) { return s, nil }
+func (s rawEngineSnapshot) AppendSplit(body, tail []byte, _ amcast.Snapshot) ([]byte, []byte, error) {
+	return append(body, s...), tail, nil
+}
 
 func decodeExecRaw(data []byte) (amcast.Snapshot, error) {
 	return UnmarshalSnapshot(data, func(eng []byte) (amcast.Snapshot, error) { return rawEngineSnapshot(eng), nil })
@@ -279,7 +282,7 @@ func journalForm(t testing.TB) (data []byte, journalAt int, frames []int) {
 		snap := ex.Snapshot()
 		start := len(journal)
 		var err error
-		if body, journal, err = snap.(amcast.TailSnapshot).AppendSplit(nil, journal, prev); err != nil {
+		if body, journal, err = snap.(amcast.BinarySnapshot).AppendSplit(nil, journal, prev); err != nil {
 			t.Fatal(err)
 		}
 		prev = snap
@@ -484,8 +487,12 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 		if recanon, _ := again.(amcast.BinarySnapshot).MarshalBinary(); !bytes.Equal(recanon, canon) {
 			t.Fatal("decode → marshal is not a fixed point")
 		}
-		s := snap.(*execSnapshot)
-		for _, sh := range []*Shard{s.shard, s.mirror} {
+		// What the reader accepted, as it installs it.
+		st, _, err := readRecord(canon, &Shard{}, &Shard{})
+		if err != nil {
+			t.Fatalf("canonical form of an accepted snapshot does not read: %v", err)
+		}
+		for _, sh := range []*Shard{st.shard, st.mirror} {
 			if sh == nil {
 				continue
 			}

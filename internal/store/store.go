@@ -111,10 +111,11 @@ type Shard struct {
 	// Order queue (home warehouse only): the undelivered orders, ids
 	// [delivered, nextOrder), oldest first. It is the live window of an
 	// append-only log — newOrder appends, deliverOrders advances the head,
-	// nothing writes an entry in between — so a Clone takes it by prefix
-	// (capacity clipped, as core.capture takes its delivery log) and may
-	// be read on another goroutine while this shard runs on. Delivered
-	// entries are let go when append moves the window to a new array.
+	// nothing writes an entry in between — so a Clone or a snapshot takes
+	// it by prefix (capacity clipped, as a FlexCast snapshot takes its
+	// delivery log) and may read it on another goroutine while this shard
+	// runs on. Delivered entries are let go when append moves the window to
+	// a new array.
 	nextOrder uint64
 	pending   []order
 	// orderedFrom[w] is the total quantity this warehouse's new-orders
