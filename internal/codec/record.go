@@ -90,6 +90,19 @@ func (r *Reader) Bool() bool { return r.d.byte() != 0 }
 // Count decodes a collection length, bounded against corrupt records.
 func (r *Reader) Count() int { return r.d.count() }
 
+// Entries decodes a count of width-byte entries and returns their bytes.
+// The count is bounded by the bytes left, not by Count's limit: it is for
+// an append-only log whose length follows the run, which a hot group's
+// delivery log passes within about a minute of a durable benchmark run.
+func (r *Reader) Entries(width int) []byte {
+	n := r.d.uvarint()
+	if left := uint64(r.Len()); r.d.err == nil && n > left/uint64(width) {
+		r.Fail(fmt.Errorf("codec: %d entries of %d bytes exceed the %d bytes left at offset %d", n, width, left, r.d.off))
+		return nil
+	}
+	return r.d.bytes(int(n) * width)
+}
+
 // BytesN decodes n raw bytes (a sub-record whose length came first).
 func (r *Reader) BytesN(n int) []byte { return r.d.bytes(n) }
 

@@ -219,15 +219,15 @@ func (base state) read(g amcast.GroupID, rec []byte) (state, error) {
 		return state{}, fmt.Errorf("record of group %d read into group %d", got, g)
 	}
 	applyHistory := base.hst.ReadDelta(r)
-	if from := r.Count(); r.Err() == nil && from != len(base.notifDoneLog) {
+	if from := r.Uvarint(); r.Err() == nil && from != uint64(len(base.notifDoneLog)) {
 		r.Fail(fmt.Errorf("record written against %d accepted notifications, the engine has %d", from, len(base.notifDoneLog)))
 	}
 	var st state
 	puts := st.readSections(r, base.notifDone)
-	if from := r.Count(); r.Err() == nil && from != len(base.deliveredLog) {
+	if from := r.Uvarint(); r.Err() == nil && from != uint64(len(base.deliveredLog)) {
 		r.Fail(fmt.Errorf("record written against %d deliveries, the engine has %d", from, len(base.deliveredLog)))
 	}
-	raw := r.BytesN(r.Count() * idWidth)
+	raw := r.Entries(idWidth)
 	var fresh amcast.IDSet
 	for i := 0; i < len(raw) && r.Err() == nil; i += idWidth {
 		id := amcast.MsgID(binary.LittleEndian.Uint64(raw[i:]))

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"flexcast/amcast"
@@ -157,5 +158,46 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if got, _ := shared.MarshalBinary(); !bytes.Equal(got, want) {
 		t.Fatal("snapshot encoding changed after the engine delivered 10k more messages")
+	}
+}
+
+// TestRecordDeliveryLogBeyondCountLimit: a record's delivery log is as
+// long as the run. A hot group of the durable benchmark delivers more
+// than the codec's collection limit (4 194 304) in about a minute, and
+// its snapshot and every delta written after it must still read: the
+// log's length and the mark's are bounded by the bytes the record holds,
+// not by that limit.
+func TestRecordDeliveryLogBeyondCountLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 34 MB record")
+	}
+	const n = 1<<22 + 1
+	cfg := core.Config{Group: 1, Overlay: overlay.MustCDAG([]amcast.GroupID{1})}
+	body, _, err := core.MustNew(cfg).AppendDelta(nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The empty state's body ends with the log's length at the zero mark
+	// and its own, both 0: the record below claims n deliveries instead.
+	rec := binary.AppendUvarint(body[:len(body)-1], n)
+	for i := uint64(1); i <= n; i++ {
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(amcast.NewMsgID(0, i)))
+	}
+	eng := core.MustNew(cfg)
+	if err := eng.ApplyDelta(rec); err != nil {
+		t.Fatalf("a snapshot of %d deliveries: %v", n, err)
+	}
+	delta, tail, err := eng.AppendDelta(nil, nil, eng.Mark())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyDelta(amcast.JoinSnapshot(delta, tail)); err != nil {
+		t.Fatalf("a delta against a mark of %d deliveries: %v", n, err)
+	}
+	if err := core.MustNew(cfg).ApplyDelta(append(rec, 0)); err == nil {
+		t.Fatal("a record with a trailing byte applied")
+	}
+	if err := core.MustNew(cfg).ApplyDelta(rec[:len(rec)-1]); err == nil {
+		t.Fatal("a record one byte short of its delivery log applied")
 	}
 }

@@ -1,8 +1,8 @@
 // Package durable is the pluggable persistence layer behind the
 // amcast.SnapshotEngine seam: a write-ahead log of every input envelope
 // (CRC-framed, fsync-batched) with a checkpoint every Options.SnapshotEvery
-// inputs, organized in epochs each of which ends, once sealed, with a
-// snapshot, plus one journal of the snapshots' tails.
+// inputs or KiB of input, organized in epochs each of which ends, once
+// sealed, with a snapshot, plus one journal of the snapshots' tails.
 //
 //	wal-%08d.log   epoch e: its input records (wire-codec frames) and,
 //	               between them, its checkpoint records — each a delta
@@ -24,7 +24,7 @@
 // is the body against the zero mark, its instalments the journal. This
 // package sees bytes: it asks each snapshot for the instalment that
 // follows the previous persisted snapshot's, appends it, and hands
-// Options.Decode the body joined with the journal prefix.
+// the engine's reader the body joined with the journal prefix.
 //
 // A cadence point (a checkpoint) is, as a rule, one write on the engine
 // goroutine: a checkpoint record holding what changed since the last
@@ -44,13 +44,20 @@
 // checkpoints behind it in order and replays only the inputs behind the
 // last of them, so its work is bounded by the checkpoint cadence — one
 // cadence of input once the persist job has finished, two while it is in
-// flight — never by run length. A torn record at the tail of the newest
-// epoch (the partial write a kill -9 leaves) is detected by its frame CRC
-// and truncated away, a snapshot record cut short is ignored, a
-// checkpoint whose delta is damaged is stepped over — the inputs it
-// covered are replayed, and the next checkpoint applies on top — and a
-// damaged input record in an older epoch is a hole in the input:
-// recovery fails.
+// flight — never by run length. The cadence counts bytes as well as
+// envelopes for that reason: a group that receives few but large inputs
+// (FlexCast's flush messages and acks, which carry history) never reached
+// 256 envelopes in a 10 s durable benchmark run and replayed its whole
+// log, 80–120 ms per group on 2 vCPU. Restoring a snapshot runs the
+// engine's reader once: the engine applies the snapshot as the delta from
+// its empty state (amcast.DeltaEngine), and only an engine that writes no
+// deltas goes through Options.Decode and Restore. A torn record at the
+// tail of the newest epoch (the partial write a kill -9 leaves) is
+// detected by its frame CRC and truncated away, a snapshot record cut
+// short is ignored, a checkpoint whose delta is damaged is stepped over —
+// the inputs it covered are replayed, and the next checkpoint applies on
+// top — and a damaged input record in an older epoch is a hole in the
+// input: recovery fails.
 //
 // The failure model is process crash (kill -9): write()n data survives
 // in the page cache even when the process dies before fsync. Batched
@@ -80,11 +87,14 @@ type Options struct {
 	// Dir is the persistence directory (required; created if missing).
 	// One engine per directory.
 	Dir string
-	// SnapshotEvery checkpoints every N input envelopes (default 256; <0
+	// SnapshotEvery checkpoints every N input envelopes or N KiB of input
+	// records, whichever comes first (default 256, so 256 KiB; <0
 	// disables checkpoints, the WAL grows unbounded and recovery replays
 	// it all): a checkpoint record, or a snapshot and a WAL rotation when
 	// the checkpoints since the last snapshot outweigh its body. The
-	// replay a crash costs is bounded by it.
+	// replay a crash costs is bounded by it, in envelopes and in bytes;
+	// before the byte budget, a group whose few inputs were large never
+	// checkpointed and replayed its whole log.
 	SnapshotEvery int
 	// FsyncEvery fsyncs the WAL every N appends (default 64; 1 fsyncs
 	// every append, <0 never fsyncs — kill -9 durability only).
@@ -93,7 +103,9 @@ type Options struct {
 	// engine's Snapshot (an amcast.BinarySnapshot): its body joined with
 	// its journal. Required: it is the protocol
 	// half of the on-disk format (core.UnmarshalSnapshot, or
-	// store.UnmarshalSnapshot composed over it for executors).
+	// store.UnmarshalSnapshot composed over it for executors). Recovery
+	// calls it only for an engine that writes no deltas; one that does
+	// reads the record itself (ApplyDelta).
 	Decode func([]byte) (amcast.Snapshot, error)
 	// KeepEpochs retains superseded epochs instead of deleting them
 	// (debugging, archaeology).
@@ -138,8 +150,10 @@ type RecoveryStats struct {
 	// input frame: a single envelope or a batch).
 	ReplayedRecords int
 	// ReplayedEnvelopes counts the envelopes inside those records — the
-	// recovery bound the crash tests assert on.
+	// recovery bound the crash tests assert on — and ReplayedBytes their
+	// payload bytes, the bound the cadence's byte budget keeps.
 	ReplayedEnvelopes int
+	ReplayedBytes     int
 	// TornTailBytes is the length of the discarded torn tail of the newest
 	// epoch.
 	TornTailBytes int64
@@ -191,8 +205,9 @@ type Engine struct {
 	w     *walWriter
 	// sinceSnap counts input envelopes appended since the last checkpoint
 	// (the replay length a crash right now would pay once the last
-	// snapshot's persist job has finished).
-	sinceSnap int
+	// snapshot's persist job has finished), sinceBytes their records'
+	// payload bytes.
+	sinceSnap, sinceBytes int
 	// delta is the wrapped engine's delta seam (nil without one); mark is
 	// the state at the last checkpoint, which the next delta is written
 	// against (nil: the next checkpoint snapshots); deltaBytes is the size
@@ -234,34 +249,48 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// decodeSnapshot decodes the snapshot behind a scanned epoch's inputs —
-// nil without error when there is none, or only the stump a crash left of
-// one — and gives back its encoding and J. The encoding is the body
-// joined with the journal prefix it names: the journal's tail bytes are
+// snapshotRecord finds the snapshot behind a scanned epoch's inputs — nil
+// without error when there is none, or only the stump a crash left of one
+// — and gives back its encoding and J. The encoding is the body joined
+// with the journal prefix it names: the journal's tail bytes are
 // joined[room:], and the body is copied in front of them, so that a join
 // moves a body, not a journal — after a long run most of the directory.
-func (e *Engine) decodeSnapshot(scan walScan, joined []byte, room int) (snap amcast.Snapshot, data []byte, j int, err error) {
+func snapshotRecord(scan walScan, joined []byte, room int) (data []byte, j int, err error) {
 	switch {
 	case scan.corrupt:
-		return nil, nil, 0, errors.New("checksum mismatch")
+		return nil, 0, errors.New("checksum mismatch")
 	case scan.snap == nil:
-		return nil, nil, 0, nil
+		return nil, 0, nil
 	case len(scan.snap[0]) < snapJSize:
-		return nil, nil, 0, errors.New("shorter than its J")
+		return nil, 0, errors.New("shorter than its J")
 	}
 	need := binary.LittleEndian.Uint64(scan.snap[0])
 	if have := len(joined) - room; need > uint64(have) {
-		return nil, nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, have)
+		return nil, 0, fmt.Errorf("needs %d journal bytes, %d are intact", need, have)
 	}
 	at := room
 	for i := len(scan.snap) - 1; i >= 0; i-- {
 		at -= copy(joined[at-len(scan.snap[i]):], scan.snap[i])
 	}
-	data = joined[at+snapJSize : room+int(need)]
-	if snap, err = e.opts.Decode(data); err != nil {
-		return nil, nil, 0, fmt.Errorf("decode: %w", err)
+	return joined[at+snapJSize : room+int(need)], int(need), nil
+}
+
+// decodeSnapshot reads a snapshot record once. An engine that writes
+// deltas applies it itself, as the delta from its empty state — a failed
+// read leaves the engine as it was — and the value returned is the
+// restored engine's Snapshot(), applied. Any other engine's comes from
+// Options.Decode, for the caller to Restore.
+func (e *Engine) decodeSnapshot(data []byte) (snap amcast.Snapshot, applied bool, err error) {
+	if e.delta != nil && e.delta.Mark() != nil {
+		if err := e.delta.ApplyDelta(data); err != nil {
+			return nil, false, fmt.Errorf("decode: %w", err)
+		}
+		return e.inner.Snapshot(), true, nil
 	}
-	return snap, data, int(need), nil
+	if snap, err = e.opts.Decode(data); err != nil {
+		return nil, false, fmt.Errorf("decode: %w", err)
+	}
+	return snap, false, nil
 }
 
 // recover restores the newest snapshot that decodes, applies the
@@ -313,7 +342,12 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("durable: wal epoch %d: %d bytes of damaged input records behind byte %d, and epoch %d follows: a hole in the input",
 				wals[i], scan.tornBytes, scan.goodLen, wals[i+1])
 		}
-		snap, data, j, err := e.decodeSnapshot(scan, joined, room)
+		data, j, err := snapshotRecord(scan, joined, room)
+		var snap amcast.Snapshot
+		applied := false
+		if err == nil && data != nil {
+			snap, applied, err = e.decodeSnapshot(data)
+		}
 		if err != nil {
 			snapErr = fmt.Errorf("durable: snapshot behind epoch %d: %w", wals[i], err)
 			e.stats.CorruptSnapshots++
@@ -321,8 +355,10 @@ func (e *Engine) recover() error {
 		if snap == nil {
 			continue
 		}
-		if err := e.inner.Restore(snap); err != nil {
-			return fmt.Errorf("durable: restore snapshot behind epoch %d: %w", wals[i], err)
+		if !applied {
+			if err := e.inner.Restore(snap); err != nil {
+				return fmt.Errorf("durable: restore snapshot behind epoch %d: %w", wals[i], err)
+			}
 		}
 		e.inner.TakeDeliveries() // restore discards undrained deliveries
 		base, tailLen, e.p.prev = i, j, snap
@@ -366,6 +402,7 @@ func (e *Engine) recover() error {
 			e.inner.TakeDeliveries()
 			e.stats.ReplayedRecords++
 			e.stats.ReplayedEnvelopes += len(envs)
+			e.stats.ReplayedBytes += len(rec)
 			e.stats.Recovered = true
 		}
 		pending = pending[:0]
@@ -418,7 +455,7 @@ func (e *Engine) recover() error {
 			return err
 		}
 	}
-	e.sinceSnap = e.stats.ReplayedEnvelopes
+	e.sinceSnap, e.sinceBytes = e.stats.ReplayedEnvelopes, e.stats.ReplayedBytes
 	f, err := openAppendAt(walPath(dir, e.epoch), goodLen)
 	if err != nil {
 		return err
@@ -458,6 +495,7 @@ func (e *Engine) log(rec []byte, envelopes int) {
 		return
 	}
 	e.sinceSnap += envelopes
+	e.sinceBytes += len(rec) - walHeaderSize
 }
 
 // Group implements amcast.Engine.
@@ -487,10 +525,13 @@ func (e *Engine) BatchStep(envs []amcast.Envelope) []amcast.Output {
 
 // TakeDeliveries implements amcast.Engine and is the checkpoint point:
 // right after a drain the engine's delivery buffer is empty, so the
-// checkpoint restores to a state with nothing half-emitted.
+// checkpoint restores to a state with nothing half-emitted. It comes
+// after SnapshotEvery input envelopes or SnapshotEvery KiB of input
+// records — a fixed rule, not an option — so that a crash replays at
+// most about that much input of either kind however large the inputs.
 func (e *Engine) TakeDeliveries() []amcast.Delivery {
 	dels := e.inner.TakeDeliveries()
-	if e.err == nil && e.opts.SnapshotEvery > 0 && e.sinceSnap >= e.opts.SnapshotEvery {
+	if e.err == nil && e.opts.SnapshotEvery > 0 && (e.sinceSnap >= e.opts.SnapshotEvery || e.sinceBytes >= e.opts.SnapshotEvery<<10) {
 		e.err = e.checkpoint()
 	}
 	return dels
@@ -526,7 +567,7 @@ func (e *Engine) checkpoint() error {
 			if err := e.w.commit(rec, kindCheckpoint); err != nil {
 				return err
 			}
-			e.mark, e.deltaBytes, e.sinceSnap = e.delta.Mark(), e.deltaBytes+n, 0
+			e.mark, e.deltaBytes, e.sinceSnap, e.sinceBytes = e.delta.Mark(), e.deltaBytes+n, 0, 0
 			snapshotHist.Record(uint64(time.Since(start)))
 			return nil
 		}
@@ -562,7 +603,7 @@ func (e *Engine) snapshot(start time.Time) error {
 	e.p.start(snap, e.epoch, e.w.f)
 	e.w = &walWriter{f: f, fsyncEvery: e.opts.FsyncEvery, buf: e.w.buf, sealed: e.p.wait}
 	e.epoch++
-	e.sinceSnap = 0
+	e.sinceSnap, e.sinceBytes = 0, 0
 	snapshotHist.Record(uint64(time.Since(start)))
 	return nil
 }

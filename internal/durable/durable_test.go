@@ -42,15 +42,40 @@ func reqEnv(i uint64) amcast.Envelope {
 	}
 }
 
+// heavyEnv is reqEnv carrying a 4 KiB payload: the shape of a group that
+// receives few inputs, each large — FlexCast's flush messages and acks,
+// which carry history.
+func heavyEnv(i uint64) amcast.Envelope {
+	env := reqEnv(i)
+	env.Msg.Payload = append(env.Msg.Payload, make([]byte, 4<<10)...)
+	return env
+}
+
 // feed pushes n requests through the engine the way a runtime would:
 // input, then drain.
 func feed(eng amcast.SnapshotEngine, from, n uint64) int {
+	return feedWith(eng, reqEnv, from, n)
+}
+
+func feedWith(eng amcast.SnapshotEngine, env func(uint64) amcast.Envelope, from, n uint64) int {
 	dels := 0
 	for i := from; i < from+n; i++ {
-		eng.OnEnvelope(reqEnv(i))
+		eng.OnEnvelope(env(i))
 		dels += len(eng.TakeDeliveries())
 	}
 	return dels
+}
+
+// checkReplayedBytes fails when a recovery replayed more than the byte
+// budget allows: two budgets (the cadence behind a snapshot whose persist
+// job was in flight, and the one behind that) and the record that crossed
+// the last.
+func checkReplayedBytes(t *testing.T, st RecoveryStats, snapEvery int, last amcast.Envelope) {
+	t.Helper()
+	if limit := 2*snapEvery<<10 + len(codec.Append(nil, last)); st.ReplayedBytes > limit {
+		t.Fatalf("replayed %d bytes in %d envelopes, want at most %d (two %d KiB budgets and one record)",
+			st.ReplayedBytes, st.ReplayedEnvelopes, limit, snapEvery)
+	}
 }
 
 func marshalState(t *testing.T, eng amcast.SnapshotEngine) []byte {
@@ -116,29 +141,80 @@ func TestRecoverReplaysOnlySuffix(t *testing.T) {
 
 // TestRecoveryBoundIndependentOfRunLength doubles the run length and
 // asserts the replay length stays bounded by the snapshot cadence — the
-// recovery-in-bounded-time argument, not merely "recovery works".
+// recovery-in-bounded-time argument, not merely "recovery works" — in
+// envelopes, and with 4 KiB inputs in bytes too: 25 envelopes of those
+// are four times the 25 KiB budget.
 func TestRecoveryBoundIndependentOfRunLength(t *testing.T) {
-	for _, n := range []uint64{200, 400} {
-		dir := t.TempDir()
-		live := newCoreEngine(t)
-		deng, err := Wrap(live, opts(dir, 25))
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		env     func(uint64) amcast.Envelope
+		lengths []uint64
+	}{
+		{"small", reqEnv, []uint64{200, 400}},
+		{"4KiB", heavyEnv, []uint64{210, 420}},
+	} {
+		for _, n := range c.lengths {
+			dir := t.TempDir()
+			live := newCoreEngine(t)
+			deng, err := Wrap(live, opts(dir, 25))
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedWith(deng, c.env, 1, n)
+			rec := newCoreEngine(t)
+			deng2, err := Wrap(rec, opts(dir, 25))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := deng2.Recovery()
+			deng2.Close()
+			if st.ReplayedEnvelopes >= 25 {
+				t.Fatalf("%s, run length %d: replayed %d envelopes, want < 25", c.name, n, st.ReplayedEnvelopes)
+			}
+			checkReplayedBytes(t, st, 25, c.env(n))
+			if got, want := marshalState(t, rec), marshalState(t, live); !bytes.Equal(got, want) {
+				t.Fatalf("%s, run length %d: recovered state differs", c.name, n)
+			}
 		}
-		feed(deng, 1, n)
-		rec := newCoreEngine(t)
-		deng2, err := Wrap(rec, opts(dir, 25))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := deng2.Recovery()
-		deng2.Close()
-		if st.ReplayedEnvelopes >= 25 {
-			t.Fatalf("run length %d: replayed %d envelopes, want < 25", n, st.ReplayedEnvelopes)
-		}
-		if got, want := marshalState(t, rec), marshalState(t, live); !bytes.Equal(got, want) {
-			t.Fatalf("run length %d: recovered state differs", n)
-		}
+	}
+}
+
+// TestRecoveryBoundedInBytes is a cold group's shape: fewer inputs than a
+// cadence of envelopes, each with a multi-KiB payload. The byte budget
+// still brings cadence points, so a kill -9 image replays at most two
+// budgets and one record — not the whole log, 200 KiB here — and recovers
+// the live state to the byte.
+func TestRecoveryBoundedInBytes(t *testing.T) {
+	const snapEvery, n = 64, 50
+	dir := t.TempDir()
+	live := newCoreEngine(t)
+	deng, err := Wrap(live, opts(dir, snapEvery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := feedWith(deng, heavyEnv, 1, n); got != n {
+		t.Fatalf("delivered %d of %d", got, n)
+	}
+	if err := deng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// Kill -9: abandon the wrapper without Close.
+	rec := newCoreEngine(t)
+	deng2, err := Wrap(rec, opts(dir, snapEvery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deng2.Close()
+	st := deng2.Recovery()
+	if st.SnapshotEpoch == 0 {
+		t.Fatalf("no snapshot after %d inputs of %d B: the byte budget brought no cadence point", n, len(heavyEnv(1).Msg.Payload))
+	}
+	checkReplayedBytes(t, st, snapEvery, heavyEnv(n))
+	if st.ReplayedEnvelopes != deng.SinceSnapshot() {
+		t.Fatalf("replayed %d envelopes, %d were appended since the last checkpoint", st.ReplayedEnvelopes, deng.SinceSnapshot())
+	}
+	if got, want := marshalState(t, rec), marshalState(t, live); !bytes.Equal(got, want) {
+		t.Fatal("recovered state differs from live state")
 	}
 }
 

@@ -1096,6 +1096,105 @@ func BenchmarkDurableCadencePoint(b *testing.B) {
 	})
 }
 
+// snapshotDir persists load, after warm inputs, as one snapshot with
+// nothing behind it: the first cadence point of a fresh directory
+// snapshots. Recovering the directory restores that snapshot and replays
+// nothing.
+func snapshotDir(tb testing.TB, load cadenceLoad, warm int) string {
+	for ; warm > 0; warm-- {
+		load.eng.OnEnvelope(load.next())
+		load.eng.TakeDeliveries()
+	}
+	dir := tb.TempDir()
+	deng, err := Wrap(load.eng, Options{Dir: dir, SnapshotEvery: 1, FsyncEvery: -1, Decode: load.decode})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	deng.OnEnvelope(load.next())
+	deng.TakeDeliveries()
+	if err := deng.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// readCounter counts the runs of an executor's reader that recovering
+// it takes: its own (ApplyDelta), Restore's, and Options.Decode's through
+// decode.
+type readCounter struct {
+	*store.Executor
+	reads int
+}
+
+func (c *readCounter) ApplyDelta(record []byte) error {
+	c.reads++
+	return c.Executor.ApplyDelta(record)
+}
+
+func (c *readCounter) Restore(s amcast.Snapshot) error {
+	c.reads++
+	return c.Executor.Restore(s)
+}
+
+func (c *readCounter) decode(load cadenceLoad) func([]byte) (amcast.Snapshot, error) {
+	return func(data []byte) (amcast.Snapshot, error) { c.reads++; return load.decode(data) }
+}
+
+// recoverSnapshotDir recovers dir into a fresh executor of orderLoad's
+// shape and returns it, its reads and what recovery reports.
+func recoverSnapshotDir(tb testing.TB, dir string) (*readCounter, RecoveryStats) {
+	load := orderLoad(tb, 0)
+	c := &readCounter{Executor: load.eng.(*store.Executor)}
+	deng, err := Wrap(c, Options{Dir: dir, SnapshotEvery: 1, FsyncEvery: -1, Decode: c.decode(load)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := deng.Recovery()
+	if err := deng.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if st.SnapshotEpoch != 1 || st.ReplayedEnvelopes != 0 || st.Checkpoints != 0 {
+		tb.Fatalf("recovered from epoch %d with %d envelopes and %d checkpoints, want the snapshot behind epoch 0 alone", st.SnapshotEpoch, st.ReplayedEnvelopes, st.Checkpoints)
+	}
+	return c, st
+}
+
+// TestRecoverySnapshotReadOnce: restoring an executor snapshot runs the
+// engine's reader once — not a decode into a value and a second read
+// when the value is restored — and reaches the live state to the byte.
+func TestRecoverySnapshotReadOnce(t *testing.T) {
+	live := orderLoad(t, 500)
+	dir := snapshotDir(t, live, 2_000)
+	rec, st := recoverSnapshotDir(t, dir)
+	if rec.reads != 1 {
+		t.Fatalf("recovering one snapshot ran the reader %d times, want 1", rec.reads)
+	}
+	want, err := live.eng.Snapshot().(amcast.BinarySnapshot).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.Snapshot().(amcast.BinarySnapshot).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs from live state (%d vs %d bytes)", len(got), len(want))
+	}
+	t.Logf("%d-byte snapshot recovered in %v", st.SnapshotBytes, st.Elapsed)
+}
+
+// BenchmarkRecoverSnapshot reports the recovery of a mirrored executor
+// snapshot after 200 000 deliveries with 1 000 orders undelivered:
+// reading the directory, joining the journal and restoring.
+func BenchmarkRecoverSnapshot(b *testing.B) {
+	dir := snapshotDir(b, orderLoad(b, 1_000), 200_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st := recoverSnapshotDir(b, dir)
+		b.ReportMetric(float64(st.SnapshotBytes), "snapshot-B")
+	}
+}
+
 var walAppendSink []amcast.Output
 
 // BenchmarkWALAppend appends one 64-envelope gTPC-C batch per iteration

@@ -134,9 +134,8 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 		}
 		res.Checkpoints += stats.Checkpoints
 		res.ReplayedEnvelopes += stats.ReplayedEnvelopes
-		if stats.ReplayedEnvelopes > res.MaxReplayedEnvelopes {
-			res.MaxReplayedEnvelopes = stats.ReplayedEnvelopes
-		}
+		res.MaxReplayedEnvelopes = max(res.MaxReplayedEnvelopes, stats.ReplayedEnvelopes)
+		res.MaxReplayedBytes = max(res.MaxReplayedBytes, stats.ReplayedBytes)
 		res.TornTailBytes += stats.TornTailBytes
 		totalElapsed += stats.Elapsed
 		if us := stats.Elapsed.Microseconds(); us > res.RecoveryMaxUs {

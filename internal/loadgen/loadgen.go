@@ -381,8 +381,9 @@ type DurableResult struct {
 	// the run, so emitted reports carry true).
 	DigestsMatch bool `json:"digests_match"`
 	// SnapshottedGroups counts groups whose recovery restored from a
-	// snapshot file (the rest replayed their whole WAL — short runs or
-	// cold groups that never hit the cadence).
+	// snapshot (the rest replayed their whole WAL: groups that took fewer
+	// inputs than one cadence, in envelopes and in bytes, before the run
+	// ended).
 	SnapshottedGroups int `json:"snapshotted_groups"`
 	// Checkpoints totals the delta checkpoint records the recoveries
 	// applied on top of their snapshots.
@@ -393,6 +394,9 @@ type DurableResult struct {
 	// bound (checked, a violation fails the run).
 	ReplayedEnvelopes    int `json:"replayed_envelopes"`
 	MaxReplayedEnvelopes int `json:"max_replayed_envelopes"`
+	// MaxReplayedBytes is the most input-record bytes one group replayed:
+	// below the cadence's byte budget (SnapshotEvery KiB) and one record.
+	MaxReplayedBytes int `json:"max_replayed_bytes"`
 	// RecoveryMeanUs and RecoveryMaxUs summarize per-group recovery
 	// wall-clock time (restore + replay).
 	RecoveryMeanUs float64 `json:"recovery_mean_us"`

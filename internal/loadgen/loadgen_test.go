@@ -156,6 +156,11 @@ func TestRunDurable(t *testing.T) {
 		t.Fatalf("durable verification replayed up to %d envelopes (torn %d bytes) at cadence %d",
 			d.MaxReplayedEnvelopes, d.TornTailBytes, cfg.DurableSnapshotEvery)
 	}
+	// Every record of a closed engine has had its cadence check, so no
+	// group replays a whole byte budget.
+	if d.MaxReplayedBytes >= cfg.DurableSnapshotEvery<<10 {
+		t.Fatalf("durable verification replayed up to %d bytes at a %d KiB budget", d.MaxReplayedBytes, cfg.DurableSnapshotEvery)
+	}
 	if err := res.Validate(cfg); err != nil {
 		t.Fatalf("durable result failed validation: %v", err)
 	}
