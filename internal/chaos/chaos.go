@@ -25,9 +25,11 @@
 // retransmission delay with head-of-line blocking, a transient partition
 // delays traffic until it heals, and a crashed server loses no inbound
 // traffic — the network parks it until restart — but does lose its
-// volatile state, which it must rebuild from its last snapshot plus a
-// write-ahead input log (the same recovery shape internal/smr implements
-// with Paxos log replay).
+// volatile state, which it rebuilds through the real durable backend
+// (internal/durable): from its last on-disk snapshot and checkpoints plus
+// a write-ahead input log, the same recovery shape internal/smr
+// implements with Paxos log replay. A group the schedule crashes
+// persists from the start, one it never crashes keeps nothing on disk.
 //
 // The package is also the repository's one simulated deployment host:
 // the paper's measured runs (§5, the grid's sim cells) are timed
@@ -50,7 +52,7 @@ import (
 // Deployment is the protocol under test: a resolved deploy.Deployment —
 // its groups, engine constructor (snapshot engines, so crash/recovery
 // can be explored), client route, snapshot decoder (the protocol half of
-// the durable on-disk format, required for Options.Durable) and whether
+// the durable on-disk format, required by a schedule with crashes) and whether
 // the genuineness audit applies — plus the execution hooks of an
 // executing deployment. NewDeployment builds one of the paper's three on
 // its 12 regions; reports label it Protocol.String().
@@ -90,10 +92,10 @@ type Instrumentation struct {
 	//     schedule's violation.
 	FastRead func(rng *rand.Rand, g amcast.GroupID, barrier uint64, now sim.Time) (served bool, err error)
 	// Rebind re-attaches group g's instrumentation to eng, the fresh
-	// engine a durable recovery rebuilt from disk (Options.Durable): the
-	// pre-crash engine and whatever was attached to it are gone. It runs
-	// after the WAL replay, so replayed deliveries are not observed twice.
-	// Required when Instrument and Options.Durable are combined.
+	// engine a recovery rebuilt from disk: the pre-crash engine and
+	// whatever was attached to it are gone. It runs after the WAL replay,
+	// so replayed deliveries are not observed twice. Required when
+	// Instrument is set and the schedule crashes a group.
 	Rebind func(g amcast.GroupID, eng amcast.SnapshotEngine) error
 	// PostCheck, when non-nil, runs after the schedule quiesces,
 	// auditing execution-level properties (serializability including
@@ -193,33 +195,20 @@ type Options struct {
 
 	// Crashes is the number of group-server crash/recovery events per
 	// schedule (default 2, distinct groups); each server stays down for
-	// around DowntimeMean (default 200ms) and recovers from its last
-	// snapshot plus its write-ahead input log.
+	// around DowntimeMean (default 200ms) and recovers from disk through
+	// the durable backend; a crash whose window starts at an odd
+	// microsecond (about half) leaves a torn WAL tail recovery must
+	// discard. Every recovery
+	// is audited: the recovered state must equal the crashed engine's
+	// final state byte for byte, and the replay must stay within
+	// SnapshotEvery envelopes.
 	Crashes      int
 	DowntimeMean sim.Time
-	// SnapshotEvery is the snapshot cadence in input envelopes (default
-	// 16): state since the last snapshot must be rebuilt by WAL replay
-	// on recovery.
+	// SnapshotEvery is a crashed group's durable checkpoint cadence
+	// (durable.Options.SnapshotEvery): a checkpoint every SnapshotEvery
+	// input envelopes or KiB of input (default 16). Inputs since the last
+	// checkpoint are rebuilt by WAL replay on recovery.
 	SnapshotEvery int
-	// Durable routes every node's persistence through the real durable
-	// backend (internal/durable) in a per-schedule temporary directory,
-	// instead of the in-memory snapshot+WAL model: inputs are appended
-	// to a CRC-framed on-disk WAL, snapshots rotate it on the
-	// SnapshotEvery cadence, a crash abandons the files exactly as
-	// kill -9 would, and recovery rebuilds a fresh engine from disk
-	// (Deployment.DecodeSnapshot required). Every recovery is audited: the
-	// recovered state must equal the crashed engine's final state byte
-	// for byte, and the replay length must stay within the snapshot
-	// cadence. Instrument deployments are re-attached to each recovered
-	// engine through Instrumentation.Rebind.
-	Durable bool
-	// TornTailProb is the per-crash probability, in durable mode, that
-	// the abandoned WAL is left with a torn tail — a partial record cut
-	// mid-frame, the artifact of dying mid-append. Recovery must detect
-	// and discard it (injections are counted in FaultStats.TornTails;
-	// default 0.5, negative disables).
-	TornTailProb float64
-
 	// FastReadProb is the probability that a client reply triggers a
 	// local-read fast-path transaction at the replying group, at the
 	// client's observed delivered-prefix barrier (only on deployments
@@ -296,9 +285,6 @@ func (o *Options) fill() {
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 16
-	}
-	if o.TornTailProb == 0 {
-		o.TornTailProb = 0.5
 	}
 	if o.FastReadProb == 0 {
 		o.FastReadProb = 0.25

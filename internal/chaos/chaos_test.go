@@ -131,8 +131,9 @@ func TestInjectedOrderingBugCaught(t *testing.T) {
 }
 
 // TestRecoveryExercisesSnapshots makes sure crash windows actually force
-// snapshot-plus-WAL recoveries that the checker then validates — i.e.
-// the zero-violation result of the clean test is meaningful.
+// recoveries from on-disk snapshots and WALs that the checker then
+// validates — i.e. the zero-violation result of the clean test is
+// meaningful.
 func TestRecoveryExercisesSnapshots(t *testing.T) {
 	d := flexDeployment(groups5)
 	rep, err := chaos.Explore(d, chaos.Options{

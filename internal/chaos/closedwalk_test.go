@@ -12,7 +12,7 @@ import (
 // TestClosedWalkAgreesWithFullWalk checks the closed rule (DESIGN.md §4
 // deviation 5) under faults: on every canDeliver the explorer reaches —
 // duplicates of every envelope kind, retransmissions, partitions,
-// crash/restore from snapshots and through the durable backend — and on
+// crash/recovery through the durable backend — and on
 // every canDeliver of the fig5 seed sweep, the walk that stops at closed
 // nodes answers what AnyBeforeUntil(m, open, delivered) answers over the
 // engine's own sets (core.WalkCheck).
@@ -38,7 +38,7 @@ func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
 	for _, opt := range []chaos.Options{
 		{Seed: 1, Schedules: 30},
 		{Seed: 11, Schedules: 10, Crashes: 3, DowntimeMean: 600_000},
-		{Seed: 4, Schedules: 5, Durable: true},
+		{Seed: 4, Schedules: 5},
 	} {
 		rep, err := chaos.Explore(d, opt)
 		if err != nil {

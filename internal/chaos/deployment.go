@@ -62,7 +62,7 @@ func instrumentExecution(engines map[amcast.GroupID]amcast.SnapshotEngine, now f
 	reps := make(map[amcast.GroupID]*store.Replica, len(engines))
 	clock := func() uint64 { return uint64(now()) }
 	// attach instruments one group's executor — the one the schedule
-	// starts with and, in durable mode, every one a recovery rebuilds:
+	// starts with and every one a recovery rebuilds:
 	// observers on, a fresh lock-step follower cloned from the (recovered)
 	// shard, and the audit's handles swapped to the live pair.
 	attach := func(g amcast.GroupID, eng amcast.SnapshotEngine) error {

@@ -116,14 +116,14 @@ func TestChaosExecuteClosedLoopWANProfile(t *testing.T) {
 }
 
 // TestChaosExecuteDurableWANProfile is the hunt-wan-durable grid cell's
-// combination (locality 0.95, execute, durable, seed 12) at two
+// combination (locality 0.95, execute, seed 12) at two
 // schedules per protocol: every crash abandons the on-disk files, every
 // recovery rebuilds a fresh executor from them, and the execution audits
 // (observers, lock-step follower digests) must follow the store onto the
 // recovered engine (chaos.Instrumentation.Rebind).
 func TestChaosExecuteDurableWANProfile(t *testing.T) {
 	for _, p := range protocols {
-		rep := explore(t, p, chaos.Options{Seed: 12, Schedules: 2, Durable: true, Locality: 0.95})
+		rep := explore(t, p, chaos.Options{Seed: 12, Schedules: 2, Locality: 0.95})
 		if rep.Faults.Crashes == 0 || rep.FastReads == 0 {
 			t.Fatalf("%s: %d crashes, %d fast reads: the combination explored nothing", p, rep.Faults.Crashes, rep.FastReads)
 		}

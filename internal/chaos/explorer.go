@@ -430,12 +430,14 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 		}
 	}
 
-	// Durable mode: every node persists through the real backend in a
-	// per-schedule temporary directory, removed when the schedule ends.
+	// A group the schedule crashes persists through the real durable
+	// backend, in a per-schedule temporary directory removed when the
+	// schedule ends; the others keep nothing.
+	inj := newInjector(opt, d.Groups, r.rng, s)
 	var durDir string
-	if opt.Durable {
+	if len(inj.crashes) > 0 {
 		if d.DecodeSnapshot == nil {
-			return nil, nil, fmt.Errorf("chaos: Options.Durable requires Deployment.DecodeSnapshot")
+			return nil, nil, fmt.Errorf("chaos: a schedule with crashes needs Deployment.DecodeSnapshot")
 		}
 		dir, err := os.MkdirTemp("", "chaos-durable-")
 		if err != nil {
@@ -444,8 +446,6 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 		durDir = dir
 		defer os.RemoveAll(durDir)
 	}
-
-	inj := newInjector(opt, d.Groups, r.rng, s)
 	netOpts := []sim.NetworkOption{sim.WithSendHook(r.onSend)}
 	if inj.perEnvelope() {
 		netOpts = append(netOpts, sim.WithFaults(inj.Fault))
@@ -461,18 +461,10 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos: build engine for group %d: %w", g, err)
 		}
-		n := newNode(amcast.GroupNode(g), eng, r.net, opt.SnapshotEvery, len(inj.crashes) > 0)
+		n := newNode(amcast.GroupNode(g), eng, r.net, opt.SnapshotEvery)
 		n.onDeliver = r.onDeliver
 		n.fail = r.fail
 		n.bugEvery = opt.BugFlipEvery
-		if opt.Durable {
-			g := g
-			err := n.enableDurable(filepath.Join(durDir, fmt.Sprintf("group-%d", g)),
-				func() (amcast.SnapshotEngine, error) { return d.NewEngine(g) }, d.DecodeSnapshot)
-			if err != nil {
-				return nil, nil, fmt.Errorf("chaos: durable backend for group %d: %w", g, err)
-			}
-		}
 		r.nodes[g] = n
 		engines[g] = eng
 		r.net.Register(amcast.GroupNode(g), n)
@@ -480,25 +472,32 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 	var instr *Instrumentation
 	if d.Instrument != nil {
 		instr = d.Instrument(engines, s.Now)
-		if opt.Durable {
-			if instr.Rebind == nil {
-				return nil, nil, fmt.Errorf("chaos: Options.Durable needs Instrumentation.Rebind (observers would stay bound to pre-crash engines)")
-			}
-			for g, n := range r.nodes {
-				g := g
-				n.rebind = func(eng amcast.SnapshotEngine) error { return instr.Rebind(g, eng) }
-			}
+		if len(inj.crashes) > 0 && instr.Rebind == nil {
+			return nil, nil, fmt.Errorf("chaos: a schedule with crashes needs Instrumentation.Rebind (observers would stay bound to pre-crash engines)")
 		}
 	}
 
-	// Crash/recovery schedule: crash the server and park its traffic;
-	// at the window's end rebuild the engine from stable storage, then
-	// release the parked traffic.
+	// Crash/recovery schedule: the group persists from the start; crash
+	// the server and park its traffic; at the window's end rebuild the
+	// engine from disk, then release the parked traffic.
 	for _, w := range inj.crashes {
 		w := w
+		n := r.nodes[w.group]
+		err := n.persist(filepath.Join(durDir, fmt.Sprintf("group-%d", w.group)),
+			func() (amcast.SnapshotEngine, error) { return d.NewEngine(w.group) }, d.DecodeSnapshot)
+		if err != nil {
+			for _, p := range r.nodes {
+				if p.de != nil {
+					p.de.Close() // the schedule is refused; its directory goes
+				}
+			}
+			return nil, nil, fmt.Errorf("chaos: durable backend for group %d: %w", w.group, err)
+		}
+		if instr != nil {
+			n.rebind = func(eng amcast.SnapshotEngine) error { return instr.Rebind(w.group, eng) }
+		}
 		gnode := amcast.GroupNode(w.group)
 		s.ScheduleAt(w.start, func() {
-			n := r.nodes[w.group]
 			n.Crash()
 			if w.torn {
 				if err := n.TearTail(); err != nil {
@@ -512,7 +511,7 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 		})
 		s.ScheduleAt(w.end, func() {
 			inj.stats.Parked += r.net.Parked(gnode)
-			if err := r.nodes[w.group].Recover(); err != nil {
+			if err := n.Recover(); err != nil {
 				r.fail(err)
 			}
 			r.net.RestartNode(gnode)
@@ -545,9 +544,9 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 
 	// Durable teardown: surface any latched backend I/O error, then
 	// release the file descriptors before the directory is removed.
-	for _, g := range d.Groups {
-		if err := r.nodes[g].closeDurable(); err != nil {
-			r.fail(fmt.Errorf("group %d durable backend: %w", g, err))
+	for _, w := range inj.crashes {
+		if err := r.nodes[w.group].de.Close(); err != nil {
+			r.fail(fmt.Errorf("group %d durable backend: %w", w.group, err))
 		}
 	}
 

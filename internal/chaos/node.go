@@ -14,20 +14,13 @@ import (
 // node hosts one group's engine on the simulator under the production
 // node runtime (runtime.NewStepped): each handoff is one Submit plus
 // one Step, with the batcher's sends looped onto the simulated network.
-// What node adds is crash and recovery bookkeeping. It keeps a periodic
-// state snapshot as simulated stable storage plus a write-ahead log of
-// the inputs applied since (internal/smr persists the input sequence in
-// the Paxos log instead; §4.4); on recovery the engine is restored from
-// the snapshot and the WAL is replayed with outputs suppressed — they
-// were already transmitted. A node whose schedule has no crash windows
-// keeps neither.
-//
-// In durable mode (Options.Durable) the in-memory model is replaced by
-// the real backend: inputs run through a durable.Engine writing an
-// on-disk WAL and snapshot files, Crash abandons those files exactly as
-// kill -9 would (optionally tearing the WAL tail mid-record), and
-// Recover rebuilds a fresh engine from the directory, auditing the
-// recovered state against the crashed engine's final state.
+// What node adds is crash and recovery. A group its schedule crashes
+// persists through the real backend (persist): inputs run through a
+// durable.Engine writing an on-disk WAL and snapshot files, Crash
+// abandons those files exactly as kill -9 would (optionally tearing the
+// WAL tail mid-record), and Recover rebuilds a fresh engine from the
+// directory, auditing the recovered state against the crashed engine's
+// final state. A group its schedule never crashes keeps nothing.
 type node struct {
 	id        amcast.NodeID
 	eng       amcast.SnapshotEngine
@@ -38,28 +31,21 @@ type node struct {
 	// and delivered.
 	traffic metrics.NodeCounters
 
-	// rt steps the engine (the durable backend in durable mode) with buf
+	// rt steps the engine (the durable backend once persisted) with buf
 	// as its chunk buffer; dels collects a step's deliveries.
 	rt   *runtime.Node
 	buf  []amcast.Envelope
 	dels []amcast.Delivery
 
-	snapEvery   int
-	recoverable bool // the schedule has crash windows: keep snap and wal
-	snap        amcast.Snapshot
-	wal         []amcast.Envelope
-	// delsSince counts deliveries since the snapshot; recovery replay
-	// must regenerate exactly this many (a cheap determinism audit that
-	// catches incomplete Snapshot/Restore implementations).
-	delsSince int
+	snapEvery int
 	down      bool
 
-	// Durable-mode state: the backend wrapping eng, its directory, the
-	// factory that rebuilds a fresh inner engine on recovery, and the
-	// snapshot decoder. preCrash holds the crashed engine's final state
-	// (canonical snapshot bytes) for the recovery equality audit;
-	// tornPending records that the last crash left a torn WAL tail the
-	// next recovery must discard.
+	// Persistence state (nil de: the schedule never crashes the group):
+	// the backend wrapping eng, its directory, the factory that rebuilds
+	// a fresh inner engine on recovery, and the snapshot decoder.
+	// preCrash holds the crashed engine's final state (canonical snapshot
+	// bytes) for the recovery equality audit; tornPending records that
+	// the last crash left a torn WAL tail the next recovery must discard.
 	de          *durable.Engine
 	dir         string
 	rebuild     func() (amcast.SnapshotEngine, error)
@@ -75,11 +61,8 @@ type node struct {
 	batches  int
 }
 
-func newNode(id amcast.NodeID, eng amcast.SnapshotEngine, net *sim.Network, snapEvery int, recoverable bool) *node {
-	n := &node{id: id, eng: eng, net: net, snapEvery: snapEvery, recoverable: recoverable}
-	if recoverable {
-		n.snap = eng.Snapshot()
-	}
+func newNode(id amcast.NodeID, eng amcast.SnapshotEngine, net *sim.Network, snapEvery int) *node {
+	n := &node{id: id, eng: eng, net: net, snapEvery: snapEvery}
 	n.host()
 	return n
 }
@@ -103,12 +86,12 @@ func (n *node) send(to amcast.NodeID, envs []amcast.Envelope) {
 	}
 }
 
-// enableDurable switches the node to the real backend: the engine's
-// inputs are logged to an on-disk WAL under dir, with snapshots on the
+// persist puts the node behind the real backend: the engine's inputs
+// are logged to an on-disk WAL under dir, with checkpoints on the
 // node's cadence. The WAL is never fsynced — the fault model is process
-// crash, where the page cache is the surviving image; tests inject torn
-// tails explicitly.
-func (n *node) enableDurable(dir string, rebuild func() (amcast.SnapshotEngine, error), decode func([]byte) (amcast.Snapshot, error)) error {
+// crash, where the page cache is the surviving image; Crash tears tails
+// explicitly.
+func (n *node) persist(dir string, rebuild func() (amcast.SnapshotEngine, error), decode func([]byte) (amcast.Snapshot, error)) error {
 	n.dir, n.rebuild, n.decode = dir, rebuild, decode
 	de, err := n.wrap(n.eng)
 	if err != nil {
@@ -132,9 +115,6 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 		n.fail(fmt.Errorf("chaos: envelope handed to crashed node %s", n.id))
 		return
 	}
-	if n.de == nil && n.recoverable {
-		n.wal = append(n.wal, env)
-	}
 	n.rt.Submit([]amcast.Envelope{env})
 	n.buf = n.rt.Step(n.buf)
 	if n.de != nil && n.de.Err() != nil {
@@ -148,23 +128,16 @@ func (n *node) HandleEnvelope(env amcast.Envelope) {
 		}
 	}
 	for _, d := range dels {
-		n.delsSince++
 		n.traffic.Delivered++
 		if err := n.onDeliver(d); err != nil {
 			n.fail(err)
 		}
 	}
 	n.dels = dels[:0]
-	// The durable backend snapshots and rotates on its own cadence.
-	if n.de == nil && n.recoverable && len(n.wal) >= n.snapEvery {
-		n.snap = n.eng.Snapshot()
-		n.wal = n.wal[:0]
-		n.delsSince = 0
-	}
 }
 
 // marshalState captures an engine's state as canonical snapshot bytes —
-// the durable-mode recovery equality audit's fingerprint.
+// the recovery equality audit's fingerprint.
 func marshalState(eng amcast.SnapshotEngine) ([]byte, error) {
 	bs, ok := eng.Snapshot().(amcast.BinarySnapshot)
 	if !ok {
@@ -174,18 +147,15 @@ func marshalState(eng amcast.SnapshotEngine) ([]byte, error) {
 }
 
 // Crash drops the node's volatile state. The caller also crashes the
-// node on the network so inbound traffic parks. In durable mode the
-// final state is fingerprinted first (the engine is quiescent between
-// simulator events), then the backend is closed before the directory is
-// torn or recovered: appends already sit in the page cache — the crash
-// image — and Close waits for the persist job in flight, so the image
-// is a finished directory whose replay the snapshot cadence bounds
+// node on the network so inbound traffic parks. The final state is
+// fingerprinted first (the engine is quiescent between simulator
+// events), then the backend is closed before the directory is torn or
+// recovered: appends already sit in the page cache — the crash image —
+// and Close waits for the persist job in flight, so the image is a
+// finished directory whose replay the snapshot cadence bounds
 // (internal/durable's own crash test covers the unfinished ones).
 func (n *node) Crash() {
 	n.down = true
-	if n.de == nil {
-		return
-	}
 	if data, err := marshalState(n.eng); err != nil {
 		n.fail(err)
 	} else {
@@ -199,9 +169,6 @@ func (n *node) Crash() {
 // TearTail appends a partial record to the node's abandoned WAL — the
 // torn tail of a crash mid-append. The next Recover must discard it.
 func (n *node) TearTail() error {
-	if n.dir == "" {
-		return fmt.Errorf("chaos: torn WAL tail on non-durable node %s", n.id)
-	}
 	if _, err := durable.TearTail(n.dir, nil); err != nil {
 		return err
 	}
@@ -209,41 +176,17 @@ func (n *node) TearTail() error {
 	return nil
 }
 
-// Recover rebuilds the engine from stable storage: restore the last
-// snapshot, then replay the write-ahead log. Outputs and deliveries
-// regenerated by the replay are suppressed — determinism guarantees they
-// are byte-identical to what the pre-crash engine already sent and
-// recorded, and the replay verifies the delivery count as a cross-check.
-// In durable mode a completely fresh engine is rebuilt from the on-disk
-// image instead, with three audits: a torn tail injected at crash time
-// must be detected and discarded, the replay length must stay within
-// the snapshot cadence, and the recovered state must equal the crashed
-// engine's final state byte for byte.
+// Recover rebuilds a completely fresh engine from the on-disk image,
+// with three audits: a torn tail injected at crash time must be
+// detected and discarded, the replay length must stay within the
+// snapshot cadence, and the recovered state must equal the crashed
+// engine's final state byte for byte. Outputs the replay regenerates are
+// suppressed: they were already transmitted.
 func (n *node) Recover() error {
 	if !n.down {
 		return fmt.Errorf("chaos: recover of live node %s", n.id)
 	}
 	n.down = false
-	if n.de != nil {
-		return n.recoverDurable()
-	}
-	if err := n.eng.Restore(n.snap); err != nil {
-		return err
-	}
-	n.eng.TakeDeliveries() // restore resets delivery state; start drained
-	replayed := 0
-	for _, env := range n.wal {
-		n.eng.OnEnvelope(env)
-		replayed += len(n.eng.TakeDeliveries())
-	}
-	if replayed != n.delsSince {
-		return fmt.Errorf("chaos: recovery of %s diverged: WAL replay produced %d deliveries, pre-crash run had %d",
-			n.id, replayed, n.delsSince)
-	}
-	return nil
-}
-
-func (n *node) recoverDurable() error {
 	fresh, err := n.rebuild()
 	if err != nil {
 		return err
@@ -271,22 +214,9 @@ func (n *node) recoverDurable() error {
 	}
 	n.eng = fresh
 	n.de = de
-	n.delsSince = 0
 	n.host()
 	if n.rebind != nil {
 		return n.rebind(fresh)
 	}
 	return nil
-}
-
-// closeDurable releases the backend at the end of a schedule, returning
-// its latched I/O error, if any.
-func (n *node) closeDurable() error {
-	if n.de == nil {
-		return nil
-	}
-	if n.down {
-		return nil // crashed at quiescence; already closed
-	}
-	return n.de.Close()
 }

@@ -90,18 +90,23 @@ func (r *Reader) Bool() bool { return r.d.byte() != 0 }
 // Count decodes a collection length, bounded against corrupt records.
 func (r *Reader) Count() int { return r.d.count() }
 
-// Entries decodes a count of width-byte entries and returns their bytes.
-// The count is bounded by the bytes left, not by Count's limit: it is for
-// an append-only log whose length follows the run, which a hot group's
-// delivery log passes within about a minute of a durable benchmark run.
-func (r *Reader) Entries(width int) []byte {
+// Bounded decodes the length of a collection whose entries take at least
+// minWidth bytes each. It is bounded by the bytes left, not by Count's
+// limit: it is for a collection whose length follows the run (a delivery
+// log, a delivered set), which a hot group passes within about a minute
+// of a durable benchmark run.
+func (r *Reader) Bounded(minWidth int) int {
 	n := r.d.uvarint()
-	if left := uint64(r.Len()); r.d.err == nil && n > left/uint64(width) {
-		r.Fail(fmt.Errorf("codec: %d entries of %d bytes exceed the %d bytes left at offset %d", n, width, left, r.d.off))
-		return nil
+	if left := uint64(r.Len()); r.d.err == nil && n > left/uint64(minWidth) {
+		r.Fail(fmt.Errorf("codec: %d entries of at least %d bytes exceed the %d bytes left at offset %d", n, minWidth, left, r.d.off))
+		return 0
 	}
-	return r.d.bytes(int(n) * width)
+	return int(n)
 }
+
+// Entries decodes a Bounded count of width-byte entries and returns their
+// bytes.
+func (r *Reader) Entries(width int) []byte { return r.d.bytes(r.Bounded(width) * width) }
 
 // BytesN decodes n raw bytes (a sub-record whose length came first).
 func (r *Reader) BytesN(n int) []byte { return r.d.bytes(n) }

@@ -461,3 +461,55 @@ func TestRouteAndDefaults(t *testing.T) {
 		t.Error("spec with no protocol accepted")
 	}
 }
+
+// TestDeliveredSetBeyondCountLimit: Skeen's delivered set and the
+// hierarchical engine's seen set are as long as the run, so a long-lived
+// group's record holds more ids than the codec's collection limit
+// (4 194 304) and must still read: the set's length is bounded by the
+// bytes the record holds, not by that limit.
+func TestDeliveredSetBeyondCountLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 16 MB record per protocol")
+	}
+	const n = 1<<22 + 1
+	for _, c := range []struct {
+		p  deploy.Protocol
+		at int // the offset of the set's length in the empty state's record
+	}{{deploy.Skeen, 3}, {deploy.Hierarchical, 1}} {
+		t.Run(c.p.Name(), func(t *testing.T) {
+			dep, err := deploy.New(deploy.Spec{Protocol: c.p, Groups: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := func() amcast.DeltaEngine {
+				eng, err := dep.NewEngine(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng.(amcast.DeltaEngine)
+			}
+			empty, _, err := fresh().AppendDelta(nil, nil, nil)
+			if err != nil || empty[c.at] != 0 {
+				t.Fatalf("empty record %x: %v", empty, err)
+			}
+			rec := binary.AppendUvarint(append([]byte(nil), empty[:c.at]...), n)
+			for id := uint64(1); id <= n; id++ {
+				rec = append(binary.AppendUvarint(rec, id), 1)
+			}
+			rec = append(rec, empty[c.at+1:]...)
+			eng := fresh()
+			if err := eng.ApplyDelta(rec); err != nil {
+				t.Fatalf("a record of %d ids: %v", n, err)
+			}
+			if got, _, err := eng.AppendDelta(nil, nil, nil); err != nil || !bytes.Equal(got, rec) {
+				t.Fatalf("the applied record re-encodes to %d bytes, not its own %d: %v", len(got), len(rec), err)
+			}
+			if err := fresh().ApplyDelta(append(rec, 0)); err == nil {
+				t.Fatal("a record with a trailing byte applied")
+			}
+			if err := fresh().ApplyDelta(rec[:len(rec)-1]); err == nil {
+				t.Fatal("a record one byte short applied")
+			}
+		})
+	}
+}

@@ -612,10 +612,9 @@ func (e *Engine) snapshot(start time.Time) error {
 func (e *Engine) Snapshot() amcast.Snapshot { return e.inner.Snapshot() }
 
 // Restore implements amcast.SnapshotEngine (forwarded). Restoring past
-// state rewinds neither the on-disk log nor the journal — it is a test-
-// harness seam (the chaos explorer's in-memory model), not a durability
-// operation — but it ends the checkpoint chain: the next checkpoint
-// snapshots.
+// state rewinds neither the on-disk log nor the journal — nothing
+// restores a wrapped engine; recovery is Wrap over the directory — but
+// it ends the checkpoint chain: the next checkpoint snapshots.
 func (e *Engine) Restore(s amcast.Snapshot) error {
 	e.mark = nil
 	return e.inner.Restore(s)

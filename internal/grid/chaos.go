@@ -15,12 +15,14 @@ import (
 // (chaos.RunSchedule). A violation fails the cell, and with it the grid
 // run, with a *Violation.
 //
-// The keys it reads are protocol, seed, clients, execute, durable,
-// locality (> 0: the WAN latency matrix and gTPC-C destinations),
-// flush_every_ms (the flush client's period) and trace_sample, plus
-// schedules, closed_loop, messages and chaos_bug. A
-// chaos cell is never timed, so duration_ms, warmup_ms, groups and
-// workers do not apply: the messages per client bound an exploration.
+// The keys it reads are protocol, seed, clients, execute, locality
+// (> 0: the WAN latency matrix and gTPC-C destinations), flush_every_ms
+// (the flush client's period) and trace_sample, plus schedules,
+// closed_loop, messages and chaos_bug. A chaos cell is never timed, so
+// duration_ms, warmup_ms, groups and workers do not apply: the messages
+// per client bound an exploration. It refuses durable: every crash
+// recovers from disk, and a schedule persists exactly the groups it
+// crashes.
 //
 // Metrics (sums over the schedules; stages in simulated nanoseconds):
 //

@@ -33,7 +33,7 @@ func TestChaosCellMatchesExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := chaos.Explore(d, chaos.Options{Seed: 4, Schedules: 10, Durable: true})
+	rep, err := chaos.Explore(d, chaos.Options{Seed: 4, Schedules: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +55,23 @@ func TestChaosCellMatchesExplore(t *testing.T) {
 		t.Fatalf("cell metrics differ from the exploration's report:\n got %v\nwant %v", got, want)
 	}
 	// The exploration is a function of its seed: these counts are pinned.
-	if rep.Multicasts != 350 || rep.Deliveries != 2465 || rep.Events != 24328 || f.TornTails != 7 {
+	if rep.Multicasts != 350 || rep.Deliveries != 2509 || rep.Events != 25371 || f.TornTails != 13 {
 		t.Fatalf("exploration moved: %+v", rep.Counts)
 	}
 }
 
-// TestChaosCellReproduce fails a durable chaos cell with the checker's
-// injected ordering bug, then runs each reproduce line it prints the
-// way flexgrid would: the named schedule must fail again with the very
-// error it failed with during the exploration. A replay that lost a key
-// of the cell (durable, say) would run a different schedule.
+// TestChaosCellReproduce fails a closed-loop chaos cell with the
+// checker's injected ordering bug, then runs each reproduce line it
+// prints the way flexgrid would: the named schedule must fail again with
+// the very error it failed with during the exploration. A replay that
+// lost a key of the cell (closed_loop, say) would run a different
+// schedule.
 func TestChaosCellReproduce(t *testing.T) {
 	spec := testSpec(t, `{
 		"schema": "flexgrid/experiments/v1",
 		"experiments": [
 			{"name": "bug", "kind": "chaos", "repeats": 1,
-			 "config": {"protocol": "flexcast", "schedules": 5, "durable": true, "chaos_bug": 1}},
+			 "config": {"protocol": "flexcast", "schedules": 5, "closed_loop": true, "chaos_bug": 1}},
 			{"name": "paper", "kind": "sim", "repeats": 1, "config": {"duration_ms": 100}}
 		]
 	}`)
@@ -105,6 +106,18 @@ func TestChaosCellReproduce(t *testing.T) {
 	for label, filter := range map[string]string{"no cell": `^none$`, "two cells": `.`, "a sim cell": `^paper$`} {
 		if _, err := RunSpec(spec, Options{Filter: regexp.MustCompile(filter), ReproSeed: 1}); err == nil {
 			t.Errorf("replay of %s accepted", label)
+		}
+	}
+}
+
+// TestScheduleCellsRejectDurable: a chaos or sim schedule persists
+// exactly the groups it crashes, so a cell that asks for durable fails
+// instead of ignoring it.
+func TestScheduleCellsRejectDurable(t *testing.T) {
+	for _, kind := range []string{"chaos", "sim"} {
+		_, err := runCell(Cell{Name: "c", Kind: kind, Params: map[string]any{"durable": true}}, 0, 0)
+		if err == nil || !strings.Contains(err.Error(), "durable is a load parameter") {
+			t.Errorf("%s cell with durable: %v", kind, err)
 		}
 	}
 }

@@ -97,6 +97,9 @@ func (p *cellParams) schedule(timed bool) (d chaos.Deployment, opt chaos.Options
 	if err != nil {
 		return d, opt, err
 	}
+	if p.load.Durable {
+		return d, opt, fmt.Errorf("durable is a load parameter: a schedule persists exactly the groups it crashes")
+	}
 	opt = chaos.Options{
 		Seed:          p.load.Seed,
 		Schedules:     p.Schedules,
@@ -108,7 +111,6 @@ func (p *cellParams) schedule(timed bool) (d chaos.Deployment, opt chaos.Options
 		GlobalOnly:    p.load.GlobalOnly,
 		ProcCostBase:  sim.Time(p.ProcCostUs),
 		ProcCostPerKB: p.ProcCostUsPerKB,
-		Durable:       p.load.Durable,
 		TraceSample:   p.load.TraceSample,
 		BugFlipEvery:  p.ChaosBug,
 	}

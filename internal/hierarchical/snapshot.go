@@ -78,7 +78,7 @@ func (e *Engine) ApplyDelta(record []byte) error {
 	if r.Err() == nil && n.g != e.g {
 		return fmt.Errorf("hierarchical: record of group %d applied to group %d", n.g, e.g)
 	}
-	nSeen := r.Count()
+	nSeen := r.Bounded(2) // an id and its flag
 	for i := 0; i < nSeen && r.Err() == nil; i++ {
 		// A false entry is absent, as the map lookup treated it.
 		if id := amcast.MsgID(r.Uvarint()); r.Bool() {

@@ -115,7 +115,7 @@ func (e *Engine) ApplyDelta(record []byte) error {
 		p.hasFinal = r.Bool()
 		n.pend[id] = p
 	}
-	nDel := r.Count()
+	nDel := r.Bounded(2) // an id and its flag
 	for i := 0; i < nDel && r.Err() == nil; i++ {
 		// A false entry is absent, as the map lookup treated it.
 		if id := amcast.MsgID(r.Uvarint()); r.Bool() {
