@@ -6,34 +6,59 @@ import (
 
 	"flexcast/internal/chaos"
 	"flexcast/internal/core"
-	"flexcast/internal/prototest"
 )
 
-// TestClosedWalkAgreesWithFullWalk checks the closed rule (DESIGN.md §4
-// deviation 5) under faults: on every canDeliver the explorer reaches —
-// duplicates of every envelope kind, retransmissions, partitions,
-// crash/recovery through the durable backend — and on
-// every canDeliver of the fig5 seed sweep, the walk that stops at closed
-// nodes answers what AnyBeforeUntil(m, open, delivered) answers over the
-// engine's own sets (core.WalkCheck).
-func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
-	var walks, shorter, disagree atomic.Int64
-	var first atomic.Pointer[core.WalkReport]
+// walkTally counts the walks core.WalkCheck reports while it is
+// installed: all of them, those the closed rule stopped earlier, and
+// those whose two answers disagree (the first kept for the report).
+type walkTally struct {
+	walks, shorter, disagree atomic.Int64
+	first                    atomic.Pointer[core.WalkReport]
+}
+
+// checkWalks installs a tally as core.WalkCheck until the test ends.
+func checkWalks(t *testing.T) *walkTally {
+	t.Helper()
+	w := new(walkTally)
 	check := func(r core.WalkReport) {
-		walks.Add(1)
+		w.walks.Add(1)
 		if r.PrunedNodes < r.FullNodes {
-			shorter.Add(1)
+			w.shorter.Add(1)
 		}
 		if r.Full != r.Pruned {
-			disagree.Add(1)
-			first.CompareAndSwap(nil, &r)
+			w.disagree.Add(1)
+			w.first.CompareAndSwap(nil, &r)
 		}
 	}
 	if !core.WalkCheck.CompareAndSwap(nil, &check) {
 		t.Fatal("a walk check is installed already")
 	}
 	t.Cleanup(func() { core.WalkCheck.Store(nil) })
+	return w
+}
 
+// require fails the test on a disagreeing walk, or when no walk was
+// checked or none was shortened by closed nodes.
+func (w *walkTally) require(t *testing.T) {
+	t.Helper()
+	if r := w.first.Load(); r != nil {
+		t.Fatalf("%d of %d walks disagree; first: %+v", w.disagree.Load(), w.walks.Load(), *r)
+	}
+	if w.walks.Load() == 0 || w.shorter.Load() == 0 {
+		t.Fatalf("%d walks, %d shortened by closed nodes: the check saw nothing to check", w.walks.Load(), w.shorter.Load())
+	}
+	t.Logf("%d walks agree, %d stopped earlier at closed nodes", w.walks.Load(), w.shorter.Load())
+}
+
+// TestClosedWalkAgreesWithFullWalk checks the closed rule (DESIGN.md §4
+// deviation 5) under faults: on every canDeliver the explorer reaches —
+// duplicates of every envelope kind, retransmissions, partitions,
+// crash/recovery through the durable backend — the walk that stops at
+// closed nodes answers what AnyBeforeUntil(m, open, delivered) answers
+// over the engine's own sets (core.WalkCheck). TestFig5SeedSweep runs
+// the same check over the fig5 seed sweep.
+func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
+	w := checkWalks(t)
 	d := flexDeployment(groups5)
 	for _, opt := range []chaos.Options{
 		{Seed: 1, Schedules: 30},
@@ -51,22 +76,5 @@ func TestClosedWalkAgreesWithFullWalk(t *testing.T) {
 			t.Fatalf("seed %d: no crashes or duplicates: %+v", opt.Seed, rep.Faults)
 		}
 	}
-	// The whole sweep without -race; under its slowdown, seeds 1–4 (the
-	// two historical ring seeds among them).
-	seeds := int64(32)
-	if prototest.RaceEnabled() {
-		seeds = 4
-	}
-	if !testing.Short() {
-		for seed := int64(1); seed <= seeds; seed++ {
-			requireClean(t, seed, fig5(t, seed, 250_000))
-		}
-	}
-	if r := first.Load(); r != nil {
-		t.Fatalf("%d of %d walks disagree; first: %+v", disagree.Load(), walks.Load(), *r)
-	}
-	if walks.Load() == 0 || shorter.Load() == 0 {
-		t.Fatalf("%d walks, %d shortened by closed nodes: the check saw nothing to check", walks.Load(), shorter.Load())
-	}
-	t.Logf("%d walks agree, %d stopped earlier at closed nodes", walks.Load(), shorter.Load())
+	w.require(t)
 }

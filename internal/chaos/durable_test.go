@@ -152,15 +152,35 @@ type amnesiac struct{ amcast.SnapshotEngine }
 
 func (amnesiac) Restore(amcast.Snapshot) error { return nil }
 
+// counting counts the envelopes its engine is handed.
+type counting struct {
+	amcast.SnapshotEngine
+	steps int
+}
+
+func (c *counting) OnEnvelope(env amcast.Envelope) []amcast.Output {
+	c.steps++
+	return c.SnapshotEngine.OnEnvelope(env)
+}
+
 // TestRecoveryDivergenceFails: the byte-equality audit is what proves a
 // recovery complete, so a recovered engine that lost state must fail
-// its schedule, naming the divergence.
+// its schedule, naming the divergence. The failed group stays down:
+// the engine it crashed with is not stepped after its recovery was
+// built (nor is the rejected one installed).
 func TestRecoveryDivergenceFails(t *testing.T) {
 	d := skeenDeployment(groups5)
 	build := d.NewEngine
+	built := map[amcast.GroupID][]*counting{}
+	stepsAtRebuild := map[amcast.GroupID]int{}
 	d.NewEngine = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
 		eng, err := build(g)
-		return amnesiac{eng}, err
+		c := &counting{SnapshotEngine: amnesiac{eng}}
+		if len(built[g]) == 1 {
+			stepsAtRebuild[g] = built[g][0].steps
+		}
+		built[g] = append(built[g], c)
+		return c, err
 	}
 	res, err := chaos.RunSchedule(d, chaos.Options{Seed: 1, SnapshotEvery: 1, Crashes: 3}, 1)
 	if err != nil {
@@ -168,5 +188,13 @@ func TestRecoveryDivergenceFails(t *testing.T) {
 	}
 	if res.Faults.Crashes == 0 || res.Err == nil || !strings.Contains(res.Err.Error(), "diverged from the crashed engine's final state") {
 		t.Fatalf("%d crashes of a lossy engine: %v", res.Faults.Crashes, res.Err)
+	}
+	if len(stepsAtRebuild) == 0 {
+		t.Fatal("no group was rebuilt")
+	}
+	for g, at := range stepsAtRebuild {
+		if got := built[g][0].steps; got != at {
+			t.Errorf("group %d: its crashed engine took %d envelopes after the recovery was built", g, got-at)
+		}
 	}
 }

@@ -512,7 +512,9 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 		s.ScheduleAt(w.end, func() {
 			inj.stats.Parked += r.net.Parked(gnode)
 			if err := n.Recover(); err != nil {
+				// The group stays crashed: its traffic stays parked.
 				r.fail(err)
+				return
 			}
 			r.net.RestartNode(gnode)
 		})

@@ -5,7 +5,9 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/chaos"
+	"flexcast/internal/core"
 	"flexcast/internal/deploy"
+	"flexcast/internal/prototest"
 	"flexcast/internal/sim"
 	"flexcast/internal/trace"
 	"flexcast/internal/wan"
@@ -140,11 +142,25 @@ func TestFig5RingWithoutFlushGC(t *testing.T) {
 // group's inversion, and the duplicate-NOTIF fold suppresses the one
 // late re-certification. The widened sweep (4× the pre-fix range)
 // guards the fix against timing-sensitive recurrence.
+//
+// The sweep also checks the closed rule (core.WalkCheck, as in
+// TestClosedWalkAgreesWithFullWalk) on every canDeliver: of the whole
+// sweep without -race; under its slowdown, of seeds 1–4 (the two
+// historical ring seeds among them).
 func TestFig5SeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig5-scale seed sweep; skipped in -short")
 	}
+	walked := int64(32)
+	if prototest.RaceEnabled() {
+		walked = 4
+	}
+	w := checkWalks(t)
 	for seed := int64(1); seed <= 32; seed++ {
+		if seed == walked+1 {
+			core.WalkCheck.Store(nil)
+		}
 		requireClean(t, seed, fig5(t, seed, 250_000))
 	}
+	w.require(t)
 }

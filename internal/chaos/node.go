@@ -181,12 +181,13 @@ func (n *node) TearTail() error {
 // detected and discarded, the replay length must stay within the
 // snapshot cadence, and the recovered state must equal the crashed
 // engine's final state byte for byte. Outputs the replay regenerates are
-// suppressed: they were already transmitted.
+// suppressed: they were already transmitted. A recovery that fails an
+// audit is closed and the node stays down: neither the rejected engine
+// nor the crashed one is stepped again.
 func (n *node) Recover() error {
 	if !n.down {
 		return fmt.Errorf("chaos: recover of live node %s", n.id)
 	}
-	n.down = false
 	fresh, err := n.rebuild()
 	if err != nil {
 		return err
@@ -195,7 +196,22 @@ func (n *node) Recover() error {
 	if err != nil {
 		return err
 	}
-	st := de.Recovery()
+	if err := n.auditRecovery(fresh, de.Recovery()); err != nil {
+		de.Close()
+		return err
+	}
+	n.down = false
+	n.eng = fresh
+	n.de = de
+	n.host()
+	if n.rebind != nil {
+		return n.rebind(fresh)
+	}
+	return nil
+}
+
+// auditRecovery runs Recover's three audits on a recovered engine.
+func (n *node) auditRecovery(fresh amcast.SnapshotEngine, st durable.RecoveryStats) error {
 	if n.tornPending && st.TornTailBytes == 0 {
 		return fmt.Errorf("chaos: torn WAL tail injected at %s but recovery discarded nothing", n.id)
 	}
@@ -211,12 +227,6 @@ func (n *node) Recover() error {
 	if !bytes.Equal(got, n.preCrash) {
 		return fmt.Errorf("chaos: recovery of %s diverged from the crashed engine's final state (%d vs %d snapshot bytes)",
 			n.id, len(got), len(n.preCrash))
-	}
-	n.eng = fresh
-	n.de = de
-	n.host()
-	if n.rebind != nil {
-		return n.rebind(fresh)
 	}
 	return nil
 }

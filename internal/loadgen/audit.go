@@ -7,15 +7,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"flexcast/amcast"
 	"flexcast/internal/deploy"
+	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/store"
 )
 
 // auditExecution runs the post-drain execute-mode checks and assembles
-// the execution measurement.
+// the execution measurement. Each group's replicas are hashed on the
+// run's workers (eachGroup); the digests, invariants and totals are then
+// combined in group order, so the result is the sequential one.
 func (r *run) auditExecution() (*ExecuteResult, error) {
 	if n := r.execDiverged.Load(); n > 0 {
 		return nil, fmt.Errorf("loadgen: %d transactions received diverging verdicts across involved groups", n)
@@ -23,28 +30,31 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 	if n := r.execNoVerdict.Load(); n > 0 {
 		return nil, fmt.Errorf("loadgen: %d replies carried no execution verdict (a shard skipped executing a transaction)", n)
 	}
-	execs := r.proto.Executors
-	if len(execs) == 0 {
+	if len(r.proto.Executors) == 0 {
 		return nil, fmt.Errorf("loadgen: execute mode deployed no store executors")
+	}
+	groups := r.proto.Groups
+	digests := make([][32]byte, len(groups))
+	if err := eachGroup(len(groups), func(i int) (err error) {
+		if digests[i], err = r.proto.Executors[groups[i]].AuditDigest(); err != nil {
+			return fmt.Errorf("loadgen: group %d: %w", groups[i], err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	res := &ExecuteResult{
 		PerType: make(map[string]*TxTypeStats),
-		Shards:  len(execs),
+		Shards:  len(r.proto.Executors),
 	}
-	shards := make([]*store.Shard, 0, len(execs))
+	shards := make([]*store.Shard, len(groups))
 	global := sha256.New()
 	var banked int64
-	for _, g := range r.proto.Groups {
-		ex := execs[g]
-		if err := ex.CheckMirror(); err != nil {
-			return nil, err
-		}
-		sh := ex.Shard()
-		shards = append(shards, sh)
-		d := sh.Digest()
-		global.Write(d[:])
-		banked += sh.Totals().WarehouseYTD
-		res.TxApplied += sh.Applied()
+	for i, g := range groups {
+		shards[i] = r.proto.Executors[g].Shard()
+		global.Write(digests[i][:])
+		banked += shards[i].Totals().WarehouseYTD
+		res.TxApplied += shards[i].Applied()
 	}
 	res.ReplicaDigestsOK = true
 	if err := store.CheckInvariants(shards); err != nil {
@@ -77,15 +87,35 @@ func (r *run) auditExecution() (*ExecuteResult, error) {
 	return res, nil
 }
 
+// eachGroup runs f(0) … f(n-1) on min(GOMAXPROCS, n) goroutines and
+// returns the error of the lowest index that failed: the one a loop over
+// the groups in order would have stopped at.
+func eachGroup(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(goruntime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // verifyDurableRecovery is the -durable run's ending, called once the
-// nodes have stopped: for every group, close the durable engine (which
-// waits for its persist job in flight), copy the on-disk state as it
-// stands — the image a kill -9 would leave, since WAL appends hit the
-// page cache unbuffered — recover it into a fresh executor, and check
-// that (a) the recovered shard digest is byte-identical to the live one
-// and (b) the replay length equals the live engine's records since its
-// last checkpoint, i.e. recovery work is bounded by checkpoint age, not
-// run length. Either check failing fails the run.
+// nodes have stopped: every group's crash image is recovered and checked
+// (verifyGroupRecovery), one group per worker (eachGroup), and the
+// per-group statistics are summed in group order.
 func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	// The recovering stack is the live one over the crash images: no
 	// mirror or followers to populate, and it only reads, so never fsyncs.
@@ -96,56 +126,78 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	}
 	defer os.RemoveAll(images)
 	cfg.Replicas, cfg.DurableDir, cfg.DurableFsyncEvery = 1, images, -1
-	fresh, err := assemble(cfg, false)
-	if err != nil {
+	stats := make([]durable.RecoveryStats, len(r.proto.Groups))
+	if err := eachGroup(len(stats), func(i int) (err error) {
+		stats[i], err = r.verifyGroupRecovery(cfg, r.proto.Groups[i])
+		return err
+	}); err != nil {
 		return nil, err
 	}
+	return durableResult(stats), nil
+}
+
+// verifyGroupRecovery closes group g's durable engine (which waits for
+// its persist job in flight), copies its on-disk state as it stands —
+// the image a kill -9 would leave, since WAL appends hit the page cache
+// unbuffered — into cfg.DurableDir, recovers it into an executor of a
+// deployment of its own, and checks that (a) the recovered shard digest
+// is byte-identical to the live one and (b) the replay length equals the
+// live engine's records since its last checkpoint, i.e. recovery work is
+// bounded by checkpoint age, not run length. Either check failing fails
+// the run.
+func (r *run) verifyGroupRecovery(cfg Config, g amcast.GroupID) (durable.RecoveryStats, error) {
+	var stats durable.RecoveryStats
+	de, live := r.proto.Durables[g], r.proto.Executors[g]
+	if de == nil || live == nil {
+		return stats, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
+	}
+	if err := de.Close(); err != nil {
+		return stats, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
+	}
+	if err := copyDirImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(cfg.DurableDir, g)); err != nil {
+		return stats, err
+	}
+	fresh, err := assemble(cfg, false)
+	if err != nil {
+		return stats, err
+	}
+	if _, err := fresh.NewEngine(g); err != nil {
+		return stats, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
+	}
+	rde := fresh.Durables[g]
+	stats = rde.Recovery()
+	rde.Close()
+	if got, want := fresh.Executors[g].Shard().Digest(), live.Shard().Digest(); got != want {
+		return stats, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
+	}
+	if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
+		return stats, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last checkpoint (checkpoint age does not bound recovery)",
+			g, stats.ReplayedEnvelopes, since)
+	}
+	return stats, nil
+}
+
+// durableResult sums the groups' recovery statistics, in group order.
+func durableResult(stats []durable.RecoveryStats) *DurableResult {
 	res := &DurableResult{DigestsMatch: true}
 	var totalElapsed time.Duration
-	for _, g := range r.proto.Groups {
-		de := r.proto.Durables[g]
-		live := r.proto.Executors[g]
-		if de == nil || live == nil {
-			return nil, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
-		}
-		if err := de.Close(); err != nil {
-			return nil, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
-		}
-		if err := copyDirImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(images, g)); err != nil {
-			return nil, err
-		}
-		if _, err := fresh.NewEngine(g); err != nil {
-			return nil, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
-		}
-		rde := fresh.Durables[g]
-		stats := rde.Recovery()
-		rde.Close()
-
-		if got, want := fresh.Executors[g].Shard().Digest(), live.Shard().Digest(); got != want {
-			return nil, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
-		}
-		if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
-			return nil, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last checkpoint (checkpoint age does not bound recovery)",
-				g, stats.ReplayedEnvelopes, since)
-		}
+	for _, st := range stats {
 		res.Groups++
-		if stats.SnapshotEpoch > 0 {
+		if st.SnapshotEpoch > 0 {
 			res.SnapshottedGroups++
 		}
-		res.Checkpoints += stats.Checkpoints
-		res.ReplayedEnvelopes += stats.ReplayedEnvelopes
-		res.MaxReplayedEnvelopes = max(res.MaxReplayedEnvelopes, stats.ReplayedEnvelopes)
-		res.MaxReplayedBytes = max(res.MaxReplayedBytes, stats.ReplayedBytes)
-		res.TornTailBytes += stats.TornTailBytes
-		totalElapsed += stats.Elapsed
-		if us := stats.Elapsed.Microseconds(); us > res.RecoveryMaxUs {
-			res.RecoveryMaxUs = us
-		}
+		res.Checkpoints += st.Checkpoints
+		res.ReplayedEnvelopes += st.ReplayedEnvelopes
+		res.MaxReplayedEnvelopes = max(res.MaxReplayedEnvelopes, st.ReplayedEnvelopes)
+		res.MaxReplayedBytes = max(res.MaxReplayedBytes, st.ReplayedBytes)
+		res.TornTailBytes += st.TornTailBytes
+		totalElapsed += st.Elapsed
+		res.RecoveryMaxUs = max(res.RecoveryMaxUs, st.Elapsed.Microseconds())
 	}
 	if res.Groups > 0 {
 		res.RecoveryMeanUs = float64(totalElapsed.Microseconds()) / float64(res.Groups)
 	}
-	return res, nil
+	return res
 }
 
 // copyDirImage copies one group's durable directory into the crash

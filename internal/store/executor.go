@@ -165,11 +165,24 @@ func (e *Executor) CheckMirror() error {
 	if e.mirror == nil {
 		return nil
 	}
-	if a, b := e.shard.Digest(), e.mirror.Digest(); a != b {
-		return fmt.Errorf("store: warehouse %d replica digests diverged (%x != %x): Apply is not deterministic",
+	_, err := e.AuditDigest()
+	return err
+}
+
+// AuditDigest returns the live shard's digest after checking it against
+// the mirror's, if there is one: each replica is hashed once.
+func (e *Executor) AuditDigest() ([32]byte, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	a := e.shard.Digest()
+	if e.mirror == nil {
+		return a, nil
+	}
+	if b := e.mirror.Digest(); a != b {
+		return a, fmt.Errorf("store: warehouse %d replica digests diverged (%x != %x): Apply is not deterministic",
 			e.shard.Warehouse(), a[:8], b[:8])
 	}
-	return nil
+	return a, nil
 }
 
 // Group implements amcast.Engine.

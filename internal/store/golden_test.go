@@ -1,10 +1,13 @@
 package store
 
 import (
+	"encoding/hex"
 	"flag"
+	"slices"
 	"testing"
 
 	"flexcast/amcast"
+	"flexcast/internal/gtpcc"
 	"flexcast/internal/prototest"
 )
 
@@ -33,4 +36,74 @@ func TestSnapshotMatchesGolden(t *testing.T) {
 		}
 	}
 	prototest.MatchGolden(t, "testdata/snapshot.golden", *updateGolden, encs)
+}
+
+// goldenShardDigests is Shard.Digest of warehouses 1, 2 and 3 (store
+// seed 7) after equivStream(23, 5000), recorded from the word-at-a-time
+// encoder that hashed the shard through a variadic closure: the bytes a
+// digest covers are the replica and recovery comparisons' contract, so
+// a faster encoder must hash exactly them.
+var goldenShardDigests = []string{
+	"4a3040bfda8f9af6cd91b86cd989abb0f59619d2ba76c37cde8a4e72401a63b6",
+	"0ecdae01000191f0d2058a1b6de7e818cea15576b50a4e4e8671f6b848bad8b9",
+	"5981065b8cbbe085a7b0933b1e86680185e94e963237325501949af9695fffb7",
+}
+
+// TestDigestMatchesGolden pins the digest's input bytes over a stream
+// that leaves every section of the encoding populated: stock and
+// customer rows, undelivered orders with their lines, and stock ordered
+// from remote warehouses.
+func TestDigestMatchesGolden(t *testing.T) {
+	shards := make([]*Shard, len(equivWarehouses))
+	for i, w := range equivWarehouses {
+		shards[i] = MustNew(Config{Warehouse: w, Seed: 7})
+	}
+	for _, m := range equivStream(23, 5000) {
+		for _, g := range m.Dst {
+			s := shards[slices.Index(equivWarehouses, g)]
+			s.Apply(amcast.Delivery{Group: g, Seq: s.Applied(), Msg: m}, nil)
+		}
+	}
+	for i, s := range shards {
+		if len(s.pending) == 0 || len(s.orderedFrom) == 0 {
+			t.Fatalf("warehouse %d: %d undelivered orders, %d remote suppliers: the stream leaves a section empty",
+				s.Warehouse(), len(s.pending), len(s.orderedFrom))
+		}
+		d := s.Digest()
+		if got := hex.EncodeToString(d[:]); got != goldenShardDigests[i] {
+			t.Errorf("warehouse %d: digest %s, want %s", s.Warehouse(), got, goldenShardDigests[i])
+		}
+	}
+}
+
+// TestDigestOrderLargerThanBuffer: a payload may carry more order lines
+// than Digest's buffer holds words (a decoded count is bounded only by
+// the payload's size); such an order is hashed, not refused.
+func TestDigestOrderLargerThanBuffer(t *testing.T) {
+	s := MustNew(Config{Warehouse: 1})
+	lines := make([]gtpcc.OrderLine, 5000)
+	for i := range lines {
+		lines[i] = gtpcc.OrderLine{Item: int32(i), Supply: 1, Qty: 1}
+	}
+	tx := gtpcc.Tx{Type: gtpcc.NewOrder, Home: 1, Items: len(lines), Lines: lines}
+	s.Apply(deliver(1, 0, 1, tx), nil)
+	if len(s.pending) != 1 || s.Digest() != s.Clone().Digest() {
+		t.Fatalf("%d undelivered orders; a clone's digest must equal the shard's", len(s.pending))
+	}
+}
+
+// BenchmarkShardDigest digests a warehouse holding the undelivered
+// orders of a 200k-transaction stream.
+func BenchmarkShardDigest(b *testing.B) {
+	s := MustNew(Config{Warehouse: equivWarehouses[0]})
+	for _, m := range equivStream(23, 200000) {
+		if slices.Contains(m.Dst, s.Warehouse()) {
+			s.Apply(amcast.Delivery{Group: s.Warehouse(), Seq: s.Applied(), Msg: m}, nil)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Digest()
+	}
 }

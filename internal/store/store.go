@@ -34,7 +34,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"flexcast/amcast"
@@ -450,48 +452,95 @@ func (s *Shard) Clone() *Shard {
 
 // Digest returns a SHA-256 over the shard's canonical serialization:
 // replicas of a group (and recovery replays) must agree byte-for-byte.
+// The words are little-endian uint64s appended to one buffer, which is
+// hashed each time it fills: a Write per word costs more than the hash.
 func (s *Shard) Digest() [32]byte {
-	h := sha256.New()
-	// Hashed through a buffer: a Write per word costs more than the hash.
-	buf := make([]byte, 0, 4096)
-	le := func(vs ...uint64) {
-		for _, v := range vs {
-			if len(buf) == cap(buf) {
-				h.Write(buf)
-				buf = buf[:0]
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
-	}
-	le(uint64(uint32(s.cfg.Warehouse)), uint64(s.cfg.Items), uint64(s.cfg.Customers), uint64(s.cfg.Seed))
-	le(s.applied, uint64(s.ytd), uint64(s.paidTotal), s.delivered, uint64(s.deliveredSum),
-		s.nextOrder, uint64(s.refills))
+	d := digestBuf{h: sha256.New(), buf: make([]byte, 0, 32<<10)}
+	d.room(11)
+	d.put(uint64(uint32(s.cfg.Warehouse)))
+	d.put(uint64(s.cfg.Items))
+	d.put(uint64(s.cfg.Customers))
+	d.put(uint64(s.cfg.Seed))
+	d.put(s.applied)
+	d.put(uint64(s.ytd))
+	d.put(uint64(s.paidTotal))
+	d.put(s.delivered)
+	d.put(uint64(s.deliveredSum))
+	d.put(s.nextOrder)
+	d.put(uint64(s.refills))
 	for i := range s.stockQty {
-		le(uint64(uint32(s.stockQty[i])), uint64(s.stockYTD[i]), uint64(uint32(s.stockCnt[i])))
+		d.room(3)
+		d.put(uint64(uint32(s.stockQty[i])))
+		d.put(uint64(s.stockYTD[i]))
+		d.put(uint64(uint32(s.stockCnt[i])))
 	}
 	for c := range s.balance {
-		le(uint64(s.balance[c]), uint64(s.ytdPaid[c]), uint64(uint32(s.payCnt[c])), uint64(s.lastOrder[c]))
+		d.room(4)
+		d.put(uint64(s.balance[c]))
+		d.put(uint64(s.ytdPaid[c]))
+		d.put(uint64(uint32(s.payCnt[c])))
+		d.put(uint64(s.lastOrder[c]))
 	}
-	le(uint64(len(s.pending)))
+	d.room(1)
+	d.put(uint64(len(s.pending)))
 	for i, o := range s.pending {
-		le(s.delivered+uint64(i), uint64(uint32(o.cust)), uint64(o.total), uint64(len(o.lines)))
+		d.room(4)
+		d.put(s.delivered + uint64(i))
+		d.put(uint64(uint32(o.cust)))
+		d.put(uint64(o.total))
+		d.put(uint64(len(o.lines)))
 		for _, l := range o.lines {
-			le(uint64(uint32(l.Item)), uint64(uint32(l.Supply)), uint64(uint32(l.Qty)))
+			d.room(3)
+			d.put(uint64(uint32(l.Item)))
+			d.put(uint64(uint32(l.Supply)))
+			d.put(uint64(uint32(l.Qty)))
 		}
 	}
 	ws := make([]amcast.GroupID, 0, len(s.orderedFrom))
 	for w := range s.orderedFrom {
 		ws = append(ws, w)
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	le(uint64(len(ws)))
+	slices.Sort(ws)
+	d.room(1)
+	d.put(uint64(len(ws)))
 	for _, w := range ws {
-		le(uint64(uint32(w)), uint64(s.orderedFrom[w]))
+		d.room(2)
+		d.put(uint64(uint32(w)))
+		d.put(uint64(s.orderedFrom[w]))
 	}
-	h.Write(buf)
+	d.h.Write(d.buf)
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	d.h.Sum(out[:0])
 	return out
+}
+
+// digestBuf is Digest's buffer in front of its hash. A section reserves
+// room for its words, then puts them without a capacity check each.
+type digestBuf struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// room hashes and empties the buffer unless n more words fit; n must be
+// at most its capacity.
+func (d *digestBuf) room(n int) {
+	if len(d.buf)+8*n > cap(d.buf) {
+		d.flush()
+	}
+}
+
+// flush is kept out of line so that room inlines into the row loops.
+//
+//go:noinline
+func (d *digestBuf) flush() {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
+}
+
+func (d *digestBuf) put(v uint64) {
+	n := len(d.buf)
+	d.buf = d.buf[:n+8]
+	binary.LittleEndian.PutUint64(d.buf[n:], v)
 }
 
 // Totals is the shard's contribution to the cross-shard invariants.
