@@ -383,7 +383,7 @@ func (e *Engine) OnEnvelope(env amcast.Envelope) []amcast.Output {
 // carry consolidated history diffs. Deliveries and outputs remain a
 // deterministic function of the batch sequence (what state machine
 // replication requires); the per-envelope execution stays available
-// through OnEnvelope and is what the simulator and chaos explorer run.
+// through OnEnvelope, which a batch of one envelope equals.
 // TestBatchStepSafety validates chunked executions against the full
 // multicast specification.
 func (e *Engine) BatchStep(envs []amcast.Envelope) []amcast.Output {

@@ -19,9 +19,9 @@ type tap struct {
 	outs []amcast.Output
 }
 
-func (tp *tap) OnEnvelope(env amcast.Envelope) []amcast.Output {
-	tp.in = append(tp.in, env)
-	outs := tp.Engine.OnEnvelope(env)
+func (tp *tap) BatchStep(envs []amcast.Envelope) []amcast.Output {
+	tp.in = append(tp.in, envs...)
+	outs := tp.Engine.BatchStep(envs)
 	tp.outs = append(tp.outs, outs...)
 	return outs
 }

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 )
 
 // TearTail appends the prefix of a valid record — cut mid-frame — to the
@@ -60,4 +62,46 @@ func TruncateLastRecord(dir string) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// CopyImage copies the regular files of a durable directory into dst,
+// creating it: the crash image a recovery check owns (recovering in
+// place would race the live engine's open WAL) or a crash test mutates,
+// leaving the original for the next variant. File to file, so that the
+// kernel does the copying: a journal is tens of megabytes after a few
+// seconds.
+func CopyImage(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, ent := range ents {
+		if ent.IsDir() {
+			continue
+		}
+		if err := copyFile(filepath.Join(src, ent.Name()), filepath.Join(dst, ent.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func copyFile(src, dst string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(out, in); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -312,21 +311,12 @@ func feedBatches(eng amcast.SnapshotEngine, inputs []amcast.Envelope, batch int)
 	}
 }
 
+// copyDir copies a durable directory into a fresh crash image.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
-	if err != nil {
+	if err := CopyImage(src, dst); err != nil {
 		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return dst
 }

@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -154,7 +152,7 @@ func (r *run) verifyGroupRecovery(cfg Config, g amcast.GroupID) (durable.Recover
 	if err := de.Close(); err != nil {
 		return stats, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
 	}
-	if err := copyDirImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(cfg.DurableDir, g)); err != nil {
+	if err := durable.CopyImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(cfg.DurableDir, g)); err != nil {
 		return stats, err
 	}
 	fresh, err := assemble(cfg, false)
@@ -198,44 +196,4 @@ func durableResult(stats []durable.RecoveryStats) *DurableResult {
 		res.RecoveryMeanUs = float64(totalElapsed.Microseconds()) / float64(res.Groups)
 	}
 	return res
-}
-
-// copyDirImage copies one group's durable directory into the crash
-// image the recovery verification owns (recovering in place would race
-// the live engine's open WAL). File to file, so that the kernel does the
-// copying: a journal is tens of megabytes after a few seconds.
-func copyDirImage(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		if err := copyFile(filepath.Join(src, ent.Name()), filepath.Join(dst, ent.Name())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

@@ -17,19 +17,8 @@ import (
 func CheckBinarySnapshot(t *testing.T, eng, fresh amcast.SnapshotEngine, decode func([]byte) (amcast.Snapshot, error)) []byte {
 	t.Helper()
 	snap := eng.Snapshot()
-	bs, ok := snap.(amcast.BinarySnapshot)
-	if !ok {
-		t.Fatalf("prototest: snapshot %T has no binary form", snap)
-	}
-	data, err := bs.MarshalBinary()
-	if err != nil {
-		t.Fatalf("prototest: marshal snapshot: %v", err)
-	}
-	again, err := bs.MarshalBinary()
-	if err != nil {
-		t.Fatalf("prototest: re-marshal snapshot: %v", err)
-	}
-	if !bytes.Equal(data, again) {
+	data := snapshotBytes(t, snap)
+	if again := snapshotBytes(t, snap); !bytes.Equal(data, again) {
 		t.Fatalf("prototest: snapshot encoding is not canonical: %d vs %d bytes differ", len(data), len(again))
 	}
 	dec, err := decode(data)
@@ -42,17 +31,24 @@ func CheckBinarySnapshot(t *testing.T, eng, fresh amcast.SnapshotEngine, decode 
 	if err := fresh.Restore(dec); err != nil {
 		t.Fatalf("prototest: restore decoded snapshot: %v", err)
 	}
-	re, ok := fresh.Snapshot().(amcast.BinarySnapshot)
-	if !ok {
-		t.Fatalf("prototest: restored engine snapshot has no binary form")
-	}
-	data2, err := re.MarshalBinary()
-	if err != nil {
-		t.Fatalf("prototest: marshal restored snapshot: %v", err)
-	}
-	if !bytes.Equal(data, data2) {
+	if data2 := snapshotBytes(t, fresh.Snapshot()); !bytes.Equal(data, data2) {
 		t.Fatalf("prototest: group %d decode+restore+re-marshal diverged: %d bytes vs %d — the codec misses state",
 			snap.SnapshotGroup(), len(data), len(data2))
+	}
+	return data
+}
+
+// snapshotBytes returns a snapshot's canonical encoding: an engine's
+// state as bytes.
+func snapshotBytes(t *testing.T, snap amcast.Snapshot) []byte {
+	t.Helper()
+	bs, ok := snap.(amcast.BinarySnapshot)
+	if !ok {
+		t.Fatalf("prototest: snapshot %T has no binary form", snap)
+	}
+	data, err := bs.MarshalBinary()
+	if err != nil {
+		t.Fatalf("prototest: marshal snapshot: %v", err)
 	}
 	return data
 }

@@ -2,59 +2,16 @@ package prototest
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"flexcast/amcast"
 	"flexcast/internal/durable"
-	"flexcast/internal/sim"
 )
-
-// engineState fingerprints an engine as its canonical snapshot bytes.
-func engineState(t *testing.T, eng amcast.SnapshotEngine) []byte {
-	t.Helper()
-	bs, ok := eng.Snapshot().(amcast.BinarySnapshot)
-	if !ok {
-		t.Fatalf("prototest: engine %T snapshot has no binary form", eng)
-	}
-	data, err := bs.MarshalBinary()
-	if err != nil {
-		t.Fatalf("prototest: marshal engine state: %v", err)
-	}
-	return data
-}
-
-// copyCrashImage clones a durable directory — the kill -9 image the
-// recovery variants mutate and recover from, leaving the original
-// untouched for the next variant.
-func copyCrashImage(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		if !ent.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
 
 // RunDurableReplay is RunSnapshotReplay's on-disk sibling: the random
 // workload runs with every engine wrapped in the real durable backend
-// (WAL appends, snapshot rotation on the given cadence), and at
+// (WAL appends, snapshot rotation on the given cadence; a stepped node
+// appends each input as a batch of one, as production does), and at
 // quiescence each group's directory — the exact image a kill -9 would
 // leave — is recovered into fresh engines under three crash shapes:
 //
@@ -70,99 +27,56 @@ func copyCrashImage(t *testing.T, src string) string {
 // path mishandles a crash artifact.
 func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcast.Snapshot, error), snapshotEvery int) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := sim.New()
-	root := t.TempDir()
-
-	type durTap struct {
-		de  *durable.Engine
-		dir string
-		log []amcast.Envelope
-	}
-	taps := make(map[amcast.GroupID]*durTap, len(cfg.Groups))
-
-	lat := make(map[[2]amcast.NodeID]sim.Time)
-	latency := func(from, to amcast.NodeID) sim.Time {
-		key := [2]amcast.NodeID{from, to}
-		l, ok := lat[key]
-		if !ok {
-			l = sim.Time(100 + rng.Intn(1900))
-			lat[key] = l
-		}
-		return l
-	}
-	net := sim.NewNetwork(s, latency)
-	for _, g := range cfg.Groups {
-		g := g
-		eng, ok := cfg.Factory(g).(amcast.SnapshotEngine)
-		if !ok {
-			t.Fatalf("prototest: engine for group %d does not implement amcast.SnapshotEngine", g)
-		}
-		dir := filepath.Join(root, fmt.Sprintf("group-%d", g))
-		de, err := durable.Wrap(eng, durable.Options{
+	open := func(g amcast.GroupID, dir string) *durable.Engine {
+		de, err := durable.Wrap(snapshotEngine(t, cfg.Factory(g)), durable.Options{
 			Dir:           dir,
 			SnapshotEvery: snapshotEvery,
 			FsyncEvery:    -1,
 			Decode:        decode,
 		})
 		if err != nil {
-			t.Fatalf("prototest: durable wrap for group %d: %v", g, err)
+			t.Fatalf("prototest: durable backend of group %d in %s: %v", g, dir, err)
 		}
-		tap := &durTap{de: de, dir: dir}
-		taps[g] = tap
-		net.Register(amcast.GroupNode(g), sim.HandlerFunc(func(env amcast.Envelope) {
-			tap.log = append(tap.log, env)
-			for _, out := range de.OnEnvelope(env) {
-				net.Send(amcast.GroupNode(g), out.To, out.Env)
-			}
-			de.TakeDeliveries()
-		}))
+		return de
 	}
-	for c := 0; c < cfg.Clients; c++ {
-		cid := amcast.ClientNode(c)
-		net.Register(cid, sim.HandlerFunc(func(env amcast.Envelope) {}))
-		for i := 0; i < cfg.Messages; i++ {
-			m := cfg.message(c, i, rng)
-			at := sim.Time(rng.Int63n(50_000))
-			s.ScheduleAt(at, func() {
-				for _, to := range cfg.Route(m) {
-					net.Send(cid, to, amcast.Envelope{Kind: amcast.KindRequest, From: cid, Msg: m})
-				}
-			})
-		}
-	}
-	s.Run()
+	dirs := make(map[amcast.GroupID]string, len(cfg.Groups))
+	w := newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine {
+		dirs[g] = t.TempDir()
+		return open(g, dirs[g])
+	}, nil)
+	w.keep = true
+	w.simulate(cfg, 0, false)
 
 	recoverImage := func(g amcast.GroupID, dir string) (amcast.SnapshotEngine, durable.RecoveryStats) {
-		fresh, _ := cfg.Factory(g).(amcast.SnapshotEngine)
-		de, err := durable.Wrap(fresh, durable.Options{
-			Dir:           dir,
-			SnapshotEvery: snapshotEvery,
-			FsyncEvery:    -1,
-			Decode:        decode,
-		})
-		if err != nil {
-			t.Fatalf("prototest: recover group %d from %s: %v", g, dir, err)
-		}
-		st := de.Recovery()
+		de := open(g, dir)
 		de.Close()
-		return fresh, st
+		return de.Inner(), de.Recovery()
+	}
+	// crashImage clones a group's directory — the kill -9 image a
+	// variant mutates and recovers from, leaving the original for the
+	// next variant.
+	crashImage := func(g amcast.GroupID) string {
+		dir := t.TempDir()
+		if err := durable.CopyImage(dirs[g], dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
 
 	for _, g := range cfg.Groups {
-		tap := taps[g]
+		de := w.engines[g].(*durable.Engine)
 		// Close before imaging: it waits for the persist job in flight, so
 		// the copy is a finished directory and replay is bounded by the
 		// last captured snapshot.
-		if err := tap.de.Close(); err != nil {
+		if err := de.Close(); err != nil {
 			t.Fatalf("prototest: durable backend of group %d: %v", g, err)
 		}
-		live := engineState(t, tap.de.Inner())
-		since := tap.de.SinceSnapshot()
+		live := snapshotBytes(t, de.Inner().Snapshot())
+		since := de.SinceSnapshot()
 
 		// Clean kill -9 image: full state back, replay bounded by the
 		// snapshot age.
-		fresh, st := recoverImage(g, copyCrashImage(t, tap.dir))
+		fresh, st := recoverImage(g, crashImage(g))
 		if st.TornTailBytes != 0 {
 			t.Fatalf("prototest: group %d clean image reported a torn tail of %d bytes", g, st.TornTailBytes)
 		}
@@ -170,13 +84,13 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 			t.Fatalf("prototest: group %d replayed %d envelopes, want the %d since the last snapshot",
 				g, st.ReplayedEnvelopes, since)
 		}
-		if !bytes.Equal(engineState(t, fresh), live) {
+		if !bytes.Equal(snapshotBytes(t, fresh.Snapshot()), live) {
 			t.Fatalf("prototest: group %d clean recovery diverged from the live engine", g)
 		}
 
 		// Torn frame appended past the last complete record: discarded,
 		// same state.
-		dir := copyCrashImage(t, tap.dir)
+		dir := crashImage(g)
 		if _, err := durable.TearTail(dir, nil); err != nil {
 			t.Fatalf("prototest: tear tail of group %d: %v", g, err)
 		}
@@ -184,14 +98,14 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 		if st.TornTailBytes == 0 {
 			t.Fatalf("prototest: group %d torn tail injected but recovery discarded nothing", g)
 		}
-		if !bytes.Equal(engineState(t, fresh), live) {
+		if !bytes.Equal(snapshotBytes(t, fresh.Snapshot()), live) {
 			t.Fatalf("prototest: group %d recovery after a torn tail diverged from the live engine", g)
 		}
 
 		// Last record truncated mid-frame: its input is lost with it, so
 		// recovery lands exactly one input earlier — rebuilt here as the
 		// reference by replaying the full input log minus that input.
-		dir = copyCrashImage(t, tap.dir)
+		dir = crashImage(g)
 		cut, err := durable.TruncateLastRecord(dir)
 		if err != nil {
 			t.Fatalf("prototest: truncate last record of group %d: %v", g, err)
@@ -203,12 +117,13 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 		if st.TornTailBytes == 0 {
 			t.Fatalf("prototest: group %d truncated record not reported as a torn tail", g)
 		}
-		ref, _ := cfg.Factory(g).(amcast.SnapshotEngine)
-		for _, env := range tap.log[:len(tap.log)-1] {
+		ref := snapshotEngine(t, cfg.Factory(g))
+		inputs, _, _ := w.log(g)
+		for _, env := range inputs[:len(inputs)-1] {
 			ref.OnEnvelope(env)
 			ref.TakeDeliveries()
 		}
-		if !bytes.Equal(engineState(t, fresh), engineState(t, ref)) {
+		if !bytes.Equal(snapshotBytes(t, fresh.Snapshot()), snapshotBytes(t, ref.Snapshot())) {
 			t.Fatalf("prototest: group %d recovery after mid-frame truncation diverged from the all-but-last reference", g)
 		}
 	}

@@ -1,10 +1,10 @@
 package prototest
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"strings"
 	"testing"
 
 	"flexcast/amcast"
@@ -38,40 +38,27 @@ func BoundaryIDs() []amcast.MsgID {
 // from encodings first — only ever deliberately.
 func MatchGolden(t *testing.T, path string, update bool, encodings [][]byte) {
 	t.Helper()
+	digests := make([]string, len(encodings))
+	for i, enc := range encodings {
+		sum := sha256.Sum256(enc)
+		digests[i] = hex.EncodeToString(sum[:])
+	}
 	if update {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := bufio.NewWriter(f)
-		for _, enc := range encodings {
-			sum := sha256.Sum256(enc)
-			w.WriteString(hex.EncodeToString(sum[:]) + "\n")
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(digests, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	i := 0
-	for ; sc.Scan(); i++ {
-		if i >= len(encodings) {
-			t.Fatalf("golden file has more than %d digests", len(encodings))
-		}
-		sum := sha256.Sum256(encodings[i])
-		if got := hex.EncodeToString(sum[:]); got != sc.Text() {
-			t.Fatalf("encoding %d (%d bytes): digest %s, golden %s", i, len(encodings[i]), got, sc.Text())
+	golden := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i := range min(len(golden), len(digests)) {
+		if digests[i] != golden[i] {
+			t.Fatalf("encoding %d (%d bytes): digest %s, golden %s", i, len(encodings[i]), digests[i], golden[i])
 		}
 	}
-	if i != len(encodings) {
-		t.Fatalf("golden file has %d digests, want %d", i, len(encodings))
+	if len(golden) != len(digests) {
+		t.Fatalf("golden file has %d digests, want %d", len(golden), len(digests))
 	}
 }

@@ -69,6 +69,9 @@ func (r *Recorder) OnSend(from, to amcast.NodeID, env amcast.Envelope) {
 // Multicasts returns the number of recorded multicasts.
 func (r *Recorder) Multicasts() int { return len(r.multicast) }
 
+// Sends returns the number of recorded transmissions.
+func (r *Recorder) Sends() int { return len(r.sends) }
+
 // Message returns the recorded multicast for id, and whether one exists.
 // Failure analysis uses it to recover a cycle member's destination set.
 func (r *Recorder) Message(id amcast.MsgID) (amcast.Message, bool) {
