@@ -91,8 +91,8 @@ func printResult(label string, r *loadgen.Result) {
 		}
 	}
 	if h := r.History; h != nil {
-		fmt.Printf("  history nodes: flush %d sent, %.0f%% new at receiver; other %d sent, %.0f%% new; %d envelopes held behind flushes, longest hold %.0fµs\n",
-			h.NodesSentFlush, pct(h.NodesNewFlush, h.NodesSentFlush), h.NodesSentOther, pct(h.NodesNewOther, h.NodesSentOther), h.EnvsHeld, h.HoldMaxUs)
+		fmt.Printf("  history nodes: flush %d sent, %.0f%% new at receiver; other %d sent, %.0f%% new\n",
+			h.NodesSentFlush, pct(h.NodesNewFlush, h.NodesSentFlush), h.NodesSentOther, pct(h.NodesNewOther, h.NodesSentOther))
 	}
 	if st := r.Stages; st != nil {
 		fmt.Printf("  stages (1 in %d sampled, %d records): e2e p50 %s  p99 %s\n",

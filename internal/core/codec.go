@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 
 	"flexcast/amcast"
 	"flexcast/internal/codec"
@@ -23,11 +22,11 @@ import (
 // AppendBinary image against the zero mark. The sections are every other
 // part of the state in full, map iteration sorted so that the same state
 // writes the same bytes, but for the accepted-notification log, which is
-// written from entry notifFrom on (m's length of it); a held envelope is
-// its wire encoding, length-prefixed. The delivery log is the record's
-// tail: the count entries appended since deliveredFrom (m's length of it),
-// in delivery order and fixed-width, which a journal holds as the
-// concatenation of its instalments — nothing in it is ever dead.
+// written from entry notifFrom on (m's length of it). The delivery log
+// is the record's tail: the count entries appended since deliveredFrom
+// (m's length of it), in delivery order and fixed-width, which a journal
+// holds as the concatenation of its instalments — nothing in it is ever
+// dead.
 
 // idWidth is the encoded size of one delivery-log entry (u64le).
 const idWidth = 8
@@ -188,16 +187,6 @@ func (s *state) appendSections(buf []byte, from int) []byte {
 		buf = binary.AppendUvarint(buf, uint64(uint32(g)))
 		buf = binary.AppendUvarint(buf, uint64(s.cursors[g]))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.holds)))
-	for _, h := range s.holds {
-		buf = binary.AppendUvarint(buf, uint64(uint32(h.from)))
-		buf = binary.AppendUvarint(buf, uint64(h.flush))
-		buf = binary.AppendUvarint(buf, uint64(len(h.envs)))
-		for _, env := range h.envs {
-			buf = binary.AppendUvarint(buf, uint64(codec.Size(env)))
-			buf = codec.Append(buf, env)
-		}
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.deliveries)))
 	for _, d := range s.deliveries {
 		buf = codec.AppendDelivery(buf, d)
@@ -324,22 +313,6 @@ func (s *state) readSections(r *codec.Reader, done map[amcast.MsgID]byGroup[uint
 	for i := 0; i < nCur && r.Err() == nil; i++ {
 		g := amcast.GroupID(r.Uvarint())
 		s.cursors[g] = history.Cursor(r.Uvarint())
-	}
-	for n := r.Count(); len(s.holds) < n && r.Err() == nil; {
-		h := &hold{from: amcast.GroupID(r.Uvarint()), flush: amcast.MsgID(r.Uvarint()), since: time.Now()}
-		if k := len(s.holds); k > 0 && h.from <= s.holds[k-1].from {
-			r.Fail(fmt.Errorf("hold on group %d out of order", h.from))
-		}
-		for k := r.Count(); len(h.envs) < k && r.Err() == nil; {
-			// The envelope is decoded from a copy: its payload aliases the
-			// bytes it is decoded from, and the caller keeps data.
-			env, err := codec.Unmarshal(slices.Clone(r.BytesN(r.Count())))
-			if err != nil {
-				r.Fail(fmt.Errorf("held envelope: %w", err))
-			}
-			h.envs = append(h.envs, env)
-		}
-		s.holds = append(s.holds, h)
 	}
 	nDel := r.Count()
 	s.deliveries = make([]amcast.Delivery, 0, nDel)

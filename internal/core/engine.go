@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"flexcast/amcast"
 	"flexcast/internal/history"
@@ -176,20 +175,6 @@ type pendingNotif struct {
 	deps     map[amcast.MsgID]bool
 }
 
-// hold is the envelopes from one sender that this group holds back after
-// applying the sender's MSG or ack for flush, which this group has not
-// delivered: they wait until flush's MSG and the flush acks of every
-// group ranked below the sender are applied here (DESIGN.md §4
-// deviation 10).
-type hold struct {
-	from  amcast.GroupID
-	flush amcast.MsgID
-	envs  []amcast.Envelope
-	// since is when the hold began, for the hold-time gauge only: it is
-	// not engine state, and a restored hold starts its clock anew.
-	since time.Time
-}
-
 // cursorDiff is one entry of Engine.diffs.
 type cursorDiff struct {
 	cur, next history.Cursor
@@ -258,8 +243,6 @@ type state struct {
 	// cursors tracks, per descendant, the prefix of the history already
 	// sent (hst(h) in Algorithm 1 line 18, as a log cursor).
 	cursors map[amcast.GroupID]history.Cursor
-	// holds lists the senders whose envelopes are held, ordered by group.
-	holds []*hold
 
 	deliveries []amcast.Delivery
 	seq        uint64
@@ -401,95 +384,17 @@ func (e *Engine) step(env amcast.Envelope, outs *[]amcast.Output) {
 }
 
 // apply performs one envelope's state updates without the trailing
-// reprocess fixpoint, or holds the envelope back behind a flush.
+// reprocess fixpoint.
 func (e *Engine) apply(env amcast.Envelope, outs *[]amcast.Output) {
-	if h := e.holdOf(env.From); h != nil {
-		h.envs = append(h.envs, env)
-		stats.held.Add(1)
-		return
-	}
-	e.applyNow(env, outs)
-	if len(e.holds) > 0 {
-		e.releaseHolds(outs)
-	}
-}
-
-// holdOf returns the hold on from's envelopes, nil if there is none.
-func (e *Engine) holdOf(from amcast.NodeID) *hold {
-	if from.IsClient() {
-		return nil
-	}
-	for _, h := range e.holds {
-		if h.from == from.Group() {
-			return h
-		}
-	}
-	return nil
-}
-
-// applyNow applies one envelope, then starts holding its sender's later
-// envelopes if it is the sender's MSG or ack for a flush addressed to
-// every group that this group has not delivered, and this group has not
-// yet applied that flush's MSG and the flush acks of every group ranked
-// below the sender. The sender left out of its flush diff the entries
-// those groups created (DESIGN.md §4 deviation 10); its later envelopes
-// may rest on them.
-func (e *Engine) applyNow(env amcast.Envelope, outs *[]amcast.Output) {
-	e.applyEnv(env, outs)
-	m := env.Msg
-	if (env.Kind == amcast.KindMsg || env.Kind == amcast.KindAck) && !env.From.IsClient() &&
-		e.toAll(m) && !e.wasDelivered(m.ID) && !e.belowApplied(m.ID, env.From.Group()) {
-		h := &hold{from: env.From.Group(), flush: m.ID, since: time.Now()}
-		i := 0
-		for i < len(e.holds) && e.holds[i].from < h.from {
-			i++
-		}
-		e.holds = slices.Insert(e.holds, i, h)
-	}
-}
-
-// belowApplied reports whether this group has applied flush's MSG and the
-// flush acks of every group ranked below from, or delivered flush. The
-// flush is addressed to every group, so its lca is rank 0 and sends the
-// MSG; ranks 1 and up ack.
-func (e *Engine) belowApplied(flush amcast.MsgID, from amcast.GroupID) bool {
-	if e.wasDelivered(flush) {
-		return true
-	}
-	p := e.pend[flush]
-	if p == nil || !p.hasMsg {
-		return false
-	}
-	for r := 1; r < e.ov.Rank(from); r++ {
-		if !slices.Contains(p.acks, e.ov.GroupAt(r)) {
-			return false
-		}
-	}
-	return true
-}
-
-// releaseHolds ends every hold whose flush acks have been applied and
-// applies the envelopes it held, in arrival order, until one of them
-// starts a new hold on the same sender; released envelopes can end
-// further holds, so it repeats until none ends. Holds end in group order,
-// which keeps the engine a deterministic function of its input.
-func (e *Engine) releaseHolds(outs *[]amcast.Output) {
-	for i := 0; i < len(e.holds); {
-		h := e.holds[i]
-		if !e.belowApplied(h.flush, h.from) {
-			i++
-			continue
-		}
-		e.holds = slices.Delete(e.holds, i, i+1)
-		stats.noteHold(time.Since(h.since))
-		for k, env := range h.envs {
-			e.applyNow(env, outs)
-			if nh := e.holdOf(env.From); nh != nil {
-				nh.envs = append(nh.envs, h.envs[k+1:]...)
-				break
-			}
-		}
-		i = 0
+	switch env.Kind {
+	case amcast.KindRequest:
+		e.onRequest(env, outs)
+	case amcast.KindMsg:
+		e.onMsg(env, outs)
+	case amcast.KindAck:
+		e.onAck(env, outs)
+	case amcast.KindNotif:
+		e.onNotif(env, outs)
 	}
 }
 
@@ -505,19 +410,6 @@ func (e *Engine) toAll(m amcast.Message) bool {
 		}
 	}
 	return true
-}
-
-func (e *Engine) applyEnv(env amcast.Envelope, outs *[]amcast.Output) {
-	switch env.Kind {
-	case amcast.KindRequest:
-		e.onRequest(env, outs)
-	case amcast.KindMsg:
-		e.onMsg(env, outs)
-	case amcast.KindAck:
-		e.onAck(env, outs)
-	case amcast.KindNotif:
-		e.onNotif(env, outs)
-	}
 }
 
 // onRequest handles a client message entering the overlay at its lca
@@ -1005,8 +897,7 @@ func (e *Engine) OpenDependencies() []amcast.MsgID {
 
 // DebugDump renders the engine's blocking state — queued messages with
 // the acks they hold and need, open dependencies, withheld
-// notifications, envelopes held behind a flush — for chaos-schedule
-// failure analysis and tests.
+// notifications — for chaos-schedule failure analysis and tests.
 func (e *Engine) DebugDump() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "group %d: delivered=%d open=%v\n", e.g, len(e.deliveredLog), e.OpenDependencies())
@@ -1035,13 +926,6 @@ func (e *Engine) DebugDump() string {
 		}
 		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
 		fmt.Fprintf(&sb, "  withheld notif-ack for %s (notifier %d epoch %d): waiting on %v\n", pn.msg.ID, pn.notifier, pn.epoch, deps)
-	}
-	for _, h := range e.holds {
-		fmt.Fprintf(&sb, "  held from group %d: %d envelope(s) waiting on the acks below it for flush %s:", h.from, len(h.envs), h.flush)
-		for _, env := range h.envs {
-			fmt.Fprintf(&sb, " %s(%s)", env.Kind, env.Msg.ID)
-		}
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

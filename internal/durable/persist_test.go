@@ -72,14 +72,14 @@ func crashStacks() []crashStack {
 			inputs: func(t *testing.T, cadence int) []amcast.Envelope { return orderChurn(t, 3, 12, cadence) },
 		},
 		{
-			// The same stack behind a flush hold: see flushHoldInputs.
+			// The same stack behind a lagging flush ack: see laggingFlushInputs.
 			name: "flexcast+store/flush holds",
 			mk: executing(func(g amcast.GroupID) amcast.SnapshotEngine {
 				return core.MustNew(core.Config{Group: g, Overlay: ov})
 			}),
 			decode: over(core.UnmarshalSnapshot),
 			target: 4,
-			inputs: func(t *testing.T, cadence int) []amcast.Envelope { return flushHoldInputs(t, 4, 600) },
+			inputs: func(t *testing.T, cadence int) []amcast.Envelope { return laggingFlushInputs(4, 600) },
 		},
 		{
 			name: "skeen+store",
@@ -164,14 +164,13 @@ func recordInputs(s crashStack, txs int) []amcast.Envelope {
 	return inputs
 }
 
-// flushHoldInputs is group g's input, g ranked last, under a gTPC-C
+// laggingFlushInputs is group g's input, g ranked last, under a gTPC-C
 // stream of txs transactions with a flush to every group after every
 // 10th, run through plain FlexCast engines on a network whose link from
 // the second-ranked group to g lags: the flush acks of the groups ranked
-// between reach g first, so g holds what follows them until the
-// lagging ack arrives (DESIGN.md §4 deviation 10) — and a snapshot taken
-// meanwhile carries held envelopes. It fails the test if g held nothing.
-func flushHoldInputs(t *testing.T, g amcast.GroupID, txs int) []amcast.Envelope {
+// between reach g first, and what follows them waits on the flush until
+// the lagging ack arrives (DESIGN.md §4 deviation 10).
+func laggingFlushInputs(g amcast.GroupID, txs int) []amcast.Envelope {
 	ov := overlay.MustCDAG(crashGroups)
 	engines := make(map[amcast.GroupID]*core.Engine)
 	gens := make([]*gtpcc.Gen, len(crashGroups))
@@ -213,7 +212,6 @@ func flushHoldInputs(t *testing.T, g amcast.GroupID, txs int) []amcast.Envelope 
 		}
 		engines[h.to].TakeDeliveries()
 	}
-	held := core.ReadStats().EnvsHeld
 	for i := 0; i < txs; i++ {
 		tx := gens[i%len(gens)].Next()
 		m := amcast.Message{ID: amcast.NewMsgID(0, uint64(i+1)), Sender: amcast.ClientNode(0), Dst: tx.Dst, Payload: gtpcc.EncodeTx(tx)}
@@ -227,9 +225,6 @@ func flushHoldInputs(t *testing.T, g amcast.GroupID, txs int) []amcast.Envelope 
 	}
 	for len(queue)+len(slow) > 0 {
 		step()
-	}
-	if core.ReadStats().EnvsHeld == held {
-		t.Fatalf("group %d held no envelope", g)
 	}
 	return inputs
 }

@@ -55,7 +55,7 @@ func TestChaosCellMatchesExplore(t *testing.T) {
 		t.Fatalf("cell metrics differ from the exploration's report:\n got %v\nwant %v", got, want)
 	}
 	// The exploration is a function of its seed: these counts are pinned.
-	if rep.Multicasts != 350 || rep.Deliveries != 2509 || rep.Events != 25371 || f.TornTails != 13 {
+	if rep.Multicasts != 350 || rep.Deliveries != 2509 || rep.Events != 25465 || f.TornTails != 13 {
 		t.Fatalf("exploration moved: %+v", rep.Counts)
 	}
 }

@@ -330,6 +330,32 @@ func TestValidateSLOSection(t *testing.T) {
 	}, "past the 2 s window")
 }
 
+// TestValidateLatencyHistogram: write latency is recorded in truncated
+// microseconds, so a run whose median is under 1 µs has p50 0 and is
+// valid; only a histogram that counted nothing is empty, and the
+// percentiles must still be ordered.
+func TestValidateLatencyHistogram(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		lat     metrics.LatencySummary
+		wantErr string
+	}{
+		{"sub-µs median", metrics.LatencySummary{Count: 88531, Mean: 4.26, P50: 0, P90: 3, P99: 35, P999: 40, Max: 50}, ""},
+		{"empty", metrics.LatencySummary{}, "empty latency histogram"},
+		{"out of order", metrics.LatencySummary{Count: 10, P50: 5, P90: 3, P99: 35, P999: 40, Max: 50}, "out of order"},
+	} {
+		res := sloResult()
+		res.Latency = tc.lat
+		err := res.Validate(Config{})
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("%s: valid result rejected: %v", tc.name, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 // TestTrajectoryStopsAtWindowEnd: the sampler keeps ticking until stop
 // closes, which happens after the window end, and records no tick
 // taken after it.

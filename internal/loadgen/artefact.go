@@ -123,7 +123,8 @@ func (res *Result) Validate(cfg Config) error {
 		return fmt.Errorf("loadgen: result: nothing issued in the measurement window")
 	}
 	l := res.Latency
-	if l.Count == 0 || l.P50 == 0 {
+	// Latency is recorded in truncated µs: a zero p50 is a sub-µs median.
+	if l.Count == 0 {
 		return fmt.Errorf("loadgen: result: empty latency histogram")
 	}
 	if l.P50 > l.P90 || l.P90 > l.P99 || l.P99 > l.P999 || l.P999 > l.Max || l.Min > l.P50 {

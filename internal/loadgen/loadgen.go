@@ -483,15 +483,12 @@ type Result struct {
 // HistoryResult is core.Stats over one run, deployment start to load
 // drain: the history nodes the FlexCast engines shipped and the ones new
 // at their receiver, a flush's MSG and acks apart from every other
-// envelope, and the envelopes flush holds delayed (DESIGN.md §4
-// deviation 10) with the longest hold.
+// envelope.
 type HistoryResult struct {
-	NodesSentFlush uint64  `json:"nodes_sent_flush"`
-	NodesSentOther uint64  `json:"nodes_sent_other"`
-	NodesNewFlush  uint64  `json:"nodes_new_flush"`
-	NodesNewOther  uint64  `json:"nodes_new_other"`
-	EnvsHeld       uint64  `json:"envs_held"`
-	HoldMaxUs      float64 `json:"hold_max_us"`
+	NodesSentFlush uint64 `json:"nodes_sent_flush"`
+	NodesSentOther uint64 `json:"nodes_sent_other"`
+	NodesNewFlush  uint64 `json:"nodes_new_flush"`
+	NodesNewOther  uint64 `json:"nodes_new_other"`
 }
 
 func historyResult(s core.Stats) *HistoryResult {
@@ -501,7 +498,6 @@ func historyResult(s core.Stats) *HistoryResult {
 	return &HistoryResult{
 		NodesSentFlush: s.NodesSent[1], NodesSentOther: s.NodesSent[0],
 		NodesNewFlush: s.NodesNew[1], NodesNewOther: s.NodesNew[0],
-		EnvsHeld: s.EnvsHeld, HoldMaxUs: float64(s.HoldMaxNs) / 1e3,
 	}
 }
 
@@ -699,7 +695,6 @@ func Run(cfg Config) (*Result, error) {
 		r.typeHists[i] = metrics.NewHistogram()
 	}
 
-	core.ResetHoldMax()
 	histStart := core.ReadStats()
 	dep, clients, err := launch(cfg, r)
 	if err != nil {

@@ -85,12 +85,10 @@ func clientBatchers(clients []*clientProc) []*runtime.Batcher {
 }
 
 // registerHistory publishes core.Stats, process-wide counters of the
-// FlexCast engines' history traffic and flush holds.
+// FlexCast engines' history traffic.
 func registerHistory(reg *telemetry.Registry) {
 	reg.RegisterCounter("hist_nodes_sent_flush", func() uint64 { return core.ReadStats().NodesSent[1] })
 	reg.RegisterCounter("hist_nodes_sent_other", func() uint64 { return core.ReadStats().NodesSent[0] })
 	reg.RegisterCounter("hist_nodes_new_flush", func() uint64 { return core.ReadStats().NodesNew[1] })
 	reg.RegisterCounter("hist_nodes_new_other", func() uint64 { return core.ReadStats().NodesNew[0] })
-	reg.RegisterCounter("flush_held_envs", func() uint64 { return core.ReadStats().EnvsHeld })
-	reg.RegisterGauge("flush_hold_max_us", func() float64 { return float64(core.ReadStats().HoldMaxNs) / 1e3 })
 }

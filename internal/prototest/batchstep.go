@@ -25,7 +25,7 @@ func RunBatchEquivalence(t *testing.T, cfg RandomConfig) {
 	t.Helper()
 	w := newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine { return perEnvelope{cfg.Factory(g)} }, nil)
 	w.keep = true
-	rng := w.simulate(cfg, 0, false)
+	rng := w.simulate(cfg, false)
 
 	for _, g := range cfg.Groups {
 		inputs, liveOuts, liveDels := w.log(g)

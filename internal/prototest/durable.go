@@ -45,7 +45,7 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 		return open(g, dirs[g])
 	}, nil)
 	w.keep = true
-	w.simulate(cfg, 0, false)
+	w.simulate(cfg, false)
 
 	recoverImage := func(g amcast.GroupID, dir string) (amcast.SnapshotEngine, durable.RecoveryStats) {
 		de := open(g, dir)

@@ -130,8 +130,8 @@ type RandomConfig struct {
 	Factory EngineFactory
 	// Seed drives destinations and link latencies.
 	Seed int64
-	// Jitter adds random per-transmission latency on RunRandom's and
-	// RunRandomNoFIFO's links; the replay checks run without it.
+	// Jitter adds random per-transmission latency on every simulated
+	// link, the replay checks' included.
 	Jitter sim.Time
 	// NextMessage, when non-nil, replaces the uniform random workload:
 	// it builds client c's i-th multicast (id, destinations, payload)
@@ -174,7 +174,7 @@ func (cfg *RandomConfig) message(c, i int, rng *rand.Rand) amcast.Message {
 func RunRandom(t *testing.T, cfg RandomConfig) *trace.Recorder {
 	t.Helper()
 	w := newWorld(t, cfg.Groups, cfg.Factory, nil)
-	w.simulate(cfg, cfg.Jitter, false)
+	w.simulate(cfg, false)
 	return w.rec
 }
 
@@ -183,7 +183,7 @@ func RunRandom(t *testing.T, cfg RandomConfig) *trace.Recorder {
 func RunRandomNoFIFO(t *testing.T, cfg RandomConfig) *trace.Recorder {
 	t.Helper()
 	w := newWorld(t, cfg.Groups, cfg.Factory, nil)
-	w.simulate(cfg, cfg.Jitter, true)
+	w.simulate(cfg, true)
 	return w.rec
 }
 
@@ -205,7 +205,6 @@ func snapshotEngine(t *testing.T, eng amcast.Engine) amcast.SnapshotEngine {
 // post-snapshot input log. The replayed outputs and deliveries must be
 // identical to the live ones — any state missed by Snapshot/Restore, or
 // any aliasing between snapshot and engine, shows up as a divergence.
-// The simulated links have no jitter, whatever cfg.Jitter says.
 func RunSnapshotReplay(t *testing.T, cfg RandomConfig, snapAfter int) {
 	t.Helper()
 	snaps := make(map[amcast.GroupID]amcast.Snapshot, len(cfg.Groups))
@@ -220,7 +219,7 @@ func RunSnapshotReplay(t *testing.T, cfg RandomConfig, snapAfter int) {
 			snaps[g] = w.engines[g].(amcast.SnapshotEngine).Snapshot()
 		}
 	}
-	w.simulate(cfg, 0, false)
+	w.simulate(cfg, false)
 
 	for _, g := range cfg.Groups {
 		fresh := snapshotEngine(t, cfg.Factory(g))

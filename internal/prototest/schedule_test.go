@@ -119,7 +119,7 @@ func TestSchedulesPinned(t *testing.T) {
 			}
 			RunSnapshotReplay(t, cfg, 10)
 			return seqDigest(func(g amcast.GroupID) []amcast.MsgID { return *seqs[g] }), sends
-		}, "22c00ceb7015183b8b8189b2e47318aca671707e794526b0a0db9afbc685454b", 58},
+		}, "58c0ef6b574ae95bf5c9b4753ad38961b9a5a32cbbd9647d7d33b3bbde90ade0", 58},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {

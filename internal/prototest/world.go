@@ -189,11 +189,11 @@ func (w *world) log(g amcast.GroupID) (in []amcast.Envelope, outs []amcast.Outpu
 // simulate is the sim source. Every client's multicasts enter at seeded
 // times, and every send to a group crosses a sim.Network link with a
 // seeded fixed latency in [100, 2000) µs, plus seeded jitter when
-// jitter > 0; links are FIFO unless noFIFO. Only multicasts, latencies
+// cfg.Jitter > 0; links are FIFO unless noFIFO. Only multicasts, latencies
 // and jitter draw from the seeded stream (a reply never reaches the
 // network), so a seed names one schedule. It runs to quiescence and
 // returns the stream, for checks that continue it.
-func (w *world) simulate(cfg RandomConfig, jitter sim.Time, noFIFO bool) *rand.Rand {
+func (w *world) simulate(cfg RandomConfig, noFIFO bool) *rand.Rand {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := sim.New()
 	lat := make(map[link]sim.Time)
@@ -206,9 +206,9 @@ func (w *world) simulate(cfg RandomConfig, jitter sim.Time, noFIFO bool) *rand.R
 		return l
 	}
 	var opts []sim.NetworkOption
-	if jitter > 0 {
+	if cfg.Jitter > 0 {
 		opts = append(opts, sim.WithJitter(func(from, to amcast.NodeID) sim.Time {
-			return sim.Time(rng.Int63n(int64(jitter)))
+			return sim.Time(rng.Int63n(int64(cfg.Jitter)))
 		}))
 	}
 	if noFIFO {
