@@ -31,16 +31,20 @@
 // implements with Paxos log replay. A group the schedule crashes
 // persists from the start, one it never crashes keeps nothing on disk.
 //
-// The package is also the repository's one simulated deployment host:
-// the paper's measured runs (§5, the grid's sim cells) are timed
-// schedules with every fault class off (Options.Duration), hosted by
-// the same nodes and closed-loop clients and auditable by the same
-// checkers. A node is the production runtime.Node, stepped on the
-// simulator's clock: the checkers audit the node step the wall-clock
-// deployments run, not a copy of it.
+// A schedule is one source over the simulated host (internal/simhost),
+// which runs every group as the production runtime.Node stepped on the
+// simulator's clock, so the checkers audit the node step the
+// wall-clock deployments run, not a copy of it; the host also crashes
+// and recovers groups and runs the recovery audits. What the package
+// adds is the fault plan, the clients, simulated time, the traffic
+// counters and the execution instrumentation. The paper's measured
+// runs (§5, the grid's sim cells) are timed schedules with every fault
+// class off (Options.Duration), with the same clients and auditable by
+// the same checkers.
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -66,7 +70,7 @@ type Deployment struct {
 	// provides the schedule's execution-level hooks: the
 	// post-quiescence audit, optionally the read fast path the
 	// explorer's clients exercise, and the rebind durable recovery needs.
-	Instrument func(engines map[amcast.GroupID]amcast.SnapshotEngine, now func() sim.Time) *Instrumentation
+	Instrument func(engines map[amcast.GroupID]amcast.Engine, now func() sim.Time) *Instrumentation
 	// execute marks a NewDeployment whose groups run the gTPC-C store:
 	// its clients multicast executable gTPC-C transactions.
 	execute bool
@@ -96,7 +100,7 @@ type Instrumentation struct {
 	// whatever was attached to it are gone. It runs after the WAL replay,
 	// so replayed deliveries are not observed twice. Required when
 	// Instrument is set and the schedule crashes a group.
-	Rebind func(g amcast.GroupID, eng amcast.SnapshotEngine) error
+	Rebind func(g amcast.GroupID, eng amcast.Engine) error
 	// PostCheck, when non-nil, runs after the schedule quiesces,
 	// auditing execution-level properties (serializability including
 	// fast reads and lease validity, store invariants, replica digests).
@@ -130,12 +134,10 @@ type Options struct {
 	// Clients and Messages shape the workload: Clients concurrent
 	// sources issuing Messages multicasts each (defaults 3 and 10), with
 	// destination sets of up to MaxDst groups (default: all groups),
-	// injected at random times in [0, InjectWindow] (default 2 virtual
-	// seconds).
-	Clients      int
-	Messages     int
-	MaxDst       int
-	InjectWindow sim.Time
+	// injected at random times in the first injectWindow.
+	Clients  int
+	Messages int
+	MaxDst   int
 	// ClosedLoop switches the workload from open-loop (all multicasts
 	// scheduled up front at random times) to closed-loop: each client
 	// issues its next multicast the moment the previous one completed
@@ -175,11 +177,10 @@ type Options struct {
 	ProcCostPerKB float64
 
 	// DropProb is the per-transmission probability of a simulated drop:
-	// the envelope is delayed by a retransmission backoff of roughly
-	// RetransmitDelay (default probability 0.05, default backoff 30ms),
-	// and later traffic on the link queues behind it.
-	DropProb        float64
-	RetransmitDelay sim.Time
+	// the envelope is delayed by a retransmission backoff of
+	// retransmitDelay to twice that (default 0.05), and later traffic on
+	// the link queues behind it.
+	DropProb float64
 	// DupProb is the per-transmission probability of delivering a
 	// duplicate copy (default 0.02).
 	DupProb float64
@@ -188,10 +189,9 @@ type Options struct {
 	JitterMax sim.Time
 
 	// Partitions is the number of transient directed-link partition
-	// windows per schedule (default 2); each lasts around PartitionMean
-	// (default 150ms) and heals automatically.
-	Partitions    int
-	PartitionMean sim.Time
+	// windows per schedule (default 2); each lasts around partitionMean
+	// and heals automatically.
+	Partitions int
 
 	// Crashes is the number of group-server crash/recovery events per
 	// schedule (default 2, distinct groups); each server stays down for
@@ -234,75 +234,31 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.Duration > 0 {
-		if o.Clients == 0 {
-			o.Clients = 240
-		}
-		if o.Locality == 0 {
-			o.Locality = 0.95
-		}
-		o.DropProb, o.DupProb, o.FastReadProb = off(o.DropProb), off(o.DupProb), off(o.FastReadProb)
-		o.Partitions, o.Crashes, o.TraceSample = off(o.Partitions), off(o.Crashes), off(o.TraceSample)
-		o.JitterMax, o.FlushEvery = off(o.JitterMax), off(o.FlushEvery)
+		o.Clients, o.Locality = cmp.Or(o.Clients, 240), cmp.Or(o.Locality, 0.95)
+		// Every fault class, fast reads, the tracer and the flush client
+		// left at zero are off (negative).
+		o.DropProb, o.DupProb, o.FastReadProb = cmp.Or(o.DropProb, -1), cmp.Or(o.DupProb, -1), cmp.Or(o.FastReadProb, -1)
+		o.Partitions, o.Crashes, o.TraceSample = cmp.Or(o.Partitions, -1), cmp.Or(o.Crashes, -1), cmp.Or(o.TraceSample, -1)
+		o.JitterMax, o.FlushEvery = cmp.Or(o.JitterMax, -1), cmp.Or(o.FlushEvery, -1)
 	}
-	if o.Schedules == 0 {
-		o.Schedules = 50
-	}
-	if o.Clients == 0 {
-		o.Clients = 3
-	}
-	if o.Messages == 0 {
-		o.Messages = 10
-	}
-	if o.InjectWindow == 0 {
-		o.InjectWindow = 2_000_000
-	}
-	if o.FlushEvery == 0 {
-		o.FlushEvery = 400_000
-	}
-	if o.DropProb == 0 {
-		o.DropProb = 0.05
-	}
-	if o.RetransmitDelay == 0 {
-		o.RetransmitDelay = 30_000
-	}
-	if o.DupProb == 0 {
-		o.DupProb = 0.02
-	}
-	if o.JitterMax == 0 {
-		o.JitterMax = 5_000
-	}
-	if o.Partitions == 0 {
-		o.Partitions = 2
-	}
-	if o.PartitionMean == 0 {
-		o.PartitionMean = 150_000
-	}
-	if o.Crashes == 0 {
-		o.Crashes = 2
-	}
-	if o.DowntimeMean == 0 {
-		o.DowntimeMean = 200_000
-	}
-	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = 16
-	}
-	if o.FastReadProb == 0 {
-		o.FastReadProb = 0.25
-	}
-	if o.TraceSample == 0 {
-		o.TraceSample = 4
-	}
+	o.Schedules, o.Clients, o.Messages = cmp.Or(o.Schedules, 50), cmp.Or(o.Clients, 3), cmp.Or(o.Messages, 10)
+	o.FlushEvery, o.DropProb, o.DupProb = cmp.Or(o.FlushEvery, 400_000), cmp.Or(o.DropProb, 0.05), cmp.Or(o.DupProb, 0.02)
+	o.JitterMax, o.Partitions, o.Crashes = cmp.Or(o.JitterMax, 5_000), cmp.Or(o.Partitions, 2), cmp.Or(o.Crashes, 2)
+	o.DowntimeMean, o.SnapshotEvery = cmp.Or(o.DowntimeMean, 200_000), cmp.Or(o.SnapshotEvery, 16)
+	o.FastReadProb, o.TraceSample = cmp.Or(o.FastReadProb, 0.25), cmp.Or(o.TraceSample, 4)
 	// Negative knobs ("fault class off") are kept as-is so fill stays
 	// idempotent; the injector treats them as zero.
 }
 
-// off turns a knob left at its zero value off (negative).
-func off[T ~int | ~int64 | ~float64](v T) T {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
+// The fault plan's fixed times (sim µs): multicasts, partitions and
+// crashes start within the first injectWindow, a simulated drop is
+// delayed by retransmitDelay to twice that, and a partition lasts
+// partitionMean/2 to 3·partitionMean/2.
+const (
+	injectWindow    sim.Time = 2_000_000
+	retransmitDelay sim.Time = 30_000
+	partitionMean   sim.Time = 150_000
+)
 
 // ScheduleSeed derives the seed of schedule i from the base seed, using
 // a splitmix64 step so neighbouring base seeds do not share schedules.

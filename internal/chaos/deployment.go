@@ -56,7 +56,7 @@ const (
 // always implies the prefix is applied, so a failed barrier is a
 // violation, not a wait) or to the group's follower through the lease
 // gate, and runs the post-schedule audit.
-func instrumentExecution(engines map[amcast.GroupID]amcast.SnapshotEngine, now func() sim.Time) *Instrumentation {
+func instrumentExecution(engines map[amcast.GroupID]amcast.Engine, now func() sim.Time) *Instrumentation {
 	rec := trace.NewExecRecorder()
 	execs := make(map[amcast.GroupID]*store.Executor, len(engines))
 	reps := make(map[amcast.GroupID]*store.Replica, len(engines))
@@ -65,7 +65,7 @@ func instrumentExecution(engines map[amcast.GroupID]amcast.SnapshotEngine, now f
 	// starts with and every one a recovery rebuilds:
 	// observers on, a fresh lock-step follower cloned from the (recovered)
 	// shard, and the audit's handles swapped to the live pair.
-	attach := func(g amcast.GroupID, eng amcast.SnapshotEngine) error {
+	attach := func(g amcast.GroupID, eng amcast.Engine) error {
 		ex, ok := eng.(*store.Executor)
 		if !ok {
 			return fmt.Errorf("chaos: execute-mode engine of group %d is %T, not a store executor", g, eng)

@@ -106,9 +106,9 @@ func TestDurableRequiresDecode(t *testing.T) {
 	t.Setenv("TMPDIR", tmp)
 	var persisted []string
 	d = flexDeployment(groups5)
-	d.Instrument = func(map[amcast.GroupID]amcast.SnapshotEngine, func() sim.Time) *chaos.Instrumentation {
+	d.Instrument = func(map[amcast.GroupID]amcast.Engine, func() sim.Time) *chaos.Instrumentation {
 		return &chaos.Instrumentation{
-			Rebind: func(amcast.GroupID, amcast.SnapshotEngine) error { return nil },
+			Rebind: func(amcast.GroupID, amcast.Engine) error { return nil },
 			// PostCheck runs before the schedule removes its directory.
 			PostCheck: func() error {
 				dirs, err := filepath.Glob(filepath.Join(tmp, "chaos-durable-*", "group-*"))
@@ -138,7 +138,7 @@ func TestDurableRequiresDecode(t *testing.T) {
 		t.Fatalf("the schedule left %d entries in its temporary directory", len(left))
 	}
 
-	d.Instrument = func(map[amcast.GroupID]amcast.SnapshotEngine, func() sim.Time) *chaos.Instrumentation {
+	d.Instrument = func(map[amcast.GroupID]amcast.Engine, func() sim.Time) *chaos.Instrumentation {
 		return &chaos.Instrumentation{}
 	}
 	if _, err := chaos.RunSchedule(d, chaos.Options{}, 1); err == nil {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"flexcast/internal/codec"
 	"flexcast/internal/metrics"
 	"flexcast/internal/sim"
+	"flexcast/internal/simhost"
 	"flexcast/internal/stats"
 	"flexcast/internal/telemetry"
 	"flexcast/internal/trace"
@@ -195,10 +197,10 @@ type run struct {
 	rng    *rand.Rand
 	s      *sim.Simulator
 	net    *sim.Network
-	rec    *trace.Recorder // nil when the schedule is not checked
+	h      *simhost.Host // its Rec is nil when the schedule is not checked
 	res    *ScheduleResult
 	tracer *telemetry.Tracer
-	nodes  map[amcast.GroupID]*node
+	groups map[amcast.GroupID]*groupStats
 	loops  []*loopClient
 	// lo and hi bound a timed run's measurement window: the run minus
 	// its first and last tenth (the paper's warm-up and cool-down).
@@ -211,31 +213,48 @@ func (r *run) fail(err error) {
 	}
 }
 
-// onSend is the network's send hook: it counts what a group receives
-// and records the transmission for the minimality audit.
-func (r *run) onSend(from, to amcast.NodeID, env amcast.Envelope) {
-	if n := r.nodes[to.Group()]; n != nil && !to.IsClient() {
-		n.traffic.OnReceive(env)
-	}
-	if r.rec != nil {
-		r.rec.OnSend(from, to, env)
+// groupStats is what a schedule counts at one group: the traffic sent
+// to it and delivered, and its steps that delivered more than one
+// message (Options.BugFlipEvery).
+type groupStats struct {
+	traffic metrics.NodeCounters
+	multi   int
+}
+
+// onSend is the network's send hook: it counts what a group receives.
+func (r *run) onSend(_, to amcast.NodeID, env amcast.Envelope) {
+	if !to.IsClient() {
+		r.groups[to.Group()].traffic.OnReceive(env)
 	}
 }
 
-func (r *run) onDeliver(d amcast.Delivery) error {
-	r.res.Deliveries++
-	r.tracer.Stamp(d.Msg.ID, telemetry.StageDeliver)
-	if r.rec == nil {
-		return nil
+// onStep counts a group's step's deliveries and stamps them, after the
+// test-only ordering bug swapped the first two of every BugFlipEvery-th
+// step that delivered more than one.
+func (r *run) onStep(g amcast.GroupID, _ []amcast.Envelope, dels []amcast.Delivery) {
+	st := r.groups[g]
+	if every := r.opt.BugFlipEvery; every > 0 && len(dels) >= 2 {
+		if st.multi++; st.multi%every == 0 {
+			dels[0], dels[1] = dels[1], dels[0]
+		}
 	}
-	return r.rec.OnDeliver(d)
+	st.traffic.Delivered += uint64(len(dels))
+	r.res.Deliveries += len(dels)
+	for _, d := range dels {
+		r.tracer.Stamp(d.Msg.ID, telemetry.StageDeliver)
+	}
 }
 
 func (r *run) multicast(m amcast.Message) {
 	r.res.Multicasts++
-	if r.rec != nil {
-		r.rec.OnMulticast(m)
+	if r.h.Rec != nil {
+		r.h.Rec.OnMulticast(m)
 	}
+}
+
+// send is a client's transmission function.
+func (r *run) send(from amcast.NodeID) func(to amcast.NodeID, env amcast.Envelope) {
+	return func(to amcast.NodeID, env amcast.Envelope) { r.h.Transmit(from, to, env) }
 }
 
 // procCost is the serial processing-cost model of Options.ProcCostBase
@@ -324,10 +343,12 @@ type openCall struct {
 	at      [3]sim.Time
 }
 
-// loopClient is one closed-loop workload source — the simulator's only
-// one: it issues its next multicast the moment the previous one
-// completed at every destination (the call table folds the duplicate
-// and stale replies faults inject), or a think time later.
+// loopClient is the simulator's one client: it collects replies (the
+// call table folds the duplicate and stale replies faults inject) and,
+// closed-loop, issues its next multicast the moment the previous one
+// completed at every destination, or a think time later. An open-loop
+// client's next is always spent: its multicasts are issued on a
+// schedule of their own.
 type loopClient struct {
 	r      *run
 	calls  *client.Calls[openCall]
@@ -361,7 +382,7 @@ func (c *loopClient) issue() {
 	c.calls.Issue(m, openCall{issued: c.r.s.Now()})
 	c.r.multicast(m)
 	c.tracer.Begin(m.ID)
-	c.calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { c.r.net.Send(c.calls.ID(), to, env) })
+	c.calls.Requests(m, c.r.send(c.calls.ID()))
 }
 
 // HandleEnvelope implements sim.Handler: collect replies, issue the next
@@ -401,11 +422,7 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 	opt.fill()
 	s := sim.New()
 	r := &run{d: d, opt: opt, seed: seed, rng: rand.New(rand.NewSource(seed)), s: s,
-		res: &ScheduleResult{Seed: seed}, nodes: make(map[amcast.GroupID]*node, len(d.Groups))}
-	if check {
-		r.rec = trace.NewRecorder()
-		r.res.Trace = r.rec
-	}
+		res: &ScheduleResult{Seed: seed}, groups: make(map[amcast.GroupID]*groupStats, len(d.Groups))}
 	r.lo = sim.Time(float64(opt.Duration) * 0.1)
 	r.hi = opt.Duration - r.lo
 	r.res.WindowSecs = float64(r.hi-r.lo) / 1e6
@@ -418,16 +435,7 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 	// paper's environment is on.
 	latency := wanLatency
 	if opt.Locality <= 0 {
-		lat := make(map[[2]amcast.NodeID]sim.Time)
-		latency = func(from, to amcast.NodeID) sim.Time {
-			key := [2]amcast.NodeID{from, to}
-			l, ok := lat[key]
-			if !ok {
-				l = sim.Time(100 + r.rng.Int63n(19_900))
-				lat[key] = l
-			}
-			return l
-		}
+		latency = simhost.Latencies(r.rng.Int63n, 100, 20_000)
 	}
 
 	// A group the schedule crashes persists through the real durable
@@ -455,23 +463,31 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 	}
 	r.net = sim.NewNetwork(s, latency, netOpts...)
 
-	engines := make(map[amcast.GroupID]amcast.SnapshotEngine, len(d.Groups))
+	hc := simhost.Config{
+		Groups:        d.Groups,
+		NewEngine:     func(g amcast.GroupID) (amcast.Engine, error) { return d.NewEngine(g) },
+		Replies:       true,
+		OnStep:        r.onStep,
+		Fail:          r.fail,
+		SnapshotEvery: opt.SnapshotEvery,
+		Decode:        d.DecodeSnapshot,
+	}
+	if check {
+		hc.Rec = trace.NewRecorder()
+		r.res.Trace = hc.Rec
+	}
+	h, err := simhost.New(hc)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: %w", err)
+	}
+	r.h = h
+	h.Attach(r.net)
 	for _, g := range d.Groups {
-		eng, err := d.NewEngine(g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("chaos: build engine for group %d: %w", g, err)
-		}
-		n := newNode(amcast.GroupNode(g), eng, r.net, opt.SnapshotEvery)
-		n.onDeliver = r.onDeliver
-		n.fail = r.fail
-		n.bugEvery = opt.BugFlipEvery
-		r.nodes[g] = n
-		engines[g] = eng
-		r.net.Register(amcast.GroupNode(g), n)
+		r.groups[g] = &groupStats{}
 	}
 	var instr *Instrumentation
 	if d.Instrument != nil {
-		instr = d.Instrument(engines, s.Now)
+		instr = d.Instrument(h.Engines, s.Now)
 		if len(inj.crashes) > 0 && instr.Rebind == nil {
 			return nil, nil, fmt.Errorf("chaos: a schedule with crashes needs Instrumentation.Rebind (observers would stay bound to pre-crash engines)")
 		}
@@ -479,39 +495,32 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 
 	// Crash/recovery schedule: the group persists from the start; crash
 	// the server and park its traffic; at the window's end rebuild the
-	// engine from disk, then release the parked traffic.
+	// engine from disk, re-attach the instrumentation, then release the
+	// parked traffic.
 	for _, w := range inj.crashes {
-		w := w
-		n := r.nodes[w.group]
-		err := n.persist(filepath.Join(durDir, fmt.Sprintf("group-%d", w.group)),
-			func() (amcast.SnapshotEngine, error) { return d.NewEngine(w.group) }, d.DecodeSnapshot)
-		if err != nil {
-			for _, p := range r.nodes {
-				if p.de != nil {
-					p.de.Close() // the schedule is refused; its directory goes
-				}
-			}
+		if err := h.Persist(w.group, filepath.Join(durDir, fmt.Sprintf("group-%d", w.group))); err != nil {
+			h.Close() // the schedule is refused; its directory goes
 			return nil, nil, fmt.Errorf("chaos: durable backend for group %d: %w", w.group, err)
-		}
-		if instr != nil {
-			n.rebind = func(eng amcast.SnapshotEngine) error { return instr.Rebind(w.group, eng) }
 		}
 		gnode := amcast.GroupNode(w.group)
 		s.ScheduleAt(w.start, func() {
-			n.Crash()
-			if w.torn {
-				if err := n.TearTail(); err != nil {
-					r.fail(err)
-				} else {
-					inj.stats.TornTails++
-				}
+			img, err := h.Crash(w.group, w.torn)
+			if err != nil {
+				r.fail(err)
+			}
+			if img != nil && img.Torn {
+				inj.stats.TornTails++
 			}
 			r.net.CrashNode(gnode)
 			inj.stats.Crashes++
 		})
 		s.ScheduleAt(w.end, func() {
 			inj.stats.Parked += r.net.Parked(gnode)
-			if err := n.Recover(); err != nil {
+			eng, err := h.Recover(w.group)
+			if err == nil && instr != nil {
+				err = instr.Rebind(w.group, eng)
+			}
+			if err != nil {
 				// The group stays crashed: its traffic stays parked.
 				r.fail(err)
 				return
@@ -537,19 +546,17 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 	r.res.FaultTrace = inj.FaultTrace()
 	r.res.Traffic = make(map[amcast.GroupID]metrics.NodeCounters, len(d.Groups))
 	r.res.FinalHistoryLen = make(map[amcast.GroupID]int, len(d.Groups))
-	for g, n := range r.nodes {
-		r.res.Traffic[g] = n.traffic
-		if h, ok := n.eng.(interface{ HistoryLen() int }); ok {
-			r.res.FinalHistoryLen[g] = h.HistoryLen()
+	for g, st := range r.groups {
+		r.res.Traffic[g] = st.traffic
+		if hl, ok := h.Engines[g].(interface{ HistoryLen() int }); ok {
+			r.res.FinalHistoryLen[g] = hl.HistoryLen()
 		}
 	}
 
 	// Durable teardown: surface any latched backend I/O error, then
 	// release the file descriptors before the directory is removed.
-	for _, w := range inj.crashes {
-		if err := r.nodes[w.group].de.Close(); err != nil {
-			r.fail(fmt.Errorf("group %d durable backend: %w", w.group, err))
-		}
+	if err := h.Close(); err != nil {
+		r.fail(err)
 	}
 
 	if check {
@@ -568,10 +575,10 @@ func runSchedule(d Deployment, opt Options, seed int64, check bool) (*ScheduleRe
 // reads, cross-shard invariants, replica digests).
 func (r *run) check(instr *Instrumentation) {
 	if r.res.Err == nil {
-		r.res.Err = r.rec.CheckAll(r.d.Genuine)
+		r.res.Err = r.h.Rec.CheckAll(r.d.Genuine)
 	}
 	for _, g := range r.d.Groups {
-		if c, ok := r.nodes[g].eng.(interface{ CheckHistoryAcyclic() error }); ok && r.res.Err == nil {
+		if c, ok := r.h.Engines[g].(interface{ CheckHistoryAcyclic() error }); ok && r.res.Err == nil {
 			if err := c.CheckHistoryAcyclic(); err != nil {
 				r.res.Err = fmt.Errorf("group %d: %w", g, err)
 			}
@@ -605,13 +612,13 @@ func (r *run) flushClient() {
 	}
 	r.net.Register(calls.ID(), sim.HandlerFunc(func(env amcast.Envelope) {}))
 	seq := uint64(0)
-	for at := opt.FlushEvery; at <= opt.InjectWindow; at += opt.FlushEvery {
+	for at := opt.FlushEvery; at <= injectWindow; at += opt.FlushEvery {
 		seq++
 		m := calls.Message(seq, all, amcast.FlagFlush, nil)
 		r.multicast(m)
 		r.s.ScheduleAt(at, func() {
 			// Fire and forget: nothing waits on an open-loop flush.
-			calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { r.net.Send(calls.ID(), to, env) })
+			calls.Requests(m, r.send(calls.ID()))
 		})
 	}
 }
@@ -624,10 +631,7 @@ func (r *run) flushClient() {
 // chains each issue to the previous completion.
 func (r *run) clients(instr *Instrumentation) {
 	opt := r.opt
-	maxDst := opt.MaxDst
-	if maxDst == 0 || maxDst > len(r.d.Groups) {
-		maxDst = len(r.d.Groups)
-	}
+	maxDst := min(cmp.Or(opt.MaxDst, len(r.d.Groups)), len(r.d.Groups))
 	for c := 0; c < opt.Clients; c++ {
 		calls := client.NewCalls[openCall](c, r.d.Route)
 		gen := r.workload(c, maxDst)
@@ -644,34 +648,24 @@ func (r *run) clients(instr *Instrumentation) {
 			dst, payload := gen(i)
 			msgs[i] = calls.Message(uint64(i+1), dst, 0, payload)
 		}
-		reads := r.newReadIssuer(instr, c, calls.Prefix)
+		lc := r.loop(calls, func(seq uint64) (amcast.Message, bool) {
+			if !opt.ClosedLoop || seq > uint64(len(msgs)) {
+				return amcast.Message{}, false
+			}
+			return msgs[seq-1], true
+		}, 0, r.newReadIssuer(instr, c, calls.Prefix), r.tracer)
 		if opt.ClosedLoop {
-			lc := r.loop(calls, func(seq uint64) (amcast.Message, bool) {
-				if seq > uint64(len(msgs)) {
-					return amcast.Message{}, false
-				}
-				return msgs[seq-1], true
-			}, 0, reads, r.tracer)
-			r.s.ScheduleAt(sim.Time(r.rng.Int63n(int64(opt.InjectWindow)/8+1)), lc.issue)
+			r.s.ScheduleAt(sim.Time(r.rng.Int63n(int64(injectWindow)/8+1)), lc.issue)
 			continue
 		}
-		// Open loop: completions only matter to the tracer (a sampled
-		// multicast finishes when every destination has replied).
-		r.net.Register(calls.ID(), sim.HandlerFunc(func(env amcast.Envelope) {
-			_, progress := calls.Reply(env)
-			reads.onReply(env, progress)
-			if progress == client.Completed {
-				r.tracer.Finish(env.Msg.ID)
-			}
-		}))
-		for i := range msgs {
-			m := msgs[i]
+		// Open loop: the client issues nothing itself; each multicast
+		// goes out at its own seeded time.
+		for _, m := range msgs {
 			r.multicast(m)
-			s := r.s
-			s.ScheduleAt(sim.Time(r.rng.Int63n(int64(opt.InjectWindow))), func() {
-				calls.Issue(m, openCall{issued: s.Now()})
+			r.s.ScheduleAt(sim.Time(r.rng.Int63n(int64(injectWindow))), func() {
+				calls.Issue(m, openCall{issued: r.s.Now()})
 				r.tracer.Begin(m.ID)
-				calls.Requests(m, func(to amcast.NodeID, env amcast.Envelope) { r.net.Send(calls.ID(), to, env) })
+				calls.Requests(m, r.send(calls.ID()))
 			})
 		}
 	}

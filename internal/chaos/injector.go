@@ -75,33 +75,25 @@ func newInjector(opt Options, groups []amcast.GroupID, rng *rand.Rand, s *sim.Si
 		for b == a {
 			b = groups[rng.Intn(len(groups))]
 		}
-		start := sim.Time(rng.Int63n(int64(opt.InjectWindow)))
-		dur := opt.PartitionMean/2 + sim.Time(rng.Int63n(int64(opt.PartitionMean)))
+		start := sim.Time(rng.Int63n(int64(injectWindow)))
+		dur := partitionMean/2 + sim.Time(rng.Int63n(int64(partitionMean)))
 		inj.partitions = append(inj.partitions, window{
 			from: amcast.GroupNode(a), to: amcast.GroupNode(b),
 			start: start, end: start + dur,
 		})
 		inj.note(start, "partition %s->%s for %dµs", amcast.GroupNode(a), amcast.GroupNode(b), dur)
 	}
-	nCrashes := opt.Crashes
-	if nCrashes > len(groups) {
-		nCrashes = len(groups)
-	}
 	perm := rng.Perm(len(groups))
-	for i := 0; i < nCrashes; i++ {
+	for i := 0; i < min(opt.Crashes, len(groups)); i++ {
 		g := groups[perm[i]]
-		start := sim.Time(rng.Int63n(int64(opt.InjectWindow)))
+		start := sim.Time(rng.Int63n(int64(injectWindow)))
 		dur := opt.DowntimeMean/2 + sim.Time(rng.Int63n(int64(opt.DowntimeMean)))
 		// About half the crashes tear the WAL tail, decided by the parity
 		// of a value already drawn: a draw of its own would shift every
 		// later one and change the schedule.
 		torn := start%2 == 1
 		inj.crashes = append(inj.crashes, window{group: g, start: start, end: start + dur, torn: torn})
-		if torn {
-			inj.note(start, "crash %s for %dµs (torn WAL tail)", amcast.GroupNode(g), dur)
-		} else {
-			inj.note(start, "crash %s for %dµs", amcast.GroupNode(g), dur)
-		}
+		inj.note(start, "crash %s for %dµs%s", amcast.GroupNode(g), dur, map[bool]string{true: " (torn WAL tail)"}[torn])
 	}
 	return inj
 }
@@ -119,10 +111,7 @@ func (inj *injector) Fault(from, to amcast.NodeID, env amcast.Envelope) sim.Link
 	now := inj.s.Now()
 	// Transient partition: the envelope is held back (sender-side
 	// retransmission) until just after the heal.
-	jitterMax := inj.opt.JitterMax
-	if jitterMax < 0 {
-		jitterMax = 0
-	}
+	jitterMax := max(inj.opt.JitterMax, 0)
 	for _, w := range inj.partitions {
 		if w.from == from && w.to == to && now >= w.start && now < w.end {
 			f.Delay += w.end - now + sim.Time(inj.rng.Int63n(int64(jitterMax)+1))
@@ -130,7 +119,7 @@ func (inj *injector) Fault(from, to amcast.NodeID, env amcast.Envelope) sim.Link
 		}
 	}
 	if inj.rng.Float64() < inj.opt.DropProb {
-		f.Delay += inj.opt.RetransmitDelay + sim.Time(inj.rng.Int63n(int64(inj.opt.RetransmitDelay)))
+		f.Delay += retransmitDelay + sim.Time(inj.rng.Int63n(int64(retransmitDelay)))
 		inj.stats.Retransmits++
 		inj.note(now, "retransmit %s %s %s->%s", env.Kind, env.Msg.ID, from, to)
 	}

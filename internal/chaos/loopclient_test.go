@@ -6,6 +6,7 @@ import (
 	"flexcast/amcast"
 	"flexcast/internal/client"
 	"flexcast/internal/sim"
+	"flexcast/internal/simhost"
 )
 
 // echoRun is a timed run whose groups 1..n reply to every request they
@@ -15,6 +16,9 @@ func echoRun(n int, delays map[amcast.GroupID]sim.Time) *run {
 	s := sim.New()
 	r := &run{s: s, res: &ScheduleResult{}, opt: Options{Duration: 1}, hi: 1 << 62}
 	r.net = sim.NewNetwork(s, func(from, to amcast.NodeID) sim.Time { return 100 })
+	// A host with no groups: it carries the clients' requests onto net.
+	r.h, _ = simhost.New(simhost.Config{})
+	r.h.Attach(r.net)
 	for g := amcast.GroupID(1); g <= amcast.GroupID(n); g++ {
 		r.net.Register(amcast.GroupNode(g), sim.HandlerFunc(func(env amcast.Envelope) {
 			d := amcast.Delivery{Group: g, Msg: env.Msg}

@@ -8,11 +8,7 @@ import (
 	"flexcast/internal/core"
 	"flexcast/internal/overlay"
 	"flexcast/internal/prototest"
-	"flexcast/internal/sim"
-	"flexcast/internal/trace"
 )
-
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed*2654435761 + 1)) }
 
 // TestHistoriesStayAcyclicUnderRandomWorkloads drives random workloads
 // through FlexCast and asserts the internal invariant behind Acyclic
@@ -62,80 +58,40 @@ func TestRandomWorkloadWithPeriodicFlush(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		groups := []amcast.GroupID{1, 2, 3, 4}
 		ov := overlay.MustCDAG(groups)
-		s := sim.New()
-		rec := trace.NewRecorder()
-		var checkErr error
-		net := sim.NewNetwork(s,
-			func(from, to amcast.NodeID) sim.Time { return 300 },
-			sim.WithSendHook(func(from, to amcast.NodeID, env amcast.Envelope) {
-				if env.Kind == amcast.KindRequest {
-					rec.OnMulticast(env.Msg)
+		var engines map[amcast.GroupID]amcast.Engine
+		rec := prototest.RunRandom(t, prototest.RandomConfig{
+			Groups:   groups,
+			Clients:  1,
+			Messages: 60,
+			Route: func(m amcast.Message) []amcast.NodeID {
+				return []amcast.NodeID{amcast.GroupNode(ov.Lca(m.Dst))}
+			},
+			Factory: func(g amcast.GroupID) amcast.Engine { return core.MustNew(core.Config{Group: g, Overlay: ov}) },
+			Seed:    seed,
+			// Interleave application messages with flushes: every 5th
+			// message is a flush to all groups.
+			NextMessage: func(c, i int, rng *rand.Rand) amcast.Message {
+				m := amcast.Message{ID: amcast.NewMsgID(c, uint64(i+1)), Sender: amcast.ClientNode(c)}
+				if i%5 == 4 {
+					m.Dst, m.Flags = append([]amcast.GroupID(nil), groups...), amcast.FlagFlush
+					return m
 				}
-				rec.OnSend(from, to, env)
-			}))
-		engines := make(map[amcast.GroupID]*core.Engine)
-		for _, g := range groups {
-			g := g
-			eng := core.MustNew(core.Config{Group: g, Overlay: ov})
-			engines[g] = eng
-			net.Register(amcast.GroupNode(g), sim.HandlerFunc(func(env amcast.Envelope) {
-				for _, out := range eng.OnEnvelope(env) {
-					net.Send(amcast.GroupNode(g), out.To, out.Env)
-				}
-				for _, d := range eng.TakeDeliveries() {
-					if err := rec.OnDeliver(d); err != nil && checkErr == nil {
-						checkErr = err
-					}
-				}
-			}))
-		}
-		net.Register(amcast.ClientNode(0), sim.HandlerFunc(func(amcast.Envelope) {}))
-
-		// Interleave application messages with flushes: every 5th message
-		// is a flush to all groups.
-		rng := newRng(seed)
-		for i := 0; i < 60; i++ {
-			var m amcast.Message
-			if i%5 == 4 {
-				m = amcast.Message{
-					ID:     amcast.NewMsgID(0, uint64(i+1)),
-					Sender: amcast.ClientNode(0),
-					Dst:    append([]amcast.GroupID(nil), groups...),
-					Flags:  amcast.FlagFlush,
-				}
-			} else {
 				n := 1 + rng.Intn(len(groups))
-				perm := rng.Perm(len(groups))
-				dst := make([]amcast.GroupID, 0, n)
-				for _, p := range perm[:n] {
-					dst = append(dst, groups[p])
+				for _, p := range rng.Perm(len(groups))[:n] {
+					m.Dst = append(m.Dst, groups[p])
 				}
-				m = amcast.Message{
-					ID:     amcast.NewMsgID(0, uint64(i+1)),
-					Sender: amcast.ClientNode(0),
-					Dst:    amcast.NormalizeDst(dst),
-				}
-			}
-			// m is declared inside the loop body, so each closure captures
-			// its own copy.
-			at := sim.Time(rng.Int63n(30_000))
-			s.ScheduleAt(at, func() {
-				rec.OnMulticast(m)
-				net.Send(m.Sender, amcast.GroupNode(ov.Lca(m.Dst)),
-					amcast.Envelope{Kind: amcast.KindRequest, From: m.Sender, Msg: m})
-			})
-		}
-		s.Run()
-		if checkErr != nil {
-			t.Fatal(checkErr)
-		}
+				m.Dst = amcast.NormalizeDst(m.Dst)
+				return m
+			},
+			OnEngines: func(e map[amcast.GroupID]amcast.Engine) { engines = e },
+		})
 		if err := rec.CheckAll(true); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		pruned := 0
 		for _, e := range engines {
-			pruned += e.PrunedNodes()
-			if err := e.CheckHistoryAcyclic(); err != nil {
+			pruned += e.(*core.Engine).PrunedNodes()
+			if err := e.(*core.Engine).CheckHistoryAcyclic(); err != nil {
 				t.Fatal(err)
 			}
 		}

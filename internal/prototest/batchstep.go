@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flexcast/amcast"
+	"flexcast/internal/simhost"
 )
 
 // perEnvelope hides an engine's amcast.BatchStepper, so amcast.BatchStep
@@ -23,8 +24,7 @@ type perEnvelope struct{ amcast.Engine }
 // across a chunk and is validated by RunChunkedSafety instead.
 func RunBatchEquivalence(t *testing.T, cfg RandomConfig) {
 	t.Helper()
-	w := newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine { return perEnvelope{cfg.Factory(g)} }, nil)
-	w.keep = true
+	w := newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine { return perEnvelope{cfg.Factory(g)} }, simhost.Config{Keep: true})
 	rng := w.simulate(cfg, false)
 
 	for _, g := range cfg.Groups {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flexcast/amcast"
+	"flexcast/internal/simhost"
 )
 
 // CheckBinarySnapshot audits the amcast.BinarySnapshot contract on a
@@ -42,13 +43,9 @@ func CheckBinarySnapshot(t *testing.T, eng, fresh amcast.SnapshotEngine, decode 
 // state as bytes.
 func snapshotBytes(t *testing.T, snap amcast.Snapshot) []byte {
 	t.Helper()
-	bs, ok := snap.(amcast.BinarySnapshot)
-	if !ok {
-		t.Fatalf("prototest: snapshot %T has no binary form", snap)
-	}
-	data, err := bs.MarshalBinary()
+	data, err := simhost.Marshal(snap)
 	if err != nil {
-		t.Fatalf("prototest: marshal snapshot: %v", err)
+		t.Fatal(err)
 	}
 	return data
 }

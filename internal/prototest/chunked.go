@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flexcast/amcast"
+	"flexcast/internal/simhost"
 	"flexcast/internal/trace"
 )
 
@@ -16,11 +17,10 @@ import (
 func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) *world {
 	t.Helper()
 	rng := rand.New(rand.NewSource(runSeed))
-	maxBatch := make(map[amcast.GroupID]int, len(cfg.Groups))
-	for _, g := range cfg.Groups {
-		maxBatch[g] = 1 + rng.Intn(8)
-	}
-	w := newWorld(t, cfg.Groups, cfg.Factory, maxBatch)
+	w := newWorld(t, cfg.Groups, cfg.Factory, simhost.Config{
+		MaxBatch: func(amcast.GroupID) int { return 1 + rng.Intn(8) }, // drawn once per group, in order
+		Manual:   true,
+	})
 
 	// Inject the workload: every multicast enters its route node's queue
 	// up front; interleaving comes from the seeded link scheduling below.
@@ -29,7 +29,7 @@ func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) *world {
 		cid := amcast.ClientNode(c)
 		for i := 0; i < cfg.Messages; i++ {
 			m := cfg.message(c, i, mcRNG)
-			w.rec.OnMulticast(m)
+			w.Rec.OnMulticast(m)
 			for _, to := range cfg.Route(m) {
 				w.request(cid, to, amcast.Envelope{Kind: amcast.KindRequest, From: cid, Msg: m})
 			}
@@ -41,10 +41,10 @@ func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) *world {
 	// picked by the run seed, so chunk boundaries land everywhere across
 	// protocol phases.
 	for {
-		busy := w.links.busy()
+		busy := w.Links.Busy()
 		var queued []amcast.GroupID
 		for _, g := range cfg.Groups {
-			if w.groups[g].node.QueueLen() > 0 {
+			if w.QueueLen(g) > 0 {
 				queued = append(queued, g)
 			}
 		}
@@ -55,18 +55,18 @@ func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) *world {
 		// otherwise step a random node with a queue.
 		if len(busy) > 0 && (len(queued) == 0 || rng.Intn(10) < 7) {
 			l := busy[rng.Intn(len(busy))]
-			w.move(l)
+			w.Move(l)
 			// Step at a seeded random queue length so a hot node still
 			// drains, sometimes below its MaxBatch, sometimes past it.
-			if g := l.to.Group(); w.groups[g].node.QueueLen() >= 1+rng.Intn(16) {
-				w.step(g)
+			if g := l.To.Group(); w.QueueLen(g) >= 1+rng.Intn(16) {
+				w.Step(g)
 			}
 			continue
 		}
-		w.step(queued[rng.Intn(len(queued))])
+		w.Step(queued[rng.Intn(len(queued))])
 	}
 	if cfg.OnEngines != nil {
-		cfg.OnEngines(w.engines)
+		cfg.OnEngines(w.Engines)
 	}
 	return w
 }
@@ -78,7 +78,7 @@ func chunkedRun(t *testing.T, cfg RandomConfig, runSeed int64) *world {
 // per-envelope execution of the same workload.
 func RunChunked(t *testing.T, cfg RandomConfig, runSeed int64) *trace.Recorder {
 	t.Helper()
-	return chunkedRun(t, cfg, runSeed).rec
+	return chunkedRun(t, cfg, runSeed).Rec
 }
 
 // RunChunkedSafety exercises the weak (protocol-equivalence) form of the
@@ -95,17 +95,17 @@ func RunChunkedSafety(t *testing.T, cfg RandomConfig, minimality bool) {
 	backlogged := 0
 	for runSeed := int64(1); runSeed <= 3; runSeed++ {
 		w := chunkedRun(t, cfg, runSeed)
-		rec := w.rec
+		rec := w.Rec
 		if err := rec.CheckAll(minimality); err != nil {
 			t.Fatalf("chunked run (seed %d/%d) violates spec: %v", cfg.Seed, runSeed, err)
 		}
 		if rec.Deliveries() == 0 {
 			t.Fatalf("chunked run (seed %d/%d) delivered nothing", cfg.Seed, runSeed)
 		}
-		if rec2 := chunkedRun(t, cfg, runSeed).rec; !reflect.DeepEqual(rec, rec2) {
+		if rec2 := chunkedRun(t, cfg, runSeed).Rec; !reflect.DeepEqual(rec, rec2) {
 			t.Fatalf("chunked run (seed %d/%d) is not deterministic", cfg.Seed, runSeed)
 		}
-		backlogged += w.backlogged
+		backlogged += w.Backlogged
 	}
 	if backlogged == 0 {
 		t.Fatalf("chunked runs (seed %d) never stepped a node from a backlog: the priority drain went unchecked", cfg.Seed)

@@ -1,11 +1,11 @@
 package prototest
 
 import (
-	"bytes"
 	"testing"
 
 	"flexcast/amcast"
 	"flexcast/internal/durable"
+	"flexcast/internal/simhost"
 )
 
 // RunDurableReplay is RunSnapshotReplay's on-disk sibling: the random
@@ -23,108 +23,78 @@ import (
 //     final input is lost with the torn record, so recovery must stop
 //     cleanly at the state before it — not fail, not misparse.
 //
+// Each image recovers through the simulated host (RecoverImage), with
+// its audits: torn tail discarded exactly when there is one, replay
+// within the cadence, state byte-equal to what the image must hold.
 // Any divergence means the WAL framing, snapshot codec, or recovery
 // path mishandles a crash artifact.
 func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcast.Snapshot, error), snapshotEvery int) {
 	t.Helper()
-	open := func(g amcast.GroupID, dir string) *durable.Engine {
-		de, err := durable.Wrap(snapshotEngine(t, cfg.Factory(g)), durable.Options{
-			Dir:           dir,
-			SnapshotEvery: snapshotEvery,
-			FsyncEvery:    -1,
-			Decode:        decode,
-		})
-		if err != nil {
-			t.Fatalf("prototest: durable backend of group %d in %s: %v", g, dir, err)
-		}
-		return de
-	}
-	dirs := make(map[amcast.GroupID]string, len(cfg.Groups))
-	w := newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine {
-		dirs[g] = t.TempDir()
-		return open(g, dirs[g])
-	}, nil)
-	w.keep = true
-	w.simulate(cfg, false)
-
-	recoverImage := func(g amcast.GroupID, dir string) (amcast.SnapshotEngine, durable.RecoveryStats) {
-		de := open(g, dir)
-		de.Close()
-		return de.Inner(), de.Recovery()
-	}
-	// crashImage clones a group's directory — the kill -9 image a
-	// variant mutates and recovers from, leaving the original for the
-	// next variant.
-	crashImage := func(g amcast.GroupID) string {
-		dir := t.TempDir()
-		if err := durable.CopyImage(dirs[g], dir); err != nil {
+	w := newWorld(t, cfg.Groups, cfg.Factory, simhost.Config{Keep: true, SnapshotEvery: snapshotEvery, Decode: decode})
+	for _, g := range cfg.Groups {
+		if err := w.Persist(g, t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
-		return dir
 	}
+	w.simulate(cfg, false)
 
 	for _, g := range cfg.Groups {
-		de := w.engines[g].(*durable.Engine)
-		// Close before imaging: it waits for the persist job in flight, so
-		// the copy is a finished directory and replay is bounded by the
-		// last captured snapshot.
-		if err := de.Close(); err != nil {
-			t.Fatalf("prototest: durable backend of group %d: %v", g, err)
+		live, err := w.Crash(g, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		live := snapshotBytes(t, de.Inner().Snapshot())
-		since := de.SinceSnapshot()
+		// shape copies the group's kill -9 image for one crash shape to
+		// mutate and recover from, leaving the original for the next.
+		shape := func(state []byte) *simhost.Image {
+			img := &simhost.Image{Dir: t.TempDir(), State: state}
+			if err := durable.CopyImage(live.Dir, img.Dir); err != nil {
+				t.Fatal(err)
+			}
+			return img
+		}
+		recoverImage := func(name string, img *simhost.Image) durable.RecoveryStats {
+			de, err := w.RecoverImage(g, img)
+			if err != nil {
+				t.Fatalf("prototest: %s: %v", name, err)
+			}
+			de.Close()
+			return de.Recovery()
+		}
 
-		// Clean kill -9 image: full state back, replay bounded by the
-		// snapshot age.
-		fresh, st := recoverImage(g, crashImage(g))
-		if st.TornTailBytes != 0 {
-			t.Fatalf("prototest: group %d clean image reported a torn tail of %d bytes", g, st.TornTailBytes)
-		}
-		if st.ReplayedEnvelopes != since {
+		// Clean image: full state back, replaying exactly the inputs since
+		// the last checkpoint.
+		if st := recoverImage("clean image", shape(live.State)); st.ReplayedEnvelopes != live.Since {
 			t.Fatalf("prototest: group %d replayed %d envelopes, want the %d since the last snapshot",
-				g, st.ReplayedEnvelopes, since)
-		}
-		if !bytes.Equal(snapshotBytes(t, fresh.Snapshot()), live) {
-			t.Fatalf("prototest: group %d clean recovery diverged from the live engine", g)
+				g, st.ReplayedEnvelopes, live.Since)
 		}
 
 		// Torn frame appended past the last complete record: discarded,
 		// same state.
-		dir := crashImage(g)
-		if _, err := durable.TearTail(dir, nil); err != nil {
+		torn := shape(live.State)
+		if _, err := durable.TearTail(torn.Dir, nil); err != nil {
 			t.Fatalf("prototest: tear tail of group %d: %v", g, err)
 		}
-		fresh, st = recoverImage(g, dir)
-		if st.TornTailBytes == 0 {
-			t.Fatalf("prototest: group %d torn tail injected but recovery discarded nothing", g)
-		}
-		if !bytes.Equal(snapshotBytes(t, fresh.Snapshot()), live) {
-			t.Fatalf("prototest: group %d recovery after a torn tail diverged from the live engine", g)
-		}
+		torn.Torn = true
+		recoverImage("torn tail", torn)
 
 		// Last record truncated mid-frame: its input is lost with it, so
-		// recovery lands exactly one input earlier — rebuilt here as the
+		// recovery lands exactly one input earlier, rebuilt here as the
 		// reference by replaying the full input log minus that input.
-		dir = crashImage(g)
-		cut, err := durable.TruncateLastRecord(dir)
+		cut := shape(nil)
+		ok, err := durable.TruncateLastRecord(cut.Dir)
 		if err != nil {
 			t.Fatalf("prototest: truncate last record of group %d: %v", g, err)
 		}
-		if !cut {
+		if !ok {
 			continue // the last input triggered a rotation; nothing in the current epoch to tear
 		}
-		fresh, st = recoverImage(g, dir)
-		if st.TornTailBytes == 0 {
-			t.Fatalf("prototest: group %d truncated record not reported as a torn tail", g)
-		}
-		ref := snapshotEngine(t, cfg.Factory(g))
+		ref := cfg.Factory(g).(amcast.SnapshotEngine)
 		inputs, _, _ := w.log(g)
 		for _, env := range inputs[:len(inputs)-1] {
 			ref.OnEnvelope(env)
 			ref.TakeDeliveries()
 		}
-		if !bytes.Equal(snapshotBytes(t, fresh.Snapshot()), snapshotBytes(t, ref.Snapshot())) {
-			t.Fatalf("prototest: group %d recovery after mid-frame truncation diverged from the all-but-last reference", g)
-		}
+		cut.State, cut.Torn = snapshotBytes(t, ref.Snapshot()), true
+		recoverImage("truncated record", cut)
 	}
 }

@@ -1,11 +1,15 @@
-// Package prototest is the one test world the protocol tests share: it
-// hosts every group as a stepped runtime.Node, records the run for the
-// trace checkers and logs each group's steps. A schedule source picks
-// what moves next: the test's script (Router); a seeded sim.Network
-// (RunRandom, RunRandomNoFIFO and the replay checks RunSnapshotReplay,
-// RunBatchEquivalence and RunDurableReplay); or a seeded chunked choice
-// of which envelope moves and which node steps (RunChunked,
-// RunChunkedSafety). It is imported only by _test files.
+// Package prototest holds the protocol tests' schedule sources over the
+// simulated host (internal/simhost), which steps every group as a
+// runtime.Node, records the run for the trace checkers and logs each
+// group's steps; prototest fails the test on what the host reports and
+// poisons each chunk after its step. A schedule source picks what moves
+// next: the test's script (Router); a seeded sim.Network (RunRandom,
+// RunRandomNoFIFO and the replay checks RunSnapshotReplay,
+// RunBatchEquivalence and RunDurableReplay, whose crash images recover
+// through the host's audited recovery); or a seeded chunked choice of
+// which envelope moves and which node steps (RunChunked,
+// RunChunkedSafety). Only test code imports it: the in-package tests of
+// core and store among them, which is why the host imports no engine.
 package prototest
 
 import (
@@ -16,6 +20,7 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/sim"
+	"flexcast/internal/simhost"
 	"flexcast/internal/trace"
 )
 
@@ -34,8 +39,8 @@ type Router struct {
 // NewRouter hosts one engine per group.
 func NewRouter(t *testing.T, groups []amcast.GroupID, f EngineFactory) *Router {
 	t.Helper()
-	w := newWorld(t, groups, f, nil)
-	return &Router{w: w, Recorder: w.rec}
+	w := newWorld(t, groups, f, simhost.Config{})
+	return &Router{w: w, Recorder: w.Rec}
 }
 
 // Msg builds a test message. Destination order is normalized.
@@ -56,7 +61,7 @@ func (r *Router) Multicast(at amcast.GroupID, m amcast.Message) {
 // InFlight reports how many envelopes are parked.
 func (r *Router) InFlight() int {
 	n := 0
-	for _, q := range r.w.links {
+	for _, q := range r.w.Links {
 		n += len(q)
 	}
 	return n
@@ -64,10 +69,10 @@ func (r *Router) InFlight() int {
 
 // head returns the oldest envelope in flight on the (from→to) link. It
 // fails the test when the link is empty.
-func (r *Router) head(from, to amcast.GroupID) (link, amcast.Envelope) {
+func (r *Router) head(from, to amcast.GroupID) (simhost.Link, amcast.Envelope) {
 	r.w.t.Helper()
-	l := link{from: amcast.GroupNode(from), to: amcast.GroupNode(to)}
-	q := r.w.links[l]
+	l := simhost.Link{From: amcast.GroupNode(from), To: amcast.GroupNode(to)}
+	q := r.w.Links[l]
 	if len(q) == 0 {
 		r.w.t.Fatalf("prototest: no envelope in flight on %d->%d", from, to)
 	}
@@ -84,13 +89,13 @@ func (r *Router) Step(from, to amcast.GroupID, kind amcast.Kind, id uint64) {
 		r.w.t.Fatalf("prototest: head of %d->%d is %s %s, want %s %d",
 			from, to, head.Kind, head.Msg.ID, kind, id)
 	}
-	r.w.move(l)
+	r.w.Move(l)
 }
 
 // LinkDepth reports how many envelopes are in flight on the (from→to)
 // link.
 func (r *Router) LinkDepth(from, to amcast.GroupID) int {
-	return len(r.w.links[link{from: amcast.GroupNode(from), to: amcast.GroupNode(to)}])
+	return len(r.w.Links[simhost.Link{From: amcast.GroupNode(from), To: amcast.GroupNode(to)}])
 }
 
 // StepAny delivers the oldest in-flight envelope on the (from→to) link,
@@ -98,15 +103,15 @@ func (r *Router) LinkDepth(from, to amcast.GroupID) int {
 func (r *Router) StepAny(from, to amcast.GroupID) {
 	r.w.t.Helper()
 	l, _ := r.head(from, to)
-	r.w.move(l)
+	r.w.Move(l)
 }
 
 // Drain delivers all remaining in-flight envelopes in a deterministic
 // link order until quiescence.
 func (r *Router) Drain() {
-	for busy := r.w.links.busy(); len(busy) > 0; busy = r.w.links.busy() {
+	for busy := r.w.Links.Busy(); len(busy) > 0; busy = r.w.Links.Busy() {
 		for _, l := range busy {
-			r.w.move(l)
+			r.w.Move(l)
 		}
 	}
 }
@@ -141,7 +146,8 @@ type RandomConfig struct {
 	// OnEngines, when non-nil, observes the engines after the run
 	// quiesces (digest comparisons across execution strategies). Every
 	// driver calls it with the engines it hosts: RunBatchEquivalence's
-	// behind a per-envelope view, RunDurableReplay's in durable.Engine.
+	// behind a per-envelope view, RunDurableReplay's without the durable
+	// backend they ran behind.
 	OnEngines func(engines map[amcast.GroupID]amcast.Engine)
 }
 
@@ -173,28 +179,18 @@ func (cfg *RandomConfig) message(c, i int, rng *rand.Rand) amcast.Message {
 // simulator and returns the recorded run after quiescence.
 func RunRandom(t *testing.T, cfg RandomConfig) *trace.Recorder {
 	t.Helper()
-	w := newWorld(t, cfg.Groups, cfg.Factory, nil)
+	w := newWorld(t, cfg.Groups, cfg.Factory, simhost.Config{})
 	w.simulate(cfg, false)
-	return w.rec
+	return w.Rec
 }
 
 // RunRandomNoFIFO is RunRandom with the per-link FIFO clamp disabled,
 // for protocols (like Skeen's) that do not rely on FIFO channels.
 func RunRandomNoFIFO(t *testing.T, cfg RandomConfig) *trace.Recorder {
 	t.Helper()
-	w := newWorld(t, cfg.Groups, cfg.Factory, nil)
+	w := newWorld(t, cfg.Groups, cfg.Factory, simhost.Config{})
 	w.simulate(cfg, true)
-	return w.rec
-}
-
-// snapshotEngine returns eng as an amcast.SnapshotEngine, failing the
-// test when it is not one.
-func snapshotEngine(t *testing.T, eng amcast.Engine) amcast.SnapshotEngine {
-	se, ok := eng.(amcast.SnapshotEngine)
-	if !ok {
-		t.Fatalf("prototest: engine for group %d does not implement amcast.SnapshotEngine", eng.Group())
-	}
-	return se
+	return w.Rec
 }
 
 // RunSnapshotReplay exercises the amcast.SnapshotEngine contract under a
@@ -208,39 +204,34 @@ func snapshotEngine(t *testing.T, eng amcast.Engine) amcast.SnapshotEngine {
 func RunSnapshotReplay(t *testing.T, cfg RandomConfig, snapAfter int) {
 	t.Helper()
 	snaps := make(map[amcast.GroupID]amcast.Snapshot, len(cfg.Groups))
-	w := newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine {
-		eng := snapshotEngine(t, cfg.Factory(g))
+	var w *world
+	w = newWorld(t, cfg.Groups, func(g amcast.GroupID) amcast.Engine {
+		eng := cfg.Factory(g).(amcast.SnapshotEngine)
 		snaps[g] = eng.Snapshot()
 		return eng
-	}, nil)
-	w.keep = true
-	w.onStep = func(g amcast.GroupID) {
-		if len(w.groups[g].steps) == snapAfter {
-			snaps[g] = w.engines[g].(amcast.SnapshotEngine).Snapshot()
+	}, simhost.Config{Keep: true, OnStep: func(g amcast.GroupID, _ []amcast.Envelope, _ []amcast.Delivery) {
+		if len(w.Log(g)) == snapAfter {
+			snaps[g] = w.Engines[g].(amcast.SnapshotEngine).Snapshot()
 		}
-	}
+	}})
 	w.simulate(cfg, false)
 
 	for _, g := range cfg.Groups {
-		fresh := snapshotEngine(t, cfg.Factory(g))
+		fresh := cfg.Factory(g).(amcast.SnapshotEngine)
 		if err := fresh.Restore(snaps[g]); err != nil {
 			t.Fatalf("prototest: restore at group %d: %v", g, err)
 		}
 		// Restore discards undrained deliveries; at the snapshot point the
 		// live engine had just been drained, so start replay drained too.
 		fresh.TakeDeliveries()
-		steps := w.groups[g].steps
+		steps := w.Log(g)
 		for i, live := range steps[min(snapAfter, len(steps)):] {
-			env := live.in[0]
+			env := live.In[0]
 			outs := fresh.OnEnvelope(env)
 			dels := fresh.TakeDeliveries()
-			if !reflect.DeepEqual(norm(outs), norm(live.outs)) {
-				t.Fatalf("prototest: group %d diverged on replayed input %d (%s %s): outputs %v != live %v",
-					g, i, env.Kind, env.Msg.ID, outs, live.outs)
-			}
-			if !reflect.DeepEqual(norm(dels), norm(live.dels)) {
-				t.Fatalf("prototest: group %d diverged on replayed input %d (%s %s): deliveries %v != live %v",
-					g, i, env.Kind, env.Msg.ID, dels, live.dels)
+			if !reflect.DeepEqual(norm(outs), norm(live.Outs)) || !reflect.DeepEqual(norm(dels), norm(live.Dels)) {
+				t.Fatalf("prototest: group %d diverged on replayed input %d (%s %s): outputs %v, deliveries %v != live %v, %v",
+					g, i, env.Kind, env.Msg.ID, outs, dels, live.Outs, live.Dels)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package runtime is the production node runtime: it wraps one
 // protocol engine per node for the wall-clock deployments (the
 // in-process Cluster, cmd/flexnode, cmd/flexload) and for the
-// simulator's chaos host (internal/chaos), and adds the throughput
+// simulated host (internal/simhost), and adds the throughput
 // layer the bare transports lack:
 //
 //   - each node has a bounded inbound queue — the only queue between
