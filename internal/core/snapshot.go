@@ -86,7 +86,7 @@ func (s *snapshot) AppendSplit(body, tail []byte, prev amcast.Snapshot) ([]byte,
 			return nil, nil, fmt.Errorf("core: snapshot tail split against a %d-entry delivery log that the snapshot's %d-entry log does not extend", from, len(s.delivered))
 		}
 	}
-	return append(body, s.body...), appendIDs(tail, s.delivered[from:]), nil
+	return append(body, s.body...), appendIDs(slices.Grow(tail, idWidth*(len(s.delivered)-from)), s.delivered[from:]), nil
 }
 
 // mark is the engine's amcast.Mark: the history's, and the lengths of the

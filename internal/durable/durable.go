@@ -16,6 +16,8 @@
 //	               snapshot taken so far, one after the other, never
 //	               rotated: the snapshot in wal-e decodes from its body
 //	               and the journal's first J bytes
+//	FORMAT         the record format's tag (formatTag), written when
+//	               the directory is started
 //
 // Every record is the engine's one encoding of its state: a body written
 // against a mark and instalments of its append-only logs (FlexCast's
@@ -172,6 +174,31 @@ func walPath(dir string, epoch uint64) string {
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
+// formatTag names the format of the records this build writes and
+// reads. Wrap writes it into a directory that holds no state yet and
+// refuses a directory under any other tag, or none, before it decodes a
+// record: a record of another format need not fail to decode.
+const formatTag, formatFile = "flexcast-durable/1", "FORMAT"
+
+func checkFormat(dir string) error {
+	path := filepath.Join(dir, formatFile)
+	got, err := os.ReadFile(path)
+	have := fmt.Sprintf("format %q", got)
+	if errors.Is(err, os.ErrNotExist) {
+		wals, err := scanEpochs(dir)
+		if _, jerr := os.Stat(journalPath(dir)); err == nil && len(wals) == 0 && errors.Is(jerr, os.ErrNotExist) {
+			return os.WriteFile(path, []byte(formatTag), 0o644)
+		}
+		have = "no format tag"
+	} else if err != nil {
+		return err
+	}
+	if string(got) != formatTag {
+		return fmt.Errorf("durable: %s holds %s, this build reads format %q", dir, have, formatTag)
+	}
+	return nil
+}
+
 // scanEpochs lists the epochs present in dir, ascending.
 func scanEpochs(dir string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
@@ -237,6 +264,9 @@ func Wrap(inner amcast.SnapshotEngine, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	awaitAbandoned(opts.Dir)
+	if err := checkFormat(opts.Dir); err != nil {
+		return nil, err
+	}
 	e := &Engine{inner: inner, opts: opts}
 	e.delta, _ = inner.(amcast.DeltaEngine)
 	e.p.dir, e.p.keep = opts.Dir, opts.KeepEpochs
@@ -468,24 +498,11 @@ func (e *Engine) recover() error {
 // Recovery reports what Wrap restored and replayed.
 func (e *Engine) Recovery() RecoveryStats { return e.stats }
 
-// Inner returns the wrapped engine — for layers that need the concrete
-// engine underneath (read fast paths, audits). Callers must respect the
-// single-owner discipline of the engine they unwrap.
-func (e *Engine) Inner() amcast.SnapshotEngine { return e.inner }
-
 // Err returns the latched I/O error, if any: the first WAL append,
 // rotation or persist job that failed. State on disk is frozen at that
 // point. A persist job's failure is picked up when the engine next
 // meets the persister: at the following cadence point, Sync or Close.
 func (e *Engine) Err() error { return e.err }
-
-// Epoch returns the current WAL epoch.
-func (e *Engine) Epoch() uint64 { return e.epoch }
-
-// SinceSnapshot reports the input envelopes appended since the last
-// checkpoint — the replay length a crash would pay once the last
-// snapshot's persist job has finished (Sync and Close wait for it).
-func (e *Engine) SinceSnapshot() int { return e.sinceSnap }
 
 // log appends one input record, built on the WAL writer's frame, before
 // its envelopes reach the engine.
@@ -629,7 +646,8 @@ func (e *Engine) CheckHistoryAcyclic() error {
 }
 
 // Sync forces the WAL to disk and waits for the persist job in flight:
-// when it returns nil, a crash image replays SinceSnapshot envelopes.
+// when it returns nil, a crash image replays the envelopes appended
+// since the last checkpoint.
 func (e *Engine) Sync() error {
 	e.awaitPersist()
 	if e.err == nil {

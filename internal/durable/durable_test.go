@@ -210,8 +210,8 @@ func TestRecoveryBoundedInBytes(t *testing.T) {
 		t.Fatalf("no snapshot after %d inputs of %d B: the byte budget brought no cadence point", n, len(heavyEnv(1).Msg.Payload))
 	}
 	checkReplayedBytes(t, st, snapEvery, heavyEnv(n))
-	if st.ReplayedEnvelopes != deng.SinceSnapshot() {
-		t.Fatalf("replayed %d envelopes, %d were appended since the last checkpoint", st.ReplayedEnvelopes, deng.SinceSnapshot())
+	if st.ReplayedEnvelopes != deng.sinceSnap {
+		t.Fatalf("replayed %d envelopes, %d were appended since the last checkpoint", st.ReplayedEnvelopes, deng.sinceSnap)
 	}
 	if got, want := marshalState(t, rec), marshalState(t, live); !bytes.Equal(got, want) {
 		t.Fatal("recovered state differs from live state")
@@ -248,7 +248,7 @@ func TestTornTailDiscarded(t *testing.T) {
 			// died. The record is framed correctly, then cut (or corrupted),
 			// exactly as an interrupted write() sequence would leave it.
 			rec := appendRecords(nil, []byte("unprocessed input never fully written"), false)
-			walFile := walPath(dir, deng.Epoch())
+			walFile := walPath(dir, deng.epoch)
 			f, err := os.OpenFile(walFile, os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)

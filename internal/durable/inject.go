@@ -65,11 +65,9 @@ func TruncateLastRecord(dir string) (bool, error) {
 }
 
 // CopyImage copies the regular files of a durable directory into dst,
-// creating it: the crash image a recovery check owns (recovering in
-// place would race the live engine's open WAL) or a crash test mutates,
-// leaving the original for the next variant. File to file, so that the
-// kernel does the copying: a journal is tens of megabytes after a few
-// seconds.
+// creating it: the crash image a crash test mutates, leaving the
+// original for the next variant. File to file, so that the kernel does
+// the copying: a journal is tens of megabytes after a few seconds.
 func CopyImage(src, dst string) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err

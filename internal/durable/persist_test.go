@@ -316,9 +316,10 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// checkNames fails when dir holds anything but WAL epochs and the
-// journal: no step of a persist job creates another name, not even for a
-// moment — there is nothing to rename and nothing to sweep.
+// checkNames fails when dir holds anything but WAL epochs, the journal
+// and the format tag Wrap wrote: no step of a persist job creates
+// another name, not even for a moment — there is nothing to rename and
+// nothing to sweep.
 func checkNames(t *testing.T, dir string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -326,7 +327,7 @@ func checkNames(t *testing.T, dir string) {
 	}
 	for _, ent := range ents {
 		var e uint64
-		if n, _ := fmt.Sscanf(ent.Name(), "wal-%08d.log", &e); n != 1 && ent.Name() != "journal.log" {
+		if n, _ := fmt.Sscanf(ent.Name(), "wal-%08d.log", &e); n != 1 && ent.Name() != "journal.log" && ent.Name() != formatFile {
 			t.Errorf("%s holds %q", dir, ent.Name())
 		}
 	}
@@ -410,9 +411,9 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 					img := copyDir(t, dir)
 					want := marshalState(t, prefix)
 					// A snapshot is usable from the moment it is whole.
-					visible := de.Epoch() - 1
+					visible := de.epoch - 1
 					if step >= stepSnapshotAppend {
-						visible = de.Epoch()
+						visible = de.epoch
 					}
 					switch damage {
 					case "journal":
@@ -462,9 +463,9 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 					return st
 				}
 				for off < len(inputs) {
-					epoch := de.Epoch()
+					epoch := de.epoch
 					feed()
-					if de.Epoch() == epoch {
+					if de.epoch == epoch {
 						continue
 					}
 					// A job started and is parked after step. Input keeps
@@ -475,7 +476,7 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 					// checkpoint, not from it.
 					<-parked
 					de.Snapshot()
-					for off < len(inputs) && de.SinceSnapshot()+batch < cadence {
+					for off < len(inputs) && de.sinceSnap+batch < cadence {
 						feed()
 					}
 					damages := []string{"", "journal"}
@@ -492,7 +493,7 @@ func TestCrashAtEveryPersistStep(t *testing.T) {
 					// snapshots, which would wait for the parked job.
 					toDelta := func() bool {
 						for off < len(inputs) {
-							crossing := de.SinceSnapshot()+min(batch, len(inputs)-off) >= cadence
+							crossing := de.sinceSnap+min(batch, len(inputs)-off) >= cadence
 							if crossing && (de.mark == nil || de.deltaBytes > de.bodyLen) {
 								return false
 							}
@@ -739,8 +740,8 @@ func TestEpochNotSyncedBeforePredecessorSealed(t *testing.T) {
 		feed(deng, 1, 4)
 		<-parked
 		feed(deng, 5, 3) // appends to epoch 1 do not wait
-		if deng.Epoch() != 1 || deng.SinceSnapshot() != 3 || deng.Err() != nil {
-			t.Fatalf("epoch %d, %d inputs since the snapshot, err %v", deng.Epoch(), deng.SinceSnapshot(), deng.Err())
+		if deng.epoch != 1 || deng.sinceSnap != 3 || deng.Err() != nil {
+			t.Fatalf("epoch %d, %d inputs since the snapshot, err %v", deng.epoch, deng.sinceSnap, deng.Err())
 		}
 		synced := make(chan error)
 		go func() { synced <- deng.w.sync() }()

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -111,22 +110,14 @@ func eachGroup(n int, f func(i int) error) error {
 }
 
 // verifyDurableRecovery is the -durable run's ending, called once the
-// nodes have stopped: every group's crash image is recovered and checked
-// (verifyGroupRecovery), one group per worker (eachGroup), and the
-// per-group statistics are summed in group order.
-func (r *run) verifyDurableRecovery() (*DurableResult, error) {
-	// The recovering stack is the live one over the crash images: no
-	// mirror or followers to populate, and it only reads, so never fsyncs.
-	cfg := r.cfg
-	images, err := os.MkdirTemp("", "flexload-crash-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(images)
-	cfg.Replicas, cfg.DurableDir, cfg.DurableFsyncEvery = 1, images, -1
+// nodes have stopped: every group's engine is crashed and its image
+// recovered on a fresh stack that stack assembles (verifyGroupRecovery),
+// one group per worker (eachGroup), and the per-group statistics are
+// summed in group order.
+func (r *run) verifyDurableRecovery(stack func(Config) (*deploy.Deployment, error)) (*DurableResult, error) {
 	stats := make([]durable.RecoveryStats, len(r.proto.Groups))
 	if err := eachGroup(len(stats), func(i int) (err error) {
-		stats[i], err = r.verifyGroupRecovery(cfg, r.proto.Groups[i])
+		stats[i], err = r.verifyGroupRecovery(stack, r.proto.Groups[i])
 		return err
 	}); err != nil {
 		return nil, err
@@ -134,45 +125,41 @@ func (r *run) verifyDurableRecovery() (*DurableResult, error) {
 	return durableResult(stats), nil
 }
 
-// verifyGroupRecovery closes group g's durable engine (which waits for
-// its persist job in flight), copies its on-disk state as it stands —
-// the image a kill -9 would leave, since WAL appends hit the page cache
-// unbuffered — into cfg.DurableDir, recovers it into an executor of a
-// deployment of its own, and checks that (a) the recovered shard digest
-// is byte-identical to the live one and (b) the replay length equals the
-// live engine's records since its last checkpoint, i.e. recovery work is
-// bounded by checkpoint age, not run length. Either check failing fails
-// the run.
-func (r *run) verifyGroupRecovery(cfg Config, g amcast.GroupID) (durable.RecoveryStats, error) {
-	var stats durable.RecoveryStats
-	de, live := r.proto.Durables[g], r.proto.Executors[g]
-	if de == nil || live == nil {
-		return stats, fmt.Errorf("loadgen: group %d has no durable engine or executor", g)
-	}
-	if err := de.Close(); err != nil {
-		return stats, fmt.Errorf("loadgen: group %d durable backend failed mid-run: %w", g, err)
-	}
-	if err := durable.CopyImage(deploy.GroupDir(r.cfg.DurableDir, g), deploy.GroupDir(cfg.DurableDir, g)); err != nil {
-		return stats, err
-	}
-	fresh, err := assemble(cfg, false)
+// recoveryStack assembles the stack a crash image recovers on: the live
+// one's shape, mirror included, for its state is in the canonical bytes,
+// without the durable layer, which durable.Recover adds, or followers,
+// which are not.
+func recoveryStack(cfg Config) (*deploy.Deployment, error) {
+	cfg.Durable, cfg.Replicas = false, 1
+	return assemble(cfg, true)
+}
+
+// verifyGroupRecovery crashes group g's durable engine (durable.Crash,
+// which waits for its persist job in flight) — the image a kill -9 would
+// leave, since WAL appends hit the page cache unbuffered — and recovers
+// it in place, on a deployment of its own, with durable.Recover's
+// audits: the recovered FlexCast (or Skeen, or hierarchical) and store
+// state byte-equal to the live one, and the replay exactly the live
+// engine's inputs since its last checkpoint, i.e. recovery work bounded
+// by checkpoint age, not run length. Any check failing fails the run.
+func (r *run) verifyGroupRecovery(stack func(Config) (*deploy.Deployment, error), g amcast.GroupID) (durable.RecoveryStats, error) {
+	img, err := durable.Crash(r.proto.Durables[g], false)
 	if err != nil {
-		return stats, err
+		return durable.RecoveryStats{}, fmt.Errorf("loadgen: %w", err)
 	}
-	if _, err := fresh.NewEngine(g); err != nil {
-		return stats, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
+	fresh, err := stack(r.cfg)
+	if err != nil {
+		return durable.RecoveryStats{}, err
 	}
-	rde := fresh.Durables[g]
-	stats = rde.Recovery()
-	rde.Close()
-	if got, want := fresh.Executors[g].Shard().Digest(), live.Shard().Digest(); got != want {
-		return stats, fmt.Errorf("loadgen: group %d recovered shard digest diverges from live state", g)
+	eng, err := fresh.NewEngine(g)
+	if err != nil {
+		return durable.RecoveryStats{}, err
 	}
-	if since := de.SinceSnapshot(); stats.ReplayedEnvelopes != since {
-		return stats, fmt.Errorf("loadgen: group %d replayed %d envelopes but %d were appended since the last checkpoint (checkpoint age does not bound recovery)",
-			g, stats.ReplayedEnvelopes, since)
+	de, err := durable.Recover(eng, img, durable.Options{SnapshotEvery: r.cfg.DurableSnapshotEvery, FsyncEvery: -1, Decode: fresh.DecodeSnapshot})
+	if err != nil {
+		return durable.RecoveryStats{}, fmt.Errorf("loadgen: group %d crash-image recovery: %w", g, err)
 	}
-	return stats, nil
+	return de.Recovery(), de.Close()
 }
 
 // durableResult sums the groups' recovery statistics, in group order.

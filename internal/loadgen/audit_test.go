@@ -3,14 +3,18 @@ package loadgen
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"flexcast/amcast"
+	"flexcast/internal/core"
+	"flexcast/internal/deploy"
 	"flexcast/internal/durable"
 	"flexcast/internal/gtpcc"
+	"flexcast/internal/store"
 )
 
 // auditRun is a run over a deployment of four executing groups that
@@ -87,24 +91,29 @@ func TestAuditNamesDivergedMirror(t *testing.T) {
 	}
 }
 
-// TestDurableResultIsSequential: the recovery verification runs one
-// group per worker; what it reports equals the groups verified one after
-// another and summed in group order, wall-clock times aside.
-func TestDurableResultIsSequential(t *testing.T) {
+// durableAuditRun is auditRun with every group behind the durable
+// backend, a checkpoint every 32 inputs.
+func durableAuditRun(t *testing.T) *run {
 	cfg := shortCfg()
 	cfg.Durable = true
 	cfg.DurableDir = t.TempDir()
 	cfg.DurableSnapshotEvery = 32
-	r := auditRun(t, cfg, 300)
-	got, err := r.verifyDurableRecovery()
+	return auditRun(t, cfg, 300)
+}
+
+// TestDurableResultIsSequential: the recovery verification runs one
+// group per worker; what it reports equals the groups of a run with the
+// same inputs verified one after another and summed in group order,
+// wall-clock times aside.
+func TestDurableResultIsSequential(t *testing.T) {
+	got, err := durableAuditRun(t).verifyDurableRecovery(recoveryStack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqCfg := r.cfg
-	seqCfg.Replicas, seqCfg.DurableDir, seqCfg.DurableFsyncEvery = 1, t.TempDir(), -1
+	r := durableAuditRun(t)
 	stats := make([]durable.RecoveryStats, len(r.proto.Groups))
 	for i, g := range r.proto.Groups {
-		if stats[i], err = r.verifyGroupRecovery(seqCfg, g); err != nil {
+		if stats[i], err = r.verifyGroupRecovery(recoveryStack, g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,5 +125,58 @@ func TestDurableResultIsSequential(t *testing.T) {
 	want.RecoveryMeanUs, want.RecoveryMaxUs = 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parallel %+v, sequential %+v", got, want)
+	}
+}
+
+// amnesiac is a FlexCast engine whose delta reader reads nothing: a
+// stack over it rebuilds the store half of every record and replays the
+// single-group inputs since the last checkpoint into the same shard, but
+// the delivered set and the history are gone.
+type amnesiac struct{ *core.Engine }
+
+func (amnesiac) ApplyDelta([]byte) error { return nil }
+
+// TestDurableRecoveryComparesProtocolState: a recovery that rebuilds
+// every shard but loses one group's protocol state fails the durable
+// check, named, though its shard digest and replay count match.
+func TestDurableRecoveryComparesProtocolState(t *testing.T) {
+	r := durableAuditRun(t)
+	victim := r.proto.Groups[1]
+	lossy := func(cfg Config) (*deploy.Deployment, error) {
+		d, err := deploy.New(deploy.Spec{Protocol: deploy.FlexCast, Groups: cfg.Groups})
+		if err != nil {
+			return nil, err
+		}
+		build := d.NewEngine
+		d.NewEngine = func(g amcast.GroupID) (amcast.SnapshotEngine, error) {
+			eng, err := build(g)
+			if g == victim {
+				return amnesiac{eng.(*core.Engine)}, err
+			}
+			return eng, err
+		}
+		return d.WithStore(store.Config{Seed: cfg.StoreSeed}, true, 0, cfg.LeaseTerm), nil
+	}
+	live := r.proto.Executors[victim].Shard().Digest()
+	fresh, err := lossy(r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.verifyDurableRecovery(lossy)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("group %d", victim)) || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("recovery that lost group %d's protocol state: %v", victim, err)
+	}
+	// What the shard-digest check saw: the same shard, the same replay.
+	eng, err := fresh.NewEngine(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	de, err := durable.Wrap(eng, durable.Options{Dir: deploy.GroupDir(r.cfg.DurableDir, victim), SnapshotEvery: 32, FsyncEvery: -1, Decode: fresh.DecodeSnapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer de.Close()
+	if fresh.Executors[victim].Shard().Digest() != live || de.Recovery().SnapshotEpoch == 0 {
+		t.Fatalf("the lossy stack rebuilt a different shard, or restored nothing: %+v", de.Recovery())
 	}
 }

@@ -148,9 +148,10 @@ type Config struct {
 	// periodic snapshot files. The run then ends with a crash-recovery
 	// verification: the on-disk image — exactly what a kill -9 at the end
 	// of the measurement window would leave — is recovered into fresh
-	// executors and digest-compared against the live shards, and the
-	// replay length is checked against the live engines' records-since-
-	// last-snapshot (the snapshot-age recovery bound). Requires Execute.
+	// stacks whose whole engine and store state is compared byte for byte
+	// against the live one, and the replay length is checked against the
+	// live engines' inputs since the last checkpoint (the snapshot-age
+	// recovery bound). Requires Execute.
 	Durable bool
 	// DurableDir is the persistence root (each run persists into a fresh
 	// subdirectory so successive runs never recover each other's state;
@@ -288,7 +289,7 @@ func (c *Config) Fill() error {
 		return fmt.Errorf("loadgen: zipf parameter %v outside (1, inf)", c.Zipf)
 	}
 	if c.Durable && !c.Execute {
-		return fmt.Errorf("loadgen: -durable requires -execute (crash recovery is verified against shard digests)")
+		return fmt.Errorf("loadgen: -durable requires -execute (crash recovery is verified against the store state)")
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 16
@@ -371,14 +372,15 @@ type ExecuteResult struct {
 
 // DurableResult is the -durable run's end-of-run crash-recovery
 // verification: the on-disk image (the exact state a kill -9 at the end
-// of the window would leave) recovered into fresh executors and checked
-// against the live deployment.
+// of the window would leave) recovered into fresh stacks and checked
+// against the live deployment (durable.Recover).
 type DurableResult struct {
 	// Groups is the number of groups recovered and verified.
 	Groups int `json:"groups"`
-	// DigestsMatch reports that every recovered shard reached a
-	// byte-identical digest with its live counterpart (a mismatch fails
-	// the run, so emitted reports carry true).
+	// DigestsMatch reports that every recovered group's whole state —
+	// protocol engine, shard, mirror and watermark, as canonical bytes —
+	// is byte-identical to its live counterpart's (a mismatch fails the
+	// run, so emitted reports carry true).
 	DigestsMatch bool `json:"digests_match"`
 	// SnapshottedGroups counts groups whose recovery restored from a
 	// snapshot (the rest replayed their whole WAL: groups that took fewer
@@ -817,10 +819,9 @@ func Run(cfg Config) (*Result, error) {
 	var durRes *DurableResult
 	if cfg.Durable {
 		// The load has stopped and drained. Stop the nodes — the durable
-		// engines' owners — so the engines can be closed and imaged; the
-		// live shards stay readable to compare against.
+		// engines' owners — so the engines can be crashed and imaged.
 		dep.close()
-		if durRes, err = r.verifyDurableRecovery(); err != nil {
+		if durRes, err = r.verifyDurableRecovery(recoveryStack); err != nil {
 			return nil, err
 		}
 	}

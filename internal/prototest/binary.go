@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"flexcast/amcast"
-	"flexcast/internal/simhost"
+	"flexcast/internal/durable"
 )
 
 // CheckBinarySnapshot audits the amcast.BinarySnapshot contract on a
@@ -43,7 +43,7 @@ func CheckBinarySnapshot(t *testing.T, eng, fresh amcast.SnapshotEngine, decode 
 // state as bytes.
 func snapshotBytes(t *testing.T, snap amcast.Snapshot) []byte {
 	t.Helper()
-	data, err := simhost.Marshal(snap)
+	data, err := durable.Canonical(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,12 @@ import (
 //     final input is lost with the torn record, so recovery must stop
 //     cleanly at the state before it — not fail, not misparse.
 //
-// Each image recovers through the simulated host (RecoverImage), with
+// Each image recovers on a fresh engine through durable.Recover, with
 // its audits: torn tail discarded exactly when there is one, replay
-// within the cadence, state byte-equal to what the image must hold.
-// Any divergence means the WAL framing, snapshot codec, or recovery
-// path mishandles a crash artifact.
+// within the cadence (for the clean and torn images, exactly the inputs
+// since the last checkpoint), state byte-equal to what the image must
+// hold. Any divergence means the WAL framing, snapshot codec, or
+// recovery path mishandles a crash artifact.
 func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcast.Snapshot, error), snapshotEvery int) {
 	t.Helper()
 	w := newWorld(t, cfg.Groups, cfg.Factory, simhost.Config{Keep: true, SnapshotEvery: snapshotEvery, Decode: decode})
@@ -45,32 +46,29 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 		}
 		// shape copies the group's kill -9 image for one crash shape to
 		// mutate and recover from, leaving the original for the next.
-		shape := func(state []byte) *simhost.Image {
-			img := &simhost.Image{Dir: t.TempDir(), State: state}
+		shape := func() *durable.Image {
+			img := *live
+			img.Dir = t.TempDir()
 			if err := durable.CopyImage(live.Dir, img.Dir); err != nil {
 				t.Fatal(err)
 			}
-			return img
+			return &img
 		}
-		recoverImage := func(name string, img *simhost.Image) durable.RecoveryStats {
-			de, err := w.RecoverImage(g, img)
+		recoverImage := func(name string, img *durable.Image) {
+			de, err := durable.Recover(cfg.Factory(g).(amcast.SnapshotEngine), img, durable.Options{SnapshotEvery: snapshotEvery, FsyncEvery: -1, Decode: decode})
 			if err != nil {
 				t.Fatalf("prototest: %s: %v", name, err)
 			}
 			de.Close()
-			return de.Recovery()
 		}
 
 		// Clean image: full state back, replaying exactly the inputs since
 		// the last checkpoint.
-		if st := recoverImage("clean image", shape(live.State)); st.ReplayedEnvelopes != live.Since {
-			t.Fatalf("prototest: group %d replayed %d envelopes, want the %d since the last snapshot",
-				g, st.ReplayedEnvelopes, live.Since)
-		}
+		recoverImage("clean image", shape())
 
 		// Torn frame appended past the last complete record: discarded,
 		// same state.
-		torn := shape(live.State)
+		torn := shape()
 		if _, err := durable.TearTail(torn.Dir, nil); err != nil {
 			t.Fatalf("prototest: tear tail of group %d: %v", g, err)
 		}
@@ -80,7 +78,7 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 		// Last record truncated mid-frame: its input is lost with it, so
 		// recovery lands exactly one input earlier, rebuilt here as the
 		// reference by replaying the full input log minus that input.
-		cut := shape(nil)
+		cut := shape()
 		ok, err := durable.TruncateLastRecord(cut.Dir)
 		if err != nil {
 			t.Fatalf("prototest: truncate last record of group %d: %v", g, err)
@@ -94,7 +92,7 @@ func RunDurableReplay(t *testing.T, cfg RandomConfig, decode func([]byte) (amcas
 			ref.OnEnvelope(env)
 			ref.TakeDeliveries()
 		}
-		cut.State, cut.Torn = snapshotBytes(t, ref.Snapshot()), true
+		cut.State, cut.Since, cut.Torn = snapshotBytes(t, ref.Snapshot()), -1, true
 		recoverImage("truncated record", cut)
 	}
 }

@@ -8,7 +8,6 @@
 package simhost
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -76,9 +75,8 @@ type group struct {
 	node     *runtime.Node
 	maxBatch int
 	steps    []Step
-	dir      string
 	de       *durable.Engine
-	img      *Image
+	img      *durable.Image
 }
 
 // Step is one node step: the chunk it took, what it sent to groups (in
@@ -242,119 +240,52 @@ func (h *Host) Step(g amcast.GroupID) {
 	}
 }
 
-// Image is a crashed group's directory, as a kill -9 leaves it, and
-// what a recovery from it must reproduce: State, the engine's canonical
-// snapshot bytes; Since, the inputs after its last checkpoint; Torn, a
-// WAL that ends in a torn record.
-type Image struct {
-	Dir   string
-	State []byte
-	Since int
-	Torn  bool
-}
-
 // Persist puts group g behind the durable backend in dir: its inputs are
 // logged there, with checkpoints on the SnapshotEvery cadence.
 func (h *Host) Persist(g amcast.GroupID, dir string) (err error) {
 	gr := h.groups[g]
-	if gr.de, err = h.wrap(h.Engines[g], dir); err == nil {
-		gr.dir = dir
+	if gr.de, err = durable.Wrap(h.Engines[g].(amcast.SnapshotEngine), h.options(dir)); err == nil {
 		h.host(gr)
 	}
 	return err
 }
 
-// wrap puts eng, a snapshot engine, behind the backend in dir,
-// recovering what dir holds.
-func (h *Host) wrap(eng amcast.Engine, dir string) (*durable.Engine, error) {
-	return durable.Wrap(eng.(amcast.SnapshotEngine), durable.Options{Dir: dir, SnapshotEvery: h.SnapshotEvery, FsyncEvery: -1, Decode: h.Decode})
+// options are a persisted group's durable.Options in dir.
+func (h *Host) options(dir string) durable.Options {
+	return durable.Options{Dir: dir, SnapshotEvery: h.SnapshotEvery, FsyncEvery: -1, Decode: h.Decode}
 }
 
-// Marshal returns a snapshot's canonical bytes: an engine's state.
-func Marshal(snap amcast.Snapshot) ([]byte, error) {
-	bs, ok := snap.(amcast.BinarySnapshot)
-	if !ok {
-		return nil, fmt.Errorf("simhost: snapshot %T has no binary form", snap)
-	}
-	return bs.MarshalBinary()
-}
-
-// Crash takes persisted group g down and returns its image, with any
-// error. The state is fingerprinted first (the engine is quiescent
-// between steps), then the backend is closed: appends already sit in
-// the page cache, the crash image, and Close waits for the persist job
-// in flight, so the image is a finished directory (internal/durable's
-// own crash test covers the unfinished ones). With torn, a partial
-// record is appended to the WAL: the torn tail of a crash mid-append.
-func (h *Host) Crash(g amcast.GroupID, torn bool) (*Image, error) {
+// Crash takes persisted group g down (durable.Crash) and returns its
+// image, with any error.
+func (h *Host) Crash(g amcast.GroupID, torn bool) (img *durable.Image, err error) {
 	gr := h.groups[g]
 	if gr.de == nil || gr.img != nil {
 		return nil, fmt.Errorf("simhost: crash of group %d, which is down or does not persist", g)
 	}
-	state, err := Marshal(gr.de.Snapshot())
-	err = errors.Join(err, gr.de.Close())
-	gr.img = &Image{Dir: gr.dir, State: state, Since: gr.de.SinceSnapshot()}
-	if torn {
-		_, terr := durable.TearTail(gr.dir, nil)
-		gr.img.Torn, err = terr == nil, errors.Join(err, terr)
-	}
-	if err != nil {
-		err = fmt.Errorf("simhost: crash of group %d: %w", g, err)
-	}
+	gr.img, err = durable.Crash(gr.de, torn)
 	return gr.img, err
 }
 
 // Recover brings crashed group g back on a completely fresh engine
-// recovered from its image (RecoverImage) and returns that engine. A
-// recovery that fails an audit leaves the group down: neither the
-// rejected engine nor the crashed one is stepped again.
+// recovered from its image, with durable.Recover's audits (the replay's
+// outputs were already transmitted and are suppressed), and returns that
+// engine. A recovery that fails an audit leaves the group down: neither
+// the rejected engine nor the crashed one is stepped again.
 func (h *Host) Recover(g amcast.GroupID) (amcast.Engine, error) {
 	gr := h.groups[g]
 	if gr.img == nil {
 		return nil, fmt.Errorf("simhost: recover of live group %d", g)
 	}
-	de, err := h.RecoverImage(g, gr.img)
-	if err != nil {
-		return nil, err
-	}
-	h.Engines[g], gr.de, gr.img = de.Inner(), de, nil
-	h.host(gr)
-	return h.Engines[g], nil
-}
-
-// RecoverImage builds a fresh engine for group g and recovers it from
-// img (the replay's outputs were already transmitted and are
-// suppressed), with three audits: a torn tail is discarded exactly when
-// the image has one, the replay stays within the checkpoint cadence,
-// and the recovered state equals img.State byte for byte. A recovery
-// that fails an audit is closed.
-func (h *Host) RecoverImage(g amcast.GroupID, img *Image) (*durable.Engine, error) {
 	eng, err := h.NewEngine(g)
 	if err != nil {
 		return nil, err
 	}
-	de, err := h.wrap(eng, img.Dir)
-	if err != nil {
+	if gr.de, err = durable.Recover(eng.(amcast.SnapshotEngine), gr.img, h.options(gr.img.Dir)); err != nil {
 		return nil, err
 	}
-	st := de.Recovery()
-	got, err := Marshal(de.Snapshot())
-	switch {
-	case err != nil:
-	case img.Torn != (st.TornTailBytes > 0):
-		err = fmt.Errorf("simhost: group %d recovery discarded a torn tail of %d bytes from an image torn=%t", g, st.TornTailBytes, img.Torn)
-	case h.SnapshotEvery > 0 && st.ReplayedEnvelopes > h.SnapshotEvery:
-		err = fmt.Errorf("simhost: recovery of group %d replayed %d envelopes against a snapshot cadence of %d — snapshot age does not bound recovery",
-			g, st.ReplayedEnvelopes, h.SnapshotEvery)
-	case !bytes.Equal(got, img.State):
-		err = fmt.Errorf("simhost: recovery of group %d diverged from the crashed engine's final state (%d vs %d snapshot bytes)",
-			g, len(got), len(img.State))
-	}
-	if err != nil {
-		de.Close()
-		return nil, err
-	}
-	return de, nil
+	h.Engines[g], gr.img = eng, nil
+	h.host(gr)
+	return eng, nil
 }
 
 // Close closes the durable backend of every persisted group that is up.

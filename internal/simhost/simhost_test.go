@@ -7,7 +7,6 @@ import (
 
 	"flexcast/amcast"
 	"flexcast/internal/core"
-	"flexcast/internal/durable"
 	"flexcast/internal/overlay"
 	"flexcast/internal/sim"
 	"flexcast/internal/simhost"
@@ -52,9 +51,9 @@ func drained(t *testing.T, fails *[]error) *simhost.Host {
 	return h
 }
 
-// TestRecoveryAudits: a crashed group recovers byte for byte, and each
-// of the three audits refuses the recovery it exists for, leaving the
-// group down until one passes.
+// TestRecoveryAudits: a crashed group takes no envelope, a recovery
+// that fails one of durable.Recover's audits leaves it down until one
+// passes, and the recovered engine is the one the group runs.
 func TestRecoveryAudits(t *testing.T) {
 	var fails []error
 	h := drained(t, &fails)
@@ -67,26 +66,12 @@ func TestRecoveryAudits(t *testing.T) {
 	if len(fails) != 1 || !strings.Contains(fails[0].Error(), "crashed group") {
 		t.Fatalf("an envelope handed to a crashed group: %v", fails)
 	}
-
-	for _, c := range []struct {
-		name, want string
-		spoil      func(img *simhost.Image)
-	}{
-		{"torn tail not discarded", "torn", func(img *simhost.Image) { img.Torn = true }},
-		{"state lost", "diverged from the crashed engine's final state", func(img *simhost.Image) { img.State = img.State[1:] }},
-	} {
-		saved := *img
-		c.spoil(img)
-		if _, err := h.Recover(g); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: recovery returned %v", c.name, err)
-		}
-		*img = saved
+	state := img.State
+	img.State = state[1:]
+	if _, err := h.Recover(g); err == nil || !strings.Contains(err.Error(), "diverged from the crashed engine's final state") {
+		t.Fatalf("state lost: recovery returned %v", err)
 	}
-	// A torn tail recovery discards, on an image crashed torn.
-	if _, err := durable.TearTail(img.Dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	img.Torn = true
+	img.State = state
 	eng, err := h.Recover(g)
 	if err != nil {
 		t.Fatal(err)
@@ -97,18 +82,11 @@ func TestRecoveryAudits(t *testing.T) {
 	if _, err := h.Recover(g); err == nil {
 		t.Fatal("recovery of a live group accepted")
 	}
-
-	// A cadence the image's replay exceeds fails the replay bound.
-	img, err = h.Crash(2, true)
-	if err != nil {
+	if img, err = h.Crash(2, true); err != nil || !img.Torn {
+		t.Fatalf("group 2 crashed torn=%t: %v", img.Torn, err)
+	}
+	if _, err := h.Recover(2); err != nil {
 		t.Fatal(err)
-	}
-	if !img.Torn || img.Since == 0 {
-		t.Fatalf("group 2 crashed torn=%t, replaying %d inputs: the audits go unchecked", img.Torn, img.Since)
-	}
-	h.SnapshotEvery = img.Since - 1
-	if _, err := h.RecoverImage(2, img); err == nil || !strings.Contains(err.Error(), "snapshot age does not bound recovery") {
-		t.Fatalf("a replay over the cadence: %v", err)
 	}
 	if err := h.Close(); err != nil || len(fails) != 1 {
 		t.Fatalf("close: %v, failures %v", err, fails)

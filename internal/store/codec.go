@@ -108,8 +108,8 @@ func (q queue) appendFrame(buf []byte, from uint64) []byte {
 	return slices.Insert(buf, start, size...)
 }
 
-// AppendBinary appends the shard's canonical serialization (the same
-// field walk Digest hashes, plus the configuration needed to rebuild).
+// AppendBinary appends the shard's canonical serialization: the record
+// DecodeShard reads and Digest hashes.
 func (s *Shard) AppendBinary(buf []byte) []byte {
 	return s.queue().appendFrame(s.appendTables(buf), s.delivered)
 }

