@@ -72,9 +72,6 @@ type DurableConfig struct {
 	// FsyncEvery fsyncs each WAL every N appends (default 64; 1 fsyncs
 	// every append, <0 never fsyncs — kill -9 durability only).
 	FsyncEvery int
-	// KeepEpochs retains superseded WAL/snapshot files instead of
-	// deleting them.
-	KeepEpochs bool
 }
 
 // DurableRecovery reports how one group's durable engine recovered at
@@ -118,11 +115,8 @@ type Cluster struct {
 
 	mu  sync.Mutex
 	seq uint64
-	// calls is the built-in client (client 0): the open Calls, and in
-	// calls.Prefix the delivered prefix the client has witnessed per
-	// group — the consistency barrier of the local-read fast path
-	// (StoreCluster): a read at that barrier sees every delivery whose
-	// reply the client has already received. Guarded by mu.
+	// calls is the built-in client (client 0): the open Calls. Guarded
+	// by mu.
 	calls  *client.Calls[callWaiter]
 	closed bool
 }
@@ -130,9 +124,8 @@ type Cluster struct {
 // callWaiter is what a blocked Call keeps in its table entry.
 type callWaiter struct {
 	// observed folds this call's replies alone — the per-call barrier
-	// delta a Session merges into its own vector (the cluster-wide
-	// tracker is too coarse for sessions: it advances with every
-	// caller's traffic, not just this session's observations).
+	// delta the issuing Session merges into its own vector, so a
+	// session's barrier advances with its own observations only.
 	observed amcast.PrefixTracker
 	// done is closed when the call completes, or — with closed set —
 	// when the cluster closes under it.
@@ -172,7 +165,6 @@ func newCluster(cfg ClusterConfig, dep *deploy.Deployment) (*Cluster, error) {
 		dep = dep.WithDurable(d.Dir, durable.Options{
 			SnapshotEvery: d.SnapshotEvery,
 			FsyncEvery:    d.FsyncEvery,
-			KeepEpochs:    d.KeepEpochs,
 		})
 	}
 	c.dep = dep
@@ -219,26 +211,6 @@ func (c *Cluster) DurableRecoveries() []DurableRecovery {
 
 // Groups returns the cluster's group set.
 func (c *Cluster) Groups() []GroupID { return append([]GroupID(nil), c.dep.Groups...) }
-
-// ObservedPrefix returns the delivered prefix the cluster's built-in
-// client has observed at group g: one past the highest delivery
-// sequence seen on a reply from g, raised further by any watermark a
-// reply or read result piggybacked (amcast.PrefixTracker). It only
-// grows, so it is a valid read-your-writes barrier for reads against g.
-func (c *Cluster) ObservedPrefix(g GroupID) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls.Prefix.Prefix(g)
-}
-
-// observeRead folds a read result's serving watermark into the
-// cluster-wide barrier, making successive reads monotonic even across
-// different serving replicas.
-func (c *Cluster) observeRead(g GroupID, watermark uint64) {
-	c.mu.Lock()
-	c.calls.Prefix.Fold(g, watermark)
-	c.mu.Unlock()
-}
 
 // Multicast sends payload to the destination groups and returns the
 // message id without waiting for delivery. Deliveries surface through

@@ -55,6 +55,33 @@ func ExampleCluster() {
 	// group 3: [alpha beta]
 }
 
+// ExampleStoreCluster runs transactions against the partially
+// replicated gTPC-C store: a new-order with a cross-shard order line,
+// then a read-only order-status served by the local-read fast path.
+func ExampleStoreCluster() {
+	sc, err := flexcast.NewStoreCluster(flexcast.StoreClusterConfig{Warehouses: 4})
+	if err != nil {
+		panic(err)
+	}
+	defer sc.Close()
+	res, err := sc.NewOrder(1, 7, []flexcast.OrderLine{
+		{Item: 3, Qty: 2},            // supplied by the home warehouse
+		{Item: 9, Supply: 3, Qty: 1}, // cross-shard order line
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Committed)
+	status, err := sc.OrderStatus(1, 7) // no ordering round
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(status.FastPath, status.Value)
+	// Output:
+	// true
+	// true 0
+}
+
 // ExampleNewOverlay shows lca computation on a C-DAG overlay — the group
 // a client must contact to multicast.
 func ExampleNewOverlay() {

@@ -347,7 +347,7 @@ type openCall struct {
 // call table folds the duplicate and stale replies faults inject) and,
 // closed-loop, issues its next multicast the moment the previous one
 // completed at every destination, or a think time later. An open-loop
-// client's next is always spent: its multicasts are issued on a
+// client's next is always spent: its multicasts go through send on a
 // schedule of their own.
 type loopClient struct {
 	r      *run
@@ -379,8 +379,14 @@ func (c *loopClient) issue() {
 		return
 	}
 	c.issued++
-	c.calls.Issue(m, openCall{issued: c.r.s.Now()})
 	c.r.multicast(m)
+	c.send(m)
+}
+
+// send opens m's call and transmits its requests. An open-loop
+// multicast was counted (run.multicast) when it was scheduled.
+func (c *loopClient) send(m amcast.Message) {
+	c.calls.Issue(m, openCall{issued: c.r.s.Now()})
 	c.tracer.Begin(m.ID)
 	c.calls.Requests(m, c.r.send(c.calls.ID()))
 }
@@ -610,16 +616,14 @@ func (r *run) flushClient() {
 		r.s.ScheduleAt(opt.FlushEvery, lc.issue)
 		return
 	}
-	r.net.Register(calls.ID(), sim.HandlerFunc(func(env amcast.Envelope) {}))
+	// Open loop: one flush per period of the injection window.
+	lc := r.loop(calls, func(uint64) (amcast.Message, bool) { return amcast.Message{}, false }, 0, nil, nil)
 	seq := uint64(0)
 	for at := opt.FlushEvery; at <= injectWindow; at += opt.FlushEvery {
 		seq++
 		m := calls.Message(seq, all, amcast.FlagFlush, nil)
 		r.multicast(m)
-		r.s.ScheduleAt(at, func() {
-			// Fire and forget: nothing waits on an open-loop flush.
-			calls.Requests(m, r.send(calls.ID()))
-		})
+		r.s.ScheduleAt(at, func() { lc.send(m) })
 	}
 }
 
@@ -662,11 +666,7 @@ func (r *run) clients(instr *Instrumentation) {
 		// goes out at its own seeded time.
 		for _, m := range msgs {
 			r.multicast(m)
-			r.s.ScheduleAt(sim.Time(r.rng.Int63n(int64(injectWindow))), func() {
-				calls.Issue(m, openCall{issued: r.s.Now()})
-				r.tracer.Begin(m.ID)
-				calls.Requests(m, r.send(calls.ID()))
-			})
+			r.s.ScheduleAt(sim.Time(r.rng.Int63n(int64(injectWindow))), func() { lc.send(m) })
 		}
 	}
 }

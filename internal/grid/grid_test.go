@@ -311,10 +311,36 @@ func TestSummaryValidation(t *testing.T) {
 	if err := incoherent.Validate(); err == nil {
 		t.Error("median below min accepted")
 	}
-	zeroTp := summaryFrom(t, loadCellSummary("a", 1000, 20, nil))
-	zeroTp.Cells[0].Metrics["throughput_tx_s"] = MetricSummary{Median: 0, N: 1}
-	if err := zeroTp.Validate(); err == nil {
-		t.Error("zero-throughput load cell accepted")
+}
+
+// TestSummaryLoadCellKeys: a load cell must carry throughput and p50
+// latency; throughput must be positive, but a p50 median of 0 is a real
+// value (latency is recorded in truncated µs) and passes.
+func TestSummaryLoadCellKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(m map[string]MetricSummary)
+		ok   bool
+	}{
+		{"as built", func(map[string]MetricSummary) {}, true},
+		{"sub-µs p50", func(m map[string]MetricSummary) {
+			m["latency_p50_us"] = MetricSummary{Median: 0, Min: 0, Max: 1, N: 3}
+		}, true},
+		{"p50 missing", func(m map[string]MetricSummary) { delete(m, "latency_p50_us") }, false},
+		{"negative p50", func(m map[string]MetricSummary) {
+			m["latency_p50_us"] = MetricSummary{Median: -1, Min: -1, Max: -1, N: 3}
+		}, false},
+		{"zero throughput", func(m map[string]MetricSummary) {
+			m["throughput_tx_s"] = MetricSummary{Median: 0, N: 3}
+		}, false},
+		{"throughput missing", func(m map[string]MetricSummary) { delete(m, "throughput_tx_s") }, false},
+	} {
+		cell := loadCellSummary("a", 1000, 20, nil)
+		tc.edit(cell.Metrics)
+		s := &Summary{Schema: Schema, Commit: "test", Date: "d", Cells: []CellSummary{cell}}
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

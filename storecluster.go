@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flexcast/amcast"
-	"flexcast/internal/client"
 	"flexcast/internal/deploy"
 	"flexcast/internal/gtpcc"
 	"flexcast/internal/store"
@@ -49,10 +48,11 @@ type StoreClusterConfig struct {
 	// warehouse: each applies the warehouse's delivery log shipped from
 	// the serving node (asynchronously, with its own delivered-prefix
 	// watermark) and serves lease-gated fast reads, multiplying read
-	// capacity by the replication factor (DESIGN.md §1e). Sessions
-	// (Session) load-balance OrderStatus/StockLevel across them; an
-	// expired lease falls back to the serving node. 0 keeps all reads
-	// on the serving node.
+	// capacity by the replication factor (DESIGN.md §1e).
+	// OrderStatus/StockLevel load-balance across them, in every
+	// session, the cluster's default one included; an expired lease
+	// falls back to the serving node. 0 keeps all reads on the serving
+	// node.
 	ReadReplicas int
 	// LeaseTerm is the follower read-lease term (default 250ms). Leases
 	// renew as the delivery log ships, so an idle warehouse's leases
@@ -101,7 +101,7 @@ type TxResult struct {
 	Value int64
 	// Replica identifies which replica served a fast-path read: 0 is
 	// the warehouse's serving node, >= 1 a lease-holding follower read
-	// replica (sessions on clusters with ReadReplicas).
+	// replica (clusters with ReadReplicas).
 	Replica int32
 }
 
@@ -109,14 +109,22 @@ type TxResult struct {
 // gTPC-C store over atomic multicast: every transaction is multicast to
 // the warehouses it involves, delivered in a cross-group serializable
 // order, and executed deterministically at each involved shard. It is
-// the executable-workload counterpart of Cluster.
+// the executable-workload counterpart of Cluster. Its transaction calls
+// (NewOrder, Payment, DeliverOrders, OrderStatus, StockLevel) run in a
+// default Session opened with the cluster; Session opens more.
 type StoreCluster struct {
+	*defaultSession
 	c         *Cluster
 	items     int
 	customers int
 	fastReads bool
 	timeout   time.Duration
 }
+
+// defaultSession names the session StoreCluster embeds: an embedded
+// *Session would be a field named Session, clashing with the Session
+// constructor.
+type defaultSession = Session
 
 // NewStoreCluster builds and starts an executing cluster.
 func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
@@ -161,13 +169,15 @@ func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StoreCluster{
+	sc := &StoreCluster{
 		c:         c,
 		items:     cfg.Items,
 		customers: cfg.Customers,
 		fastReads: !cfg.DisableFastReads,
 		timeout:   timeout,
-	}, nil
+	}
+	sc.defaultSession = sc.Session()
+	return sc, nil
 }
 
 // Warehouses returns the cluster's warehouse groups.
@@ -185,185 +195,6 @@ func (sc *StoreCluster) checkCustomer(customer int) error {
 		return fmt.Errorf("flexcast: customer %d outside [0,%d)", customer, sc.customers)
 	}
 	return nil
-}
-
-// exec multicasts one transaction and reports its verdict.
-func (sc *StoreCluster) exec(tx gtpcc.Tx) (*TxResult, error) {
-	_, call, err := sc.c.call(tx.Involved(), gtpcc.EncodeTx(tx))
-	if err != nil {
-		return nil, err
-	}
-	return txResult(call)
-}
-
-// txResult assembles the transaction result of a completed call: every
-// involved warehouse must have executed and reached the same verdict
-// (the call's fold, client.Calls).
-func txResult(call *client.Call[callWaiter]) (*TxResult, error) {
-	id := call.Msg.ID
-	if g := call.Unexecuted; g != amcast.NoGroup {
-		return nil, fmt.Errorf("flexcast: warehouse %d did not execute tx %s", g, id)
-	}
-	if call.Diverged {
-		return nil, fmt.Errorf("flexcast: tx %s verdicts diverge across its destinations", id)
-	}
-	results := make(map[GroupID]uint8, len(call.Msg.Dst))
-	for _, g := range call.Msg.Dst {
-		results[g] = call.Result
-	}
-	return &TxResult{ID: id, Committed: call.Result == amcast.ResultCommitted, Results: results}, nil
-}
-
-// newOrderTx validates and assembles a new-order transaction.
-func (sc *StoreCluster) newOrderTx(home GroupID, customer int, lines []OrderLine) (gtpcc.Tx, error) {
-	if len(lines) == 0 {
-		return gtpcc.Tx{}, fmt.Errorf("flexcast: new-order needs at least one order line")
-	}
-	if err := sc.checkCustomer(customer); err != nil {
-		return gtpcc.Tx{}, err
-	}
-	for _, l := range lines {
-		if l.Item < 0 || l.Item >= sc.items {
-			return gtpcc.Tx{}, fmt.Errorf("flexcast: item %d outside [0,%d)", l.Item, sc.items)
-		}
-		if l.Qty <= 0 {
-			return gtpcc.Tx{}, fmt.Errorf("flexcast: non-positive quantity %d", l.Qty)
-		}
-	}
-	tx := gtpcc.Tx{
-		Type:        gtpcc.NewOrder,
-		Home:        home,
-		Customer:    int32(customer),
-		Items:       len(lines),
-		PayloadSize: 64 + 12*len(lines),
-	}
-	for _, l := range lines {
-		supply := l.Supply
-		if supply == amcast.NoGroup {
-			supply = home
-		}
-		tx.Lines = append(tx.Lines, gtpcc.OrderLine{
-			Item: int32(l.Item), Supply: supply, Qty: int32(l.Qty),
-		})
-	}
-	tx.Dst = tx.Involved()
-	return tx, nil
-}
-
-// NewOrder executes a TPC-C new-order for a customer of the home
-// warehouse; order lines may be supplied by remote warehouses, making
-// the transaction multi-shard.
-func (sc *StoreCluster) NewOrder(home GroupID, customer int, lines []OrderLine) (*TxResult, error) {
-	tx, err := sc.newOrderTx(home, customer, lines)
-	if err != nil {
-		return nil, err
-	}
-	return sc.exec(tx)
-}
-
-// paymentTx validates and assembles a payment transaction.
-func (sc *StoreCluster) paymentTx(home, customerWarehouse GroupID, customer int, amount int64) (gtpcc.Tx, error) {
-	if amount <= 0 {
-		return gtpcc.Tx{}, fmt.Errorf("flexcast: payment amount must be positive")
-	}
-	if err := sc.checkCustomer(customer); err != nil {
-		return gtpcc.Tx{}, err
-	}
-	if customerWarehouse == amcast.NoGroup {
-		customerWarehouse = home
-	}
-	tx := gtpcc.Tx{
-		Type:          gtpcc.Payment,
-		Home:          home,
-		Customer:      int32(customer),
-		CustWarehouse: customerWarehouse,
-		Amount:        amount,
-		PayloadSize:   48,
-	}
-	tx.Dst = tx.Involved()
-	return tx, nil
-}
-
-// Payment executes a TPC-C payment: the home warehouse banks amount,
-// the customer's warehouse debits the customer (multi-shard when they
-// differ).
-func (sc *StoreCluster) Payment(home, customerWarehouse GroupID, customer int, amount int64) (*TxResult, error) {
-	tx, err := sc.paymentTx(home, customerWarehouse, customer, amount)
-	if err != nil {
-		return nil, err
-	}
-	return sc.exec(tx)
-}
-
-// readFast serves a read-only single-shard transaction on the local-read
-// fast path: no multicast — the read executes directly against the
-// warehouse's serving shard once it has applied every delivery this
-// client has already observed there (the delivered-prefix barrier,
-// giving read-your-writes and serializable reads; DESIGN.md §1d). The
-// read's serving watermark folds back into the cluster-wide barrier, so
-// successive reads are monotonic. Session reads additionally
-// load-balance across follower replicas; this cluster-wide form always
-// reads the serving node.
-func (sc *StoreCluster) readFast(tx gtpcc.Tx) (*TxResult, error) {
-	ex, ok := sc.c.dep.Executors[tx.Home]
-	if !ok {
-		return nil, fmt.Errorf("flexcast: unknown warehouse %d", tx.Home)
-	}
-	res, err := ex.Read(tx, sc.c.ObservedPrefix(tx.Home), sc.timeout)
-	if err != nil {
-		return nil, err
-	}
-	sc.c.observeRead(tx.Home, res.Watermark)
-	return &TxResult{
-		Committed: true,
-		Results:   map[GroupID]uint8{tx.Home: amcast.ResultCommitted},
-		FastPath:  true,
-		Value:     res.Value,
-	}, nil
-}
-
-// OrderStatus executes the read-only order-status transaction at one
-// warehouse. Single-shard and read-only, it is served by the local-read
-// fast path (no multicast) unless the cluster was configured with
-// DisableFastReads; the result's Value is the customer's most recent
-// order id (-1 when none).
-func (sc *StoreCluster) OrderStatus(warehouse GroupID, customer int) (*TxResult, error) {
-	if err := sc.checkCustomer(customer); err != nil {
-		return nil, err
-	}
-	tx := gtpcc.Tx{
-		Type: gtpcc.OrderStatus, Home: warehouse,
-		Customer: int32(customer), PayloadSize: 40,
-	}
-	if sc.fastReads {
-		return sc.readFast(tx)
-	}
-	tx.Dst = tx.Involved()
-	return sc.exec(tx)
-}
-
-// DeliverOrders executes the delivery transaction at one warehouse,
-// popping its oldest undelivered orders.
-func (sc *StoreCluster) DeliverOrders(warehouse GroupID) (*TxResult, error) {
-	tx := gtpcc.Tx{Type: gtpcc.Delivery, Home: warehouse, PayloadSize: 40}
-	tx.Dst = tx.Involved()
-	return sc.exec(tx)
-}
-
-// StockLevel executes the read-only stock-level transaction at one
-// warehouse, served by the local-read fast path (no multicast) unless
-// DisableFastReads is set; the result's Value is the low-stock item
-// count.
-func (sc *StoreCluster) StockLevel(warehouse GroupID, threshold int) (*TxResult, error) {
-	tx := gtpcc.Tx{
-		Type: gtpcc.StockLevel, Home: warehouse,
-		Threshold: int32(threshold), PayloadSize: 40,
-	}
-	if sc.fastReads {
-		return sc.readFast(tx)
-	}
-	tx.Dst = tx.Involved()
-	return sc.exec(tx)
 }
 
 // Digest returns a warehouse shard's state digest — the witness that
@@ -412,7 +243,10 @@ func (sc *StoreCluster) Close() {
 // load-balance round-robin across the warehouse's lease-holding
 // followers, falling back to the serving node when a lease has lapsed.
 // A Session is safe for concurrent use; independent sessions share
-// nothing but the cluster.
+// nothing but the cluster. The StoreCluster's own transaction calls
+// run in a default session opened with the cluster, so they hold these
+// guarantees against the writes and reads made through the cluster
+// itself, not against those of other sessions.
 type Session struct {
 	sc *StoreCluster
 
@@ -427,8 +261,10 @@ func (sc *StoreCluster) Session() *Session {
 	return &Session{sc: sc, barrier: make(amcast.PrefixTracker)}
 }
 
-// exec runs one multicast transaction and folds the replies' delivered
-// prefixes (and piggybacked watermarks) into the session barrier.
+// exec runs one multicast transaction, folds the replies' delivered
+// prefixes (and piggybacked watermarks) into the session barrier, and
+// reports the verdict: every involved warehouse must have executed and
+// reached the same one (the call's fold, client.Calls).
 func (s *Session) exec(tx gtpcc.Tx) (*TxResult, error) {
 	_, call, err := s.sc.c.call(tx.Involved(), gtpcc.EncodeTx(tx))
 	if err != nil {
@@ -439,38 +275,96 @@ func (s *Session) exec(tx gtpcc.Tx) (*TxResult, error) {
 		s.barrier.Fold(g, p)
 	}
 	s.mu.Unlock()
-	return txResult(call)
+	id := call.Msg.ID
+	if g := call.Unexecuted; g != amcast.NoGroup {
+		return nil, fmt.Errorf("flexcast: warehouse %d did not execute tx %s", g, id)
+	}
+	if call.Diverged {
+		return nil, fmt.Errorf("flexcast: tx %s verdicts diverge across its destinations", id)
+	}
+	results := make(map[GroupID]uint8, len(call.Msg.Dst))
+	for _, g := range call.Msg.Dst {
+		results[g] = call.Result
+	}
+	return &TxResult{ID: id, Committed: call.Result == amcast.ResultCommitted, Results: results}, nil
 }
 
-// NewOrder is StoreCluster.NewOrder through this session's barrier.
+// NewOrder executes a TPC-C new-order for a customer of the home
+// warehouse; order lines may be supplied by remote warehouses, making
+// the transaction multi-shard.
 func (s *Session) NewOrder(home GroupID, customer int, lines []OrderLine) (*TxResult, error) {
-	tx, err := s.sc.newOrderTx(home, customer, lines)
-	if err != nil {
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("flexcast: new-order needs at least one order line")
+	}
+	if err := s.sc.checkCustomer(customer); err != nil {
 		return nil, err
 	}
+	tx := gtpcc.Tx{
+		Type:        gtpcc.NewOrder,
+		Home:        home,
+		Customer:    int32(customer),
+		Items:       len(lines),
+		PayloadSize: 64 + 12*len(lines),
+	}
+	for _, l := range lines {
+		if l.Item < 0 || l.Item >= s.sc.items {
+			return nil, fmt.Errorf("flexcast: item %d outside [0,%d)", l.Item, s.sc.items)
+		}
+		if l.Qty <= 0 {
+			return nil, fmt.Errorf("flexcast: non-positive quantity %d", l.Qty)
+		}
+		supply := l.Supply
+		if supply == amcast.NoGroup {
+			supply = home
+		}
+		tx.Lines = append(tx.Lines, gtpcc.OrderLine{
+			Item: int32(l.Item), Supply: supply, Qty: int32(l.Qty),
+		})
+	}
+	tx.Dst = tx.Involved()
 	return s.exec(tx)
 }
 
-// Payment is StoreCluster.Payment through this session's barrier.
+// Payment executes a TPC-C payment: the home warehouse banks amount,
+// the customer's warehouse debits the customer (multi-shard when they
+// differ).
 func (s *Session) Payment(home, customerWarehouse GroupID, customer int, amount int64) (*TxResult, error) {
-	tx, err := s.sc.paymentTx(home, customerWarehouse, customer, amount)
-	if err != nil {
+	if amount <= 0 {
+		return nil, fmt.Errorf("flexcast: payment amount must be positive")
+	}
+	if err := s.sc.checkCustomer(customer); err != nil {
 		return nil, err
 	}
+	if customerWarehouse == amcast.NoGroup {
+		customerWarehouse = home
+	}
+	tx := gtpcc.Tx{
+		Type:          gtpcc.Payment,
+		Home:          home,
+		Customer:      int32(customer),
+		CustWarehouse: customerWarehouse,
+		Amount:        amount,
+		PayloadSize:   48,
+	}
+	tx.Dst = tx.Involved()
 	return s.exec(tx)
 }
 
-// DeliverOrders is StoreCluster.DeliverOrders through this session's
-// barrier.
+// DeliverOrders executes the delivery transaction at one warehouse,
+// popping its oldest undelivered orders.
 func (s *Session) DeliverOrders(warehouse GroupID) (*TxResult, error) {
 	tx := gtpcc.Tx{Type: gtpcc.Delivery, Home: warehouse, PayloadSize: 40}
 	tx.Dst = tx.Involved()
 	return s.exec(tx)
 }
 
-// OrderStatus serves the read-only order-status transaction at this
-// session's barrier — on a lease-holding follower replica when the
-// cluster has them, else on the serving node.
+// OrderStatus executes the read-only order-status transaction at one
+// warehouse. Single-shard and read-only, it is served by the local-read
+// fast path (no multicast) at this session's barrier — on a
+// lease-holding follower replica when the cluster has them, else on the
+// serving node — unless the cluster was configured with
+// DisableFastReads; the result's Value is the customer's most recent
+// order id (-1 when none).
 func (s *Session) OrderStatus(warehouse GroupID, customer int) (*TxResult, error) {
 	if err := s.sc.checkCustomer(customer); err != nil {
 		return nil, err
@@ -482,9 +376,9 @@ func (s *Session) OrderStatus(warehouse GroupID, customer int) (*TxResult, error
 	return s.read(tx)
 }
 
-// StockLevel serves the read-only stock-level transaction at this
-// session's barrier — on a lease-holding follower replica when the
-// cluster has them, else on the serving node.
+// StockLevel executes the read-only stock-level transaction at one
+// warehouse, routed like OrderStatus; the result's Value is the
+// low-stock item count.
 func (s *Session) StockLevel(warehouse GroupID, threshold int) (*TxResult, error) {
 	tx := gtpcc.Tx{
 		Type: gtpcc.StockLevel, Home: warehouse,

@@ -255,6 +255,45 @@ func TestSessionFollowerReads(t *testing.T) {
 	}
 }
 
+// TestStoreClusterFollowerReads: the cluster-level calls run in the
+// cluster's default session, so on a cluster with follower replicas
+// they load-balance over the lease holders like any session's reads
+// while staying read-your-writes against the cluster's own writes.
+func TestStoreClusterFollowerReads(t *testing.T) {
+	sc, err := flexcast.NewStoreCluster(flexcast.StoreClusterConfig{
+		Warehouses:   3,
+		ReadReplicas: 2,
+		// Generous term, as in TestSessionFollowerReads: the lease the
+		// NewOrder feed renews must outlive the read loop.
+		LeaseTerm: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	res, err := sc.NewOrder(1, 3, []flexcast.OrderLine{{Item: 7, Qty: 2}})
+	if err != nil || !res.Committed {
+		t.Fatalf("new-order: %+v, %v", res, err)
+	}
+	sawFollower := false
+	for i := 0; i < 4; i++ {
+		rd, err := sc.OrderStatus(1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rd.FastPath || rd.Value != 0 {
+			t.Fatalf("read %d after the cluster's own new-order = %+v, want fast path and order id 0", i, rd)
+		}
+		if rd.Replica > 0 {
+			sawFollower = true
+		}
+	}
+	if !sawFollower {
+		t.Fatal("no cluster-level read was served by a follower replica (all fell back to the serving node)")
+	}
+}
+
 // TestSessionDisabledFastReads keeps sessions usable on clusters that
 // route reads through the multicast.
 func TestSessionDisabledFastReads(t *testing.T) {
